@@ -49,10 +49,6 @@ from .freegroup import (
     NCPolynomial,
     magnus_sign,
     magnus_truncated,
-    monomial_compare,
-    nc_add,
-    nc_multiply,
-    nc_negate,
     reduce_word,
 )
 from .generators import (
@@ -68,7 +64,6 @@ from .generators import (
     verify_generating,
 )
 from .trees import (
-    NAdicInterval,
     Tree,
     TreePair,
     attach_caret,
@@ -76,8 +71,6 @@ from .trees import (
     fn_factorize,
     fn_sign,
     join,
-    leaf_addresses,
-    leaf_interval,
     pair_inverse,
     pair_is_identity,
     pair_multiply,

@@ -24,7 +24,9 @@ from typing import Iterable, Literal
 from . import braid as br
 from . import trees as tr
 from .braid import AWord, braids_equal, is_trivial, split_a
-from .trees import Tree, TreePair, expansion_script, fn_sign, join
+from .freegroup import _trusted, invert_letters, reduce_onto
+from .trees import (Tree, TreePair, expansion_script, fn_sign, join, tree_from_nested,
+                    tree_to_nested)
 
 NEGATIVE, ZERO, POSITIVE = -1, 0, 1
 
@@ -81,20 +83,6 @@ def pn_context(arity: int) -> HContext:
         for i in range(1, arity) for j in range(i + 1, arity + 1)
     )
     return HContext(arity, gens)
-
-
-def label_inverse(label: Label) -> Label:
-    return tuple(-x for x in reversed(label))
-
-
-def _label_concat(a: Label, b: Label) -> Label:
-    out = list(a)
-    for letter in b:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
 
 
 def label_to_braid(label: Label, context: HContext) -> AWord:
@@ -165,7 +153,8 @@ def expand(x: BFElement, i: int) -> BFElement:
     n = x.arity
     inner = label_to_braid(x.labels[i - 1], x.context)
     new_labels = x.labels[: i - 1] + (x.labels[i - 1],) * n + x.labels[i:]
-    return BFElement(
+    return _trusted(
+        BFElement,
         x.context,
         x.t1.attach(i),
         split_a(x.braid, i, n, inner),
@@ -189,16 +178,17 @@ def multiply(x: BFElement, y: BFElement) -> BFElement:
     middle, _, _ = join(x.t2, y.t1)
     xe = expand_to(x, "right", middle)
     ye = expand_to(y, "left", middle)
-    labels = tuple(_label_concat(a, b) for a, b in zip(xe.labels, ye.labels))
-    return BFElement(x.context, xe.t1, xe.braid * ye.braid, labels, ye.t2)
+    labels = tuple(tuple(reduce_onto(list(a), b)) for a, b in zip(xe.labels, ye.labels))
+    return _trusted(BFElement, x.context, xe.t1, xe.braid * ye.braid, labels, ye.t2)
 
 
 def inverse(x: BFElement) -> BFElement:
-    return BFElement(
+    return _trusted(
+        BFElement,
         x.context,
         x.t2,
         x.braid.inverse(),
-        tuple(label_inverse(l) for l in x.labels),
+        tuple(invert_letters(l) for l in x.labels),
         x.t1,
     )
 
@@ -263,7 +253,8 @@ def _reduction_at(x: BFElement, i: int) -> BFElement | None:
     if not braids_equal(x.braid, split_a(candidate, i, n, inner)):
         return None
     labels = x.labels[: i - 1] + (window[0],) + x.labels[i - 1 + n :]
-    return BFElement(x.context, x.t1.remove_caret(i), candidate, labels, x.t2.remove_caret(i))
+    return _trusted(BFElement, x.context, x.t1.remove_caret(i), candidate, labels,
+                    x.t2.remove_caret(i))
 
 
 def reduce(x: BFElement) -> BFElement:
@@ -380,39 +371,16 @@ def _fill_random(context: HContext, rng: random.Random, t1: Tree, t2: Tree,
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def _tree_to_nested(tree: Tree, prefix: tuple[int, ...] = ()) -> list:
-    if prefix in set(tree.leaves):
-        return []
-    return [_tree_to_nested(tree, prefix + (d,)) for d in range(tree.arity)]
-
-
-def _nested_to_leaves(nested: list, prefix: tuple[int, ...], arity: int,
-                      out: list[tuple[int, ...]]) -> None:
-    if nested == []:
-        out.append(prefix)
-        return
-    if not isinstance(nested, list) or len(nested) != arity:
-        raise ElementError("malformed nested-array tree")
-    for d, child in enumerate(nested):
-        _nested_to_leaves(child, prefix + (d,), arity, out)
-
-
-def tree_from_nested(nested: list, arity: int) -> Tree:
-    leaves: list[tuple[int, ...]] = []
-    _nested_to_leaves(nested, (), arity, leaves)
-    return Tree(arity, tuple(sorted(leaves)))
-
-
 def to_json(x: BFElement) -> str:
     """Canonical JSON document mirroring the element fields."""
     doc = {
         "arity": x.arity,
         "hgens": [[name, [list(l) for l in word.letters]]
                   for name, word in x.context.generators],
-        "t1": _tree_to_nested(x.t1),
+        "t1": tree_to_nested(x.t1),
         "braid": [list(l) for l in x.braid.letters],
         "labels": [list(l) for l in x.labels],
-        "t2": _tree_to_nested(x.t2),
+        "t2": tree_to_nested(x.t2),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -420,7 +388,7 @@ def to_json(x: BFElement) -> str:
 def from_json(text: str) -> BFElement:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ElementError(f"invalid JSON: {exc}") from exc
     try:
         arity = int(doc["arity"])

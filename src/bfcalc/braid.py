@@ -29,7 +29,8 @@ import functools
 import itertools
 from typing import Iterable, Sequence
 
-from .freegroup import FreeWord, magnus_sign, reduce_letters
+from .freegroup import (FreeWord, _trusted, invert_letters, magnus_sign, reduce_letters,
+                        reduce_onto)
 
 NEGATIVE, ZERO, POSITIVE = -1, 0, 1
 
@@ -69,7 +70,7 @@ class SigmaWord:
                 raise BraidError(f"crossing index {letter} out of range")
 
     def inverse(self) -> SigmaWord:
-        return SigmaWord(self.strands, tuple(-x for x in reversed(self.letters)))
+        return SigmaWord(self.strands, invert_letters(self.letters))
 
     def __mul__(self, other: SigmaWord) -> SigmaWord:
         if self.strands != other.strands:
@@ -98,12 +99,13 @@ class AWord:
         return AWord(strands, ())
 
     def inverse(self) -> AWord:
-        return AWord(self.strands, tuple((i, j, -s) for i, j, s in reversed(self.letters)))
+        return _trusted(AWord, self.strands,
+                        tuple((i, j, -s) for i, j, s in reversed(self.letters)))
 
     def __mul__(self, other: AWord) -> AWord:
         if self.strands != other.strands:
             raise BraidError("strand count mismatch")
-        return AWord(self.strands, self.letters + other.letters)
+        return _trusted(AWord, self.strands, self.letters + other.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -118,7 +120,7 @@ def a_to_sigma(word: AWord) -> SigmaWord:
         if sign > 0:
             letters.extend(positive)
         else:
-            letters.extend(-q for q in reversed(positive))
+            letters.extend(invert_letters(positive))
     return SigmaWord(word.strands, tuple(letters))
 
 
@@ -142,21 +144,6 @@ def is_pure(word: SigmaWord) -> bool:
 # Artin action equality oracle
 # ---------------------------------------------------------------------------
 
-def _concat_reduce(*parts: Sequence[int]) -> list[int]:
-    out: list[int] = []
-    for part in parts:
-        for letter in part:
-            if out and out[-1] == -letter:
-                out.pop()
-            else:
-                out.append(letter)
-    return out
-
-
-def _invert(word: Sequence[int]) -> list[int]:
-    return [-x for x in reversed(word)]
-
-
 class _ArtinBudgetExceeded(Exception):
     """Internal: image growth passed the soft work budget."""
 
@@ -176,11 +163,11 @@ def _artin_images(strands: int, letters: tuple[int, ...],
         q = abs(letter) - 1
         a, b = images[q], images[q + 1]
         if letter > 0:
-            images[q] = _concat_reduce(a, b, _invert(a))
+            images[q] = reduce_onto(list(a), b, invert_letters(a))
             images[q + 1] = a
         else:
             images[q] = b
-            images[q + 1] = _concat_reduce(_invert(b), a, b)
+            images[q + 1] = reduce_onto(invert_letters(b), a, b)
         if budget is not None:
             work += 2 * len(a) + len(b)
             if work > budget:
@@ -313,12 +300,14 @@ def delete_strand(word: AWord, d: int) -> AWord:
     """
     if not 1 <= d <= word.strands:
         raise BraidError(f"strand {d} out of range")
+    if word.strands == 1:
+        raise BraidError("cannot delete the only strand")
     letters: list[ALetter] = []
     for i, j, sign in word.letters:
         if d in (i, j):
             continue
         letters.append((i - (i > d), j - (j > d), sign))
-    return AWord(word.strands - 1, tuple(letters))
+    return _trusted(AWord, word.strands - 1, tuple(letters))
 
 
 def delete_strand_sigma(word: SigmaWord, d: int) -> SigmaWord:
@@ -343,14 +332,14 @@ def shift_embed(word: AWord, offset: int, total: int) -> AWord:
     if offset < 1 or offset + word.strands - 1 > total:
         raise BraidError("block embedding out of bounds")
     letters = tuple((i + offset - 1, j + offset - 1, s) for i, j, s in word.letters)
-    return AWord(total, letters)
+    return _trusted(AWord, total, letters)
 
 
 # ---------------------------------------------------------------------------
 # Cabling
 # ---------------------------------------------------------------------------
 
-def _cable_block(base: int, wa: int, wb: int, sign: int) -> list[int]:
+def _cable_block(base: int, wa: int, wb: int, sign: int) -> Sequence[int]:
     """
     Crossing block for two parallel cables of widths wa (left) and wb
     (right) whose leftmost new position is `base`.  Every strand of one
@@ -359,7 +348,7 @@ def _cable_block(base: int, wa: int, wb: int, sign: int) -> list[int]:
     """
     if sign > 0:
         return [base + x + y for y in range(wb) for x in range(wa - 1, -1, -1)]
-    return [-q for q in reversed(_cable_block(base, wb, wa, 1))]
+    return invert_letters(_cable_block(base, wb, wa, 1))
 
 
 def split_sigma(word: SigmaWord, t: int, n: int) -> SigmaWord:
@@ -454,7 +443,7 @@ def split_a(word: AWord, t: int, n: int, inner: AWord) -> AWord:
     for letter in word.letters:
         letters.extend(cable_letter(letter, t, n))
     letters.extend(shift_embed(inner, t, total).letters)
-    return AWord(total, tuple(letters))
+    return _trusted(AWord, total, tuple(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +486,14 @@ def _kernel_word_to_aword(letters: Iterable[int], strands: int) -> AWord:
     return AWord(strands, tuple((1, abs(x) + 1, 1 if x > 0 else -1) for x in letters))
 
 
+def _rule_holds(r: int, s: int, e: int, j: int, u: Sequence[int]) -> bool:
+    """Check A[r,s]^e A[1,j] A[r,s]^-e == u A[1,j] u^-1 against the Artin oracle."""
+    k = max(s, j)
+    candidate = reduce_onto([], u, (j - 1,), invert_letters(u))
+    target = AWord(k, ((r, s, e), (1, j, 1), (r, s, -e)))
+    return braids_equal(_kernel_word_to_aword(candidate, k), target)
+
+
 def _conjugation_case(r: int, s: int, j: int) -> str | None:
     if j < r or j > s:
         return None
@@ -519,8 +516,6 @@ def _derive_conj_rule(case: str, e: int) -> tuple[tuple[str, int], ...]:
     the search is capped there and failure is a hard error.
     """
     r, s, j = _CASE_INSTANCES[case]
-    k = max(s, j)
-    target = AWord(k, ((r, s, e), (1, j, 1), (r, s, -e)))
     tokens: list[tuple[str, int]] = []
     for name, value in (("r", r - 1), ("s", s - 1), ("j", j - 1)):
         if not any(v == value for _, v in tokens):
@@ -529,10 +524,7 @@ def _derive_conj_rule(case: str, e: int) -> tuple[tuple[str, int], ...]:
     for length in range(0, 5):
         for combo in itertools.product(alphabet, repeat=length):
             u = [value * sign for _, value, sign in combo]
-            if tuple(u) != reduce_letters(u):
-                continue
-            candidate = reduce_letters(u + [j - 1] + [-x for x in reversed(u)])
-            if braids_equal(_kernel_word_to_aword(candidate, k), target):
+            if tuple(u) == reduce_letters(u) and _rule_holds(r, s, e, j, u):
                 return tuple((name, sign) for name, _, sign in combo)
     raise SchemaError(f"no conjugation rule found for case {case}, e={e}")
 
@@ -554,13 +546,8 @@ def _validate_conj_instance(r: int, s: int, e: int, j: int) -> None:
     key = (r, s, e, j)
     if key in _VALIDATED_INSTANCES:
         return
-    k = max(s, j)
-    if k <= 6:
-        u = list(_conjugator_letters(r, s, e, j))
-        candidate = reduce_letters(u + [j - 1] + [-x for x in reversed(u)])
-        target = AWord(k, ((r, s, e), (1, j, 1), (r, s, -e)))
-        if not braids_equal(_kernel_word_to_aword(candidate, k), target):
-            raise SchemaError(f"conjugation rule failed validation at {key}")
+    if max(s, j) <= 6 and not _rule_holds(r, s, e, j, _conjugator_letters(r, s, e, j)):
+        raise SchemaError(f"conjugation rule failed validation at {key}")
     _VALIDATED_INSTANCES.add(key)
 
 
@@ -586,12 +573,7 @@ def _conjugate_kernel_word_reversed(front_rev: list[int], r: int, s: int, e: int
     out: list[int] = []
     for x in front_rev:
         u = _conjugator_for(r, s, e, abs(x) + 1)
-        piece = list(u) + [x] + [-y for y in reversed(u)]
-        for letter in reversed(piece):
-            if out and out[-1] == -letter:
-                out.pop()
-            else:
-                out.append(letter)
+        reduce_onto(out, reversed(u + (x,) + invert_letters(u)))
         if len(out) > limit:
             raise CombingLimitError(
                 f"combing coordinate exceeded {limit} letters; "
@@ -610,15 +592,11 @@ def _peel_front(word: AWord, letter_limit: int) -> FreeWord:
     front_rev: list[int] = []
     for i, j, sign in reversed(word.letters):
         if i == 1:
-            letter = (j - 1) * sign
-            if front_rev and front_rev[-1] == -letter:
-                front_rev.pop()
-            else:
-                front_rev.append(letter)
+            reduce_onto(front_rev, ((j - 1) * sign,))
         else:
             front_rev = _conjugate_kernel_word_reversed(
                 front_rev, i, j, sign, letter_limit)
-    return FreeWord(word.strands - 1, tuple(reversed(front_rev)))
+    return _trusted(FreeWord, word.strands - 1, tuple(reversed(front_rev)))
 
 
 def _quotient_words(word: AWord) -> list[AWord]:

@@ -12,7 +12,10 @@ flags declare the label subgroup generators as braid words, and repeated
 
 Exit codes: 0 on success, 1 for syntax or usage errors, 2 for semantic
 invariant violations (bad arities, strand bounds, unknown names, foreign
-contexts) and for verification failures.
+contexts), for verification failures and for a derived rewrite rule that
+fails its oracle check, 3 for inputs outside the supported envelope (a
+combing coordinate or a sign computation past its ceiling).  For the last
+two the final line on standard error reads "ErrorName: message".
 """
 
 from __future__ import annotations
@@ -25,13 +28,18 @@ from . import bfgroup as bf
 from . import generators as gen
 from . import selftest
 from .bfgroup import BFElement, HContext
-from .braid import AWord, BraidError, SigmaWord
-from .freegroup import FreeWord, WordError, reduce_word
+from .braid import AWord, BraidError, CombingLimitError, SchemaError
+from .freegroup import TruncationError
 from .render import render_svg, render_text
-from .trees import Tree, TreeError
+from .trees import Tree, TreeError, tree_from_nested, tree_to_nested
 
 SIGN_NAMES = {bf.NEGATIVE: "negative", bf.ZERO: "zero", bf.POSITIVE: "positive"}
 ORDER_NAMES = {bf.LESS: "less", bf.EQUAL: "equal", bf.GREATER: "greater"}
+
+
+# Deepest tree nesting the parser accepts.  It recurses once per level, so
+# the ceiling sits well below the interpreter's recursion limit.
+MAX_TREE_DEPTH = 200
 
 
 class CliSyntaxError(ValueError):
@@ -89,7 +97,7 @@ class _Scanner:
         return segment
 
 
-def _parse_tree(scanner: _Scanner, arity_hint: int | None) -> tuple:
+def _parse_tree(scanner: _Scanner, depth: int = 0) -> tuple:
     """Returns a nested tuple: () for a leaf, (children...) otherwise."""
     ch = scanner.peek()
     if ch == "*":
@@ -97,45 +105,27 @@ def _parse_tree(scanner: _Scanner, arity_hint: int | None) -> tuple:
         return ()
     if ch != "(":
         raise scanner.error("expected '*' or '('")
+    if depth == MAX_TREE_DEPTH:
+        raise scanner.error(f"tree nested deeper than {MAX_TREE_DEPTH} levels")
     scanner.expect("(")
-    children = [_parse_tree(scanner, arity_hint)]
+    children = [_parse_tree(scanner, depth + 1)]
     while scanner.peek() == ",":
         scanner.expect(",")
-        children.append(_parse_tree(scanner, arity_hint))
+        children.append(_parse_tree(scanner, depth + 1))
     scanner.expect(")")
     return tuple(children)
 
 
-def _nested_arity(nested: tuple, found: set[int]) -> None:
-    if nested == ():
-        return
-    found.add(len(nested))
-    for child in nested:
-        _nested_arity(child, found)
-
-
 def _nested_to_tree(nested: tuple, arity: int) -> Tree:
-    widths: set[int] = set()
-    _nested_arity(nested, widths)
-    if widths - {arity}:
-        raise CliSemanticError(
-            f"tree has nodes of width {sorted(widths - {arity})}, expected arity {arity}")
-    leaves: list[tuple[int, ...]] = []
-
-    def walk(node: tuple, prefix: tuple[int, ...]) -> None:
-        if node == ():
-            leaves.append(prefix)
-            return
-        for d, child in enumerate(node):
-            walk(child, prefix + (d,))
-
-    walk(nested, ())
-    return Tree(arity, tuple(sorted(leaves)))
+    try:
+        return tree_from_nested(nested, arity)
+    except TreeError as exc:
+        raise CliSemanticError(str(exc)) from None
 
 
 def parse_tree_text(text: str, arity: int) -> Tree:
     scanner = _Scanner(text)
-    nested = _parse_tree(scanner, arity)
+    nested = _parse_tree(scanner)
     if not scanner.at_end():
         raise scanner.error("trailing input after tree")
     return _nested_to_tree(nested, arity)
@@ -172,48 +162,6 @@ def parse_a_word(text: str, strands: int) -> AWord:
         raise CliSemanticError(str(exc)) from None
 
 
-def parse_sigma_word(text: str, strands: int) -> SigmaWord:
-    """Whitespace-separated crossing letters: s3, s3^-1."""
-    letters = []
-    for token in text.split():
-        sign = 1
-        body = token
-        if body.endswith("^-1"):
-            sign = -1
-            body = body[:-3]
-        if not body.startswith("s"):
-            raise CliSyntaxError(f"bad crossing letter {token!r}")
-        try:
-            letters.append(sign * int(body[1:]))
-        except ValueError:
-            raise CliSyntaxError(f"bad crossing letter {token!r}") from None
-    try:
-        return SigmaWord(strands, tuple(letters))
-    except BraidError as exc:
-        raise CliSemanticError(str(exc)) from None
-
-
-def parse_free_word(text: str, rank: int) -> FreeWord:
-    """Whitespace-separated free-group letters: x3, x3^-1."""
-    letters = []
-    for token in text.split():
-        sign = 1
-        body = token
-        if body.endswith("^-1"):
-            sign = -1
-            body = body[:-3]
-        if not body.startswith("x"):
-            raise CliSyntaxError(f"bad free-group letter {token!r}")
-        try:
-            letters.append(sign * int(body[1:]))
-        except ValueError:
-            raise CliSyntaxError(f"bad free-group letter {token!r}") from None
-    try:
-        return reduce_word(rank, letters)
-    except WordError as exc:
-        raise CliSemanticError(str(exc)) from None
-
-
 def _parse_label(text: str, context: HContext) -> tuple[int, ...]:
     text = text.strip()
     if text == "1" or not text:
@@ -237,7 +185,7 @@ def parse_element(text: str, context: HContext) -> BFElement:
     """Parse the braced element grammar against a declared session context."""
     scanner = _Scanner(text)
     scanner.expect("{")
-    t1_nested = _parse_tree(scanner, context.arity)
+    t1_nested = _parse_tree(scanner)
     scanner.expect(";")
     braid_text = scanner.take_until(";")
     scanner.expect(";")
@@ -245,7 +193,7 @@ def parse_element(text: str, context: HContext) -> BFElement:
     labels_raw = scanner.take_until("]")
     scanner.expect("]")
     scanner.expect(";")
-    t2_nested = _parse_tree(scanner, context.arity)
+    t2_nested = _parse_tree(scanner)
     scanner.expect("}")
     if not scanner.at_end():
         raise scanner.error("trailing input after element")
@@ -261,12 +209,9 @@ def parse_element(text: str, context: HContext) -> BFElement:
 
 
 def format_tree(tree: Tree) -> str:
-    def emit(prefix: tuple[int, ...]) -> str:
-        if prefix in set(tree.leaves):
-            return "*"
-        return "(" + ",".join(emit(prefix + (d,)) for d in range(tree.arity)) + ")"
-
-    return emit(())
+    """The JSON spelling of the nested form, with [] -> *, [ -> (, ] -> )."""
+    nested = json.dumps(tree_to_nested(tree), separators=(",", ":"))
+    return nested.replace("[]", "*").replace("[", "(").replace("]", ")")
 
 
 def format_element(x: BFElement) -> str:
@@ -318,16 +263,6 @@ class Session:
         raise CliSyntaxError(f"unknown element name {name!r}")
 
 
-def _generator_set(name: str, arity: int, context: HContext) -> gen.GeneratorSet:
-    if name == "gen1":
-        return gen.gen1_set(arity)
-    if name == "gen2":
-        return gen.gen2_set(arity, context)
-    if name == "gen3":
-        return gen.gen3_set(arity)
-    raise CliSemanticError(f"unknown generator set {name!r}")
-
-
 def _print_element(x: BFElement, as_json: bool) -> None:
     print(bf.to_json(x) if as_json else format_element(x))
 
@@ -376,7 +311,7 @@ def _cmd_expand(args, session: Session) -> int:
 
 def _cmd_decompose(args, session: Session) -> int:
     x = session.resolve(args.element)
-    genset = _generator_set(args.set, session.context.arity, session.context)
+    genset = gen.generator_set(args.set, session.context)
     if genset.context != x.context:
         raise CliSemanticError(
             "element context does not match the chosen generator set "
@@ -399,7 +334,7 @@ def _cmd_decompose(args, session: Session) -> int:
 
 
 def _cmd_gens(args, session: Session) -> int:
-    genset = _generator_set(args.set, session.context.arity, session.context)
+    genset = gen.generator_set(args.set, session.context)
     if args.json:
         doc = [{"name": name, "element": json.loads(bf.to_json(el))}
                for name, el in genset.members]
@@ -551,6 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     except gen.VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
+    except (SchemaError, CombingLimitError, TruncationError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, SchemaError) else 3
 
 
 if __name__ == "__main__":

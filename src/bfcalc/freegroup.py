@@ -14,11 +14,13 @@ the minimal nonconstant monomial.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Mapping
+from operator import neg
+from typing import Iterable, Mapping, TypeVar
 
 NEGATIVE, ZERO, POSITIVE = -1, 0, 1
 
 Monomial = tuple[int, ...]
+Letters = TypeVar("Letters", list[int], tuple[int, ...])
 
 
 class WordError(ValueError):
@@ -29,15 +31,45 @@ class TruncationError(RuntimeError):
     """Raised when sign determination exceeds its truncation-degree cap."""
 
 
+def _trusted(cls, *values):
+    """
+    Build a frozen dataclass value, fields in declaration order, without
+    running its __post_init__.  Only for values assembled from values that
+    are already valid: public constructors, the parsers and from_json check
+    everything else.
+    """
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def reduce_onto(out: list[int], *parts: Iterable[int]) -> list[int]:
+    """
+    Append the parts letter by letter to `out`, cancelling each letter
+    against the end of the list, and return `out`.  When `out` starts
+    freely reduced, it ends freely reduced.
+    """
+    for part in parts:
+        for letter in part:
+            if out and out[-1] == -letter:
+                out.pop()
+            else:
+                out.append(letter)
+    return out
+
+
 def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     """Freely reduce a sequence of signed letters."""
-    out: list[int] = []
-    for letter in letters:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
+    return tuple(reduce_onto([], letters))
+
+
+def invert_letters(letters: Letters) -> Letters:
+    """
+    The inverse word: letters reversed, each inverted, as a list for a list
+    and a tuple for a tuple.
+    """
+    return type(letters)(map(neg, reversed(letters)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,24 +104,14 @@ def reduce_word(rank: int, letters: Iterable[int]) -> FreeWord:
     return FreeWord(rank, reduce_letters(seq))
 
 
-def word_multiply(u: FreeWord, v: FreeWord) -> FreeWord:
-    if u.rank != v.rank:
-        raise WordError("rank mismatch")
-    return FreeWord(u.rank, reduce_letters(u.letters + v.letters))
-
-
-def word_inverse(u: FreeWord) -> FreeWord:
-    return FreeWord(u.rank, tuple(-x for x in reversed(u.letters)))
-
-
-def monomial_compare(a: Monomial, b: Monomial) -> int:
-    """Degree first, then lexicographic with X_1 < ... < X_n."""
-    ka, kb = (len(a), a), (len(b), b)
-    return NEGATIVE if ka < kb else POSITIVE if ka > kb else ZERO
-
-
 def _monomial_key(monomial: Monomial) -> tuple[int, Monomial]:
+    """Degree first, then lexicographic with X_1 < ... < X_n."""
     return (len(monomial), monomial)
+
+
+def _sorted_terms(degree: int, coeffs: Mapping[Monomial, int]) -> tuple[tuple[Monomial, int], ...]:
+    return tuple(sorted(((m, c) for m, c in coeffs.items() if c != 0 and len(m) <= degree),
+                        key=lambda t: _monomial_key(t[0])))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,53 +142,11 @@ class NCPolynomial:
 
     @staticmethod
     def from_dict(rank: int, degree: int, coeffs: Mapping[Monomial, int]) -> NCPolynomial:
-        items = tuple(
-            sorted(((m, c) for m, c in coeffs.items() if c != 0 and len(m) <= degree),
-                   key=lambda t: _monomial_key(t[0]))
-        )
-        return NCPolynomial(rank, degree, items)
+        return NCPolynomial(rank, degree, _sorted_terms(degree, coeffs))
 
     @staticmethod
     def one(rank: int, degree: int) -> NCPolynomial:
         return NCPolynomial(rank, degree, (((), 1),))
-
-    def as_dict(self) -> dict[Monomial, int]:
-        return dict(self.terms)
-
-    def constant(self) -> int:
-        return self.terms[0][1] if self.terms and self.terms[0][0] == () else 0
-
-
-def _check_compatible(p: NCPolynomial, q: NCPolynomial) -> None:
-    if p.rank != q.rank or p.degree != q.degree:
-        raise WordError("rank or truncation degree mismatch")
-
-
-def nc_add(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
-    _check_compatible(p, q)
-    coeffs = p.as_dict()
-    for monomial, coeff in q.terms:
-        coeffs[monomial] = coeffs.get(monomial, 0) + coeff
-    return NCPolynomial.from_dict(p.rank, p.degree, coeffs)
-
-
-def nc_negate(p: NCPolynomial) -> NCPolynomial:
-    return NCPolynomial(p.rank, p.degree, tuple((m, -c) for m, c in p.terms))
-
-
-def nc_multiply(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
-    """Ring product with every monomial above the truncation degree dropped."""
-    _check_compatible(p, q)
-    coeffs: dict[Monomial, int] = {}
-    degree = p.degree
-    for ma, ca in p.terms:
-        room = degree - len(ma)
-        for mb, cb in q.terms:
-            if len(mb) > room:
-                continue
-            m = ma + mb
-            coeffs[m] = coeffs.get(m, 0) + ca * cb
-    return NCPolynomial.from_dict(p.rank, degree, coeffs)
 
 
 def _letter_series(letter: int, rank: int, degree: int) -> dict[Monomial, int]:
@@ -196,7 +176,7 @@ def magnus_truncated(word: FreeWord, degree: int) -> NCPolynomial:
                 m = ma + mb
                 result[m] = result.get(m, 0) + ca * cb
         coeffs = {m: c for m, c in result.items() if c != 0}
-    return NCPolynomial.from_dict(word.rank, degree, coeffs)
+    return _trusted(NCPolynomial, word.rank, degree, _sorted_terms(degree, coeffs))
 
 
 def magnus_sign(word: FreeWord) -> int:

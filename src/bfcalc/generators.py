@@ -31,6 +31,7 @@ from . import bfgroup as bf
 from . import trees as tr
 from .bfgroup import BFElement, HContext
 from .braid import AWord, cable_letter
+from .freegroup import invert_letters, reduce_letters
 from .trees import Tree, TreePair, fn_factorize, right_comb
 
 
@@ -136,10 +137,7 @@ def _label_members(context: HContext) -> list[tuple[str, BFElement]]:
 
 def gen1_set(arity: int) -> GeneratorSet:
     """Generators of the label-free group: tree pairs plus all irreducible braids."""
-    context = bf.trivial_context(arity)
-    members = _brown_members(context)
-    members += [_braid_member(context, spec) for spec in enumerate_irreducible(arity)]
-    return GeneratorSet(context, tuple(members))
+    return gen2_set(arity, bf.trivial_context(arity))
 
 
 def gen2_set(arity: int, context: HContext) -> GeneratorSet:
@@ -168,13 +166,23 @@ def gen3_set(arity: int) -> GeneratorSet:
     return GeneratorSet(context, tuple(members))
 
 
+def generator_set(name: str, context: HContext) -> GeneratorSet:
+    """
+    The family called gen1, gen2 or gen3 at the context's arity.  Only gen2
+    takes its labels from the context; gen1 and gen3 fix their own.
+    """
+    if name == "gen1":
+        return gen1_set(context.arity)
+    if name == "gen2":
+        return gen2_set(context.arity, context)
+    if name == "gen3":
+        return gen3_set(context.arity)
+    raise GeneratorSetError(f"unknown generator set {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Decomposition
 # ---------------------------------------------------------------------------
-
-def _invert_word(word: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-x for x in reversed(word))
-
 
 # A relation factor is either a fixed member word ("word", letters) or an
 # atom reference ("atom", key, sign) with key = ("L", i, j) or ("S", t, g).
@@ -232,12 +240,12 @@ class _Decomposer:
 
     def _conj_words(self, src: Tree, dst: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
         there = self._lift_pair_word(TreePair(src, dst))
-        return there, _invert_word(there)
+        return there, invert_letters(there)
 
     def braid_letter_word(self, m: int, i: int, j: int, sign: int) -> tuple[int, ...]:
         """Word evaluating to (comb_m, A[i,j]^sign, trivial labels, comb_m)."""
         if sign < 0:
-            return _invert_word(self.braid_letter_word(m, i, j, 1))
+            return invert_letters(self.braid_letter_word(m, i, j, 1))
         key = (m, i, j)
         if key in self._braid_cache:
             return self._braid_cache[key]
@@ -276,7 +284,7 @@ class _Decomposer:
     def single_label_word(self, m: int, t: int, gen: int) -> tuple[int, ...]:
         """Word evaluating to (comb_m, 1, label gen at position t, comb_m)."""
         if gen < 0:
-            return _invert_word(self.single_label_word(m, t, -gen))
+            return invert_letters(self.single_label_word(m, t, -gen))
         key = (m, t, gen)
         if key in self._label_cache:
             return self._label_cache[key]
@@ -406,7 +414,7 @@ class _Decomposer:
             if factor[0] == "word":
                 return factor[1]
             word = solved[factor[1]]
-            return word if factor[2] > 0 else _invert_word(word)
+            return word if factor[2] > 0 else invert_letters(word)
 
         changed = True
         while changed and unknown:
@@ -423,10 +431,10 @@ class _Decomposer:
                 suffix: list[int] = []
                 for factor in factors[q + 1:]:
                     suffix.extend(factor_word(factor))
-                word = _invert_word(tuple(prefix)) + rhs + _invert_word(tuple(suffix))
+                word = invert_letters(tuple(prefix)) + rhs + invert_letters(tuple(suffix))
                 _, key, sign = factors[q]
                 if sign < 0:
-                    word = _invert_word(word)
+                    word = invert_letters(word)
                 solved[key] = word
                 unknown.discard(key)
                 changed = True
@@ -454,13 +462,7 @@ class _Decomposer:
             for letter in label:
                 out.extend(self.single_label_word(m, t, letter))
         out.extend(self._lift_pair_word(TreePair(comb, x.t2)))
-        reduced: list[int] = []
-        for letter in out:
-            if reduced and reduced[-1] == -letter:
-                reduced.pop()
-            else:
-                reduced.append(letter)
-        return tuple(reduced)
+        return reduce_letters(out)
 
 
 def decompose(x: BFElement, genset: GeneratorSet) -> tuple[int, ...]:

@@ -306,14 +306,7 @@ def _random_aword(rng: random.Random, strands: int, max_letters: int) -> br.AWor
 
 def generating_suite(arity: int, set_name: str, samples: int, seed: int) -> SuiteResult:
     """Decomposition round trips over one generating family."""
-    if set_name == "gen1":
-        genset = gen.gen1_set(arity)
-    elif set_name == "gen2":
-        genset = gen.gen2_set(arity, bf.pn_context(arity))
-    elif set_name == "gen3":
-        genset = gen.gen3_set(arity)
-    else:
-        raise ValueError(f"unknown generating set {set_name!r}")
+    genset = gen.generator_set(set_name, bf.pn_context(arity))
     start = time.perf_counter()
     report = gen.verify_generating(genset, samples, seed, set_name=set_name)
     result = SuiteResult(

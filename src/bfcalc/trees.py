@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from fractions import Fraction
-from typing import Iterator
+
+from .freegroup import _trusted, invert_letters, reduce_letters
 
 Address = tuple[int, ...]
 
@@ -116,7 +116,7 @@ class Tree:
         n = self.arity
         parent = self.leaves[i - 1][:-1]
         new = self.leaves[: i - 1] + (parent,) + self.leaves[i - 1 + n :]
-        return Tree(self.arity, new)
+        return _trusted(Tree, self.arity, new)
 
 
 def attach_caret(tree: Tree, i: int) -> Tree:
@@ -125,12 +125,7 @@ def attach_caret(tree: Tree, i: int) -> Tree:
         raise TreeError(f"leaf index {i} out of range 1..{tree.leaf_count}")
     addr = tree.leaves[i - 1]
     children = tuple(addr + (d,) for d in range(tree.arity))
-    return Tree(tree.arity, tree.leaves[: i - 1] + children + tree.leaves[i:])
-
-
-def leaf_addresses(tree: Tree) -> tuple[Address, ...]:
-    """Leaf addresses in left-to-right (lexicographic) order."""
-    return tree.leaves
+    return _trusted(Tree, tree.arity, tree.leaves[: i - 1] + children + tree.leaves[i:])
 
 
 def right_comb(arity: int, leaf_count: int) -> Tree:
@@ -178,37 +173,47 @@ def join(tree: Tree, other: Tree) -> tuple[Tree, tuple[int, ...], tuple[int, ...
         raise TreeError("arity mismatch")
     nodes = tree.nodes() | other.nodes()
     leaves = tuple(sorted(a for a in nodes if a + (0,) not in nodes))
-    joined = Tree(tree.arity, leaves)
+    joined = _trusted(Tree, tree.arity, leaves)
     return joined, expansion_script(tree, joined), expansion_script(other, joined)
 
 
-@dataclasses.dataclass(frozen=True)
-class NAdicInterval:
-    """The interval [num/n^depth, (num+1)/n^depth] assigned to a leaf."""
+def tree_to_nested(tree: Tree) -> list:
+    """
+    The tree as nested lists: [] for a leaf, the list of its n children
+    for an inner node.  This is the JSON form of a tree; the command line
+    spells the same structure with "*" and parentheses.
+    """
+    leaves = set(tree.leaves)
+    root: list = []
+    stack = [((), root)]
+    while stack:
+        prefix, node = stack.pop()
+        if prefix not in leaves:
+            for d in range(tree.arity):
+                child: list = []
+                node.append(child)
+                stack.append((prefix + (d,), child))
+    return root
 
-    numerator: int
-    depth: int
 
-    def __post_init__(self):
-        if self.depth < 0 or self.numerator < 0:
-            raise TreeError("invalid interval data")
-
-    def length(self, arity: int) -> Fraction:
-        return Fraction(1, arity**self.depth)
-
-    def left(self, arity: int) -> Fraction:
-        return Fraction(self.numerator, arity**self.depth)
-
-
-def leaf_interval(tree: Tree, i: int) -> NAdicInterval:
-    """The n-adic interval of the i-th leaf: the address read base n."""
-    if not 1 <= i <= tree.leaf_count:
-        raise TreeError(f"leaf index {i} out of range 1..{tree.leaf_count}")
-    addr = tree.leaves[i - 1]
-    num = 0
-    for d in addr:
-        num = num * tree.arity + d
-    return NAdicInterval(num, len(addr))
+def tree_from_nested(nested, arity: int) -> Tree:
+    """
+    Inverse of tree_to_nested.  Lists and tuples are both accepted; a node
+    that is not a leaf must have exactly `arity` children.
+    """
+    leaves: list[Address] = []
+    stack = [((), nested)]
+    while stack:
+        prefix, node = stack.pop()
+        if not isinstance(node, (list, tuple)):
+            raise TreeError("malformed nested tree")
+        if not node:
+            leaves.append(prefix)
+        elif len(node) != arity:
+            raise TreeError(f"tree has a node of width {len(node)}, expected arity {arity}")
+        else:
+            stack.extend((prefix + (d,), child) for d, child in enumerate(node))
+    return Tree(arity, tuple(sorted(leaves)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -245,11 +250,6 @@ def fn_sign(pair: TreePair) -> int:
         if d_dom != d_cod:
             return POSITIVE if d_dom > d_cod else NEGATIVE
     return ZERO
-
-
-def pair_expand(pair: TreePair, i: int) -> TreePair:
-    """Attach a caret at leaf i of both trees (the defining relation)."""
-    return TreePair(pair.domain.attach(i), pair.codomain.attach(i))
 
 
 def pair_multiply(f: TreePair, g: TreePair) -> TreePair:
@@ -318,16 +318,6 @@ def evaluate_brown_word(arity: int, word: tuple[int, ...]) -> TreePair:
     return acc
 
 
-def _reduce_signed(word: Iterator[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for letter in word:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 def _leftmost_caret_window(tree: Tree) -> int:
     n = tree.arity
     for i in range(1, tree.leaf_count - n + 2):
@@ -366,7 +356,7 @@ def _xi_word(arity: int, i: int) -> tuple[int, ...]:
     if i <= arity:
         word: tuple[int, ...] = (-i,)
     else:
-        word = _reduce_signed(iter((1,) + _xi_word(arity, i - arity + 1) + (-1,)))
+        word = reduce_letters((1,) + _xi_word(arity, i - arity + 1) + (-1,))
     check = pair_multiply(evaluate_brown_word(arity, word), pair_inverse(_elementary_pair(arity, i)))
     if not pair_is_identity(check):
         raise FactorizationError(f"elementary-pair rewrite failed for index {i}, arity {arity}")
@@ -393,7 +383,7 @@ def comb_conjugator_word(tree: Tree) -> tuple[int, ...]:
     letters: list[int] = []
     for i in reversed(removed):
         letters.extend(_xi_word(n, i))
-    return _reduce_signed(iter(letters))
+    return reduce_letters(letters)
 
 
 def fn_factorize(pair: TreePair) -> tuple[int, ...]:
@@ -407,5 +397,4 @@ def fn_factorize(pair: TreePair) -> tuple[int, ...]:
         return ()
     left = comb_conjugator_word(reduced.domain)
     right = comb_conjugator_word(reduced.codomain)
-    inverse_right = tuple(-x for x in reversed(right))
-    return _reduce_signed(iter(left + inverse_right))
+    return reduce_letters(left + invert_letters(right))

@@ -29,8 +29,9 @@ from bfcalc.bfgroup import (
     to_json,
     trivial_context,
 )
-from bfcalc.braid import AWord, SigmaWord, braids_equal, is_trivial, split_a
-from bfcalc.trees import Tree, TreePair, fn_sign, right_comb
+from bfcalc.braid import AWord, SigmaWord, braids_equal, comb, delete_strand, is_trivial, split_a
+from bfcalc.freegroup import FreeWord
+from bfcalc.trees import Tree, TreePair, fn_sign, join, right_comb
 
 CONTEXTS = [trivial_context(2), pn_context(2), trivial_context(3), pn_context(3)]
 
@@ -391,3 +392,67 @@ def test_from_tree_pair():
     x = from_tree_pair(trivial_context(2), pair)
     assert x.t1 == pair.domain and x.t2 == pair.codomain
     assert not x.braid.letters
+
+
+def test_json_rejects_deep_nesting():
+    deep = "[" * 3000 + "]" * 3000
+    doc = ('{"arity":2,"braid":[],"hgens":[],"labels":[[]],"t1":' + deep
+           + ',"t2":[]}')
+    with pytest.raises(ElementError):
+        from_json(doc)
+    with pytest.raises(ElementError):
+        from_json(deep)
+
+
+# --- values built on the trusted path are valid
+
+def _rebuilt_tree(tree):
+    return Tree(tree.arity, tuple(tuple(a) for a in tree.leaves))
+
+
+def _rebuilt_aword(word):
+    return AWord(word.strands, tuple(tuple(l) for l in word.letters))
+
+
+def _rebuilt_element(x):
+    return BFElement(x.context, _rebuilt_tree(x.t1), _rebuilt_aword(x.braid),
+                     tuple(tuple(l) for l in x.labels), _rebuilt_tree(x.t2))
+
+
+def _assert_public(value):
+    """Rebuilding through the public constructor neither raises nor changes it."""
+    if isinstance(value, Tree):
+        rebuilt = _rebuilt_tree(value)
+    elif isinstance(value, AWord):
+        rebuilt = _rebuilt_aword(value)
+    elif isinstance(value, FreeWord):
+        rebuilt = FreeWord(value.rank, tuple(value.letters))
+    else:
+        rebuilt = _rebuilt_element(value)
+    assert rebuilt == value and hash(rebuilt) == hash(value)
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=["2-trivial", "2-pn", "3-trivial", "3-pn"])
+def test_trusted_results_pass_public_constructors(ctx):
+    rng = random.Random(20 + ctx.arity + len(ctx.generators))
+    n = ctx.arity
+    for _ in range(25):
+        x, y = draw(ctx, rng, leaves=5, braid=5), draw(ctx, rng, leaves=5, braid=5)
+        i = rng.randint(1, x.leaf_count)
+        grown = expand(x, i)
+        product = multiply(x, y)
+        for value in (grown, product, inverse(x), reduce(grown), reduce(product)):
+            _assert_public(value)
+        joined, _, _ = join(x.t1, y.t2)
+        _assert_public(joined)
+        for k in range(1, grown.leaf_count - n + 2):
+            if grown.t1.caret_window(k):
+                _assert_public(grown.t1.remove_caret(k))
+        m = x.leaf_count
+        inner = label_to_braid(x.labels[i - 1], ctx)
+        _assert_public(split_a(x.braid, i, n, inner))
+        if product.leaf_count > 1:
+            _assert_public(delete_strand(product.braid, rng.randint(1, product.leaf_count)))
+        _assert_public(x.braid * inverse(x).braid)
+        for coord in comb(product.braid).coordinates:
+            _assert_public(coord)

@@ -180,6 +180,8 @@ def test_linking_numbers_invariant():
 def test_delete_strand_examples():
     assert delete_strand(AWord(2, ((1, 2, 1),)), 1) == AWord(1, ())
     assert delete_strand(AWord(4, ((2, 4, 1),)), 1) == AWord(3, ((1, 3, 1),))
+    with pytest.raises(BraidError):
+        delete_strand(AWord(1, ()), 1)
 
 
 def test_delete_strand_homomorphism():

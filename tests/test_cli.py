@@ -4,7 +4,9 @@ import random
 import pytest
 
 from bfcalc import bfgroup as bf
+from bfcalc import cli
 from bfcalc.cli import (
+    MAX_TREE_DEPTH,
     CliSemanticError,
     CliSyntaxError,
     Session,
@@ -12,12 +14,11 @@ from bfcalc.cli import (
     main,
     parse_a_word,
     parse_element,
-    parse_free_word,
-    parse_sigma_word,
     parse_tree_text,
 )
 from bfcalc.render import render_svg, render_text
-from bfcalc.braid import AWord
+from bfcalc.braid import AWord, CombingLimitError, SchemaError
+from bfcalc.freegroup import TruncationError
 from bfcalc.trees import Tree
 
 
@@ -46,19 +47,10 @@ def test_parse_tree_arity_checked():
 
 def test_parse_words():
     assert parse_a_word("A[1,2] A[1,3]^-1", 3) == AWord(3, ((1, 2, 1), (1, 3, -1)))
-    assert parse_sigma_word("s1 s2^-1", 3).letters == (1, -2)
     with pytest.raises(CliSyntaxError):
         parse_a_word("B[1,2]", 3)
     with pytest.raises(CliSemanticError):
         parse_a_word("A[1,9]", 3)
-
-
-def test_parse_free_word():
-    assert parse_free_word("x3 x3^-1 x1", 3).letters == (1,)
-    with pytest.raises(CliSemanticError):
-        parse_free_word("x4", 3)
-    with pytest.raises(CliSyntaxError):
-        parse_free_word("y1", 3)
 
 
 def test_parse_element_examples():
@@ -136,6 +128,36 @@ def test_cmd_parse_syntax_error_exit_1(capsys):
 def test_cmd_parse_semantic_error_exit_2(capsys):
     assert run_cli("parse", "{ (*,*) ; A[1,3] ; [1,1] ; (*,*) }", "-n", "2") == 2
     capsys.readouterr()
+
+
+def test_parse_deep_tree_is_a_syntax_error(capsys):
+    deep = "(" * 3000 + "*" + ",*)" * 3000
+    with pytest.raises(CliSyntaxError):
+        parse_tree_text(deep, 2)
+    assert run_cli("parse", "{ " + deep + " ; ; [1] ; * }", "-n", "2") == 1
+    err = capsys.readouterr().err
+    assert f"deeper than {MAX_TREE_DEPTH}" in err and "Traceback" not in err
+
+
+def test_parse_tree_at_the_depth_ceiling():
+    deep = "(" * MAX_TREE_DEPTH + "*" + ",*)" * MAX_TREE_DEPTH
+    assert parse_tree_text(deep, 2).leaf_count == MAX_TREE_DEPTH + 1
+
+
+@pytest.mark.parametrize("error, code", [
+    (CombingLimitError("combing coordinate exceeded 5 letters"), 3),
+    (TruncationError("no nonconstant term up to degree 8"), 3),
+    (SchemaError("conjugation rule failed validation"), 2),
+])
+def test_envelope_and_rule_errors_exit_codes(monkeypatch, capsys, error, code):
+    def fail(args, session):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_sign", fail)
+    assert run_cli("sign", "{ * ; ; [1] ; * }", "-n", "2") == code
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1] == f"{type(error).__name__}: {error}"
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_1(capsys):

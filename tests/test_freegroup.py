@@ -8,19 +8,35 @@ from bfcalc.freegroup import (
     FreeWord,
     NCPolynomial,
     WordError,
+    _monomial_key,
+    invert_letters,
     magnus_sign,
     magnus_truncated,
-    monomial_compare,
-    nc_add,
-    nc_multiply,
-    nc_negate,
+    reduce_letters,
+    reduce_onto,
     reduce_word,
-    word_inverse,
-    word_multiply,
 )
 
 letters_strategy = st.lists(
     st.integers(min_value=-3, max_value=3).filter(lambda v: v != 0), max_size=12)
+
+
+def word_multiply(u, v):
+    return FreeWord(u.rank, reduce_letters(u.letters + v.letters))
+
+
+def word_inverse(u):
+    return FreeWord(u.rank, invert_letters(u.letters))
+
+
+def nc_multiply(p, q):
+    """Oracle ring product, every monomial above the truncation degree dropped."""
+    coeffs = {}
+    for ma, ca in p.terms:
+        for mb, cb in q.terms:
+            m = ma + mb
+            coeffs[m] = coeffs.get(m, 0) + ca * cb
+    return NCPolynomial.from_dict(p.rank, p.degree, coeffs)
 
 
 def random_word(rng, rank=3, max_len=10):
@@ -41,6 +57,19 @@ def test_reduce_rejects_out_of_range():
         reduce_word(2, [3])
     with pytest.raises(WordError):
         reduce_word(2, [0])
+
+
+def test_reduce_onto_cancels_against_the_end_in_place():
+    out = [1, 2]
+    assert reduce_onto(out, [-2, 3], (-3, -1)) is out
+    assert out == []
+    assert reduce_onto([1], [2], [-2, -1, 3]) == [3]
+
+
+def test_invert_letters_keeps_the_sequence_type():
+    assert invert_letters((1, -2, 3)) == (-3, 2, -1)
+    assert invert_letters([1, -2]) == [2, -1]
+    assert invert_letters(()) == ()
 
 
 @settings(max_examples=200, deadline=None)
@@ -86,35 +115,26 @@ def test_nc_multiply_two_variables():
     assert nc_multiply(p, q) == expected
 
 
-def test_nc_add_negate():
-    p = NCPolynomial.from_dict(2, 2, {x(1): 2, x(2): -1})
-    assert nc_add(p, nc_negate(p)).terms == ()
-
-
-def test_nc_mismatch_errors():
-    with pytest.raises(WordError):
-        nc_add(NCPolynomial.one(2, 2), NCPolynomial.one(2, 3))
-    with pytest.raises(WordError):
-        nc_multiply(NCPolynomial.one(2, 2), NCPolynomial.one(3, 2))
-
-
-# --- monomial order
+# --- monomial order: the sort key of NCPolynomial terms
 
 def test_monomial_compare_examples():
-    assert monomial_compare(x(1), x(2)) == -1
-    assert monomial_compare(x(2), x(1, 1)) == -1
-    assert monomial_compare(x(1, 2), x(2, 1)) == -1
-    assert monomial_compare(x(1, 2), x(1, 2)) == 0
+    assert _monomial_key(x(1)) < _monomial_key(x(2))
+    assert _monomial_key(x(2)) < _monomial_key(x(1, 1))
+    assert _monomial_key(x(1, 2)) < _monomial_key(x(2, 1))
+    assert _monomial_key(x(1, 2)) == _monomial_key(x(1, 2))
 
 
 def test_monomial_order_is_total_and_transitive():
     monomials = [m for length in range(0, 3)
                  for m in itertools.product((1, 2), repeat=length)]
     for a, b in itertools.permutations(monomials, 2):
-        assert monomial_compare(a, b) == -monomial_compare(b, a)
+        assert (_monomial_key(a) < _monomial_key(b)) != (_monomial_key(b) < _monomial_key(a))
     for a, b, c in itertools.permutations(monomials, 3):
-        if monomial_compare(a, b) <= 0 and monomial_compare(b, c) <= 0:
-            assert monomial_compare(a, c) <= 0
+        if _monomial_key(a) <= _monomial_key(b) <= _monomial_key(c):
+            assert _monomial_key(a) <= _monomial_key(c)
+    # terms come out of NCPolynomial in this order
+    poly = NCPolynomial.from_dict(2, 2, {m: 1 for m in monomials})
+    assert [m for m, _ in poly.terms] == sorted(monomials, key=_monomial_key)
 
 
 # --- substitution

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,7 +6,6 @@ import pytest
 
 from bfcalc.trees import (
     ExpansionError,
-    NAdicInterval,
     Tree,
     TreeError,
     TreePair,
@@ -16,18 +16,41 @@ from bfcalc.trees import (
     fn_factorize,
     fn_sign,
     join,
-    leaf_addresses,
-    leaf_interval,
     pair_inverse,
     pair_is_identity,
     pair_multiply,
     pair_reduce,
     right_comb,
+    tree_from_nested,
+    tree_to_nested,
 )
 
 
 def addresses(tree):
     return ["".join(map(str, a)) for a in tree.leaves]
+
+
+@dataclasses.dataclass(frozen=True)
+class NAdicInterval:
+    """The interval [num/n^depth, (num+1)/n^depth] assigned to a leaf."""
+
+    numerator: int
+    depth: int
+
+    def length(self, arity):
+        return Fraction(1, arity**self.depth)
+
+    def left(self, arity):
+        return Fraction(self.numerator, arity**self.depth)
+
+
+def leaf_interval(tree, i):
+    """The n-adic interval of the i-th leaf: the address read base n."""
+    addr = tree.leaves[i - 1]
+    num = 0
+    for d in addr:
+        num = num * tree.arity + d
+    return NAdicInterval(num, len(addr))
 
 
 def random_tree(rng, arity, carets):
@@ -99,7 +122,7 @@ def test_invalid_trees_rejected():
 
 
 def test_leaf_addresses_examples():
-    assert leaf_addresses(Tree.single(5)) == ((),)
+    assert Tree.single(5).leaves == ((),)
     assert addresses(Tree.caret(3)) == ["0", "1", "2"]
     assert addresses(attach_caret(Tree.caret(2), 1)) == ["00", "01", "1"]
 
@@ -312,3 +335,27 @@ def test_fn_factorize_round_trip():
 def test_right_comb_rejects_bad_leaf_count():
     with pytest.raises(TreeError):
         right_comb(3, 4)
+
+
+# --- nested codec
+
+def test_nested_codec_examples():
+    assert tree_to_nested(Tree.single(2)) == []
+    assert tree_to_nested(Tree.caret(3)) == [[], [], []]
+    assert tree_to_nested(Tree.caret(2).attach(2)) == [[], [[], []]]
+    assert tree_from_nested(((), ((), ())), 2) == Tree.caret(2).attach(2)
+
+
+def test_nested_codec_rejects_malformed():
+    for nested, arity in (([[], []], 3), ([[], 5], 2), ("*", 2), ([[[]], []], 2)):
+        with pytest.raises(TreeError):
+            tree_from_nested(nested, arity)
+
+
+def test_nested_codec_handles_deep_trees():
+    depth = 3000
+    tree = Tree.single(2)
+    for _ in range(depth):
+        tree = tree.attach(1)
+    nested = tree_to_nested(tree)
+    assert tree_from_nested(nested, 2) == tree
