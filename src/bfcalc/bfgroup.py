@@ -26,7 +26,7 @@ from . import trees as tr
 from .braid import AWord, braids_equal, is_trivial, split_a
 from .freegroup import _trusted, invert_letters, reduce_onto
 from .trees import (Tree, TreePair, expansion_script, fn_sign, join, tree_from_nested,
-                    tree_to_nested)
+                    tree_to_json)
 
 NEGATIVE, ZERO, POSITIVE = -1, 0, 1
 
@@ -377,12 +377,13 @@ def to_json(x: BFElement) -> str:
         "arity": x.arity,
         "hgens": [[name, [list(l) for l in word.letters]]
                   for name, word in x.context.generators],
-        "t1": tree_to_nested(x.t1),
         "braid": [list(l) for l in x.braid.letters],
         "labels": [list(l) for l in x.labels],
-        "t2": tree_to_nested(x.t2),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    head = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # "t1" and "t2" sort after every other key; the trees are written
+    # iteratively because json.dumps recurses once per tree level.
+    return f'{head[:-1]},"t1":{tree_to_json(x.t1)},"t2":{tree_to_json(x.t2)}}}'
 
 
 def from_json(text: str) -> BFElement:

@@ -19,7 +19,12 @@ Equality of braids is decided through the induced automorphism of the free
 group on the strand generators (the action is faithful), with an abelian
 linking-number precheck to reject cheaply.  Cable substitution rules and
 the conjugation rules used by combing are derived at first use against the
-diagram-level oracles and every applied instance is validated once.
+diagram-level oracles (a Burau image mod a prime screens out wrong rule
+candidates first), and every applied instance is validated once.
+
+The sign of a pure braid is read level by level from its linking numbers,
+which are the degree-1 Magnus coefficients of the combing coordinates;
+combing runs only on a level whose linking numbers all vanish.
 """
 
 from __future__ import annotations
@@ -486,12 +491,45 @@ def _kernel_word_to_aword(letters: Iterable[int], strands: int) -> AWord:
     return AWord(strands, tuple((1, abs(x) + 1, 1 if x > 0 else -1) for x in letters))
 
 
+def _rule_sides(r: int, s: int, e: int, j: int, u: Sequence[int]) -> tuple[AWord, AWord]:
+    """A[r,s]^e A[1,j] A[r,s]^-e and u A[1,j] u^-1, both on max(s, j) strands."""
+    k = max(s, j)
+    conjugate = reduce_onto([], u, (j - 1,), invert_letters(u))
+    return (AWord(k, ((r, s, e), (1, j, 1), (r, s, -e))),
+            _kernel_word_to_aword(conjugate, k))
+
+
 def _rule_holds(r: int, s: int, e: int, j: int, u: Sequence[int]) -> bool:
     """Check A[r,s]^e A[1,j] A[r,s]^-e == u A[1,j] u^-1 against the Artin oracle."""
-    k = max(s, j)
-    candidate = reduce_onto([], u, (j - 1,), invert_letters(u))
-    target = AWord(k, ((r, s, e), (1, j, 1), (r, s, -e)))
-    return braids_equal(_kernel_word_to_aword(candidate, k), target)
+    return braids_equal(*_rule_sides(r, s, e, j, u))
+
+
+# The Burau image used to reject rule candidates is evaluated at this t
+# modulo this prime.  Equal braids have equal images, so a rejection is
+# always right; an accepted candidate still faces the Artin oracle.
+_BURAU_PRIME = (1 << 61) - 1
+_BURAU_T = 1_000_003
+
+
+def _burau(word: SigmaWord | AWord) -> tuple[tuple[int, ...], ...]:
+    """
+    Rows of the unreduced Burau matrix of the word at t = _BURAU_T modulo
+    _BURAU_PRIME.  The crossing q multiplies on the right by the identity
+    with the block [[1-t, t], [1, 0]] in rows and columns q, q+1.
+    """
+    sigma = a_to_sigma(word) if isinstance(word, AWord) else word
+    p, t = _BURAU_PRIME, _BURAU_T
+    t_inv = pow(t, -1, p)
+    rows = [[int(r == c) for c in range(sigma.strands)] for r in range(sigma.strands)]
+    for letter in sigma.letters:
+        q = abs(letter) - 1
+        for row in rows:
+            a, b = row[q], row[q + 1]
+            if letter > 0:
+                row[q], row[q + 1] = ((1 - t) * a + b) % p, t * a % p
+            else:
+                row[q], row[q + 1] = t_inv * b % p, (a + (1 - t_inv) * b) % p
+    return tuple(map(tuple, rows))
 
 
 def _conjugation_case(r: int, s: int, j: int) -> str | None:
@@ -521,10 +559,13 @@ def _derive_conj_rule(case: str, e: int) -> tuple[tuple[str, int], ...]:
         if not any(v == value for _, v in tokens):
             tokens.append((name, value))
     alphabet = [(name, value, sign) for (name, value) in tokens for sign in (1, -1)]
+    target = _burau(_rule_sides(r, s, e, j, ())[0])
     for length in range(0, 5):
         for combo in itertools.product(alphabet, repeat=length):
             u = [value * sign for _, value, sign in combo]
-            if tuple(u) == reduce_letters(u) and _rule_holds(r, s, e, j, u):
+            if (tuple(u) == reduce_letters(u)
+                    and _burau(_rule_sides(r, s, e, j, u)[1]) == target
+                    and _rule_holds(r, s, e, j, u)):
                 return tuple((name, sign) for name, _, sign in combo)
     raise SchemaError(f"no conjugation rule found for case {case}, e={e}")
 
@@ -546,7 +587,7 @@ def _validate_conj_instance(r: int, s: int, e: int, j: int) -> None:
     key = (r, s, e, j)
     if key in _VALIDATED_INSTANCES:
         return
-    if max(s, j) <= 6 and not _rule_holds(r, s, e, j, _conjugator_letters(r, s, e, j)):
+    if not _rule_holds(r, s, e, j, _conjugator_letters(r, s, e, j)):
         raise SchemaError(f"conjugation rule failed validation at {key}")
     _VALIDATED_INSTANCES.add(key)
 
@@ -635,16 +676,33 @@ def reconstruct(form: CombedForm) -> AWord:
 def kr_sign(word: AWord) -> int:
     """
     Sign of a pure braid: the Magnus sign of the first nontrivial combing
-    coordinate, reading the deepest quotient first (level 2, then 3, ...).
-    Levels are peeled on demand, so the short, heavily deleted quotients
-    decide the sign whenever they can.
+    coordinate, reading the deepest level first (strand m-1, then m-2, ...).
+    The level of strand i is the word with strands 1..i-1 deleted, and its
+    coordinate's exponent sums are the linking numbers of strand i with
+    strands i+d, because the conjugation rules of combing act trivially on
+    the abelianization.  Those sums are the coordinate's degree-1 Magnus
+    coefficients, so one pass over the letters decides every level with
+    nonzero linking; only a level with letters but zero linking is combed.
     """
-    if word.strands == 1:
-        return ZERO
-    for quotient in _quotient_words(word):
-        coord = _peel_front(quotient, COMB_LETTER_LIMIT)
-        if not coord.is_trivial():
-            return magnus_sign(coord)
+    m = word.strands
+    linking: dict[int, dict[int, int]] = {}  # strand i -> strand j -> linking number
+    for i, j, sign in word.letters:
+        row = linking.setdefault(i, {})
+        row[j] = row.get(j, 0) + sign
+    for i in sorted(linking, reverse=True):
+        row = linking[i]
+        totals = [row[j] for j in sorted(row) if row[j]]
+        if totals:
+            return POSITIVE if totals[0] > 0 else NEGATIVE
+        if i < m - 1:  # the deepest level has rank 1: zero linking makes it trivial
+            # Cancel adjacent inverse letters before combing: the letters of
+            # a conjugator often cancel at the levels the conjugated braid
+            # does not touch.
+            level = _cancel_adjacent(_trusted(AWord, m - i + 1, tuple(
+                (a - i + 1, b - i + 1, s) for a, b, s in word.letters if a >= i)))
+            coord = _peel_front(level, COMB_LETTER_LIMIT)
+            if not coord.is_trivial():
+                return magnus_sign(coord)
     return ZERO
 
 

@@ -31,7 +31,7 @@ from .bfgroup import BFElement, HContext
 from .braid import AWord, BraidError, CombingLimitError, SchemaError
 from .freegroup import TruncationError
 from .render import render_svg, render_text
-from .trees import Tree, TreeError, tree_from_nested, tree_to_nested
+from .trees import Tree, TreeError, tree_from_nested, tree_to_json
 
 SIGN_NAMES = {bf.NEGATIVE: "negative", bf.ZERO: "zero", bf.POSITIVE: "positive"}
 ORDER_NAMES = {bf.LESS: "less", bf.EQUAL: "equal", bf.GREATER: "greater"}
@@ -210,8 +210,7 @@ def parse_element(text: str, context: HContext) -> BFElement:
 
 def format_tree(tree: Tree) -> str:
     """The JSON spelling of the nested form, with [] -> *, [ -> (, ] -> )."""
-    nested = json.dumps(tree_to_nested(tree), separators=(",", ":"))
-    return nested.replace("[]", "*").replace("[", "(").replace("]", ")")
+    return tree_to_json(tree).replace("[]", "*").replace("[", "(").replace("]", ")")
 
 
 def format_element(x: BFElement) -> str:

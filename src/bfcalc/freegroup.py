@@ -97,11 +97,13 @@ class FreeWord:
 
 def reduce_word(rank: int, letters: Iterable[int]) -> FreeWord:
     """Build the freely reduced word with the given letters."""
+    if rank < 0:
+        raise WordError("rank must be nonnegative")
     seq = tuple(letters)
     for letter in seq:
         if letter == 0 or abs(letter) > rank:
             raise WordError(f"letter {letter} out of range for rank {rank}")
-    return FreeWord(rank, reduce_letters(seq))
+    return _trusted(FreeWord, rank, reduce_letters(seq))
 
 
 def _monomial_key(monomial: Monomial) -> tuple[int, Monomial]:

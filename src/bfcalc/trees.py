@@ -177,29 +177,36 @@ def join(tree: Tree, other: Tree) -> tuple[Tree, tuple[int, ...], tuple[int, ...
     return joined, expansion_script(tree, joined), expansion_script(other, joined)
 
 
-def tree_to_nested(tree: Tree) -> list:
+def tree_to_json(tree: Tree) -> str:
     """
-    The tree as nested lists: [] for a leaf, the list of its n children
-    for an inner node.  This is the JSON form of a tree; the command line
-    spells the same structure with "*" and parentheses.
+    The JSON form of a tree: nested lists, [] for a leaf and the list of
+    its n children for an inner node, written compactly ("[[],[]]" for a
+    caret).  The command line spells the same structure with "*" and
+    parentheses.  Written without recursion, so any depth can be written.
     """
     leaves = set(tree.leaves)
-    root: list = []
-    stack = [((), root)]
+    out: list[str] = []
+    stack: list = [()]  # addresses still to write, and the text between them
     while stack:
-        prefix, node = stack.pop()
-        if prefix not in leaves:
-            for d in range(tree.arity):
-                child: list = []
-                node.append(child)
-                stack.append((prefix + (d,), child))
-    return root
+        top = stack.pop()
+        if isinstance(top, str):
+            out.append(top)
+        elif top in leaves:
+            out.append("[]")
+        else:
+            out.append("[")
+            stack.append("]")
+            for d in range(tree.arity - 1, 0, -1):
+                stack += (top + (d,), ",")
+            stack.append(top + (0,))
+    return "".join(out)
 
 
 def tree_from_nested(nested, arity: int) -> Tree:
     """
-    Inverse of tree_to_nested.  Lists and tuples are both accepted; a node
-    that is not a leaf must have exactly `arity` children.
+    Inverse of tree_to_json, on the parsed nested lists.  Lists and tuples
+    are both accepted; a node that is not a leaf must have exactly `arity`
+    children.
     """
     leaves: list[Address] = []
     stack = [((), nested)]

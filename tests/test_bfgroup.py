@@ -404,6 +404,19 @@ def test_json_rejects_deep_nesting():
         from_json(deep)
 
 
+def test_to_json_writes_deep_trees():
+    depth = 1200
+    tree = Tree.single(2)
+    for _ in range(depth):
+        tree = tree.attach(1)
+    m = tree.leaf_count
+    x = BFElement(trivial_context(2), tree, AWord.identity(m), ((),) * m, tree)
+    comb_text = "[" * depth + "[]" + ",[]]" * depth
+    assert to_json(x) == ('{"arity":2,"braid":[],"hgens":[],"labels":['
+                          + ",".join(["[]"] * m) + '],"t1":' + comb_text
+                          + ',"t2":' + comb_text + "}")
+
+
 # --- values built on the trusted path are valid
 
 def _rebuilt_tree(tree):

@@ -3,16 +3,24 @@ import random
 
 import pytest
 
+import bfcalc.braid as br
 from bfcalc.braid import (
     ARTIN_CROSSING_THRESHOLD,
+    COMB_LETTER_LIMIT,
     AWord,
     BraidError,
     CombedForm,
     CombingLimitError,
+    SchemaError,
     SigmaWord,
     _CASE_INSTANCES,
+    _burau,
+    _conjugator_for,
     _conjugator_letters,
+    _derive_conj_rule,
     _kernel_word_to_aword,
+    _peel_front,
+    _quotient_words,
     a_to_sigma,
     artin_image,
     braids_equal,
@@ -29,7 +37,7 @@ from bfcalc.braid import (
     split_a,
     split_sigma,
 )
-from bfcalc.freegroup import reduce_letters
+from bfcalc.freegroup import magnus_sign, reduce_letters
 
 
 def random_aword(rng, strands, max_letters=10, min_letters=0):
@@ -347,6 +355,59 @@ def test_case_instances_cover_all_patterns():
     assert set(_CASE_INSTANCES) == {"j=r", "j=s", "r<j<s"}
 
 
+def test_derived_conjugation_rules_are_pinned():
+    expected = {
+        ("j=r", 1): (("r", -1), ("s", -1)),
+        ("j=r", -1): (("s", 1),),
+        ("j=s", 1): (("r", -1),),
+        ("j=s", -1): (("s", 1), ("r", 1)),
+        ("r<j<s", 1): (("r", -1), ("s", -1), ("r", 1), ("s", 1)),
+        ("r<j<s", -1): (("s", 1), ("r", 1), ("s", -1), ("r", -1)),
+    }
+    for (case, e), rule in expected.items():
+        assert _derive_conj_rule(case, e) == rule
+
+
+def test_every_rule_instance_is_validated_once(monkeypatch):
+    instance = (2, 7, 1, 4)  # k = 7 strands, the case r < j < s
+    _conjugator_letters(*instance)  # derive the rule before counting
+    monkeypatch.setattr(br, "_VALIDATED_INSTANCES", set())
+    monkeypatch.setattr(br, "_INSTANTIATED_CONJUGATORS", {})
+    checked = []
+    real = br._rule_holds
+
+    def counting(r, s, e, j, u):
+        checked.append((r, s, e, j))
+        return real(r, s, e, j, u)
+
+    monkeypatch.setattr(br, "_rule_holds", counting)
+    for _ in range(3):
+        _conjugator_for(*instance)
+    assert checked == [instance]
+
+    monkeypatch.setattr(br, "_VALIDATED_INSTANCES", set())
+    monkeypatch.setattr(br, "_INSTANTIATED_CONJUGATORS", {})
+    monkeypatch.setattr(br, "_rule_holds", lambda *args: False)
+    with pytest.raises(SchemaError):
+        _conjugator_for(*instance)
+
+
+def test_burau_is_a_braid_group_representation():
+    rng = random.Random(19)
+    for m in range(2, 6):
+        identity = _burau(SigmaWord(m, ()))
+        for i in range(1, m - 1):
+            assert _burau(SigmaWord(m, (i, i + 1, i))) == _burau(SigmaWord(m, (i + 1, i, i + 1)))
+        for i, j in itertools.combinations(range(1, m), 2):
+            if j - i > 1:
+                assert _burau(SigmaWord(m, (i, j))) == _burau(SigmaWord(m, (j, i)))
+        assert _burau(SigmaWord(m, (1,))) != identity
+        for _ in range(50):
+            w = random_sigma(rng, m, 10)
+            assert _burau(w * w.inverse()) == identity
+            assert _burau(w.inverse() * w) == identity
+
+
 # --- the braid sign
 
 def test_kr_sign_examples():
@@ -403,6 +464,68 @@ def test_kr_sign_split_preserves_positivity():
         n = rng.choice((2, 3))
         t = rng.randint(1, m)
         assert kr_sign(split_a(word, t, n, AWord.identity(n))) == 1
+
+
+def _kr_sign_all_levels(word):
+    """Oracle: the Magnus sign of the first nontrivial coordinate, every level combed."""
+    if word.strands == 1:
+        return 0
+    for quotient in _quotient_words(word):
+        coord = _peel_front(quotient, COMB_LETTER_LIMIT)
+        if not coord.is_trivial():
+            return magnus_sign(coord)
+    return 0
+
+
+def _commutator(u, v):
+    return u * v * u.inverse() * v.inverse()
+
+
+def test_kr_sign_matches_all_levels_oracle():
+    rng = random.Random(20)
+    combed_nonzero = 0
+    for _ in range(300):
+        m = rng.randint(2, 7)
+        w = random_aword(rng, m, 16)
+        g = random_aword(rng, m, 6)
+        nested = _commutator(_commutator(random_aword(rng, m, 3), random_aword(rng, m, 3)),
+                             random_aword(rng, m, 3))
+        for word in (w, g * w * g.inverse(), nested):
+            assert kr_sign(word) == _kr_sign_all_levels(word)
+        # commutators have zero linking everywhere, so their sign is combed
+        assert not linking_numbers(nested)
+        combed_nonzero += kr_sign(nested) != 0
+    assert combed_nonzero > 50
+
+
+def test_comb_exponent_sums_are_linking_numbers():
+    rng = random.Random(21)
+    for _ in range(200):
+        m = rng.randint(2, 6)
+        word = random_aword(rng, m, 14)
+        linking = linking_numbers(word)
+        # coordinates run (w_m, ..., w_2): the level of strand i comes i-th
+        for i, coord in enumerate(comb(word).coordinates, start=1):
+            sums = {}
+            for x in coord.letters:
+                sums[abs(x)] = sums.get(abs(x), 0) + (1 if x > 0 else -1)
+            assert {d: v for d, v in sums.items() if v} == {
+                j - i: v for (a, j), v in linking.items() if a == i}
+
+
+def test_kr_sign_reads_linking_without_combing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("combed a level whose linking decides the sign")
+
+    monkeypatch.setattr(br, "_peel_front", refuse)
+    # The deepest level (strand 2) links strand 3 zero times and is trivial;
+    # combing the top level would conjugate its front through 2,032 letters.
+    n = 1016
+    word = AWord(3, ((2, 3, 1),) * n + ((1, 2, 1), (1, 3, 1)) + ((2, 3, -1),) * n)
+    assert len(word) == 2034
+    assert kr_sign(word) == 1
+    assert kr_sign(word.inverse()) == -1
+    assert kr_sign(AWord(4, ((1, 3, -1), (1, 2, 1), (3, 4, 1), (3, 4, -1)))) == 1
 
 
 def test_combed_form_shape_validation():

@@ -109,6 +109,18 @@ def test_json_round_trip_corpus():
         assert bf.to_json(bf.from_json(text)) == text
 
 
+def test_format_element_writes_deep_trees():
+    depth = 1200
+    tree = Tree.single(2)
+    for _ in range(depth):
+        tree = tree.attach(1)
+    m = tree.leaf_count
+    x = bf.BFElement(bf.trivial_context(2), tree, AWord.identity(m), ((),) * m, tree)
+    comb_text = "(" * depth + "*" + ",*)" * depth
+    labels = ", ".join(["1"] * m)
+    assert format_element(x) == f"{{ {comb_text} ;  ; [ {labels} ] ; {comb_text} }}"
+
+
 # --- commands and exit codes
 
 def run_cli(*argv):

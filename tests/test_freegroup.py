@@ -57,6 +57,8 @@ def test_reduce_rejects_out_of_range():
         reduce_word(2, [3])
     with pytest.raises(WordError):
         reduce_word(2, [0])
+    with pytest.raises(WordError):
+        reduce_word(-1, [])
 
 
 def test_reduce_onto_cancels_against_the_end_in_place():

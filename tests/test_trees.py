@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from bfcalc.trees import (
     pair_reduce,
     right_comb,
     tree_from_nested,
-    tree_to_nested,
+    tree_to_json,
 )
 
 
@@ -339,11 +340,41 @@ def test_right_comb_rejects_bad_leaf_count():
 
 # --- nested codec
 
+def tree_to_nested(tree):
+    """Oracle: the nested-list form of a tree, [] for a leaf."""
+    leaves = set(tree.leaves)
+    root = []
+    stack = [((), root)]
+    while stack:
+        prefix, node = stack.pop()
+        if prefix not in leaves:
+            for d in range(tree.arity):
+                child = []
+                node.append(child)
+                stack.append((prefix + (d,), child))
+    return root
+
+
 def test_nested_codec_examples():
     assert tree_to_nested(Tree.single(2)) == []
     assert tree_to_nested(Tree.caret(3)) == [[], [], []]
     assert tree_to_nested(Tree.caret(2).attach(2)) == [[], [[], []]]
     assert tree_from_nested(((), ((), ())), 2) == Tree.caret(2).attach(2)
+    assert tree_to_json(Tree.single(2)) == "[]"
+    assert tree_to_json(Tree.caret(3)) == "[[],[],[]]"
+    assert tree_to_json(Tree.caret(2).attach(2)) == "[[],[[],[]]]"
+
+
+def test_tree_to_json_matches_json_dumps():
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.choice((2, 3, 4))
+        tree = Tree.single(n)
+        for _ in range(rng.randint(0, 12)):
+            tree = tree.attach(rng.randint(1, tree.leaf_count))
+        text = tree_to_json(tree)
+        assert text == json.dumps(tree_to_nested(tree), separators=(",", ":"))
+        assert tree_from_nested(json.loads(text), n) == tree
 
 
 def test_nested_codec_rejects_malformed():
@@ -359,3 +390,4 @@ def test_nested_codec_handles_deep_trees():
         tree = tree.attach(1)
     nested = tree_to_nested(tree)
     assert tree_from_nested(nested, 2) == tree
+    assert tree_to_json(tree) == "[" * depth + "[]" + ",[]]" * depth
