@@ -403,7 +403,7 @@ def from_json(text: str) -> BFElement:
         m = t1.leaf_count
         braid = AWord(m, tuple((int(i), int(j), int(s)) for i, j, s in doc["braid"]))
         labels = tuple(tuple(int(v) for v in l) for l in doc["labels"])
-    except (KeyError, TypeError, ValueError, br.BraidError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, br.BraidError) as exc:
         raise ElementError(f"malformed element document: {exc}") from exc
     return BFElement(context, t1, braid, labels, t2)
 

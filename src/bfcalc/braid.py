@@ -13,14 +13,17 @@ for the braid
 
 in which strands i and j link once and every other strand is left alone.
 AWords are pure by construction and are the only alphabet the group layer
-above ever stores; sigma words exist as oracle material.
+above ever stores; sigma words are what equality is decided on, and oracle
+material.
 
-Equality of braids is decided through the induced automorphism of the free
-group on the strand generators (the action is faithful), with an abelian
-linking-number precheck to reject cheaply.  Cable substitution rules and
-the conjugation rules used by combing are derived at first use against the
-diagram-level oracles (a Burau image mod a prime screens out wrong rule
-candidates first), and every applied instance is validated once.
+Equality of braids is decided by Dehornoy's handle reduction of u v^-1,
+after cheap checks on pure words (cancelled letters, linking numbers).  The
+induced automorphism of the free group on the strand generators (the Artin
+action, which is faithful) is kept as the independent oracle: cable
+substitution rules and the conjugation rules used by combing are derived
+at first use against the diagram-level oracles (a Burau image mod a prime
+screens out wrong rule candidates first), and every applied instance is
+checked once against the Artin action.
 
 The sign of a pure braid is read level by level from its linking numbers,
 which are the degree-1 Magnus coefficients of the combing coordinates;
@@ -146,15 +149,10 @@ def is_pure(word: SigmaWord) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Artin action equality oracle
+# Equality: handle reduction, with the Artin action as its oracle
 # ---------------------------------------------------------------------------
 
-class _ArtinBudgetExceeded(Exception):
-    """Internal: image growth passed the soft work budget."""
-
-
-def _artin_images(strands: int, letters: tuple[int, ...],
-                  budget: int | None = None) -> tuple[tuple[int, ...], ...]:
+def _artin_images(strands: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """
     Images of the free generators x_1..x_m under the automorphism of the
     word.  The word acts with its leftmost letter outermost, which makes the
@@ -163,7 +161,6 @@ def _artin_images(strands: int, letters: tuple[int, ...],
     and x_{q+1} to x_{q+1}^-1 x_q x_{q+1}.
     """
     images: list[list[int]] = [[k] for k in range(1, strands + 1)]
-    work = 0
     for letter in letters:
         q = abs(letter) - 1
         a, b = images[q], images[q + 1]
@@ -173,31 +170,13 @@ def _artin_images(strands: int, letters: tuple[int, ...],
         else:
             images[q] = b
             images[q + 1] = reduce_onto(invert_letters(b), a, b)
-        if budget is not None:
-            work += 2 * len(a) + len(b)
-            if work > budget:
-                raise _ArtinBudgetExceeded
     return tuple(tuple(img) for img in images)
-
-
-@functools.lru_cache(maxsize=65536)
-def _artin_images_cached(strands: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return _artin_images(strands, letters)
-
-
-# Soft cap on the total image length the adaptive equality path will build
-# before it hands the comparison to the combing normal form instead.
-ARTIN_WORK_BUDGET = 2_000_000
 
 
 def artin_image(word: SigmaWord | AWord) -> tuple[tuple[int, ...], ...]:
     """Reduced images of x_1..x_m; the identity braid gives (x_1,),..,(x_m,)."""
     sigma = a_to_sigma(word) if isinstance(word, AWord) else word
-    return _artin_images_cached(sigma.strands, sigma.letters)
-
-
-def _artin_image_budgeted(sigma: SigmaWord) -> tuple[tuple[int, ...], ...]:
-    return _artin_images(sigma.strands, sigma.letters, budget=ARTIN_WORK_BUDGET)
+    return _artin_images(sigma.strands, sigma.letters)
 
 
 def linking_numbers(word: AWord) -> dict[tuple[int, int], int]:
@@ -213,29 +192,6 @@ def linking_numbers(word: AWord) -> dict[tuple[int, int], int]:
     return out
 
 
-def sigma_linking(word: SigmaWord) -> dict[tuple[int, int], int]:
-    """Signed crossing sums per (unordered) strand pair, tracked by identity."""
-    occupant = list(range(word.strands + 1))
-    out: dict[tuple[int, int], int] = {}
-    for letter in word.letters:
-        q = abs(letter)
-        a, b = occupant[q], occupant[q + 1]
-        key = (a, b) if a < b else (b, a)
-        total = out.get(key, 0) + (1 if letter > 0 else -1)
-        if total:
-            out[key] = total
-        elif key in out:
-            del out[key]
-        occupant[q], occupant[q + 1] = b, a
-    return out
-
-
-# Above this many crossings the componentwise Artin comparison is handed to
-# the combing normal form, whose rewrite rules are themselves validated
-# instance by instance against the Artin action on short words.
-ARTIN_CROSSING_THRESHOLD = 700
-
-
 def _cancel_adjacent(word: AWord) -> AWord:
     """Drop syntactically adjacent inverse pairs of letters (free reduction)."""
     out: list[ALetter] = []
@@ -244,20 +200,62 @@ def _cancel_adjacent(word: AWord) -> AWord:
             out.pop()
         else:
             out.append((i, j, s))
-    return AWord(word.strands, tuple(out)) if len(out) != len(word.letters) else word
+    return _trusted(AWord, word.strands, tuple(out)) if len(out) != len(word.letters) else word
+
+
+def _handle_reduce(letters: Sequence[int]) -> list[int]:
+    """
+    Dehornoy handle reduction of a crossing word; the result is empty
+    exactly when the word is the trivial braid.  A handle is a subword
+    s_i^e v s_i^-e whose v has letters s_j with j > i only.  The handle
+    whose right end comes first is replaced by v with every s_{i+1}^d
+    turned into s_{i+1}^-e s_i^d s_{i+1}^e, freely reduced, and the scan
+    goes on from the start of the handle.  A word with no handle is empty
+    or has its lowest index with one sign only, hence is nontrivial
+    (Dehornoy, A fast method for comparing braids, Adv. Math. 125, 1997).
+    """
+    done: list[int] = []
+    todo = list(reversed(letters))  # the next letter is last
+    # The positions in `done` a handle can open at, those whose later
+    # letters all have higher indices; closed[p] holds the positions that
+    # done[p] took out of `starts` when it came.
+    starts: list[int] = []
+    closed: list[list[int]] = []
+    while todo:
+        x = todo.pop()
+        i = abs(x)
+        shut = []
+        while starts and abs(done[starts[-1]]) >= i and done[starts[-1]] != -x:
+            shut.append(starts.pop())
+        if not starts or done[starts[-1]] != -x:
+            starts.append(len(done))
+            done.append(x)
+            closed.append(shut)
+            continue
+        a = starts.pop()  # the handle done[a:] + [x]
+        starts.extend(reversed(closed[a]))
+        up = i + 1 if x < 0 else -i - 1  # s_{i+1}^e
+        v: list[int] = []
+        for y in done[a + 1:]:
+            if y == up or y == -up:
+                v += (-up, i if y > 0 else -i, up)
+            else:
+                v.append(y)
+        del done[a:], closed[a:]
+        todo.extend(reversed(reduce_onto([], v)))
+    return done
 
 
 def braids_equal(u: SigmaWord | AWord, v: SigmaWord | AWord) -> bool:
     """
-    Equality oracle.  Cheap invariants (permutation, pairwise crossing sums)
-    reject first; small words are compared through the faithful Artin
-    action; large pure words are compared through their combing
-    coordinates, which are canonical reduced words in a free basis.
+    Decide u == v in the braid group.  Pure words are first compared after
+    cancelling adjacent inverse letters, letter for letter, then by linking
+    numbers; otherwise the crossing word u v^-1 is handle-reduced and the
+    braids are equal exactly when nothing is left.
     """
     if u.strands != v.strands:
         raise BraidError("strand count mismatch")
-    both_pure = isinstance(u, AWord) and isinstance(v, AWord)
-    if both_pure:
+    if isinstance(u, AWord) and isinstance(v, AWord):
         u = _cancel_adjacent(u)
         v = _cancel_adjacent(v)
         if u.letters == v.letters:
@@ -266,26 +264,7 @@ def braids_equal(u: SigmaWord | AWord, v: SigmaWord | AWord) -> bool:
             return False
     su = a_to_sigma(u) if isinstance(u, AWord) else u
     sv = a_to_sigma(v) if isinstance(v, AWord) else v
-    if su.letters == sv.letters:
-        return True
-    if permutation(su) != permutation(sv):
-        return False
-    if sigma_linking(su) != sigma_linking(sv):
-        return False
-    small = max(len(su.letters), len(sv.letters)) <= ARTIN_CROSSING_THRESHOLD
-    if small:
-        if not both_pure:
-            return artin_image(su) == artin_image(sv)
-        try:
-            return _artin_image_budgeted(su) == _artin_image_budgeted(sv)
-        except _ArtinBudgetExceeded:
-            pass
-    if both_pure:
-        try:
-            return _combs_equal_levelwise(u, v)
-        except CombingLimitError:
-            pass
-    return artin_image(su) == artin_image(sv)
+    return not _handle_reduce(su.letters + invert_letters(sv.letters))
 
 
 def is_trivial(word: SigmaWord | AWord) -> bool:
@@ -501,7 +480,8 @@ def _rule_sides(r: int, s: int, e: int, j: int, u: Sequence[int]) -> tuple[AWord
 
 def _rule_holds(r: int, s: int, e: int, j: int, u: Sequence[int]) -> bool:
     """Check A[r,s]^e A[1,j] A[r,s]^-e == u A[1,j] u^-1 against the Artin oracle."""
-    return braids_equal(*_rule_sides(r, s, e, j, u))
+    lhs, rhs = _rule_sides(r, s, e, j, u)
+    return artin_image(lhs) == artin_image(rhs)
 
 
 # The Burau image used to reject rule candidates is evaluated at this t
@@ -640,12 +620,15 @@ def _peel_front(word: AWord, letter_limit: int) -> FreeWord:
     return _trusted(FreeWord, word.strands - 1, tuple(reversed(front_rev)))
 
 
-def _quotient_words(word: AWord) -> list[AWord]:
-    """[q_2, q_3, ..., q_m]: images of the word under iterated strand-1 deletion."""
-    out = [word]
-    while out[-1].strands > 2:
-        out.append(delete_strand(out[-1], 1))
-    return list(reversed(out))
+def _level_word(word: AWord, i: int) -> AWord:
+    """
+    The level of strand i: the word with strands 1..i-1 deleted, so that
+    strand i comes first, and adjacent inverse letters cancelled.  The
+    letters of a conjugator often cancel at the levels the conjugated braid
+    does not touch, and then combing never sees them.
+    """
+    return _cancel_adjacent(_trusted(AWord, word.strands - i + 1, tuple(
+        (a - i + 1, b - i + 1, s) for a, b, s in word.letters if a >= i)))
 
 
 def comb(word: AWord, letter_limit: int = COMB_LETTER_LIMIT) -> CombedForm:
@@ -655,10 +638,7 @@ def comb(word: AWord, letter_limit: int = COMB_LETTER_LIMIT) -> CombedForm:
     iterated strand-1 deletions of the input, because deleting strand 1
     kills exactly the front of the level above.
     """
-    if word.strands == 1:
-        return CombedForm(1, ())
-    quotients = _quotient_words(word)
-    coords = [_peel_front(q, letter_limit) for q in reversed(quotients)]
+    coords = [_peel_front(_level_word(word, i), letter_limit) for i in range(1, word.strands)]
     return CombedForm(word.strands, tuple(coords))
 
 
@@ -695,20 +675,8 @@ def kr_sign(word: AWord) -> int:
         if totals:
             return POSITIVE if totals[0] > 0 else NEGATIVE
         if i < m - 1:  # the deepest level has rank 1: zero linking makes it trivial
-            # Cancel adjacent inverse letters before combing: the letters of
-            # a conjugator often cancel at the levels the conjugated braid
-            # does not touch.
-            level = _cancel_adjacent(_trusted(AWord, m - i + 1, tuple(
-                (a - i + 1, b - i + 1, s) for a, b, s in word.letters if a >= i)))
-            coord = _peel_front(level, COMB_LETTER_LIMIT)
+            coord = _peel_front(_level_word(word, i), COMB_LETTER_LIMIT)
             if not coord.is_trivial():
                 return magnus_sign(coord)
     return ZERO
 
-
-def _combs_equal_levelwise(u: AWord, v: AWord) -> bool:
-    """Compare combing coordinates level by level, cheapest level first."""
-    for qu, qv in zip(_quotient_words(u), _quotient_words(v)):
-        if _peel_front(qu, COMB_LETTER_LIMIT) != _peel_front(qv, COMB_LETTER_LIMIT):
-            return False
-    return True

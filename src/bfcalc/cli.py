@@ -10,7 +10,8 @@ flags declare the label subgroup generators as braid words, and repeated
     braid   := (A-letter)*            A-letter := A[i,j] | A[i,j]^-1
     label   := "1" | (name | name^-1)+
 
-Exit codes: 0 on success, 1 for syntax or usage errors, 2 for semantic
+Exit codes: 0 on success, 1 for syntax or usage errors (an output file
+that cannot be written included), 2 for semantic
 invariant violations (bad arities, strand bounds, unknown names, foreign
 contexts), for verification failures and for a derived rewrite rule that
 fails its oracle check, 3 for inputs outside the supported envelope (a
@@ -405,6 +406,16 @@ class _Parser(argparse.ArgumentParser):
         raise CliSyntaxError(message)
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-n", "--arity", type=int, default=2,
@@ -451,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen2", action="store_true")
     p.add_argument("--gen3", action="store_true")
     p.add_argument("--irreducible", action="store_true")
-    p.add_argument("-k", "--hgens-count", type=int, default=None,
+    p.add_argument("-k", "--hgens-count", type=_at_least(0), default=None,
                    help="generator count of H for --gen2")
     p.set_defaults(func=_cmd_count)
     p = sub.add_parser("render", parents=[common])
@@ -463,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    choices=("all", "generating", "orders", "signstability",
                             "braidlayer", "groupaxioms"))
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--samples", type=_at_least(1), default=25)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_selftest)
     return parser
@@ -475,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         session = Session(args.arity, args.hgen, args.let)
         return args.func(args, session)
-    except CliSyntaxError as exc:
+    except (CliSyntaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CliSemanticError, bf.ElementError, bf.ContextError, TreeError,

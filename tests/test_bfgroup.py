@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bfcalc import bfgroup as bf
 from bfcalc.bfgroup import (
@@ -385,6 +387,48 @@ def test_json_rejects_malformed():
         from_json("not json")
     with pytest.raises(ElementError):
         from_json("{}")
+
+
+FUZZ_DOCUMENTS = [to_json(draw(ctx, random.Random(seed), leaves=5, braid=3))
+                  for seed, ctx in enumerate(CONTEXTS)]
+JSON_PIECES = list('[]{},:"0123456789-.eE ') + [
+    "Infinity", "1e999", "NaN", "null", "true", "[]", "{}", '"x"', "-1", "2.5"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def element_documents(draw_):
+    text = draw_(st.sampled_from(FUZZ_DOCUMENTS))
+    how = draw_(st.sampled_from(("field", "text", "random")))
+    if how == "field":
+        doc = json.loads(text)
+        key = draw_(st.sampled_from(sorted(doc)))
+        if draw_(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw_(json_values)
+        return json.dumps(doc)
+    if how == "text":
+        chars = list(text)
+        for _ in range(draw_(st.integers(1, 3))):
+            position = draw_(st.integers(0, len(chars) - 1))
+            chars[position] = draw_(st.sampled_from(JSON_PIECES))
+        return "".join(chars)
+    return json.dumps(draw_(json_values))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(element_documents())
+def test_fuzz_from_json_returns_an_element_or_element_error(text):
+    try:
+        x = from_json(text)
+    except ElementError:
+        return
+    assert isinstance(x, BFElement)
 
 
 def test_from_tree_pair():

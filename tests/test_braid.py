@@ -5,7 +5,6 @@ import pytest
 
 import bfcalc.braid as br
 from bfcalc.braid import (
-    ARTIN_CROSSING_THRESHOLD,
     COMB_LETTER_LIMIT,
     AWord,
     BraidError,
@@ -20,7 +19,6 @@ from bfcalc.braid import (
     _derive_conj_rule,
     _kernel_word_to_aword,
     _peel_front,
-    _quotient_words,
     a_to_sigma,
     artin_image,
     braids_equal,
@@ -173,6 +171,96 @@ def test_braids_equal_is_congruence():
         assert braids_equal(u, u_pad)
         assert braids_equal(u * w, u_pad * w)
         assert braids_equal(w * u, w * u_pad)
+
+
+def test_braids_equal_matches_artin_exhaustive_small():
+    # Every crossing word of length <= 6 on 3 strands and <= 5 on 4 strands.
+    for m, longest in ((3, 6), (4, 5)):
+        identity = SigmaWord(m, ())
+        alphabet = [q * e for q in range(1, m) for e in (1, -1)]
+        for length in range(longest + 1):
+            for letters in itertools.product(alphabet, repeat=length):
+                word = SigmaWord(m, letters)
+                assert braids_equal(word, identity) == (artin_image(word) == artin_image(identity))
+
+
+def _relator(rng, m):
+    """A braid relator: a braid relation or a far commutation, as one word."""
+    i = rng.randint(1, m - 1)
+    far = [j for j in range(1, m) if abs(i - j) > 1]
+    if far and rng.random() < 0.5:
+        j = rng.choice(far)
+        return (i, j, -i, -j)
+    if i == m - 1:
+        i -= 1
+    return (i, i + 1, i, -(i + 1), -i, -(i + 1))
+
+
+def test_braids_equal_matches_artin_on_pure_pairs():
+    rng = random.Random(22)
+    equal_pairs = 0
+    for n in range(2000):
+        m = rng.randint(3, 7)
+        u = a_to_sigma(random_aword(rng, m, 4))
+        if n % 2 == 0:
+            # insert g r g^-1 for a relator r: the same braid, another word
+            g = random_sigma(rng, m, 3)
+            middle = g.letters + _relator(rng, m) + g.inverse().letters
+            spot = rng.randint(0, len(u.letters))
+            v = SigmaWord(m, u.letters[:spot] + middle + u.letters[spot:])
+        else:
+            # a commutator has zero linking, so the linking check cannot decide
+            w = random_aword(rng, m, 2)
+            c = random_aword(rng, m, 2)
+            v = u * a_to_sigma(_commutator(w, c) if n % 4 == 1 else w)
+        same = artin_image(u) == artin_image(v)
+        assert braids_equal(u, v) == same
+        equal_pairs += same
+    assert equal_pairs >= 1000
+
+
+# Trivial 9-strand words met by the n = 2 group-axiom suites (seeds 601 and
+# 602, H trivial and H = P_n).  The Artin action takes over a minute on each,
+# so they are checked here without it.
+TRIVIAL_9_STRAND_WORDS = (
+    ((1, 6, 1), (4, 5, 1), (3, 9, 1), (3, 8, 1), (3, 7, 1), (2, 4, -1), (2, 3, -1),
+     (3, 5, -1), (3, 6, -1), (4, 5, -1), (4, 6, -1), (5, 9, -1), (6, 9, -1), (6, 7, 1),
+     (5, 7, 1), (1, 9, -1), (2, 9, -1), (8, 9, -1), (5, 8, -1), (6, 8, -1), (8, 9, -1),
+     (2, 7, 1), (1, 7, 1), (6, 9, 1), (6, 8, 1), (5, 9, 1), (5, 8, 1), (4, 9, 1),
+     (4, 8, 1), (3, 9, 1), (3, 8, 1), (7, 8, -1), (7, 9, -1), (3, 8, -1), (3, 9, -1),
+     (4, 8, -1), (4, 9, -1), (5, 8, -1), (5, 9, -1), (6, 8, -1), (6, 9, -1), (6, 9, 1),
+     (5, 9, 1), (6, 8, 1), (5, 8, 1), (4, 9, 1), (3, 9, 1), (4, 8, 1), (3, 8, 1),
+     (7, 9, 1), (7, 8, 1), (3, 8, -1), (4, 8, -1), (3, 9, -1), (4, 9, -1), (5, 8, -1),
+     (6, 8, -1), (5, 9, -1), (6, 9, -1), (1, 7, -1), (2, 7, -1), (8, 9, 1), (6, 8, 1),
+     (5, 8, 1), (8, 9, 1), (2, 9, 1), (1, 9, 1), (5, 7, -1), (6, 7, -1), (6, 9, 1),
+     (5, 9, 1), (4, 6, 1), (4, 5, 1), (3, 6, 1), (3, 5, 1), (2, 3, 1), (2, 4, 1),
+     (3, 7, -1), (3, 8, -1), (3, 9, -1), (4, 5, -1), (1, 6, -1)),
+    ((3, 7, 1), (2, 7, 1), (1, 7, 1), (3, 6, 1), (2, 6, 1), (1, 6, 1), (7, 9, 1),
+     (5, 8, -1), (5, 7, 1), (4, 5, 1), (1, 3, -1), (2, 3, -1), (4, 6, -1), (5, 6, -1),
+     (7, 9, -1), (8, 9, -1), (2, 6, 1), (1, 6, 1), (3, 9, -1), (3, 9, -1), (3, 9, 1),
+     (1, 7, -1), (2, 7, -1), (1, 8, -1), (2, 8, -1), (5, 8, 1), (5, 7, 1), (4, 8, 1),
+     (4, 7, 1), (4, 5, 1), (7, 8, -1), (1, 2, -1), (2, 6, -1), (2, 7, -1), (2, 8, -1),
+     (2, 9, -1), (3, 9, 1), (3, 8, 1), (3, 7, 1), (3, 6, 1), (5, 9, 1), (5, 8, 1),
+     (5, 7, 1), (5, 6, 1), (4, 9, 1), (4, 8, 1), (4, 7, 1), (4, 6, 1), (2, 5, 1),
+     (2, 4, 1), (2, 5, 1), (2, 4, 1), (1, 3, -1), (4, 5, -1), (4, 5, -1), (7, 8, 1),
+     (4, 5, 1), (1, 3, 1), (2, 4, -1), (2, 5, -1), (2, 4, -1), (2, 5, -1), (4, 6, -1),
+     (5, 6, -1), (4, 7, -1), (4, 8, -1), (5, 7, -1), (5, 8, -1), (4, 9, -1), (5, 9, -1),
+     (3, 6, -1), (3, 7, -1), (3, 8, -1), (3, 9, -1), (2, 9, 1), (2, 8, 1), (2, 7, 1),
+     (2, 6, 1), (4, 7, -1), (4, 8, -1), (5, 7, -1), (5, 8, -1), (2, 8, 1), (2, 7, 1),
+     (1, 8, 1), (1, 7, 1), (3, 9, -1), (3, 9, 1), (3, 9, 1), (1, 6, -1), (2, 6, -1),
+     (8, 9, 1), (7, 9, 1), (5, 6, 1), (4, 6, 1), (1, 2, 1), (2, 3, 1), (1, 3, 1),
+     (4, 5, -1), (5, 7, -1), (5, 8, 1), (7, 9, -1), (1, 6, -1), (2, 6, -1), (3, 6, -1),
+     (1, 7, -1), (2, 7, -1), (3, 7, -1)),
+)
+
+
+def test_trivial_nine_strand_words():
+    for letters in TRIVIAL_9_STRAND_WORDS:
+        word = AWord(9, letters)
+        assert not linking_numbers(word)
+        assert is_trivial(word)
+        assert not is_trivial(word * AWord(9, ((1, 3, 1), (2, 4, 1), (1, 3, -1), (2, 4, -1))))
+    assert [len(letters) for letters in TRIVIAL_9_STRAND_WORDS] == [82, 108]
 
 
 def test_linking_numbers_invariant():
@@ -348,7 +436,7 @@ def test_conjugation_rules_validated_against_artin():
                         list(u) + [j - 1] + [-x for x in reversed(u)])
                     k = max(s, j)
                     target = AWord(k, ((r, s, e), (1, j, 1), (r, s, -e)))
-                    assert braids_equal(_kernel_word_to_aword(candidate, k), target)
+                    assert artin_image(_kernel_word_to_aword(candidate, k)) == artin_image(target)
 
 
 def test_case_instances_cover_all_patterns():
@@ -466,6 +554,25 @@ def test_kr_sign_split_preserves_positivity():
         assert kr_sign(split_a(word, t, n, AWord.identity(n))) == 1
 
 
+def _quotient_words(word):
+    """[q_2, q_3, ..., q_m]: images of the word under iterated strand-1 deletion."""
+    out = [word]
+    while out[-1].strands > 2:
+        out.append(delete_strand(out[-1], 1))
+    return list(reversed(out))
+
+
+def test_comb_matches_quotient_words():
+    rng = random.Random(23)
+    for _ in range(200):
+        m = rng.randint(2, 7)
+        word = random_aword(rng, m, 10)
+        g = random_aword(rng, m, 3)
+        for w in (word, g * word * g.inverse()):
+            oracle = [_peel_front(q, COMB_LETTER_LIMIT) for q in reversed(_quotient_words(w))]
+            assert list(comb(w).coordinates) == oracle
+
+
 def _kr_sign_all_levels(word):
     """Oracle: the Magnus sign of the first nontrivial coordinate, every level combed."""
     if word.strands == 1:
@@ -537,10 +644,10 @@ def test_combed_form_shape_validation():
 
 
 def test_long_word_equality_uses_normal_form():
-    # Build a pure word longer than the Artin threshold and its padded twin.
-    rng = random.Random(18)
-    base = random_aword(rng, 4, 6, min_letters=4)
-    repeated = AWord(4, base.letters * (ARTIN_CROSSING_THRESHOLD // (len(base.letters)) + 1))
+    # A fixed pure word of 720 letters and its padded twin.
+    base = ((2, 4, 1), (1, 3, -1), (3, 4, 1), (1, 2, 1), (2, 3, -1), (1, 4, 1))
+    repeated = AWord(4, base * 120)
+    assert len(repeated) == 720
     padded = repeated * AWord(4, ((1, 3, 1), (1, 3, -1)))
     assert braids_equal(repeated, padded)
     assert not braids_equal(repeated, padded * AWord(4, ((1, 2, 1),)))

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bfcalc import bfgroup as bf
 from bfcalc import cli
@@ -177,6 +180,25 @@ def test_usage_error_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--gen2", "-k", "-1"),
+    ("selftest", "--suite", "orders", "--samples", "-3", "--seed", "1"),
+    ("selftest", "--suite", "orders", "--samples", "0", "--seed", "1"),
+])
+def test_out_of_range_counts_are_usage_errors(capsys, argv):
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument") and "Traceback" not in err
+
+
+def test_render_to_unwritable_path_exit_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.svg"
+    assert run_cli("render", "a", "--svg", str(target), "-n", "2",
+                   "--let", "a={ (*,*) ; A[1,2] ; [1,1] ; (*,*) }") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(target) in err and "Traceback" not in err
+
+
 def test_cmd_cmp_equal(capsys):
     code = run_cli("cmp", "a", "a", "-n", "2",
                    "--let", "a={ (*,*) ; A[1,2] ; [1,1] ; (*,*) }")
@@ -199,6 +221,8 @@ def test_cmd_count_verbatim(capsys):
     assert capsys.readouterr().out.strip() == "8"
     assert run_cli("count", "--gen2", "-n", "3", "-k", "3") == 0
     assert capsys.readouterr().out.strip() == "25"
+    assert run_cli("count", "--gen2", "-n", "2", "-k", "0") == 0
+    assert capsys.readouterr().out.strip() == "10"
 
 
 def test_cmd_mul_inv_reduce(capsys):
@@ -284,3 +308,81 @@ def test_render_text_mentions_labels():
     x = bf.BFElement(ctx, caret, AWord(2, ()), ((1,), ()), caret)
     text = render_text(x)
     assert "label 1: a1_2" in text
+
+
+# --- fuzzing: every input ends in a documented exit code, never a traceback
+
+FUZZ_ELEMENTS = [
+    "{ * ; ; [1] ; * }",
+    "{ (*,*) ; A[1,2] ; [h1,1] ; (*,*) }",
+    "{ ((*,*),*) ; A[1,2] A[2,3]^-1 ; [1,1,1] ; (*,(*,*)) }",
+    "{ (*,*,*) ; A[1,3]^-1 ; [1,1,1] ; (*,*,*) }",
+] + [format_element(bf.random_element(bf.pn_context(2), seed, max_leaves=5,
+                                      max_braid_letters=4, max_label_letters=2))
+     for seed in range(4)]
+FUZZ_PIECES = list("{}()[];,*^-1A ") + ["A[1,2]", "A[2,9]", "A[0,1]", "^-1", "h1", "a1_2",
+                                         "(*,*)", "9" * 30]
+FUZZ_COMMON_FLAGS = [
+    ("-n", "2"), ("-n", "3"), ("--hgen", "h1=A[1,2]"), ("--hgen", "a1_2=A[1,2]"),
+    ("--let", "a={ (*,*) ; A[1,2] ; [1,1] ; (*,*) }"), ("--json",),
+]
+FUZZ_BAD_FLAGS = [
+    ("-n", "1"), ("-n", "x"), ("--hgen", "h1"), ("--hgen", "h1=A[1,7]"), ("--hgen", "=A[1,2]"),
+    ("--let", "a"), ("--let", "a=a"), ("--set", "gen4"), ("-k", "-1"), ("--bogus",),
+]
+FUZZ_SETS = [("--set", "gen1"), ("--set", "gen2"), ("--set", "gen3")]
+# command -> (element operands it takes, its own flags, a flag it needs)
+FUZZ_COMMANDS = {
+    "parse": (1, [], None), "inv": (1, [], None), "reduce": (1, [], None),
+    "sign": (1, [("--pvb",)], None), "mul": (2, [("--reduce",)], None), "cmp": (2, [], None),
+    "expand": (1, [], None), "decompose": (1, [("--verify",)], FUZZ_SETS), "gens": (0, [], FUZZ_SETS),
+    "count": (0, [("-k", "2")], [("--gen1",), ("--gen2",), ("--gen3",), ("--irreducible",)]),
+    "render": (1, [("--format", "text"), ("--format", "svg")], None),
+    "bogus": (0, [], None),
+}
+
+
+@st.composite
+def element_texts(draw):
+    chars = list(draw(st.sampled_from(FUZZ_ELEMENTS)))
+    for _ in range(draw(st.integers(0, 3))):
+        position = draw(st.integers(0, len(chars)))
+        if draw(st.booleans()) or not chars:
+            chars.insert(position, draw(st.sampled_from(FUZZ_PIECES)))
+        else:
+            del chars[min(position, len(chars) - 1)]
+    return "".join(chars)
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(list(FUZZ_COMMANDS)))
+    operand_count, own_flags, needed = FUZZ_COMMANDS[command]
+    operands = st.one_of(element_texts(), element_texts(), st.sampled_from(["a", "b", "1"]),
+                         st.text(max_size=8))
+    count = draw(st.sampled_from([operand_count] * 3 + [operand_count + 1,
+                                                         max(operand_count - 1, 0)]))
+    argv = [command] + draw(st.lists(operands, min_size=count, max_size=count))
+    if command == "expand":
+        argv.append(draw(st.sampled_from(["1", "2", "3", "0", "9", "x"])))
+    flags = draw(st.lists(st.sampled_from(FUZZ_COMMON_FLAGS + own_flags), max_size=4, unique=True))
+    if needed:
+        flags.append(draw(st.sampled_from(needed)))
+    if draw(st.integers(0, 3)) == 3:
+        flags.append(draw(st.sampled_from(FUZZ_BAD_FLAGS)))
+    for flag in flags:
+        argv += flag
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command_lines())
+def test_fuzz_cli_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # only argparse's own help and version exits
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
