@@ -17,16 +17,16 @@ middle tree.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
-from typing import Iterable, Literal
+from typing import Iterable
 
 from . import braid as br
 from . import trees as tr
 from .braid import AWord, braids_equal, is_trivial, split_a
 from .freegroup import _trusted, invert_letters, reduce_onto
-from .trees import (Tree, TreePair, expansion_script, fn_sign, join, tree_from_nested,
-                    tree_to_json)
+from .trees import Tree, TreePair, fn_sign, join, tree_from_nested, tree_to_json
 
 NEGATIVE, ZERO, POSITIVE = -1, 0, 1
 
@@ -53,7 +53,7 @@ class HContext:
             raise ContextError("arity must be >= 2")
         seen: set[str] = set()
         for name, word in self.generators:
-            if not name or name in seen:
+            if not isinstance(name, str) or not name or name in seen:
                 raise ContextError(f"bad or duplicate generator name {name!r}")
             seen.add(name)
             if word.strands != self.arity:
@@ -163,21 +163,13 @@ def expand(x: BFElement, i: int) -> BFElement:
     )
 
 
-def expand_to(x: BFElement, side: Literal["left", "right"], target: Tree) -> BFElement:
-    """Expand until the chosen tree equals `target` (an expansion of it)."""
-    tree = x.t1 if side == "left" else x.t2
-    for i in expansion_script(tree, target):
-        x = expand(x, i)
-    return x
-
-
 def multiply(x: BFElement, y: BFElement) -> BFElement:
     """Compose two elements by expanding both to the join of the middle trees."""
     if x.context != y.context:
         raise ContextError("elements live over different contexts")
-    middle, _, _ = join(x.t2, y.t1)
-    xe = expand_to(x, "right", middle)
-    ye = expand_to(y, "left", middle)
+    _, script_x, script_y = join(x.t2, y.t1)
+    xe = functools.reduce(expand, script_x, x)
+    ye = functools.reduce(expand, script_y, y)
     labels = tuple(tuple(reduce_onto(list(a), b)) for a, b in zip(xe.labels, ye.labels))
     return _trusted(BFElement, x.context, xe.t1, xe.braid * ye.braid, labels, ye.t2)
 
@@ -386,23 +378,30 @@ def to_json(x: BFElement) -> str:
     return f'{head[:-1]},"t1":{tree_to_json(x.t1)},"t2":{tree_to_json(x.t2)}}}'
 
 
+def _json_int(value) -> int:
+    # json.loads gives bool for true/false and float for 2.9: neither is read as an int.
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def from_json(text: str) -> BFElement:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer over the digit limit
         raise ElementError(f"invalid JSON: {exc}") from exc
     try:
-        arity = int(doc["arity"])
+        arity = _json_int(doc["arity"])
         gens = tuple(
-            (name, AWord(arity, tuple((int(i), int(j), int(s)) for i, j, s in letters)))
+            (name, AWord(arity, tuple(tuple(map(_json_int, l)) for l in letters)))
             for name, letters in doc["hgens"]
         )
         context = HContext(arity, gens)
         t1 = tree_from_nested(doc["t1"], arity)
         t2 = tree_from_nested(doc["t2"], arity)
         m = t1.leaf_count
-        braid = AWord(m, tuple((int(i), int(j), int(s)) for i, j, s in doc["braid"]))
-        labels = tuple(tuple(int(v) for v in l) for l in doc["labels"])
+        braid = AWord(m, tuple(tuple(map(_json_int, l)) for l in doc["braid"]))
+        labels = tuple(tuple(map(_json_int, l)) for l in doc["labels"])
     except (KeyError, TypeError, ValueError, OverflowError, br.BraidError) as exc:
         raise ElementError(f"malformed element document: {exc}") from exc
     return BFElement(context, t1, braid, labels, t2)

@@ -5,9 +5,10 @@ pairs.
 A tree is stored by the sorted tuple of its leaf addresses, an address being
 a tuple of child indices in 0..n-1 (the root is the empty tuple).  For a
 full tree the leaf set determines everything else: the internal nodes are
-exactly the proper prefixes of the leaves.  This representation makes the
-minimal common expansion of two trees a set union and tree equality
-structural.
+exactly the proper prefixes of the leaves.  This representation makes tree
+equality structural, and the minimal common expansion of two trees and the
+caret scripts between a tree and an expansion of it one merge of the two
+sorted leaf lists, linear in the number of leaves.
 
 A TreePair (domain, codomain) with equal leaf counts represents the
 piecewise-affine homeomorphism of [0,1] sending the k-th leaf interval of
@@ -19,6 +20,7 @@ intervals of different length.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 
 from .freegroup import _trusted, invert_letters, reduce_letters
@@ -103,11 +105,11 @@ class Tree:
     def caret_window(self, i: int) -> bool:
         """True if leaves i..i+n-1 (1-based) are the full child set of one node."""
         n = self.arity
-        if not 1 <= i <= self.leaf_count - n + 1:
+        if not 1 <= i <= len(self.leaves) - n + 1:
             return False
-        window = self.leaves[i - 1 : i - 1 + n]
-        parent = window[0][:-1]
-        return all(window[d] == parent + (d,) for d in range(n)) if window[0] else False
+        # The n-2 leaves between p0 and p(n-1) can only be p1, ..., p(n-2).
+        first = self.leaves[i - 1]
+        return first[-1:] == (0,) and self.leaves[i + n - 2] == first[:-1] + (n - 1,)
 
     def remove_caret(self, i: int) -> Tree:
         """Inverse of attach: merge leaves i..i+n-1 back into their parent."""
@@ -129,51 +131,68 @@ def attach_caret(tree: Tree, i: int) -> Tree:
 
 
 def right_comb(arity: int, leaf_count: int) -> Tree:
-    """The right comb: carets attached recursively to the last leaf."""
-    tree = Tree.single(arity)
-    while tree.leaf_count < leaf_count:
-        tree = tree.attach(tree.leaf_count)
-    if tree.leaf_count != leaf_count:
+    """The right comb, carets on the last leaf: leaves (n-1)^d c for c < n-1, then (n-1)^k."""
+    if arity < 2:
+        raise TreeError(f"arity must be >= 2, got {arity}")
+    k, rest = divmod(leaf_count - 1, arity - 1)
+    if k < 0 or rest:
         raise TreeError(f"{leaf_count} is not a valid leaf count for arity {arity}")
-    return tree
+    spine = (arity - 1,)
+    leaves = [spine * d + (c,) for d in range(k) for c in range(arity - 1)] + [spine * k]
+    return _trusted(Tree, arity, tuple(leaves))
 
 
 def expansion_script(tree: Tree, target: Tree) -> tuple[int, ...]:
     """
     A sequence of 1-based leaf indices whose successive caret attachments
-    turn `tree` into `target`.  Raises ExpansionError if `target` is not an
-    expansion of `tree`.
+    turn `tree` into `target`, leftmost leaf first.  Raises ExpansionError
+    if `target` is not an expansion of `tree`.  Each target leaf a extends
+    the current tree leaf t or the next one; the k-th is the leftmost leaf
+    of the new inner nodes a[:d], len(t) <= d < len(a), a[d:] all zeros.
     """
     if tree.arity != target.arity:
         raise ExpansionError("arity mismatch")
-    target_nodes = target.nodes()
-    if not tree.nodes() <= target_nodes:
-        raise ExpansionError("target is not an expansion of the tree")
+    leaves = iter(tree.leaves)
+    t = next(leaves)
+    depth = len(t)
     script: list[int] = []
-    cur = tree
-    while cur != target:
-        for idx, leaf in enumerate(cur.leaves):
-            if leaf + (0,) in target_nodes:
-                cur = cur.attach(idx + 1)
-                script.append(idx + 1)
-                break
-        else:
-            raise ExpansionError("target is not an expansion of the tree")
-    return tuple(script)
+    for k, a in enumerate(target.leaves, start=1):
+        if a[:depth] != t:
+            t = next(leaves, None)
+            if t is None or a[: len(t)] != t:
+                raise ExpansionError("target is not an expansion of the tree")
+            depth = len(t)
+        d = len(a)
+        if d > depth:
+            while d > depth and a[d - 1] == 0:
+                d -= 1
+            script += [k] * (len(a) - d)
+    return tuple(script)  # no tree leaf is left over: both leaf lists cover [0, 1]
 
 
 def join(tree: Tree, other: Tree) -> tuple[Tree, tuple[int, ...], tuple[int, ...]]:
     """
     The minimal common expansion of two trees, together with the caret
-    scripts that produce it from each input.  The union of two full
-    prefix-closed address sets is again full and prefix-closed, and it is
-    contained in every common expansion.
+    scripts that produce it from each input.  One merge of the sorted leaf
+    lists: of the two current leaves (nested) the deeper, w, is a leaf of the
+    join, and each list moves on once the rest of w past its leaf is all n-1.
     """
     if tree.arity != other.arity:
         raise TreeError("arity mismatch")
-    nodes = tree.nodes() | other.nodes()
-    leaves = tuple(sorted(a for a in nodes if a + (0,) not in nodes))
-    joined = _trusted(Tree, tree.arity, leaves)
+    last = tree.arity - 1
+    xs, ys = tree.leaves, other.leaves
+    i = j = 0
+    leaves: list[Address] = []
+    while i < len(xs):  # both lists end with the all-(n-1) leaf, together
+        u, v = xs[i], ys[j]
+        w = u if len(u) >= len(v) else v
+        leaves.append(w)
+        s = len(w)
+        while s and w[s - 1] == last:  # w[s:] is the run of n-1 that w ends in
+            s -= 1
+        i += len(u) >= s
+        j += len(v) >= s
+    joined = _trusted(Tree, tree.arity, tuple(leaves))
     return joined, expansion_script(tree, joined), expansion_script(other, joined)
 
 
@@ -268,13 +287,8 @@ def pair_multiply(f: TreePair, g: TreePair) -> TreePair:
     if f.arity != g.arity:
         raise TreeError("arity mismatch")
     _, script_f, script_g = join(f.codomain, g.domain)
-    dom = f.domain
-    for k in script_f:
-        dom = dom.attach(k)
-    cod = g.codomain
-    for k in script_g:
-        cod = cod.attach(k)
-    return TreePair(dom, cod)
+    return TreePair(functools.reduce(attach_caret, script_f, f.domain),
+                    functools.reduce(attach_caret, script_g, g.codomain))
 
 
 def pair_inverse(f: TreePair) -> TreePair:
@@ -284,16 +298,15 @@ def pair_inverse(f: TreePair) -> TreePair:
 def pair_reduce(f: TreePair) -> TreePair:
     """Cancel matching carets present at the same leaf window of both trees."""
     n = f.arity
-    cur = f
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, cur.leaf_count - n + 2):
-            if cur.domain.caret_window(i) and cur.codomain.caret_window(i):
-                cur = TreePair(cur.domain.remove_caret(i), cur.codomain.remove_caret(i))
-                changed = True
-                break
-    return cur
+    dom, cod, i = f.domain, f.codomain, 1
+    while i <= dom.leaf_count - n + 1:
+        if dom.caret_window(i) and cod.caret_window(i):
+            dom, cod = dom.remove_caret(i), cod.remove_caret(i)
+            # Windows left of i - n + 1 miss the merged leaf: still no match.
+            i = max(1, i - n + 1)
+        else:
+            i += 1
+    return TreePair(dom, cod)
 
 
 def pair_is_identity(f: TreePair) -> bool:
@@ -325,24 +338,10 @@ def evaluate_brown_word(arity: int, word: tuple[int, ...]) -> TreePair:
     return acc
 
 
-def _leftmost_caret_window(tree: Tree) -> int:
-    n = tree.arity
-    for i in range(1, tree.leaf_count - n + 2):
-        if tree.caret_window(i):
-            return i
-    raise TreeError("tree with more than one leaf has no caret")
-
-
-def _minimal_valid_count_above(arity: int, i: int) -> int:
-    m = max(i + 1, arity)
-    while (m - 1) % (arity - 1) != 0:
-        m += 1
-    return m
-
-
 def _elementary_pair(arity: int, i: int) -> TreePair:
     """The pair (C[i], C[last]) over the smallest comb C with more than i leaves."""
-    m = _minimal_valid_count_above(arity, i)
+    m = max(i + 1, arity)
+    m += (1 - m) % (arity - 1)  # up to the next leaf count m = 1 mod n-1
     comb = right_comb(arity, m)
     return TreePair(comb.attach(i), comb.attach(m))
 
@@ -374,23 +373,22 @@ def _xi_word(arity: int, i: int) -> tuple[int, ...]:
 def comb_conjugator_word(tree: Tree) -> tuple[int, ...]:
     """
     Word over the generating pairs evaluating to (tree, comb with the same
-    leaf count).  Carets are peeled off the tree one at a time; a peel at
-    leaf position i of the smaller tree contributes the elementary pair with
-    index i, except that peels at the last leaf merely extend the comb spine
-    and contribute nothing.
+    leaf count).  Carets are peeled off the tree leftmost first, and a peel
+    at leaf window i contributes the elementary pair with index i.  Peeling
+    stops when the leftmost caret is the last one: the tree is then a comb.
     """
     n = tree.arity
     removed: list[int] = []
-    cur = tree
-    while cur != right_comb(n, cur.leaf_count):
-        i = _leftmost_caret_window(cur)
+    cur, i = tree, 1
+    while cur.leaf_count > 1:
+        # Windows left of i hold no caret, as in pair_reduce.
+        i = next(k for k in range(i, cur.leaf_count - n + 2) if cur.caret_window(k))
+        if i == cur.leaf_count - n + 1:
+            break
         cur = cur.remove_caret(i)
-        if i != cur.leaf_count:
-            removed.append(i)
-    letters: list[int] = []
-    for i in reversed(removed):
-        letters.extend(_xi_word(n, i))
-    return reduce_letters(letters)
+        removed.append(i)
+        i = max(1, i - n + 1)
+    return reduce_letters([x for i in reversed(removed) for x in _xi_word(n, i)])
 
 
 def fn_factorize(pair: TreePair) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -15,7 +16,6 @@ from bfcalc.bfgroup import (
     compare,
     equal,
     expand,
-    expand_to,
     from_json,
     from_tree_pair,
     identity_element,
@@ -33,7 +33,8 @@ from bfcalc.bfgroup import (
 )
 from bfcalc.braid import AWord, SigmaWord, braids_equal, comb, delete_strand, is_trivial, split_a
 from bfcalc.freegroup import FreeWord
-from bfcalc.trees import Tree, TreePair, fn_sign, join, right_comb
+from bfcalc import trees as tr
+from bfcalc.trees import Tree, TreePair, expansion_script, fn_sign, join, right_comb
 
 CONTEXTS = [trivial_context(2), pn_context(2), trivial_context(3), pn_context(3)]
 
@@ -52,6 +53,8 @@ def test_context_validation():
         HContext(2, (("h", AWord(3, ())),))
     with pytest.raises(ContextError):
         HContext(2, (("h", AWord(2, ())), ("h", AWord(2, ()))))
+    with pytest.raises(ContextError):
+        HContext(2, ((5, AWord(2, ())),))
 
 
 def test_pn_context_generators():
@@ -137,6 +140,12 @@ def _find_a_word_for(sigma, strands):
     raise AssertionError("no short pure word found")
 
 
+def expand_to(x, side, target):
+    """Expand until the chosen tree ("left" or "right") equals `target`."""
+    tree = x.t1 if side == "left" else x.t2
+    return functools.reduce(expand, expansion_script(tree, target), x)
+
+
 def test_expand_to_reaches_target():
     rng = random.Random(1)
     ctx = pn_context(2)
@@ -198,6 +207,29 @@ def test_composition_needing_one_expansion_each_side():
     product = multiply(x, y)
     assert product.leaf_count == 7
     assert is_identity(product)
+
+
+def test_multiply_expands_along_the_join_scripts(monkeypatch):
+    # join computes the two scripts; multiply must not compute them again.
+    calls = []
+    script = tr.expansion_script
+
+    def counted(*args):
+        calls.append(args)
+        return script(*args)
+
+    monkeypatch.setattr(tr, "expansion_script", counted)
+    monkeypatch.setattr(bf, "expansion_script", counted, raising=False)
+    ctx = pn_context(3)
+    rng = random.Random(30)
+    for _ in range(20):
+        x, y = draw(ctx, rng, leaves=7, braid=4), draw(ctx, rng, leaves=7, braid=4)
+        calls.clear()
+        product = multiply(x, y)
+        assert len(calls) == 2
+        middle, _, _ = join(x.t2, y.t1)
+        xe, ye = expand_to(x, "right", middle), expand_to(y, "left", middle)
+        assert (product.t1, product.braid, product.t2) == (xe.t1, xe.braid * ye.braid, ye.t2)
 
 
 def test_multiply_associative():
@@ -387,6 +419,27 @@ def test_json_rejects_malformed():
         from_json("not json")
     with pytest.raises(ElementError):
         from_json("{}")
+    with pytest.raises(ElementError):
+        from_json('{"arity":1' + "0" * 5000 + "}")  # over the int digit limit
+
+
+GOOD_DOCUMENT = {"arity": 2, "hgens": [["h", [[1, 2, 1]]]], "braid": [[1, 2, -1]],
+                 "labels": [[1], [-1]], "t1": [[], []], "t2": [[], []]}
+
+
+@pytest.mark.parametrize("changes", [
+    # int() used to read this one as arity 2 and the letter A[1,2].
+    {"arity": 2.9, "braid": [[1, 2, True]], "hgens": [], "labels": [[], []]},
+    {"arity": 2.0}, {"arity": True},
+    {"braid": [[1.0, 2, 1]]},
+    {"hgens": [["h", [[1, 2, 1.5]]]]}, {"hgens": [["h", [[True, 2, 1]]]]},
+    {"hgens": [[5, [[1, 2, 1]]]]}, {"hgens": [[True, [[1, 2, 1]]]]},
+    {"labels": [[1.0], [-1]]}, {"labels": [[True], [-1]]},
+])
+def test_json_rejects_non_integers_and_non_string_names(changes):
+    assert from_json(json.dumps(GOOD_DOCUMENT)).leaf_count == 2
+    with pytest.raises(ElementError):
+        from_json(json.dumps({**GOOD_DOCUMENT, **changes}))
 
 
 FUZZ_DOCUMENTS = [to_json(draw(ctx, random.Random(seed), leaves=5, braid=3))
@@ -502,6 +555,7 @@ def test_trusted_results_pass_public_constructors(ctx):
             _assert_public(value)
         joined, _, _ = join(x.t1, y.t2)
         _assert_public(joined)
+        _assert_public(right_comb(n, x.leaf_count))
         for k in range(1, grown.leaf_count - n + 2):
             if grown.t1.caret_window(k):
                 _assert_public(grown.t1.remove_caret(k))

@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from bfcalc.freegroup import reduce_letters
 from bfcalc.trees import (
     ExpansionError,
     Tree,
     TreeError,
     TreePair,
+    _elementary_pair,
+    _xi_word,
     attach_caret,
     brown_generator_pairs,
+    comb_conjugator_word,
     evaluate_brown_word,
     expansion_script,
     fn_factorize,
@@ -185,6 +189,162 @@ def test_join_minimality_brute_force():
 def test_expansion_script_rejects_non_expansion():
     with pytest.raises(ExpansionError):
         expansion_script(Tree.caret(2).attach(1), Tree.caret(2).attach(2))
+
+
+# --- set-based and attach-chain oracles for the linear-time tree code
+
+def expansion_script_oracle(tree, target):
+    """Attach at the leftmost leaf that is an inner node of `target`, until equal."""
+    if tree.arity != target.arity:
+        raise ExpansionError("arity mismatch")
+    target_nodes = target.nodes()
+    if not tree.nodes() <= target_nodes:
+        raise ExpansionError("target is not an expansion of the tree")
+    script = []
+    cur = tree
+    while cur != target:
+        idx = next(k for k, leaf in enumerate(cur.leaves, 1) if leaf + (0,) in target_nodes)
+        cur = cur.attach(idx)
+        script.append(idx)
+    return tuple(script)
+
+
+def join_oracle(tree, other):
+    """The union of the two node sets, whose leaves are the nodes without a child."""
+    if tree.arity != other.arity:
+        raise TreeError("arity mismatch")
+    nodes = tree.nodes() | other.nodes()
+    joined = Tree(tree.arity, tuple(sorted(a for a in nodes if a + (0,) not in nodes)))
+    return joined, expansion_script_oracle(tree, joined), expansion_script_oracle(other, joined)
+
+
+def right_comb_oracle(arity, leaf_count):
+    tree = Tree.single(arity)
+    while tree.leaf_count < leaf_count:
+        tree = tree.attach(tree.leaf_count)
+    if tree.leaf_count != leaf_count:
+        raise TreeError(f"{leaf_count} is not a valid leaf count for arity {arity}")
+    return tree
+
+
+def pair_reduce_oracle(f):
+    """Cancel the leftmost matching caret window, then start again from window 1."""
+    cur = f
+    while True:
+        for i in range(1, cur.leaf_count - f.arity + 2):
+            if cur.domain.caret_window(i) and cur.codomain.caret_window(i):
+                cur = TreePair(cur.domain.remove_caret(i), cur.codomain.remove_caret(i))
+                break
+        else:
+            return cur
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (TreeError, ExpansionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_join_matches_oracle():
+    rng = random.Random(42)
+    for _ in range(1500):
+        n = rng.choice((2, 3, 4))
+        t1 = random_tree(rng, n, rng.randint(0, 8))
+        equal_size = rng.random() < 0.5
+        t2 = random_tree(rng, n, (t1.leaf_count - 1) // (n - 1) if equal_size else rng.randint(0, 8))
+        joined, s1, s2 = join(t1, t2)
+        assert (joined, s1, s2) == join_oracle(t1, t2)
+        assert join(joined, t1) == join_oracle(joined, t1) == (joined, (), s1)
+    with pytest.raises(TreeError):
+        join(Tree.caret(2), Tree.caret(3))
+
+
+def test_expansion_script_matches_oracle():
+    rng = random.Random(43)
+    raised = 0
+    for _ in range(1500):
+        n = rng.choice((2, 3, 4))
+        tree = random_tree(rng, n, rng.randint(0, 6))
+        if rng.random() < 0.5:
+            target = tree
+            for _ in range(rng.randint(0, 4)):
+                target = target.attach(rng.randint(1, target.leaf_count))
+        else:
+            target = random_tree(rng, n, rng.randint(0, 8))
+        expected = outcome(expansion_script_oracle, tree, target)
+        assert outcome(expansion_script, tree, target) == expected
+        raised += expected[:1] == (ExpansionError,)
+    assert raised > 300
+    mismatch = (ExpansionError, "arity mismatch")
+    assert outcome(expansion_script, Tree.caret(2), Tree.caret(3)) == mismatch
+
+
+def test_right_comb_matches_oracle():
+    for n in (-1, 0, 1, 2, 3, 4, 5):
+        for m in range(-1, 40):
+            assert outcome(right_comb, n, m) == outcome(right_comb_oracle, n, m)
+
+
+def comb_conjugator_word_oracle(tree):
+    """Peel the leftmost caret, found from window 1, until the tree equals a comb."""
+    n = tree.arity
+    removed = []
+    cur = tree
+    while cur != right_comb_oracle(n, cur.leaf_count):
+        i = next(k for k in range(1, cur.leaf_count - n + 2) if cur.caret_window(k))
+        cur = cur.remove_caret(i)
+        if i != cur.leaf_count:
+            removed.append(i)
+    return reduce_letters([x for i in reversed(removed) for x in _xi_word(n, i)])
+
+
+def test_comb_conjugator_word_matches_oracle():
+    rng = random.Random(45)
+    for _ in range(600):
+        n = rng.choice((2, 3, 4))
+        tree = random_tree(rng, n, rng.randint(0, 10))
+        assert comb_conjugator_word(tree) == comb_conjugator_word_oracle(tree)
+    for n in (2, 3):
+        for m in range(1, 12, n - 1):
+            assert comb_conjugator_word(right_comb(n, m)) == ()
+
+
+def test_elementary_pair_over_smallest_comb():
+    for n in (2, 3, 4, 5):
+        for i in range(1, 30):
+            m = next(m for m in range(i + 1, 99) if m >= n and (m - 1) % (n - 1) == 0)
+            comb = right_comb_oracle(n, m)
+            assert _elementary_pair(n, i) == TreePair(comb.attach(i), comb.attach(m))
+
+
+def caret_window_oracle(tree, i):
+    """Compare all n leaves of the window with the children of its first leaf's parent."""
+    n = tree.arity
+    if not 1 <= i <= tree.leaf_count - n + 1 or not tree.leaves[i - 1]:
+        return False
+    parent = tree.leaves[i - 1][:-1]
+    return all(tree.leaves[i - 1 + d] == parent + (d,) for d in range(n))
+
+
+def test_caret_window_matches_oracle():
+    rng = random.Random(46)
+    for _ in range(600):
+        tree = random_tree(rng, rng.choice((2, 3, 4)), rng.randint(0, 10))
+        for i in range(-1, tree.leaf_count + 3):
+            assert tree.caret_window(i) == caret_window_oracle(tree, i)
+
+
+def test_pair_reduce_matches_oracle():
+    rng = random.Random(44)
+    for _ in range(1500):
+        n = rng.choice((2, 3, 4))
+        pair = random_pair(rng, n, max_carets=rng.randint(0, 8))
+        if rng.random() < 0.5:  # grow both trees alike so that carets cancel
+            for _ in range(rng.randint(1, 4)):
+                i = rng.randint(1, pair.leaf_count)
+                pair = TreePair(pair.domain.attach(i), pair.codomain.attach(i))
+        assert pair_reduce(pair) == pair_reduce_oracle(pair)
 
 
 # --- leaf intervals
