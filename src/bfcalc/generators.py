@@ -17,12 +17,14 @@ miss (braid letters outside the third family's member list, label
 positions no walk reaches) is solved from the expansion relations of
 smaller elements by a per-level fixpoint.  Correctness is established by
 round-trip verification, not by construction, and verify_generating()
-runs exactly that.
+runs exactly that.  A set keeps the words of the atoms it has decomposed,
+and its inverted members, for as long as it lives.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
 import time
@@ -106,7 +108,13 @@ class GeneratorSet:
         raise GeneratorSetError(f"no member named {name!r}")
 
     def element(self, index: int) -> BFElement:
+        if not 1 <= abs(index) <= len(self.members):
+            raise GeneratorSetError(f"no letter {index} in a set of {len(self.members)} members")
         return self.members[abs(index) - 1][1]
+
+    @functools.cached_property
+    def _engine(self) -> _Decomposer:
+        return _Decomposer(self)  # stored in __dict__: equality and hash are unchanged
 
 
 def _brown_members(context: HContext) -> list[tuple[str, BFElement]]:
@@ -213,14 +221,14 @@ class _Decomposer:
     """
 
     def __init__(self, genset: GeneratorSet):
-        self.genset = genset
         self.context = genset.context
         self.arity = genset.context.arity
         self.index = {name: k for k, (name, _) in enumerate(genset.members, start=1)}
+        self.inverses = tuple(bf.inverse(element) for _, element in genset.members)
         self._braid_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._label_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._solved_levels: set[int] = set()
-        self._missing: set[tuple] = set()
+        self._solving: set[int] = set()
 
     def _member(self, name: str) -> int:
         try:
@@ -252,10 +260,10 @@ class _Decomposer:
         word = self._braid_base_word(m, i, j)
         if word is None:
             self._solve_level(m)
-            if key not in self._braid_cache:
+            word = self._braid_cache.get(key)
+            if word is None:
                 raise GeneratorSetError(
                     f"member lookup failure: no route to A[{i},{j}] on {m} strands")
-            return self._braid_cache[key]
         self._braid_cache[key] = word
         return word
 
@@ -292,12 +300,10 @@ class _Decomposer:
         if word is None:
             level = t + self.arity - 1  # equal to the element over the minimal comb
             self._solve_level(level)
-            solved = self._label_cache.get((level, t, gen))
-            if solved is None:
+            word = self._label_cache.get((level, t, gen))
+            if word is None:
                 raise GeneratorSetError(
                     f"member lookup failure: no route to a label at position {t} of {m}")
-            self._label_cache[key] = solved
-            return solved
         self._label_cache[key] = word
         return word
 
@@ -350,102 +356,99 @@ class _Decomposer:
         expansion relations of level m-n+1, one uniquely determined atom at
         a time.
         """
-        if m in self._solved_levels:
+        if m in self._solved_levels or m in self._solving:
             return
-        self._solved_levels.add(m)
-        n = self.arity
-        small = m - n + 1
-        hcount = len(self.context.generators)
-        comb = right_comb(n, m)
+        self._solving.add(m)  # guards against re-entering level m
+        try:
+            n = self.arity
+            small = m - n + 1
+            hcount = len(self.context.generators)
+            comb = right_comb(n, m)
 
-        solved: dict[tuple, tuple[int, ...]] = {}
-        unknown: set[tuple] = set()
-        for i in range(1, m):
-            for j in range(i + 1, m + 1):
-                cached = self._braid_cache.get((m, i, j))
-                word = cached if cached is not None else self._braid_base_word(m, i, j)
-                if word is None:
-                    unknown.add(("L", i, j))
-                else:
-                    solved[("L", i, j)] = word
-        for t in range(1, m + 1):
-            for g in range(1, hcount + 1):
-                cached = self._label_cache.get((m, t, g))
-                word = cached if cached is not None else self._single_base_word(m, t, g)
-                if word is None and t + n - 1 < m:
-                    # equal to the same single over a smaller comb
-                    word = self.single_label_word(t + n - 1, t, g)
-                if word is None:
-                    unknown.add(("S", t, g))
-                else:
-                    solved[("S", t, g)] = word
+            solved: dict[tuple, tuple[int, ...]] = {}
+            unknown: set[tuple] = set()
+            for i in range(1, m):
+                for j in range(i + 1, m + 1):
+                    cached = self._braid_cache.get((m, i, j))
+                    word = cached if cached is not None else self._braid_base_word(m, i, j)
+                    if word is None:
+                        unknown.add(("L", i, j))
+                    else:
+                        solved[("L", i, j)] = word
+            for t in range(1, m + 1):
+                for g in range(1, hcount + 1):
+                    cached = self._label_cache.get((m, t, g))
+                    word = cached if cached is not None else self._single_base_word(m, t, g)
+                    if word is None and t + n - 1 < m:
+                        # equal to the same single over a smaller comb
+                        word = self.single_label_word(t + n - 1, t, g)
+                    if word is None:
+                        unknown.add(("S", t, g))
+                    else:
+                        solved[("S", t, g)] = word
 
-        if not unknown:
-            return
-
-        # Expanding a level-(m-n+1) element at leaf t0 anchors it on the
-        # tree comb[t0], so each relation carries conjugator words between
-        # that tree and the comb on m leaves.
-        relations: list[tuple[list[_Factor], tuple[int, ...]]] = []
-        for t0 in range(1, small + 1):
-            bridge = right_comb(n, small).attach(t0)
-            to_comb, from_comb = self._conj_words(bridge, comb)
-            for i0 in range(1, small):
-                for j0 in range(i0 + 1, small + 1):
-                    if t0 not in (i0, j0):
-                        continue
-                    rhs = self.braid_letter_word(small, i0, j0, 1)
-                    factors: list[_Factor] = [("word", to_comb)]
-                    factors += [("atom", ("L", a, b), s)
-                                for a, b, s in cable_letter((i0, j0, 1), t0, n)]
+            # Expanding a level-(m-n+1) element at leaf t0 anchors it on the
+            # tree comb[t0], so each relation carries conjugator words between
+            # that tree and the comb on m leaves.
+            relations: list[tuple[list[_Factor], tuple[int, ...]]] = []
+            for t0 in range(1, small + 1):
+                bridge = right_comb(n, small).attach(t0)
+                to_comb, from_comb = self._conj_words(bridge, comb)
+                for i0 in range(1, small):
+                    for j0 in range(i0 + 1, small + 1):
+                        if t0 not in (i0, j0):
+                            continue
+                        rhs = self.braid_letter_word(small, i0, j0, 1)
+                        factors: list[_Factor] = [("word", to_comb)]
+                        factors += [("atom", ("L", a, b), s)
+                                    for a, b, s in cable_letter((i0, j0, 1), t0, n)]
+                        factors.append(("word", from_comb))
+                        relations.append((factors, rhs))
+                for g in range(1, hcount + 1):
+                    rhs = self.single_label_word(small, t0, g)
+                    inner = bf.label_to_braid((g,), self.context)
+                    factors = [("word", to_comb)]
+                    factors += [("atom", ("L", u + t0 - 1, v + t0 - 1), s)
+                                for u, v, s in inner.letters]
+                    factors += [("atom", ("S", p, g), 1) for p in range(t0, t0 + n)]
                     factors.append(("word", from_comb))
                     relations.append((factors, rhs))
-            for g in range(1, hcount + 1):
-                rhs = self.single_label_word(small, t0, g)
-                inner = bf.label_to_braid((g,), self.context)
-                factors = [("word", to_comb)]
-                factors += [("atom", ("L", u + t0 - 1, v + t0 - 1), s)
-                            for u, v, s in inner.letters]
-                factors += [("atom", ("S", p, g), 1) for p in range(t0, t0 + n)]
-                factors.append(("word", from_comb))
-                relations.append((factors, rhs))
 
-        def factor_word(factor: _Factor) -> tuple[int, ...]:
-            if factor[0] == "word":
-                return factor[1]
-            word = solved[factor[1]]
-            return word if factor[2] > 0 else invert_letters(word)
+            def factor_word(factor: _Factor) -> tuple[int, ...]:
+                if factor[0] == "word":
+                    return factor[1]
+                word = solved[factor[1]]
+                return word if factor[2] > 0 else invert_letters(word)
 
-        changed = True
-        while changed and unknown:
-            changed = False
-            for factors, rhs in relations:
-                open_positions = [q for q, factor in enumerate(factors)
-                                  if factor[0] == "atom" and factor[1] not in solved]
-                if len(open_positions) != 1:
-                    continue
-                q = open_positions[0]
-                prefix: list[int] = []
-                for factor in factors[:q]:
-                    prefix.extend(factor_word(factor))
-                suffix: list[int] = []
-                for factor in factors[q + 1:]:
-                    suffix.extend(factor_word(factor))
-                word = invert_letters(tuple(prefix)) + rhs + invert_letters(tuple(suffix))
-                _, key, sign = factors[q]
-                if sign < 0:
-                    word = invert_letters(word)
-                solved[key] = word
-                unknown.discard(key)
-                changed = True
+            changed = True
+            while changed and unknown:
+                changed = False
+                for factors, rhs in relations:
+                    open_positions = [q for q, factor in enumerate(factors)
+                                      if factor[0] == "atom" and factor[1] not in solved]
+                    if len(open_positions) != 1:
+                        continue
+                    q = open_positions[0]
+                    prefix: list[int] = []
+                    for factor in factors[:q]:
+                        prefix.extend(factor_word(factor))
+                    suffix: list[int] = []
+                    for factor in factors[q + 1:]:
+                        suffix.extend(factor_word(factor))
+                    word = invert_letters(tuple(prefix)) + rhs + invert_letters(tuple(suffix))
+                    _, key, sign = factors[q]
+                    if sign < 0:
+                        word = invert_letters(word)
+                    solved[key] = word
+                    unknown.discard(key)
+                    changed = True
 
-        for key, word in solved.items():
-            if key[0] == "L":
-                self._braid_cache.setdefault((m, key[1], key[2]), word)
-            else:
-                self._label_cache.setdefault((m, key[1], key[2]), word)
-        for key in unknown:
-            self._missing.add((m,) + key)
+            for key, word in solved.items():
+                cache = self._braid_cache if key[0] == "L" else self._label_cache
+                cache.setdefault((m, key[1], key[2]), word)
+            self._solved_levels.add(m)  # only now that its words are stored
+        finally:
+            self._solving.discard(m)
 
     def decompose(self, x: BFElement) -> tuple[int, ...]:
         if x.context != self.context:
@@ -466,16 +469,18 @@ class _Decomposer:
 
 
 def decompose(x: BFElement, genset: GeneratorSet) -> tuple[int, ...]:
-    """Write x as a word of signed 1-based member indices of the set."""
-    return _Decomposer(genset).decompose(x)
+    """
+    Write x as a word of signed 1-based member indices of the set.  The set
+    keeps the words of the atoms it has decomposed for as long as it lives.
+    """
+    return genset._engine.decompose(x)
 
 
 def evaluate_word(word: tuple[int, ...], genset: GeneratorSet) -> BFElement:
-    """Multiply out a decomposition word."""
-    factors = (
-        genset.element(letter) if letter > 0 else bf.inverse(genset.element(letter))
-        for letter in word
-    )
+    """Multiply out a decomposition word; letter -k stands for the inverse of member k."""
+    inverses = genset._engine.inverses
+    members = [genset.element(letter) for letter in word]  # rejects letters out of range
+    factors = (x if letter > 0 else inverses[-letter - 1] for letter, x in zip(word, members))
     return bf.evaluate_product(factors, genset.context)
 
 
@@ -528,7 +533,6 @@ def verify_generating(
     trip aborts with the offending element serialized in the error message.
     """
     rng = random.Random(seed)
-    engine = _Decomposer(genset)
     lengths: list[int] = []
     times: list[float] = []
     successes = 0
@@ -541,7 +545,7 @@ def verify_generating(
             max_braid_letters=max_braid_letters,
             max_label_letters=max_label_letters,
         )
-        word = engine.decompose(x)
+        word = decompose(x, genset)
         value = evaluate_word(word, genset)
         if not bf.equal(value, x):
             raise VerificationError(

@@ -177,6 +177,8 @@ def join(tree: Tree, other: Tree) -> tuple[Tree, tuple[int, ...], tuple[int, ...
     lists: of the two current leaves (nested) the deeper, w, is a leaf of the
     join, and each list moves on once the rest of w past its leaf is all n-1.
     """
+    if tree == other:
+        return tree, (), ()
     if tree.arity != other.arity:
         raise TreeError("arity mismatch")
     last = tree.arity - 1

@@ -210,7 +210,8 @@ def test_composition_needing_one_expansion_each_side():
 
 
 def test_multiply_expands_along_the_join_scripts(monkeypatch):
-    # join computes the two scripts; multiply must not compute them again.
+    # join computes the two scripts, or none when the middle trees are
+    # equal; multiply must not compute them again.
     calls = []
     script = tr.expansion_script
 
@@ -222,11 +223,14 @@ def test_multiply_expands_along_the_join_scripts(monkeypatch):
     monkeypatch.setattr(bf, "expansion_script", counted, raising=False)
     ctx = pn_context(3)
     rng = random.Random(30)
-    for _ in range(20):
-        x, y = draw(ctx, rng, leaves=7, braid=4), draw(ctx, rng, leaves=7, braid=4)
+    pairs = [(draw(ctx, rng, leaves=7, braid=4), draw(ctx, rng, leaves=7, braid=4))
+             for _ in range(20)]
+    x = draw(ctx, rng, leaves=7, braid=4)
+    pairs.append((x, inverse(x)))  # equal middle trees
+    for x, y in pairs:
         calls.clear()
         product = multiply(x, y)
-        assert len(calls) == 2
+        assert len(calls) == (0 if x.t2 == y.t1 else 2)
         middle, _, _ = join(x.t2, y.t1)
         xe, ye = expand_to(x, "right", middle), expand_to(y, "left", middle)
         assert (product.t1, product.braid, product.t2) == (xe.t1, xe.braid * ye.braid, ye.t2)

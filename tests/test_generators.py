@@ -1,5 +1,6 @@
 import json
 import random
+import traceback
 from collections import Counter
 
 import pytest
@@ -166,6 +167,88 @@ def test_decompose_round_trip_small():
                                   max_braid_letters=8, max_label_letters=2)
             word = engine.decompose(x)
             assert bf.equal(evaluate_word(word, genset), x)
+
+
+def test_warm_set_words_equal_fresh_engine_words():
+    # One set object keeps its atom words across calls; the words must not
+    # depend on which elements the set decomposed before.
+    rng = random.Random(11)
+    jobs = []
+    for n in (2, 3):
+        for genset in (gen1_set(n), gen2_set(n, bf.pn_context(n)), gen3_set(n)):
+            jobs += [(genset, bf.random_element(genset.context, rng, max_leaves=7,
+                                                max_braid_letters=6, max_label_letters=2))
+                     for _ in range(30)]
+    rng.shuffle(jobs)
+    for genset, x in jobs:
+        assert decompose(x, genset) == _Decomposer(genset).decompose(x)
+
+
+def test_one_engine_per_set(monkeypatch):
+    built = []
+    init = _Decomposer.__init__
+
+    def counted(self, genset):
+        built.append(genset)
+        init(self, genset)
+
+    monkeypatch.setattr(_Decomposer, "__init__", counted)
+    genset = gen2_set(2, bf.pn_context(2))
+    rng = random.Random(12)
+    for _ in range(3):
+        x = bf.random_element(genset.context, rng, max_leaves=7)
+        assert bf.equal(evaluate_word(decompose(x, genset), genset), x)
+    verify_generating(genset, 3, seed=12)
+    assert len(built) == 1
+    # the engine lives outside the fields: equality and hash are unchanged
+    assert genset == gen2_set(2, bf.pn_context(2))
+    assert hash(genset) == hash(gen2_set(2, bf.pn_context(2)))
+
+
+def test_interrupted_level_leaves_the_set_usable(monkeypatch):
+    genset = gen3_set(2)
+    comb = right_comb(2, 3)
+    # a label at position 2 of 3 has no walk route: level 3 is solved
+    x = bf.BFElement(genset.context, comb, AWord.identity(3), ((), (1,), ()), comb)
+    conj_words = _Decomposer._conj_words
+    raised = []
+
+    def interrupted(self, src, dst):
+        if not raised and any(f.name == "_solve_level" for f in traceback.extract_stack()):
+            raised.append((src, dst))
+            raise RuntimeError("interrupted")
+        return conj_words(self, src, dst)
+
+    monkeypatch.setattr(_Decomposer, "_conj_words", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        decompose(x, genset)
+    assert raised
+    monkeypatch.undo()
+    word = decompose(x, genset)
+    assert word == _Decomposer(genset).decompose(x)
+    assert bf.equal(evaluate_word(word, genset), x)
+
+
+def test_evaluate_word_negative_letters_are_member_inverses():
+    rng = random.Random(13)
+    for genset in (gen2_set(2, bf.pn_context(2)), gen3_set(3)):
+        size = len(genset)
+        for _ in range(20):
+            word = tuple(rng.choice((1, -1)) * rng.randint(1, size) for _ in range(6))
+            members = [genset.members[abs(letter) - 1][1] for letter in word]
+            expected = bf.evaluate_product(
+                (m if letter > 0 else bf.inverse(m) for letter, m in zip(word, members)),
+                genset.context)
+            assert evaluate_word(word, genset) == expected
+
+
+def test_bad_letters_rejected():
+    genset = gen1_set(2)
+    for bad in (0, len(genset) + 1, -(len(genset) + 1)):
+        with pytest.raises(GeneratorSetError):
+            genset.element(bad)
+        with pytest.raises(GeneratorSetError):
+            evaluate_word((1, bad), genset)
 
 
 def test_decompose_inverse_letters():
