@@ -25,10 +25,8 @@ from typing import Iterable
 from . import braid as br
 from . import trees as tr
 from .braid import AWord, braids_equal, is_trivial, split_a
-from .freegroup import _trusted, invert_letters, reduce_onto
+from .freegroup import NEGATIVE, POSITIVE, ZERO, _trusted, invert_letters, reduce_onto
 from .trees import Tree, TreePair, fn_sign, join, tree_from_nested, tree_to_json
-
-NEGATIVE, ZERO, POSITIVE = -1, 0, 1
 
 Label = tuple[int, ...]
 
@@ -202,13 +200,6 @@ def is_identity(x: BFElement) -> bool:
 def equal(x: BFElement, y: BFElement) -> bool:
     if x.context != y.context:
         raise ContextError("elements live over different contexts")
-    # Large representatives are reduced first: the quotient below is then a
-    # product of small quadruples instead of a cabling of two big ones.
-    bound = 2 * x.arity - 1
-    if x.leaf_count > bound:
-        x = reduce(x)
-    if y.leaf_count > bound:
-        y = reduce(y)
     return is_identity(multiply(x, inverse(y)))
 
 

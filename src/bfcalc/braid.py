@@ -19,11 +19,11 @@ material.
 Equality of braids is decided by Dehornoy's handle reduction of u v^-1,
 after cheap checks on pure words (cancelled letters, linking numbers).  The
 induced automorphism of the free group on the strand generators (the Artin
-action, which is faithful) is kept as the independent oracle: cable
-substitution rules and the conjugation rules used by combing are derived
-at first use against the diagram-level oracles (a Burau image mod a prime
-screens out wrong rule candidates first), and every applied instance is
-checked once against the Artin action.
+action, which is faithful) is kept as the independent oracle.  The order
+of the cable substitution rules is derived per cable width at first use
+against diagram cabling.  The conjugation rules used by combing are a
+table, and each instance is checked against the Artin action before its
+first use.
 
 The sign of a pure braid is read level by level from its linking numbers,
 which are the degree-1 Magnus coefficients of the combing coordinates;
@@ -34,13 +34,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 from typing import Iterable, Sequence
 
-from .freegroup import (FreeWord, _trusted, invert_letters, magnus_sign, reduce_letters,
-                        reduce_onto)
-
-NEGATIVE, ZERO, POSITIVE = -1, 0, 1
+from .freegroup import (NEGATIVE, POSITIVE, ZERO, FreeWord, _trusted, invert_letters,
+                        magnus_sign, reduce_onto)
 
 ALetter = tuple[int, int, int]
 
@@ -50,7 +47,7 @@ class BraidError(ValueError):
 
 
 class SchemaError(RuntimeError):
-    """Raised when a derived rewrite rule fails oracle validation."""
+    """Raised when a rewrite-rule instance fails its oracle check."""
 
 
 class CombingLimitError(RuntimeError):
@@ -457,12 +454,22 @@ class CombedForm:
         return all(c.is_trivial() for c in self.coordinates)
 
 
-_CONJ_RULES: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {}
-_VALIDATED_INSTANCES: set[tuple[int, int, int, int]] = set()
+# How A[r,s]^e conjugates a kernel letter A[1,j] with r <= j <= s: into
+# u A[1,j] u^-1, u spelled over the kernel letters A[1,r], A[1,s], A[1,j]
+# named "r", "s", "j".  These are the relations of Artin's presentation of
+# the pure braid group (the linked case conjugates by a commutator); for j
+# outside [r, s] the two letters commute.
+_CONJ_RULES: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {
+    ("j=r", 1): (("r", -1), ("s", -1)),
+    ("j=r", -1): (("s", 1),),
+    ("j=s", 1): (("r", -1),),
+    ("j=s", -1): (("s", 1), ("r", 1)),
+    ("r<j<s", 1): (("r", -1), ("s", -1), ("r", 1), ("s", 1)),
+    ("r<j<s", -1): (("s", 1), ("r", 1), ("s", -1), ("r", -1)),
+}
 
-# Instances used in rule derivation, one smallest instance per case:
-# conjugator A[r,s], kernel letter A[1,j].
-_CASE_INSTANCES = {"j=r": (2, 3, 2), "j=s": (2, 3, 3), "r<j<s": (2, 4, 3)}
+# Checked rule instances: (r, s, e, j) -> u as kernel letters.
+_CONJUGATORS: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
 
 
 def _kernel_word_to_aword(letters: Iterable[int], strands: int) -> AWord:
@@ -470,46 +477,12 @@ def _kernel_word_to_aword(letters: Iterable[int], strands: int) -> AWord:
     return AWord(strands, tuple((1, abs(x) + 1, 1 if x > 0 else -1) for x in letters))
 
 
-def _rule_sides(r: int, s: int, e: int, j: int, u: Sequence[int]) -> tuple[AWord, AWord]:
-    """A[r,s]^e A[1,j] A[r,s]^-e and u A[1,j] u^-1, both on max(s, j) strands."""
-    k = max(s, j)
-    conjugate = reduce_onto([], u, (j - 1,), invert_letters(u))
-    return (AWord(k, ((r, s, e), (1, j, 1), (r, s, -e))),
-            _kernel_word_to_aword(conjugate, k))
-
-
 def _rule_holds(r: int, s: int, e: int, j: int, u: Sequence[int]) -> bool:
     """Check A[r,s]^e A[1,j] A[r,s]^-e == u A[1,j] u^-1 against the Artin oracle."""
-    lhs, rhs = _rule_sides(r, s, e, j, u)
-    return artin_image(lhs) == artin_image(rhs)
-
-
-# The Burau image used to reject rule candidates is evaluated at this t
-# modulo this prime.  Equal braids have equal images, so a rejection is
-# always right; an accepted candidate still faces the Artin oracle.
-_BURAU_PRIME = (1 << 61) - 1
-_BURAU_T = 1_000_003
-
-
-def _burau(word: SigmaWord | AWord) -> tuple[tuple[int, ...], ...]:
-    """
-    Rows of the unreduced Burau matrix of the word at t = _BURAU_T modulo
-    _BURAU_PRIME.  The crossing q multiplies on the right by the identity
-    with the block [[1-t, t], [1, 0]] in rows and columns q, q+1.
-    """
-    sigma = a_to_sigma(word) if isinstance(word, AWord) else word
-    p, t = _BURAU_PRIME, _BURAU_T
-    t_inv = pow(t, -1, p)
-    rows = [[int(r == c) for c in range(sigma.strands)] for r in range(sigma.strands)]
-    for letter in sigma.letters:
-        q = abs(letter) - 1
-        for row in rows:
-            a, b = row[q], row[q + 1]
-            if letter > 0:
-                row[q], row[q + 1] = ((1 - t) * a + b) % p, t * a % p
-            else:
-                row[q], row[q + 1] = t_inv * b % p, (a + (1 - t_inv) * b) % p
-    return tuple(map(tuple, rows))
+    k = max(s, j)
+    conjugate = reduce_onto([], u, (j - 1,), invert_letters(u))
+    return (artin_image(AWord(k, ((r, s, e), (1, j, 1), (r, s, -e))))
+            == artin_image(_kernel_word_to_aword(conjugate, k)))
 
 
 def _conjugation_case(r: int, s: int, j: int) -> str | None:
@@ -522,67 +495,23 @@ def _conjugation_case(r: int, s: int, j: int) -> str | None:
     return "r<j<s"
 
 
-def _derive_conj_rule(case: str, e: int) -> tuple[tuple[str, int], ...]:
-    """
-    Find, on the smallest instance of the case, a word u over the kernel
-    letters at positions r, s, j with
-
-        A[r,s]^e A[1,j] A[r,s]^-e  ==  u A[1,j] u^-1,
-
-    and record it symbolically.  The classical presentation guarantees such
-    a u of length at most four (the linked case conjugates by a commutator);
-    the search is capped there and failure is a hard error.
-    """
-    r, s, j = _CASE_INSTANCES[case]
-    tokens: list[tuple[str, int]] = []
-    for name, value in (("r", r - 1), ("s", s - 1), ("j", j - 1)):
-        if not any(v == value for _, v in tokens):
-            tokens.append((name, value))
-    alphabet = [(name, value, sign) for (name, value) in tokens for sign in (1, -1)]
-    target = _burau(_rule_sides(r, s, e, j, ())[0])
-    for length in range(0, 5):
-        for combo in itertools.product(alphabet, repeat=length):
-            u = [value * sign for _, value, sign in combo]
-            if (tuple(u) == reduce_letters(u)
-                    and _burau(_rule_sides(r, s, e, j, u)[1]) == target
-                    and _rule_holds(r, s, e, j, u)):
-                return tuple((name, sign) for name, _, sign in combo)
-    raise SchemaError(f"no conjugation rule found for case {case}, e={e}")
-
-
-def _conjugator_letters(r: int, s: int, e: int, j: int) -> tuple[int, ...]:
-    """Instantiate the derived rule at concrete indices, as kernel letters."""
-    case = _conjugation_case(r, s, j)
-    if case is None:
-        return ()
-    key = (case, e)
-    if key not in _CONJ_RULES:
-        _CONJ_RULES[key] = _derive_conj_rule(case, e)
-    values = {"r": r - 1, "s": s - 1, "j": j - 1}
-    return tuple(values[name] * sign for name, sign in _CONJ_RULES[key])
-
-
-def _validate_conj_instance(r: int, s: int, e: int, j: int) -> None:
-    """Check one concrete rule instance against the Artin oracle, memoized."""
-    key = (r, s, e, j)
-    if key in _VALIDATED_INSTANCES:
-        return
-    if not _rule_holds(r, s, e, j, _conjugator_letters(r, s, e, j)):
-        raise SchemaError(f"conjugation rule failed validation at {key}")
-    _VALIDATED_INSTANCES.add(key)
-
-
-_INSTANTIATED_CONJUGATORS: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
-
-
 def _conjugator_for(r: int, s: int, e: int, j: int) -> tuple[int, ...]:
+    """
+    The conjugator u of the rule instance at concrete indices, as kernel
+    letters; the instance is checked against the Artin oracle before its
+    first use.
+    """
     key = (r, s, e, j)
-    cached = _INSTANTIATED_CONJUGATORS.get(key)
-    if cached is None:
-        _validate_conj_instance(r, s, e, j)
-        cached = _conjugator_letters(r, s, e, j)
-        _INSTANTIATED_CONJUGATORS[key] = cached
-    return cached
+    u = _CONJUGATORS.get(key)
+    if u is None:
+        case = _conjugation_case(r, s, j)
+        values = {"r": r - 1, "s": s - 1, "j": j - 1}
+        u = () if case is None else tuple(
+            values[name] * sign for name, sign in _CONJ_RULES[case, e])
+        if not _rule_holds(r, s, e, j, u):
+            raise SchemaError(f"conjugation rule failed validation at {key}")
+        _CONJUGATORS[key] = u
+    return u
 
 
 def _conjugate_kernel_word_reversed(front_rev: list[int], r: int, s: int, e: int,
@@ -608,7 +537,7 @@ def _peel_front(word: AWord, letter_limit: int) -> FreeWord:
     The kernel coordinate of one level: the unique reduced word f over the
     kernel basis with  word == f * rest  and rest free of strand-1 letters.
     Letters are swept right to left; every letter not touching strand 1
-    conjugates the front built so far through the derived rules.
+    conjugates the front built so far through the conjugation rules.
     """
     front_rev: list[int] = []
     for i, j, sign in reversed(word.letters):

@@ -13,8 +13,8 @@ flags declare the label subgroup generators as braid words, and repeated
 Exit codes: 0 on success, 1 for syntax or usage errors (an output file
 that cannot be written included), 2 for semantic
 invariant violations (bad arities, strand bounds, unknown names, foreign
-contexts), for verification failures and for a derived rewrite rule that
-fails its oracle check, 3 for inputs outside the supported envelope (a
+contexts), for verification failures and for a rewrite-rule instance
+failing its oracle check, 3 for inputs outside the supported envelope (a
 combing coordinate or a sign computation past its ceiling).  For the last
 two the final line on standard error reads "ErrorName: message".
 """
@@ -31,7 +31,7 @@ from . import selftest
 from .bfgroup import BFElement, HContext
 from .braid import AWord, BraidError, CombingLimitError, SchemaError
 from .freegroup import TruncationError
-from .render import render_svg, render_text
+from .render import format_braid, format_label, render_svg, render_text
 from .trees import Tree, TreeError, tree_from_nested, tree_to_json
 
 SIGN_NAMES = {bf.NEGATIVE: "negative", bf.ZERO: "zero", bf.POSITIVE: "positive"}
@@ -124,14 +124,6 @@ def _nested_to_tree(nested: tuple, arity: int) -> Tree:
         raise CliSemanticError(str(exc)) from None
 
 
-def parse_tree_text(text: str, arity: int) -> Tree:
-    scanner = _Scanner(text)
-    nested = _parse_tree(scanner)
-    if not scanner.at_end():
-        raise scanner.error("trailing input after tree")
-    return _nested_to_tree(nested, arity)
-
-
 def _parse_a_letter(token: str) -> tuple[int, int, int]:
     sign = 1
     body = token
@@ -215,17 +207,8 @@ def format_tree(tree: Tree) -> str:
 
 
 def format_element(x: BFElement) -> str:
-    braid = " ".join(
-        f"A[{i},{j}]" + ("^-1" if s < 0 else "") for i, j, s in x.braid.letters)
-    labels = []
-    for label in x.labels:
-        if not label:
-            labels.append("1")
-        else:
-            labels.append(" ".join(
-                x.context.generators[abs(v) - 1][0] + ("^-1" if v < 0 else "")
-                for v in label))
-    return (f"{{ {format_tree(x.t1)} ; {braid} ; [ {', '.join(labels)} ] ; "
+    labels = ", ".join(format_label(label, x.context) or "1" for label in x.labels)
+    return (f"{{ {format_tree(x.t1)} ; {format_braid(x.braid)} ; [ {labels} ] ; "
             f"{format_tree(x.t2)} }}")
 
 

@@ -142,14 +142,6 @@ class NCPolynomial:
         if keys != sorted(keys):
             raise WordError("terms are not sorted")
 
-    @staticmethod
-    def from_dict(rank: int, degree: int, coeffs: Mapping[Monomial, int]) -> NCPolynomial:
-        return NCPolynomial(rank, degree, _sorted_terms(degree, coeffs))
-
-    @staticmethod
-    def one(rank: int, degree: int) -> NCPolynomial:
-        return NCPolynomial(rank, degree, (((), 1),))
-
 
 def _letter_series(letter: int, rank: int, degree: int) -> dict[Monomial, int]:
     """x_i maps to 1 + X_i; its inverse to the alternating geometric series."""

@@ -511,12 +511,6 @@ class VerifyReport:
         doc["max_word_length"] = self.max_word_length
         return json.dumps(doc, sort_keys=True)
 
-    def summary(self) -> str:
-        return (
-            f"{self.set_name} n={self.arity}: {self.successes}/{self.samples} round trips, "
-            f"max word {self.max_word_length}, {self.elapsed_seconds:.1f}s"
-        )
-
 
 def verify_generating(
     genset: GeneratorSet,

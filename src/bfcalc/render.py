@@ -10,14 +10,25 @@ as a single crossing block.
 
 from __future__ import annotations
 
-from .bfgroup import BFElement
-from .braid import a_to_sigma
+from .bfgroup import BFElement, HContext, Label
+from .braid import AWord, a_to_sigma
 from .trees import Tree
 
 STRAND_GAP = 36
 ROW_GAP = 26
 MARGIN = 24
 LABEL_ROW = 18
+
+
+def format_braid(word: AWord) -> str:
+    """Letters A[i,j] and A[i,j]^-1 separated by spaces; empty for no letters."""
+    return " ".join(f"A[{i},{j}]" + ("^-1" if s < 0 else "") for i, j, s in word.letters)
+
+
+def format_label(label: Label, context: HContext) -> str:
+    """Generator names, name^-1 for an inverse letter; empty for no letters."""
+    return " ".join(context.generators[abs(v) - 1][0] + ("^-1" if v < 0 else "")
+                    for v in label)
 
 
 def _esc(text: str) -> str:
@@ -78,13 +89,9 @@ def render_svg(x: BFElement) -> str:
     for idx, label in enumerate(x.labels):
         if not label:
             continue
-        text = " ".join(
-            x.context.generators[abs(v) - 1][0] + ("^-1" if v < 0 else "")
-            for v in label
-        )
         parts.append(
             f'<text class="strand-label" x="{xs[idx]:.1f}" y="{braid_top - 4:.1f}" '
-            f'font-size="9" text-anchor="middle">{_esc(text)}</text>')
+            f'font-size="9" text-anchor="middle">{_esc(format_label(label, x.context))}</text>')
 
     # Strand segments row by row; each braid letter becomes one crossing group.
     strand_parts: list[str] = []
@@ -149,15 +156,10 @@ def render_text(x: BFElement) -> str:
     lines = [
         f"arity {x.arity}, {x.leaf_count} leaves",
         "domain tree: " + " ".join("".join(map(str, a)) for a in x.t1.leaves),
-        "braid: " + (" ".join(
-            f"A[{i},{j}]" + ("^-1" if s < 0 else "") for i, j, s in x.braid.letters
-        ) or "1"),
+        "braid: " + (format_braid(x.braid) or "1"),
     ]
     for idx, label in enumerate(x.labels, start=1):
         if label:
-            text = " ".join(
-                x.context.generators[abs(v) - 1][0] + ("^-1" if v < 0 else "")
-                for v in label)
-            lines.append(f"label {idx}: {text}")
+            lines.append(f"label {idx}: {format_label(label, x.context)}")
     lines.append("range tree: " + " ".join("".join(map(str, a)) for a in x.t2.leaves))
     return "\n".join(lines)

@@ -23,11 +23,9 @@ import dataclasses
 import functools
 import itertools
 
-from .freegroup import _trusted, invert_letters, reduce_letters
+from .freegroup import NEGATIVE, POSITIVE, ZERO, _trusted, invert_letters, reduce_letters
 
 Address = tuple[int, ...]
-
-NEGATIVE, ZERO, POSITIVE = -1, 0, 1
 
 
 class TreeError(ValueError):

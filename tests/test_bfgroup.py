@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -534,7 +535,10 @@ def _rebuilt_element(x):
 
 
 def _assert_public(value):
-    """Rebuilding through the public constructor neither raises nor changes it."""
+    """
+    Rebuilding through the public constructor neither raises nor changes it,
+    and the value stays frozen.
+    """
     if isinstance(value, Tree):
         rebuilt = _rebuilt_tree(value)
     elif isinstance(value, AWord):
@@ -544,6 +548,9 @@ def _assert_public(value):
     else:
         rebuilt = _rebuilt_element(value)
     assert rebuilt == value and hash(rebuilt) == hash(value)
+    field = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=["2-trivial", "2-pn", "3-trivial", "3-pn"])

@@ -12,11 +12,7 @@ from bfcalc.braid import (
     CombingLimitError,
     SchemaError,
     SigmaWord,
-    _CASE_INSTANCES,
-    _burau,
     _conjugator_for,
-    _conjugator_letters,
-    _derive_conj_rule,
     _kernel_word_to_aword,
     _peel_front,
     a_to_sigma,
@@ -431,7 +427,7 @@ def test_conjugation_rules_validated_against_artin():
         for s in range(r + 1, 6):
             for j in range(2, 6):
                 for e in (1, -1):
-                    u = _conjugator_letters(r, s, e, j)
+                    u = _conjugator_for(r, s, e, j)
                     candidate = reduce_letters(
                         list(u) + [j - 1] + [-x for x in reversed(u)])
                     k = max(s, j)
@@ -439,8 +435,71 @@ def test_conjugation_rules_validated_against_artin():
                     assert artin_image(_kernel_word_to_aword(candidate, k)) == artin_image(target)
 
 
+# The Burau image used to reject rule candidates is evaluated at this t
+# modulo this prime.  Equal braids have equal images, so a rejection is
+# always right; an accepted candidate still faces the Artin oracle.
+_BURAU_PRIME = (1 << 61) - 1
+_BURAU_T = 1_000_003
+
+
+def _burau(word):
+    """
+    Rows of the unreduced Burau matrix of the word at t = _BURAU_T modulo
+    _BURAU_PRIME.  The crossing q multiplies on the right by the identity
+    with the block [[1-t, t], [1, 0]] in rows and columns q, q+1.
+    """
+    sigma = a_to_sigma(word) if isinstance(word, AWord) else word
+    p, t = _BURAU_PRIME, _BURAU_T
+    t_inv = pow(t, -1, p)
+    rows = [[int(r == c) for c in range(sigma.strands)] for r in range(sigma.strands)]
+    for letter in sigma.letters:
+        q = abs(letter) - 1
+        for row in rows:
+            a, b = row[q], row[q + 1]
+            if letter > 0:
+                row[q], row[q + 1] = ((1 - t) * a + b) % p, t * a % p
+            else:
+                row[q], row[q + 1] = t_inv * b % p, (a + (1 - t_inv) * b) % p
+    return tuple(map(tuple, rows))
+
+
+# One smallest instance per case: conjugator A[r,s], kernel letter A[1,j].
+_CASE_INSTANCES = {"j=r": (2, 3, 2), "j=s": (2, 3, 3), "r<j<s": (2, 4, 3)}
+
+
+def _derive_conj_rule(case, e):
+    """
+    Oracle for the rule table: the first freely reduced word u of length at
+    most four over the kernel letters at positions r, s, j with
+
+        A[r,s]^e A[1,j] A[r,s]^-e  ==  u A[1,j] u^-1
+
+    on the smallest instance of the case, spelled symbolically.  Candidates
+    are screened by their Burau image, then checked against the Artin action.
+    """
+    r, s, j = _CASE_INSTANCES[case]
+    k = max(s, j)
+    tokens = []
+    for name, value in (("r", r - 1), ("s", s - 1), ("j", j - 1)):
+        if not any(v == value for _, v in tokens):
+            tokens.append((name, value))
+    alphabet = [(name, value, sign) for (name, value) in tokens for sign in (1, -1)]
+    target = _burau(AWord(k, ((r, s, e), (1, j, 1), (r, s, -e))))
+    for length in range(0, 5):
+        for combo in itertools.product(alphabet, repeat=length):
+            u = [value * sign for _, value, sign in combo]
+            if tuple(u) != reduce_letters(u):
+                continue
+            conjugate = reduce_letters(u + [j - 1] + [-x for x in reversed(u)])
+            if (_burau(_kernel_word_to_aword(conjugate, k)) == target
+                    and br._rule_holds(r, s, e, j, u)):
+                return tuple((name, sign) for name, _, sign in combo)
+    raise SchemaError(f"no conjugation rule found for case {case}, e={e}")
+
+
 def test_case_instances_cover_all_patterns():
     assert set(_CASE_INSTANCES) == {"j=r", "j=s", "r<j<s"}
+    assert set(br._CONJ_RULES) == {(case, e) for case in _CASE_INSTANCES for e in (1, -1)}
 
 
 def test_derived_conjugation_rules_are_pinned():
@@ -453,14 +512,12 @@ def test_derived_conjugation_rules_are_pinned():
         ("r<j<s", -1): (("s", 1), ("r", 1), ("s", -1), ("r", -1)),
     }
     for (case, e), rule in expected.items():
-        assert _derive_conj_rule(case, e) == rule
+        assert _derive_conj_rule(case, e) == rule == br._CONJ_RULES[case, e]
 
 
 def test_every_rule_instance_is_validated_once(monkeypatch):
     instance = (2, 7, 1, 4)  # k = 7 strands, the case r < j < s
-    _conjugator_letters(*instance)  # derive the rule before counting
-    monkeypatch.setattr(br, "_VALIDATED_INSTANCES", set())
-    monkeypatch.setattr(br, "_INSTANTIATED_CONJUGATORS", {})
+    monkeypatch.setattr(br, "_CONJUGATORS", {})
     checked = []
     real = br._rule_holds
 
@@ -473,8 +530,7 @@ def test_every_rule_instance_is_validated_once(monkeypatch):
         _conjugator_for(*instance)
     assert checked == [instance]
 
-    monkeypatch.setattr(br, "_VALIDATED_INSTANCES", set())
-    monkeypatch.setattr(br, "_INSTANTIATED_CONJUGATORS", {})
+    monkeypatch.setattr(br, "_CONJUGATORS", {})
     monkeypatch.setattr(br, "_rule_holds", lambda *args: False)
     with pytest.raises(SchemaError):
         _conjugator_for(*instance)

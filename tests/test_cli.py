@@ -17,7 +17,6 @@ from bfcalc.cli import (
     main,
     parse_a_word,
     parse_element,
-    parse_tree_text,
 )
 from bfcalc.render import render_svg, render_text
 from bfcalc.braid import AWord, CombingLimitError, SchemaError
@@ -30,6 +29,15 @@ H2 = ["h1=A[1,2]"]
 
 def session(arity=2, hgens=H2, lets=()):
     return Session(arity, list(hgens), list(lets))
+
+
+def parse_tree_text(text, arity):
+    """A tree in the element grammar, alone on the input."""
+    scanner = cli._Scanner(text)
+    nested = cli._parse_tree(scanner)
+    if not scanner.at_end():
+        raise scanner.error("trailing input after tree")
+    return cli._nested_to_tree(nested, arity)
 
 
 # --- grammar

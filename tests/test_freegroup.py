@@ -9,6 +9,7 @@ from bfcalc.freegroup import (
     NCPolynomial,
     WordError,
     _monomial_key,
+    _sorted_terms,
     invert_letters,
     magnus_sign,
     magnus_truncated,
@@ -29,6 +30,15 @@ def word_inverse(u):
     return FreeWord(u.rank, invert_letters(u.letters))
 
 
+def nc_from_dict(rank, degree, coeffs):
+    """The polynomial with these coefficients, zero and over-degree terms dropped."""
+    return NCPolynomial(rank, degree, _sorted_terms(degree, coeffs))
+
+
+def nc_one(rank, degree):
+    return NCPolynomial(rank, degree, (((), 1),))
+
+
 def nc_multiply(p, q):
     """Oracle ring product, every monomial above the truncation degree dropped."""
     coeffs = {}
@@ -36,7 +46,7 @@ def nc_multiply(p, q):
         for mb, cb in q.terms:
             m = ma + mb
             coeffs[m] = coeffs.get(m, 0) + ca * cb
-    return NCPolynomial.from_dict(p.rank, p.degree, coeffs)
+    return nc_from_dict(p.rank, p.degree, coeffs)
 
 
 def random_word(rng, rank=3, max_len=10):
@@ -95,9 +105,9 @@ def x(*indices):
 
 
 def test_nc_multiply_truncates_to_one():
-    p = NCPolynomial.from_dict(1, 2, {x(): 1, x(1): 1})
-    q = NCPolynomial.from_dict(1, 2, {x(): 1, x(1): -1, x(1, 1): 1})
-    assert nc_multiply(p, q) == NCPolynomial.one(1, 2)
+    p = nc_from_dict(1, 2, {x(): 1, x(1): 1})
+    q = nc_from_dict(1, 2, {x(): 1, x(1): -1, x(1, 1): 1})
+    assert nc_multiply(p, q) == nc_one(1, 2)
 
 
 def test_nc_multiply_identity():
@@ -105,15 +115,15 @@ def test_nc_multiply_identity():
     for _ in range(50):
         coeffs = {tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 3))):
                   rng.randint(-5, 5) for _ in range(4)}
-        p = NCPolynomial.from_dict(2, 3, coeffs)
-        assert nc_multiply(p, NCPolynomial.one(2, 3)) == p
-        assert nc_multiply(NCPolynomial.one(2, 3), p) == p
+        p = nc_from_dict(2, 3, coeffs)
+        assert nc_multiply(p, nc_one(2, 3)) == p
+        assert nc_multiply(nc_one(2, 3), p) == p
 
 
 def test_nc_multiply_two_variables():
-    p = NCPolynomial.from_dict(2, 2, {x(): 1, x(1): 1})
-    q = NCPolynomial.from_dict(2, 2, {x(): 1, x(2): 1})
-    expected = NCPolynomial.from_dict(2, 2, {x(): 1, x(1): 1, x(2): 1, x(1, 2): 1})
+    p = nc_from_dict(2, 2, {x(): 1, x(1): 1})
+    q = nc_from_dict(2, 2, {x(): 1, x(2): 1})
+    expected = nc_from_dict(2, 2, {x(): 1, x(1): 1, x(2): 1, x(1, 2): 1})
     assert nc_multiply(p, q) == expected
 
 
@@ -135,25 +145,25 @@ def test_monomial_order_is_total_and_transitive():
         if _monomial_key(a) <= _monomial_key(b) <= _monomial_key(c):
             assert _monomial_key(a) <= _monomial_key(c)
     # terms come out of NCPolynomial in this order
-    poly = NCPolynomial.from_dict(2, 2, {m: 1 for m in monomials})
+    poly = nc_from_dict(2, 2, {m: 1 for m in monomials})
     assert [m for m, _ in poly.terms] == sorted(monomials, key=_monomial_key)
 
 
 # --- substitution
 
 def test_magnus_truncated_examples():
-    assert magnus_truncated(reduce_word(2, []), 3) == NCPolynomial.one(2, 3)
-    assert magnus_truncated(reduce_word(2, [1]), 1) == NCPolynomial.from_dict(
+    assert magnus_truncated(reduce_word(2, []), 3) == nc_one(2, 3)
+    assert magnus_truncated(reduce_word(2, [1]), 1) == nc_from_dict(
         2, 1, {x(): 1, x(1): 1})
     commutator = reduce_word(2, [1, 2, -1, -2])
-    assert magnus_truncated(commutator, 2) == NCPolynomial.from_dict(
+    assert magnus_truncated(commutator, 2) == nc_from_dict(
         2, 2, {x(): 1, x(1, 2): 1, x(2, 1): -1})
 
 
 def test_magnus_truncated_inverse_series():
     word = reduce_word(1, [-1])
     poly = magnus_truncated(word, 3)
-    assert poly == NCPolynomial.from_dict(
+    assert poly == nc_from_dict(
         1, 3, {x(): 1, x(1): -1, x(1, 1): 1, x(1, 1, 1): -1})
 
 

@@ -263,6 +263,11 @@ def test_decompose_inverse_letters():
 
 # --- verification reports
 
+def summary(report):
+    return (f"{report.set_name} n={report.arity}: {report.successes}/{report.samples} "
+            f"round trips, max word {report.max_word_length}, {report.elapsed_seconds:.1f}s")
+
+
 def test_verify_generating_report():
     genset = gen1_set(2)
     report = verify_generating(genset, 5, seed=3, set_name="gen1")
@@ -272,7 +277,7 @@ def test_verify_generating_report():
     doc = json.loads(report.to_json())
     assert doc["samples"] == 5 and doc["success_rate"] == 1.0
     assert len(doc["word_lengths"]) == 5
-    assert "gen1" in report.summary()
+    assert "gen1" in summary(report)
 
 
 def test_generator_set_lookup():
