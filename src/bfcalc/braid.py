@@ -16,14 +16,15 @@ AWords are pure by construction and are the only alphabet the group layer
 above ever stores; sigma words are what equality is decided on, and oracle
 material.
 
-Equality of braids is decided by Dehornoy's handle reduction of u v^-1,
-after cheap checks on pure words (cancelled letters, linking numbers).  The
+Equality of braids is decided by comparing Dynnikov coordinates, the images
+of one vector of Z^2m under a faithful action of the braid group, after
+cheap checks on pure words (cancelled letters, linking numbers).  The
 induced automorphism of the free group on the strand generators (the Artin
-action, which is faithful) is kept as the independent oracle.  The order
-of the cable substitution rules is derived per cable width at first use
+action, also faithful) is kept as the independent oracle.  The order of
+the cable substitution rules is derived per cable width at first use
 against diagram cabling.  The conjugation rules used by combing are a
-table, and each instance is checked against the Artin action before its
-first use.
+table, and each instance is checked by braid equality, which does not use
+them, before its first use.
 
 The sign of a pure braid is read level by level from its linking numbers,
 which are the degree-1 Magnus coefficients of the combing coordinates;
@@ -126,7 +127,7 @@ def a_to_sigma(word: AWord) -> SigmaWord:
             letters.extend(positive)
         else:
             letters.extend(invert_letters(positive))
-    return SigmaWord(word.strands, tuple(letters))
+    return _trusted(SigmaWord, word.strands, tuple(letters))
 
 
 def permutation(word: SigmaWord) -> tuple[int, ...]:
@@ -146,7 +147,7 @@ def is_pure(word: SigmaWord) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Equality: handle reduction, with the Artin action as its oracle
+# Equality: Dynnikov coordinates, with the Artin action as its oracle
 # ---------------------------------------------------------------------------
 
 def _artin_images(strands: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -200,55 +201,48 @@ def _cancel_adjacent(word: AWord) -> AWord:
     return _trusted(AWord, word.strands, tuple(out)) if len(out) != len(word.letters) else word
 
 
-def _handle_reduce(letters: Sequence[int]) -> list[int]:
+def _dynnikov(strands: int, letters: Iterable[int]) -> tuple[int, ...]:
     """
-    Dehornoy handle reduction of a crossing word; the result is empty
-    exactly when the word is the trivial braid.  A handle is a subword
-    s_i^e v s_i^-e whose v has letters s_j with j > i only.  The handle
-    whose right end comes first is replaced by v with every s_{i+1}^d
-    turned into s_{i+1}^-e s_i^d s_{i+1}^e, freely reduced, and the scan
-    goes on from the start of the handle.  A word with no handle is empty
-    or has its lowest index with one sign only, hence is nontrivial
-    (Dehornoy, A fast method for comparing braids, Adv. Math. 125, 1997).
+    Image of the start vector (a_k, b_k) = (0, 1), k = 1..m, under the
+    Dynnikov action of the word on Z^2m.  The action is faithful, so two
+    words are the same braid exactly when their images agree.  The crossing
+    q changes only pairs q and q+1; with x+ = max(x, 0), x- = min(x, 0),
+    (a, b) = pair q and (c, d) = pair q+1, the letter s_q sends them to
+
+        a + b+ + (d+ - t)+,  d - t+,  c + d- + (b- + t)-,  b + t+,
+        where t = a - b- - c + d+,
+
+    and s_q^-1 acts as s_q conjugated by negating a and c.  Each letter
+    costs O(1) integer operations, and the bit length of the coordinates
+    grows at most linearly with the word length (Dynnikov, On a Yang-Baxter
+    map and the Dehornoy ordering, Russian Math. Surveys 57, 2002; Dehornoy,
+    Efficient solutions to the braid isotopy problem, Discrete Appl. Math.
+    156, 2008).
     """
-    done: list[int] = []
-    todo = list(reversed(letters))  # the next letter is last
-    # The positions in `done` a handle can open at, those whose later
-    # letters all have higher indices; closed[p] holds the positions that
-    # done[p] took out of `starts` when it came.
-    starts: list[int] = []
-    closed: list[list[int]] = []
-    while todo:
-        x = todo.pop()
-        i = abs(x)
-        shut = []
-        while starts and abs(done[starts[-1]]) >= i and done[starts[-1]] != -x:
-            shut.append(starts.pop())
-        if not starts or done[starts[-1]] != -x:
-            starts.append(len(done))
-            done.append(x)
-            closed.append(shut)
-            continue
-        a = starts.pop()  # the handle done[a:] + [x]
-        starts.extend(reversed(closed[a]))
-        up = i + 1 if x < 0 else -i - 1  # s_{i+1}^e
-        v: list[int] = []
-        for y in done[a + 1:]:
-            if y == up or y == -up:
-                v += (-up, i if y > 0 else -i, up)
-            else:
-                v.append(y)
-        del done[a:], closed[a:]
-        todo.extend(reversed(reduce_onto([], v)))
-    return done
+    a = [0] * strands
+    b = [1] * strands
+    for x in letters:
+        e = 1 if x > 0 else -1
+        q = x * e  # pairs q-1 and q, counted from 0
+        p = q - 1
+        a0, b0, a1, b1 = a[p] * e, b[p], a[q] * e, b[q]
+        b0p, b0m = (b0, 0) if b0 > 0 else (0, b0)
+        b1p, b1m = (b1, 0) if b1 > 0 else (0, b1)
+        t = a0 - b0m - a1 + b1p
+        tp = t if t > 0 else 0
+        u, w = b1p - t, b0m + t
+        a[p] = (a0 + b0p + (u if u > 0 else 0)) * e
+        a[q] = (a1 + b1m + (w if w < 0 else 0)) * e
+        b[p], b[q] = b1 - tp, b0 + tp
+    return tuple(a + b)
 
 
 def braids_equal(u: SigmaWord | AWord, v: SigmaWord | AWord) -> bool:
     """
     Decide u == v in the braid group.  Pure words are first compared after
     cancelling adjacent inverse letters, letter for letter, then by linking
-    numbers; otherwise the crossing word u v^-1 is handle-reduced and the
-    braids are equal exactly when nothing is left.
+    numbers; otherwise the braids are equal exactly when their crossing
+    words have the same Dynnikov coordinates.
     """
     if u.strands != v.strands:
         raise BraidError("strand count mismatch")
@@ -261,7 +255,7 @@ def braids_equal(u: SigmaWord | AWord, v: SigmaWord | AWord) -> bool:
             return False
     su = a_to_sigma(u) if isinstance(u, AWord) else u
     sv = a_to_sigma(v) if isinstance(v, AWord) else v
-    return not _handle_reduce(su.letters + invert_letters(sv.letters))
+    return _dynnikov(u.strands, su.letters) == _dynnikov(v.strands, sv.letters)
 
 
 def is_trivial(word: SigmaWord | AWord) -> bool:
@@ -478,11 +472,14 @@ def _kernel_word_to_aword(letters: Iterable[int], strands: int) -> AWord:
 
 
 def _rule_holds(r: int, s: int, e: int, j: int, u: Sequence[int]) -> bool:
-    """Check A[r,s]^e A[1,j] A[r,s]^-e == u A[1,j] u^-1 against the Artin oracle."""
+    """
+    Check A[r,s]^e A[1,j] A[r,s]^-e == u A[1,j] u^-1 by braid equality, which
+    never reads the conjugation rules.
+    """
     k = max(s, j)
     conjugate = reduce_onto([], u, (j - 1,), invert_letters(u))
-    return (artin_image(AWord(k, ((r, s, e), (1, j, 1), (r, s, -e))))
-            == artin_image(_kernel_word_to_aword(conjugate, k)))
+    return braids_equal(AWord(k, ((r, s, e), (1, j, 1), (r, s, -e))),
+                        _kernel_word_to_aword(conjugate, k))
 
 
 def _conjugation_case(r: int, s: int, j: int) -> str | None:
@@ -498,8 +495,7 @@ def _conjugation_case(r: int, s: int, j: int) -> str | None:
 def _conjugator_for(r: int, s: int, e: int, j: int) -> tuple[int, ...]:
     """
     The conjugator u of the rule instance at concrete indices, as kernel
-    letters; the instance is checked against the Artin oracle before its
-    first use.
+    letters; the instance is checked by braid equality before its first use.
     """
     key = (r, s, e, j)
     u = _CONJUGATORS.get(key)

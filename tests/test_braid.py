@@ -31,7 +31,7 @@ from bfcalc.braid import (
     split_a,
     split_sigma,
 )
-from bfcalc.freegroup import magnus_sign, reduce_letters
+from bfcalc.freegroup import invert_letters, magnus_sign, reduce_letters, reduce_onto
 
 
 def random_aword(rng, strands, max_letters=10, min_letters=0):
@@ -130,7 +130,50 @@ def test_artin_homomorphism():
         assert artin_image(u * v) == compose(artin_image(u), artin_image(v))
 
 
-# --- equality oracle
+# --- equality oracles
+
+def _handle_reduce(letters):
+    """
+    Dehornoy handle reduction of a crossing word; the result is empty
+    exactly when the word is the trivial braid.  A handle is a subword
+    s_i^e v s_i^-e whose v has letters s_j with j > i only.  The handle
+    whose right end comes first is replaced by v with every s_{i+1}^d
+    turned into s_{i+1}^-e s_i^d s_{i+1}^e, freely reduced, and the scan
+    goes on from the start of the handle.  A word with no handle is empty
+    or has its lowest index with one sign only, hence is nontrivial
+    (Dehornoy, A fast method for comparing braids, Adv. Math. 125, 1997).
+    """
+    done: list[int] = []
+    todo = list(reversed(letters))  # the next letter is last
+    # The positions in `done` a handle can open at, those whose later
+    # letters all have higher indices; closed[p] holds the positions that
+    # done[p] took out of `starts` when it came.
+    starts: list[int] = []
+    closed: list[list[int]] = []
+    while todo:
+        x = todo.pop()
+        i = abs(x)
+        shut = []
+        while starts and abs(done[starts[-1]]) >= i and done[starts[-1]] != -x:
+            shut.append(starts.pop())
+        if not starts or done[starts[-1]] != -x:
+            starts.append(len(done))
+            done.append(x)
+            closed.append(shut)
+            continue
+        a = starts.pop()  # the handle done[a:] + [x]
+        starts.extend(reversed(closed[a]))
+        up = i + 1 if x < 0 else -i - 1  # s_{i+1}^e
+        v: list[int] = []
+        for y in done[a + 1:]:
+            if y == up or y == -up:
+                v += (-up, i if y > 0 else -i, up)
+            else:
+                v.append(y)
+        del done[a:], closed[a:]
+        todo.extend(reversed(reduce_onto([], v)))
+    return done
+
 
 def test_braids_equal_far_commutation():
     assert braids_equal(SigmaWord(4, (1, 3)), SigmaWord(4, (3, 1)))
@@ -177,7 +220,9 @@ def test_braids_equal_matches_artin_exhaustive_small():
         for length in range(longest + 1):
             for letters in itertools.product(alphabet, repeat=length):
                 word = SigmaWord(m, letters)
-                assert braids_equal(word, identity) == (artin_image(word) == artin_image(identity))
+                trivial = artin_image(word) == artin_image(identity)
+                assert trivial == (not _handle_reduce(letters))
+                assert braids_equal(word, identity) == trivial
 
 
 def _relator(rng, m):
@@ -210,6 +255,7 @@ def test_braids_equal_matches_artin_on_pure_pairs():
             c = random_aword(rng, m, 2)
             v = u * a_to_sigma(_commutator(w, c) if n % 4 == 1 else w)
         same = artin_image(u) == artin_image(v)
+        assert same == (not _handle_reduce(u.letters + invert_letters(v.letters)))
         assert braids_equal(u, v) == same
         equal_pairs += same
     assert equal_pairs >= 1000
@@ -217,7 +263,7 @@ def test_braids_equal_matches_artin_on_pure_pairs():
 
 # Trivial 9-strand words met by the n = 2 group-axiom suites (seeds 601 and
 # 602, H trivial and H = P_n).  The Artin action takes over a minute on each,
-# so they are checked here without it.
+# so they are checked here by handle reduction instead.
 TRIVIAL_9_STRAND_WORDS = (
     ((1, 6, 1), (4, 5, 1), (3, 9, 1), (3, 8, 1), (3, 7, 1), (2, 4, -1), (2, 3, -1),
      (3, 5, -1), (3, 6, -1), (4, 5, -1), (4, 6, -1), (5, 9, -1), (6, 9, -1), (6, 7, 1),
@@ -254,6 +300,7 @@ def test_trivial_nine_strand_words():
     for letters in TRIVIAL_9_STRAND_WORDS:
         word = AWord(9, letters)
         assert not linking_numbers(word)
+        assert _handle_reduce(a_to_sigma(word).letters) == []
         assert is_trivial(word)
         assert not is_trivial(word * AWord(9, ((1, 3, 1), (2, 4, 1), (1, 3, -1), (2, 4, -1))))
     assert [len(letters) for letters in TRIVIAL_9_STRAND_WORDS] == [82, 108]
@@ -707,3 +754,21 @@ def test_long_word_equality_uses_normal_form():
     padded = repeated * AWord(4, ((1, 3, 1), (1, 3, -1)))
     assert braids_equal(repeated, padded)
     assert not braids_equal(repeated, padded * AWord(4, ((1, 2, 1),)))
+
+    # Seventy conjugates of the trivial 9-strand words, each followed by
+    # A[1,2] A[2,3]^-1: the braid is that pair's 70th power, whose Dynnikov
+    # coordinates outgrow machine words.  Compared as crossing words, so
+    # that neither pure-word check can decide.
+    trivial = [AWord(9, letters) for letters in TRIVIAL_9_STRAND_WORDS]
+    step = AWord(9, ((1, 2, 1), (2, 3, -1)))
+    long_word = AWord.identity(9)
+    for k in range(70):
+        g = AWord(9, trivial[k % 2].letters[k:k + 7])
+        long_word = long_word * g * trivial[k % 2] * g.inverse() * step
+    sigma = a_to_sigma(long_word)
+    assert len(sigma.letters) >= 50_000
+    assert max(map(abs, br._dynnikov(9, sigma.letters))).bit_length() > 64
+    mid = len(sigma.letters) // 2
+    twin = SigmaWord(9, sigma.letters[:mid] + (4, -4) + sigma.letters[mid:])
+    assert braids_equal(sigma, twin)
+    assert not braids_equal(twin, a_to_sigma(long_word * AWord(9, ((1, 3, 1),))))
