@@ -10,21 +10,20 @@ generators of the context subgroup H, never raw braid words, so membership
 in H holds by construction.  Expanding at leaf i attaches a caret to both
 trees, splits strand i into n strands braided internally by the label
 there, and copies that label n times; an element equals all of its
-expansions, and composition works by expanding both factors to a common
-middle tree.
+expansions.  Composition expands each factor along its whole script to the
+join of the middle trees in one pass, and keeps only the outer trees.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import random
 from typing import Iterable
 
 from . import braid as br
 from . import trees as tr
-from .braid import AWord, braids_equal, is_trivial, split_a
+from .braid import AWord, braids_equal, cable_letter, is_trivial
 from .freegroup import NEGATIVE, POSITIVE, ZERO, _trusted, invert_letters, reduce_onto
 from .trees import Tree, TreePair, fn_sign, join, tree_from_nested, tree_to_json
 
@@ -54,6 +53,8 @@ class HContext:
             if not isinstance(name, str) or not name or name in seen:
                 raise ContextError(f"bad or duplicate generator name {name!r}")
             seen.add(name)
+            if not isinstance(word, AWord):
+                raise ContextError(f"generator {name!r} is not a pure braid word")
             if word.strands != self.arity:
                 raise ContextError(
                     f"generator {name!r} has {word.strands} strands, expected {self.arity}")
@@ -85,11 +86,10 @@ def pn_context(arity: int) -> HContext:
 
 def label_to_braid(label: Label, context: HContext) -> AWord:
     """Substitute every H-generator of the label word by its braid."""
-    word = AWord.identity(context.arity)
-    for letter in label:
-        gen = context.generators[abs(letter) - 1][1]
-        word = word * (gen if letter > 0 else gen.inverse())
-    return word
+    gens = context.generators
+    return _trusted(AWord, context.arity, tuple(
+        a for letter in label
+        for a in (gens[letter - 1][1] if letter > 0 else gens[-letter - 1][1].inverse()).letters))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,17 +148,29 @@ def expand(x: BFElement, i: int) -> BFElement:
     m = x.leaf_count
     if not 1 <= i <= m:
         raise ElementError(f"leaf index {i} out of range 1..{m}")
-    n = x.arity
-    inner = label_to_braid(x.labels[i - 1], x.context)
-    new_labels = x.labels[: i - 1] + (x.labels[i - 1],) * n + x.labels[i:]
-    return _trusted(
-        BFElement,
-        x.context,
-        x.t1.attach(i),
-        split_a(x.braid, i, n, inner),
-        new_labels,
-        x.t2.attach(i),
-    )
+    t1, braid, labels = _expanded(x, (i,), x.t1)
+    return _trusted(BFElement, x.context, t1, braid, labels, x.t2.attach(i))
+
+
+def _expanded(x: BFElement, script: tuple[int, ...], outer: Tree):
+    """
+    The outer tree (x.t1 or x.t2), braid and labels of x expanded at each
+    leaf of the script in turn, on lists, with one Tree and one AWord made.
+    """
+    if not script:
+        return outer, x.braid, x.labels
+    n, context = x.arity, x.context
+    letters, labels = x.braid.letters, list(x.labels)
+    for t in script:
+        label = labels[t - 1]
+        labels[t - 1 : t] = (label,) * n
+        cabled = []
+        for letter in letters:
+            cabled += cable_letter(letter, t, n)
+        cabled += [(i + t - 1, j + t - 1, s) for i, j, s in label_to_braid(label, context).letters]
+        letters = cabled
+    braid = _trusted(AWord, len(labels), tuple(letters))
+    return tr.attach_script(outer, script), braid, tuple(labels)
 
 
 def multiply(x: BFElement, y: BFElement) -> BFElement:
@@ -166,10 +178,10 @@ def multiply(x: BFElement, y: BFElement) -> BFElement:
     if x.context != y.context:
         raise ContextError("elements live over different contexts")
     _, script_x, script_y = join(x.t2, y.t1)
-    xe = functools.reduce(expand, script_x, x)
-    ye = functools.reduce(expand, script_y, y)
-    labels = tuple(tuple(reduce_onto(list(a), b)) for a, b in zip(xe.labels, ye.labels))
-    return _trusted(BFElement, x.context, xe.t1, xe.braid * ye.braid, labels, ye.t2)
+    t1, braid_x, labels_x = _expanded(x, script_x, x.t1)
+    t2, braid_y, labels_y = _expanded(y, script_y, y.t2)
+    labels = tuple(tuple(reduce_onto(list(a), b)) for a, b in zip(labels_x, labels_y))
+    return _trusted(BFElement, x.context, t1, braid_x * braid_y, labels, t2)
 
 
 def inverse(x: BFElement) -> BFElement:
@@ -210,18 +222,11 @@ def _labels_oracle_equal(x: BFElement, a: Label, b: Label) -> bool:
     return is_trivial(word)
 
 
-def _delete_cable_strands(word: AWord, i: int, n: int) -> AWord:
-    out = word
-    for _ in range(n - 1):
-        out = br.delete_strand(out, i + 1)
-    return out
-
-
 def _reduction_at(x: BFElement, i: int) -> BFElement | None:
     """
     Try to undo an expansion at leaf window i: both trees need a caret over
     leaves i..i+n-1, the n labels there must agree in H, and the braid must
-    be exactly a cable at those strands (verified through the oracle).
+    be a cable at those strands: re-expanding the smaller element gives it.
     """
     n = x.arity
     if not (x.t1.caret_window(i) and x.t2.caret_window(i)):
@@ -230,14 +235,13 @@ def _reduction_at(x: BFElement, i: int) -> BFElement | None:
     if any(not _labels_oracle_equal(x, window[0], l) for l in window[1:]):
         return None
     inner = label_to_braid(window[0], x.context)
-    m = x.leaf_count
-    stripped = x.braid * br.shift_embed(inner, i, m).inverse()
-    candidate = _delete_cable_strands(stripped, i, n)
-    if not braids_equal(x.braid, split_a(candidate, i, n, inner)):
-        return None
+    candidate = x.braid * br.shift_embed(inner, i, x.leaf_count).inverse()
+    for _ in range(n - 1):
+        candidate = br.delete_strand(candidate, i + 1)
     labels = x.labels[: i - 1] + (window[0],) + x.labels[i - 1 + n :]
-    return _trusted(BFElement, x.context, x.t1.remove_caret(i), candidate, labels,
-                    x.t2.remove_caret(i))
+    smaller = _trusted(BFElement, x.context, x.t1.remove_caret(i), candidate, labels,
+                       x.t2.remove_caret(i))
+    return smaller if braids_equal(x.braid, expand(smaller, i).braid) else None
 
 
 def reduce(x: BFElement) -> BFElement:

@@ -20,7 +20,6 @@ intervals of different length.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 
 from .freegroup import NEGATIVE, POSITIVE, ZERO, _trusted, invert_letters, reduce_letters
@@ -121,11 +120,18 @@ class Tree:
 
 def attach_caret(tree: Tree, i: int) -> Tree:
     """Return T[i]: the tree with a caret attached to the i-th leaf (1-based)."""
-    if not 1 <= i <= tree.leaf_count:
-        raise TreeError(f"leaf index {i} out of range 1..{tree.leaf_count}")
-    addr = tree.leaves[i - 1]
-    children = tuple(addr + (d,) for d in range(tree.arity))
-    return _trusted(Tree, tree.arity, tree.leaves[: i - 1] + children + tree.leaves[i:])
+    return attach_script(tree, (i,))
+
+
+def attach_script(tree: Tree, script: tuple[int, ...]) -> Tree:
+    """The tree after attaching a caret at each leaf index of the script in turn."""
+    leaves = list(tree.leaves)
+    for i in script:
+        if not 1 <= i <= len(leaves):
+            raise TreeError(f"leaf index {i} out of range 1..{len(leaves)}")
+        addr = leaves[i - 1]
+        leaves[i - 1 : i] = [addr + (d,) for d in range(tree.arity)]
+    return _trusted(Tree, tree.arity, tuple(leaves)) if script else tree
 
 
 def right_comb(arity: int, leaf_count: int) -> Tree:
@@ -287,8 +293,7 @@ def pair_multiply(f: TreePair, g: TreePair) -> TreePair:
     if f.arity != g.arity:
         raise TreeError("arity mismatch")
     _, script_f, script_g = join(f.codomain, g.domain)
-    return TreePair(functools.reduce(attach_caret, script_f, f.domain),
-                    functools.reduce(attach_caret, script_g, g.codomain))
+    return TreePair(attach_script(f.domain, script_f), attach_script(g.codomain, script_g))
 
 
 def pair_inverse(f: TreePair) -> TreePair:

@@ -33,9 +33,9 @@ from bfcalc.bfgroup import (
     trivial_context,
 )
 from bfcalc.braid import AWord, SigmaWord, braids_equal, comb, delete_strand, is_trivial, split_a
-from bfcalc.freegroup import FreeWord
+from bfcalc.freegroup import FreeWord, reduce_onto
 from bfcalc import trees as tr
-from bfcalc.trees import Tree, TreePair, expansion_script, fn_sign, join, right_comb
+from bfcalc.trees import Tree, TreePair, attach_caret, expansion_script, fn_sign, join, right_comb
 
 CONTEXTS = [trivial_context(2), pn_context(2), trivial_context(3), pn_context(3)]
 
@@ -56,6 +56,11 @@ def test_context_validation():
         HContext(2, (("h", AWord(2, ())), ("h", AWord(2, ()))))
     with pytest.raises(ContextError):
         HContext(2, ((5, AWord(2, ())),))
+    # A generator word must be an AWord, not an integer or its bare letters.
+    with pytest.raises(ContextError):
+        HContext(2, (("a", 5),))
+    with pytest.raises(ContextError):
+        HContext(2, (("a", ((1, 2, 1),)),))
 
 
 def test_pn_context_generators():
@@ -69,6 +74,27 @@ def test_label_to_braid():
     assert label_to_braid((), ctx) == AWord(2, ())
     assert label_to_braid((1,), ctx) == AWord(2, ((1, 2, 1),))
     assert is_trivial(label_to_braid((1, -1), ctx))
+
+
+def label_braid_oracle(label, ctx):
+    """One validated AWord per label letter, multiplied out left to right."""
+    word = AWord.identity(ctx.arity)
+    for letter in label:
+        gen = ctx.generators[abs(letter) - 1][1]
+        word = word * (gen if letter > 0 else gen.inverse())
+    return word
+
+
+def test_label_to_braid_matches_letterwise_product():
+    rng = random.Random(8)
+    two_letter = HContext(3, (("u", AWord(3, ((1, 2, 1), (2, 3, -1)))), ("v", AWord(3, ()))))
+    for ctx in (pn_context(2), pn_context(3), pn_context(4), two_letter):
+        k = len(ctx.generators)
+        for _ in range(50):
+            label = tuple(rng.choice((1, -1)) * rng.randint(1, k) for _ in range(rng.randint(0, 6)))
+            word = label_to_braid(label, ctx)
+            assert word == label_braid_oracle(label, ctx)
+            assert AWord(word.strands, word.letters) == word
 
 
 def test_element_validation():
@@ -124,6 +150,62 @@ def test_expand_splits_label_braid_in():
                        x.labels[:3] + (label,) * 3 + x.labels[4:], t2.attach(4))
     assert grown == manual
     assert equal(x, grown)
+
+
+def expand_oracle(x, i):
+    """One expansion built from split_a, one caret on each tree, through the public constructor."""
+    n = x.arity
+    inner = label_braid_oracle(x.labels[i - 1], x.context)
+    return BFElement(x.context, attach_caret(x.t1, i), split_a(x.braid, i, n, inner),
+                     x.labels[: i - 1] + (x.labels[i - 1],) * n + x.labels[i:],
+                     attach_caret(x.t2, i))
+
+
+def multiply_oracle(x, y):
+    """Composition expanding both factors one caret at a time along the join scripts."""
+    _, script_x, script_y = join(x.t2, y.t1)
+    xe = functools.reduce(expand_oracle, script_x, x)
+    ye = functools.reduce(expand_oracle, script_y, y)
+    assert xe.t2 == ye.t1
+    labels = tuple(tuple(reduce_onto(list(a), b)) for a, b in zip(xe.labels, ye.labels))
+    return BFElement(x.context, xe.t1, xe.braid * ye.braid, labels, ye.t2)
+
+
+def assert_same_fields(got, want):
+    for field in dataclasses.fields(BFElement):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+ORACLE_CONTEXTS = [trivial_context(2), pn_context(2), trivial_context(3), pn_context(3),
+                   trivial_context(4), pn_context(4)]
+ORACLE_IDS = ["2-trivial", "2-pn", "3-trivial", "3-pn", "4-trivial", "4-pn"]
+
+
+@pytest.mark.parametrize("ctx", ORACLE_CONTEXTS, ids=ORACLE_IDS)
+def test_expand_matches_split_a_construction(ctx):
+    rng = random.Random(50 + ctx.arity + len(ctx.generators))
+    for _ in range(40):
+        x = draw(ctx, rng, leaves=10, braid=10, label=3)
+        i = rng.randint(1, x.leaf_count)
+        assert_same_fields(expand(x, i), expand_oracle(x, i))
+    for i in (0, x.leaf_count + 1):
+        with pytest.raises(ElementError, match="out of range"):
+            expand(x, i)
+
+
+@pytest.mark.parametrize("ctx", ORACLE_CONTEXTS, ids=ORACLE_IDS)
+def test_multiply_matches_caret_by_caret_oracle(ctx):
+    rng = random.Random(60 + ctx.arity + len(ctx.generators))
+    leaves, pairs = 4 * ctx.arity + 1, []
+    for _ in range(80):
+        x = draw(ctx, rng, leaves=leaves, braid=10, label=3)
+        pairs += [(x, draw(ctx, rng, leaves=leaves, braid=10, label=3)), (x, inverse(x))]
+    both_sides_multi = 0
+    for x, y in pairs:
+        _, script_x, script_y = join(x.t2, y.t1)
+        both_sides_multi += len(script_x) > 1 and len(script_y) > 1
+        assert_same_fields(multiply(x, y), multiply_oracle(x, y))
+    assert both_sides_multi >= 5  # the inverse pairs cover equal middle trees
 
 
 def _pn3_index(name):

@@ -14,6 +14,7 @@ from bfcalc.trees import (
     _elementary_pair,
     _xi_word,
     attach_caret,
+    attach_script,
     brown_generator_pairs,
     comb_conjugator_word,
     evaluate_brown_word,
@@ -105,6 +106,37 @@ def test_attach_caret_index_errors():
         attach_caret(Tree.caret(2), 0)
     with pytest.raises(TreeError):
         attach_caret(Tree.caret(2), 4)
+
+
+def attach_oracle(tree, i):
+    """The leaf set with leaf i replaced by its n children, through the public constructor."""
+    addr = tree.leaves[i - 1]
+    leaves = set(tree.leaves) - {addr} | {addr + (d,) for d in range(tree.arity)}
+    return Tree(tree.arity, tuple(sorted(leaves)))
+
+
+def test_attach_script_matches_attach_caret_chain():
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.choice((2, 3, 4))
+        tree = random_tree(rng, n, rng.randint(0, 5))
+        script, chain, oracle = [], tree, tree
+        for _ in range(rng.randint(0, 6)):
+            i = rng.randint(1, chain.leaf_count)
+            script.append(i)
+            chain, oracle = attach_caret(chain, i), attach_oracle(oracle, i)
+        assert attach_script(tree, tuple(script)) == chain == oracle
+    tree = Tree.caret(3)
+    assert attach_script(tree, ()) is tree
+
+
+def test_attach_script_index_errors():
+    tree = Tree.caret(2)
+    # Each index is checked against the leaves of the tree grown so far.
+    for script in ((0,), (3,), (-1,), (2, 4), (1, 1, 5)):
+        with pytest.raises(TreeError, match="out of range"):
+            attach_script(tree, script)
+    assert attach_script(tree, (2, 3, 4)).leaf_count == 5
 
 
 def test_leaf_count_mod_invariant():
