@@ -20,11 +20,11 @@ Equality of braids is decided by comparing Dynnikov coordinates, the images
 of one vector of Z^2m under a faithful action of the braid group, after
 cheap checks on pure words (cancelled letters, linking numbers).  The
 induced automorphism of the free group on the strand generators (the Artin
-action, also faithful) is kept as the independent oracle.  The order of
-the cable substitution rules is derived per cable width at first use
-against diagram cabling.  The conjugation rules used by combing are a
-table, and each instance is checked by braid equality, which does not use
-them, before its first use.
+action, also faithful) is kept as the independent oracle.  The cable
+substitution rule writes fixed descending products, checked against
+diagram cabling once per cable width before its first use.  The
+conjugation rules used by combing are a table, and each instance is
+checked by braid equality, which does not use them, before its first use.
 
 The sign of a pure braid is read level by level from its linking numbers,
 which are the degree-1 Magnus coefficients of the combing coordinates;
@@ -34,7 +34,6 @@ combing runs only on a level whose linking numbers all vanish.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Iterable, Sequence
 
 from .freegroup import (NEGATIVE, POSITIVE, ZERO, FreeWord, _trusted, invert_letters,
@@ -52,7 +51,7 @@ class SchemaError(RuntimeError):
 
 
 class CombingLimitError(RuntimeError):
-    """Raised when a combing coordinate exceeds the configured length ceiling."""
+    """Raised when a combing coordinate exceeds COMB_LETTER_LIMIT letters."""
 
 
 # Longest free-group coordinate the combing routine will build before it
@@ -285,23 +284,6 @@ def delete_strand(word: AWord, d: int) -> AWord:
     return _trusted(AWord, word.strands - 1, tuple(letters))
 
 
-def delete_strand_sigma(word: SigmaWord, d: int) -> SigmaWord:
-    """Diagram-level deletion of the strand starting in position d (oracle)."""
-    if not 1 <= d <= word.strands:
-        raise BraidError(f"strand {d} out of range")
-    letters: list[int] = []
-    pos = d
-    for letter in word.letters:
-        q = abs(letter)
-        if q == pos:
-            pos += 1
-        elif q + 1 == pos:
-            pos -= 1
-        else:
-            letters.append((q - (q > pos)) * (1 if letter > 0 else -1))
-    return SigmaWord(word.strands - 1, tuple(letters))
-
-
 def shift_embed(word: AWord, offset: int, total: int) -> AWord:
     """Embed an n-strand word at the block offset..offset+n-1 of a larger braid."""
     if offset < 1 or offset + word.strands - 1 > total:
@@ -350,32 +332,28 @@ def split_sigma(word: SigmaWord, t: int, n: int) -> SigmaWord:
     return SigmaWord(word.strands + n - 1, tuple(letters))
 
 
-@functools.lru_cache(maxsize=None)
-def _cable_orders(n: int) -> tuple[str, str]:
+# Cable widths whose rule has passed its check against diagram cabling.
+_CABLE_WIDTHS: set[int] = set()
+
+
+def _cable_product(i: int, j: int, t: int, n: int) -> list[ALetter]:
     """
-    Derive the expansion order of the two nontrivial cable cases against the
-    diagram oracle.  Splitting the first strand of A[1,2] must equal a
-    product of A[r, n+1] over the cable strands r = 1..n; splitting the
-    second must equal a product of A[1, r] over r = 2..n+1.  Which order the
-    product takes is fixed here once per cable width and pinned by oracle
-    comparison rather than by hand.
+    Splitting strand t = i (resp. j) of A[i,j] into n strands links each
+    cable strand once with the other end, the rightmost cable strand first.
     """
-    single = AWord(2, ((1, 2, 1),))
-    orders = {}
-    for case, t in (("i", 1), ("j", 2)):
-        oracle = split_sigma(a_to_sigma(single), t, n)
-        if case == "i":
-            ascending = [(r, n + 1, 1) for r in range(1, n + 1)]
-        else:
-            ascending = [(1, r, 1) for r in range(2, n + 2)]
-        for name, letters in (("asc", ascending), ("desc", list(reversed(ascending)))):
-            candidate = AWord(n + 1, tuple(letters))
-            if braids_equal(a_to_sigma(candidate), oracle):
-                orders[case] = name
-                break
-        else:
-            raise SchemaError(f"no cable order matches the diagram oracle for n={n}")
-    return orders["i"], orders["j"]
+    if t == i:
+        return [(r, j + n - 1, 1) for r in range(i + n - 1, i - 1, -1)]
+    return [(i, r, 1) for r in range(j + n - 1, j - 1, -1)]
+
+
+def _check_cable_width(n: int) -> None:
+    """Check both cable cases of A[1,2] at width n against diagram cabling."""
+    single = a_to_sigma(AWord(2, ((1, 2, 1),)))
+    for t in (1, 2):
+        if not braids_equal(AWord(n + 1, tuple(_cable_product(1, 2, t, n))),
+                            split_sigma(single, t, n)):
+            raise SchemaError(f"cable rule failed validation at width {n}, strand {t}")
+    _CABLE_WIDTHS.add(n)
 
 
 def cable_letter(letter: ALetter, t: int, n: int) -> tuple[ALetter, ...]:
@@ -387,17 +365,11 @@ def cable_letter(letter: ALetter, t: int, n: int) -> tuple[ALetter, ...]:
         return ((i, j, sign),)
     if i < t < j:
         return ((i, j + n - 1, sign),)
-    order_i, order_j = _cable_orders(n)
-    if t == i:
-        expanded = [(r, j + n - 1, 1) for r in range(i, i + n)]
-        order = order_i
-    else:  # t == j
-        expanded = [(i, r, 1) for r in range(j, j + n)]
-        order = order_j
-    if order == "desc":
-        expanded.reverse()
+    if n not in _CABLE_WIDTHS:
+        _check_cable_width(n)
+    expanded = _cable_product(i, j, t, n)
     if sign < 0:
-        expanded = [(a, b, -1) for a, b, _ in reversed(expanded)]
+        return tuple((a, b, -1) for a, b, _ in reversed(expanded))
     return tuple(expanded)
 
 
@@ -510,8 +482,7 @@ def _conjugator_for(r: int, s: int, e: int, j: int) -> tuple[int, ...]:
     return u
 
 
-def _conjugate_kernel_word_reversed(front_rev: list[int], r: int, s: int, e: int,
-                                    limit: int) -> list[int]:
+def _conjugate_kernel_word_reversed(front_rev: list[int], r: int, s: int, e: int) -> list[int]:
     """
     Apply A[r,s]^e (.) A[r,s]^-e letterwise to a kernel free word held in
     reversed letter order (reversal commutes with free reduction).
@@ -520,15 +491,15 @@ def _conjugate_kernel_word_reversed(front_rev: list[int], r: int, s: int, e: int
     for x in front_rev:
         u = _conjugator_for(r, s, e, abs(x) + 1)
         reduce_onto(out, reversed(u + (x,) + invert_letters(u)))
-        if len(out) > limit:
+        if len(out) > COMB_LETTER_LIMIT:
             raise CombingLimitError(
-                f"combing coordinate exceeded {limit} letters; "
+                f"combing coordinate exceeded {COMB_LETTER_LIMIT} letters; "
                 "input is outside the supported envelope"
             )
     return out
 
 
-def _peel_front(word: AWord, letter_limit: int) -> FreeWord:
+def _peel_front(word: AWord) -> FreeWord:
     """
     The kernel coordinate of one level: the unique reduced word f over the
     kernel basis with  word == f * rest  and rest free of strand-1 letters.
@@ -540,8 +511,7 @@ def _peel_front(word: AWord, letter_limit: int) -> FreeWord:
         if i == 1:
             reduce_onto(front_rev, ((j - 1) * sign,))
         else:
-            front_rev = _conjugate_kernel_word_reversed(
-                front_rev, i, j, sign, letter_limit)
+            front_rev = _conjugate_kernel_word_reversed(front_rev, i, j, sign)
     return _trusted(FreeWord, word.strands - 1, tuple(reversed(front_rev)))
 
 
@@ -556,14 +526,14 @@ def _level_word(word: AWord, i: int) -> AWord:
         (a - i + 1, b - i + 1, s) for a, b, s in word.letters if a >= i)))
 
 
-def comb(word: AWord, letter_limit: int = COMB_LETTER_LIMIT) -> CombedForm:
+def comb(word: AWord) -> CombedForm:
     """
     Artin combing.  The coordinate at level k is the front of the letters
     touching the first strand of the level word; the level words are the
     iterated strand-1 deletions of the input, because deleting strand 1
     kills exactly the front of the level above.
     """
-    coords = [_peel_front(_level_word(word, i), letter_limit) for i in range(1, word.strands)]
+    coords = [_peel_front(_level_word(word, i)) for i in range(1, word.strands)]
     return CombedForm(word.strands, tuple(coords))
 
 
@@ -600,7 +570,7 @@ def kr_sign(word: AWord) -> int:
         if totals:
             return POSITIVE if totals[0] > 0 else NEGATIVE
         if i < m - 1:  # the deepest level has rank 1: zero linking makes it trivial
-            coord = _peel_front(_level_word(word, i), COMB_LETTER_LIMIT)
+            coord = _peel_front(_level_word(word, i))
             if not coord.is_trivial():
                 return magnus_sign(coord)
     return ZERO

@@ -330,6 +330,8 @@ def _cmd_gens(args, session: Session) -> int:
 
 def _cmd_count(args, session: Session) -> int:
     arity = session.context.arity
+    if args.hgens_count is not None and not args.gen2:
+        raise CliSyntaxError("argument -k/--hgens-count: only allowed with --gen2")
     if args.irreducible:
         value = len(gen.enumerate_irreducible(arity))
     elif args.gen1:
@@ -441,10 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, choices=("gen1", "gen2", "gen3"))
     p.set_defaults(func=_cmd_gens)
     p = sub.add_parser("count", parents=[common])
-    p.add_argument("--gen1", action="store_true")
-    p.add_argument("--gen2", action="store_true")
-    p.add_argument("--gen3", action="store_true")
-    p.add_argument("--irreducible", action="store_true")
+    which = p.add_mutually_exclusive_group()
+    for flag in ("--gen1", "--gen2", "--gen3", "--irreducible"):
+        which.add_argument(flag, action="store_true")
     p.add_argument("-k", "--hgens-count", type=_at_least(0), default=None,
                    help="generator count of H for --gen2")
     p.set_defaults(func=_cmd_count)

@@ -14,11 +14,12 @@ tree parts through the tree-pair factorization, braid letters through
 membership or the merging of inert strand blocks, and labels through
 expansion walks from the one-caret base elements.  Whatever those routes
 miss (braid letters outside the third family's member list, label
-positions no walk reaches) is solved from the expansion relations of
-smaller elements by a per-level fixpoint.  Correctness is established by
-round-trip verification, not by construction, and verify_generating()
-runs exactly that.  A set keeps the words of the atoms it has decomposed,
-and its inverted members, for as long as it lives.
+positions no walk reaches) is solved by a per-level fixpoint from the
+expansion relations of smaller elements, each read off bfgroup.expand.
+Correctness is established by round-trip verification, not by
+construction, and verify_generating() runs exactly that.  A set keeps the
+words of the atoms it has decomposed, and its inverted members, for as
+long as it lives.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import time
 from . import bfgroup as bf
 from . import trees as tr
 from .bfgroup import BFElement, HContext
-from .braid import AWord, cable_letter
+from .braid import AWord
 from .freegroup import invert_letters, reduce_letters
 from .trees import Tree, TreePair, fn_factorize, right_comb
 
@@ -192,32 +193,50 @@ def generator_set(name: str, context: HContext) -> GeneratorSet:
 # Decomposition
 # ---------------------------------------------------------------------------
 
-# A relation factor is either a fixed member word ("word", letters) or an
-# atom reference ("atom", key, sign) with key = ("L", i, j) or ("S", t, g).
+# An atom is ("L", i, j), the braid letter A[i,j] over the comb, or
+# ("S", t, g), the single label g at leaf t over the comb.  An element over
+# the comb is read as a list of factors, each a fixed member word ("word",
+# letters) or an atom reference ("atom", atom, sign).
 _Factor = tuple
+
+
+def _atom_factors(x: BFElement) -> list[_Factor]:
+    """The atoms of x over the comb: one per braid letter, then one per label letter."""
+    factors: list[_Factor] = [("atom", ("L", i, j), s) for i, j, s in x.braid.letters]
+    factors += [("atom", ("S", t, abs(g)), 1 if g > 0 else -1)
+                for t, label in enumerate(x.labels, start=1) for g in label]
+    return factors
+
+
+def _spell(factors: list[_Factor], atom_word) -> tuple[int, ...]:
+    """The letters of a factor list, atom words looked up by atom_word(atom)."""
+    out: list[int] = []
+    for factor in factors:
+        if factor[0] == "word":
+            out.extend(factor[1])
+        else:
+            word = atom_word(factor[1])
+            out.extend(word if factor[2] > 0 else invert_letters(word))
+    return tuple(out)
 
 
 class _Decomposer:
     """
-    Rewriting engine for one generator set, with per-set memo tables.
+    Rewriting engine for one generator set, with one memo of atom words.
 
-    Two atom families are rewritten into member words: braid letters
-    L(m,i,j) standing for (comb_m, A[i,j], trivial labels, comb_m), and
-    singles S(m,t,g) standing for (comb_m, 1, generator g at position t,
-    comb_m).  Atoms not directly expressible (irreducible braid letters
-    outside the member list; label positions t >= 2 with m-t divisible by
-    n-1, which no expansion walk reaches) are solved level by level from
-    the expansion relations of smaller atoms:
-
-        splitting strand j of A[i,j] in the (m-n+1)-strand group equates a
-        descending product of braid letters at m with the letter below
-        (likewise for strand i), and
-
-        splitting the labeled strand of a single equates a braid block and
-        a window of n singles at m with the single below.
-
-    Each strand-count level yields a triangular system that a fixpoint scan
-    solves one atom at a time.
+    An element on m leaves is read as one factor list: the tree-pair word
+    from its domain tree to the comb on m leaves, one atom per braid letter
+    and per label letter, then the tree-pair word back.  A braid letter
+    atom L(m,i,j) stands for (comb_m, A[i,j], trivial labels, comb_m), a
+    single S(m,t,g) for (comb_m, 1, generator g at position t, comb_m).
+    Atoms not directly expressible (irreducible braid letters outside the
+    member list; label positions t >= 2 with m-t divisible by n-1, which no
+    expansion walk reaches) are solved level by level from expansion
+    relations: an atom on m-n+1 strands equals its expansion at each leaf
+    it touches, and the factor list of that expansion is a product of atoms
+    on m strands between two tree-pair words.  Each strand-count level
+    yields a triangular system that a fixpoint scan solves one atom at a
+    time.
     """
 
     def __init__(self, genset: GeneratorSet):
@@ -225,8 +244,7 @@ class _Decomposer:
         self.arity = genset.context.arity
         self.index = {name: k for k, (name, _) in enumerate(genset.members, start=1)}
         self.inverses = tuple(bf.inverse(element) for _, element in genset.members)
-        self._braid_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self._label_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._words: dict[tuple[int, tuple], tuple[int, ...]] = {}  # (m, atom) -> word
         self._solved_levels: set[int] = set()
         self._solving: set[int] = set()
 
@@ -250,22 +268,43 @@ class _Decomposer:
         there = self._lift_pair_word(TreePair(src, dst))
         return there, invert_letters(there)
 
-    def braid_letter_word(self, m: int, i: int, j: int, sign: int) -> tuple[int, ...]:
-        """Word evaluating to (comb_m, A[i,j]^sign, trivial labels, comb_m)."""
-        if sign < 0:
-            return invert_letters(self.braid_letter_word(m, i, j, 1))
-        key = (m, i, j)
-        if key in self._braid_cache:
-            return self._braid_cache[key]
-        word = self._braid_base_word(m, i, j)
+    def _atom_element(self, comb: Tree, atom: tuple) -> BFElement:
+        """The atom over the given comb."""
+        m = comb.leaf_count
+        kind, a, b = atom
+        if kind == "L":
+            return BFElement(self.context, comb, AWord(m, ((a, b, 1),)), ((),) * m, comb)
+        labels = tuple((b,) if p == a else () for p in range(1, m + 1))
+        return BFElement(self.context, comb, AWord.identity(m), labels, comb)
+
+    def _atoms(self, m: int) -> list[tuple]:
+        """Every atom on m strands: braid letters first, then singles."""
+        hcount = len(self.context.generators)
+        return ([("L", i, j) for i in range(1, m) for j in range(i + 1, m + 1)]
+                + [("S", t, g) for t in range(1, m + 1) for g in range(1, hcount + 1)])
+
+    def atom_word(self, m: int, atom: tuple) -> tuple[int, ...]:
+        """Word evaluating to the atom over the comb on m leaves."""
+        key = (m, atom)
+        word = self._words.get(key)
+        if word is not None:
+            return word
+        word = self._base_word(m, atom)
         if word is None:
-            self._solve_level(m)
-            word = self._braid_cache.get(key)
+            # a single equals the same single over the minimal comb holding it
+            level = m if atom[0] == "L" else atom[1] + self.arity - 1
+            self._solve_level(level)
+            word = self._words.get((level, atom))
             if word is None:
                 raise GeneratorSetError(
-                    f"member lookup failure: no route to A[{i},{j}] on {m} strands")
-        self._braid_cache[key] = word
+                    f"member lookup failure: no route to atom {atom} on {m} strands")
+        self._words[key] = word
         return word
+
+    def _base_word(self, m: int, atom: tuple) -> tuple[int, ...] | None:
+        """Member, inert-block or walk route; None when the solver is needed."""
+        kind, a, b = atom
+        return self._braid_base_word(m, a, b) if kind == "L" else self._single_base_word(m, a, b)
 
     def _braid_base_word(self, m: int, i: int, j: int) -> tuple[int, ...] | None:
         """Member or inert-block-reduction route; None when the solver is needed."""
@@ -287,25 +326,7 @@ class _Decomposer:
         small = m - n + 1
         bridge = right_comb(n, small).attach(t)
         there, back = self._conj_words(right_comb(n, m), bridge)
-        return there + self.braid_letter_word(small, i2, j2, 1) + back
-
-    def single_label_word(self, m: int, t: int, gen: int) -> tuple[int, ...]:
-        """Word evaluating to (comb_m, 1, label gen at position t, comb_m)."""
-        if gen < 0:
-            return invert_letters(self.single_label_word(m, t, -gen))
-        key = (m, t, gen)
-        if key in self._label_cache:
-            return self._label_cache[key]
-        word = self._single_base_word(m, t, gen)
-        if word is None:
-            level = t + self.arity - 1  # equal to the element over the minimal comb
-            self._solve_level(level)
-            word = self._label_cache.get((level, t, gen))
-            if word is None:
-                raise GeneratorSetError(
-                    f"member lookup failure: no route to a label at position {t} of {m}")
-        self._label_cache[key] = word
-        return word
+        return there + self.atom_word(small, ("L", i2, j2)) + back
 
     def _single_base_word(self, m: int, t: int, gen: int) -> tuple[int, ...] | None:
         """
@@ -320,13 +341,9 @@ class _Decomposer:
         if m == 1:
             # Expand the lone labeled leaf: the label's braid appears on the
             # caret, with a copy of the label on every new strand.
-            inner = bf.label_to_braid((gen,), self.context)
-            out: list[int] = []
-            for i, j, s in inner.letters:
-                out.extend(self.braid_letter_word(n, i, j, s))
-            for c in range(1, n + 1):
-                out.extend(self.single_label_word(n, c, gen))
-            return tuple(out)
+            single = self._atom_element(Tree.single(n), ("S", 1, gen))
+            return _spell(_atom_factors(bf.expand(single, 1)),
+                          functools.partial(self.atom_word, n))
         if t == 1:
             return (self._member(f"l1_{hname}"),)
         d = m - t
@@ -352,9 +369,8 @@ class _Decomposer:
 
     def _solve_level(self, m: int) -> None:
         """
-        Solve every braid-letter and single atom on m strands from the
-        expansion relations of level m-n+1, one uniquely determined atom at
-        a time.
+        Solve every atom on m strands from the expansion relations of level
+        m-n+1, one uniquely determined atom at a time.
         """
         if m in self._solved_levels or m in self._solving:
             return
@@ -362,63 +378,34 @@ class _Decomposer:
         try:
             n = self.arity
             small = m - n + 1
-            hcount = len(self.context.generators)
-            comb = right_comb(n, m)
-
             solved: dict[tuple, tuple[int, ...]] = {}
             unknown: set[tuple] = set()
-            for i in range(1, m):
-                for j in range(i + 1, m + 1):
-                    cached = self._braid_cache.get((m, i, j))
-                    word = cached if cached is not None else self._braid_base_word(m, i, j)
-                    if word is None:
-                        unknown.add(("L", i, j))
-                    else:
-                        solved[("L", i, j)] = word
-            for t in range(1, m + 1):
-                for g in range(1, hcount + 1):
-                    cached = self._label_cache.get((m, t, g))
-                    word = cached if cached is not None else self._single_base_word(m, t, g)
-                    if word is None and t + n - 1 < m:
-                        # equal to the same single over a smaller comb
-                        word = self.single_label_word(t + n - 1, t, g)
-                    if word is None:
-                        unknown.add(("S", t, g))
-                    else:
-                        solved[("S", t, g)] = word
+            for atom in self._atoms(m):
+                word = self._words.get((m, atom))
+                if word is None:
+                    word = self._base_word(m, atom)
+                if word is None and atom[0] == "S" and atom[1] + n - 1 < m:
+                    # equal to the same single over a smaller comb
+                    word = self.atom_word(atom[1] + n - 1, atom)
+                if word is None:
+                    unknown.add(atom)
+                else:
+                    solved[atom] = word
 
-            # Expanding a level-(m-n+1) element at leaf t0 anchors it on the
+            # Expanding a level-(m-n+1) atom at a leaf t0 it touches (either
+            # end of a braid letter, the leaf of a single) anchors it on the
             # tree comb[t0], so each relation carries conjugator words between
             # that tree and the comb on m leaves.
+            comb, small_comb = right_comb(n, m), right_comb(n, small)
+            elements = {atom: self._atom_element(small_comb, atom) for atom in self._atoms(small)}
             relations: list[tuple[list[_Factor], tuple[int, ...]]] = []
             for t0 in range(1, small + 1):
-                bridge = right_comb(n, small).attach(t0)
-                to_comb, from_comb = self._conj_words(bridge, comb)
-                for i0 in range(1, small):
-                    for j0 in range(i0 + 1, small + 1):
-                        if t0 not in (i0, j0):
-                            continue
-                        rhs = self.braid_letter_word(small, i0, j0, 1)
-                        factors: list[_Factor] = [("word", to_comb)]
-                        factors += [("atom", ("L", a, b), s)
-                                    for a, b, s in cable_letter((i0, j0, 1), t0, n)]
-                        factors.append(("word", from_comb))
-                        relations.append((factors, rhs))
-                for g in range(1, hcount + 1):
-                    rhs = self.single_label_word(small, t0, g)
-                    inner = bf.label_to_braid((g,), self.context)
-                    factors = [("word", to_comb)]
-                    factors += [("atom", ("L", u + t0 - 1, v + t0 - 1), s)
-                                for u, v, s in inner.letters]
-                    factors += [("atom", ("S", p, g), 1) for p in range(t0, t0 + n)]
-                    factors.append(("word", from_comb))
-                    relations.append((factors, rhs))
-
-            def factor_word(factor: _Factor) -> tuple[int, ...]:
-                if factor[0] == "word":
-                    return factor[1]
-                word = solved[factor[1]]
-                return word if factor[2] > 0 else invert_letters(word)
+                to_comb, from_comb = self._conj_words(small_comb.attach(t0), comb)
+                for atom, x in elements.items():
+                    if t0 in (atom[1:] if atom[0] == "L" else atom[1:2]):
+                        factors = [("word", to_comb), *_atom_factors(bf.expand(x, t0)),
+                                   ("word", from_comb)]
+                        relations.append((factors, self.atom_word(small, atom)))
 
             changed = True
             while changed and unknown:
@@ -429,23 +416,18 @@ class _Decomposer:
                     if len(open_positions) != 1:
                         continue
                     q = open_positions[0]
-                    prefix: list[int] = []
-                    for factor in factors[:q]:
-                        prefix.extend(factor_word(factor))
-                    suffix: list[int] = []
-                    for factor in factors[q + 1:]:
-                        suffix.extend(factor_word(factor))
-                    word = invert_letters(tuple(prefix)) + rhs + invert_letters(tuple(suffix))
-                    _, key, sign = factors[q]
+                    prefix = _spell(factors[:q], solved.__getitem__)
+                    suffix = _spell(factors[q + 1:], solved.__getitem__)
+                    word = invert_letters(prefix) + rhs + invert_letters(suffix)
+                    _, atom, sign = factors[q]
                     if sign < 0:
                         word = invert_letters(word)
-                    solved[key] = word
-                    unknown.discard(key)
+                    solved[atom] = word
+                    unknown.discard(atom)
                     changed = True
 
-            for key, word in solved.items():
-                cache = self._braid_cache if key[0] == "L" else self._label_cache
-                cache.setdefault((m, key[1], key[2]), word)
+            for atom, word in solved.items():
+                self._words.setdefault((m, atom), word)
             self._solved_levels.add(m)  # only now that its words are stored
         finally:
             self._solving.discard(m)
@@ -454,18 +436,10 @@ class _Decomposer:
         if x.context != self.context:
             raise bf.ContextError("element context does not match the generator set")
         x = bf.reduce(x)
-        n = self.arity
-        m = x.leaf_count
-        comb = right_comb(n, m)
-        out: list[int] = []
-        out.extend(self._lift_pair_word(TreePair(x.t1, comb)))
-        for i, j, s in x.braid.letters:
-            out.extend(self.braid_letter_word(m, i, j, s))
-        for t, label in enumerate(x.labels, start=1):
-            for letter in label:
-                out.extend(self.single_label_word(m, t, letter))
-        out.extend(self._lift_pair_word(TreePair(comb, x.t2)))
-        return reduce_letters(out)
+        comb = right_comb(self.arity, x.leaf_count)
+        factors = [("word", self._lift_pair_word(TreePair(x.t1, comb))), *_atom_factors(x),
+                   ("word", self._lift_pair_word(TreePair(comb, x.t2)))]
+        return reduce_letters(_spell(factors, functools.partial(self.atom_word, x.leaf_count)))
 
 
 def decompose(x: BFElement, genset: GeneratorSet) -> tuple[int, ...]:
@@ -482,6 +456,12 @@ def evaluate_word(word: tuple[int, ...], genset: GeneratorSet) -> BFElement:
     members = [genset.element(letter) for letter in word]  # rejects letters out of range
     factors = (x if letter > 0 else inverses[-letter - 1] for letter, x in zip(word, members))
     return bf.evaluate_product(factors, genset.context)
+
+
+# Size ceilings of the random elements verify_generating draws.
+VERIFY_MAX_LEAVES = 9
+VERIFY_MAX_BRAID_LETTERS = 16
+VERIFY_MAX_LABEL_LETTERS = 4
 
 
 @dataclasses.dataclass
@@ -518,9 +498,6 @@ def verify_generating(
     seed: int,
     *,
     set_name: str = "set",
-    max_leaves: int = 9,
-    max_braid_letters: int = 16,
-    max_label_letters: int = 4,
 ) -> VerifyReport:
     """
     Decompose seeded random elements and re-multiply them.  Any failed round
@@ -535,9 +512,9 @@ def verify_generating(
         t0 = time.perf_counter()
         x = bf.random_element(
             genset.context, rng,
-            max_leaves=max_leaves,
-            max_braid_letters=max_braid_letters,
-            max_label_letters=max_label_letters,
+            max_leaves=VERIFY_MAX_LEAVES,
+            max_braid_letters=VERIFY_MAX_BRAID_LETTERS,
+            max_label_letters=VERIFY_MAX_LABEL_LETTERS,
         )
         word = decompose(x, genset)
         value = evaluate_word(word, genset)

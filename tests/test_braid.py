@@ -5,7 +5,6 @@ import pytest
 
 import bfcalc.braid as br
 from bfcalc.braid import (
-    COMB_LETTER_LIMIT,
     AWord,
     BraidError,
     CombedForm,
@@ -18,9 +17,9 @@ from bfcalc.braid import (
     a_to_sigma,
     artin_image,
     braids_equal,
+    cable_letter,
     comb,
     delete_strand,
-    delete_strand_sigma,
     is_pure,
     is_trivial,
     kr_sign,
@@ -333,6 +332,21 @@ def test_delete_strand_homomorphism():
                             delete_strand(u, d) * delete_strand(v, d))
 
 
+def delete_strand_sigma(word, d):
+    """Diagram-level deletion of the strand starting in position d (oracle)."""
+    letters = []
+    pos = d
+    for letter in word.letters:
+        q = abs(letter)
+        if q == pos:
+            pos += 1
+        elif q + 1 == pos:
+            pos -= 1
+        else:
+            letters.append((q - (q > pos)) * (1 if letter > 0 else -1))
+    return SigmaWord(word.strands - 1, tuple(letters))
+
+
 def test_delete_strand_matches_diagram_deletion():
     rng = random.Random(6)
     for _ in range(200):
@@ -392,6 +406,34 @@ def test_split_sigma_homomorphism():
         su, sv = a_to_sigma(u), a_to_sigma(v)
         assert braids_equal(split_sigma(su * sv, t, n),
                             split_sigma(su, t, n) * split_sigma(sv, t, n))
+
+
+def test_cable_rule_checked_once_per_width(monkeypatch):
+    monkeypatch.setattr(br, "_CABLE_WIDTHS", set())
+    checked = []
+    real = br._check_cable_width
+
+    def counting(n):
+        checked.append(n)
+        real(n)
+
+    monkeypatch.setattr(br, "_check_cable_width", counting)
+    for n in range(2, 9):
+        for t in (1, 2, 1, 2):
+            cable_letter((1, 2, 1), t, n)
+    assert checked == list(range(2, 9)) and br._CABLE_WIDTHS == set(range(2, 9))
+
+
+def test_cable_rule_fails_against_a_mirrored_oracle(monkeypatch):
+    # Mirroring every crossing turns A[1,2] into A[1,2]^-1 after cabling.
+    real = br.split_sigma
+    monkeypatch.setattr(br, "_CABLE_WIDTHS", set())
+    monkeypatch.setattr(br, "split_sigma", lambda word, t, n: SigmaWord(
+        word.strands + n - 1, tuple(-q for q in real(word, t, n).letters)))
+    assert cable_letter((1, 2, 1), 3, 2) == ((1, 2, 1),)  # no cable case, no check
+    with pytest.raises(SchemaError):
+        cable_letter((1, 2, 1), 1, 3)
+    assert not br._CABLE_WIDTHS
 
 
 def test_split_a_empty_cases():
@@ -460,11 +502,12 @@ def test_comb_reconstruction():
         assert braids_equal(word, reconstruct(comb(word)))
 
 
-def test_comb_respects_letter_limit():
+def test_comb_respects_letter_limit(monkeypatch):
     rng = random.Random(12)
     word = random_aword(rng, 5, 12, min_letters=12)
+    monkeypatch.setattr(br, "COMB_LETTER_LIMIT", 2)
     with pytest.raises(CombingLimitError):
-        comb(word, letter_limit=2)
+        comb(word)
 
 
 def test_conjugation_rules_validated_against_artin():
@@ -672,7 +715,7 @@ def test_comb_matches_quotient_words():
         word = random_aword(rng, m, 10)
         g = random_aword(rng, m, 3)
         for w in (word, g * word * g.inverse()):
-            oracle = [_peel_front(q, COMB_LETTER_LIMIT) for q in reversed(_quotient_words(w))]
+            oracle = [_peel_front(q) for q in reversed(_quotient_words(w))]
             assert list(comb(w).coordinates) == oracle
 
 
@@ -681,7 +724,7 @@ def _kr_sign_all_levels(word):
     if word.strands == 1:
         return 0
     for quotient in _quotient_words(word):
-        coord = _peel_front(quotient, COMB_LETTER_LIMIT)
+        coord = _peel_front(quotient)
         if not coord.is_trivial():
             return magnus_sign(coord)
     return 0

@@ -199,6 +199,19 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
     assert err.startswith("error: argument") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("count", "--gen1", "--gen3", "-n", "2"), 1),
+    (("count", "--gen2", "--irreducible"), 1),
+    (("count", "--gen1", "-k", "2"), 1),
+    (("count", "-k", "2"), 1),
+    (("count",), 2),
+])
+def test_count_takes_one_set_and_k_only_with_gen2(capsys, argv, code):
+    assert run_cli(*argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_render_to_unwritable_path_exit_1(tmp_path, capsys):
     target = tmp_path / "missing" / "x.svg"
     assert run_cli("render", "a", "--svg", str(target), "-n", "2",

@@ -6,10 +6,11 @@ from collections import Counter
 import pytest
 
 from bfcalc import bfgroup as bf
-from bfcalc.braid import AWord
+from bfcalc.braid import AWord, cable_letter
 from bfcalc.generators import (
     GeneratorSetError,
     PureGeneratorSpec,
+    _atom_factors,
     _Decomposer,
     decompose,
     enumerate_irreducible,
@@ -259,6 +260,34 @@ def test_decompose_inverse_letters():
     x = bf.BFElement(ctx, comb, AWord(3, ((2, 3, -1),)), ((),) * 3, comb)
     word = engine.decompose(x)
     assert bf.equal(evaluate_word(word, genset), x)
+
+
+def _hand_written_relation(engine, atom, t0):
+    """
+    Oracle: the atoms, on m+n-1 strands, of an atom on m strands expanded at
+    leaf t0, written out case by case as the relation solver once built them.
+    """
+    n = engine.arity
+    kind, a, b = atom
+    if kind == "L":
+        return [("atom", ("L", u, v), s) for u, v, s in cable_letter((a, b, 1), t0, n)]
+    inner = bf.label_to_braid((b,), engine.context)
+    return ([("atom", ("L", u + t0 - 1, v + t0 - 1), s) for u, v, s in inner.letters]
+            + [("atom", ("S", p, b), 1) for p in range(t0, t0 + n)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_expansion_relations_match_hand_written(n):
+    two = bf.HContext(n, (("h1", AWord(n, ((1, 2, 1), (1, n, 1)))),
+                          ("h2", AWord(n, ((n - 1, n, -1),)))))
+    for genset in (gen1_set(n), gen3_set(n), gen2_set(n, two)):
+        engine = genset._engine
+        for m in range(1, 3 * n - 1, n - 1):  # level 1 holds the one-leaf single
+            comb = right_comb(n, m)
+            for atom in engine._atoms(m):
+                for t0 in (atom[1:] if atom[0] == "L" else atom[1:2]):
+                    x = bf.expand(engine._atom_element(comb, atom), t0)
+                    assert _atom_factors(x) == _hand_written_relation(engine, atom, t0)
 
 
 # --- verification reports
