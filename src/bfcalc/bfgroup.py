@@ -24,7 +24,8 @@ from typing import Iterable
 from . import braid as br
 from . import trees as tr
 from .braid import AWord, braids_equal, cable_letter, is_trivial
-from .freegroup import NEGATIVE, POSITIVE, ZERO, _trusted, invert_letters, reduce_onto
+from .freegroup import (NEGATIVE, POSITIVE, ZERO, _is_int_tuple, _trusted, invert_letters,
+                        reduce_onto)
 from .trees import Tree, TreePair, fn_sign, join, tree_from_nested, tree_to_json
 
 Label = tuple[int, ...]
@@ -46,8 +47,11 @@ class HContext:
     generators: tuple[tuple[str, AWord], ...] = ()
 
     def __post_init__(self):
-        if self.arity < 2:
-            raise ContextError("arity must be >= 2")
+        if type(self.arity) is not int or self.arity < 2:
+            raise ContextError("arity must be an int >= 2")
+        if type(self.generators) is not tuple or not all(
+                type(g) is tuple and len(g) == 2 for g in self.generators):
+            raise ContextError("generators must be a tuple of (name, word) tuples")
         seen: set[str] = set()
         for name, word in self.generators:
             if not isinstance(name, str) or not name or name in seen:
@@ -87,12 +91,13 @@ def pn_context(arity: int) -> HContext:
 def label_to_braid(label: Label, context: HContext) -> AWord:
     """Substitute every H-generator of the label word by its braid."""
     gens = context.generators
-    return _trusted(AWord, context.arity, tuple(
+    return AWord._new(context.arity, tuple(
         a for letter in label
         for a in (gens[letter - 1][1] if letter > 0 else gens[-letter - 1][1].inverse()).letters))
 
 
-@dataclasses.dataclass(frozen=True)
+@_trusted
+@dataclasses.dataclass(frozen=True, slots=True)
 class BFElement:
     """A representative (t1, braid, labels, t2) over an H-context."""
 
@@ -103,6 +108,11 @@ class BFElement:
     t2: Tree
 
     def __post_init__(self):
+        if not (isinstance(self.context, HContext) and isinstance(self.braid, AWord)
+                and isinstance(self.t1, Tree) and isinstance(self.t2, Tree)):
+            raise ElementError("expected an HContext, two Trees and an AWord")
+        if type(self.labels) is not tuple or not all(map(_is_int_tuple, self.labels)):
+            raise ElementError("labels must be a tuple of tuples of ints")
         n = self.context.arity
         if self.t1.arity != n or self.t2.arity != n:
             raise ElementError("tree arity does not match the context")
@@ -149,7 +159,7 @@ def expand(x: BFElement, i: int) -> BFElement:
     if not 1 <= i <= m:
         raise ElementError(f"leaf index {i} out of range 1..{m}")
     t1, braid, labels = _expanded(x, (i,), x.t1)
-    return _trusted(BFElement, x.context, t1, braid, labels, x.t2.attach(i))
+    return BFElement._new(x.context, t1, braid, labels, x.t2.attach(i))
 
 
 def _expanded(x: BFElement, script: tuple[int, ...], outer: Tree):
@@ -169,7 +179,7 @@ def _expanded(x: BFElement, script: tuple[int, ...], outer: Tree):
             cabled += cable_letter(letter, t, n)
         cabled += [(i + t - 1, j + t - 1, s) for i, j, s in label_to_braid(label, context).letters]
         letters = cabled
-    braid = _trusted(AWord, len(labels), tuple(letters))
+    braid = AWord._new(len(labels), tuple(letters))
     return tr.attach_script(outer, script), braid, tuple(labels)
 
 
@@ -181,18 +191,12 @@ def multiply(x: BFElement, y: BFElement) -> BFElement:
     t1, braid_x, labels_x = _expanded(x, script_x, x.t1)
     t2, braid_y, labels_y = _expanded(y, script_y, y.t2)
     labels = tuple(tuple(reduce_onto(list(a), b)) for a, b in zip(labels_x, labels_y))
-    return _trusted(BFElement, x.context, t1, braid_x * braid_y, labels, t2)
+    return BFElement._new(x.context, t1, braid_x * braid_y, labels, t2)
 
 
 def inverse(x: BFElement) -> BFElement:
-    return _trusted(
-        BFElement,
-        x.context,
-        x.t2,
-        x.braid.inverse(),
-        tuple(invert_letters(l) for l in x.labels),
-        x.t1,
-    )
+    return BFElement._new(x.context, x.t2, x.braid.inverse(),
+                          tuple(invert_letters(l) for l in x.labels), x.t1)
 
 
 def is_identity(x: BFElement) -> bool:
@@ -239,8 +243,8 @@ def _reduction_at(x: BFElement, i: int) -> BFElement | None:
     for _ in range(n - 1):
         candidate = br.delete_strand(candidate, i + 1)
     labels = x.labels[: i - 1] + (window[0],) + x.labels[i - 1 + n :]
-    smaller = _trusted(BFElement, x.context, x.t1.remove_caret(i), candidate, labels,
-                       x.t2.remove_caret(i))
+    smaller = BFElement._new(x.context, x.t1.remove_caret(i), candidate, labels,
+                             x.t2.remove_caret(i))
     return smaller if braids_equal(x.braid, expand(smaller, i).braid) else None
 
 

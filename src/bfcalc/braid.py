@@ -36,8 +36,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Sequence
 
-from .freegroup import (NEGATIVE, POSITIVE, ZERO, FreeWord, _trusted, invert_letters,
-                        magnus_sign, reduce_onto)
+from .freegroup import (NEGATIVE, POSITIVE, ZERO, FreeWord, _is_int_tuple, _trusted,
+                        invert_letters, magnus_sign, reduce_onto)
 
 ALetter = tuple[int, int, int]
 
@@ -60,7 +60,8 @@ class CombingLimitError(RuntimeError):
 COMB_LETTER_LIMIT = 1_000_000
 
 
-@dataclasses.dataclass(frozen=True)
+@_trusted
+@dataclasses.dataclass(frozen=True, slots=True)
 class SigmaWord:
     """Word over the crossing generators of the braid group on m strands."""
 
@@ -68,8 +69,10 @@ class SigmaWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        if self.strands < 1:
-            raise BraidError("strand count must be positive")
+        if type(self.strands) is not int or self.strands < 1:
+            raise BraidError("strand count must be a positive int")
+        if not _is_int_tuple(self.letters):
+            raise BraidError("crossing letters must be a tuple of ints")
         for letter in self.letters:
             if letter == 0 or abs(letter) > self.strands - 1:
                 raise BraidError(f"crossing index {letter} out of range")
@@ -83,7 +86,8 @@ class SigmaWord:
         return SigmaWord(self.strands, self.letters + other.letters)
 
 
-@dataclasses.dataclass(frozen=True)
+@_trusted
+@dataclasses.dataclass(frozen=True, slots=True)
 class AWord:
     """Word over the pure generators A[i,j] of the braid group on m strands."""
 
@@ -91,8 +95,11 @@ class AWord:
     letters: tuple[ALetter, ...]
 
     def __post_init__(self):
-        if self.strands < 1:
-            raise BraidError("strand count must be positive")
+        if type(self.strands) is not int or self.strands < 1:
+            raise BraidError("strand count must be a positive int")
+        if type(self.letters) is not tuple or not all(
+                _is_int_tuple(l) and len(l) == 3 for l in self.letters):
+            raise BraidError("pure letters must be a tuple of (i, j, sign) int tuples")
         for i, j, sign in self.letters:
             if not (1 <= i < j <= self.strands):
                 raise BraidError(f"pure generator indices ({i},{j}) out of range")
@@ -104,13 +111,12 @@ class AWord:
         return AWord(strands, ())
 
     def inverse(self) -> AWord:
-        return _trusted(AWord, self.strands,
-                        tuple((i, j, -s) for i, j, s in reversed(self.letters)))
+        return AWord._new(self.strands, tuple((i, j, -s) for i, j, s in reversed(self.letters)))
 
     def __mul__(self, other: AWord) -> AWord:
         if self.strands != other.strands:
             raise BraidError("strand count mismatch")
-        return _trusted(AWord, self.strands, self.letters + other.letters)
+        return AWord._new(self.strands, self.letters + other.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -126,7 +132,7 @@ def a_to_sigma(word: AWord) -> SigmaWord:
             letters.extend(positive)
         else:
             letters.extend(invert_letters(positive))
-    return _trusted(SigmaWord, word.strands, tuple(letters))
+    return SigmaWord._new(word.strands, tuple(letters))
 
 
 def permutation(word: SigmaWord) -> tuple[int, ...]:
@@ -197,7 +203,7 @@ def _cancel_adjacent(word: AWord) -> AWord:
             out.pop()
         else:
             out.append((i, j, s))
-    return _trusted(AWord, word.strands, tuple(out)) if len(out) != len(word.letters) else word
+    return AWord._new(word.strands, tuple(out)) if len(out) != len(word.letters) else word
 
 
 def _dynnikov(strands: int, letters: Iterable[int]) -> tuple[int, ...]:
@@ -281,7 +287,7 @@ def delete_strand(word: AWord, d: int) -> AWord:
         if d in (i, j):
             continue
         letters.append((i - (i > d), j - (j > d), sign))
-    return _trusted(AWord, word.strands - 1, tuple(letters))
+    return AWord._new(word.strands - 1, tuple(letters))
 
 
 def shift_embed(word: AWord, offset: int, total: int) -> AWord:
@@ -289,7 +295,7 @@ def shift_embed(word: AWord, offset: int, total: int) -> AWord:
     if offset < 1 or offset + word.strands - 1 > total:
         raise BraidError("block embedding out of bounds")
     letters = tuple((i + offset - 1, j + offset - 1, s) for i, j, s in word.letters)
-    return _trusted(AWord, total, letters)
+    return AWord._new(total, letters)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +396,7 @@ def split_a(word: AWord, t: int, n: int, inner: AWord) -> AWord:
     for letter in word.letters:
         letters.extend(cable_letter(letter, t, n))
     letters.extend(shift_embed(inner, t, total).letters)
-    return _trusted(AWord, total, tuple(letters))
+    return AWord._new(total, tuple(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +518,7 @@ def _peel_front(word: AWord) -> FreeWord:
             reduce_onto(front_rev, ((j - 1) * sign,))
         else:
             front_rev = _conjugate_kernel_word_reversed(front_rev, i, j, sign)
-    return _trusted(FreeWord, word.strands - 1, tuple(reversed(front_rev)))
+    return FreeWord._new(word.strands - 1, tuple(reversed(front_rev)))
 
 
 def _level_word(word: AWord, i: int) -> AWord:
@@ -522,7 +528,7 @@ def _level_word(word: AWord, i: int) -> AWord:
     letters of a conjugator often cancel at the levels the conjugated braid
     does not touch, and then combing never sees them.
     """
-    return _cancel_adjacent(_trusted(AWord, word.strands - i + 1, tuple(
+    return _cancel_adjacent(AWord._new(word.strands - i + 1, tuple(
         (a - i + 1, b - i + 1, s) for a, b, s in word.letters if a >= i)))
 
 

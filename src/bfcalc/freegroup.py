@@ -31,17 +31,26 @@ class TruncationError(RuntimeError):
     """Raised when sign determination exceeds its truncation-degree cap."""
 
 
-def _trusted(cls, *values):
+def _trusted(cls):
     """
-    Build a frozen dataclass value, fields in declaration order, without
-    running its __post_init__.  Only for values assembled from values that
-    are already valid: public constructors, the parsers and from_json check
-    everything else.
+    Class decorator over a frozen slotted dataclass: add the builder
+    `cls._new(*fields)`, generated from the fields, which sets each slot in
+    turn without running __post_init__.  Only for values assembled from
+    valid values: public constructors, parsers and from_json check the rest.
     """
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
-    return obj
+    names = tuple(cls.__dataclass_fields__)
+    scope = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    scope.update(_cls=cls, _make=object.__new__)
+    body = "".join(f"\n    _set_{name}(_obj, {name})" for name in names)
+    source = f"def _new({', '.join(names)}):\n    _obj = _make(_cls){body}\n    return _obj"
+    exec(compile(source, f"<{cls.__name__}._new>", "exec"), scope)  # named in profiles
+    cls._new = staticmethod(scope["_new"])
+    return cls
+
+
+def _is_int_tuple(value) -> bool:
+    """A tuple of ints, bools excluded: what public constructors require of a word."""
+    return type(value) is tuple and all(type(v) is int for v in value)
 
 
 def reduce_onto(out: list[int], *parts: Iterable[int]) -> list[int]:
@@ -72,7 +81,8 @@ def invert_letters(letters: Letters) -> Letters:
     return type(letters)(map(neg, reversed(letters)))
 
 
-@dataclasses.dataclass(frozen=True)
+@_trusted
+@dataclasses.dataclass(frozen=True, slots=True)
 class FreeWord:
     """A freely reduced word; letter k means generator k, -k its inverse."""
 
@@ -80,8 +90,10 @@ class FreeWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise WordError("rank must be nonnegative")
+        if type(self.rank) is not int or self.rank < 0:
+            raise WordError("rank must be a nonnegative int")
+        if not _is_int_tuple(self.letters):
+            raise WordError("letters must be a tuple of ints")
         for letter in self.letters:
             if letter == 0 or abs(letter) > self.rank:
                 raise WordError(f"letter {letter} out of range for rank {self.rank}")
@@ -103,7 +115,7 @@ def reduce_word(rank: int, letters: Iterable[int]) -> FreeWord:
     for letter in seq:
         if letter == 0 or abs(letter) > rank:
             raise WordError(f"letter {letter} out of range for rank {rank}")
-    return _trusted(FreeWord, rank, reduce_letters(seq))
+    return FreeWord._new(rank, reduce_letters(seq))
 
 
 def _monomial_key(monomial: Monomial) -> tuple[int, Monomial]:
@@ -116,7 +128,8 @@ def _sorted_terms(degree: int, coeffs: Mapping[Monomial, int]) -> tuple[tuple[Mo
                         key=lambda t: _monomial_key(t[0])))
 
 
-@dataclasses.dataclass(frozen=True)
+@_trusted
+@dataclasses.dataclass(frozen=True, slots=True)
 class NCPolynomial:
     """
     Integer polynomial in noncommuting variables, truncated at a fixed
@@ -170,7 +183,7 @@ def magnus_truncated(word: FreeWord, degree: int) -> NCPolynomial:
                 m = ma + mb
                 result[m] = result.get(m, 0) + ca * cb
         coeffs = {m: c for m, c in result.items() if c != 0}
-    return _trusted(NCPolynomial, word.rank, degree, _sorted_terms(degree, coeffs))
+    return NCPolynomial._new(word.rank, degree, _sorted_terms(degree, coeffs))
 
 
 def magnus_sign(word: FreeWord) -> int:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from .freegroup import NEGATIVE, POSITIVE, ZERO, _trusted, invert_letters, reduce_letters
+from .freegroup import (NEGATIVE, POSITIVE, ZERO, _is_int_tuple, _trusted, invert_letters,
+                        reduce_letters)
 
 Address = tuple[int, ...]
 
@@ -46,7 +47,8 @@ def _kraft_sum_is_one(arity: int, leaves: tuple[Address, ...]) -> bool:
     return total == arity**depth
 
 
-@dataclasses.dataclass(frozen=True)
+@_trusted
+@dataclasses.dataclass(frozen=True, slots=True)
 class Tree:
     """A finite full n-ary tree, given by its sorted leaf addresses."""
 
@@ -55,8 +57,12 @@ class Tree:
 
     def __post_init__(self):
         n = self.arity
+        if type(n) is not int:
+            raise TreeError(f"arity must be an int, got {n!r}")
         if n < 2:
             raise TreeError(f"arity must be >= 2, got {n}")
+        if type(self.leaves) is not tuple or not all(map(_is_int_tuple, self.leaves)):
+            raise TreeError("leaves must be a tuple of tuples of ints")
         if not self.leaves:
             raise TreeError("a tree has at least one leaf")
         if list(self.leaves) != sorted(self.leaves):
@@ -115,7 +121,7 @@ class Tree:
         n = self.arity
         parent = self.leaves[i - 1][:-1]
         new = self.leaves[: i - 1] + (parent,) + self.leaves[i - 1 + n :]
-        return _trusted(Tree, self.arity, new)
+        return Tree._new(self.arity, new)
 
 
 def attach_caret(tree: Tree, i: int) -> Tree:
@@ -131,11 +137,13 @@ def attach_script(tree: Tree, script: tuple[int, ...]) -> Tree:
             raise TreeError(f"leaf index {i} out of range 1..{len(leaves)}")
         addr = leaves[i - 1]
         leaves[i - 1 : i] = [addr + (d,) for d in range(tree.arity)]
-    return _trusted(Tree, tree.arity, tuple(leaves)) if script else tree
+    return Tree._new(tree.arity, tuple(leaves)) if script else tree
 
 
 def right_comb(arity: int, leaf_count: int) -> Tree:
     """The right comb, carets on the last leaf: leaves (n-1)^d c for c < n-1, then (n-1)^k."""
+    if type(arity) is not int or type(leaf_count) is not int:
+        raise TreeError("arity and leaf count must be ints")
     if arity < 2:
         raise TreeError(f"arity must be >= 2, got {arity}")
     k, rest = divmod(leaf_count - 1, arity - 1)
@@ -143,7 +151,7 @@ def right_comb(arity: int, leaf_count: int) -> Tree:
         raise TreeError(f"{leaf_count} is not a valid leaf count for arity {arity}")
     spine = (arity - 1,)
     leaves = [spine * d + (c,) for d in range(k) for c in range(arity - 1)] + [spine * k]
-    return _trusted(Tree, arity, tuple(leaves))
+    return Tree._new(arity, tuple(leaves))
 
 
 def expansion_script(tree: Tree, target: Tree) -> tuple[int, ...]:
@@ -178,8 +186,10 @@ def join(tree: Tree, other: Tree) -> tuple[Tree, tuple[int, ...], tuple[int, ...
     """
     The minimal common expansion of two trees, together with the caret
     scripts that produce it from each input.  One merge of the sorted leaf
-    lists: of the two current leaves (nested) the deeper, w, is a leaf of the
-    join, and each list moves on once the rest of w past its leaf is all n-1.
+    lists: of the two current leaves (nested) the deeper, w, is the k-th leaf
+    of the join, and each list moves on once the rest of w past its leaf is
+    all n-1.  The script of the side whose leaf u is shorter gains k once per
+    new inner node w[:e], len(u) <= e < len(w), w[e:] all zeros.
     """
     if tree == other:
         return tree, (), ()
@@ -189,17 +199,21 @@ def join(tree: Tree, other: Tree) -> tuple[Tree, tuple[int, ...], tuple[int, ...
     xs, ys = tree.leaves, other.leaves
     i = j = 0
     leaves: list[Address] = []
+    script_x, script_y = [], []
     while i < len(xs):  # both lists end with the all-(n-1) leaf, together
         u, v = xs[i], ys[j]
-        w = u if len(u) >= len(v) else v
+        lu, lv = len(u), len(v)
+        w, depth, script = (u, lv, script_y) if lu >= lv else (v, lu, script_x)
         leaves.append(w)
-        s = len(w)
+        s = d = len(w)
+        while d > depth and w[d - 1] == 0:
+            d -= 1
+        script += [len(leaves)] * (s - d)
         while s and w[s - 1] == last:  # w[s:] is the run of n-1 that w ends in
             s -= 1
-        i += len(u) >= s
-        j += len(v) >= s
-    joined = _trusted(Tree, tree.arity, tuple(leaves))
-    return joined, expansion_script(tree, joined), expansion_script(other, joined)
+        i += lu >= s
+        j += lv >= s
+    return Tree._new(tree.arity, tuple(leaves)), tuple(script_x), tuple(script_y)
 
 
 def tree_to_json(tree: Tree) -> str:

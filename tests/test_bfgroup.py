@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import functools
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -32,10 +34,12 @@ from bfcalc.bfgroup import (
     to_json,
     trivial_context,
 )
-from bfcalc.braid import AWord, SigmaWord, braids_equal, comb, delete_strand, is_trivial, split_a
-from bfcalc.freegroup import FreeWord, reduce_onto
+from bfcalc.braid import (AWord, BraidError, SigmaWord, a_to_sigma, braids_equal, comb,
+                          delete_strand, is_trivial, split_a)
+from bfcalc.freegroup import FreeWord, NCPolynomial, WordError, magnus_truncated, reduce_onto
 from bfcalc import trees as tr
-from bfcalc.trees import Tree, TreePair, attach_caret, expansion_script, fn_sign, join, right_comb
+from bfcalc.trees import (Tree, TreeError, TreePair, attach_caret, expansion_script, fn_sign, join,
+                          right_comb)
 
 CONTEXTS = [trivial_context(2), pn_context(2), trivial_context(3), pn_context(3)]
 
@@ -293,8 +297,8 @@ def test_composition_needing_one_expansion_each_side():
 
 
 def test_multiply_expands_along_the_join_scripts(monkeypatch):
-    # join computes the two scripts, or none when the middle trees are
-    # equal; multiply must not compute them again.
+    # join builds the two scripts inside its merge, or none when the middle
+    # trees are equal; multiply never calls expansion_script.
     calls = []
     script = tr.expansion_script
 
@@ -313,7 +317,7 @@ def test_multiply_expands_along_the_join_scripts(monkeypatch):
     for x, y in pairs:
         calls.clear()
         product = multiply(x, y)
-        assert len(calls) == (0 if x.t2 == y.t1 else 2)
+        assert len(calls) == 0
         middle, _, _ = join(x.t2, y.t1)
         xe, ye = expand_to(x, "right", middle), expand_to(y, "left", middle)
         assert (product.t1, product.braid, product.t2) == (xe.t1, xe.braid * ye.braid, ye.t2)
@@ -627,6 +631,11 @@ def _assert_public(value):
         rebuilt = _rebuilt_aword(value)
     elif isinstance(value, FreeWord):
         rebuilt = FreeWord(value.rank, tuple(value.letters))
+    elif isinstance(value, SigmaWord):
+        rebuilt = SigmaWord(value.strands, tuple(value.letters))
+    elif isinstance(value, NCPolynomial):
+        rebuilt = NCPolynomial(value.rank, value.degree,
+                               tuple((tuple(m), c) for m, c in value.terms))
     else:
         rebuilt = _rebuilt_element(value)
     assert rebuilt == value and hash(rebuilt) == hash(value)
@@ -660,3 +669,70 @@ def test_trusted_results_pass_public_constructors(ctx):
         _assert_public(x.braid * inverse(x).braid)
         for coord in comb(product.braid).coordinates:
             _assert_public(coord)
+            _assert_public(magnus_truncated(coord, 3))
+        _assert_public(a_to_sigma(product.braid))
+        _assert_public(a_to_sigma(inverse(x).braid))
+
+
+def _public_values():
+    """One value of each class with a generated builder, built publicly."""
+    ctx = pn_context(2)
+    tree = Tree.caret(2).attach(2)
+    return [
+        tree,
+        AWord(3, ((1, 2, 1), (2, 3, -1))),
+        SigmaWord(3, (1, -2, 1)),
+        FreeWord(2, (1, -2, 1)),
+        NCPolynomial(2, 2, (((), 1), ((1,), 1), ((2, 1), -3))),
+        BFElement(ctx, tree, AWord(3, ((1, 3, 1),)), ((1,), (), (-1, -1)), right_comb(2, 3)),
+    ]
+
+
+@pytest.mark.parametrize("value", _public_values(), ids=lambda v: type(v).__name__)
+def test_generated_builder_matches_public_constructor(value):
+    cls = type(value)
+    fields = [getattr(value, f.name) for f in dataclasses.fields(cls)]
+    built = cls._new(*fields)
+    assert type(built) is cls and built == value and hash(built) == hash(value)
+    assert [getattr(built, f.name) for f in dataclasses.fields(cls)] == fields
+    assert not hasattr(built, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, dataclasses.fields(cls)[0].name, fields[0])
+    for copied in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+        assert copied == value and hash(copied) == hash(value)
+
+
+def test_public_constructors_reject_lists_floats_and_bools():
+    c = trivial_context(2)
+    caret = Tree(2, ((0,), (1,)))
+    # A list, a float or a bool in a value is rejected with the class's typed error.
+    with pytest.raises(TreeError):
+        BFElement(c, Tree(2, [(0,), (1,)]), AWord.identity(2), ((), ()), caret)
+    with pytest.raises(BraidError):
+        AWord(2, [(1, 2, 1)])
+    with pytest.raises(TreeError):
+        Tree(2, ((0,), [1]))
+    with pytest.raises(TreeError):
+        Tree(2.0, ((0,), (1,))).attach(1)
+    with pytest.raises(BraidError):
+        braids_equal(AWord(3, ((1.0, 2.0, 1), (1, 3, 1))), AWord(3, ((1, 3, 1),)))
+    with pytest.raises(BraidError):
+        AWord(2, ((1, 2, True),))
+    with pytest.raises(BraidError):
+        SigmaWord(3, [1, 2])
+    with pytest.raises(BraidError):
+        SigmaWord(3.0, (1,))
+    with pytest.raises(WordError):
+        FreeWord(2, [1])
+    with pytest.raises(WordError):
+        FreeWord(2, (True,))
+    with pytest.raises(TreeError):
+        right_comb(2.0, 3)
+    for labels in ([(), ()], ((), [1]), ((), (1.0,))):
+        with pytest.raises(ElementError):
+            BFElement(pn_context(2), caret, AWord.identity(2), labels, caret)
+    with pytest.raises(ElementError):
+        BFElement(c, caret, ((1, 2, 1),), ((), ()), caret)
+    for bad in ((2.0, ()), (2, [("a", AWord(2, ()))]), (2, (["a", AWord(2, ())],))):
+        with pytest.raises(ContextError):
+            HContext(*bad)

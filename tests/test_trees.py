@@ -292,6 +292,23 @@ def test_join_matches_oracle():
         join(Tree.caret(2), Tree.caret(3))
 
 
+def test_join_scripts_match_expansion_script():
+    # join builds its scripts inside the merge; expansion_script against the
+    # joined tree is the oracle.
+    rng = random.Random(44)
+    for _ in range(1500):
+        n = rng.choice((2, 3, 4))
+        t1 = random_tree(rng, n, rng.randint(0, 8))
+        equal_size = rng.random() < 0.5
+        t2 = random_tree(rng, n, (t1.leaf_count - 1) // (n - 1) if equal_size else rng.randint(0, 8))
+        for tree, other in ((t1, t2), (t2, t1)):
+            joined, s1, s2 = join(tree, other)
+            assert s1 == expansion_script(tree, joined)
+            assert s2 == expansion_script(other, joined)
+            assert join(tree, joined) == (joined, s1, ())
+            assert join(joined, other) == (joined, (), s2)
+
+
 def test_expansion_script_matches_oracle():
     rng = random.Random(43)
     raised = 0
