@@ -51,18 +51,6 @@ from .freegroup import (
     magnus_truncated,
     reduce_word,
 )
-from .generators import (
-    GeneratorSet,
-    PureGeneratorSpec,
-    decompose,
-    enumerate_irreducible,
-    evaluate_word,
-    gen1_set,
-    gen2_set,
-    gen3_set,
-    is_n_irreducible,
-    verify_generating,
-)
 from .trees import (
     Tree,
     TreePair,
@@ -78,3 +66,19 @@ from .trees import (
 )
 
 __version__ = "0.1.0"
+
+# Names of the generators module: it loads on first use of one of them, so
+# a program that needs only the group does not pay for importing it.
+_GENERATOR_NAMES = frozenset((
+    "GeneratorSet", "PureGeneratorSpec", "decompose", "enumerate_irreducible",
+    "evaluate_word", "gen1_set", "gen2_set", "gen3_set", "is_n_irreducible",
+    "verify_generating",
+))
+
+
+def __getattr__(name: str):
+    if name not in _GENERATOR_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import generators
+
+    return getattr(generators, name)

@@ -39,6 +39,14 @@ class ElementError(ValueError):
     """Raised when the quadruple invariants fail."""
 
 
+class GeneratorSetError(ValueError):
+    """Raised for malformed generating sets or member lookup failures."""
+
+
+class VerificationError(RuntimeError):
+    """Raised when a decomposition round trip fails."""
+
+
 @dataclasses.dataclass(frozen=True)
 class HContext:
     """Arity plus the named generators of the label subgroup H <= P_n."""
@@ -421,13 +429,17 @@ def evaluate_product(factors: Iterable[BFElement], context: HContext) -> BFEleme
     label-free factors at the tree level and reducing oversized
     representatives along the way.
     """
-    acc = identity_element(context)
+    single = Tree._new(context.arity, ((),))  # built unchecked: valid by construction
+    acc = BFElement._new(context, single, AWord._new(1, ()), ((),), single)
     pending: TreePair | None = None
 
     def flush(acc: BFElement) -> BFElement:
         nonlocal pending
         if pending is not None:
-            acc = multiply(acc, from_tree_pair(context, tr.pair_reduce(pending)))
+            pair = tr.pair_reduce(pending)
+            m = pair.leaf_count
+            acc = multiply(acc, BFElement._new(context, pair.domain, AWord._new(m, ()),
+                                               ((),) * m, pair.codomain))
             pending = None
         return acc
 

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import bfgroup as bf
-from . import generators as gen
-from . import selftest
 from .bfgroup import BFElement, HContext
 from .braid import AWord, BraidError, CombingLimitError, SchemaError
 from .freegroup import TruncationError
@@ -44,10 +43,10 @@ MAX_TREE_DEPTH = 200
 
 
 class CliSyntaxError(ValueError):
-    """Malformed input text; carries a position."""
+    """Malformed input text; carries its position in the text when one is known."""
 
-    def __init__(self, message: str, line: int = 1, column: int = 0):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
 
@@ -61,14 +60,11 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
-    def _location(self) -> tuple[int, int]:
-        prefix = self.text[: self.pos]
+    def error(self, message: str, pos: int | None = None) -> CliSyntaxError:
+        """A syntax error at `pos`, by default the current position."""
+        prefix = self.text[: self.pos if pos is None else pos]
         line = prefix.count("\n") + 1
-        column = self.pos - (prefix.rfind("\n") + 1)
-        return line, column
-
-    def error(self, message: str) -> CliSyntaxError:
-        return CliSyntaxError(message, *self._location())
+        return CliSyntaxError(message, line, len(prefix) - (prefix.rfind("\n") + 1))
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -125,6 +121,8 @@ def _nested_to_tree(nested: tuple, arity: int) -> Tree:
 
 
 def _parse_a_letter(token: str) -> tuple[int, int, int]:
+    if not token.startswith("A"):
+        raise CliSyntaxError(f"expected an A-letter, got {token!r}")
     sign = 1
     body = token
     if body.endswith("^-1"):
@@ -142,13 +140,18 @@ def _parse_a_letter(token: str) -> tuple[int, int, int]:
     return (i, j, sign)
 
 
-def parse_a_word(text: str, strands: int) -> AWord:
-    """Whitespace-separated A-letters."""
+def parse_a_word(text: str, strands: int, scanner: _Scanner | None = None,
+                 start: int = 0) -> AWord:
+    """Whitespace-separated A-letters.  Given the scanner whose text holds
+    `text` from `start` on, a bad letter is reported where it starts there."""
     letters = []
-    for token in text.split():
-        if not token.startswith("A"):
-            raise CliSyntaxError(f"expected an A-letter, got {token!r}")
-        letters.append(_parse_a_letter(token))
+    for token in re.finditer(r"\S+", text):
+        try:
+            letters.append(_parse_a_letter(token.group()))
+        except CliSyntaxError as exc:
+            if scanner is None:
+                raise
+            raise scanner.error(str(exc), start + token.start()) from None
     try:
         return AWord(strands, tuple(letters))
     except BraidError as exc:
@@ -180,6 +183,7 @@ def parse_element(text: str, context: HContext) -> BFElement:
     scanner.expect("{")
     t1_nested = _parse_tree(scanner)
     scanner.expect(";")
+    braid_start = scanner.pos
     braid_text = scanner.take_until(";")
     scanner.expect(";")
     scanner.expect("[")
@@ -193,7 +197,7 @@ def parse_element(text: str, context: HContext) -> BFElement:
 
     t1 = _nested_to_tree(t1_nested, context.arity)
     t2 = _nested_to_tree(t2_nested, context.arity)
-    braid = parse_a_word(braid_text, t1.leaf_count)
+    braid = parse_a_word(braid_text, t1.leaf_count, scanner, braid_start)
     labels = tuple(_parse_label(part, context) for part in labels_raw.split(","))
     try:
         return BFElement(context, t1, braid, labels, t2)
@@ -293,6 +297,7 @@ def _cmd_expand(args, session: Session) -> int:
 
 
 def _cmd_decompose(args, session: Session) -> int:
+    from . import generators as gen
     x = session.resolve(args.element)
     genset = gen.generator_set(args.set, session.context)
     if genset.context != x.context:
@@ -311,12 +316,13 @@ def _cmd_decompose(args, session: Session) -> int:
     if args.verify:
         value = gen.evaluate_word(word, genset)
         if not bf.equal(value, x):
-            raise gen.VerificationError("decomposition failed to re-multiply")
+            raise bf.VerificationError("decomposition failed to re-multiply")
         print(f"verified: {len(word)} letters", file=sys.stderr)
     return 0
 
 
 def _cmd_gens(args, session: Session) -> int:
+    from . import generators as gen
     genset = gen.generator_set(args.set, session.context)
     if args.json:
         doc = [{"name": name, "element": json.loads(bf.to_json(el))}
@@ -329,6 +335,7 @@ def _cmd_gens(args, session: Session) -> int:
 
 
 def _cmd_count(args, session: Session) -> int:
+    from . import generators as gen
     arity = session.context.arity
     if args.hgens_count is not None and not args.gen2:
         raise CliSyntaxError("argument -k/--hgens-count: only allowed with --gen2")
@@ -362,6 +369,7 @@ def _cmd_render(args, session: Session) -> int:
 
 
 def _cmd_selftest(args, session: Session) -> int:
+    from . import selftest
     results = selftest.run_suite(args.suite, session.context.arity,
                                  args.samples, args.seed)
     failed = False
@@ -378,7 +386,7 @@ def _cmd_selftest(args, session: Session) -> int:
                for r in results]
         print(json.dumps(doc))
     if failed:
-        raise gen.VerificationError("selftest suite reported violations")
+        raise bf.VerificationError("selftest suite reported violations")
     return 0
 
 
@@ -474,10 +482,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CliSemanticError, bf.ElementError, bf.ContextError, TreeError,
-            BraidError, gen.GeneratorSetError) as exc:
+            BraidError, bf.GeneratorSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except gen.VerificationError as exc:
+    except bf.VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
     except (SchemaError, CombingLimitError, TruncationError) as exc:

@@ -156,33 +156,30 @@ class NCPolynomial:
             raise WordError("terms are not sorted")
 
 
-def _letter_series(letter: int, rank: int, degree: int) -> dict[Monomial, int]:
-    """x_i maps to 1 + X_i; its inverse to the alternating geometric series."""
-    idx = abs(letter)
-    if letter > 0:
-        series = {(): 1}
-        if degree >= 1:
-            series[(idx,)] = 1
-        return series
-    return {(idx,) * k: (-1) ** k for k in range(degree + 1)}
-
-
 def magnus_truncated(word: FreeWord, degree: int) -> NCPolynomial:
-    """Image of the word under the substitution, truncated at the given degree."""
+    """
+    Image of the word under the substitution, truncated at the given degree.
+    One coefficient table per degree is multiplied in place by each letter,
+    x_j -> 1 + X_j and x_j^-1 -> sum of (-X_j)^t, from the top degree down,
+    so every step reads lower degrees that the letter has not yet touched.
+    """
     if degree < 0:
         raise WordError("degree must be nonnegative")
-    coeffs: dict[Monomial, int] = {(): 1}
+    tables: list[dict[Monomial, int]] = [{(): 1}] + [{} for _ in range(degree)]
     for letter in word.letters:
-        series = _letter_series(letter, word.rank, degree)
-        result: dict[Monomial, int] = {}
-        for ma, ca in coeffs.items():
-            room = degree - len(ma)
-            for mb, cb in series.items():
-                if len(mb) > room:
-                    continue
-                m = ma + mb
-                result[m] = result.get(m, 0) + ca * cb
-        coeffs = {m: c for m, c in result.items() if c != 0}
+        j, steps = abs(letter), (1 if letter > 0 else degree)
+        for d in range(degree, 0, -1):
+            table = tables[d]
+            for t in range(1, min(steps, d) + 1):
+                sign, tail = (-1 if letter < 0 and t % 2 else 1), (j,) * t
+                for m, c in tables[d - t].items():
+                    key = m + tail
+                    value = table.get(key, 0) + sign * c
+                    if value:
+                        table[key] = value
+                    else:
+                        del table[key]
+    coeffs = {m: c for table in tables for m, c in table.items()}
     return NCPolynomial._new(word.rank, degree, _sorted_terms(degree, coeffs))
 
 

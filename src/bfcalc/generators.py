@@ -32,18 +32,10 @@ import time
 
 from . import bfgroup as bf
 from . import trees as tr
-from .bfgroup import BFElement, HContext
+from .bfgroup import BFElement, GeneratorSetError, HContext, VerificationError
 from .braid import AWord
 from .freegroup import invert_letters, reduce_letters
 from .trees import Tree, TreePair, fn_factorize, right_comb
-
-
-class GeneratorSetError(ValueError):
-    """Raised for malformed sets or member lookup failures."""
-
-
-class VerificationError(RuntimeError):
-    """Raised when a decomposition round trip fails; carries the element."""
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bfcalc
 from bfcalc import bfgroup as bf
 from bfcalc import cli
+from bfcalc import generators as gen
 from bfcalc.cli import (
     MAX_TREE_DEPTH,
     CliSemanticError,
@@ -76,6 +81,28 @@ def test_parse_element_examples():
         parse_element("{ (*,*) ; ; [h7,1] ; (*,*) }", ctx)
     with pytest.raises(CliSyntaxError):
         parse_element("{ (*,*) ; [1,1] ; (*,*) }", ctx)
+
+
+def test_bad_braid_letter_reports_where_it_starts(capsys):
+    text = "{ (*,*) ; A[1,2] A[1,2]^-1^-1 ; [1,1] ; (*,*) }"
+    with pytest.raises(CliSyntaxError) as caught:
+        parse_element(text, session().context)
+    assert (caught.value.line, caught.value.column) == (1, text.index("A[1,2]^-1^-1"))
+    assert run_cli("parse", text, "-n", "2") == 1
+    assert capsys.readouterr().err == (
+        "error: bad braid letter 'A[1,2]^-1^-1' (line 1, column 17)\n")
+    multiline = "{ (*,*) ;\n  A[1,2] B ; [1,1] ; (*,*) }"
+    with pytest.raises(CliSyntaxError, match=r"got 'B' \(line 2, column 9\)$"):
+        parse_element(multiline, session().context)
+
+
+def test_errors_without_a_known_position_print_none(capsys):
+    assert run_cli("count", "--gen1", "--gen3") == 1
+    assert capsys.readouterr().err == (
+        "error: argument --gen3: not allowed with argument --gen1\n")
+    with pytest.raises(CliSyntaxError) as caught:
+        parse_a_word("A[1,2] B[1,2]", 3)
+    assert caught.value.line is None and str(caught.value) == "expected an A-letter, got 'B[1,2]'"
 
 
 def test_parse_element_labels():
@@ -171,6 +198,8 @@ def test_parse_tree_at_the_depth_ceiling():
     (CombingLimitError("combing coordinate exceeded 5 letters"), 3),
     (TruncationError("no nonconstant term up to degree 8"), 3),
     (SchemaError("conjugation rule failed validation"), 2),
+    (gen.GeneratorSetError("no member named 'z'"), 2),
+    (gen.VerificationError("decomposition failed to re-multiply"), 2),
 ])
 def test_envelope_and_rule_errors_exit_codes(monkeypatch, capsys, error, code):
     def fail(args, session):
@@ -179,8 +208,42 @@ def test_envelope_and_rule_errors_exit_codes(monkeypatch, capsys, error, code):
     monkeypatch.setattr(cli, "_cmd_sign", fail)
     assert run_cli("sign", "{ * ; ; [1] ; * }", "-n", "2") == code
     err = capsys.readouterr().err
-    assert err.strip().splitlines()[-1] == f"{type(error).__name__}: {error}"
+    prefix = {gen.GeneratorSetError: "error",
+              gen.VerificationError: "verification failure"}.get(type(error), type(error).__name__)
+    assert err.strip().splitlines()[-1] == f"{prefix}: {error}"
     assert "Traceback" not in err
+
+
+def test_error_classes_live_in_bfgroup():
+    assert gen.GeneratorSetError is bf.GeneratorSetError
+    assert gen.VerificationError is bf.VerificationError
+
+
+def test_fresh_cli_import_leaves_generators_and_selftest_unloaded():
+    code = ("import sys, bfcalc.cli; "
+            "print(sorted(m for m in ('bfcalc.generators', 'bfcalc.selftest') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(bfcalc.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
+
+
+GENERATOR_NAMES = ("GeneratorSet", "PureGeneratorSpec", "decompose", "enumerate_irreducible",
+                   "evaluate_word", "gen1_set", "gen2_set", "gen3_set", "is_n_irreducible",
+                   "verify_generating")
+
+
+@pytest.mark.parametrize("name", GENERATOR_NAMES)
+def test_package_names_resolve_to_the_generators_module(name):
+    assert getattr(bfcalc, name) is getattr(gen, name)
+    namespace = {}
+    exec(f"from bfcalc import {name}", namespace)
+    assert namespace[name] is getattr(gen, name)
+
+
+def test_package_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        bfcalc.nonesuch
 
 
 def test_usage_error_exit_1(capsys):

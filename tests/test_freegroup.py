@@ -178,6 +178,35 @@ def test_magnus_truncated_multiplicative():
         assert lhs == rhs
 
 
+def magnus_by_series(word, degree):
+    """
+    Oracle: the product of the letters' truncated series, each step a fresh
+    dict of every term times every series term.
+    """
+    coeffs = {(): 1}
+    for letter in word.letters:
+        idx = abs(letter)
+        if letter > 0:
+            series = {(): 1, (idx,): 1}
+        else:
+            series = {(idx,) * k: (-1) ** k for k in range(degree + 1)}
+        result = {}
+        for ma, ca in coeffs.items():
+            for mb, cb in series.items():
+                if len(ma) + len(mb) <= degree:
+                    result[ma + mb] = result.get(ma + mb, 0) + ca * cb
+        coeffs = {m: c for m, c in result.items() if c != 0}
+    return nc_from_dict(word.rank, degree, coeffs)
+
+
+def test_magnus_truncated_matches_series_product():
+    rng = random.Random(15)
+    for _ in range(3000):
+        word = random_word(rng, rank=rng.randint(1, 5), max_len=14)
+        degree = rng.randint(0, 4)
+        assert magnus_truncated(word, degree) == magnus_by_series(word, degree)
+
+
 # --- sign
 
 def test_magnus_sign_examples():
