@@ -109,9 +109,11 @@ class FreeWord:
 
 def reduce_word(rank: int, letters: Iterable[int]) -> FreeWord:
     """Build the freely reduced word with the given letters."""
-    if rank < 0:
-        raise WordError("rank must be nonnegative")
+    if type(rank) is not int or rank < 0:
+        raise WordError("rank must be a nonnegative int")
     seq = tuple(letters)
+    if not _is_int_tuple(seq):
+        raise WordError("letters must be ints")
     for letter in seq:
         if letter == 0 or abs(letter) > rank:
             raise WordError(f"letter {letter} out of range for rank {rank}")
@@ -142,8 +144,14 @@ class NCPolynomial:
     terms: tuple[tuple[Monomial, int], ...]
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise WordError("truncation degree must be nonnegative")
+        if type(self.rank) is not int or self.rank < 0:
+            raise WordError("rank must be a nonnegative int")
+        if type(self.degree) is not int or self.degree < 0:
+            raise WordError("truncation degree must be a nonnegative int")
+        if type(self.terms) is not tuple or not all(
+                type(t) is tuple and len(t) == 2 and _is_int_tuple(t[0]) and type(t[1]) is int
+                for t in self.terms):
+            raise WordError("terms must be a tuple of (tuple of ints, int) pairs")
         for monomial, coeff in self.terms:
             if coeff == 0:
                 raise WordError("zero coefficient stored")

@@ -10,16 +10,14 @@ the n*k single-label elements over the one-caret tree.  The third trades
 braid generators for labeled ones over the full pure braid context.
 
 decompose() rewrites an arbitrary element as a word in a chosen family:
-tree parts through the tree-pair factorization, braid letters through
-membership or the merging of inert strand blocks, and labels through
-expansion walks from the one-caret base elements.  Whatever those routes
-miss (braid letters outside the third family's member list, label
-positions no walk reaches) is solved by a per-level fixpoint from the
-expansion relations of smaller elements, each read off bfgroup.expand.
-Correctness is established by round-trip verification, not by
-construction, and verify_generating() runs exactly that.  A set keeps the
-words of the atoms it has decomposed, and its inverted members, for as
-long as it lives.
+tree parts through the tree-pair factorization, and each braid or label
+letter as an atom over the comb.  An atom is a member, or is solved with
+the other atoms on its strand count from the expansion relations of the
+level below, each read off bfgroup.expand at every leaf.  Correctness is
+established by round-trip verification, not by construction, and
+verify_generating() runs exactly that.  A set keeps the words of the
+atoms it has decomposed, and its inverted members, for as long as it
+lives.
 """
 
 from __future__ import annotations
@@ -221,14 +219,13 @@ class _Decomposer:
     and per label letter, then the tree-pair word back.  A braid letter
     atom L(m,i,j) stands for (comb_m, A[i,j], trivial labels, comb_m), a
     single S(m,t,g) for (comb_m, 1, generator g at position t, comb_m).
-    Atoms not directly expressible (irreducible braid letters outside the
-    member list; label positions t >= 2 with m-t divisible by n-1, which no
-    expansion walk reaches) are solved level by level from expansion
-    relations: an atom on m-n+1 strands equals its expansion at each leaf
-    it touches, and the factor list of that expansion is a product of atoms
-    on m strands between two tree-pair words.  Each strand-count level
-    yields a triangular system that a fixpoint scan solves one atom at a
-    time.
+    An atom that is not a member (and not the one-leaf single, spelled by
+    expanding it onto the caret) is solved with its whole level: an atom
+    on m-n+1 strands equals its expansion at each leaf t0, a product of
+    atoms on m strands between two tree-pair words.  Where the atom does
+    not touch t0 that product is one atom, which the relation solves
+    outright; the rest of the level follows from the relations at touched
+    leaves by a fixpoint scan that solves one atom at a time.
     """
 
     def __init__(self, genset: GeneratorSet):
@@ -275,89 +272,39 @@ class _Decomposer:
         return ([("L", i, j) for i in range(1, m) for j in range(i + 1, m + 1)]
                 + [("S", t, g) for t in range(1, m + 1) for g in range(1, hcount + 1)])
 
+    def _member_word(self, m: int, atom: tuple) -> tuple[int, ...] | None:
+        """The one-letter word of the member that is the atom, if there is one."""
+        kind, a, b = atom
+        if kind == "L":
+            name = f"b{m}_{a}_{b}"
+        elif m == self.arity:
+            name = f"l{a}_{self.context.generators[b - 1][0]}"
+        else:
+            return None
+        k = self.index.get(name)
+        return None if k is None else (k,)
+
     def atom_word(self, m: int, atom: tuple) -> tuple[int, ...]:
         """Word evaluating to the atom over the comb on m leaves."""
         key = (m, atom)
         word = self._words.get(key)
         if word is not None:
             return word
-        word = self._base_word(m, atom)
+        word = self._member_word(m, atom)
+        if word is None and m == 1:
+            # Expand the lone labeled leaf: the label's braid appears on the
+            # caret, with a copy of the label on every new strand.
+            single = self._atom_element(Tree.single(self.arity), atom)
+            word = _spell(_atom_factors(bf.expand(single, 1)),
+                          functools.partial(self.atom_word, self.arity))
         if word is None:
-            # a single equals the same single over the minimal comb holding it
-            level = m if atom[0] == "L" else atom[1] + self.arity - 1
-            self._solve_level(level)
-            word = self._words.get((level, atom))
+            self._solve_level(m)
+            word = self._words.get(key)
             if word is None:
                 raise GeneratorSetError(
                     f"member lookup failure: no route to atom {atom} on {m} strands")
         self._words[key] = word
         return word
-
-    def _base_word(self, m: int, atom: tuple) -> tuple[int, ...] | None:
-        """Member, inert-block or walk route; None when the solver is needed."""
-        kind, a, b = atom
-        return self._braid_base_word(m, a, b) if kind == "L" else self._single_base_word(m, a, b)
-
-    def _braid_base_word(self, m: int, i: int, j: int) -> tuple[int, ...] | None:
-        """Member or inert-block-reduction route; None when the solver is needed."""
-        n = self.arity
-        name = f"b{m}_{i}_{j}"
-        if name in self.index:
-            return (self.index[name],)
-        if is_n_irreducible(PureGeneratorSpec(m, i, j), n):
-            return None
-        # Merge an inert block of n strands: the element over the comb
-        # equals, after a tree conjugation, an expansion of the same letter
-        # in n-1 fewer strands.
-        if i > n:
-            t, i2, j2 = 1, i - n + 1, j - n + 1
-        elif j - i > n:
-            t, i2, j2 = i + 1, i, j - n + 1
-        else:  # m - j >= n
-            t, i2, j2 = j + 1, i, j
-        small = m - n + 1
-        bridge = right_comb(n, small).attach(t)
-        there, back = self._conj_words(right_comb(n, m), bridge)
-        return there + self.atom_word(small, ("L", i2, j2)) + back
-
-    def _single_base_word(self, m: int, t: int, gen: int) -> tuple[int, ...] | None:
-        """
-        Walk route: the element over the comb equals one over any tree whose
-        labeled leaf is a child of the root, reached from a base member by
-        expanding first the leftmost and then the last leaf.  Positions with
-        m-t a positive multiple of n-1 (other than t = 1) admit no such tree
-        and fall to the relation solver.
-        """
-        n = self.arity
-        hname = self.context.generators[gen - 1][0]
-        if m == 1:
-            # Expand the lone labeled leaf: the label's braid appears on the
-            # caret, with a copy of the label on every new strand.
-            single = self._atom_element(Tree.single(n), ("S", 1, gen))
-            return _spell(_atom_factors(bf.expand(single, 1)),
-                          functools.partial(self.atom_word, n))
-        if t == 1:
-            return (self._member(f"l1_{hname}"),)
-        d = m - t
-        excess = d % (n - 1)
-        if d > 0 and excess == 0:
-            return None
-        small = t + excess  # trailing carets of the comb reduce away first
-        if excess == 0:
-            c, q, r = n, (small - n) // (n - 1), 0
-        else:
-            c = n - excess
-            q = (t - c) // (n - 1)
-            r = (small - n) // (n - 1) - q
-        walk = Tree.caret(n)
-        for _ in range(q):
-            walk = walk.attach(1)
-        for _ in range(r):
-            walk = walk.attach(walk.leaf_count)
-        there, back = self._conj_words(right_comb(n, small), walk)
-        return there + (self._member(f"l{c}_{hname}"),) + back
-
-    # -- relation solver ----------------------------------------------------
 
     def _solve_level(self, m: int) -> None:
         """
@@ -370,39 +317,32 @@ class _Decomposer:
         try:
             n = self.arity
             small = m - n + 1
-            solved: dict[tuple, tuple[int, ...]] = {}
-            unknown: set[tuple] = set()
-            for atom in self._atoms(m):
-                word = self._words.get((m, atom))
-                if word is None:
-                    word = self._base_word(m, atom)
-                if word is None and atom[0] == "S" and atom[1] + n - 1 < m:
-                    # equal to the same single over a smaller comb
-                    word = self.atom_word(atom[1] + n - 1, atom)
-                if word is None:
-                    unknown.add(atom)
-                else:
-                    solved[atom] = word
+            atoms = self._atoms(m)
+            solved = {atom: word for atom in atoms
+                      if (word := self._member_word(m, atom)) is not None}
+            unknown = len(atoms) - len(solved)
 
-            # Expanding a level-(m-n+1) atom at a leaf t0 it touches (either
-            # end of a braid letter, the leaf of a single) anchors it on the
-            # tree comb[t0], so each relation carries conjugator words between
-            # that tree and the comb on m leaves.
+            # A level-(m-n+1) atom expanded at leaf t0 sits on the tree
+            # comb[t0], so its relation carries the conjugator words between
+            # that tree and the comb on m leaves.  At a leaf the atom does not
+            # touch the expansion is one atom on m strands, which the relation
+            # solves at once; those relations come first.
             comb, small_comb = right_comb(n, m), right_comb(n, small)
             elements = {atom: self._atom_element(small_comb, atom) for atom in self._atoms(small)}
-            relations: list[tuple[list[_Factor], tuple[int, ...]]] = []
+            one_atom: list[tuple[list[_Factor], tuple]] = []
+            touching: list[tuple[list[_Factor], tuple]] = []
             for t0 in range(1, small + 1):
                 to_comb, from_comb = self._conj_words(small_comb.attach(t0), comb)
                 for atom, x in elements.items():
-                    if t0 in (atom[1:] if atom[0] == "L" else atom[1:2]):
-                        factors = [("word", to_comb), *_atom_factors(bf.expand(x, t0)),
-                                   ("word", from_comb)]
-                        relations.append((factors, self.atom_word(small, atom)))
+                    factors = [("word", to_comb), *_atom_factors(bf.expand(x, t0)),
+                               ("word", from_comb)]
+                    (one_atom if len(factors) == 3 else touching).append((factors, atom))
 
+            relations = one_atom + touching
             changed = True
             while changed and unknown:
                 changed = False
-                for factors, rhs in relations:
+                for factors, small_atom in relations:
                     open_positions = [q for q, factor in enumerate(factors)
                                       if factor[0] == "atom" and factor[1] not in solved]
                     if len(open_positions) != 1:
@@ -410,12 +350,11 @@ class _Decomposer:
                     q = open_positions[0]
                     prefix = _spell(factors[:q], solved.__getitem__)
                     suffix = _spell(factors[q + 1:], solved.__getitem__)
-                    word = invert_letters(prefix) + rhs + invert_letters(suffix)
+                    word = (invert_letters(prefix) + self.atom_word(small, small_atom)
+                            + invert_letters(suffix))
                     _, atom, sign = factors[q]
-                    if sign < 0:
-                        word = invert_letters(word)
-                    solved[atom] = word
-                    unknown.discard(atom)
+                    solved[atom] = word if sign > 0 else invert_letters(word)
+                    unknown -= 1
                     changed = True
 
             for atom, word in solved.items():

@@ -270,6 +270,8 @@ class TreePair:
     codomain: Tree
 
     def __post_init__(self):
+        if not (isinstance(self.domain, Tree) and isinstance(self.codomain, Tree)):
+            raise TreeError("a tree pair holds two trees")
         if self.domain.arity != self.codomain.arity:
             raise TreeError("arity mismatch in tree pair")
         if self.domain.leaf_count != self.codomain.leaf_count:
@@ -351,6 +353,8 @@ def evaluate_brown_word(arity: int, word: tuple[int, ...]) -> TreePair:
     gens = brown_generator_pairs(arity)
     acc = TreePair(Tree.single(arity), Tree.single(arity))
     for letter in word:
+        if not 1 <= abs(letter) <= arity:
+            raise TreeError(f"letter {letter} names none of the {arity} generating pairs")
         g = gens[abs(letter) - 1]
         acc = pair_multiply(acc, g if letter > 0 else pair_inverse(g))
         acc = pair_reduce(acc)

@@ -727,6 +727,12 @@ def test_public_constructors_reject_lists_floats_and_bools():
     with pytest.raises(WordError):
         FreeWord(2, (True,))
     with pytest.raises(TreeError):
+        TreePair("a", "b")
+    for bad in ((2.0, 1, (((), 1),)), (2, 1, [((), 1)]), (2, 1, (([1], 1),)),
+                (2, 1, (((), True),))):
+        with pytest.raises(WordError):
+            NCPolynomial(*bad)
+    with pytest.raises(TreeError):
         right_comb(2.0, 3)
     for labels in ([(), ()], ((), [1]), ((), (1.0,))):
         with pytest.raises(ElementError):

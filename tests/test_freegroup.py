@@ -69,6 +69,10 @@ def test_reduce_rejects_out_of_range():
         reduce_word(2, [0])
     with pytest.raises(WordError):
         reduce_word(-1, [])
+    # what FreeWord rejects, before any reduction could hide it
+    for rank, letters in ((2.0, (1,)), (2, (True,)), (2, (1.0,)), (2, (0, 0))):
+        with pytest.raises(WordError):
+            reduce_word(rank, letters)
 
 
 def test_reduce_onto_cancels_against_the_end_in_place():

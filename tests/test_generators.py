@@ -209,7 +209,7 @@ def test_one_engine_per_set(monkeypatch):
 def test_interrupted_level_leaves_the_set_usable(monkeypatch):
     genset = gen3_set(2)
     comb = right_comb(2, 3)
-    # a label at position 2 of 3 has no walk route: level 3 is solved
+    # a label at position 2 of 3 is not a member: level 3 is solved
     x = bf.BFElement(genset.context, comb, AWord.identity(3), ((), (1,), ()), comb)
     conj_words = _Decomposer._conj_words
     raised = []
@@ -260,6 +260,50 @@ def test_decompose_inverse_letters():
     x = bf.BFElement(ctx, comb, AWord(3, ((2, 3, -1),)), ((),) * 3, comb)
     word = engine.decompose(x)
     assert bf.equal(evaluate_word(word, genset), x)
+
+
+def _inert_block_word(engine, m, i, j):
+    """
+    Oracle: the word of A[i,j] on m strands as a member letter, or else by
+    merging the first inert block of n strands (before i, between i and j,
+    after j) into one leaf, conjugating the same letter on n-1 fewer strands.
+    """
+    n = engine.arity
+    name = f"b{m}_{i}_{j}"
+    if name in engine.index:
+        return (engine.index[name],)
+    if i > n:
+        t, i2, j2 = 1, i - n + 1, j - n + 1
+    elif j - i > n:
+        t, i2, j2 = i + 1, i, j - n + 1
+    else:
+        assert m - j >= n, (m, i, j)
+        t, i2, j2 = j + 1, i, j
+    small = m - n + 1
+    there, back = engine._conj_words(right_comb(n, m), right_comb(n, small).attach(t))
+    return there + _inert_block_word(engine, small, i2, j2) + back
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_gen1_atom_words_are_inert_block_merges(n):
+    # Relations at leaves an atom does not touch come first, leaves in
+    # ascending order, so each gen1 word is the merge of the first inert block.
+    engine = _Decomposer(gen1_set(n))
+    for m in range(n, 5 * n + 1, n - 1):
+        for atom in engine._atoms(m):
+            assert engine.atom_word(m, atom) == _inert_block_word(engine, m, *atom[1:]), (m, atom)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_atom_word_evaluates_to_its_atom(n):
+    # up to one level above the largest braid member
+    for genset in (gen1_set(n), gen2_set(n, bf.pn_context(n)), gen3_set(n)):
+        engine = _Decomposer(genset)
+        for m in range(1, 5 * n - 3, n - 1):
+            comb = right_comb(n, m)
+            for atom in engine._atoms(m):
+                value = evaluate_word(engine.atom_word(m, atom), genset)
+                assert bf.equal(value, engine._atom_element(comb, atom)), (m, atom)
 
 
 def _hand_written_relation(engine, atom, t0):

@@ -532,6 +532,13 @@ def test_fn_factorize_identity_and_generators():
             assert len(word) == 1
 
 
+def test_evaluate_brown_word_rejects_letters_out_of_range():
+    for n in (2, 3):
+        for letter in (0, n + 1, -(n + 1)):
+            with pytest.raises(TreeError):
+                evaluate_brown_word(n, (1, letter))
+
+
 def test_fn_factorize_round_trip():
     rng = random.Random(11)
     for n in (2, 3):
