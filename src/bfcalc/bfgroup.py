@@ -259,15 +259,16 @@ def _reduction_at(x: BFElement, i: int) -> BFElement | None:
 def reduce(x: BFElement) -> BFElement:
     """Greedily undo expansions until no leaf window admits one."""
     n = x.arity
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, x.leaf_count - n + 2):
-            smaller = _reduction_at(x, i)
-            if smaller is not None:
-                x = smaller
-                changed = True
-                break
+    i = 1
+    while i <= x.leaf_count - n + 1:
+        smaller = _reduction_at(x, i)
+        if smaller is None:
+            i += 1
+        else:
+            x = smaller
+            # Expansions at disjoint windows commute, so a window left of
+            # i - n + 1, which misses the merged leaf, still admits none.
+            i = max(1, i - n + 1)
     return x
 
 
@@ -418,40 +419,14 @@ def from_json(text: str) -> BFElement:
 # Word evaluation over generating sets
 # ---------------------------------------------------------------------------
 
-# Representatives are reduced whenever their trees outgrow this leaf count;
-# reduction keeps long products of generators at desk scale.
-REDUCE_LEAF_THRESHOLD = 25
-
-
 def evaluate_product(factors: Iterable[BFElement], context: HContext) -> BFElement:
     """
-    Multiply out a sequence of elements, folding runs of braid-free
-    label-free factors at the tree level and reducing oversized
-    representatives along the way.
+    Multiply out a sequence of elements as a balanced product: multiply
+    adjacent pairs, level by level, so each factor is cabled about log2(L)
+    times for L factors; the one result is reduced.
     """
-    single = Tree._new(context.arity, ((),))  # built unchecked: valid by construction
-    acc = BFElement._new(context, single, AWord._new(1, ()), ((),), single)
-    pending: TreePair | None = None
-
-    def flush(acc: BFElement) -> BFElement:
-        nonlocal pending
-        if pending is not None:
-            pair = tr.pair_reduce(pending)
-            m = pair.leaf_count
-            acc = multiply(acc, BFElement._new(context, pair.domain, AWord._new(m, ()),
-                                               ((),) * m, pair.codomain))
-            pending = None
-        return acc
-
-    for factor in factors:
-        plain = not factor.braid.letters and all(not l for l in factor.labels)
-        if plain:
-            pair = TreePair(factor.t1, factor.t2)
-            pending = pair if pending is None else tr.pair_multiply(pending, pair)
-            continue
-        acc = flush(acc)
-        acc = multiply(acc, factor)
-        if acc.leaf_count > REDUCE_LEAF_THRESHOLD:
-            acc = reduce(acc)
-    acc = flush(acc)
-    return reduce(acc)
+    layer = list(factors) or [identity_element(context)]
+    while len(layer) > 1:
+        paired = [multiply(a, b) for a, b in zip(layer[::2], layer[1::2])]
+        layer = paired + layer[-1:] if len(layer) % 2 else paired
+    return reduce(layer[0])

@@ -22,6 +22,7 @@ two the final line on standard error reads "ErrorName: message".
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -382,16 +383,12 @@ def _cmd_selftest(args, session: Session) -> int:
         failed = failed or not result.passed
     if args.json:
         doc = [{"name": r.name, "params": r.params, "passed": r.passed,
-                "checks": [dataclass_check(c) for c in r.checks]}
+                "checks": [dataclasses.asdict(c) for c in r.checks]}
                for r in results]
         print(json.dumps(doc))
     if failed:
         raise bf.VerificationError("selftest suite reported violations")
     return 0
-
-
-def dataclass_check(check) -> dict:
-    return {"label": check.label, "violations": check.violations, "total": check.total}
 
 
 class _Parser(argparse.ArgumentParser):

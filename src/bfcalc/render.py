@@ -134,11 +134,6 @@ def render_svg(x: BFElement) -> str:
             strand_parts.append(
                 f'<line class="strand" x1="{xs[p]:.1f}" y1="{braid_top:.1f}" '
                 f'x2="{xs[p]:.1f}" y2="{braid_bottom:.1f}" stroke="black"/>')
-    elif y < braid_bottom:
-        for p in range(m):
-            strand_parts.append(
-                f'<line class="strand" x1="{xs[p]:.1f}" y1="{y:.1f}" '
-                f'x2="{xs[p]:.1f}" y2="{braid_bottom:.1f}" stroke="black"/>')
 
     parts.append('<g class="braid">')
     parts.extend(cross_parts)

@@ -414,6 +414,49 @@ def test_reduce_terminates_on_random_elements():
         assert reduce(y).leaf_count == y.leaf_count
 
 
+def greedy_reduce(x):
+    """Undo expansions leftmost first, rescanning from leaf 1 after each one."""
+    n = x.arity
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, x.leaf_count - n + 2):
+            smaller = bf._reduction_at(x, i)
+            if smaller is not None:
+                x, changed = smaller, True
+                break
+    return x
+
+
+def context_id(ctx):
+    return f"{ctx.arity}-{'pn' if ctx.generators else 'trivial'}"
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS + [trivial_context(4), pn_context(4)], ids=context_id)
+def test_reduce_matches_greedy_rescan_oracle(ctx):
+    rng = random.Random(11 + ctx.arity)
+    for _ in range(40):
+        x = draw(ctx, rng, leaves=5, braid=6)
+        for _ in range(rng.randint(0, 12)):
+            x = expand(x, rng.randint(1, x.leaf_count))
+        assert reduce(x) == greedy_reduce(x)
+
+
+# --- products of many factors
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=context_id)
+def test_evaluate_product_matches_left_to_right_product(ctx):
+    rng = random.Random(12)
+    pool = [draw(ctx, rng, leaves=4, braid=4) for _ in range(3)]
+    pool += [inverse(x) for x in pool]
+    for length in (0, 1, 2, 3, 6, 9):
+        factors = [rng.choice(pool) for _ in range(length)]
+        product = bf.evaluate_product(factors, ctx)
+        assert equal(product, functools.reduce(multiply, factors, identity_element(ctx)))
+        assert product == greedy_reduce(product)
+    assert bf.evaluate_product([], ctx) == identity_element(ctx)
+
+
 # --- signs
 
 def test_pvb_sign_examples():

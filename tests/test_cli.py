@@ -228,6 +228,17 @@ def test_fresh_cli_import_leaves_generators_and_selftest_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_module_entry_point_prints_and_exits():
+    src = os.path.dirname(os.path.dirname(bfcalc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    command = [sys.executable, "-m", "bfcalc.cli", "count", "--gen1", "-n"]
+    done = subprocess.run(command + ["2"], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "10\n", "")
+    bad = subprocess.run(command, capture_output=True, text=True, env=env)
+    assert (bad.returncode, bad.stdout) == (1, "")
+    assert bad.stderr.startswith("error: ")
+
+
 GENERATOR_NAMES = ("GeneratorSet", "PureGeneratorSpec", "decompose", "enumerate_irreducible",
                    "evaluate_word", "gen1_set", "gen2_set", "gen3_set", "is_n_irreducible",
                    "verify_generating")
