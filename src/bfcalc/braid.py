@@ -416,11 +416,13 @@ class CombedForm:
     coordinates: tuple[FreeWord, ...]
 
     def __post_init__(self):
+        if type(self.strands) is not int or type(self.coordinates) is not tuple:
+            raise BraidError("a combed form holds an int strand count and a tuple")
         if len(self.coordinates) != max(self.strands - 1, 0):
             raise BraidError("wrong number of combing coordinates")
         for level, coord in zip(range(self.strands, 1, -1), self.coordinates):
-            if coord.rank != level - 1:
-                raise BraidError(f"coordinate at level {level} has wrong rank")
+            if not isinstance(coord, FreeWord) or coord.rank != level - 1:
+                raise BraidError(f"coordinate at level {level} is not a rank-{level - 1} free word")
 
     def is_trivial(self) -> bool:
         return all(c.is_trivial() for c in self.coordinates)

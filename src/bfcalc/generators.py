@@ -9,24 +9,23 @@ m-j < n).  The second family adds, for a context with k named generators,
 the n*k single-label elements over the one-caret tree.  The third trades
 braid generators for labeled ones over the full pure braid context.
 
-decompose() rewrites an arbitrary element as a word in a chosen family:
-tree parts through the tree-pair factorization, and each braid or label
-letter as an atom over the comb.  An atom is a member, or is solved with
-the other atoms on its strand count from the expansion relations of the
-level below, each read off bfgroup.expand at every leaf.  Correctness is
-established by round-trip verification, not by construction, and
-verify_generating() runs exactly that.  A set keeps the words of the
-atoms it has decomposed, and its inverted members, for as long as it
-lives.
+decompose() rewrites an arbitrary element as a word in a set, finding its
+members by their reduced elements, under any names: tree parts through the
+tree-pair factorization onto the members that are the n generating tree
+pairs, and each braid or label letter as an atom over the comb.  An atom
+is a member, or is solved with the other atoms on its strand count from
+the expansion relations of the level below, each read off bfgroup.expand
+at every leaf.  Correctness is established by round-trip verification,
+not by construction, and verify_generating() runs exactly that.  A set
+keeps the words of the atoms it has decomposed, and its inverted members,
+for as long as it lives.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import random
-import time
 
 from . import bfgroup as bf
 from . import trees as tr
@@ -45,6 +44,8 @@ class PureGeneratorSpec:
     j: int
 
     def __post_init__(self):
+        if not all(type(v) is int for v in (self.strands, self.i, self.j)):
+            raise GeneratorSetError("generator spec fields must be ints")
         if not 1 <= self.i < self.j <= self.strands:
             raise GeneratorSetError(f"bad generator spec ({self.i},{self.j}) in {self.strands}")
 
@@ -81,6 +82,10 @@ class GeneratorSet:
     members: tuple[tuple[str, BFElement], ...]
 
     def __post_init__(self):
+        if type(self.members) is not tuple or not all(
+                type(m) is tuple and len(m) == 2 and type(m[0]) is str
+                and isinstance(m[1], BFElement) for m in self.members):
+            raise GeneratorSetError("members must be a tuple of (name, element) tuples")
         seen = set()
         for name, element in self.members:
             if name in seen:
@@ -115,23 +120,29 @@ def _brown_members(context: HContext) -> list[tuple[str, BFElement]]:
     ]
 
 
+# An atom is ("L", i, j), the braid letter A[i,j] over the comb, or
+# ("S", t, g), the single label g at leaf t over the comb.
+def _atom_element(context: HContext, comb: Tree, atom: tuple) -> BFElement:
+    """The atom over the given comb."""
+    m = comb.leaf_count
+    kind, a, b = atom
+    if kind == "L":
+        return BFElement(context, comb, AWord(m, ((a, b, 1),)), ((),) * m, comb)
+    labels = tuple((b,) if p == a else () for p in range(1, m + 1))
+    return BFElement(context, comb, AWord.identity(m), labels, comb)
+
+
 def _braid_member(context: HContext, spec: PureGeneratorSpec) -> tuple[str, BFElement]:
     comb = right_comb(context.arity, spec.strands)
-    word = AWord(spec.strands, ((spec.i, spec.j, 1),))
-    element = BFElement(context, comb, word, ((),) * spec.strands, comb)
-    return (f"b{spec.strands}_{spec.i}_{spec.j}", element)
+    return (f"b{spec.strands}_{spec.i}_{spec.j}",
+            _atom_element(context, comb, ("L", spec.i, spec.j)))
 
 
 def _label_members(context: HContext) -> list[tuple[str, BFElement]]:
-    n = context.arity
-    caret = Tree.caret(n)
-    out = []
-    for position in range(1, n + 1):
-        for idx, (name, _) in enumerate(context.generators, start=1):
-            labels = tuple((idx,) if p == position else () for p in range(1, n + 1))
-            element = BFElement(context, caret, AWord.identity(n), labels, caret)
-            out.append((f"l{position}_{name}", element))
-    return out
+    caret = Tree.caret(context.arity)
+    return [(f"l{position}_{name}", _atom_element(context, caret, ("S", position, idx)))
+            for position in range(1, context.arity + 1)
+            for idx, (name, _) in enumerate(context.generators, start=1)]
 
 
 def gen1_set(arity: int) -> GeneratorSet:
@@ -183,30 +194,20 @@ def generator_set(name: str, context: HContext) -> GeneratorSet:
 # Decomposition
 # ---------------------------------------------------------------------------
 
-# An atom is ("L", i, j), the braid letter A[i,j] over the comb, or
-# ("S", t, g), the single label g at leaf t over the comb.  An element over
-# the comb is read as a list of factors, each a fixed member word ("word",
-# letters) or an atom reference ("atom", atom, sign).
-_Factor = tuple
-
-
-def _atom_factors(x: BFElement) -> list[_Factor]:
-    """The atoms of x over the comb: one per braid letter, then one per label letter."""
-    factors: list[_Factor] = [("atom", ("L", i, j), s) for i, j, s in x.braid.letters]
-    factors += [("atom", ("S", t, abs(g)), 1 if g > 0 else -1)
+def _atom_factors(x: BFElement) -> list[tuple[tuple, int]]:
+    """The (atom, sign) pairs of x over the comb: braid letters, then label letters."""
+    factors = [(("L", i, j), s) for i, j, s in x.braid.letters]
+    factors += [(("S", t, abs(g)), 1 if g > 0 else -1)
                 for t, label in enumerate(x.labels, start=1) for g in label]
     return factors
 
 
-def _spell(factors: list[_Factor], atom_word) -> tuple[int, ...]:
-    """The letters of a factor list, atom words looked up by atom_word(atom)."""
+def _spell(factors: list[tuple[tuple, int]], atom_word) -> tuple[int, ...]:
+    """The letters of signed atoms, atom words looked up by atom_word(atom)."""
     out: list[int] = []
-    for factor in factors:
-        if factor[0] == "word":
-            out.extend(factor[1])
-        else:
-            word = atom_word(factor[1])
-            out.extend(word if factor[2] > 0 else invert_letters(word))
+    for atom, sign in factors:
+        word = atom_word(atom)
+        out.extend(word if sign > 0 else invert_letters(word))
     return tuple(out)
 
 
@@ -214,57 +215,56 @@ class _Decomposer:
     """
     Rewriting engine for one generator set, with one memo of atom words.
 
-    An element on m leaves is read as one factor list: the tree-pair word
-    from its domain tree to the comb on m leaves, one atom per braid letter
-    and per label letter, then the tree-pair word back.  A braid letter
-    atom L(m,i,j) stands for (comb_m, A[i,j], trivial labels, comb_m), a
-    single S(m,t,g) for (comb_m, 1, generator g at position t, comb_m).
-    An atom that is not a member (and not the one-leaf single, spelled by
-    expanding it onto the caret) is solved with its whole level: an atom
-    on m-n+1 strands equals its expansion at each leaf t0, a product of
-    atoms on m strands between two tree-pair words.  Where the atom does
-    not touch t0 that product is one atom, which the relation solves
-    outright; the rest of the level follows from the relations at touched
-    leaves by a fixpoint scan that solves one atom at a time.
+    Members are read by their reduced elements.  One whose two trees are
+    the same comb and whose braid and labels spell one atom is that atom's
+    word; one with no atoms is a tree pair, and the n generating pairs
+    among those carry the tree-pair factorization.  Where two members
+    qualify, the first wins.
+
+    An element on m leaves is read as the tree-pair word from its domain
+    tree to the comb on m leaves, its signed atoms, then the tree-pair word
+    back.  A braid letter atom L(m,i,j) stands for (comb_m, A[i,j], trivial
+    labels, comb_m), a single S(m,t,g) for (comb_m, 1, generator g at
+    position t, comb_m).  An atom that is not a member (and not the
+    one-leaf single, spelled by expanding it onto the caret) is solved with
+    its whole level: an atom on m-n+1 strands equals its expansion at each
+    leaf t0, a product of atoms on m strands between two tree-pair words.
+    Where the atom does not touch t0 that product is one atom, which the
+    relation solves outright; the rest of the level follows from the
+    relations at touched leaves by a fixpoint scan that solves one atom at
+    a time.
     """
 
     def __init__(self, genset: GeneratorSet):
         self.context = genset.context
-        self.arity = genset.context.arity
-        self.index = {name: k for k, (name, _) in enumerate(genset.members, start=1)}
+        self.arity = n = genset.context.arity
         self.inverses = tuple(bf.inverse(element) for _, element in genset.members)
         self._words: dict[tuple[int, tuple], tuple[int, ...]] = {}  # (m, atom) -> word
+        pairs: dict[tuple[Tree, Tree], int] = {}
+        for k, (_, member) in enumerate(genset.members, start=1):
+            x = bf.reduce(member)  # any representative of a member is read the same
+            factors = _atom_factors(x)
+            if not factors:
+                pairs.setdefault((x.t1, x.t2), k)
+            elif len(factors) == 1 and x.t1 == x.t2 == right_comb(n, x.leaf_count):
+                atom, sign = factors[0]
+                self._words.setdefault((x.leaf_count, atom), (k,) if sign > 0 else (-k,))
+        # member index of each generating pair, None where the set lacks it
+        self._pair_members = tuple(pairs.get((p.domain, p.codomain))
+                                   for p in tr.brown_generator_pairs(n))
         self._solved_levels: set[int] = set()
         self._solving: set[int] = set()
 
-    def _member(self, name: str) -> int:
-        try:
-            return self.index[name]
-        except KeyError:
-            raise GeneratorSetError(f"member lookup failure: {name!r} "
-                                    "is not in the generator set") from None
-
-    def _lift_pair_word(self, pair: TreePair) -> tuple[int, ...]:
-        """Tree-pair factorization mapped onto the f-members."""
-        word = fn_factorize(pair)
+    def _pair_word(self, src: Tree, dst: Tree) -> tuple[int, ...]:
+        """Tree-pair factorization of (src, dst) mapped onto the generating-pair members."""
         out = []
-        for letter in word:
-            idx = self._member(f"f{abs(letter)}")
-            out.append(idx if letter > 0 else -idx)
+        for letter in fn_factorize(TreePair(src, dst)):
+            k = self._pair_members[abs(letter) - 1]
+            if k is None:
+                raise GeneratorSetError(f"member lookup failure: generating tree pair "
+                                        f"{abs(letter)} is not in the generator set")
+            out.append(k if letter > 0 else -k)
         return tuple(out)
-
-    def _conj_words(self, src: Tree, dst: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        there = self._lift_pair_word(TreePair(src, dst))
-        return there, invert_letters(there)
-
-    def _atom_element(self, comb: Tree, atom: tuple) -> BFElement:
-        """The atom over the given comb."""
-        m = comb.leaf_count
-        kind, a, b = atom
-        if kind == "L":
-            return BFElement(self.context, comb, AWord(m, ((a, b, 1),)), ((),) * m, comb)
-        labels = tuple((b,) if p == a else () for p in range(1, m + 1))
-        return BFElement(self.context, comb, AWord.identity(m), labels, comb)
 
     def _atoms(self, m: int) -> list[tuple]:
         """Every atom on m strands: braid letters first, then singles."""
@@ -272,32 +272,19 @@ class _Decomposer:
         return ([("L", i, j) for i in range(1, m) for j in range(i + 1, m + 1)]
                 + [("S", t, g) for t in range(1, m + 1) for g in range(1, hcount + 1)])
 
-    def _member_word(self, m: int, atom: tuple) -> tuple[int, ...] | None:
-        """The one-letter word of the member that is the atom, if there is one."""
-        kind, a, b = atom
-        if kind == "L":
-            name = f"b{m}_{a}_{b}"
-        elif m == self.arity:
-            name = f"l{a}_{self.context.generators[b - 1][0]}"
-        else:
-            return None
-        k = self.index.get(name)
-        return None if k is None else (k,)
-
     def atom_word(self, m: int, atom: tuple) -> tuple[int, ...]:
         """Word evaluating to the atom over the comb on m leaves."""
         key = (m, atom)
         word = self._words.get(key)
         if word is not None:
             return word
-        word = self._member_word(m, atom)
-        if word is None and m == 1:
+        if m == 1:
             # Expand the lone labeled leaf: the label's braid appears on the
             # caret, with a copy of the label on every new strand.
-            single = self._atom_element(Tree.single(self.arity), atom)
+            single = _atom_element(self.context, Tree.single(self.arity), atom)
             word = _spell(_atom_factors(bf.expand(single, 1)),
                           functools.partial(self.atom_word, self.arity))
-        if word is None:
+        else:
             self._solve_level(m)
             word = self._words.get(key)
             if word is None:
@@ -318,41 +305,43 @@ class _Decomposer:
             n = self.arity
             small = m - n + 1
             atoms = self._atoms(m)
-            solved = {atom: word for atom in atoms
-                      if (word := self._member_word(m, atom)) is not None}
+            solved = {atom: self._words[m, atom] for atom in atoms if (m, atom) in self._words}
             unknown = len(atoms) - len(solved)
 
             # A level-(m-n+1) atom expanded at leaf t0 sits on the tree
-            # comb[t0], so its relation carries the conjugator words between
-            # that tree and the comb on m leaves.  At a leaf the atom does not
-            # touch the expansion is one atom on m strands, which the relation
-            # solves at once; those relations come first.
+            # comb[t0], so its relation is the word from that tree to the
+            # comb on m leaves, the signed atoms of the expansion and the word
+            # back.  At a leaf the atom does not touch the expansion is one
+            # atom on m strands, which the relation solves at once; those
+            # relations come first.
             comb, small_comb = right_comb(n, m), right_comb(n, small)
-            elements = {atom: self._atom_element(small_comb, atom) for atom in self._atoms(small)}
-            one_atom: list[tuple[list[_Factor], tuple]] = []
-            touching: list[tuple[list[_Factor], tuple]] = []
+            elements = {atom: _atom_element(self.context, small_comb, atom)
+                        for atom in self._atoms(small)}
+            one_atom: list[tuple] = []
+            touching: list[tuple] = []
             for t0 in range(1, small + 1):
-                to_comb, from_comb = self._conj_words(small_comb.attach(t0), comb)
+                to_comb = self._pair_word(small_comb.attach(t0), comb)
+                from_comb = invert_letters(to_comb)
                 for atom, x in elements.items():
-                    factors = [("word", to_comb), *_atom_factors(bf.expand(x, t0)),
-                               ("word", from_comb)]
-                    (one_atom if len(factors) == 3 else touching).append((factors, atom))
+                    factors = _atom_factors(bf.expand(x, t0))
+                    (one_atom if len(factors) == 1 else touching).append(
+                        (to_comb, factors, from_comb, atom))
 
             relations = one_atom + touching
             changed = True
             while changed and unknown:
                 changed = False
-                for factors, small_atom in relations:
-                    open_positions = [q for q, factor in enumerate(factors)
-                                      if factor[0] == "atom" and factor[1] not in solved]
+                for to_comb, factors, from_comb, small_atom in relations:
+                    open_positions = [q for q, (atom, _) in enumerate(factors)
+                                      if atom not in solved]
                     if len(open_positions) != 1:
                         continue
                     q = open_positions[0]
-                    prefix = _spell(factors[:q], solved.__getitem__)
-                    suffix = _spell(factors[q + 1:], solved.__getitem__)
+                    prefix = to_comb + _spell(factors[:q], solved.__getitem__)
+                    suffix = _spell(factors[q + 1:], solved.__getitem__) + from_comb
                     word = (invert_letters(prefix) + self.atom_word(small, small_atom)
                             + invert_letters(suffix))
-                    _, atom, sign = factors[q]
+                    atom, sign = factors[q]
                     solved[atom] = word if sign > 0 else invert_letters(word)
                     unknown -= 1
                     changed = True
@@ -368,9 +357,9 @@ class _Decomposer:
             raise bf.ContextError("element context does not match the generator set")
         x = bf.reduce(x)
         comb = right_comb(self.arity, x.leaf_count)
-        factors = [("word", self._lift_pair_word(TreePair(x.t1, comb))), *_atom_factors(x),
-                   ("word", self._lift_pair_word(TreePair(comb, x.t2)))]
-        return reduce_letters(_spell(factors, functools.partial(self.atom_word, x.leaf_count)))
+        there = self._pair_word(x.t1, comb)
+        atoms = _spell(_atom_factors(x), functools.partial(self.atom_word, x.leaf_count))
+        return reduce_letters(there + atoms + self._pair_word(comb, x.t2))
 
 
 def decompose(x: BFElement, genset: GeneratorSet) -> tuple[int, ...]:
@@ -395,52 +384,15 @@ VERIFY_MAX_BRAID_LETTERS = 16
 VERIFY_MAX_LABEL_LETTERS = 4
 
 
-@dataclasses.dataclass
-class VerifyReport:
-    """Round-trip witness for a generating set: all samples must re-multiply."""
-
-    set_name: str
-    arity: int
-    set_size: int
-    samples: int
-    successes: int
-    word_lengths: list[int]
-    sample_seconds: list[float]
-    elapsed_seconds: float
-
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.samples if self.samples else 1.0
-
-    @property
-    def max_word_length(self) -> int:
-        return max(self.word_lengths, default=0)
-
-    def to_json(self) -> str:
-        doc = dataclasses.asdict(self)
-        doc["success_rate"] = self.success_rate
-        doc["max_word_length"] = self.max_word_length
-        return json.dumps(doc, sort_keys=True)
-
-
-def verify_generating(
-    genset: GeneratorSet,
-    samples: int,
-    seed: int,
-    *,
-    set_name: str = "set",
-) -> VerifyReport:
+def verify_generating(genset: GeneratorSet, samples: int, seed: int) -> tuple[int, ...]:
     """
-    Decompose seeded random elements and re-multiply them.  Any failed round
-    trip aborts with the offending element serialized in the error message.
+    Decompose seeded random elements, re-multiply them and return the
+    lengths of their words.  Any failed round trip aborts with the
+    offending element serialized in the error message.
     """
     rng = random.Random(seed)
-    lengths: list[int] = []
-    times: list[float] = []
-    successes = 0
-    start = time.perf_counter()
+    lengths = []
     for _ in range(samples):
-        t0 = time.perf_counter()
         x = bf.random_element(
             genset.context, rng,
             max_leaves=VERIFY_MAX_LEAVES,
@@ -448,20 +400,8 @@ def verify_generating(
             max_label_letters=VERIFY_MAX_LABEL_LETTERS,
         )
         word = decompose(x, genset)
-        value = evaluate_word(word, genset)
-        if not bf.equal(value, x):
+        if not bf.equal(evaluate_word(word, genset), x):
             raise VerificationError(
                 f"decomposition round trip failed for element {bf.to_json(x)}")
-        successes += 1
         lengths.append(len(word))
-        times.append(time.perf_counter() - t0)
-    return VerifyReport(
-        set_name=set_name,
-        arity=genset.context.arity,
-        set_size=len(genset),
-        samples=samples,
-        successes=successes,
-        word_lengths=lengths,
-        sample_seconds=times,
-        elapsed_seconds=time.perf_counter() - start,
-    )
+    return tuple(lengths)

@@ -30,7 +30,7 @@ from bfcalc.braid import (
     split_a,
     split_sigma,
 )
-from bfcalc.freegroup import invert_letters, magnus_sign, reduce_letters, reduce_onto
+from bfcalc.freegroup import FreeWord, invert_letters, magnus_sign, reduce_letters, reduce_onto
 
 
 def random_aword(rng, strands, max_letters=10, min_letters=0):
@@ -782,11 +782,20 @@ def test_kr_sign_reads_linking_without_combing(monkeypatch):
 
 
 def test_combed_form_shape_validation():
-    from bfcalc.freegroup import FreeWord
     with pytest.raises(BraidError):
         CombedForm(3, (FreeWord(2, ()),))
     with pytest.raises(BraidError):
         CombedForm(3, (FreeWord(1, ()), FreeWord(1, ())))
+
+
+@pytest.mark.parametrize("strands,coordinates", [
+    (3, [FreeWord(2, ()), FreeWord(1, ())]),  # a list
+    (2, ("w",)),                              # a coordinate that is not a FreeWord
+    (True, ()),                               # a bool strand count
+])
+def test_combed_form_rejects_malformed_fields(strands, coordinates):
+    with pytest.raises(BraidError):
+        CombedForm(strands, coordinates)
 
 
 def test_long_word_equality_uses_normal_form():

@@ -363,6 +363,19 @@ def test_cmd_selftest_small(capsys):
     assert "[PASS]" in out
 
 
+def test_cmd_selftest_generating_json(capsys):
+    code = run_cli("selftest", "--suite", "generating", "-n", "2",
+                   "--samples", "3", "--seed", "5", "--json")
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert [suite["params"]["set"] for suite in doc] == ["gen1", "gen2", "gen3"]
+    for suite in doc:
+        assert suite["name"] == "generating" and suite["passed"]
+        assert [check["violations"] for check in suite["checks"]] == [0]
+        assert type(suite["params"]["max_word_length"]) is int
+        assert suite["params"]["max_word_length"] > 0
+
+
 def test_cmd_render_svg(tmp_path, capsys):
     let = "a={ (*,*) ; A[1,2] ; [h1,1] ; (*,*) }"
     target = tmp_path / "out.svg"

@@ -1,4 +1,3 @@
-import json
 import random
 import traceback
 from collections import Counter
@@ -7,9 +6,15 @@ import pytest
 
 from bfcalc import bfgroup as bf
 from bfcalc.braid import AWord, cable_letter
+from bfcalc.freegroup import invert_letters
 from bfcalc.generators import (
+    VERIFY_MAX_BRAID_LETTERS,
+    VERIFY_MAX_LABEL_LETTERS,
+    VERIFY_MAX_LEAVES,
+    GeneratorSet,
     GeneratorSetError,
     PureGeneratorSpec,
+    _atom_element,
     _atom_factors,
     _Decomposer,
     decompose,
@@ -30,6 +35,12 @@ def test_irreducible_examples():
     assert is_n_irreducible(PureGeneratorSpec(2, 1, 2), 2)
     assert is_n_irreducible(PureGeneratorSpec(5, 2, 4), 2)
     assert not is_n_irreducible(PureGeneratorSpec(5, 1, 3), 2)
+
+
+@pytest.mark.parametrize("fields", [(3, True, 2), (3, 1.0, 2), ("3", 1, 2), (3, 2, 1)])
+def test_spec_rejects_non_int_or_bad_fields(fields):
+    with pytest.raises(GeneratorSetError):
+        PureGeneratorSpec(*fields)
 
 
 def test_everything_reducible_beyond_bound():
@@ -130,6 +141,21 @@ def test_substitution_count_comparison():
         assert difference == n * (n + 1) // 2
 
 
+_F1 = gen1_set(2).members[0][1]
+
+
+@pytest.mark.parametrize("members", [
+    ("x", 5),        # a bare pair, not a tuple of pairs
+    (("x",),),       # a 1-tuple
+    [("x", _F1)],    # a list
+    ((1, _F1),),     # an int name
+    (("x", 5),),     # not an element
+])
+def test_generator_set_rejects_malformed_members(members):
+    with pytest.raises(GeneratorSetError):
+        GeneratorSet(_F1.context, members)
+
+
 # --- decomposition
 
 def test_decompose_identity_is_empty():
@@ -144,6 +170,35 @@ def test_decompose_members_are_single_letters():
         for idx, (name, element) in enumerate(genset.members, start=1):
             word = decompose(element, genset)
             assert word == (idx,), (name, word)
+
+
+def test_members_are_found_by_their_elements():
+    rng = random.Random(17)
+    for genset in (gen1_set(2), gen3_set(2), gen2_set(3, bf.pn_context(3))):
+        size = len(genset)
+        renamed = GeneratorSet(genset.context, tuple(
+            (f"g{k}", x) for k, (_, x) in enumerate(genset.members, start=1)))
+        backwards = GeneratorSet(genset.context, genset.members[::-1])
+        expanded = GeneratorSet(genset.context, tuple(
+            (name, bf.expand(x, 1)) for name, x in genset.members))
+        for _ in range(5):
+            x = bf.random_element(genset.context, rng, max_leaves=7,
+                                  max_braid_letters=6, max_label_letters=2)
+            word = decompose(x, genset)
+            assert decompose(x, renamed) == word
+            assert decompose(x, expanded) == word
+            mirrored = decompose(x, backwards)
+            assert mirrored == tuple(size + 1 - k if k > 0 else -(size + 1 + k) for k in word)
+            assert bf.equal(evaluate_word(mirrored, backwards), x)
+
+
+def test_set_without_tree_pair_members_fails_lookup():
+    genset = gen1_set(2)
+    braids_only = GeneratorSet(genset.context, tuple(
+        (name, x) for name, x in genset.members if not name.startswith("f")))
+    assert decompose(braids_only.element(1), braids_only) == (1,)
+    with pytest.raises(GeneratorSetError, match="member lookup failure"):
+        decompose(genset.element(1), braids_only)
 
 
 def test_decompose_rejects_foreign_context():
@@ -211,16 +266,16 @@ def test_interrupted_level_leaves_the_set_usable(monkeypatch):
     comb = right_comb(2, 3)
     # a label at position 2 of 3 is not a member: level 3 is solved
     x = bf.BFElement(genset.context, comb, AWord.identity(3), ((), (1,), ()), comb)
-    conj_words = _Decomposer._conj_words
+    pair_word = _Decomposer._pair_word
     raised = []
 
     def interrupted(self, src, dst):
         if not raised and any(f.name == "_solve_level" for f in traceback.extract_stack()):
             raised.append((src, dst))
             raise RuntimeError("interrupted")
-        return conj_words(self, src, dst)
+        return pair_word(self, src, dst)
 
-    monkeypatch.setattr(_Decomposer, "_conj_words", interrupted)
+    monkeypatch.setattr(_Decomposer, "_pair_word", interrupted)
     with pytest.raises(RuntimeError, match="interrupted"):
         decompose(x, genset)
     assert raised
@@ -262,16 +317,18 @@ def test_decompose_inverse_letters():
     assert bf.equal(evaluate_word(word, genset), x)
 
 
-def _inert_block_word(engine, m, i, j):
+def _inert_block_word(genset, engine, m, i, j):
     """
-    Oracle: the word of A[i,j] on m strands as a member letter, or else by
-    merging the first inert block of n strands (before i, between i and j,
-    after j) into one leaf, conjugating the same letter on n-1 fewer strands.
+    Oracle: the word of A[i,j] on m strands as the member named b{m}_{i}_{j},
+    or else by merging the first inert block of n strands (before i, between
+    i and j, after j) into one leaf, conjugating the same letter on n-1
+    fewer strands.
     """
     n = engine.arity
+    index = {name: k for k, (name, _) in enumerate(genset.members, start=1)}
     name = f"b{m}_{i}_{j}"
-    if name in engine.index:
-        return (engine.index[name],)
+    if name in index:
+        return (index[name],)
     if i > n:
         t, i2, j2 = 1, i - n + 1, j - n + 1
     elif j - i > n:
@@ -280,18 +337,20 @@ def _inert_block_word(engine, m, i, j):
         assert m - j >= n, (m, i, j)
         t, i2, j2 = j + 1, i, j
     small = m - n + 1
-    there, back = engine._conj_words(right_comb(n, m), right_comb(n, small).attach(t))
-    return there + _inert_block_word(engine, small, i2, j2) + back
+    there = engine._pair_word(right_comb(n, m), right_comb(n, small).attach(t))
+    return there + _inert_block_word(genset, engine, small, i2, j2) + invert_letters(there)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_gen1_atom_words_are_inert_block_merges(n):
     # Relations at leaves an atom does not touch come first, leaves in
     # ascending order, so each gen1 word is the merge of the first inert block.
-    engine = _Decomposer(gen1_set(n))
+    genset = gen1_set(n)
+    engine = _Decomposer(genset)
     for m in range(n, 5 * n + 1, n - 1):
         for atom in engine._atoms(m):
-            assert engine.atom_word(m, atom) == _inert_block_word(engine, m, *atom[1:]), (m, atom)
+            expected = _inert_block_word(genset, engine, m, *atom[1:])
+            assert engine.atom_word(m, atom) == expected, (m, atom)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -303,7 +362,7 @@ def test_every_atom_word_evaluates_to_its_atom(n):
             comb = right_comb(n, m)
             for atom in engine._atoms(m):
                 value = evaluate_word(engine.atom_word(m, atom), genset)
-                assert bf.equal(value, engine._atom_element(comb, atom)), (m, atom)
+                assert bf.equal(value, _atom_element(genset.context, comb, atom)), (m, atom)
 
 
 def _hand_written_relation(engine, atom, t0):
@@ -314,10 +373,10 @@ def _hand_written_relation(engine, atom, t0):
     n = engine.arity
     kind, a, b = atom
     if kind == "L":
-        return [("atom", ("L", u, v), s) for u, v, s in cable_letter((a, b, 1), t0, n)]
+        return [(("L", u, v), s) for u, v, s in cable_letter((a, b, 1), t0, n)]
     inner = bf.label_to_braid((b,), engine.context)
-    return ([("atom", ("L", u + t0 - 1, v + t0 - 1), s) for u, v, s in inner.letters]
-            + [("atom", ("S", p, b), 1) for p in range(t0, t0 + n)])
+    return ([(("L", u + t0 - 1, v + t0 - 1), s) for u, v, s in inner.letters]
+            + [(("S", p, b), 1) for p in range(t0, t0 + n)])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -330,27 +389,30 @@ def test_expansion_relations_match_hand_written(n):
             comb = right_comb(n, m)
             for atom in engine._atoms(m):
                 for t0 in (atom[1:] if atom[0] == "L" else atom[1:2]):
-                    x = bf.expand(engine._atom_element(comb, atom), t0)
+                    x = bf.expand(_atom_element(genset.context, comb, atom), t0)
                     assert _atom_factors(x) == _hand_written_relation(engine, atom, t0)
 
 
-# --- verification reports
-
-def summary(report):
-    return (f"{report.set_name} n={report.arity}: {report.successes}/{report.samples} "
-            f"round trips, max word {report.max_word_length}, {report.elapsed_seconds:.1f}s")
-
+# --- verification
 
 def test_verify_generating_report():
     genset = gen1_set(2)
-    report = verify_generating(genset, 5, seed=3, set_name="gen1")
-    assert report.successes == report.samples == 5
-    assert report.success_rate == 1.0
-    assert report.max_word_length == max(report.word_lengths)
-    doc = json.loads(report.to_json())
-    assert doc["samples"] == 5 and doc["success_rate"] == 1.0
-    assert len(doc["word_lengths"]) == 5
-    assert "gen1" in summary(report)
+    rng = random.Random(3)
+    samples = [bf.random_element(genset.context, rng, max_leaves=VERIFY_MAX_LEAVES,
+                                 max_braid_letters=VERIFY_MAX_BRAID_LETTERS,
+                                 max_label_letters=VERIFY_MAX_LABEL_LETTERS)
+               for _ in range(5)]
+    assert verify_generating(genset, 5, seed=3) == tuple(
+        len(decompose(x, genset)) for x in samples)
+    assert verify_generating(genset, 0, seed=3) == ()
+
+
+def test_verify_generating_failure_names_the_element(monkeypatch):
+    genset = gen1_set(2)
+    monkeypatch.setattr("bfcalc.generators.evaluate_word",
+                        lambda word, genset: bf.identity_element(genset.context))
+    with pytest.raises(bf.VerificationError, match="failed for element {"):
+        verify_generating(genset, 5, seed=3)
 
 
 def test_generator_set_lookup():
