@@ -12,6 +12,8 @@ trees, splits strand i into n strands braided internally by the label
 there, and copies that label n times; an element equals all of its
 expansions.  Composition expands each factor along its whole script to the
 join of the middle trees in one pass, and keeps only the outer trees.
+Equality expands both elements to the join of their codomain trees and
+compares domain trees, labels in H and braids there, without a product.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from typing import Iterable
 
 from . import braid as br
 from . import trees as tr
-from .braid import AWord, braids_equal, cable_letter, is_trivial
+from .braid import AWord, braids_equal, is_trivial
 from .freegroup import (NEGATIVE, POSITIVE, ZERO, _is_int_tuple, _trusted, invert_letters,
-                        reduce_onto)
+                        reduce_letters, reduce_onto)
 from .trees import Tree, TreePair, fn_sign, join, tree_from_nested, tree_to_json
 
 Label = tuple[int, ...]
@@ -164,42 +166,42 @@ def expand(x: BFElement, i: int) -> BFElement:
     times.  The result represents the same group element.
     """
     m = x.leaf_count
-    if not 1 <= i <= m:
-        raise ElementError(f"leaf index {i} out of range 1..{m}")
-    t1, braid, labels = _expanded(x, (i,), x.t1)
-    return BFElement._new(x.context, t1, braid, labels, x.t2.attach(i))
+    if type(i) is not int or not 1 <= i <= m:
+        raise ElementError(f"leaf index {i!r} out of range 1..{m}")
+    letters, labels = _expanded(x, (i,))
+    return BFElement._new(x.context, tr.attach_script(x.t1, (i,)),
+                          AWord._new(len(labels), letters), labels, x.t2.attach(i))
 
 
-def _expanded(x: BFElement, script: tuple[int, ...], outer: Tree):
+def _expanded(x: BFElement, script: tuple[int, ...]) -> tuple[tuple, tuple[Label, ...]]:
     """
-    The outer tree (x.t1 or x.t2), braid and labels of x expanded at each
-    leaf of the script in turn, on lists, with one Tree and one AWord made.
+    The braid letters and labels of x expanded at each leaf of the script in
+    turn: each step is one cabling pass and the label's braid on the cable.
     """
     if not script:
-        return outer, x.braid, x.labels
+        return x.braid.letters, x.labels
     n, context = x.arity, x.context
     letters, labels = x.braid.letters, list(x.labels)
     for t in script:
         label = labels[t - 1]
         labels[t - 1 : t] = (label,) * n
-        cabled = []
-        for letter in letters:
-            cabled += cable_letter(letter, t, n)
-        cabled += [(i + t - 1, j + t - 1, s) for i, j, s in label_to_braid(label, context).letters]
-        letters = cabled
-    braid = AWord._new(len(labels), tuple(letters))
-    return tr.attach_script(outer, script), braid, tuple(labels)
+        letters = br.cable_letters(letters, t, n)
+        letters += [(i + t - 1, j + t - 1, s) for i, j, s in label_to_braid(label, context).letters]
+    return tuple(letters), tuple(labels)
 
 
 def multiply(x: BFElement, y: BFElement) -> BFElement:
     """Compose two elements by expanding both to the join of the middle trees."""
-    if x.context != y.context:
+    if x.context is not y.context and x.context != y.context:
         raise ContextError("elements live over different contexts")
     _, script_x, script_y = join(x.t2, y.t1)
-    t1, braid_x, labels_x = _expanded(x, script_x, x.t1)
-    t2, braid_y, labels_y = _expanded(y, script_y, y.t2)
-    labels = tuple(tuple(reduce_onto(list(a), b)) for a, b in zip(labels_x, labels_y))
-    return BFElement._new(x.context, t1, braid_x * braid_y, labels, t2)
+    letters_x, labels_x = _expanded(x, script_x)
+    letters_y, labels_y = _expanded(y, script_y)
+    labels = tuple(tuple(reduce_onto(list(a), b)) if a or b else a
+                   for a, b in zip(labels_x, labels_y))
+    return BFElement._new(x.context, tr.attach_script(x.t1, script_x),
+                          AWord._new(len(labels), letters_x + letters_y), labels,
+                          tr.attach_script(y.t2, script_y))
 
 
 def inverse(x: BFElement) -> BFElement:
@@ -213,25 +215,35 @@ def is_identity(x: BFElement) -> bool:
     braid, trivial labels.  All three properties are preserved both ways
     along expansions (cabling is injective), so they characterize the class.
     """
-    if x.t1 != x.t2:
-        return False
-    for label in x.labels:
-        if label and not is_trivial(label_to_braid(label, x.context)):
-            return False
-    return is_trivial(x.braid)
+    return (x.t1 == x.t2 and all(_labels_oracle_equal(x, label, ()) for label in x.labels)
+            and is_trivial(x.braid))
 
 
 def equal(x: BFElement, y: BFElement) -> bool:
-    if x.context != y.context:
+    """
+    x y^-1 is the identity, decided without building it: expanded along
+    join(x.t2, y.t2), x and y must have equal domain trees, labels equal in
+    H strand by strand, and equal braids.
+    """
+    if x.context is not y.context and x.context != y.context:
         raise ContextError("elements live over different contexts")
-    return is_identity(multiply(x, inverse(y)))
+    _, script_x, script_y = join(x.t2, y.t2)
+    if tr.attach_script(x.t1, script_x) != tr.attach_script(y.t1, script_y):
+        return False
+    letters_x, labels_x = _expanded(x, script_x)
+    letters_y, labels_y = _expanded(y, script_y)
+    for a, b in zip(labels_x, labels_y):
+        if a != b and not _labels_oracle_equal(x, a, b):
+            return False
+    m = len(labels_x)
+    return letters_x == letters_y or braids_equal(AWord._new(m, letters_x),
+                                                  AWord._new(m, letters_y))
 
 
 def _labels_oracle_equal(x: BFElement, a: Label, b: Label) -> bool:
-    if a == b:
-        return True
-    word = label_to_braid(a, x.context) * label_to_braid(b, x.context).inverse()
-    return is_trivial(word)
+    """Labels equal in H: equal after free reduction, or else as braids."""
+    return (a == b or reduce_letters(a) == reduce_letters(b)
+            or braids_equal(label_to_braid(a, x.context), label_to_braid(b, x.context)))
 
 
 def _reduction_at(x: BFElement, i: int) -> BFElement | None:

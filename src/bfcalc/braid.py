@@ -20,11 +20,12 @@ Equality of braids is decided by comparing Dynnikov coordinates, the images
 of one vector of Z^2m under a faithful action of the braid group, after
 cheap checks on pure words (cancelled letters, linking numbers).  The
 induced automorphism of the free group on the strand generators (the Artin
-action, also faithful) is kept as the independent oracle.  The cable
-substitution rule writes fixed descending products, checked against
-diagram cabling once per cable width before its first use.  The
-conjugation rules used by combing are a table, and each instance is
-checked by braid equality, which does not use them, before its first use.
+action, also faithful) is kept as the independent oracle.  Cabling is one
+loop, cable_letters: a letter off the split strand only shifts, and one on
+it becomes a fixed descending product, checked against diagram cabling
+once per cable width before its first use.  The conjugation rules used by
+combing are a table, and each instance is checked by braid equality, which
+does not use them, before its first use.
 
 The sign of a pure braid is read level by level from its linking numbers,
 which are the degree-1 Magnus coefficients of the combing coordinates;
@@ -266,7 +267,7 @@ def braids_equal(u: SigmaWord | AWord, v: SigmaWord | AWord) -> bool:
 def is_trivial(word: SigmaWord | AWord) -> bool:
     if not word.letters:
         return True
-    return braids_equal(word, AWord.identity(word.strands))
+    return braids_equal(word, AWord._new(word.strands, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -362,21 +363,23 @@ def _check_cable_width(n: int) -> None:
     _CABLE_WIDTHS.add(n)
 
 
+def cable_letters(letters: Iterable[ALetter], t: int, n: int) -> list[ALetter]:
+    """Split strand t of a pure word into n strands: shift letters off t, cable those on it."""
+    shift, out = n - 1, []
+    for i, j, sign in letters:
+        if i != t and j != t:
+            out.append((i + shift * (i > t), j + shift * (j > t), sign))
+            continue
+        if n not in _CABLE_WIDTHS:
+            _check_cable_width(n)
+        product = _cable_product(i, j, t, n)
+        out += product if sign > 0 else [(a, b, -1) for a, b, _ in reversed(product)]
+    return out
+
+
 def cable_letter(letter: ALetter, t: int, n: int) -> tuple[ALetter, ...]:
     """Image of a single pure generator under splitting strand t into n strands."""
-    i, j, sign = letter
-    if t < i:
-        return ((i + n - 1, j + n - 1, sign),)
-    if t > j:
-        return ((i, j, sign),)
-    if i < t < j:
-        return ((i, j + n - 1, sign),)
-    if n not in _CABLE_WIDTHS:
-        _check_cable_width(n)
-    expanded = _cable_product(i, j, t, n)
-    if sign < 0:
-        return tuple((a, b, -1) for a, b, _ in reversed(expanded))
-    return tuple(expanded)
+    return tuple(cable_letters((letter,), t, n))
 
 
 def split_a(word: AWord, t: int, n: int, inner: AWord) -> AWord:
@@ -392,10 +395,8 @@ def split_a(word: AWord, t: int, n: int, inner: AWord) -> AWord:
     if inner.strands != n:
         raise BraidError(f"inner braid must have {n} strands, has {inner.strands}")
     total = word.strands + n - 1
-    letters: list[ALetter] = []
-    for letter in word.letters:
-        letters.extend(cable_letter(letter, t, n))
-    letters.extend(shift_embed(inner, t, total).letters)
+    letters = cable_letters(word.letters, t, n)
+    letters += shift_embed(inner, t, total).letters
     return AWord._new(total, tuple(letters))
 
 

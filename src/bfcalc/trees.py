@@ -103,6 +103,8 @@ class Tree:
 
     def attach(self, i: int) -> Tree:
         """Attach a caret to the i-th leaf (1-based), written T[i]."""
+        if type(i) is not int:
+            raise TreeError(f"leaf index must be an int, got {i!r}")
         return attach_caret(self, i)
 
     def caret_window(self, i: int) -> bool:

@@ -197,6 +197,13 @@ def test_expand_matches_split_a_construction(ctx):
             expand(x, i)
 
 
+@pytest.mark.parametrize("index", [1.0, "1", True], ids=["float", "str", "bool"])
+def test_expand_rejects_non_int_leaf_indices(index):
+    x = identity_element(pn_context(2), Tree.caret(2))
+    with pytest.raises(ElementError, match="out of range"):
+        expand(x, index)
+
+
 @pytest.mark.parametrize("ctx", ORACLE_CONTEXTS, ids=ORACLE_IDS)
 def test_multiply_matches_caret_by_caret_oracle(ctx):
     rng = random.Random(60 + ctx.arity + len(ctx.generators))
@@ -348,8 +355,11 @@ def test_context_mismatch_rejected():
     y = identity_element(pn_context(2))
     with pytest.raises(ContextError):
         multiply(x, y)
-    with pytest.raises(ContextError):
-        equal(x, y)
+    for u, v in ((x, y), (y, x), (y, identity_element(pn_context(3)))):
+        with pytest.raises(ContextError):
+            equal(u, v)
+    # Contexts compare by value: equal contexts built apart are one context.
+    assert equal(y, identity_element(pn_context(2)))
 
 
 # --- identity recognition and equality
@@ -375,6 +385,75 @@ def test_equal_reflexive_and_detects_difference():
         x = draw(ctx, rng)
         assert equal(x, x)
         assert not equal(x, multiply(x, nontrivial))
+
+
+def equal_by_product(x, y):
+    """Equality as the identity test of x y^-1, the product built in full."""
+    return is_identity(multiply(x, inverse(y)))
+
+
+def with_cancelling_pairs(x, rng):
+    """x with a cancelling pair k, -k inserted into every label."""
+    k = len(x.context.generators)
+    labels = []
+    for label in x.labels:
+        at, g = rng.randint(0, len(label)), rng.choice((1, -1)) * rng.randint(1, k)
+        labels.append(label[:at] + (g, -g) + label[at:])
+    return BFElement(x.context, x.t1, x.braid, tuple(labels), x.t2)
+
+
+@pytest.mark.parametrize("ctx", ORACLE_CONTEXTS, ids=ORACLE_IDS)
+def test_equal_matches_product_oracle(ctx):
+    rng = random.Random(70 + ctx.arity + len(ctx.generators))
+    pairs = []
+    for _ in range(30):
+        x = draw(ctx, rng, leaves=3 * ctx.arity, braid=6, label=2)
+        g = draw(ctx, rng, leaves=3 * ctx.arity, braid=4, label=2)
+        grown = x
+        for _ in range(rng.randint(1, 2)):
+            grown = expand(grown, rng.randint(1, grown.leaf_count))
+        pairs += [(x, grown), (grown, x), (x, multiply(multiply(x, g), inverse(g))),
+                  (x, multiply(x, g)), (x, draw(ctx, rng, leaves=3 * ctx.arity))]
+        if ctx.generators:
+            pairs += [(x, with_cancelling_pairs(x, rng)), (with_cancelling_pairs(grown, rng), x)]
+    answers = [equal(x, y) for x, y in pairs]
+    assert answers == [equal_by_product(x, y) for x, y in pairs]
+    assert answers.count(True) >= 60 and answers.count(False) >= 10
+
+
+def test_equal_labels_equal_only_in_h():
+    # a1_2 and a3_4 commute in P_4, a1_2 and a2_3 do not.
+    ctx = pn_context(4)
+    a12, a23, a34 = (ctx.generator_index(name) for name in ("a1_2", "a2_3", "a3_4"))
+    tree = Tree.caret(4)
+    braid = AWord(4, ((1, 3, 1), (2, 4, -1)))
+
+    def with_first_label(label):
+        return BFElement(ctx, tree, braid, (label, (a23,), (), ()), tree)
+
+    for a, b, same in (((a12, a34), (a34, a12), True), ((a12, a23), (a23, a12), False),
+                       ((a12, -a12, a34), (a34,), True)):
+        x, y = with_first_label(a), with_first_label(b)
+        assert equal(x, y) == equal_by_product(x, y) == same
+        grown = expand(y, 1)
+        assert equal(x, grown) == equal_by_product(x, grown) == same
+
+
+def test_equal_builds_no_product(monkeypatch):
+    rng = random.Random(71)
+    ctx = pn_context(3)
+    pairs = []
+    for _ in range(20):
+        x = draw(ctx, rng, leaves=7, braid=5)
+        pairs += [(x, expand(x, rng.randint(1, x.leaf_count))), (x, draw(ctx, rng, leaves=7))]
+    expected = [equal_by_product(x, y) for x, y in pairs]
+
+    def refuse(*args):
+        raise AssertionError("equal built a product")
+
+    monkeypatch.setattr(bf, "multiply", refuse)
+    monkeypatch.setattr(bf, "inverse", refuse)
+    assert [equal(x, y) for x, y in pairs] == expected
 
 
 # --- reduction

@@ -18,6 +18,7 @@ from bfcalc.braid import (
     artin_image,
     braids_equal,
     cable_letter,
+    cable_letters,
     comb,
     delete_strand,
     is_pure,
@@ -406,6 +407,37 @@ def test_split_sigma_homomorphism():
         su, sv = a_to_sigma(u), a_to_sigma(v)
         assert braids_equal(split_sigma(su * sv, t, n),
                             split_sigma(su, t, n) * split_sigma(sv, t, n))
+
+
+def cable_letter_by_cases(letter, t, n):
+    """Splitting strand t into n strands, case by case on where t lies in the letter."""
+    i, j, sign = letter
+    if t < i:
+        return ((i + n - 1, j + n - 1, sign),)
+    if t > j:
+        return ((i, j, sign),)
+    if i < t < j:
+        return ((i, j + n - 1, sign),)
+    if t == i:
+        cable = [(r, j + n - 1, 1) for r in range(i + n - 1, i - 1, -1)]
+    else:
+        cable = [(i, r, 1) for r in range(j + n - 1, j - 1, -1)]
+    return tuple(cable) if sign > 0 else tuple((a, b, -1) for a, b, _ in reversed(cable))
+
+
+def test_cable_letters_matches_per_letter_loop():
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(400):
+        m, n = rng.randint(2, 6), rng.randint(2, 5)
+        word = random_aword(rng, m, max_letters=12).letters
+        t = rng.randint(1, m)
+        got = cable_letters(word, t, n)
+        assert got == [c for letter in word for c in cable_letter(letter, t, n)]
+        assert got == [c for letter in word for c in cable_letter_by_cases(letter, t, n)]
+        seen.update(("i == t" if i == t else "j == t" if j == t else "off t", s)
+                    for i, j, s in word)
+    assert seen == {(case, s) for case in ("i == t", "j == t", "off t") for s in (1, -1)}
 
 
 def test_cable_rule_checked_once_per_width(monkeypatch):

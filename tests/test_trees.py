@@ -108,6 +108,12 @@ def test_attach_caret_index_errors():
         attach_caret(Tree.caret(2), 4)
 
 
+@pytest.mark.parametrize("index", [1.0, "1", True], ids=["float", "str", "bool"])
+def test_attach_rejects_non_int_leaf_indices(index):
+    with pytest.raises(TreeError, match="must be an int"):
+        Tree.caret(2).attach(index)
+
+
 def attach_oracle(tree, i):
     """The leaf set with leaf i replaced by its n children, through the public constructor."""
     addr = tree.leaves[i - 1]
