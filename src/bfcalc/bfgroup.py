@@ -246,42 +246,37 @@ def _labels_oracle_equal(x: BFElement, a: Label, b: Label) -> bool:
             or braids_equal(label_to_braid(a, x.context), label_to_braid(b, x.context)))
 
 
-def _reduction_at(x: BFElement, i: int) -> BFElement | None:
-    """
-    Try to undo an expansion at leaf window i: both trees need a caret over
-    leaves i..i+n-1, the n labels there must agree in H, and the braid must
-    be a cable at those strands: re-expanding the smaller element gives it.
-    """
-    n = x.arity
-    if not (x.t1.caret_window(i) and x.t2.caret_window(i)):
-        return None
-    window = x.labels[i - 1 : i - 1 + n]
-    if any(not _labels_oracle_equal(x, window[0], l) for l in window[1:]):
-        return None
-    inner = label_to_braid(window[0], x.context)
-    candidate = x.braid * br.shift_embed(inner, i, x.leaf_count).inverse()
-    for _ in range(n - 1):
-        candidate = br.delete_strand(candidate, i + 1)
-    labels = x.labels[: i - 1] + (window[0],) + x.labels[i - 1 + n :]
-    smaller = BFElement._new(x.context, x.t1.remove_caret(i), candidate, labels,
-                             x.t2.remove_caret(i))
-    return smaller if braids_equal(x.braid, expand(smaller, i).braid) else None
-
-
 def reduce(x: BFElement) -> BFElement:
-    """Greedily undo expansions until no leaf window admits one."""
-    n = x.arity
-    i = 1
-    while i <= x.leaf_count - n + 1:
-        smaller = _reduction_at(x, i)
-        if smaller is None:
-            i += 1
-        else:
-            x = smaller
-            # Expansions at disjoint windows commute, so a window left of
-            # i - n + 1, which misses the merged leaf, still admits none.
-            i = max(1, i - n + 1)
-    return x
+    """
+    Undo expansions leftmost first, in one pass over the leaves (see
+    trees.caret_top).  A window both trees share is undone when its n labels
+    agree in H and the braid is a cable there: deleting all its strands but
+    the first, then splitting that one by the label, gives the braid back.
+    The label's braid needs no dividing out: each of its letters touches a
+    deleted strand.
+    """
+    n, context = x.arity, x.context
+    braid, labels, stack = x.braid, [], []
+    for entry, label in zip(zip(x.t1.leaves, x.t2.leaves), x.labels):
+        stack.append(entry)
+        labels.append(label)
+        while (parents := tr.caret_top(stack, n)) is not None:
+            i = len(stack) - n + 1
+            head = labels[i - 1]
+            if any(not _labels_oracle_equal(x, head, l) for l in labels[i:]):
+                break
+            smaller = braid
+            for _ in range(n - 1):
+                smaller = br.delete_strand(smaller, i + 1)
+            if not braids_equal(braid, br.split_a(smaller, i, n, label_to_braid(head, context))):
+                break
+            braid = smaller
+            stack[-n:] = [parents]
+            labels[-n:] = [head]
+    if len(stack) == x.leaf_count:
+        return x
+    t1, t2 = zip(*stack)
+    return BFElement._new(context, Tree._new(n, t1), braid, tuple(labels), Tree._new(n, t2))
 
 
 def pvb_sign(x: BFElement) -> int:

@@ -377,11 +377,6 @@ def cable_letters(letters: Iterable[ALetter], t: int, n: int) -> list[ALetter]:
     return out
 
 
-def cable_letter(letter: ALetter, t: int, n: int) -> tuple[ALetter, ...]:
-    """Image of a single pure generator under splitting strand t into n strands."""
-    return tuple(cable_letters((letter,), t, n))
-
-
 def split_a(word: AWord, t: int, n: int, inner: AWord) -> AWord:
     """
     Split strand t of a pure word into n strands braided internally by

@@ -104,7 +104,7 @@ class GeneratorSet:
         raise GeneratorSetError(f"no member named {name!r}")
 
     def element(self, index: int) -> BFElement:
-        if not 1 <= abs(index) <= len(self.members):
+        if type(index) is not int or not 1 <= abs(index) <= len(self.members):
             raise GeneratorSetError(f"no letter {index} in a set of {len(self.members)} members")
         return self.members[abs(index) - 1][1]
 

@@ -8,7 +8,8 @@ full tree the leaf set determines everything else: the internal nodes are
 exactly the proper prefixes of the leaves.  This representation makes tree
 equality structural, and the minimal common expansion of two trees and the
 caret scripts between a tree and an expansion of it one merge of the two
-sorted leaf lists, linear in the number of leaves.
+sorted leaf lists, linear in the number of leaves; so is undoing the carets
+that trees share at the same leaf window (caret_top).
 
 A TreePair (domain, codomain) with equal leaf counts represents the
 piecewise-affine homeomorphism of [0,1] sending the k-th leaf interval of
@@ -103,31 +104,13 @@ class Tree:
 
     def attach(self, i: int) -> Tree:
         """Attach a caret to the i-th leaf (1-based), written T[i]."""
-        if type(i) is not int:
-            raise TreeError(f"leaf index must be an int, got {i!r}")
         return attach_caret(self, i)
-
-    def caret_window(self, i: int) -> bool:
-        """True if leaves i..i+n-1 (1-based) are the full child set of one node."""
-        n = self.arity
-        if not 1 <= i <= len(self.leaves) - n + 1:
-            return False
-        # The n-2 leaves between p0 and p(n-1) can only be p1, ..., p(n-2).
-        first = self.leaves[i - 1]
-        return first[-1:] == (0,) and self.leaves[i + n - 2] == first[:-1] + (n - 1,)
-
-    def remove_caret(self, i: int) -> Tree:
-        """Inverse of attach: merge leaves i..i+n-1 back into their parent."""
-        if not self.caret_window(i):
-            raise TreeError(f"no removable caret at leaf window {i}")
-        n = self.arity
-        parent = self.leaves[i - 1][:-1]
-        new = self.leaves[: i - 1] + (parent,) + self.leaves[i - 1 + n :]
-        return Tree._new(self.arity, new)
 
 
 def attach_caret(tree: Tree, i: int) -> Tree:
     """Return T[i]: the tree with a caret attached to the i-th leaf (1-based)."""
+    if type(i) is not int:
+        raise TreeError(f"leaf index must be an int, got {i!r}")
     return attach_script(tree, (i,))
 
 
@@ -318,18 +301,39 @@ def pair_inverse(f: TreePair) -> TreePair:
     return TreePair(f.codomain, f.domain)
 
 
+def caret_top(stack: list[tuple[Address, ...]], n: int) -> tuple[Address, ...] | None:
+    """
+    The parents of the top n entries of a stack of leaves (one address per
+    tree in each entry) when in every tree they are one node's n children,
+    else None.  Pushing the leaves in order and merging the top while this
+    answers undoes windows leftmost first: a window below the top was checked
+    when its last leaf was on top, and has not changed since.
+    """
+    if len(stack) < n:
+        return None
+    parents = []
+    # If the n-th leaf from last is pd and the last is p(n-1), then d = 0:
+    # the n-2 leaves between cover p(d+1)..p(n-2), each 1 mod n-1 leaves.
+    for first, last in zip(stack[-n], stack[-1]):
+        parent = first[:-1]
+        if last != parent + (n - 1,):
+            return None
+        parents.append(parent)
+    return tuple(parents)
+
+
 def pair_reduce(f: TreePair) -> TreePair:
-    """Cancel matching carets present at the same leaf window of both trees."""
+    """Cancel every caret the two trees share at the same leaf window, in one pass."""
     n = f.arity
-    dom, cod, i = f.domain, f.codomain, 1
-    while i <= dom.leaf_count - n + 1:
-        if dom.caret_window(i) and cod.caret_window(i):
-            dom, cod = dom.remove_caret(i), cod.remove_caret(i)
-            # Windows left of i - n + 1 miss the merged leaf: still no match.
-            i = max(1, i - n + 1)
-        else:
-            i += 1
-    return TreePair(dom, cod)
+    stack: list[tuple[Address, ...]] = []
+    for entry in zip(f.domain.leaves, f.codomain.leaves):
+        stack.append(entry)
+        while (parents := caret_top(stack, n)) is not None:
+            stack[-n:] = [parents]
+    if len(stack) == f.leaf_count:
+        return f
+    domain, codomain = zip(*stack)
+    return TreePair(Tree._new(n, domain), Tree._new(n, codomain))
 
 
 def pair_is_identity(f: TreePair) -> bool:
@@ -404,15 +408,12 @@ def comb_conjugator_word(tree: Tree) -> tuple[int, ...]:
     """
     n = tree.arity
     removed: list[int] = []
-    cur, i = tree, 1
-    while cur.leaf_count > 1:
-        # Windows left of i hold no caret, as in pair_reduce.
-        i = next(k for k in range(i, cur.leaf_count - n + 2) if cur.caret_window(k))
-        if i == cur.leaf_count - n + 1:
-            break
-        cur = cur.remove_caret(i)
-        removed.append(i)
-        i = max(1, i - n + 1)
+    stack: list[tuple[Address, ...]] = []
+    for leaf in tree.leaves[:-1]:  # a window on the last leaf is the comb's
+        stack.append((leaf,))
+        while (parents := caret_top(stack, n)) is not None:
+            removed.append(len(stack) - n + 1)
+            stack[-n:] = [parents]
     return reduce_letters([x for i in reversed(removed) for x in _xi_word(n, i)])
 
 

@@ -35,7 +35,7 @@ from bfcalc.bfgroup import (
     trivial_context,
 )
 from bfcalc.braid import (AWord, BraidError, SigmaWord, a_to_sigma, braids_equal, comb,
-                          delete_strand, is_trivial, split_a)
+                          delete_strand, is_trivial, shift_embed, split_a)
 from bfcalc.freegroup import FreeWord, NCPolynomial, WordError, magnus_truncated, reduce_onto
 from bfcalc import trees as tr
 from bfcalc.trees import (Tree, TreeError, TreePair, attach_caret, expansion_script, fn_sign, join,
@@ -493,6 +493,38 @@ def test_reduce_terminates_on_random_elements():
         assert reduce(y).leaf_count == y.leaf_count
 
 
+def remove_caret(tree, i):
+    """The tree with leaves i..i+n-1 merged into their parent, or None if they are no caret."""
+    n = tree.arity
+    parent = tree.leaves[i - 1][:-1]
+    if tree.leaves[i - 1 : i - 1 + n] != tuple(parent + (d,) for d in range(n)):
+        return None
+    return Tree(n, tree.leaves[: i - 1] + (parent,) + tree.leaves[i - 1 + n :])
+
+
+def reduction_at(x, i):
+    """
+    Undo an expansion at leaf window i, or None: both trees need a caret over
+    leaves i..i+n-1, the n labels there must agree in H, and re-expanding the
+    smaller element must give the braid back.  The smaller braid divides out
+    the window's label braid before deleting the window's strands but its
+    first.
+    """
+    n = x.arity
+    t1, t2 = remove_caret(x.t1, i), remove_caret(x.t2, i)
+    window = x.labels[i - 1 : i - 1 + n]
+    if t1 is None or t2 is None or any(not bf._labels_oracle_equal(x, window[0], l)
+                                       for l in window[1:]):
+        return None
+    inner = label_to_braid(window[0], x.context)
+    candidate = x.braid * shift_embed(inner, i, x.leaf_count).inverse()
+    for _ in range(n - 1):
+        candidate = delete_strand(candidate, i + 1)
+    labels = x.labels[: i - 1] + (window[0],) + x.labels[i - 1 + n :]
+    smaller = BFElement(x.context, t1, candidate, labels, t2)
+    return smaller if braids_equal(x.braid, expand(smaller, i).braid) else None
+
+
 def greedy_reduce(x):
     """Undo expansions leftmost first, rescanning from leaf 1 after each one."""
     n = x.arity
@@ -500,7 +532,7 @@ def greedy_reduce(x):
     while changed:
         changed = False
         for i in range(1, x.leaf_count - n + 2):
-            smaller = bf._reduction_at(x, i)
+            smaller = reduction_at(x, i)
             if smaller is not None:
                 x, changed = smaller, True
                 break
@@ -518,6 +550,20 @@ def test_reduce_matches_greedy_rescan_oracle(ctx):
         x = draw(ctx, rng, leaves=5, braid=6)
         for _ in range(rng.randint(0, 12)):
             x = expand(x, rng.randint(1, x.leaf_count))
+        assert reduce(x) == greedy_reduce(x)
+    # Long chains of merges: 40-60 expansions of a bare element, then a few
+    # braid letters and one label that block the windows they touch (cabling
+    # letters through that many expansions would grow the braid without bound).
+    for _ in range(3):
+        x = draw(ctx, rng, leaves=5, braid=0, label=0)
+        for _ in range(rng.randint(40, 60)):
+            x = expand(x, rng.randint(1, x.leaf_count))
+        m, k = x.leaf_count, len(ctx.generators)
+        letters = tuple((i, rng.randint(i + 1, m), rng.choice((1, -1)))
+                        for i in rng.sample(range(1, m), 3))
+        labels = list(x.labels)
+        labels[rng.randrange(m)] = (rng.randint(1, k),) if k else ()
+        x = BFElement(ctx, x.t1, AWord(m, letters), tuple(labels), x.t2)
         assert reduce(x) == greedy_reduce(x)
 
 
@@ -780,9 +826,10 @@ def test_trusted_results_pass_public_constructors(ctx):
         joined, _, _ = join(x.t1, y.t2)
         _assert_public(joined)
         _assert_public(right_comb(n, x.leaf_count))
-        for k in range(1, grown.leaf_count - n + 2):
-            if grown.t1.caret_window(k):
-                _assert_public(grown.t1.remove_caret(k))
+        for pair in (TreePair(grown.t1, grown.t2), TreePair(product.t1, product.t2)):
+            reduced = tr.pair_reduce(pair)
+            _assert_public(reduced.domain)
+            _assert_public(reduced.codomain)
         m = x.leaf_count
         inner = label_to_braid(x.labels[i - 1], ctx)
         _assert_public(split_a(x.braid, i, n, inner))

@@ -17,7 +17,6 @@ from bfcalc.braid import (
     a_to_sigma,
     artin_image,
     braids_equal,
-    cable_letter,
     cable_letters,
     comb,
     delete_strand,
@@ -407,6 +406,11 @@ def test_split_sigma_homomorphism():
         su, sv = a_to_sigma(u), a_to_sigma(v)
         assert braids_equal(split_sigma(su * sv, t, n),
                             split_sigma(su, t, n) * split_sigma(sv, t, n))
+
+
+def cable_letter(letter, t, n):
+    """Image of a single pure generator under splitting strand t into n strands."""
+    return tuple(cable_letters((letter,), t, n))
 
 
 def cable_letter_by_cases(letter, t, n):

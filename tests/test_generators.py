@@ -1,3 +1,4 @@
+import hashlib
 import random
 import traceback
 from collections import Counter
@@ -5,7 +6,7 @@ from collections import Counter
 import pytest
 
 from bfcalc import bfgroup as bf
-from bfcalc.braid import AWord, cable_letter
+from bfcalc.braid import AWord, cable_letters
 from bfcalc.freegroup import invert_letters
 from bfcalc.generators import (
     VERIFY_MAX_BRAID_LETTERS,
@@ -240,6 +241,29 @@ def test_warm_set_words_equal_fresh_engine_words():
         assert decompose(x, genset) == _Decomposer(genset).decompose(x)
 
 
+def two_generator_context(n):
+    """The H generated by A[1,2]A[1,n] and A[n-1,n]^-1."""
+    return bf.HContext(n, (("h1", AWord(n, ((1, 2, 1), (1, n, 1)))),
+                           ("h2", AWord(n, ((n - 1, n, -1),)))))
+
+
+def test_decomposition_words_pinned():
+    # The words themselves, letter for letter: a change to the engine that
+    # keeps every word keeps this digest.
+    words = []
+    for n in (2, 3, 4):
+        rng = random.Random(60 + n)
+        for genset in (gen1_set(n), gen2_set(n, bf.pn_context(n)), gen3_set(n),
+                       gen2_set(n, two_generator_context(n))):
+            words += [decompose(bf.random_element(genset.context, rng, max_leaves=9,
+                                                  max_braid_letters=12, max_label_letters=3),
+                                genset)
+                      for _ in range(20)]
+    digest = hashlib.sha256(repr(words).encode()).hexdigest()
+    assert (len(words), sum(map(len, words))) == (240, 8882)
+    assert digest == "c8ce00387c750443a508831c1fcb47d78b22e1fe367d85b39a1da87c459f6a2a"
+
+
 def test_one_engine_per_set(monkeypatch):
     built = []
     init = _Decomposer.__init__
@@ -300,7 +324,7 @@ def test_evaluate_word_negative_letters_are_member_inverses():
 
 def test_bad_letters_rejected():
     genset = gen1_set(2)
-    for bad in (0, len(genset) + 1, -(len(genset) + 1)):
+    for bad in (0, len(genset) + 1, -(len(genset) + 1), 1.0, True, "1"):
         with pytest.raises(GeneratorSetError):
             genset.element(bad)
         with pytest.raises(GeneratorSetError):
@@ -373,7 +397,7 @@ def _hand_written_relation(engine, atom, t0):
     n = engine.arity
     kind, a, b = atom
     if kind == "L":
-        return [(("L", u, v), s) for u, v, s in cable_letter((a, b, 1), t0, n)]
+        return [(("L", u, v), s) for u, v, s in cable_letters(((a, b, 1),), t0, n)]
     inner = bf.label_to_braid((b,), engine.context)
     return ([(("L", u + t0 - 1, v + t0 - 1), s) for u, v, s in inner.letters]
             + [(("S", p, b), 1) for p in range(t0, t0 + n)])
@@ -381,9 +405,7 @@ def _hand_written_relation(engine, atom, t0):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_expansion_relations_match_hand_written(n):
-    two = bf.HContext(n, (("h1", AWord(n, ((1, 2, 1), (1, n, 1)))),
-                          ("h2", AWord(n, ((n - 1, n, -1),)))))
-    for genset in (gen1_set(n), gen3_set(n), gen2_set(n, two)):
+    for genset in (gen1_set(n), gen3_set(n), gen2_set(n, two_generator_context(n))):
         engine = genset._engine
         for m in range(1, 3 * n - 1, n - 1):  # level 1 holds the one-leaf single
             comb = right_comb(n, m)

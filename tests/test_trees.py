@@ -16,6 +16,7 @@ from bfcalc.trees import (
     attach_caret,
     attach_script,
     brown_generator_pairs,
+    caret_top,
     comb_conjugator_word,
     evaluate_brown_word,
     expansion_script,
@@ -112,6 +113,8 @@ def test_attach_caret_index_errors():
 def test_attach_rejects_non_int_leaf_indices(index):
     with pytest.raises(TreeError, match="must be an int"):
         Tree.caret(2).attach(index)
+    with pytest.raises(TreeError, match="must be an int"):
+        attach_caret(Tree.caret(2), index)
 
 
 def attach_oracle(tree, i):
@@ -265,13 +268,28 @@ def right_comb_oracle(arity, leaf_count):
     return tree
 
 
+def caret_window_oracle(tree, i):
+    """Compare all n leaves of the window with the children of its first leaf's parent."""
+    n = tree.arity
+    if not 1 <= i <= tree.leaf_count - n + 1 or not tree.leaves[i - 1]:
+        return False
+    parent = tree.leaves[i - 1][:-1]
+    return all(tree.leaves[i - 1 + d] == parent + (d,) for d in range(n))
+
+
+def remove_caret(tree, i):
+    """Merge the caret at leaves i..i+n-1 into its parent, through the public constructor."""
+    parent = tree.leaves[i - 1][:-1]
+    return Tree(tree.arity, tree.leaves[: i - 1] + (parent,) + tree.leaves[i - 1 + tree.arity :])
+
+
 def pair_reduce_oracle(f):
     """Cancel the leftmost matching caret window, then start again from window 1."""
     cur = f
     while True:
         for i in range(1, cur.leaf_count - f.arity + 2):
-            if cur.domain.caret_window(i) and cur.codomain.caret_window(i):
-                cur = TreePair(cur.domain.remove_caret(i), cur.codomain.remove_caret(i))
+            if caret_window_oracle(cur.domain, i) and caret_window_oracle(cur.codomain, i):
+                cur = TreePair(remove_caret(cur.domain, i), remove_caret(cur.codomain, i))
                 break
         else:
             return cur
@@ -347,8 +365,8 @@ def comb_conjugator_word_oracle(tree):
     removed = []
     cur = tree
     while cur != right_comb_oracle(n, cur.leaf_count):
-        i = next(k for k in range(1, cur.leaf_count - n + 2) if cur.caret_window(k))
-        cur = cur.remove_caret(i)
+        i = next(k for k in range(1, cur.leaf_count - n + 2) if caret_window_oracle(cur, k))
+        cur = remove_caret(cur, i)
         if i != cur.leaf_count:
             removed.append(i)
     return reduce_letters([x for i in reversed(removed) for x in _xi_word(n, i)])
@@ -359,6 +377,9 @@ def test_comb_conjugator_word_matches_oracle():
     for _ in range(600):
         n = rng.choice((2, 3, 4))
         tree = random_tree(rng, n, rng.randint(0, 10))
+        assert comb_conjugator_word(tree) == comb_conjugator_word_oracle(tree)
+    for n in (2, 3, 4):  # long chains of peels
+        tree = random_tree(rng, n, rng.randint(40, 60))
         assert comb_conjugator_word(tree) == comb_conjugator_word_oracle(tree)
     for n in (2, 3):
         for m in range(1, 12, n - 1):
@@ -373,21 +394,32 @@ def test_elementary_pair_over_smallest_comb():
             assert _elementary_pair(n, i) == TreePair(comb.attach(i), comb.attach(m))
 
 
-def caret_window_oracle(tree, i):
-    """Compare all n leaves of the window with the children of its first leaf's parent."""
-    n = tree.arity
-    if not 1 <= i <= tree.leaf_count - n + 1 or not tree.leaves[i - 1]:
-        return False
-    parent = tree.leaves[i - 1][:-1]
-    return all(tree.leaves[i - 1 + d] == parent + (d,) for d in range(n))
-
-
-def test_caret_window_matches_oracle():
+def test_caret_top_matches_caret_window_oracle():
+    # Stacks of one tree and of two trees grown alike: push the leaves, merge
+    # the top while caret_top answers, and check every answer against the
+    # windows of the trees the stack and the leaves still to push make.
     rng = random.Random(46)
     for _ in range(600):
-        tree = random_tree(rng, rng.choice((2, 3, 4)), rng.randint(0, 10))
-        for i in range(-1, tree.leaf_count + 3):
-            assert tree.caret_window(i) == caret_window_oracle(tree, i)
+        n = rng.choice((2, 3, 4))
+        carets = rng.randint(0, 10)
+        trees = [random_tree(rng, n, carets) for _ in range(rng.choice((1, 2)))]
+        for _ in range(rng.randint(0, 6)):
+            i = rng.randint(1, trees[0].leaf_count)
+            trees = [tree.attach(i) for tree in trees]
+        stack, rest = [], list(zip(*(tree.leaves for tree in trees)))
+        while rest:
+            stack.append(rest.pop(0))
+            while True:
+                current = [Tree(n, leaves) for leaves in zip(*(stack + rest))]
+                i = len(stack) - n + 1
+                expected = None
+                if all(caret_window_oracle(tree, i) for tree in current):
+                    expected = tuple(tree.leaves[i - 1][:-1] for tree in current)
+                parents = caret_top(stack, n)
+                assert parents == expected
+                if parents is None:
+                    break
+                stack[-n:] = [parents]
 
 
 def test_pair_reduce_matches_oracle():
@@ -400,6 +432,14 @@ def test_pair_reduce_matches_oracle():
                 i = rng.randint(1, pair.leaf_count)
                 pair = TreePair(pair.domain.attach(i), pair.codomain.attach(i))
         assert pair_reduce(pair) == pair_reduce_oracle(pair)
+    for n in (2, 3, 4):  # long chains of merges: 40-60 carets grown alike
+        for base in (random_pair(rng, n), TreePair(Tree.single(n), Tree.single(n))):
+            pair = base
+            for _ in range(rng.randint(40, 60)):
+                i = rng.randint(1, pair.leaf_count)
+                pair = TreePair(pair.domain.attach(i), pair.codomain.attach(i))
+            assert pair_reduce(pair) == pair_reduce_oracle(pair)
+            assert pair_reduce(pair).leaf_count <= base.leaf_count
 
 
 # --- leaf intervals
