@@ -37,18 +37,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Sequence
 
-from .freegroup import (NEGATIVE, POSITIVE, ZERO, FreeWord, _is_int_tuple, _trusted,
-                        invert_letters, magnus_sign, reduce_onto)
+from .freegroup import (NEGATIVE, POSITIVE, ZERO, FreeWord, SchemaError, _is_int_tuple,
+                        _trusted, invert_letters, magnus_sign, reduce_onto)
 
 ALetter = tuple[int, int, int]
 
 
 class BraidError(ValueError):
     """Raised for malformed words or strand-count violations."""
-
-
-class SchemaError(RuntimeError):
-    """Raised when a rewrite-rule instance fails its oracle check."""
 
 
 class CombingLimitError(RuntimeError):
@@ -279,8 +275,8 @@ def delete_strand(word: AWord, d: int) -> AWord:
     The forget-strand homomorphism: letters touching strand d die, all
     other indices above d shift down.
     """
-    if not 1 <= d <= word.strands:
-        raise BraidError(f"strand {d} out of range")
+    if type(d) is not int or not 1 <= d <= word.strands:
+        raise BraidError(f"strand {d!r} is not an int in 1..{word.strands}")
     if word.strands == 1:
         raise BraidError("cannot delete the only strand")
     letters: list[ALetter] = []
@@ -293,8 +289,8 @@ def delete_strand(word: AWord, d: int) -> AWord:
 
 def shift_embed(word: AWord, offset: int, total: int) -> AWord:
     """Embed an n-strand word at the block offset..offset+n-1 of a larger braid."""
-    if offset < 1 or offset + word.strands - 1 > total:
-        raise BraidError("block embedding out of bounds")
+    if not _is_int_tuple((offset, total)) or not 1 <= offset <= total - word.strands + 1:
+        raise BraidError(f"block embedding at {offset!r} in {total!r} strands out of bounds")
     letters = tuple((i + offset - 1, j + offset - 1, s) for i, j, s in word.letters)
     return AWord._new(total, letters)
 
@@ -321,10 +317,10 @@ def split_sigma(word: SigmaWord, t: int, n: int) -> SigmaWord:
     strands.  The input must be pure so that the strand is unambiguous; the
     result has m+n-1 strands.  This is the reference oracle for split_a.
     """
-    if not 1 <= t <= word.strands:
-        raise BraidError(f"strand {t} out of range")
-    if n < 1:
-        raise BraidError("cable width must be positive")
+    if type(t) is not int or not 1 <= t <= word.strands:
+        raise BraidError(f"strand {t!r} is not an int in 1..{word.strands}")
+    if type(n) is not int or n < 1:
+        raise BraidError("cable width must be a positive int")
     if not is_pure(word):
         raise BraidError("only pure braids can be split unambiguously")
     occupant = list(range(word.strands + 1))  # occupant[position], index 0 unused
@@ -385,9 +381,9 @@ def split_a(word: AWord, t: int, n: int, inner: AWord) -> AWord:
 
         split_a(w, t, n, inner)  ==  split_sigma(w, t, n) * embed(inner).
     """
-    if not 1 <= t <= word.strands:
-        raise BraidError(f"strand {t} out of range")
-    if inner.strands != n:
+    if type(t) is not int or not 1 <= t <= word.strands:
+        raise BraidError(f"strand {t!r} is not an int in 1..{word.strands}")
+    if type(n) is not int or inner.strands != n:
         raise BraidError(f"inner braid must have {n} strands, has {inner.strands}")
     total = word.strands + n - 1
     letters = cable_letters(word.letters, t, n)

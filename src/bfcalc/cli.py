@@ -29,8 +29,8 @@ import sys
 
 from . import bfgroup as bf
 from .bfgroup import BFElement, HContext
-from .braid import AWord, BraidError, CombingLimitError, SchemaError
-from .freegroup import TruncationError
+from .braid import AWord, BraidError, CombingLimitError
+from .freegroup import SchemaError, TruncationError
 from .render import format_braid, format_label, render_svg, render_text
 from .trees import Tree, TreeError, tree_from_nested, tree_to_json
 

@@ -31,6 +31,10 @@ class TruncationError(RuntimeError):
     """Raised when sign determination exceeds its truncation-degree cap."""
 
 
+class SchemaError(RuntimeError):
+    """Raised when a rewrite-rule instance fails its oracle check."""
+
+
 def _trusted(cls):
     """
     Class decorator over a frozen slotted dataclass: add the builder
@@ -171,8 +175,8 @@ def magnus_truncated(word: FreeWord, degree: int) -> NCPolynomial:
     x_j -> 1 + X_j and x_j^-1 -> sum of (-X_j)^t, from the top degree down,
     so every step reads lower degrees that the letter has not yet touched.
     """
-    if degree < 0:
-        raise WordError("degree must be nonnegative")
+    if type(degree) is not int or degree < 0:
+        raise WordError("degree must be a nonnegative int")
     tables: list[dict[Monomial, int]] = [{(): 1}] + [{} for _ in range(degree)]
     for letter in word.letters:
         j, steps = abs(letter), (1 if letter > 0 else degree)

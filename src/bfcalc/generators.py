@@ -10,8 +10,8 @@ the n*k single-label elements over the one-caret tree.  The third trades
 braid generators for labeled ones over the full pure braid context.
 
 decompose() rewrites an arbitrary element as a word in a set, finding its
-members by their reduced elements, under any names: tree parts through the
-tree-pair factorization onto the members that are the n generating tree
+members by their reduced elements, under any names: each tree T as the
+word of the pair (T, comb) over the members that are the n generating tree
 pairs, and each braid or label letter as an atom over the comb.  An atom
 is a member, or is solved with the other atoms on its strand count from
 the expansion relations of the level below, each read off bfgroup.expand
@@ -32,7 +32,7 @@ from . import trees as tr
 from .bfgroup import BFElement, GeneratorSetError, HContext, VerificationError
 from .braid import AWord
 from .freegroup import invert_letters, reduce_letters
-from .trees import Tree, TreePair, fn_factorize, right_comb
+from .trees import Tree, right_comb
 
 
 @dataclasses.dataclass(frozen=True)
@@ -218,17 +218,17 @@ class _Decomposer:
     Members are read by their reduced elements.  One whose two trees are
     the same comb and whose braid and labels spell one atom is that atom's
     word; one with no atoms is a tree pair, and the n generating pairs
-    among those carry the tree-pair factorization.  Where two members
-    qualify, the first wins.
+    among those carry the comb words.  Where two members qualify, the
+    first wins.
 
-    An element on m leaves is read as the tree-pair word from its domain
-    tree to the comb on m leaves, its signed atoms, then the tree-pair word
-    back.  A braid letter atom L(m,i,j) stands for (comb_m, A[i,j], trivial
+    An element on m leaves is read as the comb word of its domain tree,
+    its signed atoms over the comb on m leaves, then the inverse comb word
+    of its codomain tree.  A braid letter atom L(m,i,j) stands for (comb_m, A[i,j], trivial
     labels, comb_m), a single S(m,t,g) for (comb_m, 1, generator g at
     position t, comb_m).  An atom that is not a member (and not the
     one-leaf single, spelled by expanding it onto the caret) is solved with
     its whole level: an atom on m-n+1 strands equals its expansion at each
-    leaf t0, a product of atoms on m strands between two tree-pair words.
+    leaf t0: atoms on m strands conjugated by the comb word of comb[t0].
     Where the atom does not touch t0 that product is one atom, which the
     relation solves outright; the rest of the level follows from the
     relations at touched leaves by a fixpoint scan that solves one atom at
@@ -255,10 +255,15 @@ class _Decomposer:
         self._solved_levels: set[int] = set()
         self._solving: set[int] = set()
 
-    def _pair_word(self, src: Tree, dst: Tree) -> tuple[int, ...]:
-        """Tree-pair factorization of (src, dst) mapped onto the generating-pair members."""
+    def _comb_word(self, tree: Tree) -> tuple[int, ...]:
+        """
+        The comb word of the tree: the pair (tree, comb) over the generating
+        pair members.  fn_factorize gives the same word: reducing that pair
+        only cancels comb spine carets on the last leaf, which the peel
+        never pushes, so the same windows peel at the same indices.
+        """
         out = []
-        for letter in fn_factorize(TreePair(src, dst)):
+        for letter in tr.comb_conjugator_word(tree):
             k = self._pair_members[abs(letter) - 1]
             if k is None:
                 raise GeneratorSetError(f"member lookup failure: generating tree pair "
@@ -309,38 +314,36 @@ class _Decomposer:
             unknown = len(atoms) - len(solved)
 
             # A level-(m-n+1) atom expanded at leaf t0 sits on the tree
-            # comb[t0], so its relation is the word from that tree to the
-            # comb on m leaves, the signed atoms of the expansion and the word
-            # back.  At a leaf the atom does not touch the expansion is one
-            # atom on m strands, which the relation solves at once; those
-            # relations come first.
-            comb, small_comb = right_comb(n, m), right_comb(n, small)
+            # comb[t0], so its relation is the comb word of that tree, the
+            # signed atoms of the expansion and the inverse comb word.  At a
+            # leaf the atom does not touch the expansion is one atom on m
+            # strands, which the relation solves at once; those come first.
+            small_comb = right_comb(n, small)
             elements = {atom: _atom_element(self.context, small_comb, atom)
                         for atom in self._atoms(small)}
             one_atom: list[tuple] = []
             touching: list[tuple] = []
             for t0 in range(1, small + 1):
-                to_comb = self._pair_word(small_comb.attach(t0), comb)
-                from_comb = invert_letters(to_comb)
+                to_comb = self._comb_word(small_comb.attach(t0))
                 for atom, x in elements.items():
                     factors = _atom_factors(bf.expand(x, t0))
-                    (one_atom if len(factors) == 1 else touching).append(
-                        (to_comb, factors, from_comb, atom))
+                    relation = (to_comb, factors, atom)
+                    (one_atom if len(factors) == 1 else touching).append(relation)
 
             relations = one_atom + touching
             changed = True
             while changed and unknown:
                 changed = False
-                for to_comb, factors, from_comb, small_atom in relations:
+                for to_comb, factors, small_atom in relations:
                     open_positions = [q for q, (atom, _) in enumerate(factors)
                                       if atom not in solved]
                     if len(open_positions) != 1:
                         continue
                     q = open_positions[0]
                     prefix = to_comb + _spell(factors[:q], solved.__getitem__)
-                    suffix = _spell(factors[q + 1:], solved.__getitem__) + from_comb
+                    suffix = _spell(factors[q + 1:], solved.__getitem__)
                     word = (invert_letters(prefix) + self.atom_word(small, small_atom)
-                            + invert_letters(suffix))
+                            + to_comb + invert_letters(suffix))
                     atom, sign = factors[q]
                     solved[atom] = word if sign > 0 else invert_letters(word)
                     unknown -= 1
@@ -356,10 +359,9 @@ class _Decomposer:
         if x.context != self.context:
             raise bf.ContextError("element context does not match the generator set")
         x = bf.reduce(x)
-        comb = right_comb(self.arity, x.leaf_count)
-        there = self._pair_word(x.t1, comb)
         atoms = _spell(_atom_factors(x), functools.partial(self.atom_word, x.leaf_count))
-        return reduce_letters(there + atoms + self._pair_word(comb, x.t2))
+        return reduce_letters(self._comb_word(x.t1) + atoms
+                              + invert_letters(self._comb_word(x.t2)))
 
 
 def decompose(x: BFElement, genset: GeneratorSet) -> tuple[int, ...]:

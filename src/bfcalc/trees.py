@@ -23,8 +23,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from .freegroup import (NEGATIVE, POSITIVE, ZERO, _is_int_tuple, _trusted, invert_letters,
-                        reduce_letters)
+from .freegroup import (NEGATIVE, POSITIVE, ZERO, SchemaError, _is_int_tuple, _trusted,
+                        invert_letters, reduce_letters)
 
 Address = tuple[int, ...]
 
@@ -35,10 +35,6 @@ class TreeError(ValueError):
 
 class ExpansionError(ValueError):
     """Raised when a tree is not an expansion of another."""
-
-
-class FactorizationError(RuntimeError):
-    """Raised when a tree-pair factorization fails its self-check."""
 
 
 def _kraft_sum_is_one(arity: int, leaves: tuple[Address, ...]) -> bool:
@@ -337,8 +333,8 @@ def pair_reduce(f: TreePair) -> TreePair:
 
 
 def pair_is_identity(f: TreePair) -> bool:
-    reduced = pair_reduce(f)
-    return reduced.domain == reduced.codomain
+    """A pair is the identity exactly when its leaf intervals, so its trees, coincide."""
+    return f.domain == f.codomain
 
 
 def brown_generator_pairs(arity: int) -> tuple[TreePair, ...]:
@@ -356,11 +352,12 @@ def brown_generator_pairs(arity: int) -> tuple[TreePair, ...]:
 
 def evaluate_brown_word(arity: int, word: tuple[int, ...]) -> TreePair:
     """Multiply out a word of signed 1-based indices into the n generating pairs."""
+    bad = [letter for letter in word if type(letter) is not int or not 1 <= abs(letter) <= arity]
+    if bad:
+        raise TreeError(f"letter {bad[0]!r} names none of the {arity} generating pairs")
     gens = brown_generator_pairs(arity)
     acc = TreePair(Tree.single(arity), Tree.single(arity))
     for letter in word:
-        if not 1 <= abs(letter) <= arity:
-            raise TreeError(f"letter {letter} names none of the {arity} generating pairs")
         g = gens[abs(letter) - 1]
         acc = pair_multiply(acc, g if letter > 0 else pair_inverse(g))
         acc = pair_reduce(acc)
@@ -394,7 +391,7 @@ def _xi_word(arity: int, i: int) -> tuple[int, ...]:
         word = reduce_letters((1,) + _xi_word(arity, i - arity + 1) + (-1,))
     check = pair_multiply(evaluate_brown_word(arity, word), pair_inverse(_elementary_pair(arity, i)))
     if not pair_is_identity(check):
-        raise FactorizationError(f"elementary-pair rewrite failed for index {i}, arity {arity}")
+        raise SchemaError(f"elementary-pair rewrite failed for index {i}, arity {arity}")
     _XI_WORDS[key] = word
     return word
 

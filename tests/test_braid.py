@@ -320,6 +320,9 @@ def test_delete_strand_examples():
     assert delete_strand(AWord(4, ((2, 4, 1),)), 1) == AWord(3, ((1, 3, 1),))
     with pytest.raises(BraidError):
         delete_strand(AWord(1, ()), 1)
+    for d in (1.0, True):
+        with pytest.raises(BraidError):
+            delete_strand(AWord(2, ((1, 2, 1),)), d)
 
 
 def test_delete_strand_homomorphism():
@@ -365,6 +368,9 @@ def test_shift_embed_examples():
     assert shift_embed(word, 3, 5) == AWord(5, ((3, 4, 1),))
     with pytest.raises(BraidError):
         shift_embed(word, 5, 5)
+    for offset, total in ((1.0, 3), (True, 3), (1, 3.0), (1, True)):
+        with pytest.raises(BraidError):
+            shift_embed(word, offset, total)
 
 
 def test_shift_embed_homomorphism():
@@ -476,6 +482,13 @@ def test_split_a_empty_cases():
     assert split_a(AWord(3, ()), 2, 2, AWord.identity(2)) == AWord(4, ())
     inner = AWord(2, ((1, 2, 1),))
     assert split_a(AWord(3, ()), 2, 2, inner) == AWord(4, ((2, 3, 1),))
+    for t, n, inner in ((True, 2, inner), (2.0, 2, inner), (2, True, AWord.identity(1)),
+                        (2, 1.0, AWord.identity(1))):
+        with pytest.raises(BraidError):
+            split_a(AWord(3, ()), t, n, inner)
+    for t, n in ((True, 2), (2.0, 2), (2, True), (2, 2.0)):
+        with pytest.raises(BraidError):
+            split_sigma(SigmaWord(3, ()), t, n)
 
 
 def test_split_a_matches_diagram_exhaustive_small():

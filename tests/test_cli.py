@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import bfcalc
 from bfcalc import bfgroup as bf
-from bfcalc import cli
+from bfcalc import cli, freegroup, trees
 from bfcalc import generators as gen
 from bfcalc.cli import (
     MAX_TREE_DEPTH,
@@ -211,6 +211,20 @@ def test_envelope_and_rule_errors_exit_codes(monkeypatch, capsys, error, code):
     prefix = {gen.GeneratorSetError: "error",
               gen.VerificationError: "verification failure"}.get(type(error), type(error).__name__)
     assert err.strip().splitlines()[-1] == f"{prefix}: {error}"
+    assert "Traceback" not in err
+
+
+def test_failed_elementary_pair_check_exits_2(monkeypatch, capsys):
+    # An empty memo makes the check run; the inverse of each pair fails it.
+    assert SchemaError is freegroup.SchemaError
+    elementary_pair = trees._elementary_pair
+    monkeypatch.setattr(trees, "_XI_WORDS", {})
+    monkeypatch.setattr(trees, "_elementary_pair",
+                        lambda arity, i: trees.pair_inverse(elementary_pair(arity, i)))
+    let = "a={ ((*,*),*) ; ; [1,1,1] ; (*,(*,*)) }"
+    assert run_cli("decompose", "a", "--set", "gen1", "-n", "2", "--let", let) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1].startswith("SchemaError: elementary-pair rewrite failed")
     assert "Traceback" not in err
 
 

@@ -162,6 +162,9 @@ def test_magnus_truncated_examples():
     commutator = reduce_word(2, [1, 2, -1, -2])
     assert magnus_truncated(commutator, 2) == nc_from_dict(
         2, 2, {x(): 1, x(1, 2): 1, x(2, 1): -1})
+    for degree in (2.0, True):
+        with pytest.raises(WordError):
+            magnus_truncated(commutator, degree)
 
 
 def test_magnus_truncated_inverse_series():

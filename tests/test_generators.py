@@ -6,6 +6,8 @@ from collections import Counter
 import pytest
 
 from bfcalc import bfgroup as bf
+from bfcalc import generators
+from bfcalc import trees as tr
 from bfcalc.braid import AWord, cable_letters
 from bfcalc.freegroup import invert_letters
 from bfcalc.generators import (
@@ -264,6 +266,27 @@ def test_decomposition_words_pinned():
     assert digest == "c8ce00387c750443a508831c1fcb47d78b22e1fe367d85b39a1da87c459f6a2a"
 
 
+def test_decompose_factorizes_no_tree_pair(monkeypatch):
+    # Tree words are read to the comb directly: cold engines of fresh sets
+    # give the same words with the tree-pair factorization refused.
+    samples = []
+    for n in (2, 3):
+        rng = random.Random(70 + n)
+        for make in (gen1_set, lambda n: gen2_set(n, bf.pn_context(n)), gen3_set):
+            genset = make(n)
+            xs = [bf.random_element(genset.context, rng, max_leaves=9) for _ in range(5)]
+            samples.append((make, n, xs, [decompose(x, genset) for x in xs]))
+
+    def refuse(*args):
+        raise AssertionError("decompose factorized a tree pair")
+
+    monkeypatch.setattr(tr, "fn_factorize", refuse)
+    assert not hasattr(generators, "fn_factorize")  # no copy of it escapes the patch
+    for make, n, xs, expected in samples:
+        genset = make(n)
+        assert [decompose(x, genset) for x in xs] == expected
+
+
 def test_one_engine_per_set(monkeypatch):
     built = []
     init = _Decomposer.__init__
@@ -290,16 +313,16 @@ def test_interrupted_level_leaves_the_set_usable(monkeypatch):
     comb = right_comb(2, 3)
     # a label at position 2 of 3 is not a member: level 3 is solved
     x = bf.BFElement(genset.context, comb, AWord.identity(3), ((), (1,), ()), comb)
-    pair_word = _Decomposer._pair_word
+    comb_word = _Decomposer._comb_word
     raised = []
 
-    def interrupted(self, src, dst):
+    def interrupted(self, tree):
         if not raised and any(f.name == "_solve_level" for f in traceback.extract_stack()):
-            raised.append((src, dst))
+            raised.append(tree)
             raise RuntimeError("interrupted")
-        return pair_word(self, src, dst)
+        return comb_word(self, tree)
 
-    monkeypatch.setattr(_Decomposer, "_pair_word", interrupted)
+    monkeypatch.setattr(_Decomposer, "_comb_word", interrupted)
     with pytest.raises(RuntimeError, match="interrupted"):
         decompose(x, genset)
     assert raised
@@ -361,7 +384,7 @@ def _inert_block_word(genset, engine, m, i, j):
         assert m - j >= n, (m, i, j)
         t, i2, j2 = j + 1, i, j
     small = m - n + 1
-    there = engine._pair_word(right_comb(n, m), right_comb(n, small).attach(t))
+    there = invert_letters(engine._comb_word(right_comb(n, small).attach(t)))
     return there + _inert_block_word(genset, engine, small, i2, j2) + invert_letters(there)
 
 

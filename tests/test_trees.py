@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bfcalc.freegroup import reduce_letters
+from bfcalc.freegroup import invert_letters, reduce_letters
 from bfcalc.trees import (
     ExpansionError,
     Tree,
@@ -373,14 +373,29 @@ def comb_conjugator_word_oracle(tree):
 
 
 def test_comb_conjugator_word_matches_oracle():
+    # It is also the factorization of (tree, comb).  A comb with one caret
+    # attached shares spine carets with the comb of its size, which the
+    # reduction of that pair cancels.
     rng = random.Random(45)
+    trees = []
     for _ in range(600):
         n = rng.choice((2, 3, 4))
-        tree = random_tree(rng, n, rng.randint(0, 10))
-        assert comb_conjugator_word(tree) == comb_conjugator_word_oracle(tree)
+        trees.append(random_tree(rng, n, rng.randint(0, 10)))
+    for _ in range(200):
+        n = rng.choice((2, 3, 4))
+        tree = right_comb(n, 1 + (n - 1) * rng.randint(0, 4))
+        trees.append(tree.attach(rng.randint(1, tree.leaf_count)))
     for n in (2, 3, 4):  # long chains of peels
-        tree = random_tree(rng, n, rng.randint(40, 60))
-        assert comb_conjugator_word(tree) == comb_conjugator_word_oracle(tree)
+        trees.append(random_tree(rng, n, rng.randint(40, 60)))
+    cancelled = 0
+    for tree in trees:
+        word = comb_conjugator_word(tree)
+        assert word == comb_conjugator_word_oracle(tree)
+        comb = right_comb(tree.arity, tree.leaf_count)
+        assert fn_factorize(TreePair(tree, comb)) == word
+        assert fn_factorize(TreePair(comb, tree)) == invert_letters(word)
+        cancelled += pair_reduce(TreePair(tree, comb)).leaf_count < tree.leaf_count
+    assert cancelled > 200
     for n in (2, 3):
         for m in range(1, 12, n - 1):
             assert comb_conjugator_word(right_comb(n, m)) == ()
@@ -544,6 +559,18 @@ def test_pair_is_identity_examples():
     caret = Tree.caret(2)
     assert pair_is_identity(TreePair(caret, caret))
     assert not pair_is_identity(TreePair(caret.attach(1), caret.attach(2)))
+    rng = random.Random(47)
+    for n in (2, 3, 4):
+        tree = random_tree(rng, n, 5)
+        for i in range(1, tree.leaf_count + 1):  # unreduced identities
+            assert pair_is_identity(TreePair(tree.attach(i), tree.attach(i)))
+    for _ in range(300):
+        pair = random_pair(rng, rng.choice((2, 3)))
+        assert pair_is_identity(pair_multiply(pair, pair_inverse(pair)))
+        for p in (pair, pair_multiply(pair, pair_inverse(pair)),
+                  pair_multiply(pair, random_pair(rng, pair.arity))):
+            reduced = pair_reduce(p)  # the reduce-then-compare rule
+            assert pair_is_identity(p) == (reduced.domain == reduced.codomain)
 
 
 def test_pair_reduce_cancels_matched_carets():
@@ -580,7 +607,7 @@ def test_fn_factorize_identity_and_generators():
 
 def test_evaluate_brown_word_rejects_letters_out_of_range():
     for n in (2, 3):
-        for letter in (0, n + 1, -(n + 1)):
+        for letter in (0, n + 1, -(n + 1), 1.0, True):
             with pytest.raises(TreeError):
                 evaluate_brown_word(n, (1, letter))
 
