@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import pickle
@@ -348,6 +349,30 @@ def test_inverse_laws():
             assert is_identity(multiply(x, inverse(x)))
             assert is_identity(multiply(inverse(x), x))
             assert inverse(inverse(x)) == x
+
+
+def test_group_operations_pinned():
+    # Products, inverses, expansions, reductions and equality answers,
+    # letter for letter: a change to the group layer that keeps every
+    # tree, braid letter and label keeps this digest.
+    def fields(x):
+        return x.t1.leaves, x.braid.letters, x.labels, x.t2.leaves
+
+    entries = []
+    for n in (2, 3, 4):
+        for ctx in (trivial_context(n), pn_context(n)):
+            rng = random.Random(80 + n)
+            for _ in range(30):
+                a, b = (random_element(ctx, rng, max_leaves=9, max_braid_letters=8,
+                                       max_label_letters=3) for _ in range(2))
+                i = rng.randint(1, a.leaf_count)
+                ab = multiply(a, b)
+                entries += [fields(ab), fields(inverse(a)), fields(expand(a, i)),
+                            fields(reduce(ab)), equal(ab, multiply(expand(a, i), b)),
+                            equal(ab, a), is_identity(multiply(a, inverse(a)))]
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+    assert len(entries) == 1260
+    assert digest == "8bfb5f9647f1cd69fa897a36a9d3100246dde89f2ab64ce5b3ffb5d0ef76ace7"
 
 
 def test_context_mismatch_rejected():
