@@ -11,9 +11,10 @@ in H holds by construction.  Expanding at leaf i attaches a caret to both
 trees, splits strand i into n strands braided internally by the label
 there, and copies that label n times; an element equals all of its
 expansions.  Composition expands each factor along its whole script to the
-join of the middle trees in one pass, and keeps only the outer trees.
-Equality expands both elements to the join of their codomain trees and
-compares domain trees, labels in H and braids there, without a product.
+join of the middle trees in one pass, and keeps only the outer trees; join
+gives just the two scripts, since the middle tree is never read.  Equality
+expands both elements to the join of their codomain trees and compares
+domain trees, labels in H and braids there, without a product.
 """
 
 from __future__ import annotations
@@ -186,7 +187,9 @@ def _expanded(x: BFElement, script: tuple[int, ...]) -> tuple[tuple, tuple[Label
         label = labels[t - 1]
         labels[t - 1 : t] = (label,) * n
         letters = br.cable_letters(letters, t, n)
-        letters += [(i + t - 1, j + t - 1, s) for i, j, s in label_to_braid(label, context).letters]
+        if label:
+            letters += [(i + t - 1, j + t - 1, s)
+                        for i, j, s in label_to_braid(label, context).letters]
     return tuple(letters), tuple(labels)
 
 
@@ -194,10 +197,10 @@ def multiply(x: BFElement, y: BFElement) -> BFElement:
     """Compose two elements by expanding both to the join of the middle trees."""
     if x.context is not y.context and x.context != y.context:
         raise ContextError("elements live over different contexts")
-    _, script_x, script_y = join(x.t2, y.t1)
+    script_x, script_y = join(x.t2, y.t1)
     letters_x, labels_x = _expanded(x, script_x)
     letters_y, labels_y = _expanded(y, script_y)
-    labels = tuple(tuple(reduce_onto(list(a), b)) if a or b else a
+    labels = tuple(tuple(reduce_onto(list(a), b)) if b else a
                    for a, b in zip(labels_x, labels_y))
     return BFElement._new(x.context, tr.attach_script(x.t1, script_x),
                           AWord._new(len(labels), letters_x + letters_y), labels,
@@ -227,7 +230,7 @@ def equal(x: BFElement, y: BFElement) -> bool:
     """
     if x.context is not y.context and x.context != y.context:
         raise ContextError("elements live over different contexts")
-    _, script_x, script_y = join(x.t2, y.t2)
+    script_x, script_y = join(x.t2, y.t2)
     if tr.attach_script(x.t1, script_x) != tr.attach_script(y.t1, script_y):
         return False
     letters_x, labels_x = _expanded(x, script_x)

@@ -120,15 +120,13 @@ class AWord:
 
 
 def a_to_sigma(word: AWord) -> SigmaWord:
-    """Letterwise substitution of the defining formula for A[i,j]."""
+    """Letterwise substitution of the defining formula for A[i,j] and its inverse."""
     letters: list[int] = []
     for i, j, sign in word.letters:
-        tail = list(range(i, j - 1))          # indices i .. j-2
-        positive = [-q for q in tail] + [-(j - 1), -(j - 1)] + list(reversed(tail))
-        if sign > 0:
-            letters.extend(positive)
-        else:
-            letters.extend(invert_letters(positive))
+        middle = (1 - j) * sign
+        letters += range(-i, 1 - j, -1)
+        letters += (middle, middle)
+        letters += range(j - 2, i - 1, -1)
     return SigmaWord._new(word.strands, tuple(letters))
 
 
@@ -242,9 +240,10 @@ def _dynnikov(strands: int, letters: Iterable[int]) -> tuple[int, ...]:
 def braids_equal(u: SigmaWord | AWord, v: SigmaWord | AWord) -> bool:
     """
     Decide u == v in the braid group.  Pure words are first compared after
-    cancelling adjacent inverse letters, letter for letter, then by linking
-    numbers; otherwise the braids are equal exactly when their crossing
-    words have the same Dynnikov coordinates.
+    cancelling adjacent inverse letters, letter for letter, then, with their
+    common prefix and suffix dropped, by linking numbers; otherwise the
+    braids are equal exactly when their crossing words have the same
+    Dynnikov coordinates.
     """
     if u.strands != v.strands:
         raise BraidError("strand count mismatch")
@@ -253,6 +252,14 @@ def braids_equal(u: SigmaWord | AWord, v: SigmaWord | AWord) -> bool:
         v = _cancel_adjacent(v)
         if u.letters == v.letters:
             return True
+        x, y = u.letters, v.letters  # p a s == p b s exactly when a == b
+        p = s = 0
+        shorter = min(len(x), len(y))
+        while p < shorter and x[p] == y[p]:
+            p += 1
+        while s < shorter - p and x[-1 - s] == y[-1 - s]:
+            s += 1
+        u, v = AWord._new(u.strands, x[p:len(x) - s]), AWord._new(v.strands, y[p:len(y) - s])
         if linking_numbers(u) != linking_numbers(v):
             return False
     su = a_to_sigma(u) if isinstance(u, AWord) else u

@@ -485,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     except bf.VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except (SchemaError, CombingLimitError, TruncationError) as exc:
+    except (SchemaError, CombingLimitError, TruncationError, MemoryError, RecursionError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, SchemaError) else 3
 

@@ -112,13 +112,15 @@ def attach_caret(tree: Tree, i: int) -> Tree:
 
 def attach_script(tree: Tree, script: tuple[int, ...]) -> Tree:
     """The tree after attaching a caret at each leaf index of the script in turn."""
+    if not script:
+        return tree
     leaves = list(tree.leaves)
     for i in script:
         if not 1 <= i <= len(leaves):
             raise TreeError(f"leaf index {i} out of range 1..{len(leaves)}")
         addr = leaves[i - 1]
         leaves[i - 1 : i] = [addr + (d,) for d in range(tree.arity)]
-    return Tree._new(tree.arity, tuple(leaves)) if script else tree
+    return Tree._new(tree.arity, tuple(leaves))
 
 
 def right_comb(arity: int, leaf_count: int) -> Tree:
@@ -163,38 +165,38 @@ def expansion_script(tree: Tree, target: Tree) -> tuple[int, ...]:
     return tuple(script)  # no tree leaf is left over: both leaf lists cover [0, 1]
 
 
-def join(tree: Tree, other: Tree) -> tuple[Tree, tuple[int, ...], tuple[int, ...]]:
+def join(tree: Tree, other: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
-    The minimal common expansion of two trees, together with the caret
-    scripts that produce it from each input.  One merge of the sorted leaf
-    lists: of the two current leaves (nested) the deeper, w, is the k-th leaf
-    of the join, and each list moves on once the rest of w past its leaf is
-    all n-1.  The script of the side whose leaf u is shorter gains k once per
-    new inner node w[:e], len(u) <= e < len(w), w[e:] all zeros.
+    The caret scripts that turn each of two trees into their minimal common
+    expansion, attach_script(tree, script_x) == attach_script(other,
+    script_y).  One merge of the sorted leaf lists: of the two current leaves
+    (nested) the deeper, w, is the k-th leaf of the join, and each list moves
+    on once the rest of w past its leaf is all n-1.  The script of the side
+    whose leaf u is shorter gains k once per new inner node w[:e],
+    len(u) <= e < len(w), w[e:] all zeros.
     """
     if tree == other:
-        return tree, (), ()
+        return (), ()
     if tree.arity != other.arity:
         raise TreeError("arity mismatch")
     last = tree.arity - 1
     xs, ys = tree.leaves, other.leaves
-    i = j = 0
-    leaves: list[Address] = []
+    i = j = k = 0
     script_x, script_y = [], []
     while i < len(xs):  # both lists end with the all-(n-1) leaf, together
         u, v = xs[i], ys[j]
         lu, lv = len(u), len(v)
         w, depth, script = (u, lv, script_y) if lu >= lv else (v, lu, script_x)
-        leaves.append(w)
+        k += 1
         s = d = len(w)
         while d > depth and w[d - 1] == 0:
             d -= 1
-        script += [len(leaves)] * (s - d)
+        script += [k] * (s - d)
         while s and w[s - 1] == last:  # w[s:] is the run of n-1 that w ends in
             s -= 1
         i += lu >= s
         j += lv >= s
-    return Tree._new(tree.arity, tuple(leaves)), tuple(script_x), tuple(script_y)
+    return tuple(script_x), tuple(script_y)
 
 
 def tree_to_json(tree: Tree) -> str:
@@ -289,7 +291,7 @@ def pair_multiply(f: TreePair, g: TreePair) -> TreePair:
     """
     if f.arity != g.arity:
         raise TreeError("arity mismatch")
-    _, script_f, script_g = join(f.codomain, g.domain)
+    script_f, script_g = join(f.codomain, g.domain)
     return TreePair(attach_script(f.domain, script_f), attach_script(g.codomain, script_g))
 
 

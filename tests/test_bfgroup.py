@@ -168,7 +168,7 @@ def expand_oracle(x, i):
 
 def multiply_oracle(x, y):
     """Composition expanding both factors one caret at a time along the join scripts."""
-    _, script_x, script_y = join(x.t2, y.t1)
+    script_x, script_y = join(x.t2, y.t1)
     xe = functools.reduce(expand_oracle, script_x, x)
     ye = functools.reduce(expand_oracle, script_y, y)
     assert xe.t2 == ye.t1
@@ -214,7 +214,7 @@ def test_multiply_matches_caret_by_caret_oracle(ctx):
         pairs += [(x, draw(ctx, rng, leaves=leaves, braid=10, label=3)), (x, inverse(x))]
     both_sides_multi = 0
     for x, y in pairs:
-        _, script_x, script_y = join(x.t2, y.t1)
+        script_x, script_y = join(x.t2, y.t1)
         both_sides_multi += len(script_x) > 1 and len(script_y) > 1
         assert_same_fields(multiply(x, y), multiply_oracle(x, y))
     assert both_sides_multi >= 5  # the inverse pairs cover equal middle trees
@@ -326,9 +326,22 @@ def test_multiply_expands_along_the_join_scripts(monkeypatch):
         calls.clear()
         product = multiply(x, y)
         assert len(calls) == 0
-        middle, _, _ = join(x.t2, y.t1)
+        script_x, script_y = join(x.t2, y.t1)
+        middle = tr.attach_script(x.t2, script_x)
+        assert middle == tr.attach_script(y.t1, script_y)
         xe, ye = expand_to(x, "right", middle), expand_to(y, "left", middle)
         assert (product.t1, product.braid, product.t2) == (xe.t1, xe.braid * ye.braid, ye.t2)
+
+
+def test_multiply_keeps_left_label_when_right_label_is_empty():
+    # An empty right label leaves the left one as it is, unreduced; a
+    # nonempty one is reduced onto it.
+    ctx = pn_context(2)
+    one = Tree.single(2)
+    x = BFElement(ctx, one, AWord(1, ()), ((1, -1),), one)
+    for right, label in (((), (1, -1)), ((1,), (1,)), ((-1,), (1, -1, -1))):
+        y = BFElement(ctx, one, AWord(1, ()), (right,), one)
+        assert multiply(x, y).labels == (label,)
 
 
 def test_multiply_associative():
@@ -848,7 +861,9 @@ def test_trusted_results_pass_public_constructors(ctx):
         product = multiply(x, y)
         for value in (grown, product, inverse(x), reduce(grown), reduce(product)):
             _assert_public(value)
-        joined, _, _ = join(x.t1, y.t2)
+        s1, s2 = join(x.t1, y.t2)
+        joined = tr.attach_script(x.t1, s1)
+        assert joined == tr.attach_script(y.t2, s2)
         _assert_public(joined)
         _assert_public(right_comb(n, x.leaf_count))
         for pair in (TreePair(grown.t1, grown.t2), TreePair(product.t1, product.t2)):

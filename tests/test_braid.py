@@ -58,6 +58,28 @@ def test_a_to_sigma_spread():
     assert a_to_sigma(AWord(4, ((2, 4, 1),))).letters == (-2, -3, -3, 2)
 
 
+def a_to_sigma_oracle(word):
+    """The defining formula from the list of tails; an inverse letter inverts the whole block."""
+    letters = []
+    for i, j, sign in word.letters:
+        tail = list(range(i, j - 1))          # indices i .. j-2
+        positive = [-q for q in tail] + [-(j - 1), -(j - 1)] + list(reversed(tail))
+        letters += positive if sign > 0 else invert_letters(positive)
+    return tuple(letters)
+
+
+def test_a_to_sigma_matches_tail_list_formula():
+    for j in range(2, 13):
+        for i in range(1, j):
+            for sign in (1, -1):
+                word = AWord(j, ((i, j, sign),))
+                assert a_to_sigma(word).letters == a_to_sigma_oracle(word)
+    rng = random.Random(12)
+    for _ in range(200):
+        word = random_aword(rng, rng.randint(2, 12), 8)
+        assert a_to_sigma(word).letters == a_to_sigma_oracle(word)
+
+
 def test_a_letter_cancels_with_inverse():
     word = AWord(4, ((2, 4, 1), (2, 4, -1)))
     assert is_trivial(word)
@@ -222,6 +244,51 @@ def test_braids_equal_matches_artin_exhaustive_small():
                 trivial = artin_image(word) == artin_image(identity)
                 assert trivial == (not _handle_reduce(letters))
                 assert braids_equal(word, identity) == trivial
+
+
+def _dynnikov_equal(u, v):
+    """Dynnikov coordinates of the whole crossing words: no pure-word shortcut."""
+    return (br._dynnikov(u.strands, a_to_sigma(u).letters)
+            == br._dynnikov(v.strands, a_to_sigma(v).letters))
+
+
+def test_braids_equal_strips_common_ends():
+    # p a s against p b s with equal linking numbers, so only Dynnikov on the
+    # stripped middles decides; b is a reordering of a, or a with a trivial
+    # commutator of disjoint letters inserted.
+    rng = random.Random(23)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        m = rng.randint(4, 7)
+        p, s = random_aword(rng, m, 4, 1), random_aword(rng, m, 4, 1)
+        a = random_aword(rng, m, 6, 2)
+        letters = list(a.letters)
+        if rng.random() < 0.5:
+            rng.shuffle(letters)
+        else:
+            x, y = (1, 2), (rng.randint(3, m - 1), m)
+            spot = rng.randint(0, len(letters))
+            letters[spot:spot] = [(*x, 1), (*y, 1), (*x, -1), (*y, -1)]
+        b = AWord(m, tuple(letters))
+        u, v = p * a * s, p * b * s
+        assert br.linking_numbers(u) == br.linking_numbers(v)
+        same = _dynnikov_equal(u, v)
+        assert braids_equal(u, v) == braids_equal(v, u) == same
+        outcomes[same] += 1
+    assert min(outcomes.values()) >= 100
+
+
+def test_braids_equal_strip_edge_cases():
+    x, y = (1, 3, 1), (3, 4, 1)
+    commuting, linked = (1, 2, 1), (2, 3, 1)  # with y: disjoint, and sharing strand 3
+    for z, same in ((commuting, True), (linked, False)):
+        commutator = (z, (3, 4, -1), (*z[:2], -1), y)
+        # one word a prefix of the other
+        u, v = AWord(4, (x, y)), AWord(4, (x, y) + commutator)
+        assert braids_equal(u, v) == braids_equal(v, u) == _dynnikov_equal(u, v) == same
+        # the common prefix (x, y) and suffix (y, x) would overlap in u
+        u, v = AWord(4, (x, y, x)), AWord(4, (x, y) + commutator + (x,))
+        assert braids_equal(u, v) == braids_equal(v, u) == _dynnikov_equal(u, v) == same
 
 
 def _relator(rng, m):

@@ -200,6 +200,8 @@ def test_parse_tree_at_the_depth_ceiling():
     (SchemaError("conjugation rule failed validation"), 2),
     (gen.GeneratorSetError("no member named 'z'"), 2),
     (gen.VerificationError("decomposition failed to re-multiply"), 2),
+    (MemoryError("out of memory"), 3),
+    (RecursionError("maximum recursion depth exceeded"), 3),
 ])
 def test_envelope_and_rule_errors_exit_codes(monkeypatch, capsys, error, code):
     def fail(args, session):

@@ -175,24 +175,32 @@ def test_leaf_addresses_examples():
 
 # --- join
 
+def joined_tree(tree, other):
+    """The join built from join's scripts, which must give one tree from either side."""
+    s1, s2 = join(tree, other)
+    joined = attach_script(tree, s1)
+    assert joined == attach_script(other, s2)
+    return joined, s1, s2
+
+
 def test_join_idempotent():
     rng = random.Random(2)
     for _ in range(20):
         tree = random_tree(rng, rng.choice((2, 3)), rng.randint(0, 4))
-        joined, s1, s2 = join(tree, tree)
+        joined, s1, s2 = joined_tree(tree, tree)
         assert joined == tree and s1 == () and s2 == ()
 
 
 def test_join_example_binary():
     caret = Tree.caret(2)
-    joined, s1, s2 = join(caret.attach(1), caret.attach(2))
+    joined, s1, s2 = joined_tree(caret.attach(1), caret.attach(2))
     assert addresses(joined) == ["00", "01", "10", "11"]
     assert len(s1) == 1 and len(s2) == 1
 
 
 def test_join_containment_case():
     caret = Tree.caret(3)
-    joined, s1, s2 = join(caret, caret.attach(2))
+    joined, s1, s2 = joined_tree(caret, caret.attach(2))
     assert joined == caret.attach(2)
     assert s1 == (2,) and s2 == ()
 
@@ -220,7 +228,7 @@ def test_join_minimality_brute_force():
         base = random_tree(rng, n, 1)
         t1 = base.attach(rng.randint(1, base.leaf_count))
         t2 = base.attach(rng.randint(1, base.leaf_count))
-        joined, _, _ = join(t1, t2)
+        joined, _, _ = joined_tree(t1, t2)
         common = all_expansions(t1, 2) & all_expansions(t2, 2)
         for tree in common:
             assert joined.nodes() <= tree.nodes()
@@ -309,16 +317,16 @@ def test_join_matches_oracle():
         t1 = random_tree(rng, n, rng.randint(0, 8))
         equal_size = rng.random() < 0.5
         t2 = random_tree(rng, n, (t1.leaf_count - 1) // (n - 1) if equal_size else rng.randint(0, 8))
-        joined, s1, s2 = join(t1, t2)
+        joined, s1, s2 = joined_tree(t1, t2)
         assert (joined, s1, s2) == join_oracle(t1, t2)
-        assert join(joined, t1) == join_oracle(joined, t1) == (joined, (), s1)
+        assert joined_tree(joined, t1) == join_oracle(joined, t1) == (joined, (), s1)
     with pytest.raises(TreeError):
         join(Tree.caret(2), Tree.caret(3))
 
 
 def test_join_scripts_match_expansion_script():
     # join builds its scripts inside the merge; expansion_script against the
-    # joined tree is the oracle.
+    # tree they build is the oracle.
     rng = random.Random(44)
     for _ in range(1500):
         n = rng.choice((2, 3, 4))
@@ -326,11 +334,11 @@ def test_join_scripts_match_expansion_script():
         equal_size = rng.random() < 0.5
         t2 = random_tree(rng, n, (t1.leaf_count - 1) // (n - 1) if equal_size else rng.randint(0, 8))
         for tree, other in ((t1, t2), (t2, t1)):
-            joined, s1, s2 = join(tree, other)
+            joined, s1, s2 = joined_tree(tree, other)
             assert s1 == expansion_script(tree, joined)
             assert s2 == expansion_script(other, joined)
-            assert join(tree, joined) == (joined, s1, ())
-            assert join(joined, other) == (joined, (), s2)
+            assert join(tree, joined) == (s1, ())
+            assert join(joined, other) == ((), s2)
 
 
 def test_expansion_script_matches_oracle():
