@@ -486,7 +486,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
     except (SchemaError, CombingLimitError, TruncationError, MemoryError, RecursionError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        message = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
+        print(f"{type(exc).__name__}: {message}", file=sys.stderr)
         return 2 if isinstance(exc, SchemaError) else 3
 
 

@@ -5,11 +5,11 @@ pairs.
 A tree is stored by the sorted tuple of its leaf addresses, an address being
 a tuple of child indices in 0..n-1 (the root is the empty tuple).  For a
 full tree the leaf set determines everything else: the internal nodes are
-exactly the proper prefixes of the leaves.  This representation makes tree
-equality structural, and the minimal common expansion of two trees and the
-caret scripts between a tree and an expansion of it one merge of the two
-sorted leaf lists, linear in the number of leaves; so is undoing the carets
-that trees share at the same leaf window (caret_top).
+exactly the proper prefixes of the leaves, and tree equality is structural.
+The sorted leaves obey one successor rule: a leaf's trailing run of n-1
+digits closes the nodes it completes, and the next leaf adds one to the
+digit before that run, then descends by zeros.  Tree validation, tree text,
+join (with its caret scripts) and caret_top each read the leaves once by it.
 
 A TreePair (domain, codomain) with equal leaf counts represents the
 piecewise-affine homeomorphism of [0,1] sending the k-th leaf interval of
@@ -21,7 +21,6 @@ intervals of different length.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 from .freegroup import (NEGATIVE, POSITIVE, ZERO, SchemaError, _is_int_tuple, _trusted,
                         invert_letters, reduce_letters)
@@ -35,13 +34,6 @@ class TreeError(ValueError):
 
 class ExpansionError(ValueError):
     """Raised when a tree is not an expansion of another."""
-
-
-def _kraft_sum_is_one(arity: int, leaves: tuple[Address, ...]) -> bool:
-    # sum of n^(D - depth) over leaves must be n^D for D = max depth
-    depth = max((len(a) for a in leaves), default=0)
-    total = sum(arity ** (depth - len(a)) for a in leaves)
-    return total == arity**depth
 
 
 @_trusted
@@ -62,16 +54,18 @@ class Tree:
             raise TreeError("leaves must be a tuple of tuples of ints")
         if not self.leaves:
             raise TreeError("a tree has at least one leaf")
-        if list(self.leaves) != sorted(self.leaves):
-            raise TreeError("leaf addresses must be sorted")
-        for addr in self.leaves:
-            if any(d < 0 or d >= n for d in addr):
-                raise TreeError(f"address digit out of range in {addr}")
-        for a, b in itertools.pairwise(self.leaves):
-            if b[: len(a)] == a:
-                raise TreeError(f"leaf {a} is a prefix of leaf {b}")
-        if not _kraft_sum_is_one(n, self.leaves):
-            raise TreeError("leaf set is not a complete full-tree cover")
+        # The successor rule from the all-zeros leaf to the all-(n-1) one;
+        # follow is the next leaf less its zeros, None past the last leaf.
+        last, follow = n - 1, ()
+        for leaf in self.leaves:
+            if follow is None or leaf[: len(follow)] != follow or any(leaf[len(follow):]):
+                raise TreeError(f"leaf {leaf} does not follow the leaf before it in a full tree")
+            s = len(leaf)
+            while s and leaf[s - 1] == last:
+                s -= 1
+            follow = leaf[: s - 1] + (leaf[s - 1] + 1,) if s else None
+        if follow is not None:
+            raise TreeError(f"the last leaf of a full tree is all {last}s")
 
     @staticmethod
     def single(arity: int) -> Tree:
@@ -139,30 +133,16 @@ def right_comb(arity: int, leaf_count: int) -> Tree:
 
 def expansion_script(tree: Tree, target: Tree) -> tuple[int, ...]:
     """
-    A sequence of 1-based leaf indices whose successive caret attachments
-    turn `tree` into `target`, leftmost leaf first.  Raises ExpansionError
-    if `target` is not an expansion of `tree`.  Each target leaf a extends
-    the current tree leaf t or the next one; the k-th is the leftmost leaf
-    of the new inner nodes a[:d], len(t) <= d < len(a), a[d:] all zeros.
+    join's script for `tree` when `target` is an expansion of it: the leaf
+    indices whose successive caret attachments turn `tree` into `target`,
+    leftmost leaf first.  Raises ExpansionError otherwise.
     """
     if tree.arity != target.arity:
         raise ExpansionError("arity mismatch")
-    leaves = iter(tree.leaves)
-    t = next(leaves)
-    depth = len(t)
-    script: list[int] = []
-    for k, a in enumerate(target.leaves, start=1):
-        if a[:depth] != t:
-            t = next(leaves, None)
-            if t is None or a[: len(t)] != t:
-                raise ExpansionError("target is not an expansion of the tree")
-            depth = len(t)
-        d = len(a)
-        if d > depth:
-            while d > depth and a[d - 1] == 0:
-                d -= 1
-            script += [k] * (len(a) - d)
-    return tuple(script)  # no tree leaf is left over: both leaf lists cover [0, 1]
+    script, rest = join(tree, target)
+    if rest:
+        raise ExpansionError("target is not an expansion of the tree")
+    return script
 
 
 def join(tree: Tree, other: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -204,23 +184,18 @@ def tree_to_json(tree: Tree) -> str:
     The JSON form of a tree: nested lists, [] for a leaf and the list of
     its n children for an inner node, written compactly ("[[],[]]" for a
     caret).  The command line spells the same structure with "*" and
-    parentheses.  Written without recursion, so any depth can be written.
+    parentheses.  One pass over the leaves, so any depth can be written.
     """
-    leaves = set(tree.leaves)
+    last = tree.arity - 1
     out: list[str] = []
-    stack: list = [()]  # addresses still to write, and the text between them
-    while stack:
-        top = stack.pop()
-        if isinstance(top, str):
-            out.append(top)
-        elif top in leaves:
-            out.append("[]")
-        else:
-            out.append("[")
-            stack.append("]")
-            for d in range(tree.arity - 1, 0, -1):
-                stack += (top + (d,), ",")
-            stack.append(top + (0,))
+    opened = 0  # how many of the leaf's ancestors, from the root down, are open
+    for leaf in tree.leaves:
+        s = len(leaf)
+        out.append("[" * (s - opened) + "[]")
+        while s and leaf[s - 1] == last:
+            s -= 1
+        out.append("]" * (len(leaf) - s) + ("," if s else ""))
+        opened = s
     return "".join(out)
 
 

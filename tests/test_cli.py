@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -201,6 +202,7 @@ def test_parse_tree_at_the_depth_ceiling():
     (gen.GeneratorSetError("no member named 'z'"), 2),
     (gen.VerificationError("decomposition failed to re-multiply"), 2),
     (MemoryError("out of memory"), 3),
+    (MemoryError(), 3),
     (RecursionError("maximum recursion depth exceeded"), 3),
 ])
 def test_envelope_and_rule_errors_exit_codes(monkeypatch, capsys, error, code):
@@ -212,7 +214,7 @@ def test_envelope_and_rule_errors_exit_codes(monkeypatch, capsys, error, code):
     err = capsys.readouterr().err
     prefix = {gen.GeneratorSetError: "error",
               gen.VerificationError: "verification failure"}.get(type(error), type(error).__name__)
-    assert err.strip().splitlines()[-1] == f"{prefix}: {error}"
+    assert err.strip().splitlines()[-1] == f"{prefix}: {str(error) or 'out of memory'}"
     assert "Traceback" not in err
 
 
@@ -271,6 +273,19 @@ def test_package_names_resolve_to_the_generators_module(name):
 def test_package_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         bfcalc.nonesuch
+
+
+def test_names_the_benchmark_tracer_wraps_resolve():
+    # perfbench/spans.py wraps bfcalc.<module>.<function> for every name in
+    # its TRACED table; a name gone from the package breaks traced runs.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, names in spans.TRACED.items():
+        for name in names:
+            fn = getattr(importlib.import_module(f"bfcalc.{module}"), name, None)
+            assert callable(fn), f"bfcalc.{module}.{name}"
 
 
 def test_usage_error_exit_1(capsys):
@@ -334,6 +349,8 @@ def test_cmd_count_verbatim(capsys):
     assert capsys.readouterr().out.strip() == "25"
     assert run_cli("count", "--gen2", "-n", "2", "-k", "0") == 0
     assert capsys.readouterr().out.strip() == "10"
+    assert run_cli("count", "--gen2", "-n", "3", "--hgen", "h1=A[1,2]", "--hgen", "h2=A[2,3]") == 0
+    assert capsys.readouterr().out.strip() == "22"
 
 
 def test_cmd_mul_inv_reduce(capsys):
@@ -362,6 +379,17 @@ def test_cmd_decompose_verify(capsys):
                    "--let", let, "--verify") == 0
     out = capsys.readouterr().out
     assert out.strip()
+
+
+def test_cmd_decompose_json_and_context_mismatch(capsys):
+    let = "a={ ((*,*),*) ; A[1,2] A[2,3]^-1 ; [1,1,1] ; (*,(*,*)) }"
+    assert run_cli("decompose", "a", "--set", "gen1", "-n", "2", "--json", "--let", let) == 0
+    assert capsys.readouterr().out.strip() == (
+        '{"word": [-1, 4, -6], "names": ["~f1", "b3_1_2", "~b3_2_3"]}')
+    # gen1 has no labels, so a session with label generators cannot use it
+    assert run_cli("decompose", "a", "--set", "gen1", "-n", "2", "--hgen", "h1=A[1,2]",
+                   "--let", let) == 2
+    assert "declare matching --hgen flags" in capsys.readouterr().err
 
 
 def test_cmd_gens(capsys):

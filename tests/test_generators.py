@@ -204,6 +204,35 @@ def test_set_without_tree_pair_members_fails_lookup():
         decompose(genset.element(1), braids_only)
 
 
+def test_decompose_over_a_set_missing_one_member():
+    # A set short of one member either still decomposes each element or
+    # fails with GeneratorSetError ("no route to atom", or a lookup failure),
+    # never by recursing without end through the levels it is solving.
+    tallies = {}
+    for n in (2, 3):
+        for name in ("gen1", "gen2", "gen3"):
+            full = generators.generator_set(name, bf.pn_context(n))
+            ok = failed = 0
+            for index in range(len(full)):
+                genset = GeneratorSet(full.context, full.members[:index] + full.members[index + 1 :])
+                rng = random.Random(1000 * n + index)
+                for _ in range(10):
+                    x = bf.random_element(full.context, rng, max_leaves=7,
+                                          max_braid_letters=6, max_label_letters=2)
+                    try:
+                        word = decompose(x, genset)
+                    except GeneratorSetError:
+                        failed += 1
+                    else:
+                        assert bf.equal(evaluate_word(word, genset), x)
+                        ok += 1
+            tallies[n, name] = (ok, failed)
+    assert tallies == {
+        (2, "gen1"): (95, 5), (2, "gen2"): (85, 35), (2, "gen3"): (39, 51),
+        (3, "gen1"): (136, 24), (3, "gen2"): (159, 91), (3, "gen3"): (101, 89),
+    }
+
+
 def test_decompose_rejects_foreign_context():
     genset = gen1_set(2)
     x = bf.identity_element(bf.pn_context(2))

@@ -167,6 +167,60 @@ def test_invalid_trees_rejected():
         Tree(1, ((),))
 
 
+def tree_rules_oracle(n, leaves):
+    """A full tree's leaf list by four rules: sorted, digits in range, prefix-free, Kraft sum one."""
+    if list(leaves) != sorted(leaves):
+        return False
+    if any(d < 0 or d >= n for leaf in leaves for d in leaf):
+        return False
+    if any(b[: len(a)] == a for a, b in zip(leaves, leaves[1:])):
+        return False
+    depth = max(map(len, leaves))
+    return sum(n ** (depth - len(a)) for a in leaves) == n**depth
+
+
+def mutate_leaves(rng, n, leaves):
+    """One random edit of a tree's leaf list, which may or may not leave a tree."""
+    leaves = list(leaves)
+    i = rng.randrange(len(leaves))
+    kind = rng.randrange(8)
+    if kind == 0 and len(leaves) > 1:  # drop
+        del leaves[i]
+    elif kind == 1:  # swap
+        j = rng.randrange(len(leaves))
+        leaves[i], leaves[j] = leaves[j], leaves[i]
+    elif kind == 2:  # duplicate
+        leaves.insert(i, leaves[i])
+    elif kind == 3:  # truncate
+        leaves[i] = leaves[i][:-1]
+    elif kind == 4:  # extend
+        leaves[i] += (rng.randrange(-1, n + 1),)
+    elif kind == 5 and leaves[i]:  # change one digit
+        k = rng.randrange(len(leaves[i]))
+        leaves[i] = leaves[i][:k] + (rng.randrange(-1, n + 1),) + leaves[i][k + 1 :]
+    elif kind == 6:  # insert a random address
+        leaves.insert(i, tuple(rng.randrange(n) for _ in range(rng.randint(0, 4))))
+    else:  # re-sort
+        leaves.sort()
+    return tuple(leaves)
+
+
+def test_tree_validation_matches_rules_oracle():
+    rng = random.Random(48)
+    verdicts = {True: 0, False: 0}
+    for _ in range(6000):
+        n = rng.choice((2, 3, 4))
+        leaves = mutate_leaves(rng, n, random_tree(rng, n, rng.randint(0, 6)).leaves)
+        valid = tree_rules_oracle(n, leaves)
+        verdicts[valid] += 1
+        if valid:
+            assert Tree(n, leaves).leaves == leaves
+        else:
+            with pytest.raises(TreeError):
+                Tree(n, leaves)
+    assert min(verdicts.values()) >= 1000, verdicts
+
+
 def test_leaf_addresses_examples():
     assert Tree.single(5).leaves == ((),)
     assert addresses(Tree.caret(3)) == ["0", "1", "2"]
@@ -325,8 +379,8 @@ def test_join_matches_oracle():
 
 
 def test_join_scripts_match_expansion_script():
-    # join builds its scripts inside the merge; expansion_script against the
-    # tree they build is the oracle.
+    # join builds its scripts inside the merge; the set-based expansion
+    # script onto the tree they build is the oracle.
     rng = random.Random(44)
     for _ in range(1500):
         n = rng.choice((2, 3, 4))
@@ -335,8 +389,8 @@ def test_join_scripts_match_expansion_script():
         t2 = random_tree(rng, n, (t1.leaf_count - 1) // (n - 1) if equal_size else rng.randint(0, 8))
         for tree, other in ((t1, t2), (t2, t1)):
             joined, s1, s2 = joined_tree(tree, other)
-            assert s1 == expansion_script(tree, joined)
-            assert s2 == expansion_script(other, joined)
+            assert s1 == expansion_script_oracle(tree, joined)
+            assert s2 == expansion_script_oracle(other, joined)
             assert join(tree, joined) == (s1, ())
             assert join(joined, other) == ((), s2)
 
@@ -688,3 +742,5 @@ def test_nested_codec_handles_deep_trees():
     nested = tree_to_nested(tree)
     assert tree_from_nested(nested, 2) == tree
     assert tree_to_json(tree) == "[" * depth + "[]" + ",[]]" * depth
+    comb = right_comb(2, depth + 1)
+    assert tree_to_json(comb) == "[[]," * depth + "[]" + "]" * depth
