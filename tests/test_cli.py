@@ -317,6 +317,51 @@ def test_count_takes_one_set_and_k_only_with_gen2(capsys, argv, code):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def _evaluate_to_identity(monkeypatch):
+    monkeypatch.setattr(gen, "evaluate_word",
+                        lambda word, genset: bf.identity_element(genset.context))
+
+
+def _selftest_with_a_violation(monkeypatch):
+    from bfcalc import selftest
+    failing = selftest.SuiteResult("orders", {}, [selftest.Check("law", 1, 1)], 0.0)
+    monkeypatch.setattr(selftest, "run_suite", lambda *args: [failing])
+
+
+README_DECOMPOSE = ("decompose", "a", "--set", "gen1", "-n", "2", "--verify", "--let",
+                    "a={ ((*,*),*) ; A[1,2] A[2,3]^-1 ; [1,1,1] ; (*,(*,*)) }")
+
+
+@pytest.mark.parametrize("argv, patch, code, last_line", [
+    (("parse", "{ (*,*) ; ; [1] ; (*,*) }", "-n", "2"), None, 2,
+     "error: expected 2 labels, got 1"),
+    (("parse", "{ (*,*) ; ; [1,1] ; ((*,*),*) }", "-n", "2"), None, 2,
+     "error: leaf counts of the two trees differ"),
+    (("parse", "{ (*,*) ; ; [1,1] ; (*,*,*) }", "-n", "2"), None, 2,
+     "error: tree has a node of width 3, expected arity 2"),
+    (("parse", "{ (*,*) ; ; [h1,1] ; (*,*) }", "-n", "2", "--hgen", "h1=A[1,3]"), None, 2,
+     "error: pure generator indices (1,3) out of range"),
+    (("parse", "{ * ; ; [1] ; * }", "-n", "2", "--hgen", "h1=A[1,2]", "--hgen", "h1=A[1,2]"),
+     None, 2, "error: bad or duplicate generator name 'h1'"),
+    (("parse", "{ * ; ; [1] ; * } x", "-n", "2"), None, 1,
+     "error: trailing input after element (line 1, column 18)"),
+    (("parse", "{ * ; A[1,2]", "-n", "2"), None, 1,
+     "error: expected ';' later in the input (line 1, column 5)"),
+    (README_DECOMPOSE, _evaluate_to_identity, 2,
+     "verification failure: decomposition failed to re-multiply"),
+    (("selftest", "--suite", "orders", "-n", "2", "--samples", "1", "--seed", "1"),
+     _selftest_with_a_violation, 2, "verification failure: selftest suite reported violations"),
+])
+def test_error_paths_exit_code_and_last_line(monkeypatch, capsys, argv, patch, code, last_line):
+    if patch is not None:
+        patch(monkeypatch)
+    assert run_cli(*argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == last_line
+    if patch is _selftest_with_a_violation:
+        assert "[FAIL]" in captured.out
+
+
 def test_render_to_unwritable_path_exit_1(tmp_path, capsys):
     target = tmp_path / "missing" / "x.svg"
     assert run_cli("render", "a", "--svg", str(target), "-n", "2",
