@@ -420,7 +420,7 @@ def from_json(text: str) -> BFElement:
         m = t1.leaf_count
         braid = AWord(m, tuple(tuple(map(_json_int, l)) for l in doc["braid"]))
         labels = tuple(tuple(map(_json_int, l)) for l in doc["labels"])
-    except (KeyError, TypeError, ValueError, OverflowError, br.BraidError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ElementError(f"malformed element document: {exc}") from exc
     return BFElement(context, t1, braid, labels, t2)
 

@@ -10,6 +10,9 @@ flags declare the label subgroup generators as braid words, and repeated
     braid   := (A-letter)*            A-letter := A[i,j] | A[i,j]^-1
     label   := "1" | (name | name^-1)+
 
+where a name is one declared by --hgen: not "1", not ending in "^-1", and
+free of whitespace, "," and "]", so that every label can spell it.
+
 Exit codes: 0 on success, 1 for syntax or usage errors (an output file
 that cannot be written included), 2 for semantic
 invariant violations (bad arities, strand bounds, unknown names, foreign
@@ -50,10 +53,6 @@ class CliSyntaxError(ValueError):
         super().__init__(message if line is None else f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
-
-
-class CliSemanticError(ValueError):
-    """Structurally parseable input that violates an invariant."""
 
 
 class _Scanner:
@@ -114,13 +113,6 @@ def _parse_tree(scanner: _Scanner, depth: int = 0) -> tuple:
     return tuple(children)
 
 
-def _nested_to_tree(nested: tuple, arity: int) -> Tree:
-    try:
-        return tree_from_nested(nested, arity)
-    except TreeError as exc:
-        raise CliSemanticError(str(exc)) from None
-
-
 def _parse_a_letter(token: str) -> tuple[int, int, int]:
     if not token.startswith("A"):
         raise CliSyntaxError(f"expected an A-letter, got {token!r}")
@@ -143,8 +135,9 @@ def _parse_a_letter(token: str) -> tuple[int, int, int]:
 
 def parse_a_word(text: str, strands: int, scanner: _Scanner | None = None,
                  start: int = 0) -> AWord:
-    """Whitespace-separated A-letters.  Given the scanner whose text holds
-    `text` from `start` on, a bad letter is reported where it starts there."""
+    """Whitespace-separated A-letters.  A malformed letter raises CliSyntaxError,
+    placed where it starts given the scanner whose text holds `text` from
+    `start` on; strand indices out of range raise the library's BraidError."""
     letters = []
     for token in re.finditer(r"\S+", text):
         try:
@@ -153,33 +146,21 @@ def parse_a_word(text: str, strands: int, scanner: _Scanner | None = None,
             if scanner is None:
                 raise
             raise scanner.error(str(exc), start + token.start()) from None
-    try:
-        return AWord(strands, tuple(letters))
-    except BraidError as exc:
-        raise CliSemanticError(str(exc)) from None
+    return AWord(strands, tuple(letters))
 
 
 def _parse_label(text: str, context: HContext) -> tuple[int, ...]:
-    text = text.strip()
-    if text == "1" or not text:
+    if text.strip() == "1":
         return ()
-    letters = []
-    for token in text.split():
-        sign = 1
-        name = token
-        if name.endswith("^-1"):
-            sign = -1
-            name = name[:-3]
-        try:
-            idx = context.generator_index(name)
-        except bf.ContextError as exc:
-            raise CliSemanticError(str(exc)) from None
-        letters.append(sign * idx)
-    return tuple(letters)
+    return tuple(-context.generator_index(token[:-3]) if token.endswith("^-1")
+                 else context.generator_index(token) for token in text.split())
 
 
 def parse_element(text: str, context: HContext) -> BFElement:
-    """Parse the braced element grammar against a declared session context."""
+    """Parse the braced element grammar against a declared session context.
+    Malformed text raises CliSyntaxError with its line and column; text that
+    breaks an invariant raises the library's TreeError, BraidError,
+    ContextError (an unknown label name) or ElementError."""
     scanner = _Scanner(text)
     scanner.expect("{")
     t1_nested = _parse_tree(scanner)
@@ -196,14 +177,11 @@ def parse_element(text: str, context: HContext) -> BFElement:
     if not scanner.at_end():
         raise scanner.error("trailing input after element")
 
-    t1 = _nested_to_tree(t1_nested, context.arity)
-    t2 = _nested_to_tree(t2_nested, context.arity)
+    t1 = tree_from_nested(t1_nested, context.arity)
+    t2 = tree_from_nested(t2_nested, context.arity)
     braid = parse_a_word(braid_text, t1.leaf_count, scanner, braid_start)
     labels = tuple(_parse_label(part, context) for part in labels_raw.split(","))
-    try:
-        return BFElement(context, t1, braid, labels, t2)
-    except (bf.ElementError, bf.ContextError) as exc:
-        raise CliSemanticError(str(exc)) from None
+    return BFElement(context, t1, braid, labels, t2)
 
 
 def format_tree(tree: Tree) -> str:
@@ -230,11 +208,11 @@ class Session:
             if "=" not in spec:
                 raise CliSyntaxError(f"--hgen needs NAME=WORD, got {spec!r}")
             name, word = spec.split("=", 1)
-            gens.append((name.strip(), parse_a_word(word, arity)))
-        try:
-            self.context = HContext(arity, tuple(gens))
-        except bf.ContextError as exc:
-            raise CliSemanticError(str(exc)) from None
+            name = name.strip()
+            if name == "1" or name.endswith("^-1") or re.search(r"[\s,\]]", name):
+                raise CliSyntaxError(f"--hgen name {name!r} cannot be written in a label")
+            gens.append((name, parse_a_word(word, arity)))
+        self.context = HContext(arity, tuple(gens))
         self.bindings: dict[str, BFElement] = {}
         for spec in lets:
             if "=" not in spec:
@@ -302,7 +280,7 @@ def _cmd_decompose(args, session: Session) -> int:
     x = session.resolve(args.element)
     genset = gen.generator_set(args.set, session.context)
     if genset.context != x.context:
-        raise CliSemanticError(
+        raise bf.ContextError(
             "element context does not match the chosen generator set "
             "(declare matching --hgen flags)")
     word = gen.decompose(x, genset)
@@ -352,7 +330,7 @@ def _cmd_count(args, session: Session) -> int:
     elif args.gen3:
         value = len(gen.gen3_set(arity))
     else:
-        raise CliSemanticError("choose one of --gen1/--gen2/--gen3/--irreducible")
+        raise bf.GeneratorSetError("choose one of --gen1/--gen2/--gen3/--irreducible")
     print(value)
     return 0
 
@@ -478,8 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliSyntaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CliSemanticError, bf.ElementError, bf.ContextError, TreeError,
-            BraidError, bf.GeneratorSetError) as exc:
+    except (bf.ElementError, bf.ContextError, TreeError, BraidError, bf.GeneratorSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except bf.VerificationError as exc:

@@ -951,3 +951,15 @@ def test_public_constructors_reject_lists_floats_and_bools():
     for bad in ((2.0, ()), (2, [("a", AWord(2, ()))]), (2, (["a", AWord(2, ())],))):
         with pytest.raises(ContextError):
             HContext(*bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BFElement(trivial_context(2), Tree.caret(3), AWord.identity(3), ((),) * 3,
+                       Tree.caret(3)), "tree arity does not match the context"),
+    (lambda: BFElement(trivial_context(2), Tree.caret(2), AWord.identity(2), ((),) * 2,
+                       Tree.caret(2).attach(1)), "leaf counts of the two trees differ"),
+])
+def test_element_checks_raise_element_error(call, message):
+    with pytest.raises(ElementError) as caught:
+        call()
+    assert type(caught.value) is ElementError and str(caught.value) == message

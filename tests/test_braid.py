@@ -940,3 +940,16 @@ def test_long_word_equality_uses_normal_form():
     twin = SigmaWord(9, sigma.letters[:mid] + (4, -4) + sigma.letters[mid:])
     assert braids_equal(sigma, twin)
     assert not braids_equal(twin, a_to_sigma(long_word * AWord(9, ((1, 3, 1),))))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SigmaWord(2, ()) * SigmaWord(3, ()), "strand count mismatch"),
+    (lambda: AWord(2, ()) * AWord(3, ()), "strand count mismatch"),
+    (lambda: AWord(0, ()), "strand count must be a positive int"),
+    (lambda: AWord(True, ()), "strand count must be a positive int"),
+    (lambda: AWord(2, ((1, 2, 2),)), "invalid sign 2"),
+])
+def test_word_checks_raise_braid_error(call, message):
+    with pytest.raises(BraidError) as caught:
+        call()
+    assert type(caught.value) is BraidError and str(caught.value) == message

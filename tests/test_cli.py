@@ -16,7 +16,6 @@ from bfcalc import cli, freegroup, trees
 from bfcalc import generators as gen
 from bfcalc.cli import (
     MAX_TREE_DEPTH,
-    CliSemanticError,
     CliSyntaxError,
     Session,
     format_element,
@@ -25,9 +24,9 @@ from bfcalc.cli import (
     parse_element,
 )
 from bfcalc.render import render_svg, render_text
-from bfcalc.braid import AWord, CombingLimitError, SchemaError
+from bfcalc.braid import AWord, BraidError, CombingLimitError, SchemaError
 from bfcalc.freegroup import TruncationError
-from bfcalc.trees import Tree
+from bfcalc.trees import Tree, TreeError
 
 
 H2 = ["h1=A[1,2]"]
@@ -43,7 +42,7 @@ def parse_tree_text(text, arity):
     nested = cli._parse_tree(scanner)
     if not scanner.at_end():
         raise scanner.error("trailing input after tree")
-    return cli._nested_to_tree(nested, arity)
+    return trees.tree_from_nested(nested, arity)
 
 
 # --- grammar
@@ -56,7 +55,7 @@ def test_parse_tree_text():
 
 
 def test_parse_tree_arity_checked():
-    with pytest.raises(CliSemanticError):
+    with pytest.raises(TreeError, match="node of width 2, expected arity 3"):
         parse_tree_text("(*,*)", 3)
     with pytest.raises(CliSyntaxError):
         parse_tree_text("(*,*", 2)
@@ -66,7 +65,7 @@ def test_parse_words():
     assert parse_a_word("A[1,2] A[1,3]^-1", 3) == AWord(3, ((1, 2, 1), (1, 3, -1)))
     with pytest.raises(CliSyntaxError):
         parse_a_word("B[1,2]", 3)
-    with pytest.raises(CliSemanticError):
+    with pytest.raises(BraidError):
         parse_a_word("A[1,9]", 3)
 
 
@@ -76,9 +75,9 @@ def test_parse_element_examples():
     assert bf.is_identity(one)
     x = parse_element("{ (*,*) ; A[1,2] ; [1,1] ; (*,*) }", ctx)
     assert x.braid == AWord(2, ((1, 2, 1),))
-    with pytest.raises(CliSemanticError):
+    with pytest.raises(BraidError):
         parse_element("{ (*,*) ; A[1,3] ; [1,1] ; (*,*) }", ctx)
-    with pytest.raises(CliSemanticError):
+    with pytest.raises(bf.ContextError, match="unknown H-generator 'h7'"):
         parse_element("{ (*,*) ; ; [h7,1] ; (*,*) }", ctx)
     with pytest.raises(CliSyntaxError):
         parse_element("{ (*,*) ; [1,1] ; (*,*) }", ctx)
@@ -139,6 +138,22 @@ def test_print_parse_round_trip_corpus():
         assert again.t1 == x.t1 and again.t2 == x.t2
         assert again.braid == x.braid and again.labels == x.labels
         assert format_element(again) == rendered
+
+
+def test_print_parse_round_trip_over_declared_names():
+    ctx = Session(2, ["h1=A[1,2]", "a1_2=A[1,2]^-1", "x^2=A[1,2] A[1,2]"], []).context
+    caret = Tree.caret(2)
+    x = bf.BFElement(ctx, caret, AWord(2, ((1, 2, 1),)), ((1, -2, 3), (-3, -1)), caret)
+    rendered = format_element(x)
+    assert rendered == "{ (*,*) ; A[1,2] ; [ h1 a1_2^-1 x^2, x^2^-1 h1^-1 ] ; (*,*) }"
+    assert parse_element(rendered, ctx) == x
+
+
+@pytest.mark.parametrize("name", ["1", "x^-1", "x y", "h,1", "h]"])
+def test_hgen_names_no_label_can_spell_exit_1(capsys, name):
+    assert run_cli("parse", "{ * ; ; [1] ; * }", "-n", "2", "--hgen", f"{name}=A[1,2]") == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: --hgen name {name!r} cannot be written in a label")
 
 
 def test_json_round_trip_corpus():
@@ -499,6 +514,18 @@ def test_render_counts_match_content():
     assert document.count('class="caret-edge"') == 4
 
 
+def test_render_three_strands_draws_the_idle_strand():
+    t = Tree.caret(2).attach(1)
+    x = bf.BFElement(bf.trivial_context(2), t, AWord(3, ((1, 3, 1),)), ((),) * 3, t)
+    document = render_svg(x)
+    assert document.count('class="aletter"') == 1
+    # A[1,3] is drawn as 4 crossing rows of 3 strands: two cross, one stays idle
+    assert document.count('class="strand under"') == 8
+    assert document.count('class="strand over"') == 4
+    assert document.count('class="strand"') == 4
+    assert document.count('class="caret-edge"') == 8
+
+
 def test_render_text_mentions_labels():
     ctx = bf.pn_context(2)
     caret = Tree.caret(2)
@@ -525,6 +552,7 @@ FUZZ_COMMON_FLAGS = [
 ]
 FUZZ_BAD_FLAGS = [
     ("-n", "1"), ("-n", "x"), ("--hgen", "h1"), ("--hgen", "h1=A[1,7]"), ("--hgen", "=A[1,2]"),
+    ("--hgen", "x^-1=A[1,2]"),
     ("--let", "a"), ("--let", "a=a"), ("--set", "gen4"), ("-k", "-1"), ("--bogus",),
 ]
 FUZZ_SETS = [("--set", "gen1"), ("--set", "gen2"), ("--set", "gen3")]

@@ -4,9 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bfcalc import freegroup
 from bfcalc.freegroup import (
     FreeWord,
     NCPolynomial,
+    TruncationError,
     WordError,
     _monomial_key,
     _sorted_terms,
@@ -270,3 +272,25 @@ def test_freeword_validation():
         FreeWord(2, (1, -1))  # not reduced
     with pytest.raises(WordError):
         FreeWord(2, (5,))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FreeWord(-1, ()), "rank must be a nonnegative int"),
+    (lambda: NCPolynomial(1, -1, ()), "truncation degree must be a nonnegative int"),
+    (lambda: NCPolynomial(1, 2, (((1,), 0),)), "zero coefficient stored"),
+    (lambda: NCPolynomial(1, 1, (((1, 1), 1),)), "monomial above truncation degree"),
+    (lambda: NCPolynomial(1, 2, (((2,), 1),)), "variable index out of range"),
+    (lambda: NCPolynomial(2, 2, (((2,), 1), ((1,), 1))), "terms are not sorted"),
+])
+def test_word_and_polynomial_checks_raise_word_error(call, message):
+    with pytest.raises(WordError) as caught:
+        call()
+    assert type(caught.value) is WordError and str(caught.value) == message
+
+
+def test_magnus_sign_without_a_nonconstant_term_raises_truncation_error(monkeypatch):
+    monkeypatch.setattr(freegroup, "magnus_truncated",
+                        lambda word, degree: NCPolynomial(word.rank, degree, (((), 1),)))
+    with pytest.raises(TruncationError) as caught:
+        magnus_sign(reduce_word(2, (1,)))
+    assert str(caught.value) == "no nonconstant term up to degree 2 for a nontrivial word"

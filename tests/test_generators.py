@@ -494,3 +494,22 @@ def test_generator_set_lookup():
     assert genset.index_of("f1") == 1
     with pytest.raises(GeneratorSetError):
         genset.index_of("nope")
+
+
+def _set_members(name_a, name_b, context_b):
+    return GeneratorSet(bf.trivial_context(2),
+                        ((name_a, bf.identity_element(bf.trivial_context(2))),
+                         (name_b, bf.identity_element(context_b))))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _set_members("a", "a", bf.trivial_context(2)), "duplicate member name 'a'"),
+    (lambda: _set_members("a", "b", bf.pn_context(2)), "member 'b' has a foreign context"),
+    (lambda: gen2_set(3, bf.pn_context(2)), "context arity mismatch"),
+    (lambda: generators.generator_set("gen4", bf.trivial_context(2)),
+     "unknown generator set 'gen4'"),
+])
+def test_set_checks_raise_generator_set_error(call, message):
+    with pytest.raises(GeneratorSetError) as caught:
+        call()
+    assert type(caught.value) is GeneratorSetError and str(caught.value) == message

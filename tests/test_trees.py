@@ -744,3 +744,16 @@ def test_nested_codec_handles_deep_trees():
     assert tree_to_json(tree) == "[" * depth + "[]" + ",[]]" * depth
     comb = right_comb(2, depth + 1)
     assert tree_to_json(comb) == "[[]," * depth + "[]" + "]" * depth
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Tree(2, ()), "a tree has at least one leaf"),
+    (lambda: TreePair(Tree.caret(2), Tree.caret(3)), "arity mismatch in tree pair"),
+    (lambda: TreePair(Tree.caret(2), Tree.caret(2).attach(1)), "leaf count mismatch in tree pair"),
+    (lambda: pair_multiply(TreePair(Tree.caret(2), Tree.caret(2)),
+                           TreePair(Tree.caret(3), Tree.caret(3))), "arity mismatch"),
+])
+def test_tree_checks_raise_tree_error(call, message):
+    with pytest.raises(TreeError) as caught:
+        call()
+    assert type(caught.value) is TreeError and str(caught.value) == message
