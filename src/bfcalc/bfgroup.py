@@ -432,8 +432,10 @@ def from_json(text: str) -> BFElement:
 def evaluate_product(factors: Iterable[BFElement], context: HContext) -> BFElement:
     """
     Multiply out a sequence of elements as a balanced product: multiply
-    adjacent pairs, level by level, so each factor is cabled about log2(L)
-    times for L factors; the one result is reduced.
+    the aligned pairs (0,1), (2,3), ... and carry an odd last factor over,
+    level by level, so each factor is cabled about log2(L) times for L
+    factors; the one result is reduced.  generators.evaluate_word builds
+    the first level from a memo and relies on this pairing.
     """
     layer = list(factors) or [identity_element(context)]
     while len(layer) > 1:

@@ -14,8 +14,8 @@ where a name is one declared by --hgen: not "1", not ending in "^-1", and
 free of whitespace, "," and "]", so that every label can spell it.
 
 Exit codes: 0 on success, 1 for syntax or usage errors (an output file
-that cannot be written included), 2 for semantic
-invariant violations (bad arities, strand bounds, unknown names, foreign
+that cannot be written included), 2 for semantic invariant violations
+(bad arities, strand bounds, unknown or repeated names, foreign
 contexts), for verification failures and for a rewrite-rule instance
 failing its oracle check, 3 for inputs outside the supported envelope (a
 combing coordinate or a sign computation past its ceiling).  For the last
@@ -169,7 +169,11 @@ def parse_element(text: str, context: HContext) -> BFElement:
     braid_text = scanner.take_until(";")
     scanner.expect(";")
     scanner.expect("[")
+    labels_start = scanner.pos
     labels_raw = scanner.take_until("]")
+    empty = re.search(r"(?:^|,)(?=\s*(?:,|$))", labels_raw)
+    if empty:
+        raise scanner.error("empty label (write 1 for the identity)", labels_start + empty.end())
     scanner.expect("]")
     scanner.expect(";")
     t2_nested = _parse_tree(scanner)
@@ -217,8 +221,10 @@ class Session:
         for spec in lets:
             if "=" not in spec:
                 raise CliSyntaxError(f"--let needs NAME=EXPR, got {spec!r}")
-            name, expr = spec.split("=", 1)
-            self.bindings[name.strip()] = self.resolve(expr)
+            name, expr = (part.strip() for part in spec.split("=", 1))
+            if name in self.bindings:
+                raise bf.ContextError(f"duplicate element name {name!r}")
+            self.bindings[name] = self.resolve(expr)
 
     def resolve(self, text: str) -> BFElement:
         name = text.strip()
@@ -316,8 +322,8 @@ def _cmd_gens(args, session: Session) -> int:
 def _cmd_count(args, session: Session) -> int:
     from . import generators as gen
     arity = session.context.arity
-    if args.hgens_count is not None and not args.gen2:
-        raise CliSyntaxError("argument -k/--hgens-count: only allowed with --gen2")
+    if args.hgens_count is not None and (not args.gen2 or args.hgen):
+        raise CliSyntaxError("argument -k/--hgens-count: only allowed with --gen2, without --hgen")
     if args.irreducible:
         value = len(gen.enumerate_irreducible(arity))
     elif args.gen1:

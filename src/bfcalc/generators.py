@@ -17,7 +17,8 @@ is a member, or is solved with the other atoms on its strand count from
 the expansion relations of the level below, each read off bfgroup.expand
 at every leaf.  Correctness is established by round-trip verification,
 not by construction, and verify_generating() runs exactly that.  A set
-keeps the words of the atoms it has decomposed, and its inverted members,
+keeps the words of the atoms it has decomposed, its inverted members and
+the products of the aligned letter pairs of the words it has evaluated,
 for as long as it lives.
 """
 
@@ -213,7 +214,9 @@ def _spell(factors: list[tuple[tuple, int]], atom_word) -> tuple[int, ...]:
 
 class _Decomposer:
     """
-    Rewriting engine for one generator set, with one memo of atom words.
+    Rewriting engine for one generator set, with one memo of atom words
+    and one, `pairs`, of the products of two signed members that
+    evaluate_word reads: at most (2|S|)^2 keys for |S| members.
 
     Members are read by their reduced elements.  One whose two trees are
     the same comb and whose braid and labels spell one atom is that atom's
@@ -239,18 +242,19 @@ class _Decomposer:
         self.context = genset.context
         self.arity = n = genset.context.arity
         self.inverses = tuple(bf.inverse(element) for _, element in genset.members)
+        self.pairs: dict[tuple[int, int], BFElement] = {}  # (k1, k2) -> product
         self._words: dict[tuple[int, tuple], tuple[int, ...]] = {}  # (m, atom) -> word
-        pairs: dict[tuple[Tree, Tree], int] = {}
+        tree_pairs: dict[tuple[Tree, Tree], int] = {}
         for k, (_, member) in enumerate(genset.members, start=1):
             x = bf.reduce(member)  # any representative of a member is read the same
             factors = _atom_factors(x)
             if not factors:
-                pairs.setdefault((x.t1, x.t2), k)
+                tree_pairs.setdefault((x.t1, x.t2), k)
             elif len(factors) == 1 and x.t1 == x.t2 == right_comb(n, x.leaf_count):
                 atom, sign = factors[0]
                 self._words.setdefault((x.leaf_count, atom), (k,) if sign > 0 else (-k,))
         # member index of each generating pair, None where the set lacks it
-        self._pair_members = tuple(pairs.get((p.domain, p.codomain))
+        self._pair_members = tuple(tree_pairs.get((p.domain, p.codomain))
                                    for p in tr.brown_generator_pairs(n))
         self._solved_levels: set[int] = set()
         self._solving: set[int] = set()
@@ -366,18 +370,31 @@ class _Decomposer:
 
 def decompose(x: BFElement, genset: GeneratorSet) -> tuple[int, ...]:
     """
-    Write x as a word of signed 1-based member indices of the set.  The set
-    keeps the words of the atoms it has decomposed for as long as it lives.
+    Write x as a word of signed 1-based member indices of the set.  A set
+    keeps the words of the atoms it has decomposed, and evaluate_word's
+    member-pair products, for as long as it lives.
     """
     return genset._engine.decompose(x)
 
 
 def evaluate_word(word: tuple[int, ...], genset: GeneratorSet) -> BFElement:
-    """Multiply out a decomposition word; letter -k stands for the inverse of member k."""
-    inverses = genset._engine.inverses
+    """
+    Multiply out a decomposition word; letter -k stands for the inverse of
+    member k.  The first layer of the balanced product, the pairs (0,1),
+    (2,3), ..., comes from the set's memo; the product tree is the same.
+    """
+    engine = genset._engine
     members = [genset.element(letter) for letter in word]  # rejects letters out of range
-    factors = (x if letter > 0 else inverses[-letter - 1] for letter, x in zip(word, members))
-    return bf.evaluate_product(factors, genset.context)
+    factors = [x if letter > 0 else engine.inverses[-letter - 1]
+               for letter, x in zip(word, members)]
+    layer = []
+    for q in range(1, len(word), 2):
+        key = (word[q - 1], word[q])
+        product = engine.pairs.get(key)
+        if product is None:
+            product = engine.pairs[key] = bf.multiply(factors[q - 1], factors[q])
+        layer.append(product)
+    return bf.evaluate_product(layer + factors[2 * len(layer):], genset.context)
 
 
 # Size ceilings of the random elements verify_generating draws.

@@ -325,6 +325,7 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
     (("count", "--gen1", "-k", "2"), 1),
     (("count", "-k", "2"), 1),
     (("count",), 2),
+    (("count", "--gen2", "-n", "2", "--hgen", "h1=A[1,2]", "-k", "3"), 1),
 ])
 def test_count_takes_one_set_and_k_only_with_gen2(capsys, argv, code):
     assert run_cli(*argv) == code
@@ -366,6 +367,10 @@ README_DECOMPOSE = ("decompose", "a", "--set", "gen1", "-n", "2", "--verify", "-
      "verification failure: decomposition failed to re-multiply"),
     (("selftest", "--suite", "orders", "-n", "2", "--samples", "1", "--seed", "1"),
      _selftest_with_a_violation, 2, "verification failure: selftest suite reported violations"),
+    (("parse", "{ (*,*) ; ; [1,] ; (*,*) }", "-n", "2"), None, 1,
+     "error: empty label (write 1 for the identity) (line 1, column 15)"),
+    (("parse", "a", "-n", "2", "--let", "a={ * ; ; [1] ; * }", "--let", " a ={ * ; ; [1] ; * }"),
+     None, 2, "error: duplicate element name 'a'"),
 ])
 def test_error_paths_exit_code_and_last_line(monkeypatch, capsys, argv, patch, code, last_line):
     if patch is not None:

@@ -361,17 +361,20 @@ def test_interrupted_level_leaves_the_set_usable(monkeypatch):
     assert bf.equal(evaluate_word(word, genset), x)
 
 
+def _balanced_product(word, genset):
+    """The oracle: the word's signed members multiplied out by bf.evaluate_product alone."""
+    members = [genset.members[abs(letter) - 1][1] for letter in word]
+    return bf.evaluate_product(
+        [m if letter > 0 else bf.inverse(m) for letter, m in zip(word, members)], genset.context)
+
+
 def test_evaluate_word_negative_letters_are_member_inverses():
     rng = random.Random(13)
     for genset in (gen2_set(2, bf.pn_context(2)), gen3_set(3)):
         size = len(genset)
         for _ in range(20):
             word = tuple(rng.choice((1, -1)) * rng.randint(1, size) for _ in range(6))
-            members = [genset.members[abs(letter) - 1][1] for letter in word]
-            expected = bf.evaluate_product(
-                (m if letter > 0 else bf.inverse(m) for letter, m in zip(word, members)),
-                genset.context)
-            assert evaluate_word(word, genset) == expected
+            assert evaluate_word(word, genset) == _balanced_product(word, genset)
 
 
 def test_bad_letters_rejected():
@@ -381,6 +384,71 @@ def test_bad_letters_rejected():
             genset.element(bad)
         with pytest.raises(GeneratorSetError):
             evaluate_word((1, bad), genset)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("make", [gen1_set, lambda n: gen2_set(n, bf.pn_context(n)), gen3_set],
+                         ids=["gen1", "gen2", "gen3"])
+def test_evaluate_word_equals_the_balanced_product_cold_and_warm(monkeypatch, make, n):
+    genset = make(n)
+    pairs = genset._engine.pairs
+    multiply = bf.multiply
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return multiply(x, y)
+
+    monkeypatch.setattr(bf, "multiply", counted)
+    rng = random.Random(26 + n)
+    for length in (0, 1, 2, 3, 6, 9):
+        for _ in range(2):
+            word = tuple(rng.choice((1, -1)) * rng.randint(1, len(genset)) for _ in range(length))
+            expected = _balanced_product(word, genset)
+            pairs.clear()
+            calls.clear()
+            assert evaluate_word(word, genset) == expected  # cold
+            cold = len(calls)
+            first_layer = {word[q - 1:q + 1] for q in range(1, length, 2)}
+            assert set(pairs) == first_layer
+            calls.clear()
+            assert evaluate_word(word, genset) == expected  # warm
+            assert len(calls) == cold - len(first_layer)
+
+
+def test_evaluate_word_takes_a_list_word():
+    genset = gen2_set(2, bf.pn_context(2))
+    word = (3, -1, 5, 5, -12, 7, 2)
+    listed = evaluate_word(list(word), genset)  # fills the memo
+    assert evaluate_word(word, genset) == listed == _balanced_product(word, genset)
+
+
+def test_bad_letters_leave_the_pair_memo_unchanged():
+    genset = gen1_set(2)
+    pairs = genset._engine.pairs
+    evaluate_word((1, 2, -3, 4), genset)
+    before = dict(pairs)
+    for bad in (0, len(genset) + 1, -(len(genset) + 1), True, 1.0):
+        for word in ((5, 6, bad), (bad, 4), (7, bad, 8, 9)):
+            with pytest.raises(GeneratorSetError):
+                evaluate_word(word, genset)
+            assert pairs.keys() == before.keys()
+            assert all(pairs[key] is before[key] for key in before)
+
+
+def test_pair_memo_holds_at_most_every_signed_pair():
+    genset = gen1_set(2)
+    letters = [sign * k for k in range(1, len(genset) + 1) for sign in (1, -1)]
+    pairs = genset._engine.pairs
+    for a in letters:
+        for b in letters:
+            evaluate_word((a, b, a), genset)
+            assert len(pairs) <= (2 * len(genset)) ** 2
+    assert len(pairs) == (2 * len(genset)) ** 2
+    rng = random.Random(26)
+    for _ in range(20):
+        evaluate_word(tuple(rng.choice(letters) for _ in range(9)), genset)
+    assert len(pairs) == (2 * len(genset)) ** 2
 
 
 def test_decompose_inverse_letters():
