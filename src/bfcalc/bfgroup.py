@@ -19,15 +19,13 @@ domain trees, labels in H and braids there, without a product.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import random
 from typing import Iterable
 
 from . import braid as br
 from . import trees as tr
 from .braid import AWord, braids_equal, is_trivial
-from .freegroup import (NEGATIVE, POSITIVE, ZERO, _is_int_tuple, _trusted, invert_letters,
+from .freegroup import (NEGATIVE, POSITIVE, ZERO, _is_int_tuple, _value_class, invert_letters,
                         reduce_letters, reduce_onto)
 from .trees import Tree, TreePair, fn_sign, join, tree_from_nested, tree_to_json
 
@@ -50,7 +48,7 @@ class VerificationError(RuntimeError):
     """Raised when a decomposition round trip fails."""
 
 
-@dataclasses.dataclass(frozen=True)
+@_value_class
 class HContext:
     """Arity plus the named generators of the label subgroup H <= P_n."""
 
@@ -107,8 +105,18 @@ def label_to_braid(label: Label, context: HContext) -> AWord:
         for a in (gens[letter - 1][1] if letter > 0 else gens[-letter - 1][1].inverse()).letters))
 
 
-@_trusted
-@dataclasses.dataclass(frozen=True, slots=True)
+def format_braid(word: AWord) -> str:
+    """Letters A[i,j] and A[i,j]^-1 separated by spaces; empty for no letters."""
+    return " ".join(f"A[{i},{j}]" + ("^-1" if s < 0 else "") for i, j, s in word.letters)
+
+
+def format_label(label: Label, context: HContext) -> str:
+    """Generator names, name^-1 for an inverse letter; empty for no letters."""
+    return " ".join(context.generators[abs(v) - 1][0] + ("^-1" if v < 0 else "")
+                    for v in label)
+
+
+@_value_class
 class BFElement:
     """A representative (t1, braid, labels, t2) over an H-context."""
 
@@ -383,6 +391,7 @@ def _fill_random(context: HContext, rng: random.Random, t1: Tree, t2: Tree,
 
 def to_json(x: BFElement) -> str:
     """Canonical JSON document mirroring the element fields."""
+    import json
     doc = {
         "arity": x.arity,
         "hgens": [[name, [list(l) for l in word.letters]]
@@ -404,6 +413,7 @@ def _json_int(value) -> int:
 
 
 def from_json(text: str) -> BFElement:
+    import json
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an integer over the digit limit

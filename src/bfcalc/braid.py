@@ -34,11 +34,10 @@ combing runs only on a level whose linking numbers all vanish.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable, Sequence
 
 from .freegroup import (NEGATIVE, POSITIVE, ZERO, FreeWord, SchemaError, _is_int_tuple,
-                        _trusted, invert_letters, magnus_sign, reduce_onto)
+                        _value_class, invert_letters, magnus_sign, reduce_onto)
 
 ALetter = tuple[int, int, int]
 
@@ -57,8 +56,7 @@ class CombingLimitError(RuntimeError):
 COMB_LETTER_LIMIT = 1_000_000
 
 
-@_trusted
-@dataclasses.dataclass(frozen=True, slots=True)
+@_value_class
 class SigmaWord:
     """Word over the crossing generators of the braid group on m strands."""
 
@@ -83,8 +81,7 @@ class SigmaWord:
         return SigmaWord(self.strands, self.letters + other.letters)
 
 
-@_trusted
-@dataclasses.dataclass(frozen=True, slots=True)
+@_value_class
 class AWord:
     """Word over the pure generators A[i,j] of the braid group on m strands."""
 
@@ -402,7 +399,7 @@ def split_a(word: AWord, t: int, n: int, inner: AWord) -> AWord:
 # Combing
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
+@_value_class
 class CombedForm:
     """
     Coordinates (w_m, ..., w_2) of a pure braid in the iterated splitting of

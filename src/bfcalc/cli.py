@@ -25,16 +25,13 @@ two the final line on standard error reads "ErrorName: message".
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import re
 import sys
 
 from . import bfgroup as bf
-from .bfgroup import BFElement, HContext
+from .bfgroup import BFElement, HContext, format_braid, format_label
 from .braid import AWord, BraidError, CombingLimitError
 from .freegroup import SchemaError, TruncationError
-from .render import format_braid, format_label, render_svg, render_text
 from .trees import Tree, TreeError, tree_from_nested, tree_to_json
 
 SIGN_NAMES = {bf.NEGATIVE: "negative", bf.ZERO: "zero", bf.POSITIVE: "positive"}
@@ -295,6 +292,7 @@ def _cmd_decompose(args, session: Session) -> int:
         for letter in word
     ]
     if args.json:
+        import json
         print(json.dumps({"word": list(word), "names": names}))
     else:
         print(" ".join(names) if names else "1")
@@ -310,6 +308,7 @@ def _cmd_gens(args, session: Session) -> int:
     from . import generators as gen
     genset = gen.generator_set(args.set, session.context)
     if args.json:
+        import json
         doc = [{"name": name, "element": json.loads(bf.to_json(el))}
                for name, el in genset.members]
         print(json.dumps(doc))
@@ -342,6 +341,7 @@ def _cmd_count(args, session: Session) -> int:
 
 
 def _cmd_render(args, session: Session) -> int:
+    from .render import render_svg, render_text
     x = session.resolve(args.element)
     document = render_svg(x) if args.format == "svg" else render_text(x)
     if args.svg:
@@ -366,6 +366,8 @@ def _cmd_selftest(args, session: Session) -> int:
             print(line)
         failed = failed or not result.passed
     if args.json:
+        import dataclasses
+        import json
         doc = [{"name": r.name, "params": r.params, "passed": r.passed,
                 "checks": [dataclasses.asdict(c) for c in r.checks]}
                for r in results]

@@ -9,11 +9,19 @@ polynomial ring is a tuple of variable indices; monomials are ordered by
 degree first and lexicographically within a degree.  The image of a word
 under the substitution always has constant term 1, so its sign is read off
 the minimal nonconstant monomial.
+
+Every value class of the library is declared with `_value_class`: its
+annotated fields, in order (`cls._fields`), become slots, and one compile per
+class generates `__init__` (class-level defaults, then the validating
+`__post_init__`), the builder `_new(*fields)`, which skips validation and is
+only for values assembled from valid values, and `__eq__`, `__hash__` and
+`__repr__` over the field tuple as dataclasses writes them.  Setting or
+deleting an attribute raises FrozenInstanceError; pickling and copying go
+through `_new`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from operator import neg
 from typing import Iterable, Mapping, TypeVar
 
@@ -35,21 +43,43 @@ class SchemaError(RuntimeError):
     """Raised when a rewrite-rule instance fails its oracle check."""
 
 
-def _trusted(cls):
+class FrozenInstanceError(AttributeError):
+    """Raised on setting or deleting an attribute of a value."""
+
+
+def _value_class(cls):
     """
-    Class decorator over a frozen slotted dataclass: add the builder
-    `cls._new(*fields)`, generated from the fields, which sets each slot in
-    turn without running __post_init__.  Only for values assembled from
-    valid values: public constructors, parsers and from_json check the rest.
+    Rebuild `cls` as a value class (module docstring).  Names in its own
+    __slots__ become extra slots outside the fields, for caches.
     """
-    names = tuple(cls.__dataclass_fields__)
-    scope = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
-    scope.update(_cls=cls, _make=object.__new__)
-    body = "".join(f"\n    _set_{name}(_obj, {name})" for name in names)
-    source = f"def _new({', '.join(names)}):\n    _obj = _make(_cls){body}\n    return _obj"
-    exec(compile(source, f"<{cls.__name__}._new>", "exec"), scope)  # named in profiles
-    cls._new = staticmethod(scope["_new"])
-    return cls
+    names, extra = tuple(cls.__annotations__), tuple(cls.__dict__.get("__slots__", ()))
+    dropped = (*names, *extra, "__dict__", "__weakref__")
+    body = {k: v for k, v in cls.__dict__.items() if k not in dropped}
+    body.update(__slots__=names + extra, __qualname__=cls.__qualname__, _fields=names)
+    new = type(cls)(cls.__name__, cls.__bases__, body)
+    scope = {f"_set_{n}": getattr(new, n).__set__ for n in names}
+    scope.update({f"_dflt_{n}": cls.__dict__[n] for n in names if n in cls.__dict__},
+                 _cls=new, _make=object.__new__, _Frozen=FrozenInstanceError,
+                 __name__=cls.__module__)
+    sets = "".join(f"\n    _set_{n}(self, {n})" for n in names)
+    own, other = (", ".join(f"{obj}.{n}" for n in names) + "," for obj in ("self", "other"))
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    params = ", ".join(n + (f"=_dflt_{n}" if f"_dflt_{n}" in scope else "") for n in names)
+    source = (f"def __init__(self, {params}):{sets}\n    self.__post_init__()\n"
+              f"def _new({', '.join(names)}):\n    self = _make(_cls){sets}\n    return self\n"
+              f"def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
+              f"        return ({own}) == ({other})\n    return NotImplemented\n"
+              f"def __hash__(self):\n    return hash(({own}))\n"
+              f"def __repr__(self):\n    return self.__class__.__qualname__ + f'({shown})'\n"
+              f"def __reduce__(self):\n    return _cls._new, ({own})\n"
+              "def __setattr__(self, name, value):\n"
+              "    raise _Frozen(f'cannot assign to field {name!r}')\n"
+              "def __delattr__(self, name):\n    raise _Frozen(f'cannot delete field {name!r}')\n")
+    exec(compile(source, f"<{cls.__name__}>", "exec"), scope, made := {})  # named in profiles
+    for name, function in made.items():
+        function.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(new, name, staticmethod(function) if name == "_new" else function)
+    return new
 
 
 def _is_int_tuple(value) -> bool:
@@ -85,8 +115,7 @@ def invert_letters(letters: Letters) -> Letters:
     return type(letters)(map(neg, reversed(letters)))
 
 
-@_trusted
-@dataclasses.dataclass(frozen=True, slots=True)
+@_value_class
 class FreeWord:
     """A freely reduced word; letter k means generator k, -k its inverse."""
 
@@ -134,8 +163,7 @@ def _sorted_terms(degree: int, coeffs: Mapping[Monomial, int]) -> tuple[tuple[Mo
                         key=lambda t: _monomial_key(t[0])))
 
 
-@_trusted
-@dataclasses.dataclass(frozen=True, slots=True)
+@_value_class
 class NCPolynomial:
     """
     Integer polynomial in noncommuting variables, truncated at a fixed

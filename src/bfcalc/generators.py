@@ -24,7 +24,6 @@ for as long as it lives.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 
@@ -32,11 +31,11 @@ from . import bfgroup as bf
 from . import trees as tr
 from .bfgroup import BFElement, GeneratorSetError, HContext, VerificationError
 from .braid import AWord
-from .freegroup import invert_letters, reduce_letters
+from .freegroup import _value_class, invert_letters, reduce_letters
 from .trees import Tree, right_comb
 
 
-@dataclasses.dataclass(frozen=True)
+@_value_class
 class PureGeneratorSpec:
     """A pure generator A[i,j] inside the braid group on m strands."""
 
@@ -75,12 +74,13 @@ def enumerate_irreducible(arity: int) -> tuple[PureGeneratorSpec, ...]:
     return tuple(out)
 
 
-@dataclasses.dataclass(frozen=True)
+@_value_class
 class GeneratorSet:
     """A named list of elements over a shared context."""
 
     context: HContext
     members: tuple[tuple[str, BFElement], ...]
+    __slots__ = ("_engine_memo",)  # outside the fields: equality and hash are unchanged
 
     def __post_init__(self):
         if type(self.members) is not tuple or not all(
@@ -109,9 +109,11 @@ class GeneratorSet:
             raise GeneratorSetError(f"no letter {index} in a set of {len(self.members)} members")
         return self.members[abs(index) - 1][1]
 
-    @functools.cached_property
+    @property
     def _engine(self) -> _Decomposer:
-        return _Decomposer(self)  # stored in __dict__: equality and hash are unchanged
+        if getattr(self, "_engine_memo", None) is None:
+            object.__setattr__(self, "_engine_memo", _Decomposer(self))
+        return self._engine_memo
 
 
 def _brown_members(context: HContext) -> list[tuple[str, BFElement]]:

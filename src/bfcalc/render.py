@@ -10,25 +10,14 @@ as a single crossing block.
 
 from __future__ import annotations
 
-from .bfgroup import BFElement, HContext, Label
-from .braid import AWord, a_to_sigma
+from .bfgroup import BFElement, format_braid, format_label
+from .braid import a_to_sigma
 from .trees import Tree
 
 STRAND_GAP = 36
 ROW_GAP = 26
 MARGIN = 24
 LABEL_ROW = 18
-
-
-def format_braid(word: AWord) -> str:
-    """Letters A[i,j] and A[i,j]^-1 separated by spaces; empty for no letters."""
-    return " ".join(f"A[{i},{j}]" + ("^-1" if s < 0 else "") for i, j, s in word.letters)
-
-
-def format_label(label: Label, context: HContext) -> str:
-    """Generator names, name^-1 for an inverse letter; empty for no letters."""
-    return " ".join(context.generators[abs(v) - 1][0] + ("^-1" if v < 0 else "")
-                    for v in label)
 
 
 def _esc(text: str) -> str:

@@ -20,9 +20,7 @@ intervals of different length.
 
 from __future__ import annotations
 
-import dataclasses
-
-from .freegroup import (NEGATIVE, POSITIVE, ZERO, SchemaError, _is_int_tuple, _trusted,
+from .freegroup import (NEGATIVE, POSITIVE, ZERO, SchemaError, _is_int_tuple, _value_class,
                         invert_letters, reduce_letters)
 
 Address = tuple[int, ...]
@@ -36,8 +34,7 @@ class ExpansionError(ValueError):
     """Raised when a tree is not an expansion of another."""
 
 
-@_trusted
-@dataclasses.dataclass(frozen=True, slots=True)
+@_value_class
 class Tree:
     """A finite full n-ary tree, given by its sorted leaf addresses."""
 
@@ -220,7 +217,7 @@ def tree_from_nested(nested, arity: int) -> Tree:
     return Tree(arity, tuple(sorted(leaves)))
 
 
-@dataclasses.dataclass(frozen=True)
+@_value_class
 class TreePair:
     """An element representative of the slope group: two trees, equal leaf counts."""
 

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -37,7 +36,9 @@ from bfcalc.bfgroup import (
 )
 from bfcalc.braid import (AWord, BraidError, SigmaWord, a_to_sigma, braids_equal, comb,
                           delete_strand, is_trivial, shift_embed, split_a)
-from bfcalc.freegroup import FreeWord, NCPolynomial, WordError, magnus_truncated, reduce_onto
+from bfcalc.freegroup import (FreeWord, FrozenInstanceError, NCPolynomial, WordError,
+                              magnus_truncated, reduce_onto)
+from bfcalc.generators import GeneratorSet, GeneratorSetError, PureGeneratorSpec, gen1_set
 from bfcalc import trees as tr
 from bfcalc.trees import (Tree, TreeError, TreePair, attach_caret, expansion_script, fn_sign, join,
                           right_comb)
@@ -177,8 +178,8 @@ def multiply_oracle(x, y):
 
 
 def assert_same_fields(got, want):
-    for field in dataclasses.fields(BFElement):
-        assert getattr(got, field.name) == getattr(want, field.name), field.name
+    for name in BFElement._fields:
+        assert getattr(got, name) == getattr(want, name), name
 
 
 ORACLE_CONTEXTS = [trivial_context(2), pn_context(2), trivial_context(3), pn_context(3),
@@ -845,8 +846,8 @@ def _assert_public(value):
     else:
         rebuilt = _rebuilt_element(value)
     assert rebuilt == value and hash(rebuilt) == hash(value)
-    field = dataclasses.fields(value)[0].name
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    field = type(value)._fields[0]
+    with pytest.raises(FrozenInstanceError):
         setattr(value, field, getattr(value, field))
 
 
@@ -883,32 +884,116 @@ def test_trusted_results_pass_public_constructors(ctx):
         _assert_public(a_to_sigma(inverse(x).braid))
 
 
-def _public_values():
-    """One value of each class with a generated builder, built publicly."""
+_TREE = "Tree(arity=2, leaves=((0,), (1, 0), (1, 1)))"
+_PN2 = "HContext(arity=2, generators=(('a1_2', AWord(strands=2, letters=((1, 2, 1),))),))"
+_ELEMENT = (f"BFElement(context={_PN2}, t1={_TREE}, braid=AWord(strands=3, letters=((1, 3, 1),)), "
+            f"labels=((1,), (), (-1, -1)), t2={_TREE})")
+
+
+def _value_contracts():
+    """
+    One value of each value class, built publicly, with its repr as
+    dataclasses printed it, fields its public constructor rejects, and the
+    error it raises for them.
+    """
     ctx = pn_context(2)
     tree = Tree.caret(2).attach(2)
+    element = BFElement(ctx, tree, AWord(3, ((1, 3, 1),)), ((1,), (), (-1, -1)), right_comb(2, 3))
     return [
-        tree,
-        AWord(3, ((1, 2, 1), (2, 3, -1))),
-        SigmaWord(3, (1, -2, 1)),
-        FreeWord(2, (1, -2, 1)),
-        NCPolynomial(2, 2, (((), 1), ((1,), 1), ((2, 1), -3))),
-        BFElement(ctx, tree, AWord(3, ((1, 3, 1),)), ((1,), (), (-1, -1)), right_comb(2, 3)),
+        (tree, _TREE, (2, ()), TreeError),
+        (AWord(3, ((1, 2, 1), (2, 3, -1))), "AWord(strands=3, letters=((1, 2, 1), (2, 3, -1)))",
+         (3, ((1, 4, 1),)), BraidError),
+        (SigmaWord(3, (1, -2, 1)), "SigmaWord(strands=3, letters=(1, -2, 1))", (3, (3,)),
+         BraidError),
+        (FreeWord(2, (1, -2, 1)), "FreeWord(rank=2, letters=(1, -2, 1))", (2, (1, -1)), WordError),
+        (NCPolynomial(2, 2, (((), 1), ((1,), 1), ((2, 1), -3))),
+         "NCPolynomial(rank=2, degree=2, terms=(((), 1), ((1,), 1), ((2, 1), -3)))",
+         (2, 1, (((1, 1), 1),)), WordError),
+        (element, _ELEMENT, (ctx, tree, AWord(2, ()), ((), ()), tree), ElementError),
+        (ctx, _PN2, (1, ()), ContextError),
+        (TreePair(Tree.caret(2).attach(1), tree),
+         f"TreePair(domain=Tree(arity=2, leaves=((0, 0), (0, 1), (1,))), codomain={_TREE})",
+         (tree, Tree.single(2)), TreeError),
+        (comb(AWord(3, ((1, 3, 1), (2, 3, -1)))),
+         "CombedForm(strands=3, coordinates=(FreeWord(rank=2, letters=(2,)), "
+         "FreeWord(rank=1, letters=(-1,))))", (3, ()), BraidError),
+        (PureGeneratorSpec(5, 2, 4), "PureGeneratorSpec(strands=5, i=2, j=4)", (3, 2, 1),
+         GeneratorSetError),
+        (GeneratorSet(ctx, (("x", element),)),
+         f"GeneratorSet(context={_PN2}, members=(('x', {_ELEMENT}),))",
+         (ctx, (("x", element), ("x", element))), GeneratorSetError),
     ]
+
+
+def _public_values():
+    """One value of each class with a generated builder, built publicly."""
+    return [value for value, *_ in _value_contracts()]
 
 
 @pytest.mark.parametrize("value", _public_values(), ids=lambda v: type(v).__name__)
 def test_generated_builder_matches_public_constructor(value):
     cls = type(value)
-    fields = [getattr(value, f.name) for f in dataclasses.fields(cls)]
+    fields = [getattr(value, name) for name in cls._fields]
     built = cls._new(*fields)
     assert type(built) is cls and built == value and hash(built) == hash(value)
-    assert [getattr(built, f.name) for f in dataclasses.fields(cls)] == fields
+    assert [getattr(built, name) for name in cls._fields] == fields
     assert not hasattr(built, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(built, dataclasses.fields(cls)[0].name, fields[0])
+    with pytest.raises(FrozenInstanceError):
+        setattr(built, cls._fields[0], fields[0])
     for copied in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
         assert copied == value and hash(copied) == hash(value)
+
+
+@pytest.mark.parametrize("value, shown, bad, error", _value_contracts(),
+                         ids=[type(c[0]).__name__ for c in _value_contracts()])
+def test_value_class_contract(value, shown, bad, error):
+    cls = type(value)
+    fields = tuple(getattr(value, name) for name in cls._fields)
+    assert repr(value) == shown
+    by_keyword = cls(**dict(zip(cls._fields, fields)))
+    assert by_keyword is not value and by_keyword == value and hash(by_keyword) == hash(value)
+    assert value.__eq__(fields) is NotImplemented and value != fields
+    # Every attribute is frozen, fields or not, and there is no __dict__.
+    for name in (*cls._fields, "other"):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, fields[0])
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in cls._fields) == fields
+    assert not hasattr(value, "__dict__")
+    # Validation runs in __init__ and not in _new; copies go through _new,
+    # so an unchecked value copies unchanged.
+    with pytest.raises(error):
+        cls(*bad)
+    unchecked = cls._new(*bad)
+    assert tuple(getattr(unchecked, name) for name in cls._fields) == bad
+    assert unchecked != value and unchecked == cls._new(*bad)
+    for copied in (pickle.loads(pickle.dumps(unchecked)), copy.deepcopy(unchecked),
+                   copy.copy(unchecked)):
+        assert type(copied) is cls and copied == unchecked
+        assert tuple(getattr(copied, name) for name in cls._fields) == bad
+
+
+def test_hcontext_default_generators():
+    assert HContext._fields == ("arity", "generators")
+    assert HContext(2).generators == () and HContext(arity=3).generators == ()
+    assert HContext(2) == HContext(2, ()) == HContext._new(2, ())
+    assert hash(HContext(2)) == hash(HContext(arity=2, generators=()))
+    assert repr(HContext(3)) == "HContext(arity=3, generators=())"
+    with pytest.raises(ContextError):
+        HContext(arity=1)
+
+
+def test_warm_engine_leaves_generator_set_equality_and_hash():
+    cold, warm = gen1_set(2), gen1_set(2)
+    shown, digest = repr(cold), hash(cold)
+    engine = warm._engine
+    warm._engine.decompose(random_element(warm.context, 5, max_leaves=5))
+    assert warm._engine is engine
+    assert warm == cold and cold == warm and hash(warm) == digest and repr(warm) == shown
+    assert GeneratorSet._fields == ("context", "members") and not hasattr(warm, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(warm)), copy.deepcopy(warm)):
+        assert copied == cold and hash(copied) == digest and copied._engine is not engine
 
 
 def test_public_constructors_reject_lists_floats_and_bools():

@@ -253,12 +253,33 @@ def test_error_classes_live_in_bfgroup():
 
 
 def test_fresh_cli_import_leaves_generators_and_selftest_unloaded():
-    code = ("import sys, bfcalc.cli; "
-            "print(sorted(m for m in ('bfcalc.generators', 'bfcalc.selftest') if m in sys.modules))")
+    # -S: no site hook of the host interpreter loads modules into the child.
+    lazy = ("bfcalc.generators", "bfcalc.selftest", "bfcalc.render", "dataclasses", "inspect",
+            "json")
+    code = f"import sys, bfcalc.cli; print(sorted(m for m in {lazy!r} if m in sys.modules))"
     src = os.path.dirname(os.path.dirname(bfcalc.__file__))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "[]"
+
+
+FRESH_SESSION = ["-n", "2", "--hgen", "h=A[1,2]", "--let",
+                 "a={ ((*,*),*) ; A[1,3] A[2,3]^-1 ; [ h, 1, h^-1 h^-1 ] ; (*,(*,*)) }"]
+
+
+@pytest.mark.parametrize("command, expected", [
+    (["render", "a", "--format", "text"],
+     "arity 2, 3 leaves\ndomain tree: 00 01 1\nbraid: A[1,3] A[2,3]^-1\nlabel 1: h\n"
+     "label 3: h^-1 h^-1\nrange tree: 0 10 11\n"),
+    (["parse", "a", "--json"],
+     '{"arity":2,"braid":[[1,3,1],[2,3,-1]],"hgens":[["h",[[1,2,1]]]],'
+     '"labels":[[1],[],[-1,-1]],"t1":[[[],[]],[]],"t2":[[],[[],[]]]}\n'),
+], ids=["render-text", "parse-json"])
+def test_fresh_process_loads_render_and_json_when_used(command, expected):
+    src = os.path.dirname(os.path.dirname(bfcalc.__file__))
+    done = subprocess.run([sys.executable, "-S", "-m", "bfcalc.cli", *command, *FRESH_SESSION],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 
 def test_module_entry_point_prints_and_exits():
