@@ -12,15 +12,14 @@ trees, splits strand i into n strands braided internally by the label
 there, and copies that label n times; an element equals all of its
 expansions.  Composition expands each factor along its whole script to the
 join of the middle trees in one pass, and keeps only the outer trees; join
-gives just the two scripts, since the middle tree is never read.  Equality
-expands both elements to the join of their codomain trees and compares
-domain trees, labels in H and braids there, without a product.
+gives just the two scripts, since the middle tree is never read; bare
+factors, empty labels and shared trees pass through (see multiply).
+Equality expands both elements to the join of their codomain trees and
+compares domain trees, labels in H and braids there, without a product.
+Reduction screens each window by its linking numbers first.
 """
 
 from __future__ import annotations
-
-import random
-from typing import Iterable
 
 from . import braid as br
 from . import trees as tr
@@ -190,6 +189,8 @@ def _expanded(x: BFElement, script: tuple[int, ...]) -> tuple[tuple, tuple[Label
     if not script:
         return x.braid.letters, x.labels
     n, context = x.arity, x.context
+    if not x.braid.letters and not any(x.labels):  # bare: nothing to cable
+        return (), ((),) * (x.leaf_count + (n - 1) * len(script))
     letters, labels = x.braid.letters, list(x.labels)
     for t in script:
         label = labels[t - 1]
@@ -202,22 +203,28 @@ def _expanded(x: BFElement, script: tuple[int, ...]) -> tuple[tuple, tuple[Label
 
 
 def multiply(x: BFElement, y: BFElement) -> BFElement:
-    """Compose two elements by expanding both to the join of the middle trees."""
+    """
+    Compose two elements by expanding both to the join of the middle trees.
+    A bare factor (no braid letters or labels) expands without cabling, empty
+    right labels keep the left ones, and a factor whose two trees are one
+    object lends the join as its outer tree when the other is not expanded.
+    """
     if x.context is not y.context and x.context != y.context:
         raise ContextError("elements live over different contexts")
     script_x, script_y = join(x.t2, y.t1)
     letters_x, labels_x = _expanded(x, script_x)
     letters_y, labels_y = _expanded(y, script_y)
-    labels = tuple(tuple(reduce_onto(list(a), b)) if b else a
-                   for a, b in zip(labels_x, labels_y))
-    return BFElement._new(x.context, tr.attach_script(x.t1, script_x),
-                          AWord._new(len(labels), letters_x + letters_y), labels,
-                          tr.attach_script(y.t2, script_y))
+    labels = labels_x if not any(labels_y) else tuple(
+        tuple(reduce_onto(list(a), b)) if b else a for a, b in zip(labels_x, labels_y))
+    t1 = y.t1 if x.t1 is x.t2 and not script_y else tr.attach_script(x.t1, script_x)
+    t2 = x.t2 if y.t1 is y.t2 and not script_x else tr.attach_script(y.t2, script_y)
+    return BFElement._new(x.context, t1, AWord._new(len(labels), letters_x + letters_y),
+                          labels, t2)
 
 
 def inverse(x: BFElement) -> BFElement:
     return BFElement._new(x.context, x.t2, x.braid.inverse(),
-                          tuple(invert_letters(l) for l in x.labels), x.t1)
+                          tuple(invert_letters(l) if l else l for l in x.labels), x.t1)
 
 
 def is_identity(x: BFElement) -> bool:
@@ -226,7 +233,7 @@ def is_identity(x: BFElement) -> bool:
     braid, trivial labels.  All three properties are preserved both ways
     along expansions (cabling is injective), so they characterize the class.
     """
-    return (x.t1 == x.t2 and all(_labels_oracle_equal(x, label, ()) for label in x.labels)
+    return (x.t1 == x.t2 and all(not l or _labels_oracle_equal(x, l, ()) for l in x.labels)
             and is_trivial(x.braid))
 
 
@@ -264,10 +271,10 @@ def reduce(x: BFElement) -> BFElement:
     agree in H and the braid is a cable there: deleting all its strands but
     the first, then splitting that one by the label, gives the braid back.
     The label's braid needs no dividing out: each of its letters touches a
-    deleted strand.
+    deleted strand.  Linking numbers screen each window first.
     """
     n, context = x.arity, x.context
-    braid, labels, stack = x.braid, [], []
+    braid, labels, stack, links = x.braid, [], [], None
     for entry, label in zip(zip(x.t1.leaves, x.t2.leaves), x.labels):
         stack.append(entry)
         labels.append(label)
@@ -276,18 +283,38 @@ def reduce(x: BFElement) -> BFElement:
             head = labels[i - 1]
             if any(not _labels_oracle_equal(x, head, l) for l in labels[i:]):
                 break
+            inner = label_to_braid(head, context)
+            links = br.linking_numbers(braid) if links is None else links  # once per braid
+            if not _links_like_cable(links, i, n, inner):
+                break
             smaller = braid
             for _ in range(n - 1):
                 smaller = br.delete_strand(smaller, i + 1)
-            if not braids_equal(braid, br.split_a(smaller, i, n, label_to_braid(head, context))):
+            if not braids_equal(braid, br.split_a(smaller, i, n, inner)):
                 break
-            braid = smaller
+            braid, links = smaller, None
             stack[-n:] = [parents]
             labels[-n:] = [head]
     if len(stack) == x.leaf_count:
         return x
     t1, t2 = zip(*stack)
     return BFElement._new(context, Tree._new(n, t1), braid, tuple(labels), Tree._new(n, t2))
+
+
+def _links_like_cable(links: dict, i: int, n: int, inner: AWord) -> bool:
+    """
+    Whether linking numbers can be a cable's at strands i..i+n-1: every other
+    strand links equally with the n, which link among themselves as inner.
+    """
+    window, inside = range(i, i + n), {}
+    for (a, b), v in links.items():
+        if a in window and b in window:
+            inside[a - i + 1, b - i + 1] = v
+        elif a in window or b in window:
+            c = b if a in window else a
+            if any(links.get((c, w) if c < i else (w, c), 0) != v for w in window):
+                return False
+    return inside == br.linking_numbers(inner)
 
 
 def pvb_sign(x: BFElement) -> int:
@@ -344,6 +371,7 @@ def random_element(
     max_label_letters: int = 4,
 ) -> BFElement:
     """Seed-deterministic element within the given size ceilings."""
+    import random
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = context.arity
     carets = rng.randint(0, max(0, (max_leaves - 1) // (n - 1)))
@@ -361,6 +389,7 @@ def random_pvb_element(
     max_label_letters: int = 4,
 ) -> BFElement:
     """Random representative with equal trees."""
+    import random
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = context.arity
     carets = rng.randint(0, max(0, (max_leaves - 1) // (n - 1)))

@@ -23,12 +23,11 @@ through `_new`.
 from __future__ import annotations
 
 from operator import neg
-from typing import Iterable, Mapping, TypeVar
 
 NEGATIVE, ZERO, POSITIVE = -1, 0, 1
 
 Monomial = tuple[int, ...]
-Letters = TypeVar("Letters", list[int], tuple[int, ...])
+Letters = list[int] | tuple[int, ...]
 
 
 class WordError(ValueError):

@@ -17,9 +17,9 @@ is a member, or is solved with the other atoms on its strand count from
 the expansion relations of the level below, each read off bfgroup.expand
 at every leaf.  Correctness is established by round-trip verification,
 not by construction, and verify_generating() runs exactly that.  A set
-keeps the words of the atoms it has decomposed, its inverted members and
-the products of the aligned letter pairs of the words it has evaluated,
-for as long as it lives.
+keeps the words of the atoms and trees it has decomposed, its inverted
+members and the products of the aligned letter pairs of the words it has
+evaluated, for as long as it lives.
 """
 
 from __future__ import annotations
@@ -216,8 +216,8 @@ def _spell(factors: list[tuple[tuple, int]], atom_word) -> tuple[int, ...]:
 
 class _Decomposer:
     """
-    Rewriting engine for one generator set, with one memo of atom words
-    and one, `pairs`, of the products of two signed members that
+    Rewriting engine for one generator set, with memos of atom words and
+    tree comb words, and `pairs`, the products of two signed members that
     evaluate_word reads: at most (2|S|)^2 keys for |S| members.
 
     Members are read by their reduced elements.  One whose two trees are
@@ -246,6 +246,7 @@ class _Decomposer:
         self.inverses = tuple(bf.inverse(element) for _, element in genset.members)
         self.pairs: dict[tuple[int, int], BFElement] = {}  # (k1, k2) -> product
         self._words: dict[tuple[int, tuple], tuple[int, ...]] = {}  # (m, atom) -> word
+        self._comb_words: dict[Tree, tuple[int, ...]] = {}  # tree -> _comb_word(tree)
         tree_pairs: dict[tuple[Tree, Tree], int] = {}
         for k, (_, member) in enumerate(genset.members, start=1):
             x = bf.reduce(member)  # any representative of a member is read the same
@@ -268,14 +269,17 @@ class _Decomposer:
         only cancels comb spine carets on the last leaf, which the peel
         never pushes, so the same windows peel at the same indices.
         """
-        out = []
-        for letter in tr.comb_conjugator_word(tree):
-            k = self._pair_members[abs(letter) - 1]
-            if k is None:
-                raise GeneratorSetError(f"member lookup failure: generating tree pair "
-                                        f"{abs(letter)} is not in the generator set")
-            out.append(k if letter > 0 else -k)
-        return tuple(out)
+        word = self._comb_words.get(tree)
+        if word is None:
+            out = []
+            for letter in tr.comb_conjugator_word(tree):
+                k = self._pair_members[abs(letter) - 1]
+                if k is None:
+                    raise GeneratorSetError(f"member lookup failure: generating tree pair "
+                                            f"{abs(letter)} is not in the generator set")
+                out.append(k if letter > 0 else -k)
+            word = self._comb_words[tree] = tuple(out)
+        return word
 
     def _atoms(self, m: int) -> list[tuple]:
         """Every atom on m strands: braid letters first, then singles."""
@@ -373,8 +377,8 @@ class _Decomposer:
 def decompose(x: BFElement, genset: GeneratorSet) -> tuple[int, ...]:
     """
     Write x as a word of signed 1-based member indices of the set.  A set
-    keeps the words of the atoms it has decomposed, and evaluate_word's
-    member-pair products, for as long as it lives.
+    keeps the words of the atoms and trees it has decomposed, and
+    evaluate_word's member-pair products, for as long as it lives.
     """
     return genset._engine.decompose(x)
 

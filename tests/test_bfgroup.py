@@ -35,7 +35,7 @@ from bfcalc.bfgroup import (
     trivial_context,
 )
 from bfcalc.braid import (AWord, BraidError, SigmaWord, a_to_sigma, braids_equal, comb,
-                          delete_strand, is_trivial, shift_embed, split_a)
+                          delete_strand, is_trivial, linking_numbers, shift_embed, split_a)
 from bfcalc.freegroup import (FreeWord, FrozenInstanceError, NCPolynomial, WordError,
                               magnus_truncated, reduce_onto)
 from bfcalc.generators import GeneratorSet, GeneratorSetError, PureGeneratorSpec, gen1_set
@@ -389,6 +389,57 @@ def test_group_operations_pinned():
     assert digest == "8bfb5f9647f1cd69fa897a36a9d3100246dde89f2ab64ce5b3ffb5d0ef76ace7"
 
 
+def pass_through_elements(ctx, rng):
+    """
+    Factors on the pass-through paths of multiply, inverse and is_identity:
+    the identity over combs, the n generating tree pairs, equal-tree atoms
+    over combs (one braid letter or one label letter) and label-free random
+    elements.
+    """
+    n, k = ctx.arity, len(ctx.generators)
+    combs = [right_comb(n, 1 + (n - 1) * c) for c in range(4)]
+    out = [identity_element(ctx, comb) for comb in combs]
+    out += [from_tree_pair(ctx, pair) for pair in tr.brown_generator_pairs(n)]
+    for comb in combs[1:]:
+        m = comb.leaf_count
+        i = rng.randint(1, m - 1)
+        letter = (i, rng.randint(i + 1, m), rng.choice((1, -1)))
+        out.append(BFElement(ctx, comb, AWord(m, (letter,)), ((),) * m, comb))
+        if k:
+            t = rng.randint(1, m)
+            labels = tuple((rng.choice((1, -1)) * rng.randint(1, k),) if p == t else ()
+                           for p in range(1, m + 1))
+            out.append(BFElement(ctx, comb, AWord.identity(m), labels, comb))
+    for _ in range(4):
+        x = draw(ctx, rng, leaves=9, braid=6, label=0)
+        out.append(BFElement(ctx, x.t1, x.braid, ((),) * x.leaf_count, x.t2))
+    return out
+
+
+def test_pass_through_products_pinned():
+    # Products and inverses with pass-through factors, on both sides of
+    # random elements and of each other, letter for letter; the digest was
+    # taken before multiply, inverse and is_identity skipped any work.
+    def fields(x):
+        return x.t1.leaves, x.braid.letters, x.labels, x.t2.leaves
+
+    entries = []
+    for n in (2, 3, 4):
+        for ctx in (trivial_context(n), pn_context(n)):
+            rng = random.Random(90 + n)
+            special = pass_through_elements(ctx, rng)
+            others = special + [draw(ctx, rng, leaves=9, braid=6, label=3) for _ in range(6)]
+            for a in special:
+                entries += [fields(inverse(a)), is_identity(a)]
+                for b in rng.sample(others, 6):
+                    for product in (multiply(a, b), multiply(b, a)):
+                        entries += [fields(product), fields(reduce(product)),
+                                    is_identity(product)]
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+    assert len(entries) == 3534
+    assert digest == "51147538c8ff0600d83dfa3aeba658c58506395ad510bbc17c9effb174d238bf"
+
+
 def test_context_mismatch_rejected():
     x = identity_element(trivial_context(2))
     y = identity_element(pn_context(2))
@@ -604,6 +655,45 @@ def test_reduce_matches_greedy_rescan_oracle(ctx):
         labels[rng.randrange(m)] = (rng.randint(1, k),) if k else ()
         x = BFElement(ctx, x.t1, AWord(m, letters), tuple(labels), x.t2)
         assert reduce(x) == greedy_reduce(x)
+
+
+def cable_check(braid, i, n, inner):
+    """The screen's answer and braids_equal's on the window i..i+n-1."""
+    smaller = braid
+    for _ in range(n - 1):
+        smaller = delete_strand(smaller, i + 1)
+    return (bf._links_like_cable(linking_numbers(braid), i, n, inner),
+            braids_equal(braid, split_a(smaller, i, n, inner)))
+
+
+@pytest.mark.parametrize("ctx", ORACLE_CONTEXTS, ids=ORACLE_IDS)
+def test_linking_screen_rejects_only_what_braids_equal_rejects(ctx):
+    # An expansion's window is a cable; one more braid letter touching it, or
+    # a label braid with other linking numbers, is not.  The screen must pass
+    # every window braids_equal accepts, here and at every window of random
+    # braids.  greedy_reduce stays the oracle for what reduce returns.
+    n, k = ctx.arity, len(ctx.generators)
+    rng = random.Random(70 + n + k)
+    for _ in range(30):
+        x = draw(ctx, rng, leaves=7, braid=6, label=2)
+        i = rng.randint(1, x.leaf_count)
+        grown = expand(x, i)
+        inner = label_to_braid(x.labels[i - 1], ctx)
+        assert cable_check(grown.braid, i, n, inner) == (True, True)
+        assert reduce(grown) == greedy_reduce(grown)
+        m = grown.leaf_count
+        w = rng.randint(i, i + n - 1)
+        c = rng.choice([q for q in range(1, m + 1) if q != w])
+        letter = (min(c, w), max(c, w), rng.choice((1, -1)))
+        braided = AWord(m, grown.braid.letters + (letter,))
+        assert cable_check(braided, i, n, inner) == (False, False)
+        if k:
+            other = label_to_braid(x.labels[i - 1] + (rng.randint(1, k),), ctx)
+            assert cable_check(grown.braid, i, n, other) == (False, False)
+        y = draw(ctx, rng, leaves=9, braid=8, label=2)
+        for j in range(1, y.leaf_count - n + 2):
+            screen, truth = cable_check(y.braid, j, n, label_to_braid(y.labels[j - 1], ctx))
+            assert screen or not truth
 
 
 # --- products of many factors

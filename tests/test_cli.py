@@ -255,7 +255,7 @@ def test_error_classes_live_in_bfgroup():
 def test_fresh_cli_import_leaves_generators_and_selftest_unloaded():
     # -S: no site hook of the host interpreter loads modules into the child.
     lazy = ("bfcalc.generators", "bfcalc.selftest", "bfcalc.render", "dataclasses", "inspect",
-            "json")
+            "json", "typing", "random")
     code = f"import sys, bfcalc.cli; print(sorted(m for m in {lazy!r} if m in sys.modules))"
     src = os.path.dirname(os.path.dirname(bfcalc.__file__))
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
