@@ -13,13 +13,18 @@ there, and copies that label n times; an element equals all of its
 expansions.  Composition expands each factor along its whole script to the
 join of the middle trees in one pass, and keeps only the outer trees; join
 gives just the two scripts, since the middle tree is never read; bare
-factors, empty labels and shared trees pass through (see multiply).
+factors, empty labels and shared trees pass through (see multiply).  A
+factor's trees are often one object: trees.join and trees.attach_script
+hand back stored objects for small trees, so equal products share trees,
+and a product of two such factors has one object for both of its trees.
 Equality expands both elements to the join of their codomain trees and
 compares domain trees, labels in H and braids there, without a product.
 Reduction screens each window by its linking numbers first.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from . import braid as br
 from . import trees as tr
@@ -207,7 +212,8 @@ def multiply(x: BFElement, y: BFElement) -> BFElement:
     Compose two elements by expanding both to the join of the middle trees.
     A bare factor (no braid letters or labels) expands without cabling, empty
     right labels keep the left ones, and a factor whose two trees are one
-    object lends the join as its outer tree when the other is not expanded.
+    object lends the join as its outer tree when the other is not expanded;
+    when both factors' trees are, the product's two trees are one object.
     """
     if x.context is not y.context and x.context != y.context:
         raise ContextError("elements live over different contexts")
@@ -216,8 +222,10 @@ def multiply(x: BFElement, y: BFElement) -> BFElement:
     letters_y, labels_y = _expanded(y, script_y)
     labels = labels_x if not any(labels_y) else tuple(
         tuple(reduce_onto(list(a), b)) if b else a for a, b in zip(labels_x, labels_y))
-    t1 = y.t1 if x.t1 is x.t2 and not script_y else tr.attach_script(x.t1, script_x)
-    t2 = x.t2 if y.t1 is y.t2 and not script_x else tr.attach_script(y.t2, script_y)
+    shared_x, shared_y = x.t1 is x.t2, y.t1 is y.t2
+    t1 = y.t1 if shared_x and not script_y else tr.attach_script(x.t1, script_x)
+    t2 = (t1 if shared_x and shared_y else x.t2 if shared_y and not script_x
+          else tr.attach_script(y.t2, script_y))
     return BFElement._new(x.context, t1, AWord._new(len(labels), letters_x + letters_y),
                           labels, t2)
 
@@ -355,7 +363,8 @@ def compare(x: BFElement, y: BFElement) -> int:
 # Random elements
 # ---------------------------------------------------------------------------
 
-def random_tree(rng: random.Random, arity: int, carets: int) -> Tree:
+def random_tree(rng, arity: int, carets: int) -> Tree:
+    """A tree of `carets` carets, each at a leaf drawn by `rng`, a random.Random."""
     tree = Tree.single(arity)
     for _ in range(carets):
         tree = tree.attach(rng.randint(1, tree.leaf_count))
@@ -364,13 +373,16 @@ def random_tree(rng: random.Random, arity: int, carets: int) -> Tree:
 
 def random_element(
     context: HContext,
-    seed: int | random.Random,
+    seed,
     *,
     max_leaves: int = 9,
     max_braid_letters: int = 16,
     max_label_letters: int = 4,
 ) -> BFElement:
-    """Seed-deterministic element within the given size ceilings."""
+    """
+    Seed-deterministic element within the given size ceilings; `seed` is an
+    int or a random.Random.
+    """
     import random
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = context.arity
@@ -382,13 +394,13 @@ def random_element(
 
 def random_pvb_element(
     context: HContext,
-    seed: int | random.Random,
+    seed,
     *,
     max_leaves: int = 9,
     max_braid_letters: int = 16,
     max_label_letters: int = 4,
 ) -> BFElement:
-    """Random representative with equal trees."""
+    """Random representative with equal trees; `seed` as for random_element."""
     import random
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = context.arity
@@ -397,7 +409,7 @@ def random_pvb_element(
     return _fill_random(context, rng, tree, tree, max_braid_letters, max_label_letters)
 
 
-def _fill_random(context: HContext, rng: random.Random, t1: Tree, t2: Tree,
+def _fill_random(context: HContext, rng, t1: Tree, t2: Tree,
                  max_braid_letters: int, max_label_letters: int) -> BFElement:
     m = t1.leaf_count
     letters = []

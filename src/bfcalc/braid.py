@@ -34,6 +34,8 @@ combing runs only on a level whose linking numbers all vanish.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+
 from .freegroup import (NEGATIVE, POSITIVE, ZERO, FreeWord, SchemaError, _is_int_tuple,
                         _value_class, invert_letters, magnus_sign, reduce_onto)
 

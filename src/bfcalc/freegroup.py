@@ -22,6 +22,7 @@ through `_new`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from operator import neg
 
 NEGATIVE, ZERO, POSITIVE = -1, 0, 1

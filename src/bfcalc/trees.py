@@ -16,14 +16,33 @@ piecewise-affine homeomorphism of [0,1] sending the k-th leaf interval of
 the domain tree affinely onto the k-th leaf interval of the codomain tree.
 The sign of such a pair is read off the first pair of corresponding leaf
 intervals of different length.
+
+join and attach_script keep one memo each, keyed by the arity and the leaves
+(and, for attach_script, the script).  A computation meets few trees again
+and again (combs, generating-set members and their expansions), and the
+results are immutable, so a hit hands back the stored scripts or Tree and
+equal results share objects.  Errors are never stored.  Only trees of at
+most MEMO_LEAVES leaves enter a memo or are looked up in it: a tuple does
+not cache its hash, so a key costs the sum of its leaf depths on every
+call, which grows with the square of the leaf count for a comb while the
+merge it saves grows with the leaf count.  A memo keeps its MEMO_ENTRIES
+most recently used entries.  The two constants cap the memory: both memos
+full of distinct 32-leaf binary caterpillars, the deepest trees allowed,
+held 37 MiB, while a 20-second run of a benchmark workload, whose trees
+have at most 10 leaves, leaves at most 1,704 entries in either.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .freegroup import (NEGATIVE, POSITIVE, ZERO, SchemaError, _is_int_tuple, _value_class,
                         invert_letters, reduce_letters)
 
 Address = tuple[int, ...]
+
+MEMO_LEAVES = 32  # no tree with more leaves enters or is read from a memo
+MEMO_ENTRIES = 2048  # per memo; the least recently used entry goes first
 
 
 class TreeError(ValueError):
@@ -105,13 +124,22 @@ def attach_script(tree: Tree, script: tuple[int, ...]) -> Tree:
     """The tree after attaching a caret at each leaf index of the script in turn."""
     if not script:
         return tree
-    leaves = list(tree.leaves)
+    n, leaves = tree.arity, tree.leaves
+    small = len(leaves) + (n - 1) * len(script) <= MEMO_LEAVES
+    return (_attach_memo if small else _attach_script)(n, leaves, script)
+
+
+def _attach_script(n: int, leaves: tuple[Address, ...], script: tuple[int, ...]) -> Tree:
+    out = list(leaves)
     for i in script:
-        if not 1 <= i <= len(leaves):
-            raise TreeError(f"leaf index {i} out of range 1..{len(leaves)}")
-        addr = leaves[i - 1]
-        leaves[i - 1 : i] = [addr + (d,) for d in range(tree.arity)]
-    return Tree._new(tree.arity, tuple(leaves))
+        if not 1 <= i <= len(out):
+            raise TreeError(f"leaf index {i} out of range 1..{len(out)}")
+        addr = out[i - 1]
+        out[i - 1 : i] = [addr + (d,) for d in range(n)]
+    return Tree._new(n, tuple(out))
+
+
+_attach_memo = functools.lru_cache(MEMO_ENTRIES)(_attach_script)
 
 
 def right_comb(arity: int, leaf_count: int) -> Tree:
@@ -152,12 +180,19 @@ def join(tree: Tree, other: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     whose leaf u is shorter gains k once per new inner node w[:e],
     len(u) <= e < len(w), w[e:] all zeros.
     """
-    if tree == other:
-        return (), ()
-    if tree.arity != other.arity:
+    n = tree.arity
+    if n != other.arity:
         raise TreeError("arity mismatch")
-    last = tree.arity - 1
     xs, ys = tree.leaves, other.leaves
+    small = len(xs) <= MEMO_LEAVES and len(ys) <= MEMO_LEAVES
+    return (_join_memo if small else _join)(n, xs, ys)
+
+
+def _join(n: int, xs: tuple[Address, ...], ys: tuple[Address, ...]
+          ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    if xs == ys:
+        return (), ()
+    last = n - 1
     i = j = k = 0
     script_x, script_y = [], []
     while i < len(xs):  # both lists end with the all-(n-1) leaf, together
@@ -174,6 +209,9 @@ def join(tree: Tree, other: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
         i += lu >= s
         j += lv >= s
     return tuple(script_x), tuple(script_y)
+
+
+_join_memo = functools.lru_cache(MEMO_ENTRIES)(_join)
 
 
 def tree_to_json(tree: Tree) -> str:

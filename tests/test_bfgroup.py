@@ -435,6 +435,8 @@ def test_pass_through_products_pinned():
                     for product in (multiply(a, b), multiply(b, a)):
                         entries += [fields(product), fields(reduce(product)),
                                     is_identity(product)]
+                        if a.t1 is a.t2 and b.t1 is b.t2:  # both trees are the join
+                            assert product.t1 is product.t2
     digest = hashlib.sha256(repr(entries).encode()).hexdigest()
     assert len(entries) == 3534
     assert digest == "51147538c8ff0600d83dfa3aeba658c58506395ad510bbc17c9effb174d238bf"

@@ -1,11 +1,14 @@
 import contextlib
+import importlib
 import importlib.util
+import inspect
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,6 +264,25 @@ def test_fresh_cli_import_leaves_generators_and_selftest_unloaded():
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "[]"
+
+
+LIBRARY_MODULES = ("freegroup", "braid", "trees", "bfgroup", "generators")
+
+
+@pytest.mark.parametrize("name", LIBRARY_MODULES)
+def test_library_annotations_resolve(name):
+    # Annotations are strings under `from __future__ import annotations`;
+    # every name in them must be bound in the module although the CLI path
+    # imports neither typing nor random.
+    module = importlib.import_module(f"bfcalc.{name}")
+    own = [v for v in vars(module).values() if getattr(v, "__module__", None) == module.__name__]
+    classes = [v for v in own if inspect.isclass(v)]
+    functions = [v for v in own if inspect.isfunction(v)]
+    functions += [getattr(f, "__func__", f) for cls in classes for f in vars(cls).values()
+                  if inspect.isfunction(getattr(f, "__func__", f))]
+    assert functions
+    for obj in classes + functions:
+        typing.get_type_hints(obj)
 
 
 FRESH_SESSION = ["-n", "2", "--hgen", "h=A[1,2]", "--let",

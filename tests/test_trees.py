@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bfcalc import trees as tr
 from bfcalc.freegroup import invert_letters, reduce_letters
 from bfcalc.trees import (
     ExpansionError,
@@ -757,3 +758,110 @@ def test_tree_checks_raise_tree_error(call, message):
     with pytest.raises(TreeError) as caught:
         call()
     assert type(caught.value) is TreeError and str(caught.value) == message
+
+
+# --- the join and attach_script memos
+
+MEMOS = (tr._join_memo, tr._attach_memo)
+
+
+@pytest.fixture
+def cold_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def memo_sizes():
+    return tuple(memo.cache_info().currsize for memo in MEMOS)
+
+
+def seeded_memo_inputs(n, count=150):
+    rng = random.Random(60 + n)
+    out = []
+    for _ in range(count):
+        t1 = random_tree(rng, n, rng.randint(0, 6))
+        t2 = random_tree(rng, n, rng.randint(0, 6))
+        script = tuple(rng.randint(1, t1.leaf_count + (n - 1) * k) for k in range(rng.randint(1, 4)))
+        out.append((t1, t2, script))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_memoized_join_and_attach_match_uncached_code(cold_memos, n):
+    inputs = seeded_memo_inputs(n)
+    cold = []
+    for t1, t2, script in inputs:
+        scripts = join(t1, t2)
+        attached = attach_script(t1, script)
+        assert scripts == tr._join(n, t1.leaves, t2.leaves) == join_oracle(t1, t2)[1:]
+        assert attached == tr._attach_script(n, t1.leaves, script)
+        assert attached == Tree(n, attached.leaves)
+        cold.append((scripts, attached))
+    assert min(memo_sizes()) > 0
+    # Warm: equal trees built apart hit the memo and get the stored objects back.
+    for (t1, t2, script), (scripts, attached) in zip(inputs, cold):
+        u1, u2 = Tree(n, t1.leaves), Tree(n, t2.leaves)
+        assert join(u1, u2) is scripts
+        assert attach_script(u1, script) is attached
+        assert joined_tree(u1, u2) == join_oracle(t1, t2)
+
+
+def test_memo_keys_carry_the_arity(cold_memos):
+    # The one-leaf trees of all arities have the same leaves.
+    for n in (2, 3, 4, 2):
+        assert attach_script(Tree.single(n), (1, 1)) == attach_oracle(Tree.caret(n), 1)
+        assert join(Tree.single(n), Tree.caret(n)) == ((1,), ())
+
+
+def test_memo_stores_no_errors(cold_memos):
+    for _ in range(3):
+        with pytest.raises(TreeError) as caught:
+            join(Tree.caret(2), Tree.caret(3))
+        assert str(caught.value) == "arity mismatch"
+        for script, leaves in (((0,), 3), ((4,), 3), ((1, 2, 8), 7)):
+            with pytest.raises(TreeError) as caught:
+                attach_script(Tree.caret(3), script)
+            assert str(caught.value) == f"leaf index {script[-1]} out of range 1..{leaves}"
+    assert memo_sizes() == (0, 0)
+
+
+def test_full_memo_evicts_and_stays_right(cold_memos):
+    # Distinct binary trees: the right comb with one more caret at each leaf.
+    trees_seen = [right_comb(2, m).attach(i) for m in range(2, 20) for i in range(1, m + 1)]
+    pairs = [(a, b) for a in trees_seen for b in trees_seen[:15]]
+    calls = [(a, b, (1 + p % a.leaf_count, 1)) for p, (a, b) in enumerate(pairs)]
+    assert len(calls) > tr.MEMO_ENTRIES + 10
+    for memo in MEMOS:  # building the trees filled the attach_script memo
+        memo.cache_clear()
+    for a, b, script in calls:
+        assert join(a, b) == tr._join(2, a.leaves, b.leaves)
+        assert attach_script(a, script) == attach_oracle(attach_oracle(a, script[0]), 1)
+    assert memo_sizes() == (tr.MEMO_ENTRIES, tr.MEMO_ENTRIES)
+    misses = tr._join_memo.cache_info().misses
+    assert misses == len(calls)
+    for a, b, script in calls[::50]:  # the first calls were evicted, the last are held
+        assert joined_tree(a, b) == join_oracle(a, b)
+        assert attach_script(a, script) == attach_oracle(attach_oracle(a, script[0]), 1)
+    assert tr._join_memo.cache_info().misses > misses
+    a, b, script = calls[-1]
+    assert join(a, b) is join(a, b) and attach_script(a, script) is attach_script(a, script)
+    assert memo_sizes() == (tr.MEMO_ENTRIES, tr.MEMO_ENTRIES)
+
+
+def test_memo_holds_no_tree_above_its_leaf_limit(cold_memos):
+    # Keys of deep trees cost the sum of their leaf depths to hash: a deep
+    # comb grown one caret at a time must leave at most the limit's worth.
+    limit = tr.MEMO_LEAVES
+    tree = Tree.single(2)
+    for _ in range(500):
+        tree = tree.attach(1)
+    assert memo_sizes() == (0, limit - 1)  # results of 2..limit leaves
+    big, small = right_comb(2, limit + 1), right_comb(2, limit)
+    assert join(big, small) == ((), (limit,)) and join(small, big) == ((limit,), ())
+    assert attach_script(small, (1,)) == attach_oracle(small, 1)
+    assert attach_script(right_comb(2, limit - 2), (1, 1, 1)).leaf_count == limit + 1
+    assert memo_sizes() == (0, limit - 1)
+    assert [memo.cache_info().hits for memo in MEMOS] == [0, 0]
