@@ -1,17 +1,18 @@
-"""
+r"""
 Command-line calculator.
 
 A session is declared by flags: --arity fixes n, repeated --hgen NAME=WORD
 flags declare the label subgroup generators as braid words, and repeated
 --let NAME=EXPR flags bind element names.  Element expressions follow
 
-    element := "{" tree ";" braid ";" "[" label ("," label)* "]" ";" tree "}"
-    tree    := "*" | "(" tree ("," tree)+ ")"
-    braid   := (A-letter)*            A-letter := A[i,j] | A[i,j]^-1
-    label   := "1" | (name | name^-1)+
+    element  := "{" tree ";" braid ";" "[" label ("," label)* "]" ";" tree "}"
+    tree     := "*" | "(" tree ("," tree)+ ")"
+    braid    := (A-letter)*               label := "1" | (name | name^-1)+
+    A-letter := A\[([0-9]+),([0-9]+)\](\^-1)?        the pattern A_LETTER
+    name     := [^\s,\]]{2,}(?<!\^-1)|[^\s,\]1]     the pattern NAME
 
-where a name is one declared by --hgen: not "1", not ending in "^-1", and
-free of whitespace, "," and "]", so that every label can spell it.
+Letters are separated by whitespace.  A name (every --hgen name must be
+one) is not "1", does not end in "^-1" and has no whitespace, "," or "]".
 
 Exit codes: 0 on success, 1 for syntax or usage errors (an output file
 that cannot be written included), 2 for semantic invariant violations
@@ -41,6 +42,11 @@ ORDER_NAMES = {bf.LESS: "less", bf.EQUAL: "equal", bf.GREATER: "greater"}
 # Deepest tree nesting the parser accepts.  It recurses once per level, so
 # the ceiling sits well below the interpreter's recursion limit.
 MAX_TREE_DEPTH = 200
+
+# The grammar's two lexical rules, as the module docstring spells them.
+A_LETTER = re.compile(r"A\[([0-9]+),([0-9]+)\](\^-1)?")
+NAME = re.compile(r"[^\s,\]]{2,}(?<!\^-1)|[^\s,\]1]")
+_LABEL_LETTER = re.compile(f"({NAME.pattern})(\\^-1)?")
 
 
 class CliSyntaxError(ValueError):
@@ -110,26 +116,6 @@ def _parse_tree(scanner: _Scanner, depth: int = 0) -> tuple:
     return tuple(children)
 
 
-def _parse_a_letter(token: str) -> tuple[int, int, int]:
-    if not token.startswith("A"):
-        raise CliSyntaxError(f"expected an A-letter, got {token!r}")
-    sign = 1
-    body = token
-    if body.endswith("^-1"):
-        sign = -1
-        body = body[:-3]
-    if not (body.startswith("A[") and body.endswith("]")):
-        raise CliSyntaxError(f"bad braid letter {token!r}")
-    inner = body[2:-1].split(",")
-    if len(inner) != 2:
-        raise CliSyntaxError(f"bad braid letter {token!r}")
-    try:
-        i, j = int(inner[0]), int(inner[1])
-    except ValueError:
-        raise CliSyntaxError(f"bad braid letter {token!r}") from None
-    return (i, j, sign)
-
-
 def parse_a_word(text: str, strands: int, scanner: _Scanner | None = None,
                  start: int = 0) -> AWord:
     """Whitespace-separated A-letters.  A malformed letter raises CliSyntaxError,
@@ -137,20 +123,34 @@ def parse_a_word(text: str, strands: int, scanner: _Scanner | None = None,
     `start` on; strand indices out of range raise the library's BraidError."""
     letters = []
     for token in re.finditer(r"\S+", text):
-        try:
-            letters.append(_parse_a_letter(token.group()))
-        except CliSyntaxError as exc:
-            if scanner is None:
-                raise
-            raise scanner.error(str(exc), start + token.start()) from None
+        letter = A_LETTER.fullmatch(word := token.group())
+        try:  # int() refuses an index past its digit limit; no tree has that many strands
+            indices = letter and (int(letter[1]), int(letter[2]))
+        except ValueError:
+            indices = None
+        if not indices:
+            error = (f"bad braid letter {word!r}" if word.startswith("A")
+                     else f"expected an A-letter, got {word!r}")
+            raise (CliSyntaxError(error) if scanner is None
+                   else scanner.error(error, start + token.start()))
+        letters.append(indices + (-1 if letter[3] else 1,))
     return AWord(strands, tuple(letters))
 
 
-def _parse_label(text: str, context: HContext) -> tuple[int, ...]:
-    if text.strip() == "1":
-        return ()
-    return tuple(-context.generator_index(token[:-3]) if token.endswith("^-1")
-                 else context.generator_index(token) for token in text.split())
+def _parse_labels(scanner: _Scanner) -> list[list[tuple[str, int]]]:
+    """Labels up to the closing ']' as lists of (name, +1 or -1); "1" alone has none."""
+    labels, at = [], scanner.pos
+    for part in scanner.take_until("]").split(","):
+        tokens = list(re.finditer(r"\S+", part))
+        if not tokens:
+            raise scanner.error("empty label (write 1 for the identity)", at)
+        letters = [_LABEL_LETTER.fullmatch(t.group()) for t in tokens if part.strip() != "1"]
+        if None in letters:
+            token = tokens[letters.index(None)]
+            raise scanner.error(f"bad label letter {token.group()!r}", at + token.start())
+        labels.append([(m[1], -1 if m[2] else 1) for m in letters])
+        at += len(part) + 1
+    return labels
 
 
 def parse_element(text: str, context: HContext) -> BFElement:
@@ -166,11 +166,7 @@ def parse_element(text: str, context: HContext) -> BFElement:
     braid_text = scanner.take_until(";")
     scanner.expect(";")
     scanner.expect("[")
-    labels_start = scanner.pos
-    labels_raw = scanner.take_until("]")
-    empty = re.search(r"(?:^|,)(?=\s*(?:,|$))", labels_raw)
-    if empty:
-        raise scanner.error("empty label (write 1 for the identity)", labels_start + empty.end())
+    raw_labels = _parse_labels(scanner)
     scanner.expect("]")
     scanner.expect(";")
     t2_nested = _parse_tree(scanner)
@@ -181,7 +177,7 @@ def parse_element(text: str, context: HContext) -> BFElement:
     t1 = tree_from_nested(t1_nested, context.arity)
     t2 = tree_from_nested(t2_nested, context.arity)
     braid = parse_a_word(braid_text, t1.leaf_count, scanner, braid_start)
-    labels = tuple(_parse_label(part, context) for part in labels_raw.split(","))
+    labels = tuple(tuple(s * context.generator_index(n) for n, s in label) for label in raw_labels)
     return BFElement(context, t1, braid, labels, t2)
 
 
@@ -208,9 +204,8 @@ class Session:
         for spec in hgens:
             if "=" not in spec:
                 raise CliSyntaxError(f"--hgen needs NAME=WORD, got {spec!r}")
-            name, word = spec.split("=", 1)
-            name = name.strip()
-            if name == "1" or name.endswith("^-1") or re.search(r"[\s,\]]", name):
+            name, word = (part.strip() for part in spec.split("=", 1))
+            if not NAME.fullmatch(name):
                 raise CliSyntaxError(f"--hgen name {name!r} cannot be written in a label")
             gens.append((name, parse_a_word(word, arity)))
         self.context = HContext(arity, tuple(gens))

@@ -389,19 +389,22 @@ _XI_WORDS: dict[tuple[int, int], tuple[int, ...]] = {}
 
 def _xi_word(arity: int, i: int) -> tuple[int, ...]:
     """
-    The elementary pair with index i written over the n generating pairs.
-    For i <= n it is the inverse of the i-th generator; higher indices are
-    rewritten through the conjugation identity and each rewrite is verified
-    once against pair evaluation.
+    The elementary pair E(i) with index i written over the n generating
+    pairs g_1..g_n: g_i^-1 for i <= n, else through the conjugation identity
+    E(i) = g_1 E(i-n+1) g_1^-1.  Each instance is checked once by that
+    relation, against the checked E(i-n+1), in at most three pair products.
     """
     key = (arity, i)
     if key in _XI_WORDS:
         return _XI_WORDS[key]
+    g = brown_generator_pairs(arity)
     if i <= arity:
-        word: tuple[int, ...] = (-i,)
+        word, value = (-i,), pair_inverse(g[i - 1])
     else:
         word = reduce_letters((1,) + _xi_word(arity, i - arity + 1) + (-1,))
-    check = pair_multiply(evaluate_brown_word(arity, word), pair_inverse(_elementary_pair(arity, i)))
+        value = pair_multiply(pair_multiply(g[0], _elementary_pair(arity, i - arity + 1)),
+                              pair_inverse(g[0]))
+    check = pair_multiply(value, pair_inverse(_elementary_pair(arity, i)))
     if not pair_is_identity(check):
         raise SchemaError(f"elementary-pair rewrite failed for index {i}, arity {arity}")
     _XI_WORDS[key] = word

@@ -70,6 +70,12 @@ def test_parse_words():
         parse_a_word("B[1,2]", 3)
     with pytest.raises(BraidError):
         parse_a_word("A[1,9]", 3)
+    assert parse_a_word("A[01,2]^-1", 3) == AWord(3, ((1, 2, -1),))  # leading zeros are digits
+
+
+def test_docstring_spells_the_two_lexical_rules():
+    assert f"A-letter := {cli.A_LETTER.pattern} " in cli.__doc__
+    assert f"name     := {cli.NAME.pattern} " in cli.__doc__
 
 
 def test_parse_element_examples():
@@ -152,11 +158,82 @@ def test_print_parse_round_trip_over_declared_names():
     assert parse_element(rendered, ctx) == x
 
 
-@pytest.mark.parametrize("name", ["1", "x^-1", "x y", "h,1", "h]"])
+@pytest.mark.parametrize("name", ["1", "x^-1", "x y", "h,1", "h]", ""])
 def test_hgen_names_no_label_can_spell_exit_1(capsys, name):
     assert run_cli("parse", "{ * ; ; [1] ; * }", "-n", "2", "--hgen", f"{name}=A[1,2]") == 1
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"error: --hgen name {name!r} cannot be written in a label")
+
+
+# Strategies from the grammar's two patterns: generator names are drawn from
+# NAME, and A-letters from A_LETTER with their indices folded into range.
+NAMES = st.from_regex(cli.NAME, fullmatch=True)
+A_LETTERS = st.from_regex(cli.A_LETTER, fullmatch=True).map(cli.A_LETTER.fullmatch)
+
+
+@st.composite
+def trees_with(draw, arity, carets):
+    tree = Tree.single(arity)
+    for _ in range(carets):
+        tree = tree.attach(draw(st.integers(1, tree.leaf_count)))
+    return tree
+
+
+@st.composite
+def printable_elements(draw):
+    n = draw(st.sampled_from((2, 3)))
+    names = draw(st.lists(NAMES, max_size=2, unique=True))
+    context = bf.HContext(n, tuple((name, AWord(n, ((1, 2, 1),))) for name in names))
+    carets = draw(st.integers(0, 3))
+    t1, t2 = draw(trees_with(n, carets)), draw(trees_with(n, carets))
+    m = t1.leaf_count
+    letters = []
+    for match in draw(st.lists(A_LETTERS, max_size=3 if m > 1 else 0)):
+        i = 1 + int(match[1]) % (m - 1)
+        letters.append((i, i + 1 + int(match[2]) % (m - i), -1 if match[3] else 1))
+    signed = [k for k in range(-len(names), len(names) + 1) if k]
+    label = st.lists(st.sampled_from(signed or [0]), max_size=2 if names else 0).map(tuple)
+    labels = tuple(draw(st.lists(label, min_size=m, max_size=m)))
+    return bf.BFElement(context, t1, AWord(m, tuple(letters)), labels, t2)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(printable_elements())
+def test_printed_elements_parse_back_field_for_field(x):
+    again = parse_element(format_element(x), x.context)
+    assert (again.context, again.t1, again.braid, again.labels, again.t2) == (
+        x.context, x.t1, x.braid, x.labels, x.t2)
+
+
+MUTATION_CHARACTERS = st.sampled_from(list("{}()[];,*^-1A0 \n+_\u0661h")) | st.characters()
+
+
+@st.composite
+def one_character_mutations(draw):
+    """A printed element and some texts that each differ from it in one character."""
+    x = draw(printable_elements())
+    text = format_element(x)
+    mutated = []
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(text) - 1))
+        char = draw(MUTATION_CHARACTERS)
+        kind = draw(st.sampled_from(("insert", "delete", "replace")))
+        mutated.append(text[:at] + ("" if kind == "delete" else char)
+                       + text[at + (kind != "insert"):])
+    return x.context, mutated
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(one_character_mutations())
+def test_one_character_mutations_end_in_an_element_or_a_typed_error(case):
+    context, texts = case
+    for text in texts:
+        try:
+            assert isinstance(parse_element(text, context), bf.BFElement)
+        except CliSyntaxError as exc:
+            assert exc.line is not None and 0 <= exc.column <= len(text)
+        except (TreeError, BraidError, bf.ContextError, bf.ElementError):
+            pass
 
 
 def test_json_round_trip_corpus():
@@ -414,6 +491,18 @@ README_DECOMPOSE = ("decompose", "a", "--set", "gen1", "-n", "2", "--verify", "-
      "error: empty label (write 1 for the identity) (line 1, column 15)"),
     (("parse", "a", "-n", "2", "--let", "a={ * ; ; [1] ; * }", "--let", " a ={ * ; ; [1] ; * }"),
      None, 2, "error: duplicate element name 'a'"),
+    (("parse", "{ (*,*) ; A[+1,2] ; [1,1] ; (*,*) }", "-n", "2"), None, 1,
+     "error: bad braid letter 'A[+1,2]' (line 1, column 10)"),
+    (("parse", "{ (*,*) ; A[1_0,2] ; [1,1] ; (*,*) }", "-n", "2"), None, 1,
+     "error: bad braid letter 'A[1_0,2]' (line 1, column 10)"),
+    (("parse", "{ (*,*) ; A[\u0661,2] ; [1,1] ; (*,*) }", "-n", "2"), None, 1,
+     "error: bad braid letter 'A[\u0661,2]' (line 1, column 10)"),
+    (("parse", "{ (*,*) ; ; [h1 1,1] ; (*,*) }", "-n", "2", "--hgen", "h1=A[1,2]"), None, 1,
+     "error: bad label letter '1' (line 1, column 16)"),
+    (("parse", "{ (*,*) ; ; [1^-1,1] ; (*,*) }", "-n", "2", "--hgen", "h1=A[1,2]"), None, 1,
+     "error: bad label letter '1^-1' (line 1, column 13)"),
+    (("parse", "{ (*,*) ; ; [h1^-1^-1,1] ; (*,*) }", "-n", "2", "--hgen", "h1=A[1,2]"), None, 1,
+     "error: bad label letter 'h1^-1^-1' (line 1, column 13)"),
 ])
 def test_error_paths_exit_code_and_last_line(monkeypatch, capsys, argv, patch, code, last_line):
     if patch is not None:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -470,6 +471,38 @@ def test_elementary_pair_over_smallest_comb():
             m = next(m for m in range(i + 1, 99) if m >= n and (m - 1) % (n - 1) == 0)
             comb = right_comb_oracle(n, m)
             assert _elementary_pair(n, i) == TreePair(comb.attach(i), comb.attach(m))
+
+
+XI_WORDS_DIGEST = "144c3a60877e63ff861497ad1561fea97f4d7bfb5292de9e527911c147cddba6"
+
+
+def test_xi_words_evaluate_to_their_elementary_pairs(monkeypatch):
+    # evaluate_brown_word is the oracle: each word multiplies out to its pair.
+    monkeypatch.setattr(tr, "_XI_WORDS", {})
+    words = {f"{n},{i}": _xi_word(n, i) for n in (2, 3, 4) for i in range(1, 61)}
+    for key, word in words.items():
+        n, i = map(int, key.split(","))
+        value = evaluate_brown_word(n, word)
+        assert pair_is_identity(pair_multiply(value, pair_inverse(_elementary_pair(n, i))))
+    digest = hashlib.sha256(json.dumps(words).encode()).hexdigest()
+    assert digest == XI_WORDS_DIGEST
+
+
+def test_xi_word_checks_a_new_instance_in_at_most_three_products(monkeypatch):
+    products = []
+
+    def counting_multiply(f, g):
+        products.append((f, g))
+        return pair_multiply(f, g)
+
+    monkeypatch.setattr(tr, "_XI_WORDS", {})
+    monkeypatch.setattr(tr, "pair_multiply", counting_multiply)
+    for n in (2, 3, 4):
+        _xi_word(n, 200)
+    expected = sum(1 if i <= n else 3 for n, i in tr._XI_WORDS)
+    assert len(products) == expected and len(tr._XI_WORDS) > 250
+    _xi_word(2, 200)
+    assert len(products) == expected
 
 
 def test_caret_top_matches_caret_window_oracle():
