@@ -20,20 +20,27 @@ and a product of two such factors has one object for both of its trees.
 Equality expands both elements to the join of their codomain trees and
 compares domain trees, labels in H and braids there, without a product.
 Reduction screens each window by its linking numbers first.
+
+Each context fills a label table on use, outside its fields: per label its
+braid, the braid's kr_sign and Dynnikov key (a complete invariant: labels
+are equal in H exactly when their keys are), and its letters per leaf; at
+most trees.MEMO_ENTRIES values, each from a braid of <= MEMO_LEAVES letters.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable
 
 from . import braid as br
 from . import trees as tr
 from .braid import AWord, braids_equal, is_trivial
 from .freegroup import (NEGATIVE, POSITIVE, ZERO, _is_int_tuple, _value_class, invert_letters,
-                        reduce_letters, reduce_onto)
+                        reduce_onto)
 from .trees import Tree, TreePair, fn_sign, join, tree_from_nested, tree_to_json
 
 Label = tuple[int, ...]
+NAME = re.compile(r"[^\s,\]]{2,}(?<!\^-1)|[^\s,\]1]")  # an H-generator name (cli docstring)
 
 
 class ContextError(ValueError):
@@ -58,6 +65,7 @@ class HContext:
 
     arity: int
     generators: tuple[tuple[str, AWord], ...] = ()
+    __slots__ = ("_label_memo",)  # outside the fields: equality and hash are unchanged
 
     def __post_init__(self):
         if type(self.arity) is not int or self.arity < 2:
@@ -67,7 +75,7 @@ class HContext:
             raise ContextError("generators must be a tuple of (name, word) tuples")
         seen: set[str] = set()
         for name, word in self.generators:
-            if not isinstance(name, str) or not name or name in seen:
+            if not isinstance(name, str) or not NAME.fullmatch(name) or name in seen:
                 raise ContextError(f"bad or duplicate generator name {name!r}")
             seen.add(name)
             if not isinstance(word, AWord):
@@ -87,6 +95,46 @@ class HContext:
                 return k
         raise ContextError(f"unknown H-generator {name!r}")
 
+    @property
+    def _labels(self) -> _LabelTable:
+        if getattr(self, "_label_memo", None) is None:
+            object.__setattr__(self, "_label_memo", table := _LabelTable())
+            table.arity, table.generators = self.arity, self.generators
+        return self._label_memo
+
+
+class _LabelTable(dict):
+    """A label -> [its braid, kr_sign, key]; (label, t) -> its letters on leaf t."""
+    __slots__ = ("arity", "generators")
+
+    def _keep(self, key, value, letters: int):
+        if letters <= tr.MEMO_LEAVES and len(self) < tr.MEMO_ENTRIES:
+            self[key] = value
+        return value
+
+    def __missing__(self, label: Label) -> list:
+        braid = AWord._new(self.arity, tuple(a for g in label for a in (  # g names a generator
+            self.generators[g - 1][1] if g > 0 else self.generators[-g - 1][1].inverse()).letters))
+        return self._keep(label, [braid, None, None], len(braid))
+
+    def sign(self, label: Label) -> int:
+        facts = self[label]
+        if facts[1] is None:
+            facts[1] = br.kr_sign(facts[0])
+        return facts[1]
+
+    def key(self, label: Label) -> tuple[int, ...]:
+        facts = self[label]
+        if facts[2] is None:
+            facts[2] = br._dynnikov(self.arity, br.a_to_sigma(facts[0]).letters)
+        return facts[2]
+
+    def on_leaf(self, label: Label, t: int) -> tuple:
+        if (letters := self.get((label, t))) is None:
+            letters = tuple((i + t - 1, j + t - 1, s) for i, j, s in self[label][0].letters)
+            self._keep((label, t), letters, len(letters))
+        return letters
+
 
 def trivial_context(arity: int) -> HContext:
     return HContext(arity)
@@ -103,10 +151,7 @@ def pn_context(arity: int) -> HContext:
 
 def label_to_braid(label: Label, context: HContext) -> AWord:
     """Substitute every H-generator of the label word by its braid."""
-    gens = context.generators
-    return AWord._new(context.arity, tuple(
-        a for letter in label
-        for a in (gens[letter - 1][1] if letter > 0 else gens[-letter - 1][1].inverse()).letters))
+    return context._labels[label][0]
 
 
 def format_braid(word: AWord) -> str:
@@ -193,17 +238,16 @@ def _expanded(x: BFElement, script: tuple[int, ...]) -> tuple[tuple, tuple[Label
     """
     if not script:
         return x.braid.letters, x.labels
-    n, context = x.arity, x.context
+    n = x.arity
     if not x.braid.letters and not any(x.labels):  # bare: nothing to cable
         return (), ((),) * (x.leaf_count + (n - 1) * len(script))
-    letters, labels = x.braid.letters, list(x.labels)
+    letters, labels, table = x.braid.letters, list(x.labels), x.context._labels
     for t in script:
         label = labels[t - 1]
         labels[t - 1 : t] = (label,) * n
         letters = br.cable_letters(letters, t, n)
         if label:
-            letters += [(i + t - 1, j + t - 1, s)
-                        for i, j, s in label_to_braid(label, context).letters]
+            letters += table.on_leaf(label, t)
     return tuple(letters), tuple(labels)
 
 
@@ -267,9 +311,8 @@ def equal(x: BFElement, y: BFElement) -> bool:
 
 
 def _labels_oracle_equal(x: BFElement, a: Label, b: Label) -> bool:
-    """Labels equal in H: equal after free reduction, or else as braids."""
-    return (a == b or reduce_letters(a) == reduce_letters(b)
-            or braids_equal(label_to_braid(a, x.context), label_to_braid(b, x.context)))
+    """Labels equal in H: their braids have the same Dynnikov key."""
+    return a == b or x.context._labels.key(a) == x.context._labels.key(b)
 
 
 def reduce(x: BFElement) -> BFElement:
@@ -334,11 +377,7 @@ def pvb_sign(x: BFElement) -> int:
     if x.t1 != x.t2:
         raise ElementError("pvb_sign needs a representative with equal trees")
     for label in x.labels:
-        if not label:
-            continue
-        word = label_to_braid(label, x.context)
-        sign = br.kr_sign(word)
-        if sign != ZERO:
+        if label and (sign := x.context._labels.sign(label)) != ZERO:
             return sign
     return br.kr_sign(x.braid)
 
@@ -371,46 +410,29 @@ def random_tree(rng, arity: int, carets: int) -> Tree:
     return tree
 
 
-def random_element(
-    context: HContext,
-    seed,
-    *,
-    max_leaves: int = 9,
-    max_braid_letters: int = 16,
-    max_label_letters: int = 4,
-) -> BFElement:
+def random_element(context: HContext, seed, *, max_leaves: int = 9,
+                   max_braid_letters: int = 16, max_label_letters: int = 4) -> BFElement:
     """
     Seed-deterministic element within the given size ceilings; `seed` is an
     int or a random.Random.
     """
+    return _random(context, seed, False, max_leaves, max_braid_letters, max_label_letters)
+
+
+def random_pvb_element(context: HContext, seed, *, max_leaves: int = 9,
+                       max_braid_letters: int = 16, max_label_letters: int = 4) -> BFElement:
+    """Random representative with equal trees; `seed` as for random_element."""
+    return _random(context, seed, True, max_leaves, max_braid_letters, max_label_letters)
+
+
+def _random(context: HContext, seed, equal_trees: bool, max_leaves: int,
+            max_braid_letters: int, max_label_letters: int) -> BFElement:
     import random
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = context.arity
     carets = rng.randint(0, max(0, (max_leaves - 1) // (n - 1)))
     t1 = random_tree(rng, n, carets)
-    t2 = random_tree(rng, n, carets)
-    return _fill_random(context, rng, t1, t2, max_braid_letters, max_label_letters)
-
-
-def random_pvb_element(
-    context: HContext,
-    seed,
-    *,
-    max_leaves: int = 9,
-    max_braid_letters: int = 16,
-    max_label_letters: int = 4,
-) -> BFElement:
-    """Random representative with equal trees; `seed` as for random_element."""
-    import random
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    n = context.arity
-    carets = rng.randint(0, max(0, (max_leaves - 1) // (n - 1)))
-    tree = random_tree(rng, n, carets)
-    return _fill_random(context, rng, tree, tree, max_braid_letters, max_label_letters)
-
-
-def _fill_random(context: HContext, rng, t1: Tree, t2: Tree,
-                 max_braid_letters: int, max_label_letters: int) -> BFElement:
+    t2 = t1 if equal_trees else random_tree(rng, n, carets)
     m = t1.leaf_count
     letters = []
     if m >= 2:

@@ -20,12 +20,14 @@ Equality of braids is decided by comparing Dynnikov coordinates, the images
 of one vector of Z^2m under a faithful action of the braid group, after
 cheap checks on pure words (cancelled letters, linking numbers).  The
 induced automorphism of the free group on the strand generators (the Artin
-action, also faithful) is kept as the independent oracle.  Cabling is one
-loop, cable_letters: a letter off the split strand only shifts, and one on
-it becomes a fixed descending product, checked against diagram cabling
-once per cable width before its first use.  The conjugation rules used by
-combing are a table, and each instance is checked by braid equality, which
-does not use them, before its first use.
+action, also faithful) is kept as the independent oracle.  Cabling reads a
+table per split strand t and width n (cable_letters): a letter off strand t
+only shifts, one on it becomes a fixed descending product, checked against
+diagram cabling once per width before its first use.  An image is kept when
+the cabled letter lies on at most trees.MEMO_LEAVES strands, and only pairs
+with t + n - 1 <= MEMO_LEAVES keep one: at most 528 tables of 992 letters.
+The conjugation rules used by combing are a table, and each instance is
+checked by braid equality, which does not use them, before its first use.
 
 The sign of a pure braid is read level by level from its linking numbers,
 which are the degree-1 Magnus coefficients of the combing coordinates;
@@ -38,6 +40,7 @@ from collections.abc import Iterable, Sequence
 
 from .freegroup import (NEGATIVE, POSITIVE, ZERO, FreeWord, SchemaError, _is_int_tuple,
                         _value_class, invert_letters, magnus_sign, reduce_onto)
+from .trees import MEMO_LEAVES
 
 ALetter = tuple[int, int, int]
 
@@ -265,9 +268,7 @@ def braids_equal(u: SigmaWord | AWord, v: SigmaWord | AWord) -> bool:
 
 
 def is_trivial(word: SigmaWord | AWord) -> bool:
-    if not word.letters:
-        return True
-    return braids_equal(word, AWord._new(word.strands, ()))
+    return not word.letters or braids_equal(word, AWord._new(word.strands, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +364,35 @@ def _check_cable_width(n: int) -> None:
     _CABLE_WIDTHS.add(n)
 
 
+class _CableTable(dict):
+    """A letter -> its image when strand t is split into n strands (module docstring)."""
+    __slots__ = ("t", "n")
+
+    def __missing__(self, letter: ALetter) -> tuple[ALetter, ...]:
+        (i, j, sign), t, n = letter, self.t, self.n
+        if i != t and j != t:
+            image = ((i + (n - 1) * (i > t), j + (n - 1) * (j > t), sign),)
+        else:
+            if n not in _CABLE_WIDTHS:
+                _check_cable_width(n)
+            product = _cable_product(i, j, t, n)
+            image = tuple(product if sign > 0 else [(a, b, -1) for a, b, _ in reversed(product)])
+        if j + n - 1 <= MEMO_LEAVES:
+            self[letter] = image
+        return image
+
+
+_CABLES: dict[tuple[int, int], _CableTable] = {}  # (t, n) -> its table
+
+
 def cable_letters(letters: Iterable[ALetter], t: int, n: int) -> list[ALetter]:
     """Split strand t of a pure word into n strands: shift letters off t, cable those on it."""
-    shift, out = n - 1, []
-    for i, j, sign in letters:
-        if i != t and j != t:
-            out.append((i + shift * (i > t), j + shift * (j > t), sign))
-            continue
-        if n not in _CABLE_WIDTHS:
-            _check_cable_width(n)
-        product = _cable_product(i, j, t, n)
-        out += product if sign > 0 else [(a, b, -1) for a, b, _ in reversed(product)]
-    return out
+    if (table := _CABLES.get((t, n))) is None:
+        table = _CableTable()
+        table.t, table.n = t, n
+        if t + n - 1 <= MEMO_LEAVES:
+            _CABLES[t, n] = table
+    return [b for a in letters for b in table[a]]
 
 
 def split_a(word: AWord, t: int, n: int, inner: AWord) -> AWord:

@@ -2,8 +2,8 @@ r"""
 Command-line calculator.
 
 A session is declared by flags: --arity fixes n, repeated --hgen NAME=WORD
-flags declare the label subgroup generators as braid words, and repeated
---let NAME=EXPR flags bind element names.  Element expressions follow
+flags (split at the last "=") declare the generators of H as braid words,
+and repeated --let NAME=EXPR flags bind element names.  Elements follow
 
     element  := "{" tree ";" braid ";" "[" label ("," label)* "]" ";" tree "}"
     tree     := "*" | "(" tree ("," tree)+ ")"
@@ -11,8 +11,8 @@ flags declare the label subgroup generators as braid words, and repeated
     A-letter := A\[([0-9]+),([0-9]+)\](\^-1)?        the pattern A_LETTER
     name     := [^\s,\]]{2,}(?<!\^-1)|[^\s,\]1]     the pattern NAME
 
-Letters are separated by whitespace.  A name (every --hgen name must be
-one) is not "1", does not end in "^-1" and has no whitespace, "," or "]".
+Letters are separated by whitespace.  A name (every H-generator name must
+be one) is not "1", does not end in "^-1" and has no whitespace, "," or "]".
 
 Exit codes: 0 on success, 1 for syntax or usage errors (an output file
 that cannot be written included), 2 for semantic invariant violations
@@ -30,7 +30,7 @@ import re
 import sys
 
 from . import bfgroup as bf
-from .bfgroup import BFElement, HContext, format_braid, format_label
+from .bfgroup import NAME, BFElement, HContext, format_braid, format_label
 from .braid import AWord, BraidError, CombingLimitError
 from .freegroup import SchemaError, TruncationError
 from .trees import Tree, TreeError, tree_from_nested, tree_to_json
@@ -43,9 +43,8 @@ ORDER_NAMES = {bf.LESS: "less", bf.EQUAL: "equal", bf.GREATER: "greater"}
 # the ceiling sits well below the interpreter's recursion limit.
 MAX_TREE_DEPTH = 200
 
-# The grammar's two lexical rules, as the module docstring spells them.
+# The grammar's two lexical rules, as the module docstring spells them (NAME is bfgroup's).
 A_LETTER = re.compile(r"A\[([0-9]+),([0-9]+)\](\^-1)?")
-NAME = re.compile(r"[^\s,\]]{2,}(?<!\^-1)|[^\s,\]1]")
 _LABEL_LETTER = re.compile(f"({NAME.pattern})(\\^-1)?")
 
 
@@ -204,7 +203,7 @@ class Session:
         for spec in hgens:
             if "=" not in spec:
                 raise CliSyntaxError(f"--hgen needs NAME=WORD, got {spec!r}")
-            name, word = (part.strip() for part in spec.split("=", 1))
+            name, word = (part.strip() for part in spec.rsplit("=", 1))  # a word has no "="
             if not NAME.fullmatch(name):
                 raise CliSyntaxError(f"--hgen name {name!r} cannot be written in a label")
             gens.append((name, parse_a_word(word, arity)))

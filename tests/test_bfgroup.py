@@ -35,7 +35,8 @@ from bfcalc.bfgroup import (
     trivial_context,
 )
 from bfcalc.braid import (AWord, BraidError, SigmaWord, a_to_sigma, braids_equal, comb,
-                          delete_strand, is_trivial, linking_numbers, shift_embed, split_a)
+                          delete_strand, is_trivial, kr_sign, linking_numbers, shift_embed,
+                          split_a)
 from bfcalc.freegroup import (FreeWord, FrozenInstanceError, NCPolynomial, WordError,
                               magnus_truncated, reduce_onto)
 from bfcalc.generators import GeneratorSet, GeneratorSetError, PureGeneratorSpec, gen1_set
@@ -101,6 +102,98 @@ def test_label_to_braid_matches_letterwise_product():
             word = label_to_braid(label, ctx)
             assert word == label_braid_oracle(label, ctx)
             assert AWord(word.strands, word.letters) == word
+
+
+# --- the label table of a context
+
+def seeded_labels(ctx, rng, count, longest=5):
+    k = len(ctx.generators)
+    return [tuple(rng.choice((1, -1)) * rng.randint(1, k) for _ in range(rng.randint(0, longest)))
+            for _ in range(count)]
+
+
+def equal_in_h(label, rng):
+    """The label with a cancelling pair g g^-1 inserted: the same element of H."""
+    g = rng.choice((1, -1)) * rng.randint(1, max(map(abs, label), default=1))
+    at = rng.randint(0, len(label))
+    return label[:at] + (g, -g) + label[at:]
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_label_table_matches_substitution_sign_and_braid_equality(arity):
+    rng = random.Random(40 + arity)
+    ctx = pn_context(arity)
+    table = ctx._labels
+    labels = seeded_labels(ctx, rng, 60)
+    for label in labels:
+        braid = label_braid_oracle(label, ctx)
+        for _ in range(2):  # cold, then warm
+            assert label_to_braid(label, ctx) == braid
+            assert table.sign(label) == kr_sign(braid)
+        assert table[label][1] == kr_sign(braid)
+    outcomes = set()
+    for a, b in zip(labels, labels[1:] + [equal_in_h(l, rng) for l in labels]):
+        for u, v in ((a, b), (a, equal_in_h(a, rng)), (b, equal_in_h(a, rng))):
+            same = braids_equal(label_braid_oracle(u, ctx), label_braid_oracle(v, ctx))
+            assert (table.key(u) == table.key(v)) is same
+            assert bf._labels_oracle_equal(identity_element(ctx), u, v) is same
+            outcomes.add(same)
+    assert outcomes == {True, False}
+    if arity == 3:  # the full twist: its cyclic rotations are one element, no word reduces
+        assert table.key((1, 3, 2)) == table.key((2, 1, 3)) == table.key((3, 2, 1))
+        assert table.key((1, 3, 2)) != table.key((1, 2, 3))
+
+
+def test_pvb_sign_reads_the_label_table():
+    ctx = pn_context(3)
+    tree = Tree.caret(3)
+    x = BFElement(ctx, tree, AWord(3, ((1, 2, -1),)), ((1, -1), (2, -3), ()), tree)
+    assert pvb_sign(x) == kr_sign(label_braid_oracle((2, -3), ctx)) != 0
+    assert ctx._labels[(2, -3)][1] == pvb_sign(x)  # stored by the first call
+
+
+def test_filled_label_table_leaves_context_equality_hash_and_pickling():
+    cold, warm = pn_context(3), pn_context(3)
+    shown, digest = repr(cold), hash(cold)
+    rng = random.Random(3)
+    for label in seeded_labels(warm, rng, 20):
+        warm._labels.sign(label), warm._labels.key(label), warm._labels.on_leaf(label, 2)
+    table = warm._labels
+    assert len(table) > 20 and warm._labels is table
+    assert warm == cold and cold == warm and hash(warm) == digest and repr(warm) == shown
+    assert HContext._fields == ("arity", "generators") and not hasattr(warm, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(warm)), copy.deepcopy(warm), copy.copy(warm)):
+        assert copied == cold and hash(copied) == digest
+        assert getattr(copied, "_label_memo", None) is None and copied._labels is not table
+    x = draw(warm, random.Random(9))
+    y = BFElement(cold, x.t1, x.braid, x.labels, x.t2)
+    assert equal(x, y) and equal(y, x) and to_json(x) == to_json(y)
+
+
+def test_label_table_holds_no_value_past_its_bounds():
+    ctx = pn_context(3)
+    table = ctx._labels
+    limit, entries = tr.MEMO_LEAVES, tr.MEMO_ENTRIES
+    long_label = (1, 2) * limit  # a braid of 2 * MEMO_LEAVES letters
+    assert label_to_braid(long_label, ctx) == label_braid_oracle(long_label, ctx)
+    assert table.sign(long_label) == kr_sign(label_braid_oracle(long_label, ctx))
+    assert table.key(long_label) == table.key(long_label[2:] + (1, 2))
+    assert table.on_leaf(long_label, 2)[0] == (2, 3, 1)
+    assert long_label not in table and (long_label, 2) not in table
+    # Distinct labels of at most MEMO_LEAVES letters, more of them than the table holds.
+    rng = random.Random(12)
+    labels = list(dict.fromkeys(seeded_labels(ctx, rng, entries + 300, longest=limit)))
+    assert len(labels) > entries + 100
+    for label in labels:
+        assert table.key(label) == table.key(label + (3, -3))
+    assert len(table) == entries
+    for label in labels[-50:]:  # past the bound: computed, not stored, and still right
+        assert label not in table
+        assert label_to_braid(label, ctx) == label_braid_oracle(label, ctx)
+        assert table.on_leaf(label, 3) == tuple(
+            (i + 2, j + 2, s) for i, j, s in label_braid_oracle(label, ctx).letters)
+        assert table.sign(label) == kr_sign(label_braid_oracle(label, ctx))
+    assert len(table) == entries
 
 
 def test_element_validation():
@@ -830,6 +923,20 @@ def test_json_rejects_non_integers_and_non_string_names(changes):
     assert from_json(json.dumps(GOOD_DOCUMENT)).leaf_count == 2
     with pytest.raises(ElementError):
         from_json(json.dumps({**GOOD_DOCUMENT, **changes}))
+
+
+@pytest.mark.parametrize("name", ["x y", "1", "x^-1", "h,1", "h]", ""])
+def test_names_the_grammar_cannot_print_are_refused(name):
+    # format_element would print the label of "x y" as "[ x y, 1 ]", which reads back as two names.
+    with pytest.raises(ContextError) as caught:
+        HContext(2, ((name, AWord(2, ((1, 2, 1),))),))
+    assert str(caught.value) == f"bad or duplicate generator name {name!r}"
+    document = json.dumps({**GOOD_DOCUMENT, "hgens": [[name, [[1, 2, 1]]]]})
+    with pytest.raises(ElementError) as caught:
+        from_json(document)
+    assert str(caught.value) == (
+        f"malformed element document: bad or duplicate generator name {name!r}")
+    assert HContext(2, (("a=b", AWord(2, ())), ("x^2", AWord(2, ())))).names == ("a=b", "x^2")
 
 
 FUZZ_DOCUMENTS = [to_json(draw(ctx, random.Random(seed), leaves=5, braid=3))

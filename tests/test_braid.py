@@ -519,6 +519,7 @@ def test_cable_letters_matches_per_letter_loop():
 
 def test_cable_rule_checked_once_per_width(monkeypatch):
     monkeypatch.setattr(br, "_CABLE_WIDTHS", set())
+    monkeypatch.setattr(br, "_CABLES", {})  # cold tables: a stored image was checked before
     checked = []
     real = br._check_cable_width
 
@@ -537,12 +538,65 @@ def test_cable_rule_fails_against_a_mirrored_oracle(monkeypatch):
     # Mirroring every crossing turns A[1,2] into A[1,2]^-1 after cabling.
     real = br.split_sigma
     monkeypatch.setattr(br, "_CABLE_WIDTHS", set())
+    monkeypatch.setattr(br, "_CABLES", {})
     monkeypatch.setattr(br, "split_sigma", lambda word, t, n: SigmaWord(
         word.strands + n - 1, tuple(-q for q in real(word, t, n).letters)))
     assert cable_letter((1, 2, 1), 3, 2) == ((1, 2, 1),)  # no cable case, no check
     with pytest.raises(SchemaError):
         cable_letter((1, 2, 1), 1, 3)
     assert not br._CABLE_WIDTHS
+
+
+def letters_on(strands):
+    return [(i, j, s) for i in range(1, strands) for j in range(i + 1, strands + 1) for s in (1, -1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cable_table_matches_the_per_letter_rule_cold_and_warm(monkeypatch, n):
+    monkeypatch.setattr(br, "_CABLES", {})
+    letters = letters_on(8)
+    for t in range(1, 9):
+        for state in ("cold", "warm"):
+            assert [cable_letter(letter, t, n) for letter in letters] == [
+                cable_letter_by_cases(letter, t, n) for letter in letters], (t, state)
+            assert cable_letters(letters, t, n) == [
+                c for letter in letters for c in cable_letter_by_cases(letter, t, n)]
+        assert set(br._CABLES[t, n]) == set(letters)  # each image stored once made
+
+
+def test_cable_table_checks_the_width_before_storing_a_cable(monkeypatch):
+    monkeypatch.setattr(br, "_CABLE_WIDTHS", set())
+    monkeypatch.setattr(br, "_CABLES", {})
+    real = br.split_sigma
+    monkeypatch.setattr(br, "split_sigma", lambda word, t, n: SigmaWord(
+        word.strands + n - 1, tuple(-q for q in real(word, t, n).letters)))
+    assert cable_letters([(1, 2, 1), (3, 4, -1)], 5, 3) == [(1, 2, 1), (3, 4, -1)]
+    assert not br._CABLE_WIDTHS  # letters off strand t need no check
+    for _ in range(2):  # a failed check stores nothing, so it fails again
+        with pytest.raises(SchemaError):
+            cable_letters([(3, 4, 1), (1, 2, 1)], 1, 3)
+    assert dict(br._CABLES[1, 3]) == {(3, 4, 1): ((5, 6, 1),)} and not br._CABLE_WIDTHS
+    monkeypatch.setattr(br, "split_sigma", real)
+    assert cable_letters([(1, 2, 1)], 1, 3) == [(3, 4, 1), (2, 4, 1), (1, 4, 1)]
+    assert br._CABLE_WIDTHS == {3}
+
+
+def test_cable_table_holds_no_letter_above_its_strand_limit(monkeypatch):
+    # Images are stored for letters whose cabled strands fit MEMO_LEAVES, and
+    # only pairs (t, n) with t + n - 1 <= MEMO_LEAVES keep a table.
+    monkeypatch.setattr(br, "_CABLES", {})
+    limit = br.MEMO_LEAVES
+    letters = letters_on(limit + 4)
+    for t, n in ((1, 2), (5, 3), (limit - 3, 4), (limit, 2), (limit - 1, 3)):
+        got = cable_letters(letters, t, n)
+        assert got == [c for letter in letters for c in cable_letter_by_cases(letter, t, n)]
+        assert cable_letters(letters, t, n) == got
+        stored = {letter for letter in letters if letter[1] + n - 1 <= limit}
+        assert ((t, n) in br._CABLES) is (t + n - 1 <= limit)
+        if (t, n) in br._CABLES:
+            assert set(br._CABLES[t, n]) == stored
+    assert set(br._CABLES) == {(1, 2), (5, 3), (limit - 3, 4)}
+    assert max(len(table) for table in br._CABLES.values()) == len(letters_on(limit - 1))
 
 
 def test_split_a_empty_cases():

@@ -165,6 +165,18 @@ def test_hgen_names_no_label_can_spell_exit_1(capsys, name):
         f"error: --hgen name {name!r} cannot be written in a label")
 
 
+def test_hgen_splits_at_the_last_equals_sign(capsys):
+    # A braid word has no "=", so everything before the last one is the name.
+    assert session(hgens=["a=b=A[1,2]", "c==A[1,2]^-1"]).context.names == ("a=b", "c=")
+    for labels, printed in (("[a=b, 1]", "[ a=b, 1 ]"), ("[a=b,c= a=b^-1]", "[ a=b, c= a=b^-1 ]")):
+        assert run_cli("parse", f"{{ (*,*) ; A[1,2] ; {labels} ; (*,*) }}", "-n", "2",
+                       "--hgen", "a=b=A[1,2]", "--hgen", "c==A[1,2]^-1") == 0
+        assert capsys.readouterr().out.strip() == f"{{ (*,*) ; A[1,2] ; {printed} ; (*,*) }}"
+    assert run_cli("parse", "{ * ; ; [1] ; * }", "-n", "2", "--hgen", "x y=A[1,2]=") == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: --hgen name 'x y=A[1,2]' cannot be written in a label")
+
+
 # Strategies from the grammar's two patterns: generator names are drawn from
 # NAME, and A-letters from A_LETTER with their indices folded into range.
 NAMES = st.from_regex(cli.NAME, fullmatch=True)
@@ -201,6 +213,11 @@ def printable_elements(draw):
 @given(printable_elements())
 def test_printed_elements_parse_back_field_for_field(x):
     again = parse_element(format_element(x), x.context)
+    assert (again.context, again.t1, again.braid, again.labels, again.t2) == (
+        x.context, x.t1, x.braid, x.labels, x.t2)
+    # Through the JSON document too: what from_json loads prints and reads back.
+    loaded = bf.from_json(bf.to_json(x))
+    again = parse_element(format_element(loaded), loaded.context)
     assert (again.context, again.t1, again.braid, again.labels, again.t2) == (
         x.context, x.t1, x.braid, x.labels, x.t2)
 
