@@ -53,14 +53,11 @@ from .freegroup import (
 )
 from .trees import (
     Tree,
-    TreePair,
     attach_caret,
     brown_generator_pairs,
     fn_factorize,
     fn_sign,
     join,
-    pair_inverse,
-    pair_is_identity,
     pair_multiply,
     right_comb,
 )

@@ -37,10 +37,11 @@ from . import trees as tr
 from .braid import AWord, braids_equal, is_trivial
 from .freegroup import (NEGATIVE, POSITIVE, ZERO, _is_int_tuple, _value_class, invert_letters,
                         reduce_onto)
-from .trees import Tree, TreePair, fn_sign, join, tree_from_nested, tree_to_json
+from .trees import Tree, fn_sign, join, tree_from_nested, tree_to_json
 
 Label = tuple[int, ...]
 NAME = re.compile(r"[^\s,\]]{2,}(?<!\^-1)|[^\s,\]1]")  # an H-generator name (cli docstring)
+A_LETTER = re.compile(r"A\[([0-9]+),([0-9]+)\](\^-1)?")  # a braid letter, printed by format_braid
 
 
 class ContextError(ValueError):
@@ -113,6 +114,8 @@ class _LabelTable(dict):
         return value
 
     def __missing__(self, label: Label) -> list:
+        if bad := [g for g in label if not 0 < abs(g) <= len(self.generators)]:
+            raise ElementError(f"label letter {bad[0]} outside the context")
         braid = AWord._new(self.arity, tuple(a for g in label for a in (  # g names a generator
             self.generators[g - 1][1] if g > 0 else self.generators[-g - 1][1].inverse()).letters))
         return self._keep(label, [braid, None, None], len(braid))
@@ -150,7 +153,9 @@ def pn_context(arity: int) -> HContext:
 
 
 def label_to_braid(label: Label, context: HContext) -> AWord:
-    """Substitute every H-generator of the label word by its braid."""
+    """Substitute every H-generator of the label word by its braid; refuse what BFElement does."""
+    if not _is_int_tuple(label):
+        raise ElementError("labels must be a tuple of tuples of ints")
     return context._labels[label][0]
 
 
@@ -161,6 +166,7 @@ def format_braid(word: AWord) -> str:
 
 def format_label(label: Label, context: HContext) -> str:
     """Generator names, name^-1 for an inverse letter; empty for no letters."""
+    label_to_braid(label, context)  # refuses a label outside the context
     return " ".join(context.generators[abs(v) - 1][0] + ("^-1" if v < 0 else "")
                     for v in label)
 
@@ -212,9 +218,10 @@ def identity_element(context: HContext, tree: Tree | None = None) -> BFElement:
     return BFElement(context, tree, AWord.identity(m), ((),) * m, tree)
 
 
-def from_tree_pair(context: HContext, pair: TreePair) -> BFElement:
-    m = pair.leaf_count
-    return BFElement(context, pair.domain, AWord.identity(m), ((),) * m, pair.codomain)
+def from_tree_pair(context: HContext, domain: Tree, codomain: Tree) -> BFElement:
+    """The braid-free element of the tree pair (domain, codomain)."""
+    m = domain.leaf_count if isinstance(domain, Tree) else 1  # BFElement refuses a non-tree
+    return BFElement(context, domain, AWord.identity(m), ((),) * m, codomain)
 
 
 def expand(x: BFElement, i: int) -> BFElement:
@@ -334,7 +341,7 @@ def reduce(x: BFElement) -> BFElement:
             head = labels[i - 1]
             if any(not _labels_oracle_equal(x, head, l) for l in labels[i:]):
                 break
-            inner = label_to_braid(head, context)
+            inner = context._labels[head][0]
             links = br.linking_numbers(braid) if links is None else links  # once per braid
             if not _links_like_cable(links, i, n, inner):
                 break
@@ -385,7 +392,7 @@ def pvb_sign(x: BFElement) -> int:
 def bf_sign(x: BFElement) -> int:
     """Quotient-first sign: the slope sign of the tree pair, refined by pvb_sign."""
     if x.t1 != x.t2:
-        return fn_sign(TreePair(x.t1, x.t2))
+        return fn_sign(x.t1, x.t2)
     return pvb_sign(x)
 
 

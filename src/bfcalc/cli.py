@@ -30,7 +30,7 @@ import re
 import sys
 
 from . import bfgroup as bf
-from .bfgroup import NAME, BFElement, HContext, format_braid, format_label
+from .bfgroup import A_LETTER, NAME, BFElement, HContext, format_braid, format_label
 from .braid import AWord, BraidError, CombingLimitError
 from .freegroup import SchemaError, TruncationError
 from .trees import Tree, TreeError, tree_from_nested, tree_to_json
@@ -43,8 +43,7 @@ ORDER_NAMES = {bf.LESS: "less", bf.EQUAL: "equal", bf.GREATER: "greater"}
 # the ceiling sits well below the interpreter's recursion limit.
 MAX_TREE_DEPTH = 200
 
-# The grammar's two lexical rules, as the module docstring spells them (NAME is bfgroup's).
-A_LETTER = re.compile(r"A\[([0-9]+),([0-9]+)\](\^-1)?")
+# A label letter: a name, inverted by "^-1" (bfgroup holds the grammar's two lexical rules).
 _LABEL_LETTER = re.compile(f"({NAME.pattern})(\\^-1)?")
 
 

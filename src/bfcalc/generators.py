@@ -118,7 +118,7 @@ class GeneratorSet:
 
 def _brown_members(context: HContext) -> list[tuple[str, BFElement]]:
     return [
-        (f"f{k}", bf.from_tree_pair(context, pair))
+        (f"f{k}", bf.from_tree_pair(context, *pair))
         for k, pair in enumerate(tr.brown_generator_pairs(context.arity), start=1)
     ]
 
@@ -257,8 +257,7 @@ class _Decomposer:
                 atom, sign = factors[0]
                 self._words.setdefault((x.leaf_count, atom), (k,) if sign > 0 else (-k,))
         # member index of each generating pair, None where the set lacks it
-        self._pair_members = tuple(tree_pairs.get((p.domain, p.codomain))
-                                   for p in tr.brown_generator_pairs(n))
+        self._pair_members = tuple(map(tree_pairs.get, tr.brown_generator_pairs(n)))
         self._solved_levels: set[int] = set()
         self._solving: set[int] = set()
 

@@ -11,11 +11,16 @@ digits closes the nodes it completes, and the next leaf adds one to the
 digit before that run, then descends by zeros.  Tree validation, tree text,
 join (with its caret scripts) and caret_top each read the leaves once by it.
 
-A TreePair (domain, codomain) with equal leaf counts represents the
-piecewise-affine homeomorphism of [0,1] sending the k-th leaf interval of
-the domain tree affinely onto the k-th leaf interval of the codomain tree.
-The sign of such a pair is read off the first pair of corresponding leaf
-intervals of different length.
+A tree pair is a tuple (domain, codomain) of two trees of one arity and
+leaf count.  It represents the piecewise-affine homeomorphism of [0,1]
+sending the k-th leaf interval of the domain tree affinely onto the k-th
+leaf interval of the codomain tree, an element of the slope group F_n.  The
+sign of such a pair is read off the first pair of corresponding leaf
+intervals of different length.  Each elementary-pair word of
+comb_conjugator_word is checked once by pair_multiply.  expansion_script,
+fn_factorize and pair_reduce have no caller in the package: they, and
+pair_multiply's public name, stay only because perfbench's per-layer tracer
+wraps all four by name.
 
 join and attach_script keep one memo each, keyed by the arity and the leaves
 (and, for attach_script, the script).  A computation meets few trees again
@@ -255,58 +260,34 @@ def tree_from_nested(nested, arity: int) -> Tree:
     return Tree(arity, tuple(sorted(leaves)))
 
 
-@_value_class
-class TreePair:
-    """An element representative of the slope group: two trees, equal leaf counts."""
-
-    domain: Tree
-    codomain: Tree
-
-    def __post_init__(self):
-        if not (isinstance(self.domain, Tree) and isinstance(self.codomain, Tree)):
-            raise TreeError("a tree pair holds two trees")
-        if self.domain.arity != self.codomain.arity:
-            raise TreeError("arity mismatch in tree pair")
-        if self.domain.leaf_count != self.codomain.leaf_count:
-            raise TreeError("leaf count mismatch in tree pair")
-
-    @property
-    def arity(self) -> int:
-        return self.domain.arity
-
-    @property
-    def leaf_count(self) -> int:
-        return self.domain.leaf_count
-
-
-def fn_sign(pair: TreePair) -> int:
+def fn_sign(domain: Tree, codomain: Tree) -> int:
     """
-    Sign of a tree pair under the slope order: scan corresponding leaves in
-    order and look at the first pair whose intervals have different lengths.
-    The pair is positive when the domain leaf is deeper, i.e. when the slope
-    there is a positive power of n.  Zero forces equal trees, since the
-    left-to-right depth sequence determines a full n-ary tree.
+    Sign of the tree pair (domain, codomain) under the slope order: scan
+    corresponding leaves in order and look at the first pair whose intervals
+    have different lengths.  The pair is positive when the domain leaf is
+    deeper, i.e. when the slope there is a positive power of n.  Zero forces
+    equal trees, since the left-to-right depth sequence determines a full
+    n-ary tree.
     """
-    for d_dom, d_cod in zip(pair.domain.depths(), pair.codomain.depths()):
+    if domain.arity != codomain.arity:
+        raise TreeError("arity mismatch in tree pair")
+    if domain.leaf_count != codomain.leaf_count:
+        raise TreeError("leaf count mismatch in tree pair")
+    for d_dom, d_cod in zip(domain.depths(), codomain.depths()):
         if d_dom != d_cod:
             return POSITIVE if d_dom > d_cod else NEGATIVE
     return ZERO
 
 
-def pair_multiply(f: TreePair, g: TreePair) -> TreePair:
+def pair_multiply(f: tuple[Tree, Tree], g: tuple[Tree, Tree]) -> tuple[Tree, Tree]:
     """
-    Compose two pairs, f first then g: expand both along the join of
-    f.codomain and g.domain and drop the matched middle tree.  The result is
-    not reduced.
+    Compose two tree pairs, f first then g: expand both along the join of
+    f's codomain and g's domain and drop the matched middle tree.  The
+    result is not reduced.
     """
-    if f.arity != g.arity:
-        raise TreeError("arity mismatch")
-    script_f, script_g = join(f.codomain, g.domain)
-    return TreePair(attach_script(f.domain, script_f), attach_script(g.codomain, script_g))
-
-
-def pair_inverse(f: TreePair) -> TreePair:
-    return TreePair(f.codomain, f.domain)
+    (f_domain, f_codomain), (g_domain, g_codomain) = f, g
+    script_f, script_g = join(f_codomain, g_domain)
+    return attach_script(f_domain, script_f), attach_script(g_codomain, script_g)
 
 
 def caret_top(stack: list[tuple[Address, ...]], n: int) -> tuple[Address, ...] | None:
@@ -330,58 +311,39 @@ def caret_top(stack: list[tuple[Address, ...]], n: int) -> tuple[Address, ...] |
     return tuple(parents)
 
 
-def pair_reduce(f: TreePair) -> TreePair:
+def pair_reduce(f: tuple[Tree, Tree]) -> tuple[Tree, Tree]:
     """Cancel every caret the two trees share at the same leaf window, in one pass."""
-    n = f.arity
+    domain, codomain = f
+    n = domain.arity
     stack: list[tuple[Address, ...]] = []
-    for entry in zip(f.domain.leaves, f.codomain.leaves):
+    for entry in zip(domain.leaves, codomain.leaves):
         stack.append(entry)
         while (parents := caret_top(stack, n)) is not None:
             stack[-n:] = [parents]
-    if len(stack) == f.leaf_count:
+    if len(stack) == domain.leaf_count:
         return f
-    domain, codomain = zip(*stack)
-    return TreePair(Tree._new(n, domain), Tree._new(n, codomain))
+    return tuple(Tree._new(n, leaves) for leaves in zip(*stack))
 
 
-def pair_is_identity(f: TreePair) -> bool:
-    """A pair is the identity exactly when its leaf intervals, so its trees, coincide."""
-    return f.domain == f.codomain
-
-
-def brown_generator_pairs(arity: int) -> tuple[TreePair, ...]:
+def brown_generator_pairs(arity: int) -> tuple[tuple[Tree, Tree], ...]:
     """
     The n standard generating pairs: (R[n], R[i]) for i = 1..n-1 together
     with (R[n][2n-1], R[n][n]), where R is the one-caret tree.
     """
     n = arity
     caret = Tree.caret(n)
-    pairs = [TreePair(caret.attach(n), caret.attach(i)) for i in range(1, n)]
+    pairs = [(caret.attach(n), caret.attach(i)) for i in range(1, n)]
     base = caret.attach(n)
-    pairs.append(TreePair(base.attach(2 * n - 1), base.attach(n)))
+    pairs.append((base.attach(2 * n - 1), base.attach(n)))
     return tuple(pairs)
 
 
-def evaluate_brown_word(arity: int, word: tuple[int, ...]) -> TreePair:
-    """Multiply out a word of signed 1-based indices into the n generating pairs."""
-    bad = [letter for letter in word if type(letter) is not int or not 1 <= abs(letter) <= arity]
-    if bad:
-        raise TreeError(f"letter {bad[0]!r} names none of the {arity} generating pairs")
-    gens = brown_generator_pairs(arity)
-    acc = TreePair(Tree.single(arity), Tree.single(arity))
-    for letter in word:
-        g = gens[abs(letter) - 1]
-        acc = pair_multiply(acc, g if letter > 0 else pair_inverse(g))
-        acc = pair_reduce(acc)
-    return acc
-
-
-def _elementary_pair(arity: int, i: int) -> TreePair:
+def _elementary_pair(arity: int, i: int) -> tuple[Tree, Tree]:
     """The pair (C[i], C[last]) over the smallest comb C with more than i leaves."""
     m = max(i + 1, arity)
     m += (1 - m) % (arity - 1)  # up to the next leaf count m = 1 mod n-1
     comb = right_comb(arity, m)
-    return TreePair(comb.attach(i), comb.attach(m))
+    return comb.attach(i), comb.attach(m)
 
 
 _XI_WORDS: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -399,13 +361,13 @@ def _xi_word(arity: int, i: int) -> tuple[int, ...]:
         return _XI_WORDS[key]
     g = brown_generator_pairs(arity)
     if i <= arity:
-        word, value = (-i,), pair_inverse(g[i - 1])
+        word, value = (-i,), g[i - 1][::-1]
     else:
         word = reduce_letters((1,) + _xi_word(arity, i - arity + 1) + (-1,))
         value = pair_multiply(pair_multiply(g[0], _elementary_pair(arity, i - arity + 1)),
-                              pair_inverse(g[0]))
-    check = pair_multiply(value, pair_inverse(_elementary_pair(arity, i)))
-    if not pair_is_identity(check):
+                              g[0][::-1])
+    domain, codomain = pair_multiply(value, _elementary_pair(arity, i)[::-1])
+    if domain != codomain:
         raise SchemaError(f"elementary-pair rewrite failed for index {i}, arity {arity}")
     _XI_WORDS[key] = word
     return word
@@ -429,15 +391,14 @@ def comb_conjugator_word(tree: Tree) -> tuple[int, ...]:
     return reduce_letters([x for i in reversed(removed) for x in _xi_word(n, i)])
 
 
-def fn_factorize(pair: TreePair) -> tuple[int, ...]:
+def fn_factorize(pair: tuple[Tree, Tree]) -> tuple[int, ...]:
     """
     Write a tree pair as a word in the n generating pairs (signed 1-based
     indices).  The word is finite but not minimal; evaluating it with
     pair_multiply gives back the input pair up to reduction.
     """
-    reduced = pair_reduce(pair)
-    if reduced.domain == reduced.codomain:
+    domain, codomain = pair_reduce(pair)
+    if domain == codomain:
         return ()
-    left = comb_conjugator_word(reduced.domain)
-    right = comb_conjugator_word(reduced.codomain)
+    left, right = comb_conjugator_word(domain), comb_conjugator_word(codomain)
     return reduce_letters(left + invert_letters(right))

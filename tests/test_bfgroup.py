@@ -41,7 +41,7 @@ from bfcalc.freegroup import (FreeWord, FrozenInstanceError, NCPolynomial, WordE
                               magnus_truncated, reduce_onto)
 from bfcalc.generators import GeneratorSet, GeneratorSetError, PureGeneratorSpec, gen1_set
 from bfcalc import trees as tr
-from bfcalc.trees import (Tree, TreeError, TreePair, attach_caret, expansion_script, fn_sign, join,
+from bfcalc.trees import (Tree, TreeError, attach_caret, expansion_script, fn_sign, join,
                           right_comb)
 
 CONTEXTS = [trivial_context(2), pn_context(2), trivial_context(3), pn_context(3)]
@@ -81,6 +81,28 @@ def test_label_to_braid():
     assert label_to_braid((), ctx) == AWord(2, ())
     assert label_to_braid((1,), ctx) == AWord(2, ((1, 2, 1),))
     assert is_trivial(label_to_braid((1, -1), ctx))
+
+
+@pytest.mark.parametrize("arity, label, message", [
+    (2, (0,), "label letter 0 outside the context"),
+    (2, (5,), "label letter 5 outside the context"),
+    (3, (0,), "label letter 0 outside the context"),
+    (3, (1, -4), "label letter -4 outside the context"),
+    (2, (True,), "labels must be a tuple of tuples of ints"),
+    (3, (1, True), "labels must be a tuple of tuples of ints"),
+])
+def test_label_readers_refuse_what_the_element_refuses(arity, label, message):
+    ctx = pn_context(arity)
+    tree = Tree.single(arity)
+    with pytest.raises(ElementError) as caught:
+        BFElement(ctx, tree, AWord.identity(1), (label,), tree)
+    assert str(caught.value) == message
+    label_to_braid((1,), ctx)  # a table hit on an equal key must not admit a bool
+    for read in (label_to_braid, bf.format_label):
+        with pytest.raises(ElementError) as caught:
+            read(label, ctx)
+        assert type(caught.value) is ElementError and str(caught.value) == message
+    assert list(ctx._labels) == [(1,)]  # nothing refused is stored
 
 
 def label_braid_oracle(label, ctx):
@@ -492,7 +514,7 @@ def pass_through_elements(ctx, rng):
     n, k = ctx.arity, len(ctx.generators)
     combs = [right_comb(n, 1 + (n - 1) * c) for c in range(4)]
     out = [identity_element(ctx, comb) for comb in combs]
-    out += [from_tree_pair(ctx, pair) for pair in tr.brown_generator_pairs(n)]
+    out += [from_tree_pair(ctx, *pair) for pair in tr.brown_generator_pairs(n)]
     for comb in combs[1:]:
         m = comb.leaf_count
         i = rng.randint(1, m - 1)
@@ -844,7 +866,7 @@ def test_bf_sign_tree_part_first():
     for _ in range(100):
         x = draw(ctx, rng)
         if x.t1 != x.t2:
-            assert bf_sign(x) == fn_sign(TreePair(x.t1, x.t2))
+            assert bf_sign(x) == fn_sign(x.t1, x.t2)
 
 
 def test_bf_sign_antisymmetric():
@@ -982,9 +1004,9 @@ def test_fuzz_from_json_returns_an_element_or_element_error(text):
 
 
 def test_from_tree_pair():
-    pair = TreePair(Tree.caret(2).attach(1), Tree.caret(2).attach(2))
-    x = from_tree_pair(trivial_context(2), pair)
-    assert x.t1 == pair.domain and x.t2 == pair.codomain
+    domain, codomain = Tree.caret(2).attach(1), Tree.caret(2).attach(2)
+    x = from_tree_pair(trivial_context(2), domain, codomain)
+    assert x.t1 == domain and x.t2 == codomain
     assert not x.braid.letters
 
 
@@ -1066,10 +1088,10 @@ def test_trusted_results_pass_public_constructors(ctx):
         assert joined == tr.attach_script(y.t2, s2)
         _assert_public(joined)
         _assert_public(right_comb(n, x.leaf_count))
-        for pair in (TreePair(grown.t1, grown.t2), TreePair(product.t1, product.t2)):
-            reduced = tr.pair_reduce(pair)
-            _assert_public(reduced.domain)
-            _assert_public(reduced.codomain)
+        for pair in ((grown.t1, grown.t2), (product.t1, product.t2)):
+            domain, codomain = tr.pair_reduce(pair)
+            _assert_public(domain)
+            _assert_public(codomain)
         m = x.leaf_count
         inner = label_to_braid(x.labels[i - 1], ctx)
         _assert_public(split_a(x.braid, i, n, inner))
@@ -1110,9 +1132,6 @@ def _value_contracts():
          (2, 1, (((1, 1), 1),)), WordError),
         (element, _ELEMENT, (ctx, tree, AWord(2, ()), ((), ()), tree), ElementError),
         (ctx, _PN2, (1, ()), ContextError),
-        (TreePair(Tree.caret(2).attach(1), tree),
-         f"TreePair(domain=Tree(arity=2, leaves=((0, 0), (0, 1), (1,))), codomain={_TREE})",
-         (tree, Tree.single(2)), TreeError),
         (comb(AWord(3, ((1, 3, 1), (2, 3, -1)))),
          "CombedForm(strands=3, coordinates=(FreeWord(rank=2, letters=(2,)), "
          "FreeWord(rank=1, letters=(-1,))))", (3, ()), BraidError),
@@ -1219,8 +1238,8 @@ def test_public_constructors_reject_lists_floats_and_bools():
         FreeWord(2, [1])
     with pytest.raises(WordError):
         FreeWord(2, (True,))
-    with pytest.raises(TreeError):
-        TreePair("a", "b")
+    with pytest.raises(ElementError):
+        from_tree_pair(c, "a", "b")
     for bad in ((2.0, 1, (((), 1),)), (2, 1, [((), 1)]), (2, 1, (([1], 1),)),
                 (2, 1, (((), True),))):
         with pytest.raises(WordError):

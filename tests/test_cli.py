@@ -336,7 +336,7 @@ def test_failed_elementary_pair_check_exits_2(monkeypatch, capsys):
     elementary_pair = trees._elementary_pair
     monkeypatch.setattr(trees, "_XI_WORDS", {})
     monkeypatch.setattr(trees, "_elementary_pair",
-                        lambda arity, i: trees.pair_inverse(elementary_pair(arity, i)))
+                        lambda arity, i: elementary_pair(arity, i)[::-1])
     let = "a={ ((*,*),*) ; ; [1,1,1] ; (*,(*,*)) }"
     assert run_cli("decompose", "a", "--set", "gen1", "-n", "2", "--let", let) == 2
     err = capsys.readouterr().err

@@ -12,7 +12,6 @@ from bfcalc.trees import (
     ExpansionError,
     Tree,
     TreeError,
-    TreePair,
     _elementary_pair,
     _xi_word,
     attach_caret,
@@ -20,13 +19,10 @@ from bfcalc.trees import (
     brown_generator_pairs,
     caret_top,
     comb_conjugator_word,
-    evaluate_brown_word,
     expansion_script,
     fn_factorize,
     fn_sign,
     join,
-    pair_inverse,
-    pair_is_identity,
     pair_multiply,
     pair_reduce,
     right_comb,
@@ -70,17 +66,46 @@ def random_tree(rng, arity, carets):
 
 
 def random_pair(rng, arity, max_carets=4):
+    """A tree pair: a (domain, codomain) tuple of two random trees of one size."""
     carets = rng.randint(0, max_carets)
-    return TreePair(random_tree(rng, arity, carets), random_tree(rng, arity, carets))
+    return random_tree(rng, arity, carets), random_tree(rng, arity, carets)
+
+
+# --- the pair algebra's oracles: inverse, identity test and word evaluation
+
+def pair_inverse(f):
+    domain, codomain = f
+    return codomain, domain
+
+
+def pair_is_identity(f):
+    """A pair is the identity exactly when its leaf intervals, so its trees, coincide."""
+    domain, codomain = f
+    return domain == codomain
+
+
+def evaluate_brown_word(arity, word):
+    """Multiply out a word of signed 1-based indices into the n generating pairs."""
+    bad = [letter for letter in word if type(letter) is not int or not 1 <= abs(letter) <= arity]
+    if bad:
+        raise TreeError(f"letter {bad[0]!r} names none of the {arity} generating pairs")
+    gens = brown_generator_pairs(arity)
+    acc = (Tree.single(arity), Tree.single(arity))
+    for letter in word:
+        g = gens[abs(letter) - 1]
+        acc = pair_multiply(acc, g if letter > 0 else pair_inverse(g))
+        acc = pair_reduce(acc)
+    return acc
 
 
 # --- slope-sign oracle: compare actual interval lengths as exact fractions
 
 def interval_sign_oracle(pair):
-    n = pair.arity
-    for k in range(1, pair.leaf_count + 1):
-        dom = leaf_interval(pair.domain, k)
-        cod = leaf_interval(pair.codomain, k)
+    domain, codomain = pair
+    n = domain.arity
+    for k in range(1, domain.leaf_count + 1):
+        dom = leaf_interval(domain, k)
+        cod = leaf_interval(codomain, k)
         slope = Fraction(cod.length(n)) / Fraction(dom.length(n))
         if slope != 1:
             return 1 if slope > 1 else -1
@@ -349,14 +374,14 @@ def remove_caret(tree, i):
 
 def pair_reduce_oracle(f):
     """Cancel the leftmost matching caret window, then start again from window 1."""
-    cur = f
+    domain, codomain = f
     while True:
-        for i in range(1, cur.leaf_count - f.arity + 2):
-            if caret_window_oracle(cur.domain, i) and caret_window_oracle(cur.codomain, i):
-                cur = TreePair(remove_caret(cur.domain, i), remove_caret(cur.codomain, i))
+        for i in range(1, domain.leaf_count - domain.arity + 2):
+            if caret_window_oracle(domain, i) and caret_window_oracle(codomain, i):
+                domain, codomain = remove_caret(domain, i), remove_caret(codomain, i)
                 break
         else:
-            return cur
+            return domain, codomain
 
 
 def outcome(fn, *args):
@@ -456,9 +481,9 @@ def test_comb_conjugator_word_matches_oracle():
         word = comb_conjugator_word(tree)
         assert word == comb_conjugator_word_oracle(tree)
         comb = right_comb(tree.arity, tree.leaf_count)
-        assert fn_factorize(TreePair(tree, comb)) == word
-        assert fn_factorize(TreePair(comb, tree)) == invert_letters(word)
-        cancelled += pair_reduce(TreePair(tree, comb)).leaf_count < tree.leaf_count
+        assert fn_factorize((tree, comb)) == word
+        assert fn_factorize((comb, tree)) == invert_letters(word)
+        cancelled += pair_reduce((tree, comb))[0].leaf_count < tree.leaf_count
     assert cancelled > 200
     for n in (2, 3):
         for m in range(1, 12, n - 1):
@@ -470,7 +495,7 @@ def test_elementary_pair_over_smallest_comb():
         for i in range(1, 30):
             m = next(m for m in range(i + 1, 99) if m >= n and (m - 1) % (n - 1) == 0)
             comb = right_comb_oracle(n, m)
-            assert _elementary_pair(n, i) == TreePair(comb.attach(i), comb.attach(m))
+            assert _elementary_pair(n, i) == (comb.attach(i), comb.attach(m))
 
 
 XI_WORDS_DIGEST = "144c3a60877e63ff861497ad1561fea97f4d7bfb5292de9e527911c147cddba6"
@@ -537,20 +562,20 @@ def test_pair_reduce_matches_oracle():
     rng = random.Random(44)
     for _ in range(1500):
         n = rng.choice((2, 3, 4))
-        pair = random_pair(rng, n, max_carets=rng.randint(0, 8))
+        domain, codomain = random_pair(rng, n, max_carets=rng.randint(0, 8))
         if rng.random() < 0.5:  # grow both trees alike so that carets cancel
             for _ in range(rng.randint(1, 4)):
-                i = rng.randint(1, pair.leaf_count)
-                pair = TreePair(pair.domain.attach(i), pair.codomain.attach(i))
-        assert pair_reduce(pair) == pair_reduce_oracle(pair)
+                i = rng.randint(1, domain.leaf_count)
+                domain, codomain = domain.attach(i), codomain.attach(i)
+        assert pair_reduce((domain, codomain)) == pair_reduce_oracle((domain, codomain))
     for n in (2, 3, 4):  # long chains of merges: 40-60 carets grown alike
-        for base in (random_pair(rng, n), TreePair(Tree.single(n), Tree.single(n))):
-            pair = base
+        for base in (random_pair(rng, n), (Tree.single(n), Tree.single(n))):
+            domain, codomain = base
             for _ in range(rng.randint(40, 60)):
-                i = rng.randint(1, pair.leaf_count)
-                pair = TreePair(pair.domain.attach(i), pair.codomain.attach(i))
-            assert pair_reduce(pair) == pair_reduce_oracle(pair)
-            assert pair_reduce(pair).leaf_count <= base.leaf_count
+                i = rng.randint(1, domain.leaf_count)
+                domain, codomain = domain.attach(i), codomain.attach(i)
+            assert pair_reduce((domain, codomain)) == pair_reduce_oracle((domain, codomain))
+            assert pair_reduce((domain, codomain))[0].leaf_count <= base[0].leaf_count
 
 
 # --- leaf intervals
@@ -581,29 +606,45 @@ def test_fn_sign_zero_on_equal_trees():
     rng = random.Random(5)
     for _ in range(20):
         tree = random_tree(rng, rng.choice((2, 3)), rng.randint(0, 4))
-        assert fn_sign(TreePair(tree, tree)) == 0
+        assert fn_sign(tree, tree) == 0
 
 
 def test_fn_sign_examples():
     caret = Tree.caret(2)
-    assert fn_sign(TreePair(caret.attach(1), caret.attach(2))) == 1
-    assert fn_sign(TreePair(caret.attach(2), caret.attach(1))) == -1
+    assert fn_sign(caret.attach(1), caret.attach(2)) == 1
+    assert fn_sign(caret.attach(2), caret.attach(1)) == -1
+
+
+def test_fn_sign_refuses_trees_of_unlike_arity_or_size():
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.choice((2, 3))
+        domain, codomain = random_pair(rng, n)
+        grown = codomain.attach(rng.randint(1, codomain.leaf_count))
+        other = random_tree(rng, n + 1, (domain.leaf_count - 1) // (n - 1))
+        for pair, message in (((domain, grown), "leaf count mismatch in tree pair"),
+                              ((grown, domain), "leaf count mismatch in tree pair"),
+                              ((domain, other), "arity mismatch in tree pair"),
+                              ((other, domain), "arity mismatch in tree pair")):
+            with pytest.raises(TreeError) as caught:
+                fn_sign(*pair)
+            assert str(caught.value) == message
 
 
 def test_fn_sign_matches_interval_oracle():
     rng = random.Random(6)
     for _ in range(500):
         pair = random_pair(rng, rng.choice((2, 3)))
-        assert fn_sign(pair) == interval_sign_oracle(pair)
+        assert fn_sign(*pair) == interval_sign_oracle(pair)
 
 
 def test_fn_sign_trichotomy():
     rng = random.Random(7)
     for _ in range(500):
         pair = random_pair(rng, rng.choice((2, 3)))
-        sign = fn_sign(pair)
-        assert sign == -fn_sign(pair_inverse(pair))
-        assert (sign == 0) == (pair.domain == pair.codomain)
+        sign = fn_sign(*pair)
+        assert sign == -fn_sign(*pair_inverse(pair))
+        assert (sign == 0) == (pair[0] == pair[1])
 
 
 def test_fn_sign_bi_invariant():
@@ -612,13 +653,13 @@ def test_fn_sign_bi_invariant():
     while checked < 500:
         n = rng.choice((2, 3))
         a, f, g = (random_pair(rng, n) for _ in range(3))
-        if fn_sign(pair_multiply(pair_inverse(f), g)) != 1:
+        if fn_sign(*pair_multiply(pair_inverse(f), g)) != 1:
             continue
         checked += 1
         left = pair_multiply(pair_inverse(pair_multiply(a, f)), pair_multiply(a, g))
         right = pair_multiply(pair_inverse(pair_multiply(f, a)), pair_multiply(g, a))
-        assert fn_sign(left) == 1
-        assert fn_sign(right) == 1
+        assert fn_sign(*left) == 1
+        assert fn_sign(*right) == 1
 
 
 # --- pair algebra
@@ -627,10 +668,10 @@ def test_pair_multiply_trivial_join_case():
     # When the middle trees already agree no expansion happens at all.
     caret = Tree.caret(2)
     middle = caret.attach(2)
-    f = TreePair(caret.attach(1), middle)
-    g = TreePair(middle, caret.attach(1))
+    f = (caret.attach(1), middle)
+    g = (middle, caret.attach(1))
     result = pair_multiply(f, g)
-    assert result == TreePair(caret.attach(1), caret.attach(1))
+    assert result == (caret.attach(1), caret.attach(1))
     assert pair_is_identity(result)
 
 
@@ -653,27 +694,27 @@ def test_pair_multiply_associative():
 
 def test_pair_is_identity_examples():
     caret = Tree.caret(2)
-    assert pair_is_identity(TreePair(caret, caret))
-    assert not pair_is_identity(TreePair(caret.attach(1), caret.attach(2)))
+    assert pair_is_identity((caret, caret))
+    assert not pair_is_identity((caret.attach(1), caret.attach(2)))
     rng = random.Random(47)
     for n in (2, 3, 4):
         tree = random_tree(rng, n, 5)
         for i in range(1, tree.leaf_count + 1):  # unreduced identities
-            assert pair_is_identity(TreePair(tree.attach(i), tree.attach(i)))
+            assert pair_is_identity((tree.attach(i), tree.attach(i)))
     for _ in range(300):
         pair = random_pair(rng, rng.choice((2, 3)))
         assert pair_is_identity(pair_multiply(pair, pair_inverse(pair)))
         for p in (pair, pair_multiply(pair, pair_inverse(pair)),
-                  pair_multiply(pair, random_pair(rng, pair.arity))):
+                  pair_multiply(pair, random_pair(rng, pair[0].arity))):
             reduced = pair_reduce(p)  # the reduce-then-compare rule
-            assert pair_is_identity(p) == (reduced.domain == reduced.codomain)
+            assert pair_is_identity(p) == (reduced[0] == reduced[1])
 
 
 def test_pair_reduce_cancels_matched_carets():
     caret = Tree.caret(2)
-    pair = TreePair(caret.attach(1).attach(1), caret.attach(2).attach(1))
+    pair = (caret.attach(1).attach(1), caret.attach(2).attach(1))
     reduced = pair_reduce(pair)
-    assert reduced == TreePair(caret.attach(1), caret.attach(2))
+    assert reduced == (caret.attach(1), caret.attach(2))
 
 
 # --- generating pairs and factorization
@@ -683,17 +724,17 @@ def test_brown_pairs_shapes():
         pairs = brown_generator_pairs(n)
         assert len(pairs) == n
         caret = Tree.caret(n)
-        assert pairs[0] == TreePair(caret.attach(n), caret.attach(1))
+        assert pairs[0] == (caret.attach(n), caret.attach(1))
         for pair in pairs:
-            assert fn_sign(pair) != 0
+            assert fn_sign(*pair) != 0
     pairs3 = brown_generator_pairs(3)
     base = Tree.caret(3).attach(3)
-    assert pairs3[-1] == TreePair(base.attach(5), base.attach(3))
+    assert pairs3[-1] == (base.attach(5), base.attach(3))
 
 
 def test_fn_factorize_identity_and_generators():
     for n in (2, 3):
-        assert fn_factorize(TreePair(Tree.single(n), Tree.single(n))) == ()
+        assert fn_factorize((Tree.single(n), Tree.single(n))) == ()
         for k, pair in enumerate(brown_generator_pairs(n), start=1):
             word = fn_factorize(pair)
             value = evaluate_brown_word(n, word)
@@ -782,10 +823,10 @@ def test_nested_codec_handles_deep_trees():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: Tree(2, ()), "a tree has at least one leaf"),
-    (lambda: TreePair(Tree.caret(2), Tree.caret(3)), "arity mismatch in tree pair"),
-    (lambda: TreePair(Tree.caret(2), Tree.caret(2).attach(1)), "leaf count mismatch in tree pair"),
-    (lambda: pair_multiply(TreePair(Tree.caret(2), Tree.caret(2)),
-                           TreePair(Tree.caret(3), Tree.caret(3))), "arity mismatch"),
+    (lambda: fn_sign(Tree.caret(2), Tree.caret(3)), "arity mismatch in tree pair"),
+    (lambda: fn_sign(Tree.caret(2), Tree.caret(2).attach(1)), "leaf count mismatch in tree pair"),
+    (lambda: pair_multiply((Tree.caret(2), Tree.caret(2)),
+                           (Tree.caret(3), Tree.caret(3))), "arity mismatch"),
 ])
 def test_tree_checks_raise_tree_error(call, message):
     with pytest.raises(TreeError) as caught:
