@@ -22,60 +22,35 @@ from .bfgroup import (
     multiply,
     pn_context,
     pvb_sign,
-    random_element,
     reduce,
     to_json,
     trivial_context,
 )
 from .braid import (
     AWord,
-    CombedForm,
     SigmaWord,
     a_to_sigma,
-    artin_image,
     braids_equal,
-    comb,
     delete_strand,
     is_pure,
     kr_sign,
     permutation,
-    reconstruct,
     shift_embed,
     split_a,
     split_sigma,
 )
-from .freegroup import (
-    FreeWord,
-    NCPolynomial,
-    magnus_sign,
-    magnus_truncated,
-    reduce_word,
-)
-from .trees import (
-    Tree,
-    attach_caret,
-    brown_generator_pairs,
-    fn_factorize,
-    fn_sign,
-    join,
-    pair_multiply,
-    right_comb,
-)
+from .freegroup import _lazy_getattr
+from .trees import Tree, attach_caret, fn_sign, join, right_comb
 
 __version__ = "0.1.0"
 
-# Names of the generators module: it loads on first use of one of them, so
-# a program that needs only the group does not pay for importing it.
-_GENERATOR_NAMES = frozenset((
-    "GeneratorSet", "PureGeneratorSpec", "decompose", "enumerate_irreducible",
-    "evaluate_word", "gen1_set", "gen2_set", "gen3_set", "is_n_irreducible",
-    "verify_generating",
-))
-
-
-def __getattr__(name: str):
-    if name not in _GENERATOR_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import generators
-
-    return getattr(generators, name)
+# Names whose module loads on first use: the group alone compiles none of these.
+_LAZY = {
+    **dict.fromkeys(("CombedForm", "FreeWord", "NCPolynomial", "artin_image", "comb",
+                     "magnus_sign", "magnus_truncated", "reconstruct", "reduce_word"), "combing"),
+    **dict.fromkeys(("brown_generator_pairs", "fn_factorize", "pair_multiply"), "treepairs"),
+    **dict.fromkeys(("GeneratorSet", "PureGeneratorSpec", "decompose", "enumerate_irreducible",
+                     "evaluate_word", "gen1_set", "gen2_set", "gen3_set", "is_n_irreducible",
+                     "random_element", "verify_generating"), "generators"),
+}
+__getattr__ = _lazy_getattr(__name__, _LAZY)

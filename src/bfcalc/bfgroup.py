@@ -213,6 +213,10 @@ class BFElement:
 
 
 def identity_element(context: HContext, tree: Tree | None = None) -> BFElement:
+    """The identity over `tree`; the default one-leaf identity is built without re-validation."""
+    if tree is None and isinstance(context, HContext):
+        one = Tree._new(context.arity, ((),))
+        return BFElement._new(context, one, AWord._new(1, ()), ((),), one)
     tree = tree if tree is not None else Tree.single(context.arity)
     m = tree.leaf_count
     return BFElement(context, tree, AWord.identity(m), ((),) * m, tree)
@@ -274,9 +278,10 @@ def multiply(x: BFElement, y: BFElement) -> BFElement:
     labels = labels_x if not any(labels_y) else tuple(
         tuple(reduce_onto(list(a), b)) if b else a for a, b in zip(labels_x, labels_y))
     shared_x, shared_y = x.t1 is x.t2, y.t1 is y.t2
-    t1 = y.t1 if shared_x and not script_y else tr.attach_script(x.t1, script_x)
+    t1 = (y.t1 if shared_x and not script_y
+          else tr.attach_script(x.t1, script_x) if script_x else x.t1)
     t2 = (t1 if shared_x and shared_y else x.t2 if shared_y and not script_x
-          else tr.attach_script(y.t2, script_y))
+          else tr.attach_script(y.t2, script_y) if script_y else y.t2)
     return BFElement._new(x.context, t1, AWord._new(len(labels), letters_x + letters_y),
                           labels, t2)
 
@@ -305,7 +310,8 @@ def equal(x: BFElement, y: BFElement) -> bool:
     if x.context is not y.context and x.context != y.context:
         raise ContextError("elements live over different contexts")
     script_x, script_y = join(x.t2, y.t2)
-    if tr.attach_script(x.t1, script_x) != tr.attach_script(y.t1, script_y):
+    if ((tr.attach_script(x.t1, script_x) if script_x else x.t1)
+            != (tr.attach_script(y.t1, script_y) if script_y else y.t1)):
         return False
     letters_x, labels_x = _expanded(x, script_x)
     letters_y, labels_y = _expanded(y, script_y)
@@ -403,56 +409,6 @@ def compare(x: BFElement, y: BFElement) -> int:
     """Total order: x < y when x^-1 y is positive."""
     sign = bf_sign(multiply(inverse(x), y))
     return LESS if sign == POSITIVE else GREATER if sign == NEGATIVE else EQUAL
-
-
-# ---------------------------------------------------------------------------
-# Random elements
-# ---------------------------------------------------------------------------
-
-def random_tree(rng, arity: int, carets: int) -> Tree:
-    """A tree of `carets` carets, each at a leaf drawn by `rng`, a random.Random."""
-    tree = Tree.single(arity)
-    for _ in range(carets):
-        tree = tree.attach(rng.randint(1, tree.leaf_count))
-    return tree
-
-
-def random_element(context: HContext, seed, *, max_leaves: int = 9,
-                   max_braid_letters: int = 16, max_label_letters: int = 4) -> BFElement:
-    """
-    Seed-deterministic element within the given size ceilings; `seed` is an
-    int or a random.Random.
-    """
-    return _random(context, seed, False, max_leaves, max_braid_letters, max_label_letters)
-
-
-def random_pvb_element(context: HContext, seed, *, max_leaves: int = 9,
-                       max_braid_letters: int = 16, max_label_letters: int = 4) -> BFElement:
-    """Random representative with equal trees; `seed` as for random_element."""
-    return _random(context, seed, True, max_leaves, max_braid_letters, max_label_letters)
-
-
-def _random(context: HContext, seed, equal_trees: bool, max_leaves: int,
-            max_braid_letters: int, max_label_letters: int) -> BFElement:
-    import random
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    n = context.arity
-    carets = rng.randint(0, max(0, (max_leaves - 1) // (n - 1)))
-    t1 = random_tree(rng, n, carets)
-    t2 = t1 if equal_trees else random_tree(rng, n, carets)
-    m = t1.leaf_count
-    letters = []
-    if m >= 2:
-        for _ in range(rng.randint(0, max_braid_letters)):
-            i = rng.randint(1, m - 1)
-            j = rng.randint(i + 1, m)
-            letters.append((i, j, rng.choice((1, -1))))
-    k = len(context.generators)
-    labels = []
-    for _ in range(m):
-        length = rng.randint(0, max_label_letters) if k else 0
-        labels.append(tuple(rng.choice((1, -1)) * rng.randint(1, k) for _ in range(length)))
-    return BFElement(context, t1, AWord(m, tuple(letters)), tuple(labels), t2)
 
 
 # ---------------------------------------------------------------------------

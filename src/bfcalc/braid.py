@@ -1,7 +1,6 @@
 """
-Braid words, the Artin-action equality oracle, strand deletion and cabling,
-combing of pure braids into free-group coordinates, and the resulting sign
-on pure braids.
+Braid words, braid equality, strand deletion and cabling, and the sign of
+pure braids.
 
 Two alphabets are used.  A SigmaWord is a word in the standard crossing
 generators: the letter q (resp. -q) crosses the strands in positions q and
@@ -18,28 +17,27 @@ material.
 
 Equality of braids is decided by comparing Dynnikov coordinates, the images
 of one vector of Z^2m under a faithful action of the braid group, after
-cheap checks on pure words (cancelled letters, linking numbers).  The
-induced automorphism of the free group on the strand generators (the Artin
-action, also faithful) is kept as the independent oracle.  Cabling reads a
+cheap checks on pure words (cancelled letters, linking numbers); the Artin
+action, the independent oracle, lives in the combing module.  Cabling reads a
 table per split strand t and width n (cable_letters): a letter off strand t
 only shifts, one on it becomes a fixed descending product, checked against
 diagram cabling once per width before its first use.  An image is kept when
 the cabled letter lies on at most trees.MEMO_LEAVES strands, and only pairs
 with t + n - 1 <= MEMO_LEAVES keep one: at most 528 tables of 992 letters.
-The conjugation rules used by combing are a table, and each instance is
-checked by braid equality, which does not use them, before its first use.
 
 The sign of a pure braid is read level by level from its linking numbers,
-which are the degree-1 Magnus coefficients of the combing coordinates;
-combing runs only on a level whose linking numbers all vanish.
+the degree-1 Magnus coefficients of the combing coordinates; only a level
+whose linking numbers all vanish loads the combing module and is combed.
+The benchmark's per-layer tracer reads comb and artin_image here (__getattr__).
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Sequence
 
-from .freegroup import (NEGATIVE, POSITIVE, ZERO, FreeWord, SchemaError, _is_int_tuple,
-                        _value_class, invert_letters, magnus_sign, reduce_onto)
+from .freegroup import (NEGATIVE, POSITIVE, ZERO, SchemaError, _is_int_tuple, _lazy_getattr,
+                        _value_class, invert_letters)
 from .trees import MEMO_LEAVES
 
 ALetter = tuple[int, int, int]
@@ -50,13 +48,7 @@ class BraidError(ValueError):
 
 
 class CombingLimitError(RuntimeError):
-    """Raised when a combing coordinate exceeds COMB_LETTER_LIMIT letters."""
-
-
-# Longest free-group coordinate the combing routine will build before it
-# gives up; combing word growth is exponential in the worst case and this
-# library only promises desk-scale inputs.
-COMB_LETTER_LIMIT = 1_000_000
+    """Raised when a combing coordinate exceeds combing.COMB_LETTER_LIMIT letters."""
 
 
 @_value_class
@@ -147,35 +139,8 @@ def is_pure(word: SigmaWord) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Equality: Dynnikov coordinates, with the Artin action as its oracle
+# Equality: Dynnikov coordinates
 # ---------------------------------------------------------------------------
-
-def _artin_images(strands: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """
-    Images of the free generators x_1..x_m under the automorphism of the
-    word.  The word acts with its leftmost letter outermost, which makes the
-    map a homomorphism under concatenation.  A crossing q sends x_q to
-    x_q x_{q+1} x_q^-1 and x_{q+1} to x_q; its inverse sends x_q to x_{q+1}
-    and x_{q+1} to x_{q+1}^-1 x_q x_{q+1}.
-    """
-    images: list[list[int]] = [[k] for k in range(1, strands + 1)]
-    for letter in letters:
-        q = abs(letter) - 1
-        a, b = images[q], images[q + 1]
-        if letter > 0:
-            images[q] = reduce_onto(list(a), b, invert_letters(a))
-            images[q + 1] = a
-        else:
-            images[q] = b
-            images[q + 1] = reduce_onto(invert_letters(b), a, b)
-    return tuple(tuple(img) for img in images)
-
-
-def artin_image(word: SigmaWord | AWord) -> tuple[tuple[int, ...], ...]:
-    """Reduced images of x_1..x_m; the identity braid gives (x_1,),..,(x_m,)."""
-    sigma = a_to_sigma(word) if isinstance(word, AWord) else word
-    return _artin_images(sigma.strands, sigma.letters)
-
 
 def linking_numbers(word: AWord) -> dict[tuple[int, int], int]:
     """Exponent sums per strand pair; a complete abelian invariant."""
@@ -413,163 +378,6 @@ def split_a(word: AWord, t: int, n: int, inner: AWord) -> AWord:
     return AWord._new(total, tuple(letters))
 
 
-# ---------------------------------------------------------------------------
-# Combing
-# ---------------------------------------------------------------------------
-
-@_value_class
-class CombedForm:
-    """
-    Coordinates (w_m, ..., w_2) of a pure braid in the iterated splitting of
-    strand-forgetting maps.  The coordinate at level k is a free word of
-    rank k-1; its generator d stands for the kernel element A[1, d+1] of the
-    k-strand group.
-    """
-
-    strands: int
-    coordinates: tuple[FreeWord, ...]
-
-    def __post_init__(self):
-        if type(self.strands) is not int or type(self.coordinates) is not tuple:
-            raise BraidError("a combed form holds an int strand count and a tuple")
-        if len(self.coordinates) != max(self.strands - 1, 0):
-            raise BraidError("wrong number of combing coordinates")
-        for level, coord in zip(range(self.strands, 1, -1), self.coordinates):
-            if not isinstance(coord, FreeWord) or coord.rank != level - 1:
-                raise BraidError(f"coordinate at level {level} is not a rank-{level - 1} free word")
-
-    def is_trivial(self) -> bool:
-        return all(c.is_trivial() for c in self.coordinates)
-
-
-# How A[r,s]^e conjugates a kernel letter A[1,j] with r <= j <= s: into
-# u A[1,j] u^-1, u spelled over the kernel letters A[1,r], A[1,s], A[1,j]
-# named "r", "s", "j".  These are the relations of Artin's presentation of
-# the pure braid group (the linked case conjugates by a commutator); for j
-# outside [r, s] the two letters commute.
-_CONJ_RULES: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {
-    ("j=r", 1): (("r", -1), ("s", -1)),
-    ("j=r", -1): (("s", 1),),
-    ("j=s", 1): (("r", -1),),
-    ("j=s", -1): (("s", 1), ("r", 1)),
-    ("r<j<s", 1): (("r", -1), ("s", -1), ("r", 1), ("s", 1)),
-    ("r<j<s", -1): (("s", 1), ("r", 1), ("s", -1), ("r", -1)),
-}
-
-# Checked rule instances: (r, s, e, j) -> u as kernel letters.
-_CONJUGATORS: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
-
-
-def _kernel_word_to_aword(letters: Iterable[int], strands: int) -> AWord:
-    """Kernel free word (generator d = A[1, d+1]) as an AWord."""
-    return AWord(strands, tuple((1, abs(x) + 1, 1 if x > 0 else -1) for x in letters))
-
-
-def _rule_holds(r: int, s: int, e: int, j: int, u: Sequence[int]) -> bool:
-    """
-    Check A[r,s]^e A[1,j] A[r,s]^-e == u A[1,j] u^-1 by braid equality, which
-    never reads the conjugation rules.
-    """
-    k = max(s, j)
-    conjugate = reduce_onto([], u, (j - 1,), invert_letters(u))
-    return braids_equal(AWord(k, ((r, s, e), (1, j, 1), (r, s, -e))),
-                        _kernel_word_to_aword(conjugate, k))
-
-
-def _conjugation_case(r: int, s: int, j: int) -> str | None:
-    if j < r or j > s:
-        return None
-    if j == r:
-        return "j=r"
-    if j == s:
-        return "j=s"
-    return "r<j<s"
-
-
-def _conjugator_for(r: int, s: int, e: int, j: int) -> tuple[int, ...]:
-    """
-    The conjugator u of the rule instance at concrete indices, as kernel
-    letters; the instance is checked by braid equality before its first use.
-    """
-    key = (r, s, e, j)
-    u = _CONJUGATORS.get(key)
-    if u is None:
-        case = _conjugation_case(r, s, j)
-        values = {"r": r - 1, "s": s - 1, "j": j - 1}
-        u = () if case is None else tuple(
-            values[name] * sign for name, sign in _CONJ_RULES[case, e])
-        if not _rule_holds(r, s, e, j, u):
-            raise SchemaError(f"conjugation rule failed validation at {key}")
-        _CONJUGATORS[key] = u
-    return u
-
-
-def _conjugate_kernel_word_reversed(front_rev: list[int], r: int, s: int, e: int) -> list[int]:
-    """
-    Apply A[r,s]^e (.) A[r,s]^-e letterwise to a kernel free word held in
-    reversed letter order (reversal commutes with free reduction).
-    """
-    out: list[int] = []
-    for x in front_rev:
-        u = _conjugator_for(r, s, e, abs(x) + 1)
-        reduce_onto(out, reversed(u + (x,) + invert_letters(u)))
-        if len(out) > COMB_LETTER_LIMIT:
-            raise CombingLimitError(
-                f"combing coordinate exceeded {COMB_LETTER_LIMIT} letters; "
-                "input is outside the supported envelope"
-            )
-    return out
-
-
-def _peel_front(word: AWord) -> FreeWord:
-    """
-    The kernel coordinate of one level: the unique reduced word f over the
-    kernel basis with  word == f * rest  and rest free of strand-1 letters.
-    Letters are swept right to left; every letter not touching strand 1
-    conjugates the front built so far through the conjugation rules.
-    """
-    front_rev: list[int] = []
-    for i, j, sign in reversed(word.letters):
-        if i == 1:
-            reduce_onto(front_rev, ((j - 1) * sign,))
-        else:
-            front_rev = _conjugate_kernel_word_reversed(front_rev, i, j, sign)
-    return FreeWord._new(word.strands - 1, tuple(reversed(front_rev)))
-
-
-def _level_word(word: AWord, i: int) -> AWord:
-    """
-    The level of strand i: the word with strands 1..i-1 deleted, so that
-    strand i comes first, and adjacent inverse letters cancelled.  The
-    letters of a conjugator often cancel at the levels the conjugated braid
-    does not touch, and then combing never sees them.
-    """
-    return _cancel_adjacent(AWord._new(word.strands - i + 1, tuple(
-        (a - i + 1, b - i + 1, s) for a, b, s in word.letters if a >= i)))
-
-
-def comb(word: AWord) -> CombedForm:
-    """
-    Artin combing.  The coordinate at level k is the front of the letters
-    touching the first strand of the level word; the level words are the
-    iterated strand-1 deletions of the input, because deleting strand 1
-    kills exactly the front of the level above.
-    """
-    coords = [_peel_front(_level_word(word, i)) for i in range(1, word.strands)]
-    return CombedForm(word.strands, tuple(coords))
-
-
-def reconstruct(form: CombedForm) -> AWord:
-    """Reassemble an AWord from combing coordinates (inverse of comb, up to equality)."""
-    acc = AWord.identity(1)
-    for level in range(2, form.strands + 1):
-        coord = form.coordinates[form.strands - level]
-        front = _kernel_word_to_aword(coord.letters, level)
-        shifted = AWord(level, tuple((i + 1, j + 1, s) for i, j, s in acc.letters))
-        acc = front * shifted
-    return acc
-
-
 def kr_sign(word: AWord) -> int:
     """
     Sign of a pure braid: the Magnus sign of the first nontrivial combing
@@ -592,8 +400,20 @@ def kr_sign(word: AWord) -> int:
         if totals:
             return POSITIVE if totals[0] > 0 else NEGATIVE
         if i < m - 1:  # the deepest level has rank 1: zero linking makes it trivial
-            coord = _peel_front(_level_word(word, i))
+            combing = _combing()
+            coord = combing._peel_front(combing._level_word(word, i))
             if not coord.is_trivial():
-                return magnus_sign(coord)
+                return combing.magnus_sign(coord)
     return ZERO
+
+
+@functools.cache
+def _combing():
+    """The combing module, loaded when kr_sign first combs a level, then kept:
+    `from . import combing` costs about 1.4 us a call on CPython 3.11."""
+    from . import combing
+    return combing
+
+
+__getattr__ = _lazy_getattr(__name__, dict.fromkeys(("comb", "artin_image"), "combing"))
 

@@ -1,0 +1,340 @@
+"""
+The free-group side of the braid layer: reduced free words (letter k is
+generator k, -k its inverse); polynomials in noncommuting variables,
+truncated at a degree, monomials ordered by degree, then lexicographically;
+the Magnus sign of a word, read off the minimal nonconstant monomial of its
+image under x_i -> 1 + X_i; the Artin action, the independent oracle of
+braid equality; and Artin combing of pure braids into free-group
+coordinates, through a table of conjugation rules whose instances are each
+checked by braid equality before their first use.  braid.kr_sign loads this
+module only to comb a level whose linking numbers all vanish.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable, Mapping, Sequence
+
+from .braid import (AWord, BraidError, CombingLimitError, SigmaWord, _cancel_adjacent,
+                    a_to_sigma, braids_equal)
+from .freegroup import (NEGATIVE, POSITIVE, ZERO, SchemaError, TruncationError, WordError,
+                        _is_int_tuple, _value_class, invert_letters, reduce_letters, reduce_onto)
+
+Monomial = tuple[int, ...]
+
+# Longest free-group coordinate the combing routine will build before it
+# gives up; combing word growth is exponential in the worst case and this
+# library only promises desk-scale inputs.
+COMB_LETTER_LIMIT = 1_000_000
+
+
+@_value_class
+class FreeWord:
+    """A freely reduced word; letter k means generator k, -k its inverse."""
+
+    rank: int
+    letters: tuple[int, ...]
+
+    def __post_init__(self):
+        if type(self.rank) is not int or self.rank < 0:
+            raise WordError("rank must be a nonnegative int")
+        if not _is_int_tuple(self.letters):
+            raise WordError("letters must be a tuple of ints")
+        for letter in self.letters:
+            if letter == 0 or abs(letter) > self.rank:
+                raise WordError(f"letter {letter} out of range for rank {self.rank}")
+        if self.letters != reduce_letters(self.letters):
+            raise WordError("letters are not freely reduced")
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def is_trivial(self) -> bool:
+        return not self.letters
+
+
+def reduce_word(rank: int, letters: Iterable[int]) -> FreeWord:
+    """Build the freely reduced word with the given letters."""
+    if type(rank) is not int or rank < 0:
+        raise WordError("rank must be a nonnegative int")
+    seq = tuple(letters)
+    if not _is_int_tuple(seq):
+        raise WordError("letters must be ints")
+    for letter in seq:
+        if letter == 0 or abs(letter) > rank:
+            raise WordError(f"letter {letter} out of range for rank {rank}")
+    return FreeWord._new(rank, reduce_letters(seq))
+
+
+def _monomial_key(monomial: Monomial) -> tuple[int, Monomial]:
+    """Degree first, then lexicographic with X_1 < ... < X_n."""
+    return (len(monomial), monomial)
+
+
+def _sorted_terms(degree: int, coeffs: Mapping[Monomial, int]) -> tuple[tuple[Monomial, int], ...]:
+    return tuple(sorted(((m, c) for m, c in coeffs.items() if c != 0 and len(m) <= degree),
+                        key=lambda t: _monomial_key(t[0])))
+
+
+@_value_class
+class NCPolynomial:
+    """
+    Integer polynomial in noncommuting variables, truncated at a fixed
+    degree.  Terms are stored sorted by monomial order with no zero
+    coefficients, so equality is structural.
+    """
+
+    rank: int
+    degree: int
+    terms: tuple[tuple[Monomial, int], ...]
+
+    def __post_init__(self):
+        if type(self.rank) is not int or self.rank < 0:
+            raise WordError("rank must be a nonnegative int")
+        if type(self.degree) is not int or self.degree < 0:
+            raise WordError("truncation degree must be a nonnegative int")
+        if type(self.terms) is not tuple or not all(
+                type(t) is tuple and len(t) == 2 and _is_int_tuple(t[0]) and type(t[1]) is int
+                for t in self.terms):
+            raise WordError("terms must be a tuple of (tuple of ints, int) pairs")
+        for monomial, coeff in self.terms:
+            if coeff == 0:
+                raise WordError("zero coefficient stored")
+            if len(monomial) > self.degree:
+                raise WordError("monomial above truncation degree")
+            if any(v < 1 or v > self.rank for v in monomial):
+                raise WordError("variable index out of range")
+        keys = [_monomial_key(m) for m, _ in self.terms]
+        if keys != sorted(keys):
+            raise WordError("terms are not sorted")
+
+
+def magnus_truncated(word: FreeWord, degree: int) -> NCPolynomial:
+    """
+    Image of the word under the substitution, truncated at the given degree.
+    One coefficient table per degree is multiplied in place by each letter,
+    x_j -> 1 + X_j and x_j^-1 -> sum of (-X_j)^t, from the top degree down,
+    so every step reads lower degrees that the letter has not yet touched.
+    """
+    if type(degree) is not int or degree < 0:
+        raise WordError("degree must be a nonnegative int")
+    tables: list[dict[Monomial, int]] = [{(): 1}] + [{} for _ in range(degree)]
+    for letter in word.letters:
+        j, steps = abs(letter), (1 if letter > 0 else degree)
+        for d in range(degree, 0, -1):
+            table = tables[d]
+            for t in range(1, min(steps, d) + 1):
+                sign, tail = (-1 if letter < 0 and t % 2 else 1), (j,) * t
+                for m, c in tables[d - t].items():
+                    key = m + tail
+                    value = table.get(key, 0) + sign * c
+                    if value:
+                        table[key] = value
+                    else:
+                        del table[key]
+    coeffs = {m: c for table in tables for m, c in table.items()}
+    return NCPolynomial._new(word.rank, degree, _sorted_terms(degree, coeffs))
+
+
+def magnus_sign(word: FreeWord) -> int:
+    """
+    Sign of the coefficient of the minimal nonconstant monomial of the
+    word's image, zero exactly for the trivial word.  The truncation degree
+    is deepened 1, 2, 4, ... until a nonconstant term appears; residual
+    nilpotence guarantees one below twice the word length, and the cap turns
+    any violation into a loud error.
+    """
+    if word.is_trivial():
+        return ZERO
+    cap = 2 * len(word)
+    degree = 1
+    while True:
+        poly = magnus_truncated(word, degree)
+        nonconstant = [t for t in poly.terms if t[0] != ()]
+        if nonconstant:
+            # terms are sorted, so the first nonconstant one is minimal
+            return POSITIVE if nonconstant[0][1] > 0 else NEGATIVE
+        if degree >= cap:
+            raise TruncationError(
+                f"no nonconstant term up to degree {degree} for a nontrivial word"
+            )
+        degree = min(2 * degree, cap)
+
+
+def _artin_images(strands: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """
+    Images of the free generators x_1..x_m under the automorphism of the
+    word.  The word acts with its leftmost letter outermost, which makes the
+    map a homomorphism under concatenation.  A crossing q sends x_q to
+    x_q x_{q+1} x_q^-1 and x_{q+1} to x_q; its inverse sends x_q to x_{q+1}
+    and x_{q+1} to x_{q+1}^-1 x_q x_{q+1}.
+    """
+    images: list[list[int]] = [[k] for k in range(1, strands + 1)]
+    for letter in letters:
+        q = abs(letter) - 1
+        a, b = images[q], images[q + 1]
+        if letter > 0:
+            images[q] = reduce_onto(list(a), b, invert_letters(a))
+            images[q + 1] = a
+        else:
+            images[q] = b
+            images[q + 1] = reduce_onto(invert_letters(b), a, b)
+    return tuple(tuple(img) for img in images)
+
+
+def artin_image(word: SigmaWord | AWord) -> tuple[tuple[int, ...], ...]:
+    """Reduced images of x_1..x_m; the identity braid gives (x_1,),..,(x_m,)."""
+    sigma = a_to_sigma(word) if isinstance(word, AWord) else word
+    return _artin_images(sigma.strands, sigma.letters)
+
+
+@_value_class
+class CombedForm:
+    """
+    Coordinates (w_m, ..., w_2) of a pure braid in the iterated splitting of
+    strand-forgetting maps.  The coordinate at level k is a free word of
+    rank k-1; its generator d stands for the kernel element A[1, d+1] of the
+    k-strand group.
+    """
+
+    strands: int
+    coordinates: tuple[FreeWord, ...]
+
+    def __post_init__(self):
+        if type(self.strands) is not int or type(self.coordinates) is not tuple:
+            raise BraidError("a combed form holds an int strand count and a tuple")
+        if len(self.coordinates) != max(self.strands - 1, 0):
+            raise BraidError("wrong number of combing coordinates")
+        for level, coord in zip(range(self.strands, 1, -1), self.coordinates):
+            if not isinstance(coord, FreeWord) or coord.rank != level - 1:
+                raise BraidError(f"coordinate at level {level} is not a rank-{level - 1} free word")
+
+    def is_trivial(self) -> bool:
+        return all(c.is_trivial() for c in self.coordinates)
+
+
+# How A[r,s]^e conjugates a kernel letter A[1,j] with r <= j <= s: into
+# u A[1,j] u^-1, u spelled over the kernel letters A[1,r], A[1,s], A[1,j]
+# named "r", "s", "j".  These are the relations of Artin's presentation of
+# the pure braid group (the linked case conjugates by a commutator); for j
+# outside [r, s] the two letters commute.
+_CONJ_RULES: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {
+    ("j=r", 1): (("r", -1), ("s", -1)),
+    ("j=r", -1): (("s", 1),),
+    ("j=s", 1): (("r", -1),),
+    ("j=s", -1): (("s", 1), ("r", 1)),
+    ("r<j<s", 1): (("r", -1), ("s", -1), ("r", 1), ("s", 1)),
+    ("r<j<s", -1): (("s", 1), ("r", 1), ("s", -1), ("r", -1)),
+}
+
+# Checked rule instances: (r, s, e, j) -> u as kernel letters.
+_CONJUGATORS: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
+
+
+def _kernel_word_to_aword(letters: Iterable[int], strands: int) -> AWord:
+    """Kernel free word (generator d = A[1, d+1]) as an AWord."""
+    return AWord(strands, tuple((1, abs(x) + 1, 1 if x > 0 else -1) for x in letters))
+
+
+def _rule_holds(r: int, s: int, e: int, j: int, u: Sequence[int]) -> bool:
+    """
+    Check A[r,s]^e A[1,j] A[r,s]^-e == u A[1,j] u^-1 by braid equality, which
+    never reads the conjugation rules.
+    """
+    k = max(s, j)
+    conjugate = reduce_onto([], u, (j - 1,), invert_letters(u))
+    return braids_equal(AWord(k, ((r, s, e), (1, j, 1), (r, s, -e))),
+                        _kernel_word_to_aword(conjugate, k))
+
+
+def _conjugation_case(r: int, s: int, j: int) -> str | None:
+    if j < r or j > s:
+        return None
+    if j == r:
+        return "j=r"
+    if j == s:
+        return "j=s"
+    return "r<j<s"
+
+
+def _conjugator_for(r: int, s: int, e: int, j: int) -> tuple[int, ...]:
+    """
+    The conjugator u of the rule instance at concrete indices, as kernel
+    letters; the instance is checked by braid equality before its first use.
+    """
+    key = (r, s, e, j)
+    u = _CONJUGATORS.get(key)
+    if u is None:
+        case = _conjugation_case(r, s, j)
+        values = {"r": r - 1, "s": s - 1, "j": j - 1}
+        u = () if case is None else tuple(
+            values[name] * sign for name, sign in _CONJ_RULES[case, e])
+        if not _rule_holds(r, s, e, j, u):
+            raise SchemaError(f"conjugation rule failed validation at {key}")
+        _CONJUGATORS[key] = u
+    return u
+
+
+def _conjugate_kernel_word_reversed(front_rev: list[int], r: int, s: int, e: int) -> list[int]:
+    """
+    Apply A[r,s]^e (.) A[r,s]^-e letterwise to a kernel free word held in
+    reversed letter order (reversal commutes with free reduction).
+    """
+    out: list[int] = []
+    for x in front_rev:
+        u = _conjugator_for(r, s, e, abs(x) + 1)
+        reduce_onto(out, reversed(u + (x,) + invert_letters(u)))
+        if len(out) > COMB_LETTER_LIMIT:
+            raise CombingLimitError(
+                f"combing coordinate exceeded {COMB_LETTER_LIMIT} letters; "
+                "input is outside the supported envelope"
+            )
+    return out
+
+
+def _peel_front(word: AWord) -> FreeWord:
+    """
+    The kernel coordinate of one level: the unique reduced word f over the
+    kernel basis with  word == f * rest  and rest free of strand-1 letters.
+    Letters are swept right to left; every letter not touching strand 1
+    conjugates the front built so far through the conjugation rules.
+    """
+    front_rev: list[int] = []
+    for i, j, sign in reversed(word.letters):
+        if i == 1:
+            reduce_onto(front_rev, ((j - 1) * sign,))
+        else:
+            front_rev = _conjugate_kernel_word_reversed(front_rev, i, j, sign)
+    return FreeWord._new(word.strands - 1, tuple(reversed(front_rev)))
+
+
+def _level_word(word: AWord, i: int) -> AWord:
+    """
+    The level of strand i: the word with strands 1..i-1 deleted, so that
+    strand i comes first, and adjacent inverse letters cancelled.  The
+    letters of a conjugator often cancel at the levels the conjugated braid
+    does not touch, and then combing never sees them.
+    """
+    return _cancel_adjacent(AWord._new(word.strands - i + 1, tuple(
+        (a - i + 1, b - i + 1, s) for a, b, s in word.letters if a >= i)))
+
+
+def comb(word: AWord) -> CombedForm:
+    """
+    Artin combing.  The coordinate at level k is the front of the letters
+    touching the first strand of the level word; the level words are the
+    iterated strand-1 deletions of the input, because deleting strand 1
+    kills exactly the front of the level above.
+    """
+    coords = [_peel_front(_level_word(word, i)) for i in range(1, word.strands)]
+    return CombedForm(word.strands, tuple(coords))
+
+
+def reconstruct(form: CombedForm) -> AWord:
+    """Reassemble an AWord from combing coordinates (inverse of comb, up to equality)."""
+    acc = AWord.identity(1)
+    for level in range(2, form.strands + 1):
+        coord = form.coordinates[form.strands - level]
+        front = _kernel_word_to_aword(coord.letters, level)
+        shifted = AWord(level, tuple((i + 1, j + 1, s) for i, j, s in acc.letters))
+        acc = front * shifted
+    return acc

@@ -1,33 +1,29 @@
 """
-Reduced words in finitely generated free groups, truncated polynomials in
-noncommuting variables, and the sign of a word under the substitution
-x_i -> 1 + X_i.
-
-Words are stored as tuples of nonzero signed integers: the letter k stands
-for the k-th generator and -k for its inverse.  A monomial in the
-polynomial ring is a tuple of variable indices; monomials are ordered by
-degree first and lexicographically within a degree.  The image of a word
-under the substitution always has constant term 1, so its sign is read off
-the minimal nonconstant monomial.
+Signed-letter words of free groups, the sign and error classes shared by
+every layer, and the value-class decorator.  Words are sequences of nonzero
+signed integers: the letter k stands for the k-th generator and -k for its
+inverse.  Reduced free words, truncated polynomials in noncommuting
+variables and the Magnus sign live in the combing module; magnus_sign and
+magnus_truncated are read through this module's __getattr__ for the
+benchmark's per-layer tracer, which names them here.
 
 Every value class of the library is declared with `_value_class`: its
 annotated fields, in order (`cls._fields`), become slots, and one compile per
 class generates `__init__` (class-level defaults, then the validating
 `__post_init__`), the builder `_new(*fields)`, which skips validation and is
-only for values assembled from valid values, and `__eq__`, `__hash__` and
-`__repr__` over the field tuple as dataclasses writes them.  Setting or
-deleting an attribute raises FrozenInstanceError; pickling and copying go
-through `_new`.
+only for values assembled from valid values, and `__eq__` and `__hash__` over
+the field tuple.  One shared `__repr__` writes the fields as dataclasses
+does.  Setting or deleting an attribute raises FrozenInstanceError; pickling
+and copying go through `_new`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from operator import neg
 
 NEGATIVE, ZERO, POSITIVE = -1, 0, 1
 
-Monomial = tuple[int, ...]
 Letters = list[int] | tuple[int, ...]
 
 
@@ -47,6 +43,23 @@ class FrozenInstanceError(AttributeError):
     """Raised on setting or deleting an attribute of a value."""
 
 
+def _value_repr(self):
+    return self.__class__.__qualname__ + "(" + ", ".join(
+        f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+
+def _value_reduce(self):
+    return self._new, tuple(getattr(self, name) for name in self._fields)
+
+
+def _value_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _value_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def _value_class(cls):
     """
     Rebuild `cls` as a value class (module docstring).  Names in its own
@@ -55,26 +68,21 @@ def _value_class(cls):
     names, extra = tuple(cls.__annotations__), tuple(cls.__dict__.get("__slots__", ()))
     dropped = (*names, *extra, "__dict__", "__weakref__")
     body = {k: v for k, v in cls.__dict__.items() if k not in dropped}
-    body.update(__slots__=names + extra, __qualname__=cls.__qualname__, _fields=names)
+    body.update(__slots__=names + extra, __qualname__=cls.__qualname__, _fields=names,
+                __repr__=_value_repr, __reduce__=_value_reduce, __setattr__=_value_setattr,
+                __delattr__=_value_delattr)
     new = type(cls)(cls.__name__, cls.__bases__, body)
     scope = {f"_set_{n}": getattr(new, n).__set__ for n in names}
     scope.update({f"_dflt_{n}": cls.__dict__[n] for n in names if n in cls.__dict__},
-                 _cls=new, _make=object.__new__, _Frozen=FrozenInstanceError,
-                 __name__=cls.__module__)
+                 _cls=new, _make=object.__new__, __name__=cls.__module__)
     sets = "".join(f"\n    _set_{n}(self, {n})" for n in names)
     own, other = (", ".join(f"{obj}.{n}" for n in names) + "," for obj in ("self", "other"))
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
     params = ", ".join(n + (f"=_dflt_{n}" if f"_dflt_{n}" in scope else "") for n in names)
     source = (f"def __init__(self, {params}):{sets}\n    self.__post_init__()\n"
               f"def _new({', '.join(names)}):\n    self = _make(_cls){sets}\n    return self\n"
               f"def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
               f"        return ({own}) == ({other})\n    return NotImplemented\n"
-              f"def __hash__(self):\n    return hash(({own}))\n"
-              f"def __repr__(self):\n    return self.__class__.__qualname__ + f'({shown})'\n"
-              f"def __reduce__(self):\n    return _cls._new, ({own})\n"
-              "def __setattr__(self, name, value):\n"
-              "    raise _Frozen(f'cannot assign to field {name!r}')\n"
-              "def __delattr__(self, name):\n    raise _Frozen(f'cannot delete field {name!r}')\n")
+              f"def __hash__(self):\n    return hash(({own}))\n")
     exec(compile(source, f"<{cls.__name__}>", "exec"), scope, made := {})  # named in profiles
     for name, function in made.items():
         function.__qualname__ = f"{cls.__qualname__}.{name}"
@@ -115,134 +123,14 @@ def invert_letters(letters: Letters) -> Letters:
     return type(letters)(map(neg, reversed(letters)))
 
 
-@_value_class
-class FreeWord:
-    """A freely reduced word; letter k means generator k, -k its inverse."""
-
-    rank: int
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        if type(self.rank) is not int or self.rank < 0:
-            raise WordError("rank must be a nonnegative int")
-        if not _is_int_tuple(self.letters):
-            raise WordError("letters must be a tuple of ints")
-        for letter in self.letters:
-            if letter == 0 or abs(letter) > self.rank:
-                raise WordError(f"letter {letter} out of range for rank {self.rank}")
-        if self.letters != reduce_letters(self.letters):
-            raise WordError("letters are not freely reduced")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def is_trivial(self) -> bool:
-        return not self.letters
+def _lazy_getattr(owner: str, homes: dict[str, str]):
+    """The module __getattr__ (PEP 562) of `owner`: a name of `homes` loads the module named."""
+    def __getattr__(name: str):
+        if name not in homes:
+            raise AttributeError(f"module {owner!r} has no attribute {name!r}")
+        from importlib import import_module
+        return getattr(import_module(f".{homes[name]}", __package__), name)
+    return __getattr__
 
 
-def reduce_word(rank: int, letters: Iterable[int]) -> FreeWord:
-    """Build the freely reduced word with the given letters."""
-    if type(rank) is not int or rank < 0:
-        raise WordError("rank must be a nonnegative int")
-    seq = tuple(letters)
-    if not _is_int_tuple(seq):
-        raise WordError("letters must be ints")
-    for letter in seq:
-        if letter == 0 or abs(letter) > rank:
-            raise WordError(f"letter {letter} out of range for rank {rank}")
-    return FreeWord._new(rank, reduce_letters(seq))
-
-
-def _monomial_key(monomial: Monomial) -> tuple[int, Monomial]:
-    """Degree first, then lexicographic with X_1 < ... < X_n."""
-    return (len(monomial), monomial)
-
-
-def _sorted_terms(degree: int, coeffs: Mapping[Monomial, int]) -> tuple[tuple[Monomial, int], ...]:
-    return tuple(sorted(((m, c) for m, c in coeffs.items() if c != 0 and len(m) <= degree),
-                        key=lambda t: _monomial_key(t[0])))
-
-
-@_value_class
-class NCPolynomial:
-    """
-    Integer polynomial in noncommuting variables, truncated at a fixed
-    degree.  Terms are stored sorted by monomial order with no zero
-    coefficients, so equality is structural.
-    """
-
-    rank: int
-    degree: int
-    terms: tuple[tuple[Monomial, int], ...]
-
-    def __post_init__(self):
-        if type(self.rank) is not int or self.rank < 0:
-            raise WordError("rank must be a nonnegative int")
-        if type(self.degree) is not int or self.degree < 0:
-            raise WordError("truncation degree must be a nonnegative int")
-        if type(self.terms) is not tuple or not all(
-                type(t) is tuple and len(t) == 2 and _is_int_tuple(t[0]) and type(t[1]) is int
-                for t in self.terms):
-            raise WordError("terms must be a tuple of (tuple of ints, int) pairs")
-        for monomial, coeff in self.terms:
-            if coeff == 0:
-                raise WordError("zero coefficient stored")
-            if len(monomial) > self.degree:
-                raise WordError("monomial above truncation degree")
-            if any(v < 1 or v > self.rank for v in monomial):
-                raise WordError("variable index out of range")
-        keys = [_monomial_key(m) for m, _ in self.terms]
-        if keys != sorted(keys):
-            raise WordError("terms are not sorted")
-
-
-def magnus_truncated(word: FreeWord, degree: int) -> NCPolynomial:
-    """
-    Image of the word under the substitution, truncated at the given degree.
-    One coefficient table per degree is multiplied in place by each letter,
-    x_j -> 1 + X_j and x_j^-1 -> sum of (-X_j)^t, from the top degree down,
-    so every step reads lower degrees that the letter has not yet touched.
-    """
-    if type(degree) is not int or degree < 0:
-        raise WordError("degree must be a nonnegative int")
-    tables: list[dict[Monomial, int]] = [{(): 1}] + [{} for _ in range(degree)]
-    for letter in word.letters:
-        j, steps = abs(letter), (1 if letter > 0 else degree)
-        for d in range(degree, 0, -1):
-            table = tables[d]
-            for t in range(1, min(steps, d) + 1):
-                sign, tail = (-1 if letter < 0 and t % 2 else 1), (j,) * t
-                for m, c in tables[d - t].items():
-                    key = m + tail
-                    value = table.get(key, 0) + sign * c
-                    if value:
-                        table[key] = value
-                    else:
-                        del table[key]
-    coeffs = {m: c for table in tables for m, c in table.items()}
-    return NCPolynomial._new(word.rank, degree, _sorted_terms(degree, coeffs))
-
-
-def magnus_sign(word: FreeWord) -> int:
-    """
-    Sign of the coefficient of the minimal nonconstant monomial of the
-    word's image, zero exactly for the trivial word.  The truncation degree
-    is deepened 1, 2, 4, ... until a nonconstant term appears; residual
-    nilpotence guarantees one below twice the word length, and the cap turns
-    any violation into a loud error.
-    """
-    if word.is_trivial():
-        return ZERO
-    cap = 2 * len(word)
-    degree = 1
-    while True:
-        poly = magnus_truncated(word, degree)
-        nonconstant = [t for t in poly.terms if t[0] != ()]
-        if nonconstant:
-            # terms are sorted, so the first nonconstant one is minimal
-            return POSITIVE if nonconstant[0][1] > 0 else NEGATIVE
-        if degree >= cap:
-            raise TruncationError(
-                f"no nonconstant term up to degree {degree} for a nontrivial word"
-            )
-        degree = min(2 * degree, cap)
+__getattr__ = _lazy_getattr(__name__, dict.fromkeys(("magnus_sign", "magnus_truncated"), "combing"))

@@ -28,7 +28,7 @@ import functools
 import random
 
 from . import bfgroup as bf
-from . import trees as tr
+from . import treepairs as tp
 from .bfgroup import BFElement, GeneratorSetError, HContext, VerificationError
 from .braid import AWord
 from .freegroup import _value_class, invert_letters, reduce_letters
@@ -119,7 +119,7 @@ class GeneratorSet:
 def _brown_members(context: HContext) -> list[tuple[str, BFElement]]:
     return [
         (f"f{k}", bf.from_tree_pair(context, *pair))
-        for k, pair in enumerate(tr.brown_generator_pairs(context.arity), start=1)
+        for k, pair in enumerate(tp.brown_generator_pairs(context.arity), start=1)
     ]
 
 
@@ -257,7 +257,7 @@ class _Decomposer:
                 atom, sign = factors[0]
                 self._words.setdefault((x.leaf_count, atom), (k,) if sign > 0 else (-k,))
         # member index of each generating pair, None where the set lacks it
-        self._pair_members = tuple(map(tree_pairs.get, tr.brown_generator_pairs(n)))
+        self._pair_members = tuple(map(tree_pairs.get, tp.brown_generator_pairs(n)))
         self._solved_levels: set[int] = set()
         self._solving: set[int] = set()
 
@@ -271,7 +271,7 @@ class _Decomposer:
         word = self._comb_words.get(tree)
         if word is None:
             out = []
-            for letter in tr.comb_conjugator_word(tree):
+            for letter in tp.comb_conjugator_word(tree):
                 k = self._pair_members[abs(letter) - 1]
                 if k is None:
                     raise GeneratorSetError(f"member lookup failure: generating tree pair "
@@ -402,6 +402,51 @@ def evaluate_word(word: tuple[int, ...], genset: GeneratorSet) -> BFElement:
     return bf.evaluate_product(layer + factors[2 * len(layer):], genset.context)
 
 
+def random_tree(rng, arity: int, carets: int) -> Tree:
+    """A tree of `carets` carets, each at a leaf drawn by `rng`, a random.Random."""
+    tree = Tree.single(arity)
+    for _ in range(carets):
+        tree = tree.attach(rng.randint(1, tree.leaf_count))
+    return tree
+
+
+def random_element(context: HContext, seed, *, max_leaves: int = 9,
+                   max_braid_letters: int = 16, max_label_letters: int = 4) -> BFElement:
+    """
+    Seed-deterministic element within the given size ceilings; `seed` is an
+    int or a random.Random.
+    """
+    return _random(context, seed, False, max_leaves, max_braid_letters, max_label_letters)
+
+
+def random_pvb_element(context: HContext, seed, *, max_leaves: int = 9,
+                       max_braid_letters: int = 16, max_label_letters: int = 4) -> BFElement:
+    """Random representative with equal trees; `seed` as for random_element."""
+    return _random(context, seed, True, max_leaves, max_braid_letters, max_label_letters)
+
+
+def _random(context: HContext, seed, equal_trees: bool, max_leaves: int,
+            max_braid_letters: int, max_label_letters: int) -> BFElement:
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    n = context.arity
+    carets = rng.randint(0, max(0, (max_leaves - 1) // (n - 1)))
+    t1 = random_tree(rng, n, carets)
+    t2 = t1 if equal_trees else random_tree(rng, n, carets)
+    m = t1.leaf_count
+    letters = []
+    if m >= 2:
+        for _ in range(rng.randint(0, max_braid_letters)):
+            i = rng.randint(1, m - 1)
+            j = rng.randint(i + 1, m)
+            letters.append((i, j, rng.choice((1, -1))))
+    k = len(context.generators)
+    labels = []
+    for _ in range(m):
+        length = rng.randint(0, max_label_letters) if k else 0
+        labels.append(tuple(rng.choice((1, -1)) * rng.randint(1, k) for _ in range(length)))
+    return BFElement(context, t1, AWord(m, tuple(letters)), tuple(labels), t2)
+
+
 # Size ceilings of the random elements verify_generating draws.
 VERIFY_MAX_LEAVES = 9
 VERIFY_MAX_BRAID_LETTERS = 16
@@ -417,7 +462,7 @@ def verify_generating(genset: GeneratorSet, samples: int, seed: int) -> tuple[in
     rng = random.Random(seed)
     lengths = []
     for _ in range(samples):
-        x = bf.random_element(
+        x = random_element(
             genset.context, rng,
             max_leaves=VERIFY_MAX_LEAVES,
             max_braid_letters=VERIFY_MAX_BRAID_LETTERS,

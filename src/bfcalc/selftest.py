@@ -16,7 +16,7 @@ import time
 from . import bfgroup as bf
 from . import braid as br
 from . import generators as gen
-from .freegroup import magnus_sign, reduce_word
+from .combing import artin_image, comb, magnus_sign, reconstruct, reduce_word
 
 # Size ceilings for the random elements the order/axiom suites draw; the
 # generating suite uses the larger ceilings pinned by its criterion.
@@ -60,7 +60,7 @@ def _context(arity: int, hmode: str) -> bf.HContext:
 
 
 def _draw(context: bf.HContext, rng: random.Random) -> bf.BFElement:
-    return bf.random_element(
+    return gen.random_element(
         context, rng,
         max_leaves=SUITE_LEAVES,
         max_braid_letters=SUITE_BRAID,
@@ -161,7 +161,7 @@ def sign_stability_suite(arity: int, samples: int, seed: int) -> SuiteResult:
 
     bad = 0
     for _ in range(samples):
-        x = bf.random_pvb_element(
+        x = gen.random_pvb_element(
             context, rng,
             max_leaves=SUITE_LEAVES,
             max_braid_letters=SUITE_BRAID,
@@ -228,7 +228,7 @@ def braid_layer_suite(seed: int, reconstruction_samples: int = 200,
             u = br.SigmaWord(m, (i, i + 1, i))
             v = br.SigmaWord(m, (i + 1, i, i + 1))
             total += 1
-            if br.artin_image(u) != br.artin_image(v):
+            if artin_image(u) != artin_image(v):
                 bad += 1
         for i, j in itertools.combinations(range(1, m), 2):
             if j - i <= 1:
@@ -236,7 +236,7 @@ def braid_layer_suite(seed: int, reconstruction_samples: int = 200,
             u = br.SigmaWord(m, (i, j))
             v = br.SigmaWord(m, (j, i))
             total += 1
-            if br.artin_image(u) != br.artin_image(v):
+            if artin_image(u) != artin_image(v):
                 bad += 1
     checks.append(Check("braid relations (exhaustive m<=6)", bad, total))
 
@@ -262,7 +262,7 @@ def braid_layer_suite(seed: int, reconstruction_samples: int = 200,
         for _ in range(reconstruction_samples):
             w = _random_aword(rng, m, 12)
             total += 1
-            if not br.braids_equal(w, br.reconstruct(br.comb(w))):
+            if not br.braids_equal(w, reconstruct(comb(w))):
                 bad += 1
     checks.append(Check(f"combing reconstruction ({reconstruction_samples}/strand count)",
                         bad, total))

@@ -1,0 +1,136 @@
+"""
+The tree-pair calculator of F_n (trees module docstring): composition and
+reduction of tree pairs, the n generating pairs and words over them.  Each
+elementary-pair word of comb_conjugator_word is checked once by
+pair_multiply.  expansion_script, fn_factorize and pair_reduce have no
+caller in the package: they, and pair_multiply's public name, stay only
+because perfbench's per-layer tracer wraps all four by name.  A tree pair
+of two arities or leaf counts is refused as fn_sign refuses it.
+"""
+
+from __future__ import annotations
+
+from .freegroup import SchemaError, invert_letters, reduce_letters
+from .trees import (Address, ExpansionError, Tree, _check_pair, attach_script, caret_top, join,
+                    right_comb)
+
+
+def expansion_script(tree: Tree, target: Tree) -> tuple[int, ...]:
+    """
+    join's script for `tree` when `target` is an expansion of it: the leaf
+    indices whose successive caret attachments turn `tree` into `target`,
+    leftmost leaf first.  Raises ExpansionError otherwise.
+    """
+    if tree.arity != target.arity:
+        raise ExpansionError("arity mismatch")
+    script, rest = join(tree, target)
+    if rest:
+        raise ExpansionError("target is not an expansion of the tree")
+    return script
+
+
+def pair_multiply(f: tuple[Tree, Tree], g: tuple[Tree, Tree]) -> tuple[Tree, Tree]:
+    """
+    Compose two tree pairs, f first then g: expand both along the join of
+    f's codomain and g's domain and drop the matched middle tree.  The
+    result is not reduced.
+    """
+    (f_domain, f_codomain), (g_domain, g_codomain) = f, g
+    _check_pair(f_domain, f_codomain)
+    _check_pair(g_domain, g_codomain)
+    script_f, script_g = join(f_codomain, g_domain)
+    return attach_script(f_domain, script_f), attach_script(g_codomain, script_g)
+
+
+def pair_reduce(f: tuple[Tree, Tree]) -> tuple[Tree, Tree]:
+    """Cancel every caret the two trees share at the same leaf window, in one pass."""
+    domain, codomain = f
+    _check_pair(domain, codomain)
+    n = domain.arity
+    stack: list[tuple[Address, ...]] = []
+    for entry in zip(domain.leaves, codomain.leaves):
+        stack.append(entry)
+        while (parents := caret_top(stack, n)) is not None:
+            stack[-n:] = [parents]
+    if len(stack) == domain.leaf_count:
+        return f
+    return tuple(Tree._new(n, leaves) for leaves in zip(*stack))
+
+
+def brown_generator_pairs(arity: int) -> tuple[tuple[Tree, Tree], ...]:
+    """
+    The n standard generating pairs: (R[n], R[i]) for i = 1..n-1 together
+    with (R[n][2n-1], R[n][n]), where R is the one-caret tree.
+    """
+    n = arity
+    caret = Tree.caret(n)
+    pairs = [(caret.attach(n), caret.attach(i)) for i in range(1, n)]
+    base = caret.attach(n)
+    pairs.append((base.attach(2 * n - 1), base.attach(n)))
+    return tuple(pairs)
+
+
+def _elementary_pair(arity: int, i: int) -> tuple[Tree, Tree]:
+    """The pair (C[i], C[last]) over the smallest comb C with more than i leaves."""
+    m = max(i + 1, arity)
+    m += (1 - m) % (arity - 1)  # up to the next leaf count m = 1 mod n-1
+    comb = right_comb(arity, m)
+    return comb.attach(i), comb.attach(m)
+
+
+_XI_WORDS: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
+def _xi_word(arity: int, i: int) -> tuple[int, ...]:
+    """
+    The elementary pair E(i) with index i written over the n generating
+    pairs g_1..g_n: g_i^-1 for i <= n, else through the conjugation identity
+    E(i) = g_1 E(i-n+1) g_1^-1.  Each instance is checked once by that
+    relation, against the checked E(i-n+1), in at most three pair products.
+    """
+    key = (arity, i)
+    if key in _XI_WORDS:
+        return _XI_WORDS[key]
+    g = brown_generator_pairs(arity)
+    if i <= arity:
+        word, value = (-i,), g[i - 1][::-1]
+    else:
+        word = reduce_letters((1,) + _xi_word(arity, i - arity + 1) + (-1,))
+        value = pair_multiply(pair_multiply(g[0], _elementary_pair(arity, i - arity + 1)),
+                              g[0][::-1])
+    domain, codomain = pair_multiply(value, _elementary_pair(arity, i)[::-1])
+    if domain != codomain:
+        raise SchemaError(f"elementary-pair rewrite failed for index {i}, arity {arity}")
+    _XI_WORDS[key] = word
+    return word
+
+
+def comb_conjugator_word(tree: Tree) -> tuple[int, ...]:
+    """
+    Word over the generating pairs evaluating to (tree, comb with the same
+    leaf count).  Carets are peeled off the tree leftmost first, and a peel
+    at leaf window i contributes the elementary pair with index i.  Peeling
+    stops when the leftmost caret is the last one: the tree is then a comb.
+    """
+    n = tree.arity
+    removed: list[int] = []
+    stack: list[tuple[Address, ...]] = []
+    for leaf in tree.leaves[:-1]:  # a window on the last leaf is the comb's
+        stack.append((leaf,))
+        while (parents := caret_top(stack, n)) is not None:
+            removed.append(len(stack) - n + 1)
+            stack[-n:] = [parents]
+    return reduce_letters([x for i in reversed(removed) for x in _xi_word(n, i)])
+
+
+def fn_factorize(pair: tuple[Tree, Tree]) -> tuple[int, ...]:
+    """
+    Write a tree pair as a word in the n generating pairs (signed 1-based
+    indices).  The word is finite but not minimal; evaluating it with
+    pair_multiply gives back the input pair up to reduction.
+    """
+    domain, codomain = pair_reduce(pair)
+    if domain == codomain:
+        return ()
+    left, right = comb_conjugator_word(domain), comb_conjugator_word(codomain)
+    return reduce_letters(left + invert_letters(right))

@@ -16,11 +16,11 @@ leaf count.  It represents the piecewise-affine homeomorphism of [0,1]
 sending the k-th leaf interval of the domain tree affinely onto the k-th
 leaf interval of the codomain tree, an element of the slope group F_n.  The
 sign of such a pair is read off the first pair of corresponding leaf
-intervals of different length.  Each elementary-pair word of
-comb_conjugator_word is checked once by pair_multiply.  expansion_script,
-fn_factorize and pair_reduce have no caller in the package: they, and
-pair_multiply's public name, stay only because perfbench's per-layer tracer
-wraps all four by name.
+intervals of different length.  The tree-pair calculator (composition,
+reduction, the generating pairs and factorization over them) lives in the
+treepairs module, which loads on first use; expansion_script, fn_factorize,
+pair_multiply and pair_reduce are read through this module's __getattr__
+for the benchmark's per-layer tracer, which names them here.
 
 join and attach_script keep one memo each, keyed by the arity and the leaves
 (and, for attach_script, the script).  A computation meets few trees again
@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import functools
 
-from .freegroup import (NEGATIVE, POSITIVE, ZERO, SchemaError, _is_int_tuple, _value_class,
-                        invert_letters, reduce_letters)
+from .freegroup import NEGATIVE, POSITIVE, ZERO, _is_int_tuple, _lazy_getattr, _value_class
 
 Address = tuple[int, ...]
 
@@ -161,20 +160,6 @@ def right_comb(arity: int, leaf_count: int) -> Tree:
     return Tree._new(arity, tuple(leaves))
 
 
-def expansion_script(tree: Tree, target: Tree) -> tuple[int, ...]:
-    """
-    join's script for `tree` when `target` is an expansion of it: the leaf
-    indices whose successive caret attachments turn `tree` into `target`,
-    leftmost leaf first.  Raises ExpansionError otherwise.
-    """
-    if tree.arity != target.arity:
-        raise ExpansionError("arity mismatch")
-    script, rest = join(tree, target)
-    if rest:
-        raise ExpansionError("target is not an expansion of the tree")
-    return script
-
-
 def join(tree: Tree, other: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     The caret scripts that turn each of two trees into their minimal common
@@ -260,6 +245,14 @@ def tree_from_nested(nested, arity: int) -> Tree:
     return Tree(arity, tuple(sorted(leaves)))
 
 
+def _check_pair(domain: Tree, codomain: Tree) -> None:
+    """Refuse two trees that are not a tree pair: of one arity and leaf count."""
+    if domain.arity != codomain.arity:
+        raise TreeError("arity mismatch in tree pair")
+    if domain.leaf_count != codomain.leaf_count:
+        raise TreeError("leaf count mismatch in tree pair")
+
+
 def fn_sign(domain: Tree, codomain: Tree) -> int:
     """
     Sign of the tree pair (domain, codomain) under the slope order: scan
@@ -269,25 +262,11 @@ def fn_sign(domain: Tree, codomain: Tree) -> int:
     equal trees, since the left-to-right depth sequence determines a full
     n-ary tree.
     """
-    if domain.arity != codomain.arity:
-        raise TreeError("arity mismatch in tree pair")
-    if domain.leaf_count != codomain.leaf_count:
-        raise TreeError("leaf count mismatch in tree pair")
+    _check_pair(domain, codomain)
     for d_dom, d_cod in zip(domain.depths(), codomain.depths()):
         if d_dom != d_cod:
             return POSITIVE if d_dom > d_cod else NEGATIVE
     return ZERO
-
-
-def pair_multiply(f: tuple[Tree, Tree], g: tuple[Tree, Tree]) -> tuple[Tree, Tree]:
-    """
-    Compose two tree pairs, f first then g: expand both along the join of
-    f's codomain and g's domain and drop the matched middle tree.  The
-    result is not reduced.
-    """
-    (f_domain, f_codomain), (g_domain, g_codomain) = f, g
-    script_f, script_g = join(f_codomain, g_domain)
-    return attach_script(f_domain, script_f), attach_script(g_codomain, script_g)
 
 
 def caret_top(stack: list[tuple[Address, ...]], n: int) -> tuple[Address, ...] | None:
@@ -311,94 +290,5 @@ def caret_top(stack: list[tuple[Address, ...]], n: int) -> tuple[Address, ...] |
     return tuple(parents)
 
 
-def pair_reduce(f: tuple[Tree, Tree]) -> tuple[Tree, Tree]:
-    """Cancel every caret the two trees share at the same leaf window, in one pass."""
-    domain, codomain = f
-    n = domain.arity
-    stack: list[tuple[Address, ...]] = []
-    for entry in zip(domain.leaves, codomain.leaves):
-        stack.append(entry)
-        while (parents := caret_top(stack, n)) is not None:
-            stack[-n:] = [parents]
-    if len(stack) == domain.leaf_count:
-        return f
-    return tuple(Tree._new(n, leaves) for leaves in zip(*stack))
-
-
-def brown_generator_pairs(arity: int) -> tuple[tuple[Tree, Tree], ...]:
-    """
-    The n standard generating pairs: (R[n], R[i]) for i = 1..n-1 together
-    with (R[n][2n-1], R[n][n]), where R is the one-caret tree.
-    """
-    n = arity
-    caret = Tree.caret(n)
-    pairs = [(caret.attach(n), caret.attach(i)) for i in range(1, n)]
-    base = caret.attach(n)
-    pairs.append((base.attach(2 * n - 1), base.attach(n)))
-    return tuple(pairs)
-
-
-def _elementary_pair(arity: int, i: int) -> tuple[Tree, Tree]:
-    """The pair (C[i], C[last]) over the smallest comb C with more than i leaves."""
-    m = max(i + 1, arity)
-    m += (1 - m) % (arity - 1)  # up to the next leaf count m = 1 mod n-1
-    comb = right_comb(arity, m)
-    return comb.attach(i), comb.attach(m)
-
-
-_XI_WORDS: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
-def _xi_word(arity: int, i: int) -> tuple[int, ...]:
-    """
-    The elementary pair E(i) with index i written over the n generating
-    pairs g_1..g_n: g_i^-1 for i <= n, else through the conjugation identity
-    E(i) = g_1 E(i-n+1) g_1^-1.  Each instance is checked once by that
-    relation, against the checked E(i-n+1), in at most three pair products.
-    """
-    key = (arity, i)
-    if key in _XI_WORDS:
-        return _XI_WORDS[key]
-    g = brown_generator_pairs(arity)
-    if i <= arity:
-        word, value = (-i,), g[i - 1][::-1]
-    else:
-        word = reduce_letters((1,) + _xi_word(arity, i - arity + 1) + (-1,))
-        value = pair_multiply(pair_multiply(g[0], _elementary_pair(arity, i - arity + 1)),
-                              g[0][::-1])
-    domain, codomain = pair_multiply(value, _elementary_pair(arity, i)[::-1])
-    if domain != codomain:
-        raise SchemaError(f"elementary-pair rewrite failed for index {i}, arity {arity}")
-    _XI_WORDS[key] = word
-    return word
-
-
-def comb_conjugator_word(tree: Tree) -> tuple[int, ...]:
-    """
-    Word over the generating pairs evaluating to (tree, comb with the same
-    leaf count).  Carets are peeled off the tree leftmost first, and a peel
-    at leaf window i contributes the elementary pair with index i.  Peeling
-    stops when the leftmost caret is the last one: the tree is then a comb.
-    """
-    n = tree.arity
-    removed: list[int] = []
-    stack: list[tuple[Address, ...]] = []
-    for leaf in tree.leaves[:-1]:  # a window on the last leaf is the comb's
-        stack.append((leaf,))
-        while (parents := caret_top(stack, n)) is not None:
-            removed.append(len(stack) - n + 1)
-            stack[-n:] = [parents]
-    return reduce_letters([x for i in reversed(removed) for x in _xi_word(n, i)])
-
-
-def fn_factorize(pair: tuple[Tree, Tree]) -> tuple[int, ...]:
-    """
-    Write a tree pair as a word in the n generating pairs (signed 1-based
-    indices).  The word is finite but not minimal; evaluating it with
-    pair_multiply gives back the input pair up to reduction.
-    """
-    domain, codomain = pair_reduce(pair)
-    if domain == codomain:
-        return ()
-    left, right = comb_conjugator_word(domain), comb_conjugator_word(codomain)
-    return reduce_letters(left + invert_letters(right))
+__getattr__ = _lazy_getattr(__name__, dict.fromkeys(
+    ("expansion_script", "fn_factorize", "pair_multiply", "pair_reduce"), "treepairs"))

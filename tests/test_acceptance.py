@@ -22,6 +22,7 @@ from bfcalc.generators import (
     gen1_set,
     gen2_set,
     gen3_set,
+    random_element,
 )
 from bfcalc.trees import Tree
 
@@ -185,8 +186,8 @@ def test_criterion_7_cli_counts(capsys):
 def test_criterion_7_round_trip_corpus():
     rng = random.Random(7)
     context = bf.pn_context(2)
-    corpus = [bf.random_element(context, rng, max_leaves=7, max_braid_letters=5,
-                                max_label_letters=2) for _ in range(48)]
+    corpus = [random_element(context, rng, max_leaves=7, max_braid_letters=5,
+                             max_label_letters=2) for _ in range(48)]
     corpus.append(bf.identity_element(context))
     corpus.append(bf.identity_element(context, Tree.caret(2)))
     assert len(corpus) >= 50

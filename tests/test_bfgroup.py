@@ -28,21 +28,21 @@ from bfcalc.bfgroup import (
     multiply,
     pn_context,
     pvb_sign,
-    random_element,
-    random_pvb_element,
     reduce,
     to_json,
     trivial_context,
 )
-from bfcalc.braid import (AWord, BraidError, SigmaWord, a_to_sigma, braids_equal, comb,
+from bfcalc.braid import (AWord, BraidError, SigmaWord, a_to_sigma, braids_equal,
                           delete_strand, is_trivial, kr_sign, linking_numbers, shift_embed,
                           split_a)
-from bfcalc.freegroup import (FreeWord, FrozenInstanceError, NCPolynomial, WordError,
-                              magnus_truncated, reduce_onto)
-from bfcalc.generators import GeneratorSet, GeneratorSetError, PureGeneratorSpec, gen1_set
+from bfcalc.combing import FreeWord, NCPolynomial, comb, magnus_truncated
+from bfcalc.freegroup import FrozenInstanceError, WordError, reduce_onto
+from bfcalc.generators import (GeneratorSet, GeneratorSetError, PureGeneratorSpec, gen1_set,
+                               random_element, random_pvb_element)
+from bfcalc import treepairs as tp
 from bfcalc import trees as tr
-from bfcalc.trees import (Tree, TreeError, attach_caret, expansion_script, fn_sign, join,
-                          right_comb)
+from bfcalc.treepairs import expansion_script
+from bfcalc.trees import Tree, TreeError, attach_caret, fn_sign, join, right_comb
 
 CONTEXTS = [trivial_context(2), pn_context(2), trivial_context(3), pn_context(3)]
 
@@ -424,13 +424,13 @@ def test_multiply_expands_along_the_join_scripts(monkeypatch):
     # join builds the two scripts inside its merge, or none when the middle
     # trees are equal; multiply never calls expansion_script.
     calls = []
-    script = tr.expansion_script
+    script = tp.expansion_script
 
     def counted(*args):
         calls.append(args)
         return script(*args)
 
-    monkeypatch.setattr(tr, "expansion_script", counted)
+    monkeypatch.setattr(tp, "expansion_script", counted)
     monkeypatch.setattr(bf, "expansion_script", counted, raising=False)
     ctx = pn_context(3)
     rng = random.Random(30)
@@ -514,7 +514,7 @@ def pass_through_elements(ctx, rng):
     n, k = ctx.arity, len(ctx.generators)
     combs = [right_comb(n, 1 + (n - 1) * c) for c in range(4)]
     out = [identity_element(ctx, comb) for comb in combs]
-    out += [from_tree_pair(ctx, *pair) for pair in tr.brown_generator_pairs(n)]
+    out += [from_tree_pair(ctx, *pair) for pair in tp.brown_generator_pairs(n)]
     for comb in combs[1:]:
         m = comb.leaf_count
         i = rng.randint(1, m - 1)
@@ -1089,7 +1089,7 @@ def test_trusted_results_pass_public_constructors(ctx):
         _assert_public(joined)
         _assert_public(right_comb(n, x.leaf_count))
         for pair in ((grown.t1, grown.t2), (product.t1, product.t2)):
-            domain, codomain = tr.pair_reduce(pair)
+            domain, codomain = tp.pair_reduce(pair)
             _assert_public(domain)
             _assert_public(codomain)
         m = x.leaf_count

@@ -4,33 +4,38 @@ import random
 import pytest
 
 import bfcalc.braid as br
+import bfcalc.combing as cb
 from bfcalc.braid import (
     AWord,
     BraidError,
-    CombedForm,
     CombingLimitError,
     SchemaError,
     SigmaWord,
-    _conjugator_for,
-    _kernel_word_to_aword,
-    _peel_front,
     a_to_sigma,
-    artin_image,
     braids_equal,
     cable_letters,
-    comb,
     delete_strand,
     is_pure,
     is_trivial,
     kr_sign,
     linking_numbers,
     permutation,
-    reconstruct,
     shift_embed,
     split_a,
     split_sigma,
 )
-from bfcalc.freegroup import FreeWord, invert_letters, magnus_sign, reduce_letters, reduce_onto
+from bfcalc.combing import (
+    CombedForm,
+    FreeWord,
+    _conjugator_for,
+    _kernel_word_to_aword,
+    _peel_front,
+    artin_image,
+    comb,
+    magnus_sign,
+    reconstruct,
+)
+from bfcalc.freegroup import invert_letters, reduce_letters, reduce_onto
 
 
 def random_aword(rng, strands, max_letters=10, min_letters=0):
@@ -675,7 +680,7 @@ def test_comb_reconstruction():
 def test_comb_respects_letter_limit(monkeypatch):
     rng = random.Random(12)
     word = random_aword(rng, 5, 12, min_letters=12)
-    monkeypatch.setattr(br, "COMB_LETTER_LIMIT", 2)
+    monkeypatch.setattr(cb, "COMB_LETTER_LIMIT", 2)
     with pytest.raises(CombingLimitError):
         comb(word)
 
@@ -752,14 +757,14 @@ def _derive_conj_rule(case, e):
                 continue
             conjugate = reduce_letters(u + [j - 1] + [-x for x in reversed(u)])
             if (_burau(_kernel_word_to_aword(conjugate, k)) == target
-                    and br._rule_holds(r, s, e, j, u)):
+                    and cb._rule_holds(r, s, e, j, u)):
                 return tuple((name, sign) for name, _, sign in combo)
     raise SchemaError(f"no conjugation rule found for case {case}, e={e}")
 
 
 def test_case_instances_cover_all_patterns():
     assert set(_CASE_INSTANCES) == {"j=r", "j=s", "r<j<s"}
-    assert set(br._CONJ_RULES) == {(case, e) for case in _CASE_INSTANCES for e in (1, -1)}
+    assert set(cb._CONJ_RULES) == {(case, e) for case in _CASE_INSTANCES for e in (1, -1)}
 
 
 def test_derived_conjugation_rules_are_pinned():
@@ -772,26 +777,26 @@ def test_derived_conjugation_rules_are_pinned():
         ("r<j<s", -1): (("s", 1), ("r", 1), ("s", -1), ("r", -1)),
     }
     for (case, e), rule in expected.items():
-        assert _derive_conj_rule(case, e) == rule == br._CONJ_RULES[case, e]
+        assert _derive_conj_rule(case, e) == rule == cb._CONJ_RULES[case, e]
 
 
 def test_every_rule_instance_is_validated_once(monkeypatch):
     instance = (2, 7, 1, 4)  # k = 7 strands, the case r < j < s
-    monkeypatch.setattr(br, "_CONJUGATORS", {})
+    monkeypatch.setattr(cb, "_CONJUGATORS", {})
     checked = []
-    real = br._rule_holds
+    real = cb._rule_holds
 
     def counting(r, s, e, j, u):
         checked.append((r, s, e, j))
         return real(r, s, e, j, u)
 
-    monkeypatch.setattr(br, "_rule_holds", counting)
+    monkeypatch.setattr(cb, "_rule_holds", counting)
     for _ in range(3):
         _conjugator_for(*instance)
     assert checked == [instance]
 
-    monkeypatch.setattr(br, "_CONJUGATORS", {})
-    monkeypatch.setattr(br, "_rule_holds", lambda *args: False)
+    monkeypatch.setattr(cb, "_CONJUGATORS", {})
+    monkeypatch.setattr(cb, "_rule_holds", lambda *args: False)
     with pytest.raises(SchemaError):
         _conjugator_for(*instance)
 
@@ -940,7 +945,7 @@ def test_kr_sign_reads_linking_without_combing(monkeypatch):
     def refuse(*args):
         raise AssertionError("combed a level whose linking decides the sign")
 
-    monkeypatch.setattr(br, "_peel_front", refuse)
+    monkeypatch.setattr(cb, "_peel_front", refuse)
     # The deepest level (strand 2) links strand 3 zero times and is trivial;
     # combing the top level would conjugate its front through 2,032 letters.
     n = 1016

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import bfcalc
 from bfcalc import bfgroup as bf
-from bfcalc import cli, freegroup, trees
+from bfcalc import cli, freegroup, treepairs, trees
 from bfcalc import generators as gen
 from bfcalc.cli import (
     MAX_TREE_DEPTH,
@@ -125,8 +125,8 @@ def _corpus(count=60):
     ctx = bf.pn_context(2)
     seen = []
     while len(seen) < count - 4:
-        x = bf.random_element(ctx, rng, max_leaves=7, max_braid_letters=5,
-                              max_label_letters=2)
+        x = gen.random_element(ctx, rng, max_leaves=7, max_braid_letters=5,
+                               max_label_letters=2)
         seen.append(x)
     seen.append(bf.identity_element(ctx))
     seen.append(bf.identity_element(ctx, Tree.caret(2)))
@@ -333,9 +333,9 @@ def test_envelope_and_rule_errors_exit_codes(monkeypatch, capsys, error, code):
 def test_failed_elementary_pair_check_exits_2(monkeypatch, capsys):
     # An empty memo makes the check run; the inverse of each pair fails it.
     assert SchemaError is freegroup.SchemaError
-    elementary_pair = trees._elementary_pair
-    monkeypatch.setattr(trees, "_XI_WORDS", {})
-    monkeypatch.setattr(trees, "_elementary_pair",
+    elementary_pair = treepairs._elementary_pair
+    monkeypatch.setattr(treepairs, "_XI_WORDS", {})
+    monkeypatch.setattr(treepairs, "_elementary_pair",
                         lambda arity, i: elementary_pair(arity, i)[::-1])
     let = "a={ ((*,*),*) ; ; [1,1,1] ; (*,(*,*)) }"
     assert run_cli("decompose", "a", "--set", "gen1", "-n", "2", "--let", let) == 2
@@ -351,8 +351,8 @@ def test_error_classes_live_in_bfgroup():
 
 def test_fresh_cli_import_leaves_generators_and_selftest_unloaded():
     # -S: no site hook of the host interpreter loads modules into the child.
-    lazy = ("bfcalc.generators", "bfcalc.selftest", "bfcalc.render", "dataclasses", "inspect",
-            "json", "typing", "random")
+    lazy = ("bfcalc.generators", "bfcalc.selftest", "bfcalc.render", "bfcalc.combing",
+            "bfcalc.treepairs", "dataclasses", "inspect", "json", "typing", "random")
     code = f"import sys, bfcalc.cli; print(sorted(m for m in {lazy!r} if m in sys.modules))"
     src = os.path.dirname(os.path.dirname(bfcalc.__file__))
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
@@ -360,7 +360,66 @@ def test_fresh_cli_import_leaves_generators_and_selftest_unloaded():
     assert done.stdout.strip() == "[]"
 
 
-LIBRARY_MODULES = ("freegroup", "braid", "trees", "bfgroup", "generators")
+LAZY_LAYERS = ("bfcalc.combing", "bfcalc.treepairs")
+COMMUTATOR = "{ ((*,*),*) ; A[1,2] A[1,3] A[1,2]^-1 A[1,3]^-1 ; [1,1,1] ; ((*,*),*) }"
+
+
+@pytest.mark.parametrize("argv, answer, loaded", [
+    # strand 1 links strands 2 and 3 zero times: kr_sign combs its level
+    (["sign", COMMUTATOR, "-n", "2"], "positive", ["bfcalc.combing"]),
+    (["sign", "{ (*,*) ; A[1,2] ; [1,1] ; (*,*) }", "-n", "2"], "positive", []),
+    (["parse", "{ (*,*) ; A[1,2] ; [1,1] ; (*,*) }", "-n", "2"],
+     "{ (*,*) ; A[1,2] ; [ 1, 1 ] ; (*,*) }", []),
+    (["count", "--gen1", "-n", "2"], "10", ["bfcalc.treepairs"]),
+])
+def test_a_fresh_command_loads_only_the_layers_it_runs(argv, answer, loaded):
+    code = (f"import sys, bfcalc.cli; bfcalc.cli.main({argv!r}); "
+            f"print(sorted(m for m in {LAZY_LAYERS!r} if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(bfcalc.__file__))
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip().splitlines() == [answer, repr(loaded)]
+
+
+# The public names that moved to a module loading on first use, by new home.
+MOVED = {"combing": ("CombedForm", "FreeWord", "NCPolynomial", "artin_image", "comb",
+                     "magnus_sign", "magnus_truncated", "reconstruct", "reduce_word"),
+         "treepairs": ("brown_generator_pairs", "fn_factorize", "pair_multiply"),
+         "generators": ("random_element",)}
+
+
+def test_moved_names_resolve_to_their_new_home():
+    for home, names in MOVED.items():
+        module = importlib.import_module(f"bfcalc.{home}")
+        for name in names:
+            assert getattr(bfcalc, name) is getattr(module, name), name
+    # A name the benchmark's tracer wraps in a module that no longer holds it
+    # is forwarded to its new home, and nothing else is.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    forwarded = {}
+    for module, names in spans.TRACED.items():
+        old = importlib.import_module(f"bfcalc.{module}")
+        forwarded[module] = [name for name in names if name not in vars(old)]
+        home = importlib.import_module("bfcalc.treepairs" if module == "trees"
+                                       else "bfcalc.combing")
+        for name in forwarded[module]:
+            assert getattr(old, name) is getattr(home, name), f"bfcalc.{module}.{name}"
+    assert forwarded == {"trees": ["expansion_script", "fn_factorize", "pair_multiply",
+                                   "pair_reduce"],
+                         "freegroup": ["magnus_sign", "magnus_truncated"],
+                         "braid": ["comb", "artin_image"],
+                         "bfgroup": [], "generators": [], "cli": []}
+    for module, name in (("braid", "_peel_front"), ("freegroup", "FreeWord"),
+                         ("trees", "_xi_word"), ("braid", "no_such_name")):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(importlib.import_module(f"bfcalc.{module}"), name)
+
+
+LIBRARY_MODULES = ("freegroup", "braid", "combing", "trees", "treepairs", "bfgroup",
+                   "generators")
 
 
 @pytest.mark.parametrize("name", LIBRARY_MODULES)
@@ -695,8 +754,8 @@ FUZZ_ELEMENTS = [
     "{ (*,*) ; A[1,2] ; [h1,1] ; (*,*) }",
     "{ ((*,*),*) ; A[1,2] A[2,3]^-1 ; [1,1,1] ; (*,(*,*)) }",
     "{ (*,*,*) ; A[1,3]^-1 ; [1,1,1] ; (*,*,*) }",
-] + [format_element(bf.random_element(bf.pn_context(2), seed, max_leaves=5,
-                                      max_braid_letters=4, max_label_letters=2))
+] + [format_element(gen.random_element(bf.pn_context(2), seed, max_leaves=5,
+                                       max_braid_letters=4, max_label_letters=2))
      for seed in range(4)]
 FUZZ_PIECES = list("{}()[];,*^-1A ") + ["A[1,2]", "A[2,9]", "A[0,1]", "^-1", "h1", "a1_2",
                                          "(*,*)", "9" * 30]

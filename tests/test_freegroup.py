@@ -4,20 +4,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bfcalc import freegroup
-from bfcalc.freegroup import (
+from bfcalc import combing
+from bfcalc.combing import (
     FreeWord,
     NCPolynomial,
-    TruncationError,
-    WordError,
     _monomial_key,
     _sorted_terms,
-    invert_letters,
     magnus_sign,
     magnus_truncated,
+    reduce_word,
+)
+from bfcalc.freegroup import (
+    TruncationError,
+    WordError,
+    invert_letters,
     reduce_letters,
     reduce_onto,
-    reduce_word,
 )
 
 letters_strategy = st.lists(
@@ -289,7 +291,7 @@ def test_word_and_polynomial_checks_raise_word_error(call, message):
 
 
 def test_magnus_sign_without_a_nonconstant_term_raises_truncation_error(monkeypatch):
-    monkeypatch.setattr(freegroup, "magnus_truncated",
+    monkeypatch.setattr(combing, "magnus_truncated",
                         lambda word, degree: NCPolynomial(word.rank, degree, (((), 1),)))
     with pytest.raises(TruncationError) as caught:
         magnus_sign(reduce_word(2, (1,)))

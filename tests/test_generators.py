@@ -7,6 +7,7 @@ import pytest
 
 from bfcalc import bfgroup as bf
 from bfcalc import generators
+from bfcalc import treepairs as tp
 from bfcalc import trees as tr
 from bfcalc.braid import AWord, cable_letters
 from bfcalc.freegroup import invert_letters
@@ -27,6 +28,7 @@ from bfcalc.generators import (
     gen2_set,
     gen3_set,
     is_n_irreducible,
+    random_element,
     verify_generating,
 )
 from bfcalc.trees import Tree, right_comb
@@ -185,8 +187,8 @@ def test_members_are_found_by_their_elements():
         expanded = GeneratorSet(genset.context, tuple(
             (name, bf.expand(x, 1)) for name, x in genset.members))
         for _ in range(5):
-            x = bf.random_element(genset.context, rng, max_leaves=7,
-                                  max_braid_letters=6, max_label_letters=2)
+            x = random_element(genset.context, rng, max_leaves=7,
+                               max_braid_letters=6, max_label_letters=2)
             word = decompose(x, genset)
             assert decompose(x, renamed) == word
             assert decompose(x, expanded) == word
@@ -217,8 +219,8 @@ def test_decompose_over_a_set_missing_one_member():
                 genset = GeneratorSet(full.context, full.members[:index] + full.members[index + 1 :])
                 rng = random.Random(1000 * n + index)
                 for _ in range(10):
-                    x = bf.random_element(full.context, rng, max_leaves=7,
-                                          max_braid_letters=6, max_label_letters=2)
+                    x = random_element(full.context, rng, max_leaves=7,
+                                       max_braid_letters=6, max_label_letters=2)
                     try:
                         word = decompose(x, genset)
                     except GeneratorSetError:
@@ -251,8 +253,8 @@ def test_decompose_round_trip_small():
         genset = make()
         engine = _Decomposer(genset)
         for _ in range(5):
-            x = bf.random_element(genset.context, rng, max_leaves=7,
-                                  max_braid_letters=8, max_label_letters=2)
+            x = random_element(genset.context, rng, max_leaves=7,
+                               max_braid_letters=8, max_label_letters=2)
             word = engine.decompose(x)
             assert bf.equal(evaluate_word(word, genset), x)
 
@@ -264,8 +266,8 @@ def test_warm_set_words_equal_fresh_engine_words():
     jobs = []
     for n in (2, 3):
         for genset in (gen1_set(n), gen2_set(n, bf.pn_context(n)), gen3_set(n)):
-            jobs += [(genset, bf.random_element(genset.context, rng, max_leaves=7,
-                                                max_braid_letters=6, max_label_letters=2))
+            jobs += [(genset, random_element(genset.context, rng, max_leaves=7,
+                                             max_braid_letters=6, max_label_letters=2))
                      for _ in range(30)]
     rng.shuffle(jobs)
     for genset, x in jobs:
@@ -286,8 +288,8 @@ def test_decomposition_words_pinned():
         rng = random.Random(60 + n)
         for genset in (gen1_set(n), gen2_set(n, bf.pn_context(n)), gen3_set(n),
                        gen2_set(n, two_generator_context(n))):
-            words += [decompose(bf.random_element(genset.context, rng, max_leaves=9,
-                                                  max_braid_letters=12, max_label_letters=3),
+            words += [decompose(random_element(genset.context, rng, max_leaves=9,
+                                               max_braid_letters=12, max_label_letters=3),
                                 genset)
                       for _ in range(20)]
     digest = hashlib.sha256(repr(words).encode()).hexdigest()
@@ -303,13 +305,13 @@ def test_decompose_factorizes_no_tree_pair(monkeypatch):
         rng = random.Random(70 + n)
         for make in (gen1_set, lambda n: gen2_set(n, bf.pn_context(n)), gen3_set):
             genset = make(n)
-            xs = [bf.random_element(genset.context, rng, max_leaves=9) for _ in range(5)]
+            xs = [random_element(genset.context, rng, max_leaves=9) for _ in range(5)]
             samples.append((make, n, xs, [decompose(x, genset) for x in xs]))
 
     def refuse(*args):
         raise AssertionError("decompose factorized a tree pair")
 
-    monkeypatch.setattr(tr, "fn_factorize", refuse)
+    monkeypatch.setattr(tp, "fn_factorize", refuse)
     assert not hasattr(generators, "fn_factorize")  # no copy of it escapes the patch
     for make, n, xs, expected in samples:
         genset = make(n)
@@ -328,7 +330,7 @@ def test_one_engine_per_set(monkeypatch):
     genset = gen2_set(2, bf.pn_context(2))
     rng = random.Random(12)
     for _ in range(3):
-        x = bf.random_element(genset.context, rng, max_leaves=7)
+        x = random_element(genset.context, rng, max_leaves=7)
         assert bf.equal(evaluate_word(decompose(x, genset), genset), x)
     verify_generating(genset, 3, seed=12)
     assert len(built) == 1
@@ -540,9 +542,9 @@ def test_expansion_relations_match_hand_written(n):
 def test_verify_generating_report():
     genset = gen1_set(2)
     rng = random.Random(3)
-    samples = [bf.random_element(genset.context, rng, max_leaves=VERIFY_MAX_LEAVES,
-                                 max_braid_letters=VERIFY_MAX_BRAID_LETTERS,
-                                 max_label_letters=VERIFY_MAX_LABEL_LETTERS)
+    samples = [random_element(genset.context, rng, max_leaves=VERIFY_MAX_LEAVES,
+                              max_braid_letters=VERIFY_MAX_BRAID_LETTERS,
+                              max_label_letters=VERIFY_MAX_LABEL_LETTERS)
                for _ in range(5)]
     assert verify_generating(genset, 5, seed=3) == tuple(
         len(decompose(x, genset)) for x in samples)

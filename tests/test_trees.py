@@ -6,25 +6,28 @@ from fractions import Fraction
 
 import pytest
 
+from bfcalc import treepairs as tp
 from bfcalc import trees as tr
 from bfcalc.freegroup import invert_letters, reduce_letters
+from bfcalc.treepairs import (
+    _elementary_pair,
+    _xi_word,
+    brown_generator_pairs,
+    comb_conjugator_word,
+    expansion_script,
+    fn_factorize,
+    pair_multiply,
+    pair_reduce,
+)
 from bfcalc.trees import (
     ExpansionError,
     Tree,
     TreeError,
-    _elementary_pair,
-    _xi_word,
     attach_caret,
     attach_script,
-    brown_generator_pairs,
     caret_top,
-    comb_conjugator_word,
-    expansion_script,
-    fn_factorize,
     fn_sign,
     join,
-    pair_multiply,
-    pair_reduce,
     right_comb,
     tree_from_nested,
     tree_to_json,
@@ -503,7 +506,7 @@ XI_WORDS_DIGEST = "144c3a60877e63ff861497ad1561fea97f4d7bfb5292de9e527911c147cdd
 
 def test_xi_words_evaluate_to_their_elementary_pairs(monkeypatch):
     # evaluate_brown_word is the oracle: each word multiplies out to its pair.
-    monkeypatch.setattr(tr, "_XI_WORDS", {})
+    monkeypatch.setattr(tp, "_XI_WORDS", {})
     words = {f"{n},{i}": _xi_word(n, i) for n in (2, 3, 4) for i in range(1, 61)}
     for key, word in words.items():
         n, i = map(int, key.split(","))
@@ -520,12 +523,12 @@ def test_xi_word_checks_a_new_instance_in_at_most_three_products(monkeypatch):
         products.append((f, g))
         return pair_multiply(f, g)
 
-    monkeypatch.setattr(tr, "_XI_WORDS", {})
-    monkeypatch.setattr(tr, "pair_multiply", counting_multiply)
+    monkeypatch.setattr(tp, "_XI_WORDS", {})
+    monkeypatch.setattr(tp, "pair_multiply", counting_multiply)
     for n in (2, 3, 4):
         _xi_word(n, 200)
-    expected = sum(1 if i <= n else 3 for n, i in tr._XI_WORDS)
-    assert len(products) == expected and len(tr._XI_WORDS) > 250
+    expected = sum(1 if i <= n else 3 for n, i in tp._XI_WORDS)
+    assert len(products) == expected and len(tp._XI_WORDS) > 250
     _xi_word(2, 200)
     assert len(products) == expected
 
@@ -827,6 +830,18 @@ def test_nested_codec_handles_deep_trees():
     (lambda: fn_sign(Tree.caret(2), Tree.caret(2).attach(1)), "leaf count mismatch in tree pair"),
     (lambda: pair_multiply((Tree.caret(2), Tree.caret(2)),
                            (Tree.caret(3), Tree.caret(3))), "arity mismatch"),
+    # A tree pair of two leaf counts or arities is refused as fn_sign refuses it.
+    pytest.param(lambda: pair_reduce((Tree.caret(2), Tree.caret(2).attach(1))),
+                 "leaf count mismatch in tree pair", id="pair_reduce-leaf count"),
+    pytest.param(lambda: fn_factorize((Tree.caret(2).attach(1),
+                                       Tree.caret(2).attach(1).attach(1))),
+                 "leaf count mismatch in tree pair", id="fn_factorize-leaf count"),
+    pytest.param(lambda: pair_multiply((Tree.caret(3), Tree.caret(2)),
+                                       (Tree.caret(2), Tree.caret(2))),
+                 "arity mismatch in tree pair", id="pair_multiply-arity"),
+    pytest.param(lambda: pair_multiply((Tree.caret(2), Tree.caret(2)),
+                                       (Tree.caret(2), Tree.caret(2).attach(2))),
+                 "leaf count mismatch in tree pair", id="pair_multiply-leaf count"),
 ])
 def test_tree_checks_raise_tree_error(call, message):
     with pytest.raises(TreeError) as caught:
