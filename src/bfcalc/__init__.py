@@ -46,8 +46,8 @@ __version__ = "0.1.0"
 
 # Names whose module loads on first use: the group alone compiles none of these.
 _LAZY = {
-    **dict.fromkeys(("CombedForm", "FreeWord", "NCPolynomial", "artin_image", "comb",
-                     "magnus_sign", "magnus_truncated", "reconstruct", "reduce_word"), "combing"),
+    **dict.fromkeys(("FreeWord", "artin_image", "comb", "magnus_sign", "magnus_truncated",
+                     "reconstruct", "reduce_word"), "combing"),
     **dict.fromkeys(("brown_generator_pairs", "fn_factorize", "pair_multiply"), "treepairs"),
     **dict.fromkeys(("GeneratorSet", "PureGeneratorSpec", "decompose", "enumerate_irreducible",
                      "evaluate_word", "gen1_set", "gen2_set", "gen3_set", "is_n_irreducible",

@@ -325,10 +325,8 @@ def _cmd_count(args, session: Session) -> int:
             value = len(gen.gen1_set(arity)) + arity * args.hgens_count
         else:
             value = len(gen.gen2_set(arity, session.context))
-    elif args.gen3:
-        value = len(gen.gen3_set(arity))
     else:
-        raise bf.GeneratorSetError("choose one of --gen1/--gen2/--gen3/--irreducible")
+        value = len(gen.gen3_set(arity))
     print(value)
     return 0
 
@@ -350,14 +348,6 @@ def _cmd_selftest(args, session: Session) -> int:
     from . import selftest
     results = selftest.run_suite(args.suite, session.context.arity,
                                  args.samples, args.seed)
-    failed = False
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"[{status}] {result.name} {result.params} "
-              f"({result.elapsed_seconds:.1f}s)")
-        for line in result.lines():
-            print(line)
-        failed = failed or not result.passed
     if args.json:
         import dataclasses
         import json
@@ -365,7 +355,13 @@ def _cmd_selftest(args, session: Session) -> int:
                 "checks": [dataclasses.asdict(c) for c in r.checks]}
                for r in results]
         print(json.dumps(doc))
-    if failed:
+    else:
+        for result in results:
+            print(f"[{'PASS' if result.passed else 'FAIL'}] {result.name} {result.params} "
+                  f"({result.elapsed_seconds:.1f}s)")
+            for line in result.lines():
+                print(line)
+    if not all(result.passed for result in results):
         raise bf.VerificationError("selftest suite reported violations")
     return 0
 
@@ -427,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, choices=("gen1", "gen2", "gen3"))
     p.set_defaults(func=_cmd_gens)
     p = sub.add_parser("count", parents=[common])
-    which = p.add_mutually_exclusive_group()
+    which = p.add_mutually_exclusive_group(required=True)
     for flag in ("--gen1", "--gen2", "--gen3", "--irreducible"):
         which.add_argument(flag, action="store_true")
     p.add_argument("-k", "--hgens-count", type=_at_least(0), default=None,

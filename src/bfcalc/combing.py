@@ -1,10 +1,11 @@
 """
 The free-group side of the braid layer: reduced free words (letter k is
-generator k, -k its inverse); polynomials in noncommuting variables,
-truncated at a degree, monomials ordered by degree, then lexicographically;
-the Magnus sign of a word, read off the minimal nonconstant monomial of its
-image under x_i -> 1 + X_i; the Artin action, the independent oracle of
-braid equality; and Artin combing of pure braids into free-group
+generator k, -k its inverse); the image of a word under x_i -> 1 + X_i,
+truncated at a degree, as a dict from monomial (a tuple of variable
+indices) to nonzero coefficient; the Magnus sign of a word, read off the
+minimal nonconstant monomial of that image, monomials ordered by degree,
+then lexicographically; the Artin action, the independent oracle of braid
+equality; and Artin combing of pure braids into a tuple of free-group
 coordinates, through a table of conjugation rules whose instances are each
 checked by braid equality before their first use.  braid.kr_sign loads this
 module only to comb a level whose linking numbers all vanish.
@@ -12,7 +13,7 @@ module only to comb a level whose linking numbers all vanish.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 from .braid import (AWord, BraidError, CombingLimitError, SigmaWord, _cancel_adjacent,
                     a_to_sigma, braids_equal)
@@ -70,47 +71,10 @@ def _monomial_key(monomial: Monomial) -> tuple[int, Monomial]:
     return (len(monomial), monomial)
 
 
-def _sorted_terms(degree: int, coeffs: Mapping[Monomial, int]) -> tuple[tuple[Monomial, int], ...]:
-    return tuple(sorted(((m, c) for m, c in coeffs.items() if c != 0 and len(m) <= degree),
-                        key=lambda t: _monomial_key(t[0])))
-
-
-@_value_class
-class NCPolynomial:
+def magnus_truncated(word: FreeWord, degree: int) -> dict[Monomial, int]:
     """
-    Integer polynomial in noncommuting variables, truncated at a fixed
-    degree.  Terms are stored sorted by monomial order with no zero
-    coefficients, so equality is structural.
-    """
-
-    rank: int
-    degree: int
-    terms: tuple[tuple[Monomial, int], ...]
-
-    def __post_init__(self):
-        if type(self.rank) is not int or self.rank < 0:
-            raise WordError("rank must be a nonnegative int")
-        if type(self.degree) is not int or self.degree < 0:
-            raise WordError("truncation degree must be a nonnegative int")
-        if type(self.terms) is not tuple or not all(
-                type(t) is tuple and len(t) == 2 and _is_int_tuple(t[0]) and type(t[1]) is int
-                for t in self.terms):
-            raise WordError("terms must be a tuple of (tuple of ints, int) pairs")
-        for monomial, coeff in self.terms:
-            if coeff == 0:
-                raise WordError("zero coefficient stored")
-            if len(monomial) > self.degree:
-                raise WordError("monomial above truncation degree")
-            if any(v < 1 or v > self.rank for v in monomial):
-                raise WordError("variable index out of range")
-        keys = [_monomial_key(m) for m, _ in self.terms]
-        if keys != sorted(keys):
-            raise WordError("terms are not sorted")
-
-
-def magnus_truncated(word: FreeWord, degree: int) -> NCPolynomial:
-    """
-    Image of the word under the substitution, truncated at the given degree.
+    Image of the word under the substitution, truncated at the given degree,
+    as monomial -> nonzero coefficient, the constant term (): 1 included.
     One coefficient table per degree is multiplied in place by each letter,
     x_j -> 1 + X_j and x_j^-1 -> sum of (-X_j)^t, from the top degree down,
     so every step reads lower degrees that the letter has not yet touched.
@@ -131,8 +95,7 @@ def magnus_truncated(word: FreeWord, degree: int) -> NCPolynomial:
                         table[key] = value
                     else:
                         del table[key]
-    coeffs = {m: c for table in tables for m, c in table.items()}
-    return NCPolynomial._new(word.rank, degree, _sorted_terms(degree, coeffs))
+    return {m: c for table in tables for m, c in table.items()}
 
 
 def magnus_sign(word: FreeWord) -> int:
@@ -148,11 +111,10 @@ def magnus_sign(word: FreeWord) -> int:
     cap = 2 * len(word)
     degree = 1
     while True:
-        poly = magnus_truncated(word, degree)
-        nonconstant = [t for t in poly.terms if t[0] != ()]
-        if nonconstant:
-            # terms are sorted, so the first nonconstant one is minimal
-            return POSITIVE if nonconstant[0][1] > 0 else NEGATIVE
+        coeffs = magnus_truncated(word, degree)
+        least = min((m for m in coeffs if m), key=_monomial_key, default=None)
+        if least is not None:
+            return POSITIVE if coeffs[least] > 0 else NEGATIVE
         if degree >= cap:
             raise TruncationError(
                 f"no nonconstant term up to degree {degree} for a nontrivial word"
@@ -185,31 +147,6 @@ def artin_image(word: SigmaWord | AWord) -> tuple[tuple[int, ...], ...]:
     """Reduced images of x_1..x_m; the identity braid gives (x_1,),..,(x_m,)."""
     sigma = a_to_sigma(word) if isinstance(word, AWord) else word
     return _artin_images(sigma.strands, sigma.letters)
-
-
-@_value_class
-class CombedForm:
-    """
-    Coordinates (w_m, ..., w_2) of a pure braid in the iterated splitting of
-    strand-forgetting maps.  The coordinate at level k is a free word of
-    rank k-1; its generator d stands for the kernel element A[1, d+1] of the
-    k-strand group.
-    """
-
-    strands: int
-    coordinates: tuple[FreeWord, ...]
-
-    def __post_init__(self):
-        if type(self.strands) is not int or type(self.coordinates) is not tuple:
-            raise BraidError("a combed form holds an int strand count and a tuple")
-        if len(self.coordinates) != max(self.strands - 1, 0):
-            raise BraidError("wrong number of combing coordinates")
-        for level, coord in zip(range(self.strands, 1, -1), self.coordinates):
-            if not isinstance(coord, FreeWord) or coord.rank != level - 1:
-                raise BraidError(f"coordinate at level {level} is not a rank-{level - 1} free word")
-
-    def is_trivial(self) -> bool:
-        return all(c.is_trivial() for c in self.coordinates)
 
 
 # How A[r,s]^e conjugates a kernel letter A[1,j] with r <= j <= s: into
@@ -318,22 +255,27 @@ def _level_word(word: AWord, i: int) -> AWord:
         (a - i + 1, b - i + 1, s) for a, b, s in word.letters if a >= i)))
 
 
-def comb(word: AWord) -> CombedForm:
+def comb(word: AWord) -> tuple[FreeWord, ...]:
     """
-    Artin combing.  The coordinate at level k is the front of the letters
-    touching the first strand of the level word; the level words are the
+    Artin combing: the coordinates (w_m, ..., w_2) of a pure braid in the
+    iterated splitting of strand-forgetting maps.  The coordinate at level k
+    is a free word of rank k-1, whose generator d stands for the kernel
+    element A[1, d+1] of the k-strand group: the front of the letters
+    touching the first strand of the level word.  The level words are the
     iterated strand-1 deletions of the input, because deleting strand 1
     kills exactly the front of the level above.
     """
-    coords = [_peel_front(_level_word(word, i)) for i in range(1, word.strands)]
-    return CombedForm(word.strands, tuple(coords))
+    return tuple(_peel_front(_level_word(word, i)) for i in range(1, word.strands))
 
 
-def reconstruct(form: CombedForm) -> AWord:
+def reconstruct(coordinates: tuple[FreeWord, ...]) -> AWord:
     """Reassemble an AWord from combing coordinates (inverse of comb, up to equality)."""
+    if type(coordinates) is not tuple:
+        raise BraidError("combing coordinates must be a tuple")
     acc = AWord.identity(1)
-    for level in range(2, form.strands + 1):
-        coord = form.coordinates[form.strands - level]
+    for level, coord in enumerate(reversed(coordinates), start=2):
+        if not isinstance(coord, FreeWord) or coord.rank != level - 1:
+            raise BraidError(f"coordinate at level {level} is not a rank-{level - 1} free word")
         front = _kernel_word_to_aword(coord.letters, level)
         shifted = AWord(level, tuple((i + 1, j + 1, s) for i, j, s in acc.letters))
         acc = front * shifted

@@ -2,10 +2,10 @@
 Signed-letter words of free groups, the sign and error classes shared by
 every layer, and the value-class decorator.  Words are sequences of nonzero
 signed integers: the letter k stands for the k-th generator and -k for its
-inverse.  Reduced free words, truncated polynomials in noncommuting
-variables and the Magnus sign live in the combing module; magnus_sign and
-magnus_truncated are read through this module's __getattr__ for the
-benchmark's per-layer tracer, which names them here.
+inverse.  Reduced free words, the truncated Magnus image of a word (a dict
+from monomial to coefficient) and the Magnus sign live in the combing
+module; magnus_sign and magnus_truncated are read through this module's
+__getattr__ for the benchmark's per-layer tracer, which names them here.
 
 Every value class of the library is declared with `_value_class`: its
 annotated fields, in order (`cls._fields`), become slots, and one compile per

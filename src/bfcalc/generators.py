@@ -447,12 +447,6 @@ def _random(context: HContext, seed, equal_trees: bool, max_leaves: int,
     return BFElement(context, t1, AWord(m, tuple(letters)), tuple(labels), t2)
 
 
-# Size ceilings of the random elements verify_generating draws.
-VERIFY_MAX_LEAVES = 9
-VERIFY_MAX_BRAID_LETTERS = 16
-VERIFY_MAX_LABEL_LETTERS = 4
-
-
 def verify_generating(genset: GeneratorSet, samples: int, seed: int) -> tuple[int, ...]:
     """
     Decompose seeded random elements, re-multiply them and return the
@@ -462,12 +456,7 @@ def verify_generating(genset: GeneratorSet, samples: int, seed: int) -> tuple[in
     rng = random.Random(seed)
     lengths = []
     for _ in range(samples):
-        x = random_element(
-            genset.context, rng,
-            max_leaves=VERIFY_MAX_LEAVES,
-            max_braid_letters=VERIFY_MAX_BRAID_LETTERS,
-            max_label_letters=VERIFY_MAX_LABEL_LETTERS,
-        )
+        x = random_element(genset.context, rng)
         word = decompose(x, genset)
         if not bf.equal(evaluate_word(word, genset), x):
             raise VerificationError(

@@ -35,7 +35,7 @@ from bfcalc.bfgroup import (
 from bfcalc.braid import (AWord, BraidError, SigmaWord, a_to_sigma, braids_equal,
                           delete_strand, is_trivial, kr_sign, linking_numbers, shift_embed,
                           split_a)
-from bfcalc.combing import FreeWord, NCPolynomial, comb, magnus_truncated
+from bfcalc.combing import FreeWord, comb
 from bfcalc.freegroup import FrozenInstanceError, WordError, reduce_onto
 from bfcalc.generators import (GeneratorSet, GeneratorSetError, PureGeneratorSpec, gen1_set,
                                random_element, random_pvb_element)
@@ -1061,9 +1061,6 @@ def _assert_public(value):
         rebuilt = FreeWord(value.rank, tuple(value.letters))
     elif isinstance(value, SigmaWord):
         rebuilt = SigmaWord(value.strands, tuple(value.letters))
-    elif isinstance(value, NCPolynomial):
-        rebuilt = NCPolynomial(value.rank, value.degree,
-                               tuple((tuple(m), c) for m, c in value.terms))
     else:
         rebuilt = _rebuilt_element(value)
     assert rebuilt == value and hash(rebuilt) == hash(value)
@@ -1098,9 +1095,8 @@ def test_trusted_results_pass_public_constructors(ctx):
         if product.leaf_count > 1:
             _assert_public(delete_strand(product.braid, rng.randint(1, product.leaf_count)))
         _assert_public(x.braid * inverse(x).braid)
-        for coord in comb(product.braid).coordinates:
+        for coord in comb(product.braid):
             _assert_public(coord)
-            _assert_public(magnus_truncated(coord, 3))
         _assert_public(a_to_sigma(product.braid))
         _assert_public(a_to_sigma(inverse(x).braid))
 
@@ -1127,14 +1123,8 @@ def _value_contracts():
         (SigmaWord(3, (1, -2, 1)), "SigmaWord(strands=3, letters=(1, -2, 1))", (3, (3,)),
          BraidError),
         (FreeWord(2, (1, -2, 1)), "FreeWord(rank=2, letters=(1, -2, 1))", (2, (1, -1)), WordError),
-        (NCPolynomial(2, 2, (((), 1), ((1,), 1), ((2, 1), -3))),
-         "NCPolynomial(rank=2, degree=2, terms=(((), 1), ((1,), 1), ((2, 1), -3)))",
-         (2, 1, (((1, 1), 1),)), WordError),
         (element, _ELEMENT, (ctx, tree, AWord(2, ()), ((), ()), tree), ElementError),
         (ctx, _PN2, (1, ()), ContextError),
-        (comb(AWord(3, ((1, 3, 1), (2, 3, -1)))),
-         "CombedForm(strands=3, coordinates=(FreeWord(rank=2, letters=(2,)), "
-         "FreeWord(rank=1, letters=(-1,))))", (3, ()), BraidError),
         (PureGeneratorSpec(5, 2, 4), "PureGeneratorSpec(strands=5, i=2, j=4)", (3, 2, 1),
          GeneratorSetError),
         (GeneratorSet(ctx, (("x", element),)),
@@ -1240,10 +1230,6 @@ def test_public_constructors_reject_lists_floats_and_bools():
         FreeWord(2, (True,))
     with pytest.raises(ElementError):
         from_tree_pair(c, "a", "b")
-    for bad in ((2.0, 1, (((), 1),)), (2, 1, [((), 1)]), (2, 1, (([1], 1),)),
-                (2, 1, (((), True),))):
-        with pytest.raises(WordError):
-            NCPolynomial(*bad)
     with pytest.raises(TreeError):
         right_comb(2.0, 3)
     for labels in ([(), ()], ((), [1]), ((), (1.0,))):

@@ -25,7 +25,6 @@ from bfcalc.braid import (
     split_sigma,
 )
 from bfcalc.combing import (
-    CombedForm,
     FreeWord,
     _conjugator_for,
     _kernel_word_to_aword,
@@ -659,14 +658,13 @@ def test_split_a_is_homomorphism():
 # --- combing
 
 def test_comb_empty():
-    form = comb(AWord(4, ()))
-    assert form.is_trivial()
-    assert [c.rank for c in form.coordinates] == [3, 2, 1]
+    coordinates = comb(AWord(4, ()))
+    assert type(coordinates) is tuple and all(c.is_trivial() for c in coordinates)
+    assert [c.rank for c in coordinates] == [3, 2, 1]
 
 
 def test_comb_kernel_letter():
-    form = comb(AWord(2, ((1, 2, 1),)))
-    assert [c.letters for c in form.coordinates] == [(1,)]
+    assert comb(AWord(2, ((1, 2, 1),))) == (FreeWord(1, (1,)),)
 
 
 def test_comb_reconstruction():
@@ -891,7 +889,7 @@ def test_comb_matches_quotient_words():
         g = random_aword(rng, m, 3)
         for w in (word, g * word * g.inverse()):
             oracle = [_peel_front(q) for q in reversed(_quotient_words(w))]
-            assert list(comb(w).coordinates) == oracle
+            assert list(comb(w)) == oracle
 
 
 def _kr_sign_all_levels(word):
@@ -933,7 +931,7 @@ def test_comb_exponent_sums_are_linking_numbers():
         word = random_aword(rng, m, 14)
         linking = linking_numbers(word)
         # coordinates run (w_m, ..., w_2): the level of strand i comes i-th
-        for i, coord in enumerate(comb(word).coordinates, start=1):
+        for i, coord in enumerate(comb(word), start=1):
             sums = {}
             for x in coord.letters:
                 sums[abs(x)] = sums.get(abs(x), 0) + (1 if x > 0 else -1)
@@ -957,20 +955,21 @@ def test_kr_sign_reads_linking_without_combing(monkeypatch):
 
 
 def test_combed_form_shape_validation():
-    with pytest.raises(BraidError):
-        CombedForm(3, (FreeWord(2, ()),))
-    with pytest.raises(BraidError):
-        CombedForm(3, (FreeWord(1, ()), FreeWord(1, ())))
+    # reconstruct reads the coordinates (w_m, ..., w_2): level k needs rank k-1
+    with pytest.raises(BraidError, match="coordinate at level 2 is not a rank-1 free word"):
+        reconstruct((FreeWord(2, ()),))
+    with pytest.raises(BraidError, match="coordinate at level 3 is not a rank-2 free word"):
+        reconstruct((FreeWord(1, ()), FreeWord(1, ())))
+    assert reconstruct(()) == AWord.identity(1)
 
 
-@pytest.mark.parametrize("strands,coordinates", [
-    (3, [FreeWord(2, ()), FreeWord(1, ())]),  # a list
-    (2, ("w",)),                              # a coordinate that is not a FreeWord
-    (True, ()),                               # a bool strand count
+@pytest.mark.parametrize("coordinates", [
+    [FreeWord(2, ()), FreeWord(1, ())],  # a list
+    ("w",),                              # a coordinate that is not a FreeWord
 ])
-def test_combed_form_rejects_malformed_fields(strands, coordinates):
+def test_reconstruct_rejects_malformed_coordinates(coordinates):
     with pytest.raises(BraidError):
-        CombedForm(strands, coordinates)
+        reconstruct(coordinates)
 
 
 def test_long_word_equality_uses_normal_form():

@@ -382,8 +382,8 @@ def test_a_fresh_command_loads_only_the_layers_it_runs(argv, answer, loaded):
 
 
 # The public names that moved to a module loading on first use, by new home.
-MOVED = {"combing": ("CombedForm", "FreeWord", "NCPolynomial", "artin_image", "comb",
-                     "magnus_sign", "magnus_truncated", "reconstruct", "reduce_word"),
+MOVED = {"combing": ("FreeWord", "artin_image", "comb", "magnus_sign", "magnus_truncated",
+                     "reconstruct", "reduce_word"),
          "treepairs": ("brown_generator_pairs", "fn_factorize", "pair_multiply"),
          "generators": ("random_element",)}
 
@@ -520,7 +520,7 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
     (("count", "--gen2", "--irreducible"), 1),
     (("count", "--gen1", "-k", "2"), 1),
     (("count", "-k", "2"), 1),
-    (("count",), 2),
+    (("count",), 1),
     (("count", "--gen2", "-n", "2", "--hgen", "h1=A[1,2]", "-k", "3"), 1),
 ])
 def test_count_takes_one_set_and_k_only_with_gen2(capsys, argv, code):
@@ -684,13 +684,21 @@ def test_cmd_selftest_generating_json(capsys):
     code = run_cli("selftest", "--suite", "generating", "-n", "2",
                    "--samples", "3", "--seed", "5", "--json")
     assert code == 0
-    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    doc = json.loads(capsys.readouterr().out)
     assert [suite["params"]["set"] for suite in doc] == ["gen1", "gen2", "gen3"]
     for suite in doc:
         assert suite["name"] == "generating" and suite["passed"]
         assert [check["violations"] for check in suite["checks"]] == [0]
         assert type(suite["params"]["max_word_length"]) is int
         assert suite["params"]["max_word_length"] > 0
+
+
+def test_cmd_selftest_json_with_a_violation_prints_only_the_document(monkeypatch, capsys):
+    _selftest_with_a_violation(monkeypatch)
+    assert run_cli("selftest", "--suite", "orders", "--seed", "1", "--json") == 2
+    captured = capsys.readouterr()
+    assert [suite["passed"] for suite in json.loads(captured.out)] == [False]
+    assert captured.err.splitlines()[-1] == "verification failure: selftest suite reported violations"
 
 
 def test_cmd_render_svg(tmp_path, capsys):

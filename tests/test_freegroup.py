@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bfcalc import combing
 from bfcalc.combing import (
     FreeWord,
-    NCPolynomial,
     _monomial_key,
-    _sorted_terms,
     magnus_sign,
     magnus_truncated,
     reduce_word,
@@ -34,23 +32,23 @@ def word_inverse(u):
     return FreeWord(u.rank, invert_letters(u.letters))
 
 
-def nc_from_dict(rank, degree, coeffs):
-    """The polynomial with these coefficients, zero and over-degree terms dropped."""
-    return NCPolynomial(rank, degree, _sorted_terms(degree, coeffs))
+def nc_from_dict(degree, coeffs):
+    """The truncated polynomial with these coefficients, zero and over-degree terms dropped."""
+    return {m: c for m, c in coeffs.items() if c != 0 and len(m) <= degree}
 
 
-def nc_one(rank, degree):
-    return NCPolynomial(rank, degree, (((), 1),))
+def nc_one():
+    return {(): 1}
 
 
-def nc_multiply(p, q):
+def nc_multiply(p, q, degree):
     """Oracle ring product, every monomial above the truncation degree dropped."""
     coeffs = {}
-    for ma, ca in p.terms:
-        for mb, cb in q.terms:
+    for ma, ca in p.items():
+        for mb, cb in q.items():
             m = ma + mb
             coeffs[m] = coeffs.get(m, 0) + ca * cb
-    return nc_from_dict(p.rank, p.degree, coeffs)
+    return nc_from_dict(degree, coeffs)
 
 
 def random_word(rng, rank=3, max_len=10):
@@ -113,9 +111,9 @@ def x(*indices):
 
 
 def test_nc_multiply_truncates_to_one():
-    p = nc_from_dict(1, 2, {x(): 1, x(1): 1})
-    q = nc_from_dict(1, 2, {x(): 1, x(1): -1, x(1, 1): 1})
-    assert nc_multiply(p, q) == nc_one(1, 2)
+    p = nc_from_dict(2, {x(): 1, x(1): 1})
+    q = nc_from_dict(2, {x(): 1, x(1): -1, x(1, 1): 1})
+    assert nc_multiply(p, q, 2) == nc_one()
 
 
 def test_nc_multiply_identity():
@@ -123,19 +121,19 @@ def test_nc_multiply_identity():
     for _ in range(50):
         coeffs = {tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 3))):
                   rng.randint(-5, 5) for _ in range(4)}
-        p = nc_from_dict(2, 3, coeffs)
-        assert nc_multiply(p, nc_one(2, 3)) == p
-        assert nc_multiply(nc_one(2, 3), p) == p
+        p = nc_from_dict(3, coeffs)
+        assert nc_multiply(p, nc_one(), 3) == p
+        assert nc_multiply(nc_one(), p, 3) == p
 
 
 def test_nc_multiply_two_variables():
-    p = nc_from_dict(2, 2, {x(): 1, x(1): 1})
-    q = nc_from_dict(2, 2, {x(): 1, x(2): 1})
-    expected = nc_from_dict(2, 2, {x(): 1, x(1): 1, x(2): 1, x(1, 2): 1})
-    assert nc_multiply(p, q) == expected
+    p = nc_from_dict(2, {x(): 1, x(1): 1})
+    q = nc_from_dict(2, {x(): 1, x(2): 1})
+    expected = nc_from_dict(2, {x(): 1, x(1): 1, x(2): 1, x(1, 2): 1})
+    assert nc_multiply(p, q, 2) == expected
 
 
-# --- monomial order: the sort key of NCPolynomial terms
+# --- monomial order: magnus_sign reads the least nonconstant monomial under this key
 
 def test_monomial_compare_examples():
     assert _monomial_key(x(1)) < _monomial_key(x(2))
@@ -152,20 +150,15 @@ def test_monomial_order_is_total_and_transitive():
     for a, b, c in itertools.permutations(monomials, 3):
         if _monomial_key(a) <= _monomial_key(b) <= _monomial_key(c):
             assert _monomial_key(a) <= _monomial_key(c)
-    # terms come out of NCPolynomial in this order
-    poly = nc_from_dict(2, 2, {m: 1 for m in monomials})
-    assert [m for m, _ in poly.terms] == sorted(monomials, key=_monomial_key)
 
 
 # --- substitution
 
 def test_magnus_truncated_examples():
-    assert magnus_truncated(reduce_word(2, []), 3) == nc_one(2, 3)
-    assert magnus_truncated(reduce_word(2, [1]), 1) == nc_from_dict(
-        2, 1, {x(): 1, x(1): 1})
+    assert magnus_truncated(reduce_word(2, []), 3) == nc_one()
+    assert magnus_truncated(reduce_word(2, [1]), 1) == {x(): 1, x(1): 1}
     commutator = reduce_word(2, [1, 2, -1, -2])
-    assert magnus_truncated(commutator, 2) == nc_from_dict(
-        2, 2, {x(): 1, x(1, 2): 1, x(2, 1): -1})
+    assert magnus_truncated(commutator, 2) == {x(): 1, x(1, 2): 1, x(2, 1): -1}
     for degree in (2.0, True):
         with pytest.raises(WordError):
             magnus_truncated(commutator, degree)
@@ -174,8 +167,7 @@ def test_magnus_truncated_examples():
 def test_magnus_truncated_inverse_series():
     word = reduce_word(1, [-1])
     poly = magnus_truncated(word, 3)
-    assert poly == nc_from_dict(
-        1, 3, {x(): 1, x(1): -1, x(1, 1): 1, x(1, 1, 1): -1})
+    assert poly == {x(): 1, x(1): -1, x(1, 1): 1, x(1, 1, 1): -1}
 
 
 def test_magnus_truncated_multiplicative():
@@ -185,7 +177,7 @@ def test_magnus_truncated_multiplicative():
         v = random_word(rng, rank=2, max_len=6)
         degree = rng.randint(1, 3)
         lhs = magnus_truncated(word_multiply(u, v), degree)
-        rhs = nc_multiply(magnus_truncated(u, degree), magnus_truncated(v, degree))
+        rhs = nc_multiply(magnus_truncated(u, degree), magnus_truncated(v, degree), degree)
         assert lhs == rhs
 
 
@@ -207,7 +199,7 @@ def magnus_by_series(word, degree):
                 if len(ma) + len(mb) <= degree:
                     result[ma + mb] = result.get(ma + mb, 0) + ca * cb
         coeffs = {m: c for m, c in result.items() if c != 0}
-    return nc_from_dict(word.rank, degree, coeffs)
+    return coeffs
 
 
 def test_magnus_truncated_matches_series_product():
@@ -225,6 +217,22 @@ def test_magnus_sign_examples():
     assert magnus_sign(reduce_word(2, [1])) == 1
     assert magnus_sign(reduce_word(2, [-1])) == -1
     assert magnus_sign(reduce_word(2, [1, 2, -1, -2])) == 1
+
+
+def test_magnus_sign_is_the_sign_of_the_least_series_term():
+    # The sign of the least nonconstant monomial of the series-product oracle,
+    # read at the first degree where one appears (residual nilpotence bounds it).
+    rng = random.Random(16)
+    for _ in range(300):
+        word = random_word(rng, rank=rng.randint(2, 3), max_len=10)
+        expected = 0
+        for degree in range(1, 2 * len(word) + 1):
+            series = magnus_by_series(word, degree)
+            terms = [m for m in series if m]
+            if terms:
+                expected = 1 if series[min(terms, key=lambda m: (len(m), m))] > 0 else -1
+                break
+        assert magnus_sign(word) == expected
 
 
 def test_magnus_sign_zero_iff_trivial_short_words():
@@ -278,11 +286,7 @@ def test_freeword_validation():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: FreeWord(-1, ()), "rank must be a nonnegative int"),
-    (lambda: NCPolynomial(1, -1, ()), "truncation degree must be a nonnegative int"),
-    (lambda: NCPolynomial(1, 2, (((1,), 0),)), "zero coefficient stored"),
-    (lambda: NCPolynomial(1, 1, (((1, 1), 1),)), "monomial above truncation degree"),
-    (lambda: NCPolynomial(1, 2, (((2,), 1),)), "variable index out of range"),
-    (lambda: NCPolynomial(2, 2, (((2,), 1), ((1,), 1))), "terms are not sorted"),
+    (lambda: magnus_truncated(reduce_word(1, (1,)), -1), "degree must be a nonnegative int"),
 ])
 def test_word_and_polynomial_checks_raise_word_error(call, message):
     with pytest.raises(WordError) as caught:
@@ -291,8 +295,17 @@ def test_word_and_polynomial_checks_raise_word_error(call, message):
 
 
 def test_magnus_sign_without_a_nonconstant_term_raises_truncation_error(monkeypatch):
-    monkeypatch.setattr(combing, "magnus_truncated",
-                        lambda word, degree: NCPolynomial(word.rank, degree, (((), 1),)))
+    monkeypatch.setattr(combing, "magnus_truncated", lambda word, degree: {(): 1})
     with pytest.raises(TruncationError) as caught:
         magnus_sign(reduce_word(2, (1,)))
     assert str(caught.value) == "no nonconstant term up to degree 2 for a nontrivial word"
+
+
+@pytest.mark.parametrize("coeffs, sign", [
+    ({(): 1, (2,): 5, (1,): -1}, -1),           # lexicographic within a degree
+    ({(): 1, (1, 1): -1, (2,): 3}, 1),          # degree before letters
+    ({(): 1, (2, 1): -2, (1, 2): 4, (1, 1, 1): -7}, 1),
+])
+def test_magnus_sign_reads_the_least_monomial_in_any_dict_order(monkeypatch, coeffs, sign):
+    monkeypatch.setattr(combing, "magnus_truncated", lambda word, degree: coeffs)
+    assert magnus_sign(reduce_word(2, (1,))) == sign

@@ -12,9 +12,6 @@ from bfcalc import trees as tr
 from bfcalc.braid import AWord, cable_letters
 from bfcalc.freegroup import invert_letters
 from bfcalc.generators import (
-    VERIFY_MAX_BRAID_LETTERS,
-    VERIFY_MAX_LABEL_LETTERS,
-    VERIFY_MAX_LEAVES,
     GeneratorSet,
     GeneratorSetError,
     PureGeneratorSpec,
@@ -542,10 +539,7 @@ def test_expansion_relations_match_hand_written(n):
 def test_verify_generating_report():
     genset = gen1_set(2)
     rng = random.Random(3)
-    samples = [random_element(genset.context, rng, max_leaves=VERIFY_MAX_LEAVES,
-                              max_braid_letters=VERIFY_MAX_BRAID_LETTERS,
-                              max_label_letters=VERIFY_MAX_LABEL_LETTERS)
-               for _ in range(5)]
+    samples = [random_element(genset.context, rng) for _ in range(5)]
     assert verify_generating(genset, 5, seed=3) == tuple(
         len(decompose(x, genset)) for x in samples)
     assert verify_generating(genset, 0, seed=3) == ()
