@@ -215,7 +215,7 @@ class BFElement:
 def identity_element(context: HContext, tree: Tree | None = None) -> BFElement:
     """The identity over `tree`; the default one-leaf identity is built without re-validation."""
     if tree is None and isinstance(context, HContext):
-        one = Tree._new(context.arity, ((),))
+        one = Tree._new(context.arity, (0,))
         return BFElement._new(context, one, AWord._new(1, ()), ((),), one)
     tree = tree if tree is not None else Tree.single(context.arity)
     m = tree.leaf_count
@@ -337,12 +337,12 @@ def reduce(x: BFElement) -> BFElement:
     The label's braid needs no dividing out: each of its letters touches a
     deleted strand.  Linking numbers screen each window first.
     """
-    n, context = x.arity, x.context
+    n, context, s1, s2 = x.arity, x.context, x.t1._starts, x.t2._starts
     braid, labels, stack, links = x.braid, [], [], None
-    for entry, label in zip(zip(x.t1.leaves, x.t2.leaves), x.labels):
-        stack.append(entry)
+    for f, d1, d2, label in zip(range(x.leaf_count), x.t1.depths, x.t2.depths, x.labels):
+        stack.append((f, d1, d2))
         labels.append(label)
-        while (parents := tr.caret_top(stack, n)) is not None:
+        while (parent := tr.caret_top(stack, n, s1, s2)) is not None:
             i = len(stack) - n + 1
             head = labels[i - 1]
             if any(not _labels_oracle_equal(x, head, l) for l in labels[i:]):
@@ -357,11 +357,11 @@ def reduce(x: BFElement) -> BFElement:
             if not braids_equal(braid, br.split_a(smaller, i, n, inner)):
                 break
             braid, links = smaller, None
-            stack[-n:] = [parents]
+            stack[-n:] = [parent]
             labels[-n:] = [head]
     if len(stack) == x.leaf_count:
         return x
-    t1, t2 = zip(*stack)
+    _, t1, t2 = zip(*stack)
     return BFElement._new(context, Tree._new(n, t1), braid, tuple(labels), Tree._new(n, t2))
 
 

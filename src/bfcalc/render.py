@@ -27,12 +27,12 @@ def _esc(text: str) -> str:
 def _tree_edges(tree: Tree, xs: list[float], top: float, bottom: float,
                 mirror: bool) -> list[str]:
     """Edges of a tree drawn between y=top (root) and y=bottom (leaves)."""
-    depth = max(len(a) for a in tree.leaves) or 1
-    span = (bottom - top) / depth
-    pos: dict[tuple[int, ...], tuple[float, float]] = {}
-    for idx, leaf in enumerate(tree.leaves):
-        pos[leaf] = (xs[idx], bottom if not mirror else top)
-    nodes = sorted(tree.nodes(), key=len, reverse=True)
+    span = (bottom - top) / (max(tree.depths) or 1)
+    leaf_y = bottom if not mirror else top
+    pos = {leaf: (x, leaf_y) for x, leaf in zip(xs, tree.leaves)}  # the leaves, left to right
+    # Every node, deepest first; within a depth, edges follow the frozenset's order.
+    nodes = sorted(frozenset({leaf[:k] for leaf in pos for k in range(len(leaf) + 1)}),
+                   key=len, reverse=True)
     for node in nodes:
         if node in pos:
             continue

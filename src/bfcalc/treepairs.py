@@ -11,7 +11,7 @@ of two arities or leaf counts is refused as fn_sign refuses it.
 from __future__ import annotations
 
 from .freegroup import SchemaError, invert_letters, reduce_letters
-from .trees import (Address, ExpansionError, Tree, _check_pair, attach_script, caret_top, join,
+from .trees import (ExpansionError, Tree, _check_pair, attach_script, caret_top, join,
                     right_comb)
 
 
@@ -46,15 +46,15 @@ def pair_reduce(f: tuple[Tree, Tree]) -> tuple[Tree, Tree]:
     """Cancel every caret the two trees share at the same leaf window, in one pass."""
     domain, codomain = f
     _check_pair(domain, codomain)
-    n = domain.arity
-    stack: list[tuple[Address, ...]] = []
-    for entry in zip(domain.leaves, codomain.leaves):
+    n, s1, s2 = domain.arity, domain._starts, codomain._starts
+    stack: list[tuple[int, int, int]] = []
+    for entry in zip(range(domain.leaf_count), domain.depths, codomain.depths):
         stack.append(entry)
-        while (parents := caret_top(stack, n)) is not None:
-            stack[-n:] = [parents]
+        while (parent := caret_top(stack, n, s1, s2)) is not None:
+            stack[-n:] = [parent]
     if len(stack) == domain.leaf_count:
         return f
-    return tuple(Tree._new(n, leaves) for leaves in zip(*stack))
+    return tuple(Tree._new(n, depths) for depths in list(zip(*stack))[1:])
 
 
 def brown_generator_pairs(arity: int) -> tuple[tuple[Tree, Tree], ...]:
@@ -112,14 +112,14 @@ def comb_conjugator_word(tree: Tree) -> tuple[int, ...]:
     at leaf window i contributes the elementary pair with index i.  Peeling
     stops when the leftmost caret is the last one: the tree is then a comb.
     """
-    n = tree.arity
+    n, starts = tree.arity, tree._starts
     removed: list[int] = []
-    stack: list[tuple[Address, ...]] = []
-    for leaf in tree.leaves[:-1]:  # a window on the last leaf is the comb's
-        stack.append((leaf,))
-        while (parents := caret_top(stack, n)) is not None:
+    stack: list[tuple[int, int, int]] = []  # the pair (tree, tree)
+    for f, d in enumerate(tree.depths[:-1]):  # a window on the last leaf is the comb's
+        stack.append((f, d, d))
+        while (parent := caret_top(stack, n, starts, starts)) is not None:
             removed.append(len(stack) - n + 1)
-            stack[-n:] = [parents]
+            stack[-n:] = [parent]
     return reduce_letters([x for i in reversed(removed) for x in _xi_word(n, i)])
 
 

@@ -2,14 +2,17 @@
 Full n-ary trees, caret expansions, tree joins and the slope order on tree
 pairs.
 
-A tree is stored by the sorted tuple of its leaf addresses, an address being
-a tuple of child indices in 0..n-1 (the root is the empty tuple).  For a
-full tree the leaf set determines everything else: the internal nodes are
-exactly the proper prefixes of the leaves, and tree equality is structural.
-The sorted leaves obey one successor rule: a leaf's trailing run of n-1
-digits closes the nodes it completes, and the next leaf adds one to the
-digit before that run, then descends by zeros.  Tree validation, tree text,
-join (with its caret scripts) and caret_top each read the leaves once by it.
+A tree is stored by its leaf depths, left to right, which fix a full n-ary
+tree; its memory and hash cost grow linearly with its leaf count.  One
+stack pass reads them: push each depth, and while the top n entries are
+one positive depth d, replace them by one d - 1.  The depths are a full
+tree's exactly when the pass ends with the root alone.  A leaf's start
+depth is the top of the stack just before it is pushed (0 for the first
+leaf, and past the last): the nodes that begin at a leaf are its
+ancestors from that depth down.  Validation, tree text, the sibling test
+of caret_top and the leaf addresses (Tree.leaves, derived for printing
+only) read the start depths; join, attach_script, right_comb and fn_sign
+read or build the depths directly.
 
 A tree pair is a tuple (domain, codomain) of two trees of one arity and
 leaf count.  It represents the piecewise-affine homeomorphism of [0,1]
@@ -22,19 +25,12 @@ treepairs module, which loads on first use; expansion_script, fn_factorize,
 pair_multiply and pair_reduce are read through this module's __getattr__
 for the benchmark's per-layer tracer, which names them here.
 
-join and attach_script keep one memo each, keyed by the arity and the leaves
-(and, for attach_script, the script).  A computation meets few trees again
-and again (combs, generating-set members and their expansions), and the
-results are immutable, so a hit hands back the stored scripts or Tree and
-equal results share objects.  Errors are never stored.  Only trees of at
-most MEMO_LEAVES leaves enter a memo or are looked up in it: a tuple does
-not cache its hash, so a key costs the sum of its leaf depths on every
-call, which grows with the square of the leaf count for a comb while the
-merge it saves grows with the leaf count.  A memo keeps its MEMO_ENTRIES
-most recently used entries.  The two constants cap the memory: both memos
-full of distinct 32-leaf binary caterpillars, the deepest trees allowed,
-held 37 MiB, while a 20-second run of a benchmark workload, whose trees
-have at most 10 leaves, leaves at most 1,704 entries in either.
+join and attach_script keep one memo each, keyed by the arity and the
+depths (and, for attach_script, the script); a hit hands back the stored
+immutable scripts or Tree, so equal results share objects, and errors are
+never stored.  Only trees of at most MEMO_LEAVES leaves enter a memo or
+are read from it, and a memo keeps its MEMO_ENTRIES most recently used
+entries: the two constants bound the memos' memory.
 """
 
 from __future__ import annotations
@@ -42,8 +38,6 @@ from __future__ import annotations
 import functools
 
 from .freegroup import NEGATIVE, POSITIVE, ZERO, _is_int_tuple, _lazy_getattr, _value_class
-
-Address = tuple[int, ...]
 
 MEMO_LEAVES = 32  # no tree with more leaves enters or is read from a memo
 MEMO_ENTRIES = 2048  # per memo; the least recently used entry goes first
@@ -57,60 +51,77 @@ class ExpansionError(ValueError):
     """Raised when a tree is not an expansion of another."""
 
 
+def _check_arity(n) -> None:
+    if type(n) is not int:
+        raise TreeError(f"arity must be an int, got {n!r}")
+    if n < 2:
+        raise TreeError(f"arity must be >= 2, got {n}")
+
+
+def _start_depths(n: int, depths: tuple[int, ...]) -> list[int]:
+    """Each leaf's start depth, then 0, by the stack pass; TreeError if no full tree's."""
+    stack, starts = [], []
+    for f, d in enumerate(depths):
+        top = stack[-1] if stack else 0
+        if d < top:  # so the stack never descends, and its top n are one depth when the n-th is
+            raise TreeError(f"leaf {f + 1} of depth {d} is shallower than the node before it")
+        starts.append(top)
+        stack.append(d)
+        while d > 0 and len(stack) >= n and stack[-n] == d:
+            del stack[-n:]
+            d -= 1
+            stack.append(d)
+    if stack != [0]:
+        raise TreeError("the depths do not close a full tree")
+    starts.append(0)
+    return starts
+
+
 @_value_class
 class Tree:
-    """A finite full n-ary tree, given by its sorted leaf addresses."""
+    """A finite full n-ary tree, given by its leaf depths, left to right."""
 
     arity: int
-    leaves: tuple[Address, ...]
+    depths: tuple[int, ...]
+    __slots__ = ("_start_memo",)  # outside the fields: equality and hash are unchanged
 
     def __post_init__(self):
-        n = self.arity
-        if type(n) is not int:
-            raise TreeError(f"arity must be an int, got {n!r}")
-        if n < 2:
-            raise TreeError(f"arity must be >= 2, got {n}")
-        if type(self.leaves) is not tuple or not all(map(_is_int_tuple, self.leaves)):
-            raise TreeError("leaves must be a tuple of tuples of ints")
-        if not self.leaves:
+        _check_arity(self.arity)
+        if not _is_int_tuple(self.depths):
+            raise TreeError("depths must be a tuple of ints")
+        if not self.depths:
             raise TreeError("a tree has at least one leaf")
-        # The successor rule from the all-zeros leaf to the all-(n-1) one;
-        # follow is the next leaf less its zeros, None past the last leaf.
-        last, follow = n - 1, ()
-        for leaf in self.leaves:
-            if follow is None or leaf[: len(follow)] != follow or any(leaf[len(follow):]):
-                raise TreeError(f"leaf {leaf} does not follow the leaf before it in a full tree")
-            s = len(leaf)
-            while s and leaf[s - 1] == last:
-                s -= 1
-            follow = leaf[: s - 1] + (leaf[s - 1] + 1,) if s else None
-        if follow is not None:
-            raise TreeError(f"the last leaf of a full tree is all {last}s")
+        object.__setattr__(self, "_start_memo", _start_depths(self.arity, self.depths))
 
     @staticmethod
     def single(arity: int) -> Tree:
         """The one-leaf tree."""
-        return Tree(arity, ((),))
+        return Tree(arity, (0,))
 
     @staticmethod
     def caret(arity: int) -> Tree:
         """The one-caret tree R with n leaves."""
-        return Tree(arity, tuple((d,) for d in range(arity)))
+        return Tree(arity, (1,) * arity)
 
     @property
     def leaf_count(self) -> int:
-        return len(self.leaves)
+        return len(self.depths)
 
-    def nodes(self) -> frozenset[Address]:
-        """All addresses of the tree: leaves plus every proper prefix."""
-        out: set[Address] = set()
-        for addr in self.leaves:
-            for k in range(len(addr) + 1):
-                out.add(addr[:k])
-        return frozenset(out)
+    @property
+    def _starts(self) -> list[int]:
+        """The start depths (module docstring), kept after the first read."""
+        if getattr(self, "_start_memo", None) is None:
+            object.__setattr__(self, "_start_memo", _start_depths(self.arity, self.depths))
+        return self._start_memo
 
-    def depths(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.leaves)
+    @property
+    def leaves(self) -> tuple[tuple[int, ...], ...]:
+        """The leaf addresses, child indices from the root (which is ()), left to right."""
+        out, leaf = [], ()
+        for d, s in zip(self.depths, self._starts):  # keep s - 1 digits, add one, descend by 0s
+            leaf = leaf[: s - 1] + (leaf[s - 1] + 1,) + (0,) * (d - s) if s else (0,) * d
+            out.append(leaf)
+        return tuple(out)
 
     def attach(self, i: int) -> Tree:
         """Attach a caret to the i-th leaf (1-based), written T[i]."""
@@ -128,18 +139,17 @@ def attach_script(tree: Tree, script: tuple[int, ...]) -> Tree:
     """The tree after attaching a caret at each leaf index of the script in turn."""
     if not script:
         return tree
-    n, leaves = tree.arity, tree.leaves
-    small = len(leaves) + (n - 1) * len(script) <= MEMO_LEAVES
-    return (_attach_memo if small else _attach_script)(n, leaves, script)
+    n, depths = tree.arity, tree.depths
+    small = len(depths) + (n - 1) * len(script) <= MEMO_LEAVES
+    return (_attach_memo if small else _attach_script)(n, depths, script)
 
 
-def _attach_script(n: int, leaves: tuple[Address, ...], script: tuple[int, ...]) -> Tree:
-    out = list(leaves)
+def _attach_script(n: int, depths: tuple[int, ...], script: tuple[int, ...]) -> Tree:
+    out = list(depths)
     for i in script:
         if not 1 <= i <= len(out):
             raise TreeError(f"leaf index {i} out of range 1..{len(out)}")
-        addr = out[i - 1]
-        out[i - 1 : i] = [addr + (d,) for d in range(n)]
+        out[i - 1 : i] = [out[i - 1] + 1] * n
     return Tree._new(n, tuple(out))
 
 
@@ -147,7 +157,7 @@ _attach_memo = functools.lru_cache(MEMO_ENTRIES)(_attach_script)
 
 
 def right_comb(arity: int, leaf_count: int) -> Tree:
-    """The right comb, carets on the last leaf: leaves (n-1)^d c for c < n-1, then (n-1)^k."""
+    """The right comb, carets on the last leaf: n-1 leaves at each depth 1..k, then one at k."""
     if type(arity) is not int or type(leaf_count) is not int:
         raise TreeError("arity and leaf count must be ints")
     if arity < 2:
@@ -155,49 +165,44 @@ def right_comb(arity: int, leaf_count: int) -> Tree:
     k, rest = divmod(leaf_count - 1, arity - 1)
     if k < 0 or rest:
         raise TreeError(f"{leaf_count} is not a valid leaf count for arity {arity}")
-    spine = (arity - 1,)
-    leaves = [spine * d + (c,) for d in range(k) for c in range(arity - 1)] + [spine * k]
-    return Tree._new(arity, tuple(leaves))
+    return Tree._new(arity, tuple(d for d in range(1, k + 1) for _ in range(arity - 1)) + (k,))
 
 
 def join(tree: Tree, other: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     The caret scripts that turn each of two trees into their minimal common
     expansion, attach_script(tree, script_x) == attach_script(other,
-    script_y).  One merge of the sorted leaf lists: of the two current leaves
-    (nested) the deeper, w, is the k-th leaf of the join, and each list moves
-    on once the rest of w past its leaf is all n-1.  The script of the side
-    whose leaf u is shorter gains k once per new inner node w[:e],
-    len(u) <= e < len(w), w[e:] all zeros.
+    script_y).  Both depth sequences are read in step as two stacks, next
+    leaf on top: of the two current leaves, the shallower one is replaced
+    by n leaves one deeper, and the k-th leaf of the join joins that side's
+    script, until the two agree.
     """
     n = tree.arity
     if n != other.arity:
         raise TreeError("arity mismatch")
-    xs, ys = tree.leaves, other.leaves
+    xs, ys = tree.depths, other.depths
     small = len(xs) <= MEMO_LEAVES and len(ys) <= MEMO_LEAVES
     return (_join_memo if small else _join)(n, xs, ys)
 
 
-def _join(n: int, xs: tuple[Address, ...], ys: tuple[Address, ...]
+def _join(n: int, xs: tuple[int, ...], ys: tuple[int, ...]
           ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if xs == ys:
         return (), ()
-    last = n - 1
-    i = j = k = 0
-    script_x, script_y = [], []
-    while i < len(xs):  # both lists end with the all-(n-1) leaf, together
-        u, v = xs[i], ys[j]
-        lu, lv = len(u), len(v)
-        w, depth, script = (u, lv, script_y) if lu >= lv else (v, lu, script_x)
+    xs, ys = list(reversed(xs)), list(reversed(ys))
+    script_x, script_y, k = [], [], 0
+    while xs:  # both stacks empty together: each side covers the same interval
+        u, v = xs.pop(), ys.pop()
         k += 1
-        s = d = len(w)
-        while d > depth and w[d - 1] == 0:
-            d -= 1
-        script += [k] * (s - d)
-        while s and w[s - 1] == last:  # w[s:] is the run of n-1 that w ends in
-            s -= 1
-        i += lu >= s
-        j += lv >= s
+        while u != v:
+            if u < v:
+                u += 1
+                xs += [u] * (n - 1)
+                script_x.append(k)
+            else:
+                v += 1
+                ys += [v] * (n - 1)
+                script_y.append(k)
     return tuple(script_x), tuple(script_y)
 
 
@@ -208,41 +213,34 @@ def tree_to_json(tree: Tree) -> str:
     """
     The JSON form of a tree: nested lists, [] for a leaf and the list of
     its n children for an inner node, written compactly ("[[],[]]" for a
-    caret).  The command line spells the same structure with "*" and
-    parentheses.  One pass over the leaves, so any depth can be written.
+    caret), as the command line spells it with "*" and parentheses.  A leaf
+    of depth d opens d - s brackets for its start depth s and closes d - t
+    for the next leaf's, so any depth can be written.
     """
-    last = tree.arity - 1
-    out: list[str] = []
-    opened = 0  # how many of the leaf's ancestors, from the root down, are open
-    for leaf in tree.leaves:
-        s = len(leaf)
-        out.append("[" * (s - opened) + "[]")
-        while s and leaf[s - 1] == last:
-            s -= 1
-        out.append("]" * (len(leaf) - s) + ("," if s else ""))
-        opened = s
-    return "".join(out)
+    starts = tree._starts
+    return "".join("[" * (d - s) + "[]" + "]" * (d - t) + ("," if t else "")
+                   for d, s, t in zip(tree.depths, starts, starts[1:]))
 
 
 def tree_from_nested(nested, arity: int) -> Tree:
     """
     Inverse of tree_to_json, on the parsed nested lists.  Lists and tuples
     are both accepted; a node that is not a leaf must have exactly `arity`
-    children.
+    children.  The arity is checked first, as Tree checks it.
     """
-    leaves: list[Address] = []
-    stack = [((), nested)]
+    _check_arity(arity)
+    depths, stack = [], [(0, nested)]  # depths right to left
     while stack:
-        prefix, node = stack.pop()
+        depth, node = stack.pop()
         if not isinstance(node, (list, tuple)):
             raise TreeError("malformed nested tree")
         if not node:
-            leaves.append(prefix)
+            depths.append(depth)
         elif len(node) != arity:
             raise TreeError(f"tree has a node of width {len(node)}, expected arity {arity}")
         else:
-            stack.extend((prefix + (d,), child) for d, child in enumerate(node))
-    return Tree(arity, tuple(sorted(leaves)))
+            stack.extend((depth + 1, child) for child in node)
+    return Tree._new(arity, tuple(reversed(depths)))
 
 
 def _check_pair(domain: Tree, codomain: Tree) -> None:
@@ -258,36 +256,37 @@ def fn_sign(domain: Tree, codomain: Tree) -> int:
     Sign of the tree pair (domain, codomain) under the slope order: scan
     corresponding leaves in order and look at the first pair whose intervals
     have different lengths.  The pair is positive when the domain leaf is
-    deeper, i.e. when the slope there is a positive power of n.  Zero forces
-    equal trees, since the left-to-right depth sequence determines a full
-    n-ary tree.
+    deeper, i.e. when the slope there is a positive power of n.  It reads
+    the two depth sequences, and zero forces equal trees, since a tree is
+    its depth sequence.
     """
     _check_pair(domain, codomain)
-    for d_dom, d_cod in zip(domain.depths(), codomain.depths()):
+    for d_dom, d_cod in zip(domain.depths, codomain.depths):
         if d_dom != d_cod:
             return POSITIVE if d_dom > d_cod else NEGATIVE
     return ZERO
 
 
-def caret_top(stack: list[tuple[Address, ...]], n: int) -> tuple[Address, ...] | None:
+def caret_top(stack: list[tuple[int, int, int]], n: int, s1: list[int], s2: list[int]
+              ) -> tuple[int, int, int] | None:
     """
-    The parents of the top n entries of a stack of leaves (one address per
-    tree in each entry) when in every tree they are one node's n children,
-    else None.  Pushing the leaves in order and merging the top while this
-    answers undoes windows leftmost first: a window below the top was checked
-    when its last leaf was on top, and has not changed since.
+    The parent of the top n entries of a stack of nodes of two trees when in
+    both trees they are one node's n children, else None.  An entry is (its
+    first leaf, 0-based, its depth in each tree); s1 and s2 hold the trees'
+    start depths.  A node of depth d from leaf f is a first child exactly
+    when s[f] < d, and the n entries from a first child are its siblings
+    exactly when the last has depth d too: an entry inside a later sibling
+    is deeper.  Pushing the leaves in order and merging the top while this
+    answers undoes windows leftmost first: a window below the top was
+    checked when its last entry was on top, and has not changed since.
     """
     if len(stack) < n:
         return None
-    parents = []
-    # If the n-th leaf from last is pd and the last is p(n-1), then d = 0:
-    # the n-2 leaves between cover p(d+1)..p(n-2), each 1 mod n-1 leaves.
-    for first, last in zip(stack[-n], stack[-1]):
-        parent = first[:-1]
-        if last != parent + (n - 1,):
-            return None
-        parents.append(parent)
-    return tuple(parents)
+    f, d1, d2 = stack[-n]
+    _, e1, e2 = stack[-1]
+    if s1[f] < d1 == e1 and s2[f] < d2 == e2:
+        return f, d1 - 1, d2 - 1
+    return None
 
 
 __getattr__ = _lazy_getattr(__name__, dict.fromkeys(

@@ -706,7 +706,7 @@ def remove_caret(tree, i):
     parent = tree.leaves[i - 1][:-1]
     if tree.leaves[i - 1 : i - 1 + n] != tuple(parent + (d,) for d in range(n)):
         return None
-    return Tree(n, tree.leaves[: i - 1] + (parent,) + tree.leaves[i - 1 + n :])
+    return Tree(n, tree.depths[: i - 1] + (len(parent),) + tree.depths[i - 1 + n :])
 
 
 def reduction_at(x, i):
@@ -1036,7 +1036,7 @@ def test_to_json_writes_deep_trees():
 # --- values built on the trusted path are valid
 
 def _rebuilt_tree(tree):
-    return Tree(tree.arity, tuple(tuple(a) for a in tree.leaves))
+    return Tree(tree.arity, tuple(list(tree.depths)))
 
 
 def _rebuilt_aword(word):
@@ -1101,7 +1101,7 @@ def test_trusted_results_pass_public_constructors(ctx):
         _assert_public(a_to_sigma(inverse(x).braid))
 
 
-_TREE = "Tree(arity=2, leaves=((0,), (1, 0), (1, 1)))"
+_TREE = "Tree(arity=2, depths=(1, 2, 2))"
 _PN2 = "HContext(arity=2, generators=(('a1_2', AWord(strands=2, letters=((1, 2, 1),))),))"
 _ELEMENT = (f"BFElement(context={_PN2}, t1={_TREE}, braid=AWord(strands=3, letters=((1, 3, 1),)), "
             f"labels=((1,), (), (-1, -1)), t2={_TREE})")
@@ -1206,16 +1206,16 @@ def test_warm_engine_leaves_generator_set_equality_and_hash():
 
 def test_public_constructors_reject_lists_floats_and_bools():
     c = trivial_context(2)
-    caret = Tree(2, ((0,), (1,)))
+    caret = Tree(2, (1, 1))
     # A list, a float or a bool in a value is rejected with the class's typed error.
     with pytest.raises(TreeError):
-        BFElement(c, Tree(2, [(0,), (1,)]), AWord.identity(2), ((), ()), caret)
+        BFElement(c, Tree(2, [1, 1]), AWord.identity(2), ((), ()), caret)
     with pytest.raises(BraidError):
         AWord(2, [(1, 2, 1)])
     with pytest.raises(TreeError):
-        Tree(2, ((0,), [1]))
+        Tree(2, (1, [1]))
     with pytest.raises(TreeError):
-        Tree(2.0, ((0,), (1,))).attach(1)
+        Tree(2.0, (1, 1)).attach(1)
     with pytest.raises(BraidError):
         braids_equal(AWord(3, ((1.0, 2.0, 1), (1, 3, 1))), AWord(3, ((1, 3, 1),)))
     with pytest.raises(BraidError):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -753,6 +754,24 @@ def test_render_text_mentions_labels():
     x = bf.BFElement(ctx, caret, AWord(2, ()), ((1,), ()), caret)
     text = render_text(x)
     assert "label 1: a1_2" in text
+
+
+SVG_DIGESTS = {
+    2: "b88c55e99e314ee65c038ec47649f5ba24dea58c11b9dcc967284b82fb871260",
+    3: "4b94b06bf44de930af7d3eea1c99083fbc43507666e50b2aea7190baa8f0cd3d",
+    4: "f9530935f43fe7330ac8d5dd2fb0aad8e6559130c861de6bdeacf4a05a3c822a",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SVG_DIGESTS))
+def test_render_svg_output_is_pinned(n):
+    # Every byte of the diagrams of 40 seeded elements of up to 13 leaves,
+    # caret edges and their order included.
+    digest = hashlib.sha256()
+    for seed in range(40):
+        x = gen.random_element(bf.pn_context(n), seed, max_leaves=13)
+        digest.update(render_svg(x).encode())
+    assert digest.hexdigest() == SVG_DIGESTS[n]
 
 
 # --- fuzzing: every input ends in a documented exit code, never a traceback

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,61 @@ from bfcalc.trees import (
 
 def addresses(tree):
     return ["".join(map(str, a)) for a in tree.leaves]
+
+
+# --- the address oracle: a tree as its sorted leaf addresses
+
+def successor_rule_leaves(n, leaves):
+    """
+    Refuse a leaf tuple that is no full tree's by the successor rule: a
+    leaf's trailing run of n-1 digits closes the nodes it completes, and the
+    next leaf adds one to the digit before that run, then descends by zeros.
+    """
+    follow = ()
+    for leaf in leaves:
+        if follow is None or leaf[: len(follow)] != follow or any(leaf[len(follow):]):
+            raise TreeError(f"leaf {leaf} does not follow the leaf before it in a full tree")
+        follow = next_prefix(n, leaf)
+    if follow is not None:
+        raise TreeError(f"the last leaf of a full tree is all {n - 1}s")
+    return leaves
+
+
+def next_prefix(n, leaf):
+    """The leaf after `leaf` less its trailing zeros, None past the last leaf."""
+    s = len(leaf)
+    while s and leaf[s - 1] == n - 1:
+        s -= 1
+    return leaf[: s - 1] + (leaf[s - 1] + 1,) if s else None
+
+
+def placed_leaves(n, depths):
+    """Each leaf placed at its depth by the successor rule, or None when one cannot be."""
+    leaves, follow = [], ()
+    for d in depths:
+        if follow is None or d < len(follow):
+            return None
+        leaves.append(follow + (0,) * (d - len(follow)))
+        follow = next_prefix(n, leaves[-1])
+    return tuple(leaves)
+
+
+def tree_from_leaves(n, leaves):
+    """The tree of a sorted leaf-address tuple, checked by the successor rule."""
+    return Tree(n, tuple(map(len, successor_rule_leaves(n, leaves))))
+
+
+def nodes(tree):
+    """All addresses of the tree: leaves plus every proper prefix."""
+    return frozenset(leaf[:k] for leaf in tree.leaves for k in range(len(leaf) + 1))
+
+
+def replayed_leaves(n, script):
+    """The sorted leaf addresses after attaching carets by the script, on address lists alone."""
+    leaves = [()]
+    for i in script:
+        leaves[i - 1 : i] = [leaves[i - 1] + (d,) for d in range(n)]
+    return tuple(leaves)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,7 +207,7 @@ def attach_oracle(tree, i):
     """The leaf set with leaf i replaced by its n children, through the public constructor."""
     addr = tree.leaves[i - 1]
     leaves = set(tree.leaves) - {addr} | {addr + (d,) for d in range(tree.arity)}
-    return Tree(tree.arity, tuple(sorted(leaves)))
+    return tree_from_leaves(tree.arity, tuple(sorted(leaves)))
 
 
 def test_attach_script_matches_attach_caret_chain():
@@ -190,11 +246,11 @@ def test_leaf_count_mod_invariant():
 
 def test_invalid_trees_rejected():
     with pytest.raises(TreeError):
-        Tree(2, ((0,),))  # not a complete cover
+        Tree(2, (1,))  # not a complete cover
     with pytest.raises(TreeError):
-        Tree(2, ((), (0,), (1,)))  # root is a prefix of its children
+        Tree(2, (0, 1, 1))  # root is a prefix of its children
     with pytest.raises(TreeError):
-        Tree(1, ((),))
+        Tree(1, (0,))
 
 
 def tree_rules_oracle(n, leaves):
@@ -209,46 +265,65 @@ def tree_rules_oracle(n, leaves):
     return sum(n ** (depth - len(a)) for a in leaves) == n**depth
 
 
-def mutate_leaves(rng, n, leaves):
-    """One random edit of a tree's leaf list, which may or may not leave a tree."""
-    leaves = list(leaves)
-    i = rng.randrange(len(leaves))
+def mutate_depths(rng, n, depths):
+    """One random edit of a tree's depths, which may or may not leave a tree."""
+    depths = list(depths)
+    i = rng.randrange(len(depths))
     kind = rng.randrange(8)
-    if kind == 0 and len(leaves) > 1:  # drop
-        del leaves[i]
+    if kind == 0 and len(depths) > 1:  # drop
+        del depths[i]
     elif kind == 1:  # swap
-        j = rng.randrange(len(leaves))
-        leaves[i], leaves[j] = leaves[j], leaves[i]
+        j = rng.randrange(len(depths))
+        depths[i], depths[j] = depths[j], depths[i]
     elif kind == 2:  # duplicate
-        leaves.insert(i, leaves[i])
-    elif kind == 3:  # truncate
-        leaves[i] = leaves[i][:-1]
-    elif kind == 4:  # extend
-        leaves[i] += (rng.randrange(-1, n + 1),)
-    elif kind == 5 and leaves[i]:  # change one digit
-        k = rng.randrange(len(leaves[i]))
-        leaves[i] = leaves[i][:k] + (rng.randrange(-1, n + 1),) + leaves[i][k + 1 :]
-    elif kind == 6:  # insert a random address
-        leaves.insert(i, tuple(rng.randrange(n) for _ in range(rng.randint(0, 4))))
+        depths.insert(i, depths[i])
+    elif kind == 3:  # one shallower or one deeper
+        depths[i] += rng.choice((-1, 1))
+    elif kind == 4:  # merge n depths from i into one, a caret's removal when they are one
+        depths[i : i + n] = [depths[i] - 1]
+    elif kind == 5:  # insert a random depth
+        depths.insert(i, rng.randint(-1, 6))
+    elif kind == 6:  # attach a caret
+        depths[i : i + 1] = [depths[i] + 1] * n
     else:  # re-sort
-        leaves.sort()
-    return tuple(leaves)
+        depths.sort()
+    return tuple(depths)
 
 
 def test_tree_validation_matches_rules_oracle():
+    # The oracle places each leaf by the successor rule and checks the four
+    # address rules; a valid tree's derived leaves are the placed ones.
     rng = random.Random(48)
     verdicts = {True: 0, False: 0}
     for _ in range(6000):
         n = rng.choice((2, 3, 4))
-        leaves = mutate_leaves(rng, n, random_tree(rng, n, rng.randint(0, 6)).leaves)
-        valid = tree_rules_oracle(n, leaves)
+        depths = mutate_depths(rng, n, random_tree(rng, n, rng.randint(0, 6)).depths)
+        leaves = placed_leaves(n, depths)
+        valid = bool(leaves) and tree_rules_oracle(n, leaves)
         verdicts[valid] += 1
         if valid:
-            assert Tree(n, leaves).leaves == leaves
+            tree = Tree(n, depths)
+            assert tree.depths == depths and tree.leaves == leaves
+            assert tree_from_leaves(n, leaves) == tree
         else:
             with pytest.raises(TreeError):
-                Tree(n, leaves)
+                Tree(n, depths)
     assert min(verdicts.values()) >= 1000, verdicts
+
+
+def test_leaves_match_replayed_attachments():
+    # Tree.leaves is derived from the depths; replaying the attachments on
+    # address lists alone gives the addresses independently.
+    rng = random.Random(49)
+    for _ in range(600):
+        n = rng.choice((2, 3, 4))
+        tree, script = Tree.single(n), []
+        for _ in range(rng.randint(0, 12)):
+            script.append(rng.randint(1, tree.leaf_count))
+            tree = tree.attach(script[-1])
+        leaves = replayed_leaves(n, script)
+        assert tree.leaves == leaves and tree.depths == tuple(map(len, leaves))
+        assert successor_rule_leaves(n, leaves) == leaves
 
 
 def test_leaf_addresses_examples():
@@ -315,8 +390,8 @@ def test_join_minimality_brute_force():
         joined, _, _ = joined_tree(t1, t2)
         common = all_expansions(t1, 2) & all_expansions(t2, 2)
         for tree in common:
-            assert joined.nodes() <= tree.nodes()
-        assert t1.nodes() <= joined.nodes() and t2.nodes() <= joined.nodes()
+            assert nodes(joined) <= nodes(tree)
+        assert nodes(t1) <= nodes(joined) and nodes(t2) <= nodes(joined)
 
 
 def test_expansion_script_rejects_non_expansion():
@@ -330,8 +405,8 @@ def expansion_script_oracle(tree, target):
     """Attach at the leftmost leaf that is an inner node of `target`, until equal."""
     if tree.arity != target.arity:
         raise ExpansionError("arity mismatch")
-    target_nodes = target.nodes()
-    if not tree.nodes() <= target_nodes:
+    target_nodes = nodes(target)
+    if not nodes(tree) <= target_nodes:
         raise ExpansionError("target is not an expansion of the tree")
     script = []
     cur = tree
@@ -346,8 +421,8 @@ def join_oracle(tree, other):
     """The union of the two node sets, whose leaves are the nodes without a child."""
     if tree.arity != other.arity:
         raise TreeError("arity mismatch")
-    nodes = tree.nodes() | other.nodes()
-    joined = Tree(tree.arity, tuple(sorted(a for a in nodes if a + (0,) not in nodes)))
+    union = nodes(tree) | nodes(other)
+    joined = tree_from_leaves(tree.arity, tuple(sorted(a for a in union if a + (0,) not in union)))
     return joined, expansion_script_oracle(tree, joined), expansion_script_oracle(other, joined)
 
 
@@ -372,7 +447,8 @@ def caret_window_oracle(tree, i):
 def remove_caret(tree, i):
     """Merge the caret at leaves i..i+n-1 into its parent, through the public constructor."""
     parent = tree.leaves[i - 1][:-1]
-    return Tree(tree.arity, tree.leaves[: i - 1] + (parent,) + tree.leaves[i - 1 + tree.arity :])
+    return tree_from_leaves(tree.arity,
+                            tree.leaves[: i - 1] + (parent,) + tree.leaves[i - 1 + tree.arity :])
 
 
 def pair_reduce_oracle(f):
@@ -533,11 +609,33 @@ def test_xi_word_checks_a_new_instance_in_at_most_three_products(monkeypatch):
     assert len(products) == expected
 
 
+def address_caret_top(stack, n):
+    """
+    caret_top by addresses: the parents of the top n entries of a stack of
+    nodes (one address per tree in each entry) when in every tree they are
+    one node's n children, else None.  If the n-th entry from last is pd and
+    the last is p(n-1), then d = 0: the n-2 entries between cover
+    p(d+1)..p(n-2), each 1 mod n-1 leaves.
+    """
+    if len(stack) < n:
+        return None
+    parents = []
+    for first, last in zip(stack[-n], stack[-1]):
+        parent = first[:-1]
+        if last != parent + (n - 1,):
+            return None
+        parents.append(parent)
+    return tuple(parents)
+
+
 def test_caret_top_matches_caret_window_oracle():
-    # Stacks of one tree and of two trees grown alike: push the leaves, merge
-    # the top while caret_top answers, and check every answer against the
-    # windows of the trees the stack and the leaves still to push make.
+    # Stacks of one tree, scanned as the pair (tree, tree), and of two trees
+    # grown alike: push the leaves, merge the top while caret_top answers but
+    # refuse a third of the merges, as reduce refuses some, and check every
+    # answer against the windows of the trees the stack and the leaves still
+    # to push make, and against the address rule.
     rng = random.Random(46)
+    refused = 0
     for _ in range(600):
         n = rng.choice((2, 3, 4))
         carets = rng.randint(0, 10)
@@ -545,20 +643,30 @@ def test_caret_top_matches_caret_window_oracle():
         for _ in range(rng.randint(0, 6)):
             i = rng.randint(1, trees[0].leaf_count)
             trees = [tree.attach(i) for tree in trees]
-        stack, rest = [], list(zip(*(tree.leaves for tree in trees)))
+        t1, t2 = trees[0], trees[-1]
+        rest = list(zip(range(t1.leaf_count), t1.depths, t2.depths))
+        rest_leaves = list(zip(t1.leaves, t2.leaves))
+        stack, firsts, addresses_stack = [], [], []
         while rest:
             stack.append(rest.pop(0))
+            firsts.append(t1.leaf_count - len(rest) - 1)
+            addresses_stack.append(rest_leaves.pop(0))
             while True:
-                current = [Tree(n, leaves) for leaves in zip(*(stack + rest))]
+                current = [tree_from_leaves(n, leaves)
+                           for leaves in zip(*(addresses_stack + rest_leaves))]
                 i = len(stack) - n + 1
-                expected = None
+                parents = expected = None
                 if all(caret_window_oracle(tree, i) for tree in current):
-                    expected = tuple(tree.leaves[i - 1][:-1] for tree in current)
-                parents = caret_top(stack, n)
-                assert parents == expected
-                if parents is None:
+                    parents = tuple(tree.leaves[i - 1][:-1] for tree in current)
+                    expected = (firsts[-n], *map(len, parents))
+                assert address_caret_top(addresses_stack, n) == parents
+                parent = caret_top(stack, n, t1._starts, t2._starts)
+                assert parent == expected
+                if parent is None or rng.random() < 1 / 3:
+                    refused += parent is not None
                     break
-                stack[-n:] = [parents]
+                stack[-n:], addresses_stack[-n:], firsts[-n:] = [parent], [parents], [firsts[-n]]
+    assert refused > 300
 
 
 def test_pair_reduce_matches_oracle():
@@ -826,6 +934,11 @@ def test_nested_codec_handles_deep_trees():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: Tree(2, ()), "a tree has at least one leaf"),
+    # The nested reader checks the arity as Tree does, before the nesting.
+    pytest.param(lambda: tree_from_nested([[], []], True), "arity must be an int, got True",
+                 id="tree_from_nested-bool arity"),
+    pytest.param(lambda: tree_from_nested("*", 1), "arity must be >= 2, got 1",
+                 id="tree_from_nested-arity 1"),
     (lambda: fn_sign(Tree.caret(2), Tree.caret(3)), "arity mismatch in tree pair"),
     (lambda: fn_sign(Tree.caret(2), Tree.caret(2).attach(1)), "leaf count mismatch in tree pair"),
     (lambda: pair_multiply((Tree.caret(2), Tree.caret(2)),
@@ -847,6 +960,18 @@ def test_tree_checks_raise_tree_error(call, message):
     with pytest.raises(TreeError) as caught:
         call()
     assert type(caught.value) is TreeError and str(caught.value) == message
+
+
+def test_tree_memory_grows_linearly_with_its_leaf_count():
+    # A comb's leaf addresses hold the sum of its depths in digits: 34.5 MiB at
+    # 3,000 leaves.  Its depths are 3,000 ints.
+    tracemalloc.start()
+    try:
+        comb = right_comb(2, 3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert comb.leaf_count == 3000 and peak < 1 << 20, peak
 
 
 # --- the join and attach_script memos
@@ -885,21 +1010,21 @@ def test_memoized_join_and_attach_match_uncached_code(cold_memos, n):
     for t1, t2, script in inputs:
         scripts = join(t1, t2)
         attached = attach_script(t1, script)
-        assert scripts == tr._join(n, t1.leaves, t2.leaves) == join_oracle(t1, t2)[1:]
-        assert attached == tr._attach_script(n, t1.leaves, script)
-        assert attached == Tree(n, attached.leaves)
+        assert scripts == tr._join(n, t1.depths, t2.depths) == join_oracle(t1, t2)[1:]
+        assert attached == tr._attach_script(n, t1.depths, script)
+        assert attached == tree_from_leaves(n, attached.leaves)
         cold.append((scripts, attached))
     assert min(memo_sizes()) > 0
     # Warm: equal trees built apart hit the memo and get the stored objects back.
     for (t1, t2, script), (scripts, attached) in zip(inputs, cold):
-        u1, u2 = Tree(n, t1.leaves), Tree(n, t2.leaves)
+        u1, u2 = Tree(n, t1.depths), Tree(n, t2.depths)
         assert join(u1, u2) is scripts
         assert attach_script(u1, script) is attached
         assert joined_tree(u1, u2) == join_oracle(t1, t2)
 
 
 def test_memo_keys_carry_the_arity(cold_memos):
-    # The one-leaf trees of all arities have the same leaves.
+    # The one-leaf trees of all arities have the same depths.
     for n in (2, 3, 4, 2):
         assert attach_script(Tree.single(n), (1, 1)) == attach_oracle(Tree.caret(n), 1)
         assert join(Tree.single(n), Tree.caret(n)) == ((1,), ())
@@ -926,7 +1051,7 @@ def test_full_memo_evicts_and_stays_right(cold_memos):
     for memo in MEMOS:  # building the trees filled the attach_script memo
         memo.cache_clear()
     for a, b, script in calls:
-        assert join(a, b) == tr._join(2, a.leaves, b.leaves)
+        assert join(a, b) == tr._join(2, a.depths, b.depths)
         assert attach_script(a, script) == attach_oracle(attach_oracle(a, script[0]), 1)
     assert memo_sizes() == (tr.MEMO_ENTRIES, tr.MEMO_ENTRIES)
     misses = tr._join_memo.cache_info().misses
@@ -941,8 +1066,8 @@ def test_full_memo_evicts_and_stays_right(cold_memos):
 
 
 def test_memo_holds_no_tree_above_its_leaf_limit(cold_memos):
-    # Keys of deep trees cost the sum of their leaf depths to hash: a deep
-    # comb grown one caret at a time must leave at most the limit's worth.
+    # Trees past the limit bypass the memos: a deep comb grown one caret at
+    # a time must leave at most the limit's worth.
     limit = tr.MEMO_LEAVES
     tree = Tree.single(2)
     for _ in range(500):
