@@ -225,49 +225,33 @@ class Session:
         raise CliSyntaxError(f"unknown element name {name!r}")
 
 
-def _print_element(x: BFElement, as_json: bool) -> None:
-    print(bf.to_json(x) if as_json else format_element(x))
-
-
-def _cmd_parse(args, session: Session) -> int:
-    _print_element(session.resolve(args.element), args.json)
-    return 0
-
-
-def _cmd_mul(args, session: Session) -> int:
-    elements = [session.resolve(e) for e in args.elements]
-    acc = elements[0]
-    for other in elements[1:]:
-        acc = bf.multiply(acc, other)
-    _print_element(bf.reduce(acc) if args.reduce else acc, args.json)
-    return 0
-
-
-def _cmd_inv(args, session: Session) -> int:
-    _print_element(bf.inverse(session.resolve(args.element)), args.json)
+def _cmd_element(args, session: Session) -> int:
+    """parse, mul, inv, reduce and expand: one element made from the operands, printed."""
+    if args.command == "mul":
+        x, *others = [session.resolve(e) for e in args.elements]
+        for other in others:
+            x = bf.multiply(x, other)
+        x = bf.reduce(x) if args.reduce else x
+    else:
+        x = session.resolve(args.element)
+        if args.command == "inv":
+            x = bf.inverse(x)
+        elif args.command == "reduce":
+            x = bf.reduce(x)
+        elif args.command == "expand":
+            x = bf.expand(x, args.leaf)
+    print(bf.to_json(x) if args.json else format_element(x))
     return 0
 
 
 def _cmd_cmp(args, session: Session) -> int:
-    result = bf.compare(session.resolve(args.left), session.resolve(args.right))
-    print(ORDER_NAMES[result])
+    print(ORDER_NAMES[bf.compare(session.resolve(args.left), session.resolve(args.right))])
     return 0
 
 
 def _cmd_sign(args, session: Session) -> int:
     x = session.resolve(args.element)
-    value = bf.pvb_sign(x) if args.pvb else bf.bf_sign(x)
-    print(SIGN_NAMES[value])
-    return 0
-
-
-def _cmd_reduce(args, session: Session) -> int:
-    _print_element(bf.reduce(session.resolve(args.element)), args.json)
-    return 0
-
-
-def _cmd_expand(args, session: Session) -> int:
-    _print_element(bf.expand(session.resolve(args.element), args.leaf), args.json)
+    print(SIGN_NAMES[bf.pvb_sign(x) if args.pvb else bf.bf_sign(x)])
     return 0
 
 
@@ -280,10 +264,7 @@ def _cmd_decompose(args, session: Session) -> int:
             "element context does not match the chosen generator set "
             "(declare matching --hgen flags)")
     word = gen.decompose(x, genset)
-    names = [
-        ("" if letter > 0 else "~") + genset.members[abs(letter) - 1][0]
-        for letter in word
-    ]
+    names = [("" if letter > 0 else "~") + genset.members[abs(letter) - 1][0] for letter in word]
     if args.json:
         import json
         print(json.dumps({"word": list(word), "names": names}))
@@ -320,11 +301,10 @@ def _cmd_count(args, session: Session) -> int:
         value = len(gen.enumerate_irreducible(arity))
     elif args.gen1:
         value = len(gen.gen1_set(arity))
+    elif args.gen2 and args.hgens_count is not None:
+        value = len(gen.gen1_set(arity)) + arity * args.hgens_count
     elif args.gen2:
-        if args.hgens_count is not None:
-            value = len(gen.gen1_set(arity)) + arity * args.hgens_count
-        else:
-            value = len(gen.gen2_set(arity, session.context))
+        value = len(gen.gen2_set(arity, session.context))
     else:
         value = len(gen.gen3_set(arity))
     print(value)
@@ -346,8 +326,7 @@ def _cmd_render(args, session: Session) -> int:
 
 def _cmd_selftest(args, session: Session) -> int:
     from . import selftest
-    results = selftest.run_suite(args.suite, session.context.arity,
-                                 args.samples, args.seed)
+    results = selftest.run_suite(args.suite, session.context.arity, args.samples, args.seed)
     if args.json:
         import dataclasses
         import json
@@ -381,7 +360,43 @@ def _at_least(minimum: int):
     return integer
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **options) -> tuple:
+    """One argument of a command, in add_argument's own names and keywords."""
+    return flags, options
+
+
+_SET = _arg("--set", required=True, choices=("gen1", "gen2", "gen3"))
+
+# Every command once: its handler's name, looked up when it runs so that a
+# replaced handler is the one called, and its arguments in the order they
+# are added; a list of arguments is a required mutually exclusive group.
+COMMANDS = {
+    "parse": ("_cmd_element", [_arg("element")]),
+    "mul": ("_cmd_element", [_arg("elements", nargs="+"), _arg("--reduce", action="store_true")]),
+    "inv": ("_cmd_element", [_arg("element")]),
+    "cmp": ("_cmd_cmp", [_arg("left"), _arg("right")]),
+    "sign": ("_cmd_sign", [_arg("element"), _arg("--pvb", action="store_true")]),
+    "reduce": ("_cmd_element", [_arg("element")]),
+    "expand": ("_cmd_element", [_arg("element"), _arg("leaf", type=int)]),
+    "decompose": ("_cmd_decompose", [_arg("element"), _SET,
+                                     _arg("--verify", action="store_true")]),
+    "gens": ("_cmd_gens", [_SET]),
+    "count": ("_cmd_count", [
+        [_arg(f, action="store_true") for f in ("--gen1", "--gen2", "--gen3", "--irreducible")],
+        _arg("-k", "--hgens-count", type=_at_least(0), default=None,
+             help="generator count of H for --gen2")]),
+    "render": ("_cmd_render", [_arg("element"), _arg("--svg", metavar="PATH"),
+                               _arg("--format", choices=("svg", "text"), default="svg")]),
+    "selftest": ("_cmd_selftest", [
+        _arg("--suite", default="all", choices=("all", "generating", "orders", "signstability",
+                                                "braidlayer", "groupaxioms")),
+        _arg("--samples", type=_at_least(1), default=25),
+        _arg("--seed", type=int, required=True)]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the named command alone, or of every command when it is None."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-n", "--arity", type=int, default=2,
                         help="arity of the session (default 2)")
@@ -394,62 +409,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bfcalc",
                      description="calculator for pure braided tree-diagram groups")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", parents=[common]); p.add_argument("element")
-    p.set_defaults(func=_cmd_parse)
-    p = sub.add_parser("mul", parents=[common])
-    p.add_argument("elements", nargs="+")
-    p.add_argument("--reduce", action="store_true")
-    p.set_defaults(func=_cmd_mul)
-    p = sub.add_parser("inv", parents=[common]); p.add_argument("element")
-    p.set_defaults(func=_cmd_inv)
-    p = sub.add_parser("cmp", parents=[common])
-    p.add_argument("left"); p.add_argument("right")
-    p.set_defaults(func=_cmd_cmp)
-    p = sub.add_parser("sign", parents=[common])
-    p.add_argument("element"); p.add_argument("--pvb", action="store_true")
-    p.set_defaults(func=_cmd_sign)
-    p = sub.add_parser("reduce", parents=[common]); p.add_argument("element")
-    p.set_defaults(func=_cmd_reduce)
-    p = sub.add_parser("expand", parents=[common])
-    p.add_argument("element"); p.add_argument("leaf", type=int)
-    p.set_defaults(func=_cmd_expand)
-    p = sub.add_parser("decompose", parents=[common])
-    p.add_argument("element")
-    p.add_argument("--set", required=True, choices=("gen1", "gen2", "gen3"))
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=_cmd_decompose)
-    p = sub.add_parser("gens", parents=[common])
-    p.add_argument("--set", required=True, choices=("gen1", "gen2", "gen3"))
-    p.set_defaults(func=_cmd_gens)
-    p = sub.add_parser("count", parents=[common])
-    which = p.add_mutually_exclusive_group(required=True)
-    for flag in ("--gen1", "--gen2", "--gen3", "--irreducible"):
-        which.add_argument(flag, action="store_true")
-    p.add_argument("-k", "--hgens-count", type=_at_least(0), default=None,
-                   help="generator count of H for --gen2")
-    p.set_defaults(func=_cmd_count)
-    p = sub.add_parser("render", parents=[common])
-    p.add_argument("element")
-    p.add_argument("--svg", metavar="PATH")
-    p.add_argument("--format", choices=("svg", "text"), default="svg")
-    p.set_defaults(func=_cmd_render)
-    p = sub.add_parser("selftest", parents=[common])
-    p.add_argument("--suite", default="all",
-                   choices=("all", "generating", "orders", "signstability",
-                            "braidlayer", "groupaxioms"))
-    p.add_argument("--samples", type=_at_least(1), default=25)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_selftest)
+    for name in COMMANDS if command is None else (command,):
+        p = sub.add_parser(name, parents=[common])
+        for argument in COMMANDS[name][1]:
+            if isinstance(argument, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flags, options in argument:
+                    group.add_argument(*flags, **options)
+            else:
+                p.add_argument(*argument[0], **argument[1])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A run that names a command builds that command's parser alone; help, no
+    # command and an unknown one build them all, for the full usage message.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         session = Session(args.arity, args.hgen, args.let)
-        return args.func(args, session)
+        return globals()[COMMANDS[args.command][0]](args, session)
     except (CliSyntaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -101,15 +101,22 @@ def magnus_truncated(word: FreeWord, degree: int) -> dict[Monomial, int]:
 def magnus_sign(word: FreeWord) -> int:
     """
     Sign of the coefficient of the minimal nonconstant monomial of the
-    word's image, zero exactly for the trivial word.  The truncation degree
-    is deepened 1, 2, 4, ... until a nonconstant term appears; residual
-    nilpotence guarantees one below twice the word length, and the cap turns
-    any violation into a loud error.
+    word's image, zero exactly for the trivial word.  The degree-1
+    coefficients are the exponent sums, read in one pass over the letters.
+    When they all vanish, the truncation degree is deepened 2, 4, ... until
+    a nonconstant term appears; residual nilpotence guarantees one below
+    twice the word length, and the cap turns any violation into a loud error.
     """
     if word.is_trivial():
         return ZERO
+    sums = [0] * (word.rank + 1)
+    for letter in word.letters:
+        sums[abs(letter)] += 1 if letter > 0 else -1
+    for total in sums:
+        if total:
+            return POSITIVE if total > 0 else NEGATIVE
     cap = 2 * len(word)
-    degree = 1
+    degree = 2
     while True:
         coeffs = magnus_truncated(word, degree)
         least = min((m for m in coeffs if m), key=_monomial_key, default=None)

@@ -26,29 +26,24 @@ def _esc(text: str) -> str:
 
 def _tree_edges(tree: Tree, xs: list[float], top: float, bottom: float,
                 mirror: bool) -> list[str]:
-    """Edges of a tree drawn between y=top (root) and y=bottom (leaves)."""
-    span = (bottom - top) / (max(tree.depths) or 1)
-    leaf_y = bottom if not mirror else top
-    pos = {leaf: (x, leaf_y) for x, leaf in zip(xs, tree.leaves)}  # the leaves, left to right
-    # Every node, deepest first; within a depth, edges follow the frozenset's order.
-    nodes = sorted(frozenset({leaf[:k] for leaf in pos for k in range(len(leaf) + 1)}),
-                   key=len, reverse=True)
-    for node in nodes:
-        if node in pos:
-            continue
-        children = [pos[node + (d,)] for d in range(tree.arity)]
-        x = sum(c[0] for c in children) / len(children)
-        y = top + span * len(node) if not mirror else bottom - span * len(node)
-        pos[node] = (x, y)
+    """Edges of a tree drawn between y=top (root) and y=bottom (leaves).  The
+    depths are read by the stack pass of trees._start_depths: once the top n
+    entries are siblings, their parent replaces them, centred above them, and
+    its n edges are written, so each tree's edges come in one fixed order."""
+    n, span = tree.arity, (bottom - top) / (max(tree.depths) or 1)
+    stack: list[tuple[float, float, int]] = []  # (x, y, depth) of nodes awaiting a parent
     paths = []
-    for node in nodes:
-        if node == ():
-            continue
-        x1, y1 = pos[node[:-1]]
-        x2, y2 = pos[node]
-        paths.append(
-            f'<line class="caret-edge" x1="{x1:.1f}" y1="{y1:.1f}" '
-            f'x2="{x2:.1f}" y2="{y2:.1f}" stroke="black"/>')
+    for x, d in zip(xs, tree.depths):
+        stack.append((x, bottom if not mirror else top, d))
+        while d > 0 and len(stack) >= n and stack[-n][2] == d:
+            children = stack[-n:]
+            del stack[-n:]
+            d -= 1
+            x1 = sum(c[0] for c in children) / n
+            y1 = top + span * d if not mirror else bottom - span * d
+            paths += [f'<line class="caret-edge" x1="{x1:.1f}" y1="{y1:.1f}" '
+                      f'x2="{x2:.1f}" y2="{y2:.1f}" stroke="black"/>' for x2, y2, _ in children]
+            stack.append((x1, y1, d))
     return paths
 
 
@@ -85,9 +80,10 @@ def render_svg(x: BFElement) -> str:
     # Strand segments row by row; each braid letter becomes one crossing group.
     strand_parts: list[str] = []
     cross_parts: list[str] = []
-    y = braid_top
+    y, at = braid_top, 0
     for letter in x.braid.letters:
-        block_letters = a_to_sigma(type(x.braid)(x.braid.strands, (letter,))).letters
+        step = 2 * (letter[1] - letter[0])  # A[i,j] is 2(j - i) crossings of the sigma word
+        block_letters, at = sigma.letters[at : at + step], at + step
         group = [f'<g class="aletter" data-letter="{letter[0]},{letter[1]},{letter[2]}">']
         for crossing in block_letters:
             q = abs(crossing) - 1

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib
@@ -7,6 +8,8 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import typing
@@ -16,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import bfcalc
 from bfcalc import bfgroup as bf
-from bfcalc import cli, freegroup, treepairs, trees
+from bfcalc import cli, freegroup, render, treepairs, trees
 from bfcalc import generators as gen
 from bfcalc.cli import (
     MAX_TREE_DEPTH,
@@ -756,10 +759,56 @@ def test_render_text_mentions_labels():
     assert "label 1: a1_2" in text
 
 
+def _tree_edges_by_addresses(tree, xs, top, bottom, mirror):
+    """Oracle: the caret edges placed through the leaf addresses and every node's prefix."""
+    span = (bottom - top) / (max(tree.depths) or 1)
+    leaf_y = bottom if not mirror else top
+    pos = {leaf: (x, leaf_y) for x, leaf in zip(xs, tree.leaves)}
+    nodes = sorted(frozenset({leaf[:k] for leaf in pos for k in range(len(leaf) + 1)}),
+                   key=len, reverse=True)
+    for node in nodes:
+        if node in pos:
+            continue
+        children = [pos[node + (d,)] for d in range(tree.arity)]
+        x = sum(c[0] for c in children) / len(children)
+        y = top + span * len(node) if not mirror else bottom - span * len(node)
+        pos[node] = (x, y)
+    paths = []
+    for node in nodes:
+        if node == ():
+            continue
+        x1, y1 = pos[node[:-1]]
+        x2, y2 = pos[node]
+        paths.append(
+            f'<line class="caret-edge" x1="{x1:.1f}" y1="{y1:.1f}" '
+            f'x2="{x2:.1f}" y2="{y2:.1f}" stroke="black"/>')
+    return paths
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_render_tree_edges_match_the_address_oracle(monkeypatch, n):
+    # The elements of test_render_svg_output_is_pinned: each tree of each
+    # diagram draws the oracle's edges, in its own fixed order.
+    calls = []
+    tree_edges = render._tree_edges
+
+    def recorded(tree, xs, top, bottom, mirror):
+        args = (tree, xs, top, bottom, mirror)
+        calls.append((args, tree_edges(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(render, "_tree_edges", recorded)
+    for seed in range(40):
+        render_svg(gen.random_element(bf.pn_context(n), seed, max_leaves=13))
+    assert len(calls) == 80
+    for args, edges in calls:
+        assert sorted(edges) == sorted(_tree_edges_by_addresses(*args))
+
+
 SVG_DIGESTS = {
-    2: "b88c55e99e314ee65c038ec47649f5ba24dea58c11b9dcc967284b82fb871260",
-    3: "4b94b06bf44de930af7d3eea1c99083fbc43507666e50b2aea7190baa8f0cd3d",
-    4: "f9530935f43fe7330ac8d5dd2fb0aad8e6559130c861de6bdeacf4a05a3c822a",
+    2: "6e7ade1d431af97d65af3cd35154d05137b7273be57cebf2f7d16cc0f287b9bd",
+    3: "88edb7b99ca570f7d7fdcd8b7eb3ae624070b415d91161a66da92a3478176edf",
+    4: "b483510ad3a733729bd8f5066010639cbda40d572b9ccf9fce2a56ece5634e53",
 }
 
 
@@ -851,3 +900,97 @@ def test_fuzz_cli_ends_in_an_exit_code(argv):
             code = exc.code
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue()
+
+
+# --- parsers: one command's alone, or all of them
+
+def _parsed(parser, argv):
+    """The namespace a parser reads off argv, or the message of its usage error."""
+    try:
+        return vars(parser.parse_args(argv))
+    except CliSyntaxError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command_lines())
+def test_one_command_parser_reads_fuzzed_argv_as_the_full_parser(argv):
+    if argv[0] in cli.COMMANDS:
+        assert _parsed(cli.build_parser(argv[0]), argv) == _parsed(cli.build_parser(), argv)
+
+
+def _readme_command_lines():
+    """The argv of each command in the README's "Command line" block."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    readme = open(path, encoding="utf-8").read()
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    return [shlex.split(line.partition(" #")[0])[1:]
+            for line in block.replace("\\\n", " ").splitlines()]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=lambda argv: argv[0])
+def test_one_command_parser_reads_the_readme_examples_as_the_full_parser(argv):
+    parsed = _parsed(cli.build_parser(argv[0]), argv)
+    assert isinstance(parsed, dict) and parsed == _parsed(cli.build_parser(), argv)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["count", "--gen1", "-n", "2"], ["count"]),
+    (["sign", "{ * ; ; [1] ; * }", "--bogus"], ["sign"]),
+    (["nonsense"], list(cli.COMMANDS)),
+    ([], list(cli.COMMANDS)),
+    (["--help"], list(cli.COMMANDS)),
+])
+def test_main_builds_the_named_command_parser_alone(monkeypatch, capsys, argv, built):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def recording(self, name, **options):
+        names.append(name)
+        return add_parser(self, name, **options)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    try:
+        main(argv)
+    except SystemExit:  # --help
+        pass
+    capsys.readouterr()
+    assert names == built
+
+
+# sha256 of each help text under COLUMNS=80 on CPython 3.11, taken when every
+# run still built all twelve subparsers; argparse's layout differs across versions.
+HELP_DIGESTS = {
+    "": "a0f0421d442525314889fa63b682dc87001648f38e2d97e3dcd2ab2e1dd88bb5",
+    "parse": "b1d299b592ea9e5945ca57665d507cdccca07de5c5d86f5495360fe0837c2ac3",
+    "mul": "cfbb24d34da370f8caa4853be746b27d30e28125ee24f117a22eb57b2e133e5a",
+    "inv": "9c8d3e3f01c237a3e98bd1d2515b9ad3790d39fa5bb232e2033f7ded2f0b9d9e",
+    "cmp": "cfa39abc375ae90c3b38587dfae30f70e679185fad8bd4d6d45ad669fb7dbb55",
+    "sign": "c0b058a2df97cddc36fc25bc631e75ef6544a93f8591b0b508094c363227d33f",
+    "reduce": "29b5e13afc8df306ebb5b999bd4a141292d2a79aceb311f576f80ec7215d3bdd",
+    "expand": "7a9dcff81b15708995b404019c624e81d4b62d51038135e7d161e0b35bbe7ba2",
+    "decompose": "b05e0c67608eaed903e37580c3167daccab4398ce5a95ca6c7a01255f8c1f62d",
+    "gens": "52eaff073d8672017a24b2931dd1d54eee8ae84863d5c859a9b37054f30bfa5c",
+    "count": "cb7edf38bb42357d0304cdceb1f09fa36fc4d036477302a9dc79112a03ec31cf",
+    "render": "e5ed39c306e056e2aa7464fe687e87be0815f68aaec89ff6974d42316b04b9dd",
+    "selftest": "051ad6db29643c1bd49124b9849facfcaae049fe2e16816f6d0cd33c299c5a7a",
+}
+
+
+def _help(run, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as caught:
+        run(argv)
+    assert caught.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", ["", *cli.COMMANDS], ids=lambda c: c or "bfcalc")
+def test_help_is_pinned_and_the_full_parser_prints_it_too(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    text = _help(main, argv)
+    assert text.startswith(f"usage: bfcalc {command}".rstrip() + " ")
+    assert text == _help(cli.build_parser().parse_args, argv)
+    if sys.version_info[:2] == (3, 11):
+        assert hashlib.sha256(text.encode()).hexdigest() == HELP_DIGESTS[command]

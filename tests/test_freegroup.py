@@ -295,10 +295,18 @@ def test_word_and_polynomial_checks_raise_word_error(call, message):
 
 
 def test_magnus_sign_without_a_nonconstant_term_raises_truncation_error(monkeypatch):
+    # Exponent sums that vanish, so the sign is read off the table.
     monkeypatch.setattr(combing, "magnus_truncated", lambda word, degree: {(): 1})
     with pytest.raises(TruncationError) as caught:
-        magnus_sign(reduce_word(2, (1,)))
-    assert str(caught.value) == "no nonconstant term up to degree 2 for a nontrivial word"
+        magnus_sign(reduce_word(2, (1, 2, -1, -2)))
+    assert str(caught.value) == "no nonconstant term up to degree 8 for a nontrivial word"
+
+
+def test_magnus_sign_reads_nonzero_exponent_sums_without_a_table(monkeypatch):
+    monkeypatch.setattr(combing, "magnus_truncated",
+                        lambda word, degree: pytest.fail("built a coefficient table"))
+    assert magnus_sign(reduce_word(3, (1, 2, -1, 3, 3, -2, -2))) == -1  # sums 0, -1, 2
+    assert magnus_sign(reduce_word(3, (3, 1, -3))) == 1
 
 
 @pytest.mark.parametrize("coeffs, sign", [
@@ -308,4 +316,4 @@ def test_magnus_sign_without_a_nonconstant_term_raises_truncation_error(monkeypa
 ])
 def test_magnus_sign_reads_the_least_monomial_in_any_dict_order(monkeypatch, coeffs, sign):
     monkeypatch.setattr(combing, "magnus_truncated", lambda word, degree: coeffs)
-    assert magnus_sign(reduce_word(2, (1,))) == sign
+    assert magnus_sign(reduce_word(2, (1, 2, -1, -2))) == sign  # exponent sums vanish
