@@ -25,6 +25,8 @@ Each context fills a label table on use, outside its fields: per label its
 braid, the braid's kr_sign and Dynnikov key (a complete invariant: labels
 are equal in H exactly when their keys are), and its letters per leaf; at
 most trees.MEMO_ENTRIES values, each from a braid of <= MEMO_LEAVES letters.
+The table also holds, bounded alike, each label pair's product (multiply)
+and each label's inverse (inverse), from labels of <= MEMO_LEAVES letters.
 """
 
 from __future__ import annotations
@@ -101,17 +103,41 @@ class HContext:
         if getattr(self, "_label_memo", None) is None:
             object.__setattr__(self, "_label_memo", table := _LabelTable())
             table.arity, table.generators = self.arity, self.generators
+            table.products, table.inverses = _Products(), _Inverses()
         return self._label_memo
 
 
-class _LabelTable(dict):
-    """A label -> [its braid, kr_sign, key]; (label, t) -> its letters on leaf t."""
-    __slots__ = ("arity", "generators")
+class _Memo(dict):
+    """A dict that keeps a value while it has room and the value comes from few letters."""
+    __slots__ = ()
 
     def _keep(self, key, value, letters: int):
         if letters <= tr.MEMO_LEAVES and len(self) < tr.MEMO_ENTRIES:
             self[key] = value
         return value
+
+
+class _Products(_Memo):
+    """(a, b) -> a·b, freely reduced onto a as reduce_onto(list(a), b) does."""
+    __slots__ = ()
+
+    def __missing__(self, pair: tuple[Label, Label]) -> Label:
+        a, b = pair
+        return self._keep(pair, tuple(reduce_onto(list(a), b)), max(len(a), len(b)))
+
+
+class _Inverses(_Memo):
+    """A label -> its inverse word."""
+    __slots__ = ()
+
+    def __missing__(self, label: Label) -> Label:
+        return self._keep(label, invert_letters(label), len(label))
+
+
+class _LabelTable(_Memo):
+    """A label -> [its braid, kr_sign, key]; (label, t) -> its letters on leaf t; products
+    and inverses beside it."""
+    __slots__ = ("arity", "generators", "products", "inverses")
 
     def __missing__(self, label: Label) -> list:
         if bad := [g for g in label if not 0 < abs(g) <= len(self.generators)]:
@@ -269,26 +295,31 @@ def multiply(x: BFElement, y: BFElement) -> BFElement:
     right labels keep the left ones, and a factor whose two trees are one
     object lends the join as its outer tree when the other is not expanded;
     when both factors' trees are, the product's two trees are one object.
+    A factor that is not expanded lends its braid when the other adds no letters.
     """
     if x.context is not y.context and x.context != y.context:
         raise ContextError("elements live over different contexts")
     script_x, script_y = join(x.t2, y.t1)
-    letters_x, labels_x = _expanded(x, script_x)
-    letters_y, labels_y = _expanded(y, script_y)
-    labels = labels_x if not any(labels_y) else tuple(
-        tuple(reduce_onto(list(a), b)) if b else a for a, b in zip(labels_x, labels_y))
+    letters_x, labels_x = _expanded(x, script_x) if script_x else (x.braid.letters, x.labels)
+    letters_y, labels_y = _expanded(y, script_y) if script_y else (y.braid.letters, y.labels)
+    labels = labels_x
+    if any(labels_y):
+        labels = tuple(map(x.context._labels.products.__getitem__, zip(labels_x, labels_y)))
     shared_x, shared_y = x.t1 is x.t2, y.t1 is y.t2
     t1 = (y.t1 if shared_x and not script_y
           else tr.attach_script(x.t1, script_x) if script_x else x.t1)
     t2 = (t1 if shared_x and shared_y else x.t2 if shared_y and not script_x
           else tr.attach_script(y.t2, script_y) if script_y else y.t2)
-    return BFElement._new(x.context, t1, AWord._new(len(labels), letters_x + letters_y),
-                          labels, t2)
+    braid = (x.braid if not (script_x or letters_y) else y.braid if not (script_y or letters_x)
+             else AWord._new(len(labels), letters_x + letters_y))
+    return BFElement._new(x.context, t1, braid, labels, t2)
 
 
 def inverse(x: BFElement) -> BFElement:
-    return BFElement._new(x.context, x.t2, x.braid.inverse(),
-                          tuple(invert_letters(l) if l else l for l in x.labels), x.t1)
+    labels = x.labels
+    if any(labels):
+        labels = tuple(map(x.context._labels.inverses.__getitem__, labels))
+    return BFElement._new(x.context, x.t2, x.braid.inverse(), labels, x.t1)
 
 
 def is_identity(x: BFElement) -> bool:
@@ -387,17 +418,19 @@ def pvb_sign(x: BFElement) -> int:
     is nontrivial in H, and the braid sign of the strand braid when every
     label is trivial.
     """
-    if x.t1 != x.t2:
+    if x.t1 is not x.t2 and x.t1 != x.t2:
         raise ElementError("pvb_sign needs a representative with equal trees")
-    for label in x.labels:
-        if label and (sign := x.context._labels.sign(label)) != ZERO:
-            return sign
+    if any(x.labels):
+        sign_of = x.context._labels.sign
+        for label in x.labels:
+            if label and (sign := sign_of(label)) != ZERO:
+                return sign
     return br.kr_sign(x.braid)
 
 
 def bf_sign(x: BFElement) -> int:
     """Quotient-first sign: the slope sign of the tree pair, refined by pvb_sign."""
-    if x.t1 != x.t2:
+    if x.t1 is not x.t2 and x.t1 != x.t2:
         return fn_sign(x.t1, x.t2)
     return pvb_sign(x)
 

@@ -100,7 +100,8 @@ class AWord:
         return AWord(strands, ())
 
     def inverse(self) -> AWord:
-        return AWord._new(self.strands, tuple((i, j, -s) for i, j, s in reversed(self.letters)))
+        return AWord._new(self.strands, tuple(map(_INVERSE_LETTERS.__getitem__,
+                                                  reversed(self.letters))))
 
     def __mul__(self, other: AWord) -> AWord:
         if self.strands != other.strands:
@@ -109,6 +110,20 @@ class AWord:
 
     def __len__(self) -> int:
         return len(self.letters)
+
+
+class _LetterInverses(dict):
+    """A letter (i, j, s) -> (i, j, -s), kept for letters on at most MEMO_LEAVES strands."""
+    __slots__ = ()
+
+    def __missing__(self, letter: ALetter) -> ALetter:
+        i, j, s = letter
+        if j <= MEMO_LEAVES:
+            self[letter] = (i, j, -s)
+        return (i, j, -s)
+
+
+_INVERSE_LETTERS = _LetterInverses()
 
 
 def a_to_sigma(word: AWord) -> SigmaWord:
@@ -392,13 +407,14 @@ def kr_sign(word: AWord) -> int:
     m = word.strands
     linking: dict[int, dict[int, int]] = {}  # strand i -> strand j -> linking number
     for i, j, sign in word.letters:
-        row = linking.setdefault(i, {})
+        if (row := linking.get(i)) is None:
+            row = linking[i] = {}
         row[j] = row.get(j, 0) + sign
     for i in sorted(linking, reverse=True):
         row = linking[i]
-        totals = [row[j] for j in sorted(row) if row[j]]
-        if totals:
-            return POSITIVE if totals[0] > 0 else NEGATIVE
+        for j in sorted(row):
+            if total := row[j]:
+                return POSITIVE if total > 0 else NEGATIVE
         if i < m - 1:  # the deepest level has rank 1: zero linking makes it trivial
             combing = _combing()
             coord = combing._peel_front(combing._level_word(word, i))

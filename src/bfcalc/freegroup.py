@@ -8,13 +8,17 @@ module; magnus_sign and magnus_truncated are read through this module's
 __getattr__ for the benchmark's per-layer tracer, which names them here.
 
 Every value class of the library is declared with `_value_class`: its
-annotated fields, in order (`cls._fields`), become slots, and one compile per
-class generates `__init__` (class-level defaults, then the validating
-`__post_init__`), the builder `_new(*fields)`, which skips validation and is
-only for values assembled from valid values, and `__eq__` and `__hash__` over
-the field tuple.  One shared `__repr__` writes the fields as dataclasses
-does.  Setting or deleting an attribute raises FrozenInstanceError; pickling
-and copying go through `_new`.
+annotated fields, in order (`cls._fields`), become slots of a plain base
+class that the frozen public class derives from, adding no slots, and one
+compile per class generates `__init__` (class-level defaults, then the
+validating `__post_init__`), the builder `_new(*fields)`, which skips
+validation and is only for values assembled from valid values, and `__eq__`
+and `__hash__` over the field tuple.  `_new` stores the fields by plain
+attribute assignment on a base instance, then switches its class to the
+public one: cheaper than a slot descriptor call per field.  One shared
+`__repr__` writes the fields as dataclasses does.  Setting or deleting an
+attribute raises FrozenInstanceError; pickling and copying call the public
+class, so they validate.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ def _value_repr(self):
 
 
 def _value_reduce(self):
-    return self._new, tuple(getattr(self, name) for name in self._fields)
+    return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
 
 def _value_setattr(self, name, value):
@@ -68,18 +72,22 @@ def _value_class(cls):
     names, extra = tuple(cls.__annotations__), tuple(cls.__dict__.get("__slots__", ()))
     dropped = (*names, *extra, "__dict__", "__weakref__")
     body = {k: v for k, v in cls.__dict__.items() if k not in dropped}
-    body.update(__slots__=names + extra, __qualname__=cls.__qualname__, _fields=names,
+    body.update(__slots__=(), __qualname__=cls.__qualname__, _fields=names,
                 __repr__=_value_repr, __reduce__=_value_reduce, __setattr__=_value_setattr,
                 __delattr__=_value_delattr)
-    new = type(cls)(cls.__name__, cls.__bases__, body)
+    base = type(cls)(f"_{cls.__name__}Slots", cls.__bases__,
+                     {"__slots__": names + extra, "__module__": cls.__module__})
+    new = type(cls)(cls.__name__, (base,), body)
     scope = {f"_set_{n}": getattr(new, n).__set__ for n in names}
     scope.update({f"_dflt_{n}": cls.__dict__[n] for n in names if n in cls.__dict__},
-                 _cls=new, _make=object.__new__, __name__=cls.__module__)
+                 _cls=new, _base=base, _make=object.__new__, __name__=cls.__module__)
     sets = "".join(f"\n    _set_{n}(self, {n})" for n in names)
+    stores = "".join(f"\n    self.{n} = {n}" for n in names)
     own, other = (", ".join(f"{obj}.{n}" for n in names) + "," for obj in ("self", "other"))
     params = ", ".join(n + (f"=_dflt_{n}" if f"_dflt_{n}" in scope else "") for n in names)
     source = (f"def __init__(self, {params}):{sets}\n    self.__post_init__()\n"
-              f"def _new({', '.join(names)}):\n    self = _make(_cls){sets}\n    return self\n"
+              f"def _new({', '.join(names)}):\n    self = _make(_base){stores}\n"
+              f"    self.__class__ = _cls\n    return self\n"
               f"def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
               f"        return ({own}) == ({other})\n    return NotImplemented\n"
               f"def __hash__(self):\n    return hash(({own}))\n")

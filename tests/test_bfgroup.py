@@ -36,7 +36,7 @@ from bfcalc.braid import (AWord, BraidError, SigmaWord, a_to_sigma, braids_equal
                           delete_strand, is_trivial, kr_sign, linking_numbers, shift_embed,
                           split_a)
 from bfcalc.combing import FreeWord, comb
-from bfcalc.freegroup import FrozenInstanceError, WordError, reduce_onto
+from bfcalc.freegroup import FrozenInstanceError, WordError, invert_letters, reduce_onto
 from bfcalc.generators import (GeneratorSet, GeneratorSetError, PureGeneratorSpec, gen1_set,
                                random_element, random_pvb_element)
 from bfcalc import treepairs as tp
@@ -218,6 +218,34 @@ def test_label_table_holds_no_value_past_its_bounds():
     assert len(table) == entries
 
 
+def test_label_product_and_inverse_tables_hold_no_value_past_their_bounds():
+    ctx = pn_context(3)
+    products, inverses = ctx._labels.products, ctx._labels.inverses
+    limit, entries = tr.MEMO_LEAVES, tr.MEMO_ENTRIES
+    # Labels need not be reduced: an empty left label still reduces the right one.
+    assert products[(), (1, -1)] == () and products[(2,), (-2, 1, -1)] == ()
+    assert products[(1, 2), (-2, 3)] == (1, 3) and inverses[(1, -1)] == (1, -1)
+    long_label = (1, 2) * limit
+    assert products[long_label, (-2,)] == long_label[:-1]
+    assert products[(3,), long_label] == (3,) + long_label
+    assert inverses[long_label] == (-2, -1) * limit
+    assert (long_label, (-2,)) not in products and ((3,), long_label) not in products
+    assert long_label not in inverses
+    # Distinct pairs and labels of at most MEMO_LEAVES letters, more than each table holds.
+    rng = random.Random(13)
+    labels = list(dict.fromkeys(seeded_labels(ctx, rng, entries + 300, longest=limit)))
+    assert len(labels) > entries + 100
+    pairs = list(zip(labels, labels[1:] + labels[:1]))
+    for _ in range(2):  # cold, then warm
+        for a, b in pairs:
+            assert products[a, b] == tuple(reduce_onto(list(a), b))
+        for label in labels:
+            assert inverses[label] == invert_letters(label)
+        assert len(products) == len(inverses) == entries
+    assert all(max(map(len, pair)) <= limit for pair in products)
+    assert all(len(label) <= limit for label in inverses)
+
+
 def test_element_validation():
     ctx = trivial_context(2)
     caret = Tree.caret(2)
@@ -334,6 +362,50 @@ def test_multiply_matches_caret_by_caret_oracle(ctx):
         both_sides_multi += len(script_x) > 1 and len(script_y) > 1
         assert_same_fields(multiply(x, y), multiply_oracle(x, y))
     assert both_sides_multi >= 5  # the inverse pairs cover equal middle trees
+
+
+def inverse_oracle(x):
+    """The inverse letter by letter: trees swapped, braid and labels reversed and inverted."""
+    letters = tuple((i, j, -s) for i, j, s in reversed(x.braid.letters))
+    labels = tuple(tuple(-g for g in reversed(l)) for l in x.labels)
+    return BFElement(x.context, x.t2, AWord(x.leaf_count, letters), labels, x.t1)
+
+
+@pytest.mark.parametrize("ctx", ORACLE_CONTEXTS, ids=ORACLE_IDS)
+def test_inverse_matches_letter_by_letter_oracle(ctx):
+    rng = random.Random(65 + ctx.arity + len(ctx.generators))
+    for _ in range(60):
+        x = draw(ctx, rng, leaves=10, braid=10, label=3)
+        for y in (x, with_cancelling_pairs(x, rng)) if ctx.generators else (x,):
+            for _ in range(2):  # cold, then warm
+                assert_same_fields(inverse(y), inverse_oracle(y))
+    if ctx.generators:
+        tree = Tree.caret(ctx.arity)
+        x = BFElement(ctx, tree, AWord(ctx.arity, ()), ((1, -1),) + ((),) * (ctx.arity - 1), tree)
+        assert inverse(x).labels[0] == (1, -1)
+
+
+def letter_free(x):
+    """x with its braid letters dropped; its labels stay."""
+    return BFElement(x.context, x.t1, AWord.identity(x.leaf_count), x.labels, x.t2)
+
+
+@pytest.mark.parametrize("ctx", ORACLE_CONTEXTS, ids=ORACLE_IDS)
+def test_multiply_by_letter_free_factors_matches_oracle(ctx):
+    rng = random.Random(70 + ctx.arity + len(ctx.generators))
+    reused_left = reused_right = 0
+    for _ in range(60):
+        x = draw(ctx, rng, leaves=4 * ctx.arity + 1, braid=10, label=3)
+        free = letter_free(draw(ctx, rng, leaves=rng.choice((1, ctx.arity, 3 * ctx.arity)),
+                                braid=0, label=rng.choice((0, 3))))
+        for y in (free, letter_free(BFElement(ctx, x.t2, AWord.identity(x.leaf_count),
+                                               x.labels, x.t1))):
+            xy, yx = multiply(x, y), multiply(y, x)
+            assert_same_fields(xy, multiply_oracle(x, y))
+            assert_same_fields(yx, multiply_oracle(y, x))
+            reused_left += xy.braid is x.braid
+            reused_right += yx.braid is x.braid
+    assert reused_left >= 20 and reused_right >= 20
 
 
 def _pn3_index(name):
@@ -869,6 +941,26 @@ def test_bf_sign_tree_part_first():
             assert bf_sign(x) == fn_sign(x.t1, x.t2)
 
 
+def pvb_sign_oracle(x):
+    """The sign of the first label nontrivial in H, else the strand braid's, from kr_sign."""
+    for label in x.labels:
+        if sign := kr_sign(label_braid_oracle(label, x.context)):
+            return sign
+    return kr_sign(x.braid)
+
+
+def test_signs_of_equal_trees_that_are_distinct_objects():
+    rng = random.Random(10)
+    for ctx in CONTEXTS:
+        for _ in range(60):
+            x = random_pvb_element(ctx, rng, max_leaves=7, max_braid_letters=6,
+                                   max_label_letters=2)
+            twin = BFElement(ctx, x.t1, x.braid, x.labels, Tree(x.arity, x.t1.depths))
+            assert x.t1 is x.t2 and twin.t1 is not twin.t2 and twin.t1 == twin.t2
+            want = pvb_sign_oracle(x)
+            assert pvb_sign(twin) == bf_sign(twin) == pvb_sign(x) == bf_sign(x) == want
+
+
 def test_bf_sign_antisymmetric():
     rng = random.Random(10)
     for ctx in CONTEXTS:
@@ -1169,17 +1261,19 @@ def test_value_class_contract(value, shown, bad, error):
             delattr(value, name)
     assert tuple(getattr(value, name) for name in cls._fields) == fields
     assert not hasattr(value, "__dict__")
-    # Validation runs in __init__ and not in _new; copies go through _new,
-    # so an unchecked value copies unchanged.
+    # Validation runs in __init__ and not in _new; copies go through the
+    # public class, so copying an unchecked value raises the class's error.
     with pytest.raises(error):
         cls(*bad)
     unchecked = cls._new(*bad)
+    assert type(unchecked) is cls
     assert tuple(getattr(unchecked, name) for name in cls._fields) == bad
     assert unchecked != value and unchecked == cls._new(*bad)
-    for copied in (pickle.loads(pickle.dumps(unchecked)), copy.deepcopy(unchecked),
-                   copy.copy(unchecked)):
-        assert type(copied) is cls and copied == unchecked
-        assert tuple(getattr(copied, name) for name in cls._fields) == bad
+    for copier in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy):
+        with pytest.raises(error):
+            copier(unchecked)
+        copied = copier(value)
+        assert type(copied) is cls and copied == value and copied is not value
 
 
 def test_hcontext_default_generators():

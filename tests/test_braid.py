@@ -89,6 +89,23 @@ def test_a_letter_cancels_with_inverse():
     assert is_trivial(word)
 
 
+def test_aword_inverse_table_holds_no_letter_past_its_bound():
+    limit, table = br.MEMO_LEAVES, br._INVERSE_LETTERS
+    strands = limit + 8  # every letter on more strands than the table keeps
+    letters = tuple((i, j, s) for j in range(2, strands + 1) for i in range(1, j) for s in (1, -1))
+    word = AWord(strands, letters)
+    for _ in range(2):  # cold, then warm
+        assert word.inverse() == AWord(strands, tuple((i, j, -s) for i, j, s in reversed(letters)))
+    assert len(table) == limit * (limit - 1)  # both signs of every letter on <= limit strands
+    assert all(j <= limit for _, j, _ in table)
+    rng = random.Random(14)
+    for _ in range(100):
+        word = random_aword(rng, rng.randint(2, strands), 12)
+        assert word.inverse().letters == tuple((i, j, -s) for i, j, s in reversed(word.letters))
+        assert word.inverse().inverse() == word
+    assert len(table) == limit * (limit - 1)
+
+
 def test_word_validation():
     with pytest.raises(BraidError):
         AWord(3, ((2, 2, 1),))
