@@ -21,24 +21,27 @@ Equality expands both elements to the join of their codomain trees and
 compares domain trees, labels in H and braids there, without a product.
 Reduction screens each window by its linking numbers first.
 
-Each context fills a label table on use, outside its fields: per label its
-braid, the braid's kr_sign and Dynnikov key (a complete invariant: labels
-are equal in H exactly when their keys are), and its letters per leaf; at
-most trees.MEMO_ENTRIES values, each from a braid of <= MEMO_LEAVES letters.
-The table also holds, bounded alike, each label pair's product (multiply)
-and each label's inverse (inverse), from labels of <= MEMO_LEAVES letters.
+Each context keeps four memos outside its fields (the rule is in
+freegroup): _labels, keyed by a label, holds its braid, the braid's
+kr_sign and Dynnikov key (a complete invariant: labels are equal in H
+exactly when their keys are), sized by the braid's letters; _leaf_letters,
+keyed by a label and a leaf, the braid's letters on that leaf, sized alike;
+_products, keyed by a label pair, their product (multiply), sized by the
+longer label; _inverses, keyed by a label, its inverse (inverse), sized by
+its letters.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable
+from functools import partial
 
 from . import braid as br
 from . import trees as tr
 from .braid import AWord, braids_equal, is_trivial
-from .freegroup import (NEGATIVE, POSITIVE, ZERO, _is_int_tuple, _value_class, invert_letters,
-                        reduce_onto)
+from .freegroup import (NEGATIVE, POSITIVE, ZERO, Memo, _is_int_tuple, _value_class,
+                        invert_letters, reduce_onto)
 from .trees import Tree, fn_sign, join, tree_from_nested, tree_to_json
 
 Label = tuple[int, ...]
@@ -68,7 +71,8 @@ class HContext:
 
     arity: int
     generators: tuple[tuple[str, AWord], ...] = ()
-    __slots__ = ("_label_memo",)  # outside the fields: equality and hash are unchanged
+    # Memos outside the fields (module docstring): equality and hash are unchanged.
+    __slots__ = ("_labels", "_leaf_letters", "_products", "_inverses")
 
     def __post_init__(self):
         if type(self.arity) is not int or self.arity < 2:
@@ -86,6 +90,11 @@ class HContext:
             if word.strands != self.arity:
                 raise ContextError(
                     f"generator {name!r} has {word.strands} strands, expected {self.arity}")
+        labels = Memo(partial(_label_facts, self.arity, self.generators))
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_leaf_letters", Memo(partial(_on_leaf, labels)))
+        object.__setattr__(self, "_products", Memo(_label_product))
+        object.__setattr__(self, "_inverses", Memo(_label_inverse))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -98,71 +107,47 @@ class HContext:
                 return k
         raise ContextError(f"unknown H-generator {name!r}")
 
-    @property
-    def _labels(self) -> _LabelTable:
-        if getattr(self, "_label_memo", None) is None:
-            object.__setattr__(self, "_label_memo", table := _LabelTable())
-            table.arity, table.generators = self.arity, self.generators
-            table.products, table.inverses = _Products(), _Inverses()
-        return self._label_memo
+
+def _label_facts(arity: int, generators: tuple, label: Label) -> tuple[list, int]:
+    """A label -> [its braid, kr_sign, key], the last two filled on first read."""
+    if bad := [g for g in label if not 0 < abs(g) <= len(generators)]:
+        raise ElementError(f"label letter {bad[0]} outside the context")
+    braid = AWord._new(arity, tuple(a for g in label for a in (  # g names a generator
+        generators[g - 1][1] if g > 0 else generators[-g - 1][1].inverse()).letters))
+    return [braid, None, None], len(braid)
 
 
-class _Memo(dict):
-    """A dict that keeps a value while it has room and the value comes from few letters."""
-    __slots__ = ()
-
-    def _keep(self, key, value, letters: int):
-        if letters <= tr.MEMO_LEAVES and len(self) < tr.MEMO_ENTRIES:
-            self[key] = value
-        return value
+def _on_leaf(labels: Memo, key: tuple[Label, int]) -> tuple[tuple, int]:
+    """(label, t) -> the label's braid letters on leaf t."""
+    label, t = key
+    letters = tuple((i + t - 1, j + t - 1, s) for i, j, s in labels[label][0].letters)
+    return letters, len(letters)
 
 
-class _Products(_Memo):
+def _label_product(pair: tuple[Label, Label]) -> tuple[Label, int]:
     """(a, b) -> a·b, freely reduced onto a as reduce_onto(list(a), b) does."""
-    __slots__ = ()
-
-    def __missing__(self, pair: tuple[Label, Label]) -> Label:
-        a, b = pair
-        return self._keep(pair, tuple(reduce_onto(list(a), b)), max(len(a), len(b)))
+    a, b = pair
+    return tuple(reduce_onto(list(a), b)), max(len(a), len(b))
 
 
-class _Inverses(_Memo):
-    """A label -> its inverse word."""
-    __slots__ = ()
-
-    def __missing__(self, label: Label) -> Label:
-        return self._keep(label, invert_letters(label), len(label))
+def _label_inverse(label: Label) -> tuple[Label, int]:
+    return invert_letters(label), len(label)
 
 
-class _LabelTable(_Memo):
-    """A label -> [its braid, kr_sign, key]; (label, t) -> its letters on leaf t; products
-    and inverses beside it."""
-    __slots__ = ("arity", "generators", "products", "inverses")
+def _label_sign(context: HContext, label: Label) -> int:
+    """kr_sign of the label's braid, kept in its facts."""
+    facts = context._labels[label]
+    if facts[1] is None:
+        facts[1] = br.kr_sign(facts[0])
+    return facts[1]
 
-    def __missing__(self, label: Label) -> list:
-        if bad := [g for g in label if not 0 < abs(g) <= len(self.generators)]:
-            raise ElementError(f"label letter {bad[0]} outside the context")
-        braid = AWord._new(self.arity, tuple(a for g in label for a in (  # g names a generator
-            self.generators[g - 1][1] if g > 0 else self.generators[-g - 1][1].inverse()).letters))
-        return self._keep(label, [braid, None, None], len(braid))
 
-    def sign(self, label: Label) -> int:
-        facts = self[label]
-        if facts[1] is None:
-            facts[1] = br.kr_sign(facts[0])
-        return facts[1]
-
-    def key(self, label: Label) -> tuple[int, ...]:
-        facts = self[label]
-        if facts[2] is None:
-            facts[2] = br._dynnikov(self.arity, br.a_to_sigma(facts[0]).letters)
-        return facts[2]
-
-    def on_leaf(self, label: Label, t: int) -> tuple:
-        if (letters := self.get((label, t))) is None:
-            letters = tuple((i + t - 1, j + t - 1, s) for i, j, s in self[label][0].letters)
-            self._keep((label, t), letters, len(letters))
-        return letters
+def _label_key(context: HContext, label: Label) -> tuple[int, ...]:
+    """The Dynnikov coordinates of the label's braid, kept in its facts."""
+    facts = context._labels[label]
+    if facts[2] is None:
+        facts[2] = br._dynnikov(context.arity, br.a_to_sigma(facts[0]).letters)
+    return facts[2]
 
 
 def trivial_context(arity: int) -> HContext:
@@ -278,13 +263,13 @@ def _expanded(x: BFElement, script: tuple[int, ...]) -> tuple[tuple, tuple[Label
     n = x.arity
     if not x.braid.letters and not any(x.labels):  # bare: nothing to cable
         return (), ((),) * (x.leaf_count + (n - 1) * len(script))
-    letters, labels, table = x.braid.letters, list(x.labels), x.context._labels
+    letters, labels, on_leaf = x.braid.letters, list(x.labels), x.context._leaf_letters
     for t in script:
         label = labels[t - 1]
         labels[t - 1 : t] = (label,) * n
         letters = br.cable_letters(letters, t, n)
         if label:
-            letters += table.on_leaf(label, t)
+            letters += on_leaf[label, t]
     return tuple(letters), tuple(labels)
 
 
@@ -304,7 +289,7 @@ def multiply(x: BFElement, y: BFElement) -> BFElement:
     letters_y, labels_y = _expanded(y, script_y) if script_y else (y.braid.letters, y.labels)
     labels = labels_x
     if any(labels_y):
-        labels = tuple(map(x.context._labels.products.__getitem__, zip(labels_x, labels_y)))
+        labels = tuple(map(x.context._products.__getitem__, zip(labels_x, labels_y)))
     shared_x, shared_y = x.t1 is x.t2, y.t1 is y.t2
     t1 = (y.t1 if shared_x and not script_y
           else tr.attach_script(x.t1, script_x) if script_x else x.t1)
@@ -318,7 +303,7 @@ def multiply(x: BFElement, y: BFElement) -> BFElement:
 def inverse(x: BFElement) -> BFElement:
     labels = x.labels
     if any(labels):
-        labels = tuple(map(x.context._labels.inverses.__getitem__, labels))
+        labels = tuple(map(x.context._inverses.__getitem__, labels))
     return BFElement._new(x.context, x.t2, x.braid.inverse(), labels, x.t1)
 
 
@@ -356,7 +341,7 @@ def equal(x: BFElement, y: BFElement) -> bool:
 
 def _labels_oracle_equal(x: BFElement, a: Label, b: Label) -> bool:
     """Labels equal in H: their braids have the same Dynnikov key."""
-    return a == b or x.context._labels.key(a) == x.context._labels.key(b)
+    return a == b or _label_key(x.context, a) == _label_key(x.context, b)
 
 
 def reduce(x: BFElement) -> BFElement:
@@ -421,9 +406,9 @@ def pvb_sign(x: BFElement) -> int:
     if x.t1 is not x.t2 and x.t1 != x.t2:
         raise ElementError("pvb_sign needs a representative with equal trees")
     if any(x.labels):
-        sign_of = x.context._labels.sign
+        context = x.context
         for label in x.labels:
-            if label and (sign := sign_of(label)) != ZERO:
+            if label and (sign := _label_sign(context, label)) != ZERO:
                 return sign
     return br.kr_sign(x.braid)
 

@@ -18,12 +18,14 @@ material.
 Equality of braids is decided by comparing Dynnikov coordinates, the images
 of one vector of Z^2m under a faithful action of the braid group, after
 cheap checks on pure words (cancelled letters, linking numbers); the Artin
-action, the independent oracle, lives in the combing module.  Cabling reads a
-table per split strand t and width n (cable_letters): a letter off strand t
-only shifts, one on it becomes a fixed descending product, checked against
-diagram cabling once per width before its first use.  An image is kept when
-the cabled letter lies on at most trees.MEMO_LEAVES strands, and only pairs
-with t + n - 1 <= MEMO_LEAVES keep one: at most 528 tables of 992 letters.
+action, the independent oracle, lives in the combing module.  Cabling
+(cable_letters) reads a memo per split strand t and width n, keyed by the
+pair and sized by t + n - 1, of letter images, keyed by the letter and
+sized by the strands j + n - 1 of its image: a letter off strand t only
+shifts, one on it becomes a fixed descending product, checked against
+diagram cabling per width, in a memo keyed by the width, before its first
+use.  AWord.inverse maps letters through a memo sized by their strands.
+Every memo follows the one rule in freegroup.
 
 The sign of a pure braid is read level by level from its linking numbers,
 the degree-1 Magnus coefficients of the combing coordinates; only a level
@@ -33,12 +35,11 @@ The benchmark's per-layer tracer reads comb and artin_image here (__getattr__).
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Sequence
+from functools import partial
 
-from .freegroup import (NEGATIVE, POSITIVE, ZERO, SchemaError, _is_int_tuple, _lazy_getattr,
-                        _value_class, invert_letters)
-from .trees import MEMO_LEAVES
+from .freegroup import (NEGATIVE, POSITIVE, ZERO, Memo, SchemaError, _is_int_tuple,
+                        _lazy_getattr, _value_class, invert_letters)
 
 ALetter = tuple[int, int, int]
 
@@ -112,18 +113,8 @@ class AWord:
         return len(self.letters)
 
 
-class _LetterInverses(dict):
-    """A letter (i, j, s) -> (i, j, -s), kept for letters on at most MEMO_LEAVES strands."""
-    __slots__ = ()
-
-    def __missing__(self, letter: ALetter) -> ALetter:
-        i, j, s = letter
-        if j <= MEMO_LEAVES:
-            self[letter] = (i, j, -s)
-        return (i, j, -s)
-
-
-_INVERSE_LETTERS = _LetterInverses()
+# A letter (i, j, s) -> (i, j, -s), sized by its strands j.
+_INVERSE_LETTERS = Memo(lambda letter: ((letter[0], letter[1], -letter[2]), letter[1]))
 
 
 def a_to_sigma(word: AWord) -> SigmaWord:
@@ -320,10 +311,6 @@ def split_sigma(word: SigmaWord, t: int, n: int) -> SigmaWord:
     return SigmaWord(word.strands + n - 1, tuple(letters))
 
 
-# Cable widths whose rule has passed its check against diagram cabling.
-_CABLE_WIDTHS: set[int] = set()
-
-
 def _cable_product(i: int, j: int, t: int, n: int) -> list[ALetter]:
     """
     Splitting strand t = i (resp. j) of A[i,j] into n strands links each
@@ -334,44 +321,39 @@ def _cable_product(i: int, j: int, t: int, n: int) -> list[ALetter]:
     return [(i, r, 1) for r in range(j + n - 1, j - 1, -1)]
 
 
-def _check_cable_width(n: int) -> None:
-    """Check both cable cases of A[1,2] at width n against diagram cabling."""
+def _check_cable_width(n: int) -> tuple[int, int]:
+    """Check both cable cases of A[1,2] at width n, on n + 1 strands, against diagram cabling."""
     single = a_to_sigma(AWord(2, ((1, 2, 1),)))
     for t in (1, 2):
         if not braids_equal(AWord(n + 1, tuple(_cable_product(1, 2, t, n))),
                             split_sigma(single, t, n)):
             raise SchemaError(f"cable rule failed validation at width {n}, strand {t}")
-    _CABLE_WIDTHS.add(n)
+    return n, n + 1
 
 
-class _CableTable(dict):
-    """A letter -> its image when strand t is split into n strands (module docstring)."""
-    __slots__ = ("t", "n")
-
-    def __missing__(self, letter: ALetter) -> tuple[ALetter, ...]:
-        (i, j, sign), t, n = letter, self.t, self.n
-        if i != t and j != t:
-            image = ((i + (n - 1) * (i > t), j + (n - 1) * (j > t), sign),)
-        else:
-            if n not in _CABLE_WIDTHS:
-                _check_cable_width(n)
-            product = _cable_product(i, j, t, n)
-            image = tuple(product if sign > 0 else [(a, b, -1) for a, b, _ in reversed(product)])
-        if j + n - 1 <= MEMO_LEAVES:
-            self[letter] = image
-        return image
+# Cable widths whose rule has passed its check against diagram cabling.
+_CABLE_WIDTHS = Memo(_check_cable_width)
 
 
-_CABLES: dict[tuple[int, int], _CableTable] = {}  # (t, n) -> its table
+def _cable_image(t: int, n: int, letter: ALetter) -> tuple[tuple[ALetter, ...], int]:
+    """A letter's image when strand t is split into n strands, and its size j + n - 1."""
+    i, j, sign = letter
+    if i != t and j != t:
+        image = ((i + (n - 1) * (i > t), j + (n - 1) * (j > t), sign),)
+    else:
+        _CABLE_WIDTHS[n]  # the rule at width n is checked before its first use
+        product = _cable_product(i, j, t, n)
+        image = tuple(product if sign > 0 else [(a, b, -1) for a, b, _ in reversed(product)])
+    return image, j + n - 1
+
+
+# (t, n) -> the memo of letter images when strand t is split into n strands.
+_CABLES = Memo(lambda pair: (Memo(partial(_cable_image, *pair)), pair[0] + pair[1] - 1))
 
 
 def cable_letters(letters: Iterable[ALetter], t: int, n: int) -> list[ALetter]:
     """Split strand t of a pure word into n strands: shift letters off t, cable those on it."""
-    if (table := _CABLES.get((t, n))) is None:
-        table = _CableTable()
-        table.t, table.n = t, n
-        if t + n - 1 <= MEMO_LEAVES:
-            _CABLES[t, n] = table
+    table = _CABLES[t, n]
     return [b for a in letters for b in table[a]]
 
 
@@ -416,19 +398,11 @@ def kr_sign(word: AWord) -> int:
             if total := row[j]:
                 return POSITIVE if total > 0 else NEGATIVE
         if i < m - 1:  # the deepest level has rank 1: zero linking makes it trivial
-            combing = _combing()
+            from . import combing  # loaded when a level is first combed
             coord = combing._peel_front(combing._level_word(word, i))
             if not coord.is_trivial():
                 return combing.magnus_sign(coord)
     return ZERO
-
-
-@functools.cache
-def _combing():
-    """The combing module, loaded when kr_sign first combs a level, then kept:
-    `from . import combing` costs about 1.4 us a call on CPython 3.11."""
-    from . import combing
-    return combing
 
 
 __getattr__ = _lazy_getattr(__name__, dict.fromkeys(("comb", "artin_image"), "combing"))

@@ -7,8 +7,10 @@ minimal nonconstant monomial of that image, monomials ordered by degree,
 then lexicographically; the Artin action, the independent oracle of braid
 equality; and Artin combing of pure braids into a tuple of free-group
 coordinates, through a table of conjugation rules whose instances are each
-checked by braid equality before their first use.  braid.kr_sign loads this
-module only to comb a level whose linking numbers all vanish.
+checked by braid equality before their first use and kept in a memo (the
+rule is in freegroup), keyed by the instance and sized by its strands.
+braid.kr_sign loads this module only to comb a level whose linking numbers
+all vanish.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from collections.abc import Iterable, Sequence
 
 from .braid import (AWord, BraidError, CombingLimitError, SigmaWord, _cancel_adjacent,
                     a_to_sigma, braids_equal)
-from .freegroup import (NEGATIVE, POSITIVE, ZERO, SchemaError, TruncationError, WordError,
-                        _is_int_tuple, _value_class, invert_letters, reduce_letters, reduce_onto)
+from .freegroup import (NEGATIVE, POSITIVE, ZERO, Memo, SchemaError, TruncationError,
+                        WordError, _is_int_tuple, _value_class, invert_letters, reduce_letters,
+                        reduce_onto)
 
 Monomial = tuple[int, ...]
 
@@ -170,10 +173,6 @@ _CONJ_RULES: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {
     ("r<j<s", -1): (("s", 1), ("r", 1), ("s", -1), ("r", -1)),
 }
 
-# Checked rule instances: (r, s, e, j) -> u as kernel letters.
-_CONJUGATORS: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
-
-
 def _kernel_word_to_aword(letters: Iterable[int], strands: int) -> AWord:
     """Kernel free word (generator d = A[1, d+1]) as an AWord."""
     return AWord(strands, tuple((1, abs(x) + 1, 1 if x > 0 else -1) for x in letters))
@@ -200,22 +199,22 @@ def _conjugation_case(r: int, s: int, j: int) -> str | None:
     return "r<j<s"
 
 
-def _conjugator_for(r: int, s: int, e: int, j: int) -> tuple[int, ...]:
+def _conjugator(key: tuple[int, int, int, int]) -> tuple[tuple[int, ...], int]:
     """
-    The conjugator u of the rule instance at concrete indices, as kernel
-    letters; the instance is checked by braid equality before its first use.
+    The conjugator u of the rule instance (r, s, e, j), as kernel letters,
+    checked by braid equality, and its strands max(s, j).
     """
-    key = (r, s, e, j)
-    u = _CONJUGATORS.get(key)
-    if u is None:
-        case = _conjugation_case(r, s, j)
-        values = {"r": r - 1, "s": s - 1, "j": j - 1}
-        u = () if case is None else tuple(
-            values[name] * sign for name, sign in _CONJ_RULES[case, e])
-        if not _rule_holds(r, s, e, j, u):
-            raise SchemaError(f"conjugation rule failed validation at {key}")
-        _CONJUGATORS[key] = u
-    return u
+    r, s, e, j = key
+    case = _conjugation_case(r, s, j)
+    values = {"r": r - 1, "s": s - 1, "j": j - 1}
+    u = () if case is None else tuple(values[name] * sign for name, sign in _CONJ_RULES[case, e])
+    if not _rule_holds(r, s, e, j, u):
+        raise SchemaError(f"conjugation rule failed validation at {key}")
+    return u, max(s, j)
+
+
+# Checked rule instances: (r, s, e, j) -> u as kernel letters.
+_CONJUGATORS = Memo(_conjugator)
 
 
 def _conjugate_kernel_word_reversed(front_rev: list[int], r: int, s: int, e: int) -> list[int]:
@@ -225,7 +224,7 @@ def _conjugate_kernel_word_reversed(front_rev: list[int], r: int, s: int, e: int
     """
     out: list[int] = []
     for x in front_rev:
-        u = _conjugator_for(r, s, e, abs(x) + 1)
+        u = _CONJUGATORS[r, s, e, abs(x) + 1]
         reduce_onto(out, reversed(u + (x,) + invert_letters(u)))
         if len(out) > COMB_LETTER_LIMIT:
             raise CombingLimitError(

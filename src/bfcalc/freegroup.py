@@ -1,11 +1,12 @@
 """
 Signed-letter words of free groups, the sign and error classes shared by
-every layer, and the value-class decorator.  Words are sequences of nonzero
-signed integers: the letter k stands for the k-th generator and -k for its
-inverse.  Reduced free words, the truncated Magnus image of a word (a dict
-from monomial to coefficient) and the Magnus sign live in the combing
-module; magnus_sign and magnus_truncated are read through this module's
-__getattr__ for the benchmark's per-layer tracer, which names them here.
+every layer, the value-class decorator and the memo class.  Words are
+sequences of nonzero signed integers: the letter k stands for the k-th
+generator and -k for its inverse.  Reduced free words, the truncated
+Magnus image of a word (a dict from monomial to coefficient) and the Magnus
+sign live in the combing module; magnus_sign and magnus_truncated are read
+through this module's __getattr__ for the benchmark's per-layer tracer,
+which names them here.
 
 Every value class of the library is declared with `_value_class`: its
 annotated fields, in order (`cls._fields`), become slots of a plain base
@@ -19,6 +20,13 @@ public one: cheaper than a slot descriptor call per field.  One shared
 `__repr__` writes the fields as dataclasses does.  Setting or deleting an
 attribute raises FrozenInstanceError; pickling and copying call the public
 class, so they validate.
+
+Every memo of the library is a Memo, which keeps one rule: a missing value
+is computed by the memo's `make`, and stored only while the memo holds
+fewer than MEMO_ENTRIES entries and the value comes from at most MEMO_LEAVES
+leaves, strands or letters.  Past either bound the value is computed on
+every use and never stored, so a checked rule instance past it is checked
+again; an error is never stored.  A hit is a plain dict lookup.
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ from operator import neg
 NEGATIVE, ZERO, POSITIVE = -1, 0, 1
 
 Letters = list[int] | tuple[int, ...]
+
+MEMO_LEAVES = 32  # no value from more leaves, strands or letters is stored
+MEMO_ENTRIES = 2048  # per memo
 
 
 class WordError(ValueError):
@@ -96,6 +107,21 @@ def _value_class(cls):
         function.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(new, name, staticmethod(function) if name == "_new" else function)
     return new
+
+
+class Memo(dict):
+    """A dict that computes a missing value by make(key) -> (value, size) (module docstring)."""
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value, size = self.make(key)
+        if size <= MEMO_LEAVES and len(self) < MEMO_ENTRIES:
+            self[key] = value
+        return value
 
 
 def _is_int_tuple(value) -> bool:

@@ -1,16 +1,18 @@
 """
 The tree-pair calculator of F_n (trees module docstring): composition and
 reduction of tree pairs, the n generating pairs and words over them.  Each
-elementary-pair word of comb_conjugator_word is checked once by
-pair_multiply.  expansion_script, fn_factorize and pair_reduce have no
-caller in the package: they, and pair_multiply's public name, stay only
-because perfbench's per-layer tracer wraps all four by name.  A tree pair
-of two arities or leaf counts is refused as fn_sign refuses it.
+elementary-pair word of comb_conjugator_word is checked by pair_multiply
+before its first use and kept in a memo (the rule is in freegroup), keyed
+by the arity and index and sized by the pair's leaves.  expansion_script,
+fn_factorize and pair_reduce have no caller in the package: they, and
+pair_multiply's public name, stay only because perfbench's per-layer
+tracer wraps all four by name.  A tree pair of two arities or leaf counts
+is refused as fn_sign refuses it.
 """
 
 from __future__ import annotations
 
-from .freegroup import SchemaError, invert_letters, reduce_letters
+from .freegroup import Memo, SchemaError, invert_letters, reduce_letters
 from .trees import (ExpansionError, Tree, _check_pair, attach_script, caret_top, join,
                     right_comb)
 
@@ -78,31 +80,38 @@ def _elementary_pair(arity: int, i: int) -> tuple[Tree, Tree]:
     return comb.attach(i), comb.attach(m)
 
 
-_XI_WORDS: dict[tuple[int, int], tuple[int, ...]] = {}
+def _xi_word(key: tuple[int, int]) -> tuple[tuple[int, ...], int]:
+    """
+    For key (n, i), the elementary pair E(i) written over the n generating
+    pairs g_1..g_n, and the pair's leaf count: g_i^-1 for i <= n, else
+    g_1 w g_1^-1 for the word w of E(i-n+1), by the conjugation identity
+    E(i) = g_1 E(i-n+1) g_1^-1.  The identity is checked at i and at each
+    index below it, in three pair products, down to a kept word or to an
+    index j <= n, checked as g_j^-1 in one: no word rests on an unchecked
+    instance.
+    """
+    n, top = key
+    g = brown_generator_pairs(n)
+    i, pair, word = top, _elementary_pair(n, top), None
+    size = pair[0].leaf_count
+    while word is None:
+        if i <= n:
+            value, word = g[i - 1][::-1], (-i,)
+        else:
+            below = _elementary_pair(n, i - n + 1)
+            value = pair_multiply(pair_multiply(g[0], below), g[0][::-1])
+        domain, codomain = pair_multiply(value, pair[::-1])
+        if domain != codomain:
+            raise SchemaError(f"elementary-pair rewrite failed for index {i}, arity {n}")
+        if word is None:
+            i, pair = i - n + 1, below
+            if (n, i) in _XI_WORDS:
+                word = _XI_WORDS[n, i]
+    k = (top - i) // (n - 1)  # conjugations by g_1 from E(i) up to E(top)
+    return reduce_letters((1,) * k + word + (-1,) * k), size
 
 
-def _xi_word(arity: int, i: int) -> tuple[int, ...]:
-    """
-    The elementary pair E(i) with index i written over the n generating
-    pairs g_1..g_n: g_i^-1 for i <= n, else through the conjugation identity
-    E(i) = g_1 E(i-n+1) g_1^-1.  Each instance is checked once by that
-    relation, against the checked E(i-n+1), in at most three pair products.
-    """
-    key = (arity, i)
-    if key in _XI_WORDS:
-        return _XI_WORDS[key]
-    g = brown_generator_pairs(arity)
-    if i <= arity:
-        word, value = (-i,), g[i - 1][::-1]
-    else:
-        word = reduce_letters((1,) + _xi_word(arity, i - arity + 1) + (-1,))
-        value = pair_multiply(pair_multiply(g[0], _elementary_pair(arity, i - arity + 1)),
-                              g[0][::-1])
-    domain, codomain = pair_multiply(value, _elementary_pair(arity, i)[::-1])
-    if domain != codomain:
-        raise SchemaError(f"elementary-pair rewrite failed for index {i}, arity {arity}")
-    _XI_WORDS[key] = word
-    return word
+_XI_WORDS = Memo(_xi_word)  # checked instances: (n, i) -> the word of E(i)
 
 
 def comb_conjugator_word(tree: Tree) -> tuple[int, ...]:
@@ -120,7 +129,7 @@ def comb_conjugator_word(tree: Tree) -> tuple[int, ...]:
         while (parent := caret_top(stack, n, starts, starts)) is not None:
             removed.append(len(stack) - n + 1)
             stack[-n:] = [parent]
-    return reduce_letters([x for i in reversed(removed) for x in _xi_word(n, i)])
+    return reduce_letters([x for i in reversed(removed) for x in _XI_WORDS[n, i]])
 
 
 def fn_factorize(pair: tuple[Tree, Tree]) -> tuple[int, ...]:

@@ -25,22 +25,15 @@ treepairs module, which loads on first use; expansion_script, fn_factorize,
 pair_multiply and pair_reduce are read through this module's __getattr__
 for the benchmark's per-layer tracer, which names them here.
 
-join and attach_script keep one memo each, keyed by the arity and the
-depths (and, for attach_script, the script); a hit hands back the stored
-immutable scripts or Tree, so equal results share objects, and errors are
-never stored.  Only trees of at most MEMO_LEAVES leaves enter a memo or
-are read from it, and a memo keeps its MEMO_ENTRIES most recently used
-entries: the two constants bound the memos' memory.
+join and attach_script keep one Memo each (the rule is in freegroup), keyed
+by the arity and the depths (and, for attach_script, the script) and sized
+by the leaves of the largest tree; a hit hands back the stored immutable
+scripts or Tree, so equal results share objects.
 """
 
 from __future__ import annotations
 
-import functools
-
-from .freegroup import NEGATIVE, POSITIVE, ZERO, _is_int_tuple, _lazy_getattr, _value_class
-
-MEMO_LEAVES = 32  # no tree with more leaves enters or is read from a memo
-MEMO_ENTRIES = 2048  # per memo; the least recently used entry goes first
+from .freegroup import NEGATIVE, POSITIVE, ZERO, Memo, _is_int_tuple, _lazy_getattr, _value_class
 
 
 class TreeError(ValueError):
@@ -139,21 +132,21 @@ def attach_script(tree: Tree, script: tuple[int, ...]) -> Tree:
     """The tree after attaching a caret at each leaf index of the script in turn."""
     if not script:
         return tree
-    n, depths = tree.arity, tree.depths
-    small = len(depths) + (n - 1) * len(script) <= MEMO_LEAVES
-    return (_attach_memo if small else _attach_script)(n, depths, script)
+    return _ATTACHED[tree.arity, tree.depths, script]
 
 
-def _attach_script(n: int, depths: tuple[int, ...], script: tuple[int, ...]) -> Tree:
+def _attach_script(key: tuple[int, tuple[int, ...], tuple[int, ...]]) -> tuple[Tree, int]:
+    """attach_script's make: the tree and its leaf count."""
+    n, depths, script = key
     out = list(depths)
     for i in script:
         if not 1 <= i <= len(out):
             raise TreeError(f"leaf index {i} out of range 1..{len(out)}")
         out[i - 1 : i] = [out[i - 1] + 1] * n
-    return Tree._new(n, tuple(out))
+    return Tree._new(n, tuple(out)), len(out)
 
 
-_attach_memo = functools.lru_cache(MEMO_ENTRIES)(_attach_script)
+_ATTACHED = Memo(_attach_script)
 
 
 def right_comb(arity: int, leaf_count: int) -> Tree:
@@ -180,15 +173,16 @@ def join(tree: Tree, other: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     n = tree.arity
     if n != other.arity:
         raise TreeError("arity mismatch")
-    xs, ys = tree.depths, other.depths
-    small = len(xs) <= MEMO_LEAVES and len(ys) <= MEMO_LEAVES
-    return (_join_memo if small else _join)(n, xs, ys)
+    return _JOINS[n, tree.depths, other.depths]
 
 
-def _join(n: int, xs: tuple[int, ...], ys: tuple[int, ...]
-          ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _join(key: tuple[int, tuple[int, ...], tuple[int, ...]]
+          ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """join's make: the two scripts and the larger leaf count."""
+    n, xs, ys = key
+    size = max(len(xs), len(ys))
     if xs == ys:
-        return (), ()
+        return ((), ()), size
     xs, ys = list(reversed(xs)), list(reversed(ys))
     script_x, script_y, k = [], [], 0
     while xs:  # both stacks empty together: each side covers the same interval
@@ -203,10 +197,10 @@ def _join(n: int, xs: tuple[int, ...], ys: tuple[int, ...]
                 v += 1
                 ys += [v] * (n - 1)
                 script_y.append(k)
-    return tuple(script_x), tuple(script_y)
+    return (tuple(script_x), tuple(script_y)), size
 
 
-_join_memo = functools.lru_cache(MEMO_ENTRIES)(_join)
+_JOINS = Memo(_join)
 
 
 def tree_to_json(tree: Tree) -> str:

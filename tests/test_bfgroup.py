@@ -36,7 +36,7 @@ from bfcalc.braid import (AWord, BraidError, SigmaWord, a_to_sigma, braids_equal
                           delete_strand, is_trivial, kr_sign, linking_numbers, shift_embed,
                           split_a)
 from bfcalc.combing import FreeWord, comb
-from bfcalc.freegroup import FrozenInstanceError, WordError, invert_letters, reduce_onto
+from bfcalc.freegroup import FrozenInstanceError, WordError, reduce_onto
 from bfcalc.generators import (GeneratorSet, GeneratorSetError, PureGeneratorSpec, gen1_set,
                                random_element, random_pvb_element)
 from bfcalc import treepairs as tp
@@ -151,19 +151,19 @@ def test_label_table_matches_substitution_sign_and_braid_equality(arity):
         braid = label_braid_oracle(label, ctx)
         for _ in range(2):  # cold, then warm
             assert label_to_braid(label, ctx) == braid
-            assert table.sign(label) == kr_sign(braid)
+            assert bf._label_sign(ctx, label) == kr_sign(braid)
         assert table[label][1] == kr_sign(braid)
     outcomes = set()
     for a, b in zip(labels, labels[1:] + [equal_in_h(l, rng) for l in labels]):
         for u, v in ((a, b), (a, equal_in_h(a, rng)), (b, equal_in_h(a, rng))):
             same = braids_equal(label_braid_oracle(u, ctx), label_braid_oracle(v, ctx))
-            assert (table.key(u) == table.key(v)) is same
+            assert (bf._label_key(ctx, u) == bf._label_key(ctx, v)) is same
             assert bf._labels_oracle_equal(identity_element(ctx), u, v) is same
             outcomes.add(same)
     assert outcomes == {True, False}
     if arity == 3:  # the full twist: its cyclic rotations are one element, no word reduces
-        assert table.key((1, 3, 2)) == table.key((2, 1, 3)) == table.key((3, 2, 1))
-        assert table.key((1, 3, 2)) != table.key((1, 2, 3))
+        key = functools.partial(bf._label_key, ctx)
+        assert key((1, 3, 2)) == key((2, 1, 3)) == key((3, 2, 1)) != key((1, 2, 3))
 
 
 def test_pvb_sign_reads_the_label_table():
@@ -179,71 +179,27 @@ def test_filled_label_table_leaves_context_equality_hash_and_pickling():
     shown, digest = repr(cold), hash(cold)
     rng = random.Random(3)
     for label in seeded_labels(warm, rng, 20):
-        warm._labels.sign(label), warm._labels.key(label), warm._labels.on_leaf(label, 2)
+        bf._label_sign(warm, label), bf._label_key(warm, label), warm._leaf_letters[label, 2]
+        warm._products[label, label], warm._inverses[label]
     table = warm._labels
-    assert len(table) > 20 and warm._labels is table
+    assert len(table) + len(warm._leaf_letters) > 20 and warm._labels is table
     assert warm == cold and cold == warm and hash(warm) == digest and repr(warm) == shown
     assert HContext._fields == ("arity", "generators") and not hasattr(warm, "__dict__")
     for copied in (pickle.loads(pickle.dumps(warm)), copy.deepcopy(warm), copy.copy(warm)):
         assert copied == cold and hash(copied) == digest
-        assert getattr(copied, "_label_memo", None) is None and copied._labels is not table
+        memos = (copied._labels, copied._leaf_letters, copied._products, copied._inverses)
+        assert not any(memos) and copied._labels is not table
     x = draw(warm, random.Random(9))
     y = BFElement(cold, x.t1, x.braid, x.labels, x.t2)
     assert equal(x, y) and equal(y, x) and to_json(x) == to_json(y)
 
 
-def test_label_table_holds_no_value_past_its_bounds():
+def test_label_product_and_inverse_memos_match_free_reduction():
     ctx = pn_context(3)
-    table = ctx._labels
-    limit, entries = tr.MEMO_LEAVES, tr.MEMO_ENTRIES
-    long_label = (1, 2) * limit  # a braid of 2 * MEMO_LEAVES letters
-    assert label_to_braid(long_label, ctx) == label_braid_oracle(long_label, ctx)
-    assert table.sign(long_label) == kr_sign(label_braid_oracle(long_label, ctx))
-    assert table.key(long_label) == table.key(long_label[2:] + (1, 2))
-    assert table.on_leaf(long_label, 2)[0] == (2, 3, 1)
-    assert long_label not in table and (long_label, 2) not in table
-    # Distinct labels of at most MEMO_LEAVES letters, more of them than the table holds.
-    rng = random.Random(12)
-    labels = list(dict.fromkeys(seeded_labels(ctx, rng, entries + 300, longest=limit)))
-    assert len(labels) > entries + 100
-    for label in labels:
-        assert table.key(label) == table.key(label + (3, -3))
-    assert len(table) == entries
-    for label in labels[-50:]:  # past the bound: computed, not stored, and still right
-        assert label not in table
-        assert label_to_braid(label, ctx) == label_braid_oracle(label, ctx)
-        assert table.on_leaf(label, 3) == tuple(
-            (i + 2, j + 2, s) for i, j, s in label_braid_oracle(label, ctx).letters)
-        assert table.sign(label) == kr_sign(label_braid_oracle(label, ctx))
-    assert len(table) == entries
-
-
-def test_label_product_and_inverse_tables_hold_no_value_past_their_bounds():
-    ctx = pn_context(3)
-    products, inverses = ctx._labels.products, ctx._labels.inverses
-    limit, entries = tr.MEMO_LEAVES, tr.MEMO_ENTRIES
+    products, inverses = ctx._products, ctx._inverses
     # Labels need not be reduced: an empty left label still reduces the right one.
     assert products[(), (1, -1)] == () and products[(2,), (-2, 1, -1)] == ()
     assert products[(1, 2), (-2, 3)] == (1, 3) and inverses[(1, -1)] == (1, -1)
-    long_label = (1, 2) * limit
-    assert products[long_label, (-2,)] == long_label[:-1]
-    assert products[(3,), long_label] == (3,) + long_label
-    assert inverses[long_label] == (-2, -1) * limit
-    assert (long_label, (-2,)) not in products and ((3,), long_label) not in products
-    assert long_label not in inverses
-    # Distinct pairs and labels of at most MEMO_LEAVES letters, more than each table holds.
-    rng = random.Random(13)
-    labels = list(dict.fromkeys(seeded_labels(ctx, rng, entries + 300, longest=limit)))
-    assert len(labels) > entries + 100
-    pairs = list(zip(labels, labels[1:] + labels[:1]))
-    for _ in range(2):  # cold, then warm
-        for a, b in pairs:
-            assert products[a, b] == tuple(reduce_onto(list(a), b))
-        for label in labels:
-            assert inverses[label] == invert_letters(label)
-        assert len(products) == len(inverses) == entries
-    assert all(max(map(len, pair)) <= limit for pair in products)
-    assert all(len(label) <= limit for label in inverses)
 
 
 def test_element_validation():

@@ -26,7 +26,6 @@ from bfcalc.braid import (
 )
 from bfcalc.combing import (
     FreeWord,
-    _conjugator_for,
     _kernel_word_to_aword,
     _peel_front,
     artin_image,
@@ -34,7 +33,14 @@ from bfcalc.combing import (
     magnus_sign,
     reconstruct,
 )
-from bfcalc.freegroup import invert_letters, reduce_letters, reduce_onto
+from bfcalc.freegroup import Memo, invert_letters, reduce_letters, reduce_onto
+
+
+def cold(monkeypatch, module, name):
+    """Put an empty memo with the same make in place of module.name, for this test."""
+    memo = Memo(getattr(module, name).make)
+    monkeypatch.setattr(module, name, memo)
+    return memo
 
 
 def random_aword(rng, strands, max_letters=10, min_letters=0):
@@ -87,23 +93,6 @@ def test_a_to_sigma_matches_tail_list_formula():
 def test_a_letter_cancels_with_inverse():
     word = AWord(4, ((2, 4, 1), (2, 4, -1)))
     assert is_trivial(word)
-
-
-def test_aword_inverse_table_holds_no_letter_past_its_bound():
-    limit, table = br.MEMO_LEAVES, br._INVERSE_LETTERS
-    strands = limit + 8  # every letter on more strands than the table keeps
-    letters = tuple((i, j, s) for j in range(2, strands + 1) for i in range(1, j) for s in (1, -1))
-    word = AWord(strands, letters)
-    for _ in range(2):  # cold, then warm
-        assert word.inverse() == AWord(strands, tuple((i, j, -s) for i, j, s in reversed(letters)))
-    assert len(table) == limit * (limit - 1)  # both signs of every letter on <= limit strands
-    assert all(j <= limit for _, j, _ in table)
-    rng = random.Random(14)
-    for _ in range(100):
-        word = random_aword(rng, rng.randint(2, strands), 12)
-        assert word.inverse().letters == tuple((i, j, -s) for i, j, s in reversed(word.letters))
-        assert word.inverse().inverse() == word
-    assert len(table) == limit * (limit - 1)
 
 
 def test_word_validation():
@@ -539,27 +528,25 @@ def test_cable_letters_matches_per_letter_loop():
 
 
 def test_cable_rule_checked_once_per_width(monkeypatch):
-    monkeypatch.setattr(br, "_CABLE_WIDTHS", set())
-    monkeypatch.setattr(br, "_CABLES", {})  # cold tables: a stored image was checked before
+    cold(monkeypatch, br, "_CABLES")  # cold tables: a stored image was checked before
     checked = []
-    real = br._check_cable_width
 
     def counting(n):
         checked.append(n)
-        real(n)
+        return br._check_cable_width(n)
 
-    monkeypatch.setattr(br, "_check_cable_width", counting)
+    monkeypatch.setattr(br, "_CABLE_WIDTHS", Memo(counting))
     for n in range(2, 9):
         for t in (1, 2, 1, 2):
             cable_letter((1, 2, 1), t, n)
-    assert checked == list(range(2, 9)) and br._CABLE_WIDTHS == set(range(2, 9))
+    assert checked == list(range(2, 9)) and set(br._CABLE_WIDTHS) == set(range(2, 9))
 
 
 def test_cable_rule_fails_against_a_mirrored_oracle(monkeypatch):
     # Mirroring every crossing turns A[1,2] into A[1,2]^-1 after cabling.
     real = br.split_sigma
-    monkeypatch.setattr(br, "_CABLE_WIDTHS", set())
-    monkeypatch.setattr(br, "_CABLES", {})
+    cold(monkeypatch, br, "_CABLE_WIDTHS")
+    cold(monkeypatch, br, "_CABLES")
     monkeypatch.setattr(br, "split_sigma", lambda word, t, n: SigmaWord(
         word.strands + n - 1, tuple(-q for q in real(word, t, n).letters)))
     assert cable_letter((1, 2, 1), 3, 2) == ((1, 2, 1),)  # no cable case, no check
@@ -574,7 +561,7 @@ def letters_on(strands):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cable_table_matches_the_per_letter_rule_cold_and_warm(monkeypatch, n):
-    monkeypatch.setattr(br, "_CABLES", {})
+    cold(monkeypatch, br, "_CABLES")
     letters = letters_on(8)
     for t in range(1, 9):
         for state in ("cold", "warm"):
@@ -586,8 +573,8 @@ def test_cable_table_matches_the_per_letter_rule_cold_and_warm(monkeypatch, n):
 
 
 def test_cable_table_checks_the_width_before_storing_a_cable(monkeypatch):
-    monkeypatch.setattr(br, "_CABLE_WIDTHS", set())
-    monkeypatch.setattr(br, "_CABLES", {})
+    cold(monkeypatch, br, "_CABLE_WIDTHS")
+    cold(monkeypatch, br, "_CABLES")
     real = br.split_sigma
     monkeypatch.setattr(br, "split_sigma", lambda word, t, n: SigmaWord(
         word.strands + n - 1, tuple(-q for q in real(word, t, n).letters)))
@@ -599,25 +586,7 @@ def test_cable_table_checks_the_width_before_storing_a_cable(monkeypatch):
     assert dict(br._CABLES[1, 3]) == {(3, 4, 1): ((5, 6, 1),)} and not br._CABLE_WIDTHS
     monkeypatch.setattr(br, "split_sigma", real)
     assert cable_letters([(1, 2, 1)], 1, 3) == [(3, 4, 1), (2, 4, 1), (1, 4, 1)]
-    assert br._CABLE_WIDTHS == {3}
-
-
-def test_cable_table_holds_no_letter_above_its_strand_limit(monkeypatch):
-    # Images are stored for letters whose cabled strands fit MEMO_LEAVES, and
-    # only pairs (t, n) with t + n - 1 <= MEMO_LEAVES keep a table.
-    monkeypatch.setattr(br, "_CABLES", {})
-    limit = br.MEMO_LEAVES
-    letters = letters_on(limit + 4)
-    for t, n in ((1, 2), (5, 3), (limit - 3, 4), (limit, 2), (limit - 1, 3)):
-        got = cable_letters(letters, t, n)
-        assert got == [c for letter in letters for c in cable_letter_by_cases(letter, t, n)]
-        assert cable_letters(letters, t, n) == got
-        stored = {letter for letter in letters if letter[1] + n - 1 <= limit}
-        assert ((t, n) in br._CABLES) is (t + n - 1 <= limit)
-        if (t, n) in br._CABLES:
-            assert set(br._CABLES[t, n]) == stored
-    assert set(br._CABLES) == {(1, 2), (5, 3), (limit - 3, 4)}
-    assert max(len(table) for table in br._CABLES.values()) == len(letters_on(limit - 1))
+    assert dict(br._CABLE_WIDTHS) == {3: 3}
 
 
 def test_split_a_empty_cases():
@@ -707,7 +676,7 @@ def test_conjugation_rules_validated_against_artin():
         for s in range(r + 1, 6):
             for j in range(2, 6):
                 for e in (1, -1):
-                    u = _conjugator_for(r, s, e, j)
+                    u = cb._CONJUGATORS[r, s, e, j]
                     candidate = reduce_letters(
                         list(u) + [j - 1] + [-x for x in reversed(u)])
                     k = max(s, j)
@@ -797,7 +766,7 @@ def test_derived_conjugation_rules_are_pinned():
 
 def test_every_rule_instance_is_validated_once(monkeypatch):
     instance = (2, 7, 1, 4)  # k = 7 strands, the case r < j < s
-    monkeypatch.setattr(cb, "_CONJUGATORS", {})
+    cold(monkeypatch, cb, "_CONJUGATORS")
     checked = []
     real = cb._rule_holds
 
@@ -807,13 +776,13 @@ def test_every_rule_instance_is_validated_once(monkeypatch):
 
     monkeypatch.setattr(cb, "_rule_holds", counting)
     for _ in range(3):
-        _conjugator_for(*instance)
+        cb._CONJUGATORS[instance]
     assert checked == [instance]
 
-    monkeypatch.setattr(cb, "_CONJUGATORS", {})
+    cold(monkeypatch, cb, "_CONJUGATORS")
     monkeypatch.setattr(cb, "_rule_holds", lambda *args: False)
     with pytest.raises(SchemaError):
-        _conjugator_for(*instance)
+        cb._CONJUGATORS[instance]
 
 
 def test_burau_is_a_braid_group_representation():

@@ -338,7 +338,7 @@ def test_failed_elementary_pair_check_exits_2(monkeypatch, capsys):
     # An empty memo makes the check run; the inverse of each pair fails it.
     assert SchemaError is freegroup.SchemaError
     elementary_pair = treepairs._elementary_pair
-    monkeypatch.setattr(treepairs, "_XI_WORDS", {})
+    monkeypatch.setattr(treepairs, "_XI_WORDS", freegroup.Memo(treepairs._XI_WORDS.make))
     monkeypatch.setattr(treepairs, "_elementary_pair",
                         lambda arity, i: elementary_pair(arity, i)[::-1])
     let = "a={ ((*,*),*) ; ; [1,1,1] ; (*,(*,*)) }"

@@ -9,10 +9,9 @@ import pytest
 
 from bfcalc import treepairs as tp
 from bfcalc import trees as tr
-from bfcalc.freegroup import invert_letters, reduce_letters
+from bfcalc.freegroup import MEMO_LEAVES, Memo, invert_letters, reduce_letters
 from bfcalc.treepairs import (
     _elementary_pair,
-    _xi_word,
     brown_generator_pairs,
     comb_conjugator_word,
     expansion_script,
@@ -537,7 +536,7 @@ def comb_conjugator_word_oracle(tree):
         cur = remove_caret(cur, i)
         if i != cur.leaf_count:
             removed.append(i)
-    return reduce_letters([x for i in reversed(removed) for x in _xi_word(n, i)])
+    return reduce_letters([x for i in reversed(removed) for x in tp._XI_WORDS[n, i]])
 
 
 def test_comb_conjugator_word_matches_oracle():
@@ -582,8 +581,8 @@ XI_WORDS_DIGEST = "144c3a60877e63ff861497ad1561fea97f4d7bfb5292de9e527911c147cdd
 
 def test_xi_words_evaluate_to_their_elementary_pairs(monkeypatch):
     # evaluate_brown_word is the oracle: each word multiplies out to its pair.
-    monkeypatch.setattr(tp, "_XI_WORDS", {})
-    words = {f"{n},{i}": _xi_word(n, i) for n in (2, 3, 4) for i in range(1, 61)}
+    monkeypatch.setattr(tp, "_XI_WORDS", Memo(tp._XI_WORDS.make))
+    words = {f"{n},{i}": tp._XI_WORDS[n, i] for n in (2, 3, 4) for i in range(1, 61)}
     for key, word in words.items():
         n, i = map(int, key.split(","))
         value = evaluate_brown_word(n, word)
@@ -593,20 +592,42 @@ def test_xi_words_evaluate_to_their_elementary_pairs(monkeypatch):
 
 
 def test_xi_word_checks_a_new_instance_in_at_most_three_products(monkeypatch):
+    # A cold read of E(200) checks each index of its chain 200, 200-n+1, ...
+    # once: three pair products above n, one at the first index <= n.  Read
+    # in increasing order, each instance is checked once against the kept
+    # word below it.  The memo keeps the words of pairs with at most
+    # MEMO_LEAVES leaves; a read past that checks every index down to the
+    # largest kept one again.
     products = []
 
     def counting_multiply(f, g):
         products.append((f, g))
         return pair_multiply(f, g)
 
-    monkeypatch.setattr(tp, "_XI_WORDS", {})
     monkeypatch.setattr(tp, "pair_multiply", counting_multiply)
     for n in (2, 3, 4):
-        _xi_word(n, 200)
-    expected = sum(1 if i <= n else 3 for n, i in tp._XI_WORDS)
-    assert len(products) == expected and len(tp._XI_WORDS) > 250
-    _xi_word(2, 200)
-    assert len(products) == expected
+        monkeypatch.setattr(tp, "_XI_WORDS", Memo(tp._XI_WORDS.make))
+        chain = [200]
+        while chain[-1] > n:
+            chain.append(chain[-1] - n + 1)
+        before = len(products)
+        cold = tp._XI_WORDS[n, 200]
+        assert len(products) - before == sum(1 if i <= n else 3 for i in chain)
+        assert not tp._XI_WORDS  # E(200) has more than MEMO_LEAVES leaves
+        kept = [i for i in range(1, 200) if _elementary_pair(n, i)[0].leaf_count <= MEMO_LEAVES]
+        for i in kept:
+            before = len(products)
+            tp._XI_WORDS[n, i]
+            assert len(products) - before == (1 if i <= n else 3)
+        assert set(tp._XI_WORDS) == {(n, i) for i in kept} and len(kept) > 25
+        top = kept[-1] + (n - 1) * 60  # 60 conjugations above the largest kept word
+        for _ in range(2):
+            before = len(products)
+            assert tp._XI_WORDS[n, 200] == cold and tp._XI_WORDS[n, top]
+            stop = max(set(kept) & set(chain))  # the largest kept word below E(200)
+            assert len(products) - before == 3 * (200 - stop) // (n - 1) + 3 * 60
+        before = len(products)
+        assert all(tp._XI_WORDS[n, i] for i in kept) and len(products) == before
 
 
 def address_caret_top(stack, n):
@@ -976,20 +997,20 @@ def test_tree_memory_grows_linearly_with_its_leaf_count():
 
 # --- the join and attach_script memos
 
-MEMOS = (tr._join_memo, tr._attach_memo)
+MEMOS = (tr._JOINS, tr._ATTACHED)
 
 
 @pytest.fixture
 def cold_memos():
     for memo in MEMOS:
-        memo.cache_clear()
+        memo.clear()
     yield
     for memo in MEMOS:
-        memo.cache_clear()
+        memo.clear()
 
 
 def memo_sizes():
-    return tuple(memo.cache_info().currsize for memo in MEMOS)
+    return tuple(map(len, MEMOS))
 
 
 def seeded_memo_inputs(n, count=150):
@@ -1010,8 +1031,8 @@ def test_memoized_join_and_attach_match_uncached_code(cold_memos, n):
     for t1, t2, script in inputs:
         scripts = join(t1, t2)
         attached = attach_script(t1, script)
-        assert scripts == tr._join(n, t1.depths, t2.depths) == join_oracle(t1, t2)[1:]
-        assert attached == tr._attach_script(n, t1.depths, script)
+        assert scripts == tr._join((n, t1.depths, t2.depths))[0] == join_oracle(t1, t2)[1:]
+        assert attached == tr._attach_script((n, t1.depths, script))[0]
         assert attached == tree_from_leaves(n, attached.leaves)
         cold.append((scripts, attached))
     assert min(memo_sizes()) > 0
@@ -1041,41 +1062,3 @@ def test_memo_stores_no_errors(cold_memos):
             assert str(caught.value) == f"leaf index {script[-1]} out of range 1..{leaves}"
     assert memo_sizes() == (0, 0)
 
-
-def test_full_memo_evicts_and_stays_right(cold_memos):
-    # Distinct binary trees: the right comb with one more caret at each leaf.
-    trees_seen = [right_comb(2, m).attach(i) for m in range(2, 20) for i in range(1, m + 1)]
-    pairs = [(a, b) for a in trees_seen for b in trees_seen[:15]]
-    calls = [(a, b, (1 + p % a.leaf_count, 1)) for p, (a, b) in enumerate(pairs)]
-    assert len(calls) > tr.MEMO_ENTRIES + 10
-    for memo in MEMOS:  # building the trees filled the attach_script memo
-        memo.cache_clear()
-    for a, b, script in calls:
-        assert join(a, b) == tr._join(2, a.depths, b.depths)
-        assert attach_script(a, script) == attach_oracle(attach_oracle(a, script[0]), 1)
-    assert memo_sizes() == (tr.MEMO_ENTRIES, tr.MEMO_ENTRIES)
-    misses = tr._join_memo.cache_info().misses
-    assert misses == len(calls)
-    for a, b, script in calls[::50]:  # the first calls were evicted, the last are held
-        assert joined_tree(a, b) == join_oracle(a, b)
-        assert attach_script(a, script) == attach_oracle(attach_oracle(a, script[0]), 1)
-    assert tr._join_memo.cache_info().misses > misses
-    a, b, script = calls[-1]
-    assert join(a, b) is join(a, b) and attach_script(a, script) is attach_script(a, script)
-    assert memo_sizes() == (tr.MEMO_ENTRIES, tr.MEMO_ENTRIES)
-
-
-def test_memo_holds_no_tree_above_its_leaf_limit(cold_memos):
-    # Trees past the limit bypass the memos: a deep comb grown one caret at
-    # a time must leave at most the limit's worth.
-    limit = tr.MEMO_LEAVES
-    tree = Tree.single(2)
-    for _ in range(500):
-        tree = tree.attach(1)
-    assert memo_sizes() == (0, limit - 1)  # results of 2..limit leaves
-    big, small = right_comb(2, limit + 1), right_comb(2, limit)
-    assert join(big, small) == ((), (limit,)) and join(small, big) == ((limit,), ())
-    assert attach_script(small, (1,)) == attach_oracle(small, 1)
-    assert attach_script(right_comb(2, limit - 2), (1, 1, 1)).leaf_count == limit + 1
-    assert memo_sizes() == (0, limit - 1)
-    assert [memo.cache_info().hits for memo in MEMOS] == [0, 0]
