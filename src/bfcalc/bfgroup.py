@@ -90,6 +90,9 @@ class HContext:
             if word.strands != self.arity:
                 raise ContextError(
                     f"generator {name!r} has {word.strands} strands, expected {self.arity}")
+
+    def _fill_slots(self):
+        """Fresh, empty memos for every built context, copies and unpickled ones too."""
         labels = Memo(partial(_label_facts, self.arity, self.generators))
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_leaf_letters", Memo(partial(_on_leaf, labels)))

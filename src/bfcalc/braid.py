@@ -20,12 +20,12 @@ of one vector of Z^2m under a faithful action of the braid group, after
 cheap checks on pure words (cancelled letters, linking numbers); the Artin
 action, the independent oracle, lives in the combing module.  Cabling
 (cable_letters) reads a memo per split strand t and width n, keyed by the
-pair and sized by t + n - 1, of letter images, keyed by the letter and
-sized by the strands j + n - 1 of its image: a letter off strand t only
-shifts, one on it becomes a fixed descending product, checked against
-diagram cabling per width, in a memo keyed by the width, before its first
-use.  AWord.inverse maps letters through a memo sized by their strands.
-Every memo follows the one rule in freegroup.
+pair and sized by t + n - 1 (not read past its bound), of letter images,
+keyed by the letter and sized by the strands j + n - 1 of its image: a
+letter off strand t only shifts, one on it becomes a fixed descending
+product, checked against diagram cabling per width, in a memo keyed by the
+width, before its first use.  AWord.inverse maps letters through a memo
+sized by their strands.  Every memo follows the one rule in freegroup.
 
 The sign of a pure braid is read level by level from its linking numbers,
 the degree-1 Magnus coefficients of the combing coordinates; only a level
@@ -38,10 +38,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from functools import partial
 
-from .freegroup import (NEGATIVE, POSITIVE, ZERO, Memo, SchemaError, _is_int_tuple,
+from .freegroup import (MEMO_LEAVES, NEGATIVE, POSITIVE, ZERO, Memo, SchemaError, _is_int_tuple,
                         _lazy_getattr, _value_class, invert_letters)
 
 ALetter = tuple[int, int, int]
+combing = None  # the combing module, bound when kr_sign first combs a level
 
 
 class BraidError(ValueError):
@@ -353,6 +354,8 @@ _CABLES = Memo(lambda pair: (Memo(partial(_cable_image, *pair)), pair[0] + pair[
 
 def cable_letters(letters: Iterable[ALetter], t: int, n: int) -> list[ALetter]:
     """Split strand t of a pure word into n strands: shift letters off t, cable those on it."""
+    if t + n - 1 > MEMO_LEAVES:  # no table is kept: make each image
+        return [b for a in letters for b in _cable_image(t, n, a)[0]]
     table = _CABLES[t, n]
     return [b for a in letters for b in table[a]]
 
@@ -386,6 +389,7 @@ def kr_sign(word: AWord) -> int:
     coefficients, so one pass over the letters decides every level with
     nonzero linking; only a level with letters but zero linking is combed.
     """
+    global combing
     m = word.strands
     linking: dict[int, dict[int, int]] = {}  # strand i -> strand j -> linking number
     for i, j, sign in word.letters:
@@ -398,7 +402,8 @@ def kr_sign(word: AWord) -> int:
             if total := row[j]:
                 return POSITIVE if total > 0 else NEGATIVE
         if i < m - 1:  # the deepest level has rank 1: zero linking makes it trivial
-            from . import combing  # loaded when a level is first combed
+            if combing is None:
+                from . import combing
             coord = combing._peel_front(combing._level_word(word, i))
             if not coord.is_trivial():
                 return combing.magnus_sign(coord)

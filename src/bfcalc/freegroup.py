@@ -78,7 +78,8 @@ def _value_delattr(self, name):
 def _value_class(cls):
     """
     Rebuild `cls` as a value class (module docstring).  Names in its own
-    __slots__ become extra slots outside the fields, for caches.
+    __slots__ become extra slots outside the fields, for caches; its
+    _fill_slots method, if it has one, runs after __post_init__ and in _new.
     """
     names, extra = tuple(cls.__annotations__), tuple(cls.__dict__.get("__slots__", ()))
     dropped = (*names, *extra, "__dict__", "__weakref__")
@@ -96,9 +97,10 @@ def _value_class(cls):
     stores = "".join(f"\n    self.{n} = {n}" for n in names)
     own, other = (", ".join(f"{obj}.{n}" for n in names) + "," for obj in ("self", "other"))
     params = ", ".join(n + (f"=_dflt_{n}" if f"_dflt_{n}" in scope else "") for n in names)
-    source = (f"def __init__(self, {params}):{sets}\n    self.__post_init__()\n"
+    fill = "\n    self._fill_slots()" if "_fill_slots" in body else ""
+    source = (f"def __init__(self, {params}):{sets}\n    self.__post_init__(){fill}\n"
               f"def _new({', '.join(names)}):\n    self = _make(_base){stores}\n"
-              f"    self.__class__ = _cls\n    return self\n"
+              f"    self.__class__ = _cls{fill}\n    return self\n"
               f"def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
               f"        return ({own}) == ({other})\n    return NotImplemented\n"
               f"def __hash__(self):\n    return hash(({own}))\n")
@@ -114,7 +116,6 @@ class Memo(dict):
     __slots__ = ("make",)
 
     def __init__(self, make):
-        super().__init__()
         self.make = make
 
     def __missing__(self, key):

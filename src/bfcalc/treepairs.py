@@ -12,7 +12,7 @@ is refused as fn_sign refuses it.
 
 from __future__ import annotations
 
-from .freegroup import Memo, SchemaError, invert_letters, reduce_letters
+from .freegroup import MEMO_LEAVES, Memo, SchemaError, invert_letters, reduce_letters
 from .trees import (ExpansionError, Tree, _check_pair, attach_script, caret_top, join,
                     right_comb)
 
@@ -82,33 +82,28 @@ def _elementary_pair(arity: int, i: int) -> tuple[Tree, Tree]:
 
 def _xi_word(key: tuple[int, int]) -> tuple[tuple[int, ...], int]:
     """
-    For key (n, i), the elementary pair E(i) written over the n generating
-    pairs g_1..g_n, and the pair's leaf count: g_i^-1 for i <= n, else
-    g_1 w g_1^-1 for the word w of E(i-n+1), by the conjugation identity
-    E(i) = g_1 E(i-n+1) g_1^-1.  The identity is checked at i and at each
-    index below it, in three pair products, down to a kept word or to an
-    index j <= n, checked as g_j^-1 in one: no word rests on an unchecked
-    instance.
+    For key (n, i), E(i) written over the generating pairs g_1..g_n, and its
+    leaf count: g_i^-1 for i <= n, else g_1 w g_1^-1 for the word w of
+    E(i-n+1), each instance checked by that identity in three pair products
+    (one for i <= n).  Words below i are read through the memo, and so kept,
+    up to the largest index whose pair it can keep; the rest are checked here.
     """
-    n, top = key
+    n, i = key
     g = brown_generator_pairs(n)
-    i, pair, word = top, _elementary_pair(n, top), None
-    size = pair[0].leaf_count
-    while word is None:
-        if i <= n:
-            value, word = g[i - 1][::-1], (-i,)
-        else:
-            below = _elementary_pair(n, i - n + 1)
+    pairs = [_elementary_pair(n, i)]  # E(j) for each index j checked here, i first
+    while i > n and (below := _elementary_pair(n, i - n + 1))[0].leaf_count > MEMO_LEAVES:
+        i -= n - 1
+        pairs.append(below)
+    word, value = ((-i,), g[i - 1][::-1]) if i <= n else (_XI_WORDS[n, i - n + 1], None)
+    for pair in reversed(pairs):
+        if i > n:
             value = pair_multiply(pair_multiply(g[0], below), g[0][::-1])
+            word = reduce_letters((1,) + word + (-1,))
         domain, codomain = pair_multiply(value, pair[::-1])
         if domain != codomain:
             raise SchemaError(f"elementary-pair rewrite failed for index {i}, arity {n}")
-        if word is None:
-            i, pair = i - n + 1, below
-            if (n, i) in _XI_WORDS:
-                word = _XI_WORDS[n, i]
-    k = (top - i) // (n - 1)  # conjugations by g_1 from E(i) up to E(top)
-    return reduce_letters((1,) * k + word + (-1,) * k), size
+        below, i = pair, i + n - 1
+    return word, pairs[0][0].leaf_count
 
 
 _XI_WORDS = Memo(_xi_word)  # checked instances: (n, i) -> the word of E(i)

@@ -26,14 +26,15 @@ pair_multiply and pair_reduce are read through this module's __getattr__
 for the benchmark's per-layer tracer, which names them here.
 
 join and attach_script keep one Memo each (the rule is in freegroup), keyed
-by the arity and the depths (and, for attach_script, the script) and sized
-by the leaves of the largest tree; a hit hands back the stored immutable
-scripts or Tree, so equal results share objects.
+by the arity and the depths (and, for attach_script, the script), sized by
+the leaves of the largest tree and not read past its bound; a hit hands
+back the stored immutable scripts or Tree, so equal results share objects.
 """
 
 from __future__ import annotations
 
-from .freegroup import NEGATIVE, POSITIVE, ZERO, Memo, _is_int_tuple, _lazy_getattr, _value_class
+from .freegroup import (MEMO_LEAVES, NEGATIVE, POSITIVE, ZERO, Memo, _is_int_tuple, _lazy_getattr,
+                        _value_class)
 
 
 class TreeError(ValueError):
@@ -132,7 +133,10 @@ def attach_script(tree: Tree, script: tuple[int, ...]) -> Tree:
     """The tree after attaching a caret at each leaf index of the script in turn."""
     if not script:
         return tree
-    return _ATTACHED[tree.arity, tree.depths, script]
+    n, depths = tree.arity, tree.depths
+    if len(depths) + (n - 1) * len(script) <= MEMO_LEAVES:
+        return _ATTACHED[n, depths, script]
+    return _attach_script((n, depths, script))[0]  # never kept: no key to hash
 
 
 def _attach_script(key: tuple[int, tuple[int, ...], tuple[int, ...]]) -> tuple[Tree, int]:
@@ -173,7 +177,10 @@ def join(tree: Tree, other: Tree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     n = tree.arity
     if n != other.arity:
         raise TreeError("arity mismatch")
-    return _JOINS[n, tree.depths, other.depths]
+    xs, ys = tree.depths, other.depths
+    if len(xs) <= MEMO_LEAVES and len(ys) <= MEMO_LEAVES:
+        return _JOINS[n, xs, ys]
+    return _join((n, xs, ys))[0]  # never kept: no key to hash
 
 
 def _join(key: tuple[int, tuple[int, ...], tuple[int, ...]]

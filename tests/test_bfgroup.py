@@ -1198,6 +1198,12 @@ def test_generated_builder_matches_public_constructor(value):
         setattr(built, cls._fields[0], fields[0])
     for copied in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
         assert copied == value and hash(copied) == hash(value)
+    if cls is HContext:  # _new makes the context's own empty memos, as __init__ does
+        assert built._labels is not value._labels and not built._labels
+        tree = Tree.caret(2).attach(2)
+        x = BFElement._new(built, tree, AWord(3, ((1, 3, 1),)), ((1,), (), (-1, -1)), tree)
+        assert bf.equal(bf.multiply(x, bf.inverse(x)), bf.identity_element(built))
+        assert bf.pvb_sign(x) == bf.pvb_sign(BFElement(value, tree, x.braid, x.labels, tree))
 
 
 @pytest.mark.parametrize("value, shown, bad, error", _value_contracts(),

@@ -572,6 +572,18 @@ def test_cable_table_matches_the_per_letter_rule_cold_and_warm(monkeypatch, n):
         assert set(br._CABLES[t, n]) == set(letters)  # each image stored once made
 
 
+@pytest.mark.parametrize("t, n", [(32, 2), (31, 3)])
+def test_cable_table_past_its_strand_bound_matches_the_per_letter_rule(monkeypatch, t, n):
+    cold(monkeypatch, br, "_CABLES")
+    letters = letters_on(36)
+    for _ in range(2):  # t + n - 1 > MEMO_LEAVES: made on every use, never kept
+        assert [cable_letter(letter, t, n) for letter in letters] == [
+            cable_letter_by_cases(letter, t, n) for letter in letters]
+        assert cable_letters(letters, t, n) == [
+            c for letter in letters for c in cable_letter_by_cases(letter, t, n)]
+        assert not br._CABLES
+
+
 def test_cable_table_checks_the_width_before_storing_a_cable(monkeypatch):
     cold(monkeypatch, br, "_CABLE_WIDTHS")
     cold(monkeypatch, br, "_CABLES")

@@ -72,7 +72,8 @@ def case_joins(mp):
     small = [(2, a.depths, b.depths) for a in trees for b in trees[:15]]
     big = [(2, right_comb(2, LIMIT + 1).depths, right_comb(2, LIMIT).depths),
            (3, Tree.single(3).depths, right_comb(3, 2 * LIMIT + 1).depths)]
-    return case(cold(mp, tr, "_JOINS"), small, big)
+    return case(cold(mp, tr, "_JOINS"), small, big,  # read through join, which skips big keys
+                read=lambda key: tr.join(Tree._new(key[0], key[1]), Tree._new(key[0], key[2])))
 
 
 def case_attached(mp):
@@ -80,8 +81,10 @@ def case_attached(mp):
     small = [(2, a.depths, (i, k)) for a in trees for i in range(1, a.leaf_count + 1)
              for k in (1, i + 1)]
     big = [(2, right_comb(2, LIMIT - 2).depths, (1, 1, 1)), (3, (0,), (1,) * LIMIT)]
-    return case(cold(mp, tr, "_ATTACHED"), small, big,
-                errors=lambda m: [((2, (1, 1), (3,)), TreeError), ((3, (0,), (1, 0)), TreeError)])
+    return case(cold(mp, tr, "_ATTACHED"), small, big,  # read through attach_script, as join
+                read=lambda key: tr.attach_script(Tree._new(key[0], key[1]), key[2]),
+                errors=lambda m: [((2, (1, 1), (3,)), TreeError), ((3, (0,), (1, 0)), TreeError),
+                                  ((3, (0,), (1,) * LIMIT + (0,)), TreeError)])
 
 
 def case_inverse_letters(mp):

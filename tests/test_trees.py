@@ -593,38 +593,47 @@ def test_xi_words_evaluate_to_their_elementary_pairs(monkeypatch):
 
 def test_xi_word_checks_a_new_instance_in_at_most_three_products(monkeypatch):
     # A cold read of E(200) checks each index of its chain 200, 200-n+1, ...
-    # once: three pair products above n, one at the first index <= n.  Read
-    # in increasing order, each instance is checked once against the kept
-    # word below it.  The memo keeps the words of pairs with at most
-    # MEMO_LEAVES leaves; a read past that checks every index down to the
-    # largest kept one again.
+    # once, from the foot up: three pair products above n, one at the foot
+    # <= n.  It keeps the checked words of pairs with at most MEMO_LEAVES
+    # leaves, so a later read past that bound checks its chain down to the
+    # largest kept index only.  Read in decreasing or in increasing order,
+    # each kept instance is checked once.
     products = []
 
     def counting_multiply(f, g):
         products.append((f, g))
         return pair_multiply(f, g)
 
+    def cost(indices):
+        return sum(1 if i <= n else 3 for i in indices)
+
     monkeypatch.setattr(tp, "pair_multiply", counting_multiply)
     for n in (2, 3, 4):
-        monkeypatch.setattr(tp, "_XI_WORDS", Memo(tp._XI_WORDS.make))
+        kept = [i for i in range(1, 200) if _elementary_pair(n, i)[0].leaf_count <= MEMO_LEAVES]
+        assert len(kept) > 25 and kept == list(range(1, kept[-1] + 1))
         chain = [200]
         while chain[-1] > n:
             chain.append(chain[-1] - n + 1)
+        monkeypatch.setattr(tp, "_XI_WORDS", Memo(tp._XI_WORDS.make))
         before = len(products)
         cold = tp._XI_WORDS[n, 200]
-        assert len(products) - before == sum(1 if i <= n else 3 for i in chain)
-        assert not tp._XI_WORDS  # E(200) has more than MEMO_LEAVES leaves
-        kept = [i for i in range(1, 200) if _elementary_pair(n, i)[0].leaf_count <= MEMO_LEAVES]
-        for i in kept:
-            before = len(products)
-            tp._XI_WORDS[n, i]
-            assert len(products) - before == (1 if i <= n else 3)
-        assert set(tp._XI_WORDS) == {(n, i) for i in kept} and len(kept) > 25
+        assert len(products) - before == cost(chain)
+        assert set(tp._XI_WORDS) == {(n, i) for i in chain if i in kept}
+        stop = max(set(kept) & set(chain))  # the largest kept word below E(200)
         top = kept[-1] + (n - 1) * 60  # 60 conjugations above the largest kept word
         for _ in range(2):
             before = len(products)
+            assert tp._XI_WORDS[n, 200] == cold
+            assert len(products) - before == 3 * (200 - stop) // (n - 1)
+        for order in (kept[::-1], kept):
+            monkeypatch.setattr(tp, "_XI_WORDS", Memo(tp._XI_WORDS.make))
+            before = len(products)
+            assert all(tp._XI_WORDS[n, i] for i in order)
+            assert len(products) - before == cost(kept)
+            assert set(tp._XI_WORDS) == {(n, i) for i in kept}
+        for _ in range(2):
+            before = len(products)
             assert tp._XI_WORDS[n, 200] == cold and tp._XI_WORDS[n, top]
-            stop = max(set(kept) & set(chain))  # the largest kept word below E(200)
             assert len(products) - before == 3 * (200 - stop) // (n - 1) + 3 * 60
         before = len(products)
         assert all(tp._XI_WORDS[n, i] for i in kept) and len(products) == before
