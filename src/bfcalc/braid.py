@@ -23,9 +23,11 @@ action, the independent oracle, lives in the combing module.  Cabling
 pair and sized by t + n - 1 (not read past its bound), of letter images,
 keyed by the letter and sized by the strands j + n - 1 of its image: a
 letter off strand t only shifts, one on it becomes a fixed descending
-product, checked against diagram cabling per width, in a memo keyed by the
-width, before its first use.  AWord.inverse maps letters through a memo
-sized by their strands.  Every memo follows the one rule in freegroup.
+product, checked against diagram cabling per width before its first use,
+in a memo keyed by the width and sized by the one width it holds, so each
+width is checked once per process.  The two strand bounds cap the tables at
+528 and the images of a table at 992, and so cap their memory (50.7 MiB
+when full).  Every memo follows the one rule in freegroup.
 
 The sign of a pure braid is read level by level from its linking numbers,
 the degree-1 Magnus coefficients of the combing coordinates; only a level
@@ -102,8 +104,8 @@ class AWord:
         return AWord(strands, ())
 
     def inverse(self) -> AWord:
-        return AWord._new(self.strands, tuple(map(_INVERSE_LETTERS.__getitem__,
-                                                  reversed(self.letters))))
+        return AWord._new(self.strands,
+                          tuple([(i, j, -s) for i, j, s in reversed(self.letters)]))
 
     def __mul__(self, other: AWord) -> AWord:
         if self.strands != other.strands:
@@ -112,10 +114,6 @@ class AWord:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-
-# A letter (i, j, s) -> (i, j, -s), sized by its strands j.
-_INVERSE_LETTERS = Memo(lambda letter: ((letter[0], letter[1], -letter[2]), letter[1]))
 
 
 def a_to_sigma(word: AWord) -> SigmaWord:
@@ -329,7 +327,7 @@ def _check_cable_width(n: int) -> tuple[int, int]:
         if not braids_equal(AWord(n + 1, tuple(_cable_product(1, 2, t, n))),
                             split_sigma(single, t, n)):
             raise SchemaError(f"cable rule failed validation at width {n}, strand {t}")
-    return n, n + 1
+    return n, 1
 
 
 # Cable widths whose rule has passed its check against diagram cabling.

@@ -8,7 +8,8 @@ then lexicographically; the Artin action, the independent oracle of braid
 equality; and Artin combing of pure braids into a tuple of free-group
 coordinates, through a table of conjugation rules whose instances are each
 checked by braid equality before their first use and kept in a memo (the
-rule is in freegroup), keyed by the instance and sized by its strands.
+rule is in freegroup), keyed by the instance and sized by the letters of its
+conjugator, at most 4, so each is checked once per process.
 braid.kr_sign loads this module only to comb a level whose linking numbers
 all vanish.
 """
@@ -200,17 +201,14 @@ def _conjugation_case(r: int, s: int, j: int) -> str | None:
 
 
 def _conjugator(key: tuple[int, int, int, int]) -> tuple[tuple[int, ...], int]:
-    """
-    The conjugator u of the rule instance (r, s, e, j), as kernel letters,
-    checked by braid equality, and its strands max(s, j).
-    """
+    """The checked conjugator u of instance (r, s, e, j) as kernel letters, and its letters."""
     r, s, e, j = key
     case = _conjugation_case(r, s, j)
     values = {"r": r - 1, "s": s - 1, "j": j - 1}
     u = () if case is None else tuple(values[name] * sign for name, sign in _CONJ_RULES[case, e])
     if not _rule_holds(r, s, e, j, u):
         raise SchemaError(f"conjugation rule failed validation at {key}")
-    return u, max(s, j)
+    return u, len(u)
 
 
 # Checked rule instances: (r, s, e, j) -> u as kernel letters.

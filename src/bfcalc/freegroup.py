@@ -25,8 +25,9 @@ Every memo of the library is a Memo, which keeps one rule: a missing value
 is computed by the memo's `make`, and stored only while the memo holds
 fewer than MEMO_ENTRIES entries and the value comes from at most MEMO_LEAVES
 leaves, strands or letters.  Past either bound the value is computed on
-every use and never stored, so a checked rule instance past it is checked
-again; an error is never stored.  A hit is a plain dict lookup.
+every use and never stored; an error is never stored.  A memo of checked
+rule instances sizes an entry by the few ints it holds, so it keeps every
+instance it checks until it is full.  A hit is a plain dict lookup.
 """
 
 from __future__ import annotations

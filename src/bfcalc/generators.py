@@ -83,6 +83,8 @@ class GeneratorSet:
     __slots__ = ("_engine_memo",)  # outside the fields: equality and hash are unchanged
 
     def __post_init__(self):
+        if not isinstance(self.context, HContext):
+            raise GeneratorSetError("the context must be an HContext")
         if type(self.members) is not tuple or not all(
                 type(m) is tuple and len(m) == 2 and type(m[0]) is str
                 and isinstance(m[1], BFElement) for m in self.members):

@@ -1,9 +1,9 @@
 """
 The tree-pair calculator of F_n (trees module docstring): composition and
-reduction of tree pairs, the n generating pairs and words over them.  Each
-elementary-pair word of comb_conjugator_word is checked by pair_multiply
-before its first use and kept in a memo (the rule is in freegroup), keyed
-by the arity and index and sized by the pair's leaves.  expansion_script,
+reduction of tree pairs, the n generating pairs and words over them.  An
+elementary-pair word of comb_conjugator_word has a closed form, used once
+each identity of its chain is checked by pair_multiply and kept in a memo
+(the rule is in freegroup), keyed by arity and index at size 0.  expansion_script,
 fn_factorize and pair_reduce have no caller in the package: they, and
 pair_multiply's public name, stay only because perfbench's per-layer
 tracer wraps all four by name.  A tree pair of two arities or leaf counts
@@ -12,7 +12,7 @@ is refused as fn_sign refuses it.
 
 from __future__ import annotations
 
-from .freegroup import MEMO_LEAVES, Memo, SchemaError, invert_letters, reduce_letters
+from .freegroup import Memo, SchemaError, invert_letters, reduce_letters
 from .trees import (ExpansionError, Tree, _check_pair, attach_script, caret_top, join,
                     right_comb)
 
@@ -80,33 +80,33 @@ def _elementary_pair(arity: int, i: int) -> tuple[Tree, Tree]:
     return comb.attach(i), comb.attach(m)
 
 
-def _xi_word(key: tuple[int, int]) -> tuple[tuple[int, ...], int]:
+def _check_xi_identity(key: tuple[int, int]) -> tuple[None, int]:
     """
-    For key (n, i), E(i) written over the generating pairs g_1..g_n, and its
-    leaf count: g_i^-1 for i <= n, else g_1 w g_1^-1 for the word w of
-    E(i-n+1), each instance checked by that identity in three pair products
-    (one for i <= n).  Words below i are read through the memo, and so kept,
-    up to the largest index whose pair it can keep; the rest are checked here.
+    For key (n, j), check E(j) = g_j^-1 when j <= n, else E(j) = g_1 E(j-n+1)
+    g_1^-1, over the generating pairs g_1..g_n: three pair products, one for j <= n.
     """
-    n, i = key
+    n, j = key
     g = brown_generator_pairs(n)
-    pairs = [_elementary_pair(n, i)]  # E(j) for each index j checked here, i first
-    while i > n and (below := _elementary_pair(n, i - n + 1))[0].leaf_count > MEMO_LEAVES:
-        i -= n - 1
-        pairs.append(below)
-    word, value = ((-i,), g[i - 1][::-1]) if i <= n else (_XI_WORDS[n, i - n + 1], None)
-    for pair in reversed(pairs):
-        if i > n:
-            value = pair_multiply(pair_multiply(g[0], below), g[0][::-1])
-            word = reduce_letters((1,) + word + (-1,))
-        domain, codomain = pair_multiply(value, pair[::-1])
-        if domain != codomain:
-            raise SchemaError(f"elementary-pair rewrite failed for index {i}, arity {n}")
-        below, i = pair, i + n - 1
-    return word, pairs[0][0].leaf_count
+    if j <= n:
+        value = g[j - 1][::-1]
+    else:
+        value = pair_multiply(pair_multiply(g[0], _elementary_pair(n, j - n + 1)), g[0][::-1])
+    domain, codomain = pair_multiply(value, _elementary_pair(n, j)[::-1])
+    if domain != codomain:
+        raise SchemaError(f"elementary-pair rewrite failed for index {j}, arity {n}")
+    return None, 0
 
 
-_XI_WORDS = Memo(_xi_word)  # checked instances: (n, i) -> the word of E(i)
+_XI_IDENTITIES = Memo(_check_xi_identity)  # checked identities: (n, j) -> None
+
+
+def _xi_word(n: int, i: int) -> tuple[int, ...]:
+    """E(i) over the generating pairs, g_1^q g_r^-1 g_1^-q, once its chain's identities hold."""
+    q = max(0, -((n - i) // (n - 1)))  # ceil((i-n)/(n-1)), so that r <= n
+    r = i - q * (n - 1)
+    for j in range(r, i + 1, n - 1):
+        _XI_IDENTITIES[n, j]
+    return (1,) * q + (-r,) + (-1,) * q
 
 
 def comb_conjugator_word(tree: Tree) -> tuple[int, ...]:
@@ -124,7 +124,7 @@ def comb_conjugator_word(tree: Tree) -> tuple[int, ...]:
         while (parent := caret_top(stack, n, starts, starts)) is not None:
             removed.append(len(stack) - n + 1)
             stack[-n:] = [parent]
-    return reduce_letters([x for i in reversed(removed) for x in _XI_WORDS[n, i]])
+    return reduce_letters([x for i in reversed(removed) for x in _xi_word(n, i)])
 
 
 def fn_factorize(pair: tuple[Tree, Tree]) -> tuple[int, ...]:

@@ -335,10 +335,12 @@ def test_envelope_and_rule_errors_exit_codes(monkeypatch, capsys, error, code):
 
 
 def test_failed_elementary_pair_check_exits_2(monkeypatch, capsys):
-    # An empty memo makes the check run; the inverse of each pair fails it.
+    # An empty memo makes the checks run; with each pair inverted, the one at
+    # the foot of a chain fails.
     assert SchemaError is freegroup.SchemaError
     elementary_pair = treepairs._elementary_pair
-    monkeypatch.setattr(treepairs, "_XI_WORDS", freegroup.Memo(treepairs._XI_WORDS.make))
+    monkeypatch.setattr(treepairs, "_XI_IDENTITIES",
+                        freegroup.Memo(treepairs._XI_IDENTITIES.make))
     monkeypatch.setattr(treepairs, "_elementary_pair",
                         lambda arity, i: elementary_pair(arity, i)[::-1])
     let = "a={ ((*,*),*) ; ; [1,1,1] ; (*,(*,*)) }"

@@ -158,6 +158,12 @@ def test_generator_set_rejects_malformed_members(members):
         GeneratorSet(_F1.context, members)
 
 
+@pytest.mark.parametrize("context", ["nope", None, 2])
+def test_generator_set_rejects_a_context_that_is_no_hcontext(context):
+    with pytest.raises(GeneratorSetError):
+        GeneratorSet(context, ())
+
+
 # --- decomposition
 
 def test_decompose_identity_is_empty():

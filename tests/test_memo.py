@@ -2,8 +2,10 @@
 Every memo of the library keeps the one rule of freegroup.Memo: a value is
 stored only while the memo holds fewer than MEMO_ENTRIES entries and comes
 from at most MEMO_LEAVES leaves, strands or letters.  Past either bound it is
-computed on every use and equals the uncached answer, an error is never
-stored, and a checked rule instance is checked again rather than skipped.
+computed on every use and equals the uncached answer, and an error is never
+stored.  A memo of checked rule instances sizes an entry by the few ints it
+holds, so it keeps an instance past MEMO_LEAVES strands or leaves and checks
+it once; only its entry bound makes a check run again.
 """
 import importlib
 import random
@@ -52,10 +54,11 @@ def mirrored_cabling(monkeypatch):
 
 def case(memo, small, big, *, expect=None, read=None, errors=lambda m: [], checks=None):
     """
-    A memo under test: distinct keys of size at most LIMIT (small) and above
-    it (big), the uncached answer (by default the memo's make), how a key is
-    read (by default memo[key]), errors(m) -> keys that raise once m has
-    patched what it needs, and the list each rule check appends to.
+    A memo under test: distinct keys whose values are kept while the memo
+    has room (small) and keys whose values are never kept (big), the
+    uncached answer (by default the memo's make), how a key is read (by
+    default memo[key]), errors(m) -> keys that raise once m has patched what
+    it needs, and the list each rule check appends to.
     """
     return SimpleNamespace(memo=memo, small=small, big=big,
                            expect=expect or (lambda key: memo.make(key)[0]),
@@ -87,12 +90,6 @@ def case_attached(mp):
                                   ((3, (0,), (1,) * LIMIT + (0,)), TreeError)])
 
 
-def case_inverse_letters(mp):
-    small = [(i, j, s) for j in range(2, LIMIT + 1) for i in range(1, j) for s in (1, -1)]
-    return case(cold(mp, br, "_INVERSE_LETTERS"), small, [(1, LIMIT + 1, 1), (5, 40, -1)],
-                expect=lambda letter: (letter[0], letter[1], -letter[2]))
-
-
 def case_cable_widths(mp):
     memo = cold(mp, br, "_CABLE_WIDTHS")
     checks = counted(mp, br, "split_sigma")  # two per width checked
@@ -101,7 +98,8 @@ def case_cable_widths(mp):
         mirrored_cabling(m)
         return [(2, SchemaError), (LIMIT + 4, SchemaError)]
 
-    return case(memo, list(range(1, LIMIT)), [LIMIT, 40], errors=errors, checks=checks)
+    small = [LIMIT + 1, *range(1, LIMIT)]  # width 33, on 34 strands, is kept and checked once
+    return case(memo, small, [], errors=errors, checks=checks)
 
 
 def case_cables(mp):
@@ -143,28 +141,30 @@ def case_cable_images(mp):
 def case_conjugators(mp):
     memo = cold(mp, cb, "_CONJUGATORS")
     checks = counted(mp, cb, "_rule_holds")
-    small = [(r, s, e, j) for k in range(3, 20) for r in range(2, k) for s in range(r + 1, k + 1)
-             for j in range(2, k + 1) if max(s, j) == k for e in (1, -1)]
+    small = [(2, 40, 1, 3)]  # an instance on 40 strands is kept and checked once
+    small += [(r, s, e, j) for k in range(3, 20) for r in range(2, k) for s in range(r + 1, k + 1)
+              for j in range(2, k + 1) if max(s, j) == k for e in (1, -1)]
 
     def errors(m):
         m.setattr(cb, "_rule_holds", lambda *args: False)
         return [((2, 4, 1, 3), SchemaError), ((2, LIMIT + 1, -1, 5), SchemaError)]
 
-    return case(memo, small, [(2, LIMIT + 1, 1, 3), (3, 5, -1, 40)], errors=errors, checks=checks)
+    return case(memo, small, [], errors=errors, checks=checks)
 
 
-def case_xi_words(mp):
-    memo = cold(mp, tp, "_XI_WORDS")
+def case_xi_identities(mp):
+    memo = cold(mp, tp, "_XI_IDENTITIES")
     checks = counted(mp, tp, "pair_multiply")
-    small = [(n, i) for n in range(2, 17) for i in range(1, LIMIT)
-             if tp._elementary_pair(n, i)[0].leaf_count <= LIMIT]
+    small = [(2, 200)]  # the identity of E(200), over 201 leaves, is kept and checked once
+    small += [(n, i) for n in range(2, 17) for i in range(1, LIMIT)
+              if tp._elementary_pair(n, i)[0].leaf_count <= LIMIT]
 
     def errors(m):
-        real = tp._elementary_pair
-        m.setattr(tp, "_elementary_pair", lambda arity, i: real(arity, i)[::-1])
+        real = tp.brown_generator_pairs  # each generating pair inverted
+        m.setattr(tp, "brown_generator_pairs", lambda arity: tuple(g[::-1] for g in real(arity)))
         return [((2, 5), SchemaError), ((3, 40), SchemaError)]
 
-    return case(memo, small, [(2, LIMIT), (3, 40)], errors=errors, checks=checks)
+    return case(memo, small, [], errors=errors, checks=checks)
 
 
 def labels_up_to(limit, count, seed=12):
@@ -225,12 +225,11 @@ def case_inverses(mp):
 CASES = {
     "trees._JOINS": case_joins,
     "trees._ATTACHED": case_attached,
-    "braid._INVERSE_LETTERS": case_inverse_letters,
     "braid._CABLE_WIDTHS": case_cable_widths,
     "braid._CABLES": case_cables,
     "braid._CABLES[1, 2]": case_cable_images,
     "combing._CONJUGATORS": case_conjugators,
-    "treepairs._XI_WORDS": case_xi_words,
+    "treepairs._XI_IDENTITIES": case_xi_identities,
     "HContext._labels": case_labels,
     "HContext._leaf_letters": case_leaf_letters,
     "HContext._products": case_products,
@@ -276,12 +275,12 @@ def test_every_memo_keeps_the_one_rule(monkeypatch, name):
     assert not memo
 
     # Past the size bound, with room to spare: computed on every use, never
-    # stored, and a rule instance is checked on every use.
+    # stored.
     for key in c.big:
         for _ in range(2):
-            right(key, checked=True)
+            right(key)
         assert key not in memo
-    memo.clear()  # a rule instance above may have kept the instances it rests on
+    assert not memo
 
     # Filled past its entry bound: the first keys are kept, the rest are not,
     # and every answer is right.  A memo with fewer keys under the size bound

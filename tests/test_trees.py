@@ -9,7 +9,7 @@ import pytest
 
 from bfcalc import treepairs as tp
 from bfcalc import trees as tr
-from bfcalc.freegroup import MEMO_LEAVES, Memo, invert_letters, reduce_letters
+from bfcalc.freegroup import Memo, invert_letters, reduce_letters
 from bfcalc.treepairs import (
     _elementary_pair,
     brown_generator_pairs,
@@ -536,7 +536,7 @@ def comb_conjugator_word_oracle(tree):
         cur = remove_caret(cur, i)
         if i != cur.leaf_count:
             removed.append(i)
-    return reduce_letters([x for i in reversed(removed) for x in tp._XI_WORDS[n, i]])
+    return reduce_letters([x for i in reversed(removed) for x in xi_word_oracle(n, i)])
 
 
 def test_comb_conjugator_word_matches_oracle():
@@ -576,13 +576,24 @@ def test_elementary_pair_over_smallest_comb():
             assert _elementary_pair(n, i) == (comb.attach(i), comb.attach(m))
 
 
+def xi_word_oracle(n, i):
+    """The recursive definition: E(i) = g_i^-1 for i <= n, else g_1 E(i-n+1) g_1^-1, reduced."""
+    return (-i,) if i <= n else reduce_letters((1,) + xi_word_oracle(n, i - n + 1) + (-1,))
+
+
+def test_xi_word_matches_its_recursive_definition():
+    for n in (2, 3, 4, 5):
+        for i in range(1, 151):
+            assert tp._xi_word(n, i) == xi_word_oracle(n, i)
+
+
 XI_WORDS_DIGEST = "144c3a60877e63ff861497ad1561fea97f4d7bfb5292de9e527911c147cddba6"
 
 
 def test_xi_words_evaluate_to_their_elementary_pairs(monkeypatch):
     # evaluate_brown_word is the oracle: each word multiplies out to its pair.
-    monkeypatch.setattr(tp, "_XI_WORDS", Memo(tp._XI_WORDS.make))
-    words = {f"{n},{i}": tp._XI_WORDS[n, i] for n in (2, 3, 4) for i in range(1, 61)}
+    monkeypatch.setattr(tp, "_XI_IDENTITIES", Memo(tp._XI_IDENTITIES.make))
+    words = {f"{n},{i}": tp._xi_word(n, i) for n in (2, 3, 4) for i in range(1, 61)}
     for key, word in words.items():
         n, i = map(int, key.split(","))
         value = evaluate_brown_word(n, word)
@@ -592,51 +603,36 @@ def test_xi_words_evaluate_to_their_elementary_pairs(monkeypatch):
 
 
 def test_xi_word_checks_a_new_instance_in_at_most_three_products(monkeypatch):
-    # A cold read of E(200) checks each index of its chain 200, 200-n+1, ...
-    # once, from the foot up: three pair products above n, one at the foot
-    # <= n.  It keeps the checked words of pairs with at most MEMO_LEAVES
-    # leaves, so a later read past that bound checks its chain down to the
-    # largest kept index only.  Read in decreasing or in increasing order,
-    # each kept instance is checked once.
+    # A cold read of E(200) checks each identity of its chain 200, 200-n+1,
+    # ..., r <= n once: three pair products above n, one at the foot.  The
+    # memo keeps every identity it checks, whatever the leaves of its pairs,
+    # so a second read makes no product, and reads of E(1)..E(200) in
+    # decreasing or in increasing order check each identity once.
     products = []
 
     def counting_multiply(f, g):
         products.append((f, g))
         return pair_multiply(f, g)
 
-    def cost(indices):
-        return sum(1 if i <= n else 3 for i in indices)
+    def fresh():
+        monkeypatch.setattr(tp, "_XI_IDENTITIES", Memo(tp._XI_IDENTITIES.make))
+        return len(products)
 
     monkeypatch.setattr(tp, "pair_multiply", counting_multiply)
-    for n in (2, 3, 4):
-        kept = [i for i in range(1, 200) if _elementary_pair(n, i)[0].leaf_count <= MEMO_LEAVES]
-        assert len(kept) > 25 and kept == list(range(1, kept[-1] + 1))
-        chain = [200]
-        while chain[-1] > n:
-            chain.append(chain[-1] - n + 1)
-        monkeypatch.setattr(tp, "_XI_WORDS", Memo(tp._XI_WORDS.make))
+    indices = range(1, 201)
+    for n, made in ((2, 595), (3, 298), (4, 199)):
+        before = fresh()
+        cold = tp._xi_word(n, 200)
+        assert len(products) - before == made
+        chain = range(200, 1, 1 - n)  # its foot r is 2 at these n
+        assert set(tp._XI_IDENTITIES) == {(n, j) for j in chain}
         before = len(products)
-        cold = tp._XI_WORDS[n, 200]
-        assert len(products) - before == cost(chain)
-        assert set(tp._XI_WORDS) == {(n, i) for i in chain if i in kept}
-        stop = max(set(kept) & set(chain))  # the largest kept word below E(200)
-        top = kept[-1] + (n - 1) * 60  # 60 conjugations above the largest kept word
-        for _ in range(2):
-            before = len(products)
-            assert tp._XI_WORDS[n, 200] == cold
-            assert len(products) - before == 3 * (200 - stop) // (n - 1)
-        for order in (kept[::-1], kept):
-            monkeypatch.setattr(tp, "_XI_WORDS", Memo(tp._XI_WORDS.make))
-            before = len(products)
-            assert all(tp._XI_WORDS[n, i] for i in order)
-            assert len(products) - before == cost(kept)
-            assert set(tp._XI_WORDS) == {(n, i) for i in kept}
-        for _ in range(2):
-            before = len(products)
-            assert tp._XI_WORDS[n, 200] == cold and tp._XI_WORDS[n, top]
-            assert len(products) - before == 3 * (200 - stop) // (n - 1) + 3 * 60
-        before = len(products)
-        assert all(tp._XI_WORDS[n, i] for i in kept) and len(products) == before
+        assert tp._xi_word(n, 200) == cold and len(products) == before
+        for order in (indices[::-1], indices):
+            before = fresh()
+            assert all(tp._xi_word(n, i) for i in order)
+            assert len(products) - before == sum(1 if i <= n else 3 for i in indices)
+            assert set(tp._XI_IDENTITIES) == {(n, i) for i in indices}
 
 
 def address_caret_top(stack, n):
