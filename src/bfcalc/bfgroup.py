@@ -1,7 +1,9 @@
 """
 Elements of the pure braided Thompson groups over an H-context: expansion,
 composition, inverses, equality, reduction to smaller representatives, and
-the two-level bi-order sign.
+the two-level bi-order sign.  The order is read layer by layer: compare
+decides on the trees of x^-1 y, then on its labels, and cables its braid
+only when every label is trivial, without building the product.
 
 An element is a quadruple (t1, braid, labels, t2): two full n-ary trees
 with m leaves, a pure braid on m strands connecting the leaves of t1 to the
@@ -408,12 +410,17 @@ def pvb_sign(x: BFElement) -> int:
     """
     if x.t1 is not x.t2 and x.t1 != x.t2:
         raise ElementError("pvb_sign needs a representative with equal trees")
-    if any(x.labels):
-        context = x.context
-        for label in x.labels:
-            if label and (sign := _label_sign(context, label)) != ZERO:
-                return sign
+    if any(x.labels) and (sign := _labels_sign(x.context, x.labels)) != ZERO:
+        return sign
     return br.kr_sign(x.braid)
+
+
+def _labels_sign(context: HContext, labels: Iterable[Label]) -> int:
+    """The sign of the first label nontrivial in H, ZERO when every label is trivial."""
+    for label in labels:
+        if label and (sign := _label_sign(context, label)) != ZERO:
+            return sign
+    return ZERO
 
 
 def bf_sign(x: BFElement) -> int:
@@ -427,8 +434,29 @@ LESS, EQUAL, GREATER = -1, 0, 1
 
 
 def compare(x: BFElement, y: BFElement) -> int:
-    """Total order: x < y when x^-1 y is positive."""
-    sign = bf_sign(multiply(inverse(x), y))
+    """
+    Total order: x < y when x^-1 y is positive, read layer by layer without
+    building it: its trees (x.t2 and y.t2 along join(x.t1, y.t1)), then its
+    labels, which expansion copies, then, only when every label is trivial in
+    H, its cabled braid.
+    """
+    if x.context is not y.context and x.context != y.context:
+        raise ContextError("elements live over different contexts")
+    script_x, script_y = join(x.t1, y.t1)
+    t_x, t_y = tr.attach_script(x.t2, script_x), tr.attach_script(y.t2, script_y)
+    if (sign := fn_sign(t_x, t_y) if t_x is not t_y else ZERO) == ZERO:
+        if any(x.labels) or any(y.labels):
+            labels_x = list(map(x.context._inverses.__getitem__, x.labels))
+            labels_y = list(y.labels)
+            for script, labels in ((script_x, labels_x), (script_y, labels_y)):
+                for t in script:  # an expansion copies the label n times
+                    labels[t - 1 : t] = (labels[t - 1],) * x.arity
+            if any(labels_y):
+                labels_x = map(x.context._products.__getitem__, zip(labels_x, labels_y))
+            sign = _labels_sign(x.context, labels_x)
+        if sign == ZERO:
+            braid = _expanded(inverse(x), script_x)[0] + _expanded(y, script_y)[0]
+            sign = br.kr_sign(AWord._new(t_x.leaf_count, braid))
     return LESS if sign == POSITIVE else GREATER if sign == NEGATIVE else EQUAL
 
 

@@ -31,7 +31,8 @@ when full).  Every memo follows the one rule in freegroup.
 
 The sign of a pure braid is read level by level from its linking numbers,
 the degree-1 Magnus coefficients of the combing coordinates; only a level
-whose linking numbers all vanish loads the combing module and is combed.
+whose linking numbers all vanish and whose letters do not cancel loads the
+combing module and is combed.
 The benchmark's per-layer tracer reads comb and artin_image here (__getattr__).
 """
 
@@ -160,15 +161,15 @@ def linking_numbers(word: AWord) -> dict[tuple[int, int], int]:
     return out
 
 
-def _cancel_adjacent(word: AWord) -> AWord:
-    """Drop syntactically adjacent inverse pairs of letters (free reduction)."""
+def _cancelled(letters: Iterable[ALetter]) -> list[ALetter]:
+    """Drop syntactically adjacent inverse pairs of letters (free reduction), in one pass."""
     out: list[ALetter] = []
-    for i, j, s in word.letters:
+    for i, j, s in letters:
         if out and out[-1] == (i, j, -s):
             out.pop()
         else:
             out.append((i, j, s))
-    return AWord._new(word.strands, tuple(out)) if len(out) != len(word.letters) else word
+    return out
 
 
 def _dynnikov(strands: int, letters: Iterable[int]) -> tuple[int, ...]:
@@ -218,18 +219,17 @@ def braids_equal(u: SigmaWord | AWord, v: SigmaWord | AWord) -> bool:
     if u.strands != v.strands:
         raise BraidError("strand count mismatch")
     if isinstance(u, AWord) and isinstance(v, AWord):
-        u = _cancel_adjacent(u)
-        v = _cancel_adjacent(v)
-        if u.letters == v.letters:
+        x, y = _cancelled(u.letters), _cancelled(v.letters)
+        if x == y:
             return True
-        x, y = u.letters, v.letters  # p a s == p b s exactly when a == b
-        p = s = 0
+        p = s = 0  # p a s == p b s exactly when a == b
         shorter = min(len(x), len(y))
         while p < shorter and x[p] == y[p]:
             p += 1
         while s < shorter - p and x[-1 - s] == y[-1 - s]:
             s += 1
-        u, v = AWord._new(u.strands, x[p:len(x) - s]), AWord._new(v.strands, y[p:len(y) - s])
+        u, v = (AWord._new(u.strands, tuple(x[p:len(x) - s])),
+                AWord._new(v.strands, tuple(y[p:len(y) - s])))
         if linking_numbers(u) != linking_numbers(v):
             return False
     su = a_to_sigma(u) if isinstance(u, AWord) else u
@@ -385,7 +385,8 @@ def kr_sign(word: AWord) -> int:
     strands i+d, because the conjugation rules of combing act trivially on
     the abelianization.  Those sums are the coordinate's degree-1 Magnus
     coefficients, so one pass over the letters decides every level with
-    nonzero linking; only a level with letters but zero linking is combed.
+    nonzero linking; only a level with zero linking whose letters do not
+    cancel is combed.
     """
     global combing
     m = word.strands
@@ -399,13 +400,21 @@ def kr_sign(word: AWord) -> int:
         for j in sorted(row):
             if total := row[j]:
                 return POSITIVE if total > 0 else NEGATIVE
-        if i < m - 1:  # the deepest level has rank 1: zero linking makes it trivial
+        if i < m - 1 and (level := _level_word(word, i)).letters:  # else rank 1 or cancelled
             if combing is None:
                 from . import combing
-            coord = combing._peel_front(combing._level_word(word, i))
+            coord = combing._peel_front(level)
             if not coord.is_trivial():
                 return combing.magnus_sign(coord)
     return ZERO
+
+
+def _level_word(word: AWord, i: int) -> AWord:
+    """The level of strand i: strands 1..i-1 deleted, letters cancelled, strand i first."""
+    out = _cancelled([l for l in word.letters if l[0] >= i])
+    if out and i > 1:
+        out = [(a - i + 1, b - i + 1, s) for a, b, s in out]
+    return AWord._new(word.strands - i + 1, tuple(out))
 
 
 __getattr__ = _lazy_getattr(__name__, dict.fromkeys(("comb", "artin_image"), "combing"))

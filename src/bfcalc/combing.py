@@ -11,15 +11,15 @@ checked by braid equality before their first use and kept in a memo (the
 rule is in freegroup), keyed by the instance and sized by the letters of its
 conjugator, at most 4, so each is checked once per process.
 braid.kr_sign loads this module only to comb a level whose linking numbers
-all vanish.
+all vanish and whose letters do not cancel.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .braid import (AWord, BraidError, CombingLimitError, SigmaWord, _cancel_adjacent,
-                    a_to_sigma, braids_equal)
+from .braid import (AWord, BraidError, CombingLimitError, SigmaWord, _level_word, a_to_sigma,
+                    braids_equal)
 from .freegroup import (NEGATIVE, POSITIVE, ZERO, Memo, SchemaError, TruncationError,
                         WordError, _is_int_tuple, _value_class, invert_letters, reduce_letters,
                         reduce_onto)
@@ -246,17 +246,6 @@ def _peel_front(word: AWord) -> FreeWord:
         else:
             front_rev = _conjugate_kernel_word_reversed(front_rev, i, j, sign)
     return FreeWord._new(word.strands - 1, tuple(reversed(front_rev)))
-
-
-def _level_word(word: AWord, i: int) -> AWord:
-    """
-    The level of strand i: the word with strands 1..i-1 deleted, so that
-    strand i comes first, and adjacent inverse letters cancelled.  The
-    letters of a conjugator often cancel at the levels the conjugated braid
-    does not touch, and then combing never sees them.
-    """
-    return _cancel_adjacent(AWord._new(word.strands - i + 1, tuple(
-        (a - i + 1, b - i + 1, s) for a, b, s in word.letters if a >= i)))
 
 
 def comb(word: AWord) -> tuple[FreeWord, ...]:

@@ -104,9 +104,11 @@ class Tree:
     @property
     def _starts(self) -> list[int]:
         """The start depths (module docstring), kept after the first read."""
-        if getattr(self, "_start_memo", None) is None:
+        try:
+            return self._start_memo
+        except AttributeError:  # built by _new: fill the slot on this first read
             object.__setattr__(self, "_start_memo", _start_depths(self.arity, self.depths))
-        return self._start_memo
+            return self._start_memo
 
     @property
     def leaves(self) -> tuple[tuple[int, ...], ...]:

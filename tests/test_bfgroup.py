@@ -1,3 +1,4 @@
+import collections
 import copy
 import functools
 import hashlib
@@ -36,9 +37,9 @@ from bfcalc.braid import (AWord, BraidError, SigmaWord, a_to_sigma, braids_equal
                           delete_strand, is_trivial, kr_sign, linking_numbers, shift_embed,
                           split_a)
 from bfcalc.combing import FreeWord, comb
-from bfcalc.freegroup import FrozenInstanceError, WordError, reduce_onto
+from bfcalc.freegroup import MEMO_LEAVES, FrozenInstanceError, WordError, reduce_onto
 from bfcalc.generators import (GeneratorSet, GeneratorSetError, PureGeneratorSpec, gen1_set,
-                               random_element, random_pvb_element)
+                               random_element, random_pvb_element, random_tree)
 from bfcalc import treepairs as tp
 from bfcalc import trees as tr
 from bfcalc.treepairs import expansion_script
@@ -591,10 +592,12 @@ def test_context_mismatch_rejected():
     with pytest.raises(ContextError):
         multiply(x, y)
     for u, v in ((x, y), (y, x), (y, identity_element(pn_context(3)))):
-        with pytest.raises(ContextError):
-            equal(u, v)
+        for decide in (equal, compare):
+            with pytest.raises(ContextError):
+                decide(u, v)
     # Contexts compare by value: equal contexts built apart are one context.
     assert equal(y, identity_element(pn_context(2)))
+    assert compare(y, identity_element(pn_context(2))) == bf.EQUAL
 
 
 # --- identity recognition and equality
@@ -933,6 +936,93 @@ def test_compare_examples():
     assert compare(one, one) == bf.EQUAL
     assert compare(one, positive) == bf.LESS
     assert compare(positive, one) == bf.GREATER
+
+
+def compare_oracle(x, y):
+    """The order as the sign of x^-1 y, the product built in full."""
+    sign = bf_sign(multiply(inverse(x), y))
+    return bf.LESS if sign > 0 else bf.GREATER if sign < 0 else bf.EQUAL
+
+
+def deciding_layer(x, y):
+    """The layer of the order that decides x against y, read off the full product x^-1 y."""
+    p = multiply(inverse(x), y)
+    if p.t1 != p.t2:
+        return "trees"
+    if any(kr_sign(label_to_braid(label, p.context)) for label in p.labels):
+        return "labels"
+    if linking_numbers(p.braid):
+        return "linking"
+    return "combed" if kr_sign(p.braid) else "equal"
+
+
+def random_braid_letters(rng, m, count):
+    for _ in range(count if m > 1 else 0):
+        i = rng.randint(1, m - 1)
+        yield i, rng.randint(i + 1, m), rng.choice((1, -1))
+
+
+def commutator_element(ctx, rng, tree):
+    """An element over one tree with trivial labels whose braid is a commutator: zero linking."""
+    m = tree.leaf_count
+    u, v = (AWord(m, tuple(random_braid_letters(rng, m, 3))) for _ in range(2))
+    return BFElement(ctx, tree, u * v * u.inverse() * v.inverse(), ((),) * m, tree)
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=ORACLE_IDS[:4])
+def test_compare_matches_product_oracle_at_every_layer(ctx, monkeypatch):
+    rng = random.Random(80 + ctx.arity + len(ctx.generators))
+    pairs = []
+    for k in range(20):
+        leaves = 40 if k % 4 == 0 else 3 * ctx.arity  # past MEMO_LEAVES every fourth draw
+        x = draw(ctx, rng, leaves=leaves, braid=6)
+        h = random_pvb_element(ctx, rng, max_leaves=leaves, max_braid_letters=6,
+                               max_label_letters=2)
+        bare = random_pvb_element(ctx, rng, max_leaves=leaves, max_braid_letters=6,
+                                  max_label_letters=0)
+        # g c against g expanded: x.t1 expanded decides nothing, so c^-1 cabled once is combed.
+        g = from_tree_pair(ctx, x.t1, x.t2)
+        c, i = commutator_element(ctx, rng, x.t2), rng.randint(1, x.leaf_count)
+        pairs += [(x, draw(ctx, rng, leaves=leaves)), (x, multiply(x, h)), (multiply(x, bare), x),
+                  (multiply(g, c), expand(g, i)), (x, expand(x, i))]
+    assert any(x.leaf_count > MEMO_LEAVES for x, _ in pairs)
+    expected = [compare_oracle(x, y) for x, y in pairs]
+    layers = collections.Counter(deciding_layer(x, y) for x, y in pairs)
+
+    def refuse(*args):
+        raise AssertionError("compare built a product")
+
+    monkeypatch.setattr(bf, "multiply", refuse)
+    assert [compare(x, y) for x, y in pairs] == expected
+    assert [compare(y, x) for x, y in pairs] == [-order for order in expected]
+    want = ("trees", "linking", "combed", "equal") + (("labels",) if ctx.generators else ())
+    assert all(layers[layer] >= 3 for layer in want), layers
+
+
+def draw_past_bound(ctx, rng, equal_trees=False):
+    """An element of 33-48 leaves: every strand count past MEMO_LEAVES."""
+    n = ctx.arity
+    carets = rng.randint(-(-MEMO_LEAVES // (n - 1)), (MEMO_LEAVES + 15) // (n - 1))
+    t1 = random_tree(rng, n, carets)
+    t2 = t1 if equal_trees else random_tree(rng, n, carets)
+    m, k = t1.leaf_count, len(ctx.generators)
+    labels = tuple(tuple(rng.choice((1, -1)) * rng.randint(1, k)
+                         for _ in range(rng.randint(0, 2) if k else 0)) for _ in range(m))
+    return BFElement(ctx, t1, AWord(m, tuple(random_braid_letters(rng, m, 8))), labels, t2)
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=ORACLE_IDS[:4])
+def test_group_laws_past_the_memo_bound(ctx):
+    rng = random.Random(90 + ctx.arity + len(ctx.generators))
+    xs = [draw_past_bound(ctx, rng, equal_trees=k % 3 == 0) for k in range(15)]
+    assert all(MEMO_LEAVES < x.leaf_count <= MEMO_LEAVES + 16 for x in xs)
+    for a, b, c in zip(xs, xs[1:], xs[2:]):
+        assert equal(multiply(multiply(a, b), c), multiply(a, multiply(b, c)))
+        assert is_identity(multiply(a, inverse(a))) and is_identity(multiply(inverse(a), a))
+        assert equal(reduce(a), a)
+        assert bf_sign(inverse(a)) == -bf_sign(a)
+        assert bf_sign(multiply(multiply(b, a), inverse(b))) == bf_sign(a)
+        assert compare(a, c) == -compare(c, a)
 
 
 # --- random elements
