@@ -107,9 +107,11 @@ def magnus_sign(word: FreeWord) -> int:
     Sign of the coefficient of the minimal nonconstant monomial of the
     word's image, zero exactly for the trivial word.  The degree-1
     coefficients are the exponent sums, read in one pass over the letters.
-    When they all vanish, the truncation degree is deepened 2, 4, ... until
+    When they all vanish, the truncation degree is deepened 2, 3, ... until
     a nonconstant term appears; residual nilpotence guarantees one below
     twice the word length, and the cap turns any violation into a loud error.
+    Truncating at degree d gives every coefficient of degree at most d
+    exactly, so the first degree with a nonconstant term decides.
     """
     if word.is_trivial():
         return ZERO
@@ -120,17 +122,12 @@ def magnus_sign(word: FreeWord) -> int:
         if total:
             return POSITIVE if total > 0 else NEGATIVE
     cap = 2 * len(word)
-    degree = 2
-    while True:
+    for degree in range(2, cap + 1):
         coeffs = magnus_truncated(word, degree)
         least = min((m for m in coeffs if m), key=_monomial_key, default=None)
         if least is not None:
             return POSITIVE if coeffs[least] > 0 else NEGATIVE
-        if degree >= cap:
-            raise TruncationError(
-                f"no nonconstant term up to degree {degree} for a nontrivial word"
-            )
-        degree = min(2 * degree, cap)
+    raise TruncationError(f"no nonconstant term up to degree {cap} for a nontrivial word")
 
 
 def _artin_images(strands: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

@@ -113,9 +113,11 @@ class GeneratorSet:
 
     @property
     def _engine(self) -> _Decomposer:
-        if getattr(self, "_engine_memo", None) is None:
+        try:
+            return self._engine_memo
+        except AttributeError:  # fill the slot on the first read
             object.__setattr__(self, "_engine_memo", _Decomposer(self))
-        return self._engine_memo
+            return self._engine_memo
 
 
 def _brown_members(context: HContext) -> list[tuple[str, BFElement]]:

@@ -4,11 +4,18 @@ defining relation, the braid-layer oracles, the group axioms, and the
 generating-set round trips.  The command line runs them through `selftest`;
 the acceptance tests call the same functions with their pinned sample
 counts, so there is exactly one implementation of every check.
+
+Each law is written once, as a function of its elements that returns the
+number of violations it sees, so it runs over any elements, not only the
+random draws.  A suite is a table of rows: a label, a law, the instances
+its draw yields and, when one instance makes more than one check, how
+many.  `_suite` runs the rows in order and times the suite.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
 import time
@@ -51,6 +58,70 @@ class SuiteResult:
         return out
 
 
+def trichotomy(x: bf.BFElement) -> int:
+    """x and x^-1 have opposite signs, and the sign is zero exactly at the identity."""
+    sign = bf.bf_sign(x)
+    return bf.bf_sign(bf.inverse(x)) != -sign or (sign == bf.ZERO) != bf.is_identity(x)
+
+
+def cone(x: bf.BFElement, y: bf.BFElement) -> int:
+    """For positive x and y, x y is positive."""
+    return bf.bf_sign(bf.multiply(x, y)) != bf.POSITIVE
+
+
+def conjugation(x: bf.BFElement, g: bf.BFElement) -> int:
+    """g x g^-1 has the sign of x."""
+    return bf.bf_sign(bf.multiply(bf.multiply(g, x), bf.inverse(g))) != bf.bf_sign(x)
+
+
+def transitivity(a: bf.BFElement, b: bf.BFElement, c: bf.BFElement) -> int:
+    """a <= b <= c gives a <= c, and a >= b >= c gives a >= c."""
+    ab, bc, ac = bf.compare(a, b), bf.compare(b, c), bf.compare(a, c)
+    return ac != bf.EQUAL and ac not in (ab, bc)
+
+
+def bi_invariance(x: bf.BFElement, y: bf.BFElement, a: bf.BFElement) -> int:
+    """For x < y, a x < a y and x a < y a: two checks."""
+    return ((bf.compare(bf.multiply(a, x), bf.multiply(a, y)) != bf.LESS)
+            + (bf.compare(bf.multiply(x, a), bf.multiply(y, a)) != bf.LESS))
+
+
+def bf_expansion(x: bf.BFElement, i: int) -> int:
+    """Expanding leaf i keeps the bi-order sign."""
+    return bf.bf_sign(bf.expand(x, i)) != bf.bf_sign(x)
+
+
+def pvb_expansion(x: bf.BFElement, i: int) -> int:
+    """Expanding leaf i keeps the sign of an equal-tree element."""
+    return bf.pvb_sign(bf.expand(x, i)) != bf.pvb_sign(x)
+
+
+def associativity(a: bf.BFElement, b: bf.BFElement, c: bf.BFElement) -> int:
+    return not bf.equal(bf.multiply(bf.multiply(a, b), c), bf.multiply(a, bf.multiply(b, c)))
+
+
+def two_sided_identity(x: bf.BFElement) -> int:
+    one = bf.identity_element(x.context)
+    return not (bf.equal(bf.multiply(x, one), x) and bf.equal(bf.multiply(one, x), x))
+
+
+def two_sided_inverse(x: bf.BFElement) -> int:
+    return not (bf.is_identity(bf.multiply(x, bf.inverse(x)))
+                and bf.is_identity(bf.multiply(bf.inverse(x), x)))
+
+
+def _suite(name: str, params: dict, rows) -> SuiteResult:
+    start = time.perf_counter()
+    checks = []
+    for label, law, instances, *per_instance in rows:
+        bad = count = 0
+        for args in instances:
+            bad += law(*args)
+            count += 1
+        checks.append(Check(label, bad, count * (per_instance[0] if per_instance else 1)))
+    return SuiteResult(name, params, checks, time.perf_counter() - start)
+
+
 def _context(arity: int, hmode: str) -> bf.HContext:
     if hmode == "trivial":
         return bf.trivial_context(arity)
@@ -59,13 +130,10 @@ def _context(arity: int, hmode: str) -> bf.HContext:
     raise ValueError(f"unknown H mode {hmode!r}")
 
 
-def _draw(context: bf.HContext, rng: random.Random) -> bf.BFElement:
-    return gen.random_element(
-        context, rng,
-        max_leaves=SUITE_LEAVES,
-        max_braid_letters=SUITE_BRAID,
-        max_label_letters=SUITE_LABEL,
-    )
+def _draw(context: bf.HContext, rng: random.Random, pvb: bool = False) -> bf.BFElement:
+    draw = gen.random_pvb_element if pvb else gen.random_element
+    return draw(context, rng, max_leaves=SUITE_LEAVES, max_braid_letters=SUITE_BRAID,
+                max_label_letters=SUITE_LABEL)
 
 
 def _draw_positive(context: bf.HContext, rng: random.Random) -> bf.BFElement:
@@ -78,221 +146,115 @@ def _draw_positive(context: bf.HContext, rng: random.Random) -> bf.BFElement:
             return bf.inverse(x)
 
 
+def _draws(count: int, *draws):
+    """`count` instances, each one value from every draw in turn."""
+    for _ in range(count):
+        yield tuple(draw() for draw in draws)
+
+
+def _with_leaf(count: int, rng: random.Random, draw):
+    """`count` instances (x, i): a drawn element and one of its leaves."""
+    for _ in range(count):
+        x = draw()
+        yield x, rng.randint(1, x.leaf_count)
+
+
+def _ordered_pairs(count: int, draw):
+    """`count` drawn pairs x < y, each with three drawn multipliers a: instances (x, y, a)."""
+    while count > 0:
+        x, y = draw(), draw()
+        if bf.compare(x, y) == bf.LESS:
+            count -= 1
+            for _ in range(3):
+                yield x, y, draw()
+
+
 def orders_suite(arity: int, hmode: str, samples: int, seed: int) -> SuiteResult:
     """Trichotomy, antisymmetry, positivity cone and bi-invariance of the order."""
-    context = _context(arity, hmode)
-    rng = random.Random(seed)
-    start = time.perf_counter()
-    checks: list[Check] = []
-
-    bad = 0
-    for _ in range(samples):
-        x = _draw(context, rng)
-        sign = bf.bf_sign(x)
-        if bf.bf_sign(bf.inverse(x)) != -sign:
-            bad += 1
-        elif (sign == bf.ZERO) != bf.is_identity(x):
-            bad += 1
-    checks.append(Check("trichotomy and antisymmetry", bad, samples))
-
-    bad = 0
-    for _ in range(samples):
-        x = _draw_positive(context, rng)
-        y = _draw_positive(context, rng)
-        if bf.bf_sign(bf.multiply(x, y)) != bf.POSITIVE:
-            bad += 1
-    checks.append(Check("positive cone is a semigroup", bad, samples))
-
-    bad = 0
-    for _ in range(samples):
-        x = _draw(context, rng)
-        g = _draw(context, rng)
-        conjugate = bf.multiply(bf.multiply(g, x), bf.inverse(g))
-        if bf.bf_sign(conjugate) != bf.bf_sign(x):
-            bad += 1
-    checks.append(Check("conjugation invariance of the sign", bad, samples))
-
-    triples = max(1, (samples * 2) // 3)
-    bad = 0
-    for _ in range(triples):
-        a, b, c = _draw(context, rng), _draw(context, rng), _draw(context, rng)
-        ab, bc, ac = bf.compare(a, b), bf.compare(b, c), bf.compare(a, c)
-        if ab != bf.GREATER and bc != bf.GREATER and ac == bf.GREATER:
-            bad += 1
-        if ab != bf.LESS and bc != bf.LESS and ac == bf.LESS:
-            bad += 1
-    checks.append(Check("transitivity of compare", bad, triples))
-
-    bad = 0
-    pairs = 0
-    while pairs < samples:
-        x = _draw(context, rng)
-        y = _draw(context, rng)
-        if bf.compare(x, y) != bf.LESS:
-            continue
-        pairs += 1
-        for _ in range(3):
-            a = _draw(context, rng)
-            if bf.compare(bf.multiply(a, x), bf.multiply(a, y)) != bf.LESS:
-                bad += 1
-            if bf.compare(bf.multiply(x, a), bf.multiply(y, a)) != bf.LESS:
-                bad += 1
-    checks.append(Check("two-sided bi-invariance", bad, samples * 3))
-
-    return SuiteResult(
-        "orders", {"arity": arity, "H": hmode, "samples": samples, "seed": seed},
-        checks, time.perf_counter() - start)
+    context, rng = _context(arity, hmode), random.Random(seed)
+    draw = functools.partial(_draw, context, rng)
+    positive = functools.partial(_draw_positive, context, rng)
+    return _suite("orders", {"arity": arity, "H": hmode, "samples": samples, "seed": seed}, [
+        ("trichotomy and antisymmetry", trichotomy, _draws(samples, draw)),
+        ("positive cone is a semigroup", cone, _draws(samples, positive, positive)),
+        ("conjugation invariance of the sign", conjugation, _draws(samples, draw, draw)),
+        ("transitivity of compare", transitivity,
+         _draws(max(1, (samples * 2) // 3), draw, draw, draw)),
+        ("two-sided bi-invariance", bi_invariance, _ordered_pairs(samples, draw), 2),
+    ])
 
 
 def sign_stability_suite(arity: int, samples: int, seed: int) -> SuiteResult:
     """The sign does not change along the defining expansion relation."""
-    context = bf.pn_context(arity)
-    rng = random.Random(seed)
-    start = time.perf_counter()
-    checks: list[Check] = []
-
-    bad = 0
-    for _ in range(samples):
-        x = _draw(context, rng)
-        i = rng.randint(1, x.leaf_count)
-        if bf.bf_sign(bf.expand(x, i)) != bf.bf_sign(x):
-            bad += 1
-    checks.append(Check("bf sign invariant under expansion", bad, samples))
-
-    bad = 0
-    for _ in range(samples):
-        x = gen.random_pvb_element(
-            context, rng,
-            max_leaves=SUITE_LEAVES,
-            max_braid_letters=SUITE_BRAID,
-            max_label_letters=SUITE_LABEL,
-        )
-        i = rng.randint(1, x.leaf_count)
-        if bf.pvb_sign(bf.expand(x, i)) != bf.pvb_sign(x):
-            bad += 1
-    checks.append(Check("pvb sign invariant under expansion", bad, samples))
-
-    return SuiteResult(
-        "signstability", {"arity": arity, "samples": samples, "seed": seed},
-        checks, time.perf_counter() - start)
+    context, rng = bf.pn_context(arity), random.Random(seed)
+    return _suite("signstability", {"arity": arity, "samples": samples, "seed": seed}, [
+        ("bf sign invariant under expansion", bf_expansion,
+         _with_leaf(samples, rng, functools.partial(_draw, context, rng))),
+        ("pvb sign invariant under expansion", pvb_expansion,
+         _with_leaf(samples, rng, functools.partial(_draw, context, rng, pvb=True))),
+    ])
 
 
 def group_axioms_suite(arity: int, hmode: str, samples: int, seed: int) -> SuiteResult:
     """Associativity and the identity and inverse laws at oracle level."""
-    context = _context(arity, hmode)
-    rng = random.Random(seed)
-    start = time.perf_counter()
-    checks: list[Check] = []
-    one = bf.identity_element(context)
-
-    bad = 0
-    for _ in range(samples):
-        a, b, c = (_draw(context, rng) for _ in range(3))
-        left = bf.multiply(bf.multiply(a, b), c)
-        right = bf.multiply(a, bf.multiply(b, c))
-        if not bf.equal(left, right):
-            bad += 1
-    checks.append(Check("associativity", bad, samples))
-
-    bad = 0
-    for _ in range(samples):
-        x = _draw(context, rng)
-        if not (bf.equal(bf.multiply(x, one), x) and bf.equal(bf.multiply(one, x), x)):
-            bad += 1
-    checks.append(Check("two-sided identity", bad, samples))
-
-    bad = 0
-    for _ in range(samples):
-        x = _draw(context, rng)
-        if not (bf.is_identity(bf.multiply(x, bf.inverse(x)))
-                and bf.is_identity(bf.multiply(bf.inverse(x), x))):
-            bad += 1
-    checks.append(Check("two-sided inverse", bad, samples))
-
-    return SuiteResult(
-        "groupaxioms", {"arity": arity, "H": hmode, "samples": samples, "seed": seed},
-        checks, time.perf_counter() - start)
+    draw = functools.partial(_draw, _context(arity, hmode), random.Random(seed))
+    return _suite("groupaxioms", {"arity": arity, "H": hmode, "samples": samples, "seed": seed}, [
+        ("associativity", associativity, _draws(samples, draw, draw, draw)),
+        ("two-sided identity", two_sided_identity, _draws(samples, draw)),
+        ("two-sided inverse", two_sided_inverse, _draws(samples, draw)),
+    ])
 
 
 def braid_layer_suite(seed: int, reconstruction_samples: int = 200,
                       positivity_samples: int = 300) -> SuiteResult:
     """Exact oracles of the braid layer."""
     rng = random.Random(seed)
-    start = time.perf_counter()
-    checks: list[Check] = []
+    return _suite("braidlayer", {"seed": seed}, [
+        ("braid relations (exhaustive m<=6)",
+         lambda u, v: artin_image(u) != artin_image(v), _braid_relations()),
+        ("cable table soundness (exhaustive n<=4, m<=6)",
+         lambda w, t, n: not br.braids_equal(
+             br.a_to_sigma(br.split_a(w, t, n, br.AWord.identity(n))),
+             br.split_sigma(br.a_to_sigma(w), t, n)),
+         _cable_cases()),
+        (f"combing reconstruction ({reconstruction_samples}/strand count)",
+         lambda w: not br.braids_equal(w, reconstruct(comb(w))),
+         ((_random_aword(rng, m, 12),)
+          for m in range(2, 6) for _ in range(reconstruction_samples))),
+        ("splitting preserves positivity",
+         lambda w, n, t: br.kr_sign(br.split_a(w, t, n, br.AWord.identity(n))) != br.POSITIVE,
+         _positive_splits(positivity_samples, rng)),
+        ("magnus sign zero iff trivial (rank 2, length<=6)",
+         lambda word: (magnus_sign(word) == 0) != word.is_trivial(),
+         ((reduce_word(2, letters),) for length in range(7)
+          for letters in itertools.product((1, -1, 2, -2), repeat=length))),
+    ])
 
-    # Braid relations under the Artin action, exhaustive for m <= 6.
-    bad = total = 0
+
+def _braid_relations():
+    """Both sides of every braid relation on at most 6 strands: one per pair of crossings."""
     for m in range(2, 7):
-        for i in range(1, m - 1):
-            u = br.SigmaWord(m, (i, i + 1, i))
-            v = br.SigmaWord(m, (i + 1, i, i + 1))
-            total += 1
-            if artin_image(u) != artin_image(v):
-                bad += 1
         for i, j in itertools.combinations(range(1, m), 2):
-            if j - i <= 1:
-                continue
-            u = br.SigmaWord(m, (i, j))
-            v = br.SigmaWord(m, (j, i))
-            total += 1
-            if artin_image(u) != artin_image(v):
-                bad += 1
-    checks.append(Check("braid relations (exhaustive m<=6)", bad, total))
+            yield ((br.SigmaWord(m, (i, j, i)), br.SigmaWord(m, (j, i, j))) if j == i + 1
+                   else (br.SigmaWord(m, (i, j)), br.SigmaWord(m, (j, i))))
 
-    # Cable-table soundness against diagram cabling, exhaustive n<=4, m<=6.
-    bad = total = 0
-    for n in (2, 3, 4):
-        for m in range(2, 7):
-            for i in range(1, m):
-                for j in range(i + 1, m + 1):
-                    for s in (1, -1):
-                        for t in range(1, m + 1):
-                            w = br.AWord(m, ((i, j, s),))
-                            lhs = br.a_to_sigma(br.split_a(w, t, n, br.AWord.identity(n)))
-                            rhs = br.split_sigma(br.a_to_sigma(w), t, n)
-                            total += 1
-                            if not br.braids_equal(lhs, rhs):
-                                bad += 1
-    checks.append(Check("cable table soundness (exhaustive n<=4, m<=6)", bad, total))
 
-    # Combing reconstruction.
-    bad = total = 0
-    for m in range(2, 6):
-        for _ in range(reconstruction_samples):
-            w = _random_aword(rng, m, 12)
-            total += 1
-            if not br.braids_equal(w, reconstruct(comb(w))):
-                bad += 1
-    checks.append(Check(f"combing reconstruction ({reconstruction_samples}/strand count)",
-                        bad, total))
+def _cable_cases():
+    """Every one-letter A-word on at most 6 strands, each strand t, cable widths 2-4."""
+    for n, m in itertools.product((2, 3, 4), range(2, 7)):
+        for (i, j), s, t in itertools.product(itertools.combinations(range(1, m + 1), 2),
+                                              (1, -1), range(1, m + 1)):
+            yield br.AWord(m, ((i, j, s),)), t, n
 
-    # Splitting preserves braid positivity.
-    bad = 0
-    done = 0
-    while done < positivity_samples:
+
+def _positive_splits(count: int, rng: random.Random):
+    """`count` instances (w, n, t): a drawn positive A-word, a cable width and a strand."""
+    while count > 0:
         m = rng.randint(2, 5)
         w = _random_aword(rng, m, 8)
-        if br.kr_sign(w) != br.POSITIVE:
-            continue
-        done += 1
-        n = rng.choice((2, 3))
-        t = rng.randint(1, m)
-        if br.kr_sign(br.split_a(w, t, n, br.AWord.identity(n))) != br.POSITIVE:
-            bad += 1
-    checks.append(Check("splitting preserves positivity", bad, positivity_samples))
-
-    # Magnus sign vanishes exactly on trivial words: all rank-2 words, length <= 6.
-    bad = total = 0
-    for length in range(0, 7):
-        for letters in itertools.product((1, -1, 2, -2), repeat=length):
-            word = reduce_word(2, letters)
-            total += 1
-            if (magnus_sign(word) == 0) != word.is_trivial():
-                bad += 1
-    checks.append(Check("magnus sign zero iff trivial (rank 2, length<=6)", bad, total))
-
-    return SuiteResult("braidlayer", {"seed": seed}, checks, time.perf_counter() - start)
+        if br.kr_sign(w) == br.POSITIVE:
+            count -= 1
+            yield w, rng.choice((2, 3)), rng.randint(1, m)
 
 
 def _random_aword(rng: random.Random, strands: int, max_letters: int) -> br.AWord:
@@ -305,35 +267,32 @@ def _random_aword(rng: random.Random, strands: int, max_letters: int) -> br.AWor
 
 
 def generating_suite(arity: int, set_name: str, samples: int, seed: int) -> SuiteResult:
-    """Decomposition round trips over one generating family."""
+    """Decomposition round trips over one generating family; a failed one raises."""
     genset = gen.generator_set(set_name, bf.pn_context(arity))
-    start = time.perf_counter()
-    lengths = gen.verify_generating(genset, samples, seed)
-    return SuiteResult(
-        "generating",
-        {"arity": arity, "set": set_name, "samples": samples, "seed": seed,
-         "max_word_length": max(lengths, default=0)},
-        [Check("decomposition round trips", samples - len(lengths), samples)],
-        time.perf_counter() - start)
+    params = {"arity": arity, "set": set_name, "samples": samples, "seed": seed}
+
+    def round_trips() -> int:
+        lengths = gen.verify_generating(genset, samples, seed)
+        params["max_word_length"] = max(lengths, default=0)
+        return samples - len(lengths)
+
+    return _suite("generating", params,
+                  [("decomposition round trips", round_trips, [()], samples)])
 
 
 def run_suite(name: str, arity: int, samples: int, seed: int) -> list[SuiteResult]:
-    """Run one named suite (or every suite) at the given size."""
-    if name == "orders":
-        return [orders_suite(arity, h, samples, seed) for h in ("trivial", "pn")]
-    if name == "signstability":
-        return [sign_stability_suite(arity, samples, seed)]
-    if name == "groupaxioms":
-        return [group_axioms_suite(arity, h, samples, seed) for h in ("trivial", "pn")]
-    if name == "braidlayer":
-        return [braid_layer_suite(seed, reconstruction_samples=max(1, samples // 4),
-                                  positivity_samples=samples)]
-    if name == "generating":
-        return [generating_suite(arity, s, samples, seed)
-                for s in ("gen1", "gen2", "gen3")]
-    if name == "all":
-        out = []
-        for part in ("generating", "orders", "signstability", "braidlayer", "groupaxioms"):
-            out.extend(run_suite(part, arity, samples, seed))
-        return out
-    raise ValueError(f"unknown suite {name!r}")
+    """Run one named suite (or every suite, in the table's order) at the given size."""
+    suites = {
+        "generating": lambda: [generating_suite(arity, s, samples, seed)
+                               for s in ("gen1", "gen2", "gen3")],
+        "orders": lambda: [orders_suite(arity, h, samples, seed) for h in ("trivial", "pn")],
+        "signstability": lambda: [sign_stability_suite(arity, samples, seed)],
+        "braidlayer": lambda: [braid_layer_suite(
+            seed, reconstruction_samples=max(1, samples // 4), positivity_samples=samples)],
+        "groupaxioms": lambda: [group_axioms_suite(arity, h, samples, seed)
+                                for h in ("trivial", "pn")],
+    }
+    if name not in suites and name != "all":
+        raise ValueError(f"unknown suite {name!r}")
+    return [result for part in (suites if name == "all" else [name])
+            for result in suites[part]()]

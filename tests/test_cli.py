@@ -585,6 +585,10 @@ README_DECOMPOSE = ("decompose", "a", "--set", "gen1", "-n", "2", "--verify", "-
      "error: bad label letter '1^-1' (line 1, column 13)"),
     (("parse", "{ (*,*) ; ; [h1^-1^-1,1] ; (*,*) }", "-n", "2", "--hgen", "h1=A[1,2]"), None, 1,
      "error: bad label letter 'h1^-1^-1' (line 1, column 13)"),
+    # An index past int()'s 4,300-digit limit is a bad letter, not an uncaught ValueError.
+    pytest.param(("parse", "{ (*,*) ; A[" + "1" * 5000 + ",2] ; [1,1] ; (*,*) }", "-n", "2"),
+                 None, 1, "error: bad braid letter 'A[" + "1" * 5000 + ",2]' (line 1, column 10)",
+                 id="index past the int digit limit"),
 ])
 def test_error_paths_exit_code_and_last_line(monkeypatch, capsys, argv, patch, code, last_line):
     if patch is not None:
