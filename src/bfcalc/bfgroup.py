@@ -1,9 +1,9 @@
 """
 Elements of the pure braided Thompson groups over an H-context: expansion,
 composition, inverses, equality, reduction to smaller representatives, and
-the two-level bi-order sign.  The order is read layer by layer: compare
-decides on the trees of x^-1 y, then on its labels, and cables its braid
-only when every label is trivial, without building the product.
+the two-level bi-order sign.  Equality and the order are one reading of
+x^-1 y at join(x.t1, y.t1), layer by layer and without building it: its
+trees, then its labels, and its braid is cabled only when both tie.
 
 An element is a quadruple (t1, braid, labels, t2): two full n-ary trees
 with m leaves, a pure braid on m strands connecting the leaves of t1 to the
@@ -19,9 +19,9 @@ factors, empty labels and shared trees pass through (see multiply).  A
 factor's trees are often one object: trees.join and trees.attach_script
 hand back stored objects for small trees, so equal products share trees,
 and a product of two such factors has one object for both of its trees.
-Equality expands both elements to the join of their codomain trees and
-compares domain trees, labels in H and braids there, without a product.
-Reduction screens each window by its linking numbers first.
+Equality is the case of the order where every layer ties: labels tie
+when they are equal in H, braids when braids_equal says so.  Reduction
+screens each window by its linking numbers first.
 
 Each context keeps four memos outside its fields (the rule is in
 freegroup): _labels, keyed by a label, holds its braid, the braid's
@@ -30,7 +30,8 @@ exactly when their keys are), sized by the braid's letters; _leaf_letters,
 keyed by a label and a leaf, the braid's letters on that leaf, sized alike;
 _products, keyed by a label pair, their product (multiply), sized by the
 longer label; _inverses, keyed by a label, its inverse (inverse), sized by
-its letters.
+its letters.  trivial_context and pn_context keep one context per arity
+in the memo _CONTEXTS, so equal contexts share these memos.
 """
 
 from __future__ import annotations
@@ -155,17 +156,23 @@ def _label_key(context: HContext, label: Label) -> tuple[int, ...]:
     return facts[2]
 
 
+def _context(key: tuple[int, bool]) -> tuple[HContext, int]:
+    """(n, full) -> trivial H on n strands, or all of P_n with its standard generators."""
+    n, full = key
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)] if full else []
+    return HContext(n, tuple((f"a{i}_{j}", AWord(n, ((i, j, 1),))) for i, j in pairs)), n
+
+
+_CONTEXTS = Memo(_context)  # one context per arity, so equal contexts share their memos
+
+
 def trivial_context(arity: int) -> HContext:
-    return HContext(arity)
+    return _CONTEXTS[arity, False] if type(arity) is int else HContext(arity)
 
 
 def pn_context(arity: int) -> HContext:
     """The full pure braid group on n strands with its standard generators."""
-    gens = tuple(
-        (f"a{i}_{j}", AWord(arity, ((i, j, 1),)))
-        for i in range(1, arity) for j in range(i + 1, arity + 1)
-    )
-    return HContext(arity, gens)
+    return _CONTEXTS[arity, True] if type(arity) is int else HContext(arity)
 
 
 def label_to_braid(label: Label, context: HContext) -> AWord:
@@ -322,28 +329,6 @@ def is_identity(x: BFElement) -> bool:
             and is_trivial(x.braid))
 
 
-def equal(x: BFElement, y: BFElement) -> bool:
-    """
-    x y^-1 is the identity, decided without building it: expanded along
-    join(x.t2, y.t2), x and y must have equal domain trees, labels equal in
-    H strand by strand, and equal braids.
-    """
-    if x.context is not y.context and x.context != y.context:
-        raise ContextError("elements live over different contexts")
-    script_x, script_y = join(x.t2, y.t2)
-    if ((tr.attach_script(x.t1, script_x) if script_x else x.t1)
-            != (tr.attach_script(y.t1, script_y) if script_y else y.t1)):
-        return False
-    letters_x, labels_x = _expanded(x, script_x)
-    letters_y, labels_y = _expanded(y, script_y)
-    for a, b in zip(labels_x, labels_y):
-        if a != b and not _labels_oracle_equal(x, a, b):
-            return False
-    m = len(labels_x)
-    return letters_x == letters_y or braids_equal(AWord._new(m, letters_x),
-                                                  AWord._new(m, letters_y))
-
-
 def _labels_oracle_equal(x: BFElement, a: Label, b: Label) -> bool:
     """Labels equal in H: their braids have the same Dynnikov key."""
     return a == b or _label_key(x.context, a) == _label_key(x.context, b)
@@ -410,17 +395,10 @@ def pvb_sign(x: BFElement) -> int:
     """
     if x.t1 is not x.t2 and x.t1 != x.t2:
         raise ElementError("pvb_sign needs a representative with equal trees")
-    if any(x.labels) and (sign := _labels_sign(x.context, x.labels)) != ZERO:
-        return sign
-    return br.kr_sign(x.braid)
-
-
-def _labels_sign(context: HContext, labels: Iterable[Label]) -> int:
-    """The sign of the first label nontrivial in H, ZERO when every label is trivial."""
-    for label in labels:
-        if label and (sign := _label_sign(context, label)) != ZERO:
+    for label in x.labels if any(x.labels) else ():
+        if label and (sign := _label_sign(x.context, label)) != ZERO:
             return sign
-    return ZERO
+    return br.kr_sign(x.braid)
 
 
 def bf_sign(x: BFElement) -> int:
@@ -433,31 +411,51 @@ def bf_sign(x: BFElement) -> int:
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-def compare(x: BFElement, y: BFElement) -> int:
+def _reading(x: BFElement, y: BFElement, braids) -> int:
     """
-    Total order: x < y when x^-1 y is positive, read layer by layer without
-    building it: its trees (x.t2 and y.t2 along join(x.t1, y.t1)), then its
-    labels, which expansion copies, then, only when every label is trivial in
-    H, its cabled braid.
+    The sign of x^-1 y, read in layers at join(x.t1, y.t1) without building
+    it: the slope sign of its trees (x.t2 and y.t2 along the join) if they
+    differ; else the sign of the first label a^-1 b whose a of x and b of y
+    differ in H (expansion copies labels: no cabling); else braids(m, u, v)
+    on the cabled letters u of x and v of y, u^-1 v being its braid.
     """
     if x.context is not y.context and x.context != y.context:
         raise ContextError("elements live over different contexts")
     script_x, script_y = join(x.t1, y.t1)
-    t_x, t_y = tr.attach_script(x.t2, script_x), tr.attach_script(y.t2, script_y)
-    if (sign := fn_sign(t_x, t_y) if t_x is not t_y else ZERO) == ZERO:
-        if any(x.labels) or any(y.labels):
-            labels_x = list(map(x.context._inverses.__getitem__, x.labels))
-            labels_y = list(y.labels)
+    t_x = tr.attach_script(x.t2, script_x) if script_x else x.t2
+    t_y = tr.attach_script(y.t2, script_y) if script_y else y.t2
+    if t_x is not t_y and t_x != t_y:
+        return fn_sign(t_x, t_y)
+    if any(x.labels) or any(y.labels):
+        labels_x, labels_y = x.labels, y.labels
+        if script_x or script_y:
+            labels_x, labels_y = list(labels_x), list(labels_y)
             for script, labels in ((script_x, labels_x), (script_y, labels_y)):
                 for t in script:  # an expansion copies the label n times
                     labels[t - 1 : t] = (labels[t - 1],) * x.arity
-            if any(labels_y):
-                labels_x = map(x.context._products.__getitem__, zip(labels_x, labels_y))
-            sign = _labels_sign(x.context, labels_x)
-        if sign == ZERO:
-            braid = _expanded(inverse(x), script_x)[0] + _expanded(y, script_y)[0]
-            sign = br.kr_sign(AWord._new(t_x.leaf_count, braid))
+        for a, b in zip(labels_x, labels_y):
+            if a != b and not _labels_oracle_equal(x, a, b):
+                return _label_sign(x.context, x.context._products[x.context._inverses[a], b])
+    return braids(t_x.leaf_count, _expanded(x, script_x)[0], _expanded(y, script_y)[0])
+
+
+def equal(x: BFElement, y: BFElement) -> bool:
+    """x = y: x^-1 y, read at join(x.t1, y.t1) by _reading, ties in trees, labels and braid."""
+    return _reading(x, y, _braids_differ) == ZERO
+
+
+def _braids_differ(m: int, u: tuple, v: tuple) -> bool:
+    return u != v and not braids_equal(AWord._new(m, u), AWord._new(m, v))
+
+
+def compare(x: BFElement, y: BFElement) -> int:
+    """Total order: x < y when x^-1 y, read at join(x.t1, y.t1) by _reading, is positive."""
+    sign = _reading(x, y, _braid_sign)
     return LESS if sign == POSITIVE else GREATER if sign == NEGATIVE else EQUAL
+
+
+def _braid_sign(m: int, u: tuple, v: tuple) -> int:
+    return br.kr_sign(AWord._new(m, AWord._new(m, u).inverse().letters + v))
 
 
 # ---------------------------------------------------------------------------

@@ -267,17 +267,18 @@ def _random_aword(rng: random.Random, strands: int, max_letters: int) -> br.AWor
 
 
 def generating_suite(arity: int, set_name: str, samples: int, seed: int) -> SuiteResult:
-    """Decomposition round trips over one generating family; a failed one raises."""
-    genset = gen.generator_set(set_name, bf.pn_context(arity))
-    params = {"arity": arity, "set": set_name, "samples": samples, "seed": seed}
+    """Decomposition round trips over one family, on the elements verify_generating draws."""
+    genset, rng = gen.generator_set(set_name, bf.pn_context(arity)), random.Random(seed)
+    params, lengths = {"arity": arity, "set": set_name, "samples": samples, "seed": seed}, []
 
-    def round_trips() -> int:
-        lengths = gen.verify_generating(genset, samples, seed)
-        params["max_word_length"] = max(lengths, default=0)
-        return samples - len(lengths)
+    def round_trip(x: bf.BFElement) -> int:
+        lengths.append(len(word := gen.decompose(x, genset)))
+        return not bf.equal(gen.evaluate_word(word, genset), x)
 
-    return _suite("generating", params,
-                  [("decomposition round trips", round_trips, [()], samples)])
+    draws = _draws(samples, functools.partial(gen.random_element, genset.context, rng))
+    result = _suite("generating", params, [("decomposition round trips", round_trip, draws)])
+    params["max_word_length"] = max(lengths, default=0)
+    return result
 
 
 def run_suite(name: str, arity: int, samples: int, seed: int) -> list[SuiteResult]:

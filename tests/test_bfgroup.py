@@ -39,7 +39,7 @@ from bfcalc.braid import (AWord, BraidError, SigmaWord, a_to_sigma, braids_equal
 from bfcalc.combing import FreeWord, comb
 from bfcalc.freegroup import MEMO_LEAVES, FrozenInstanceError, WordError, reduce_onto
 from bfcalc.generators import (GeneratorSet, GeneratorSetError, PureGeneratorSpec, gen1_set,
-                               random_element, random_pvb_element, random_tree)
+                               gen3_set, random_element, random_pvb_element, random_tree)
 from bfcalc import treepairs as tp
 from bfcalc import trees as tr
 from bfcalc.treepairs import expansion_script
@@ -77,6 +77,15 @@ def test_pn_context_generators():
     assert ctx.generator_index("a2_3") == 3
 
 
+def test_one_context_per_arity():
+    # Equal contexts share their memos: a generating set's context is the one pn_context gives.
+    for n in (2, 3):
+        assert trivial_context(n) is trivial_context(n) and pn_context(n) is pn_context(n)
+        assert gen3_set(n).context is pn_context(n) and gen1_set(n).context is trivial_context(n)
+    with pytest.raises(ContextError):
+        pn_context(2.0)
+
+
 def test_label_to_braid():
     ctx = pn_context(2)
     assert label_to_braid((), ctx) == AWord(2, ())
@@ -93,7 +102,7 @@ def test_label_to_braid():
     (3, (1, True), "labels must be a tuple of tuples of ints"),
 ])
 def test_label_readers_refuse_what_the_element_refuses(arity, label, message):
-    ctx = pn_context(arity)
+    ctx = copy.copy(pn_context(arity))  # empty memos: pn_context's own context is shared
     tree = Tree.single(arity)
     with pytest.raises(ElementError) as caught:
         BFElement(ctx, tree, AWord.identity(1), (label,), tree)
@@ -176,7 +185,8 @@ def test_pvb_sign_reads_the_label_table():
 
 
 def test_filled_label_table_leaves_context_equality_hash_and_pickling():
-    cold, warm = pn_context(3), pn_context(3)
+    warm = pn_context(3)
+    cold = HContext(3, warm.generators)
     shown, digest = repr(cold), hash(cold)
     rng = random.Random(3)
     for label in seeded_labels(warm, rng, 20):
@@ -993,6 +1003,7 @@ def test_compare_matches_product_oracle_at_every_layer(ctx, monkeypatch):
         raise AssertionError("compare built a product")
 
     monkeypatch.setattr(bf, "multiply", refuse)
+    monkeypatch.setattr(bf, "inverse", refuse)
     assert [compare(x, y) for x, y in pairs] == expected
     assert [compare(y, x) for x, y in pairs] == [-order for order in expected]
     want = ("trees", "linking", "combed", "equal") + (("labels",) if ctx.generators else ())
@@ -1023,6 +1034,37 @@ def test_group_laws_past_the_memo_bound(ctx):
         assert bf_sign(inverse(a)) == -bf_sign(a)
         assert bf_sign(multiply(multiply(b, a), inverse(b))) == bf_sign(a)
         assert compare(a, c) == -compare(c, a)
+
+
+def with_first_label_times_generator(x):
+    """x with its first label multiplied on the right by H's first generator."""
+    return BFElement(x.context, x.t1, x.braid, (x.labels[0] + (1,),) + x.labels[1:], x.t2)
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=ORACLE_IDS[:4])
+def test_equal_and_compare_cable_only_when_trees_and_labels_tie(ctx, monkeypatch):
+    rng = random.Random(100 + ctx.arity + len(ctx.generators))
+    pairs = []
+    for k in range(16):
+        if k % 4 == 0:  # past MEMO_LEAVES every fourth draw
+            x, other = draw_past_bound(ctx, rng), draw_past_bound(ctx, rng)
+        else:
+            x, other = (draw(ctx, rng, leaves=3 * ctx.arity, braid=6) for _ in range(2))
+        pairs.append((x, other))
+        if ctx.generators:  # the labels differ in H at one strand, also along a longer join
+            y = with_first_label_times_generator(x)
+            pairs += [(x, y), (expand(y, rng.randint(1, y.leaf_count)), x)]
+    layers = [deciding_layer(x, y) for x, y in pairs]
+    pairs = [pair for pair, layer in zip(pairs, layers) if layer in ("trees", "labels")]
+    assert layers.count("trees") >= 10 and layers.count("labels") >= (24 if ctx.generators else 0)
+    assert sum(x.leaf_count > MEMO_LEAVES for x, _ in pairs) >= 4
+    expected = [(equal_by_product(x, y), compare_oracle(x, y)) for x, y in pairs]
+
+    def refuse(*args):
+        raise AssertionError("cabled although the trees or labels decide")
+
+    monkeypatch.setattr(bf, "_expanded", refuse)
+    assert [(equal(x, y), compare(x, y)) for x, y in pairs] == expected
 
 
 # --- random elements

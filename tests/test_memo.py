@@ -188,8 +188,13 @@ def label_braid(ctx, label):
     return word
 
 
+def fresh_pn3():
+    """A context equal to pn_context(3) with empty memos: pn_context's own is shared."""
+    return bf.HContext(3, bf.pn_context(3).generators)
+
+
 def case_labels(mp):
-    ctx = bf.pn_context(3)
+    ctx = fresh_pn3()
 
     def facts(label):
         braid = label_braid(ctx, label)
@@ -202,7 +207,7 @@ def case_labels(mp):
 
 
 def case_leaf_letters(mp):
-    ctx = bf.pn_context(3)
+    ctx = fresh_pn3()
     keys = [(label, t) for label in labels_up_to(LIMIT, 700) for t in (1, 2, 3)]
     return case(ctx._leaf_letters, keys, [(LONG[0], 2), (LONG[1], 1)],
                 expect=lambda key: tuple((i + key[1] - 1, j + key[1] - 1, s)
@@ -212,14 +217,25 @@ def case_leaf_letters(mp):
 
 def case_products(mp):
     labels = labels_up_to(LIMIT, MEMO_ENTRIES + 20)
-    return case(bf.pn_context(3)._products, list(zip(labels, labels[1:] + labels[:1])),
+    return case(fresh_pn3()._products, list(zip(labels, labels[1:] + labels[:1])),
                 [(LONG[0], (-2,)), ((3,), LONG[1])],
                 expect=lambda pair: tuple(reduce_onto(list(pair[0]), pair[1])))
 
 
 def case_inverses(mp):
-    return case(bf.pn_context(3)._inverses, labels_up_to(LIMIT, MEMO_ENTRIES + 20), LONG,
+    return case(fresh_pn3()._inverses, labels_up_to(LIMIT, MEMO_ENTRIES + 20), LONG,
                 expect=lambda label: tuple(-g for g in reversed(label)))
+
+
+def case_contexts(mp):
+    def read(key):
+        arity, full = key
+        return bf.pn_context(arity) if full else bf.trivial_context(arity)
+
+    small = [(n, full) for n in range(2, LIMIT + 1) for full in (False, True)]
+    return case(cold(mp, bf, "_CONTEXTS"), small, [(LIMIT + 1, False), (LIMIT + 6, True)],
+                read=read, errors=lambda m: [((1, False), bf.ContextError),
+                                             ((1, True), bf.ContextError)])
 
 
 CASES = {
@@ -230,6 +246,7 @@ CASES = {
     "braid._CABLES[1, 2]": case_cable_images,
     "combing._CONJUGATORS": case_conjugators,
     "treepairs._XI_IDENTITIES": case_xi_identities,
+    "bfgroup._CONTEXTS": case_contexts,
     "HContext._labels": case_labels,
     "HContext._leaf_letters": case_leaf_letters,
     "HContext._products": case_products,
