@@ -51,6 +51,6 @@ _LAZY = {
     **dict.fromkeys(("brown_generator_pairs", "fn_factorize", "pair_multiply"), "treepairs"),
     **dict.fromkeys(("GeneratorSet", "PureGeneratorSpec", "decompose", "enumerate_irreducible",
                      "evaluate_word", "gen1_set", "gen2_set", "gen3_set", "is_n_irreducible",
-                     "random_element", "verify_generating"), "generators"),
+                     "random_element"), "generators"),
 }
 __getattr__ = _lazy_getattr(__name__, _LAZY)

@@ -1,9 +1,10 @@
 """
 Elements of the pure braided Thompson groups over an H-context: expansion,
 composition, inverses, equality, reduction to smaller representatives, and
-the two-level bi-order sign.  Equality and the order are one reading of
-x^-1 y at join(x.t1, y.t1), layer by layer and without building it: its
-trees, then its labels, and its braid is cabled only when both tie.
+the two-level bi-order sign.  equal, compare, bf_sign, pvb_sign and
+is_identity read the order's layers through one reader, _layers: the trees,
+then the labels, and the braid only when both tie; equal and compare read
+x^-1 y at join(x.t1, y.t1) without building it or cabling its labels.
 
 An element is a quadruple (t1, braid, labels, t2): two full n-ary trees
 with m leaves, a pure braid on m strands connecting the leaves of t1 to the
@@ -240,9 +241,7 @@ def identity_element(context: HContext, tree: Tree | None = None) -> BFElement:
     if tree is None and isinstance(context, HContext):
         one = Tree._new(context.arity, (0,))
         return BFElement._new(context, one, AWord._new(1, ()), ((),), one)
-    tree = tree if tree is not None else Tree.single(context.arity)
-    m = tree.leaf_count
-    return BFElement(context, tree, AWord.identity(m), ((),) * m, tree)
+    return from_tree_pair(context, tree, tree)
 
 
 def from_tree_pair(context: HContext, domain: Tree, codomain: Tree) -> BFElement:
@@ -325,13 +324,13 @@ def is_identity(x: BFElement) -> bool:
     braid, trivial labels.  All three properties are preserved both ways
     along expansions (cabling is injective), so they characterize the class.
     """
-    return (x.t1 == x.t2 and all(not l or _labels_oracle_equal(x, l, ()) for l in x.labels)
-            and is_trivial(x.braid))
+    empty = ((),) * len(x.labels)
+    return _layers(x.context, x.t1, x.t2, empty, x.labels) is None and is_trivial(x.braid)
 
 
-def _labels_oracle_equal(x: BFElement, a: Label, b: Label) -> bool:
+def _labels_oracle_equal(context: HContext, a: Label, b: Label) -> bool:
     """Labels equal in H: their braids have the same Dynnikov key."""
-    return a == b or _label_key(x.context, a) == _label_key(x.context, b)
+    return a == b or _label_key(context, a) == _label_key(context, b)
 
 
 def reduce(x: BFElement) -> BFElement:
@@ -351,7 +350,7 @@ def reduce(x: BFElement) -> BFElement:
         while (parent := tr.caret_top(stack, n, s1, s2)) is not None:
             i = len(stack) - n + 1
             head = labels[i - 1]
-            if any(not _labels_oracle_equal(x, head, l) for l in labels[i:]):
+            if any(not _labels_oracle_equal(context, head, l) for l in labels[i:]):
                 break
             inner = context._labels[head][0]
             links = br.linking_numbers(braid) if links is None else links  # once per braid
@@ -395,48 +394,60 @@ def pvb_sign(x: BFElement) -> int:
     """
     if x.t1 is not x.t2 and x.t1 != x.t2:
         raise ElementError("pvb_sign needs a representative with equal trees")
-    for label in x.labels if any(x.labels) else ():
-        if label and (sign := _label_sign(x.context, label)) != ZERO:
-            return sign
-    return br.kr_sign(x.braid)
+    return bf_sign(x)
 
 
 def bf_sign(x: BFElement) -> int:
-    """Quotient-first sign: the slope sign of the tree pair, refined by pvb_sign."""
-    if x.t1 is not x.t2 and x.t1 != x.t2:
-        return fn_sign(x.t1, x.t2)
-    return pvb_sign(x)
+    """Quotient-first sign: _layers on the element's trees and labels, else the braid's kr_sign."""
+    sign = _layers(x.context, x.t1, x.t2, ((),) * len(x.labels), x.labels)
+    return br.kr_sign(x.braid) if sign is None else sign
 
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
+def _layers(context: HContext, t_x: Tree, t_y: Tree, labels_x, labels_y) -> int | None:
+    """
+    The layers of the order above the braid, of an element with trees
+    (t_x, t_y) and labels a^-1 b for the aligned labels a, b: the slope sign
+    of the trees if they differ; else the sign of the first a^-1 b nontrivial
+    in H (b's own sign for an empty a, else screened by the Dynnikov keys);
+    else None: only the braid can decide.
+    """
+    if t_x is not t_y and t_x != t_y:
+        return fn_sign(t_x, t_y)
+    if labels_x != labels_y:
+        for a, b in zip(labels_x, labels_y):
+            if not a:
+                if b and (sign := _label_sign(context, b)) != ZERO:
+                    return sign
+            elif not _labels_oracle_equal(context, a, b):
+                return _label_sign(context, context._products[context._inverses[a], b])
+    return None
+
+
 def _reading(x: BFElement, y: BFElement, braids) -> int:
     """
-    The sign of x^-1 y, read in layers at join(x.t1, y.t1) without building
-    it: the slope sign of its trees (x.t2 and y.t2 along the join) if they
-    differ; else the sign of the first label a^-1 b whose a of x and b of y
-    differ in H (expansion copies labels: no cabling); else braids(m, u, v)
-    on the cabled letters u of x and v of y, u^-1 v being its braid.
+    The sign of x^-1 y, read at join(x.t1, y.t1) without building it: _layers
+    on x.t2 and y.t2 along the join and the labels of x and y copied along it
+    (an expansion copies a label: no cabling); on a tie, braids(m, u, v) on
+    the cabled letters u of x and v of y, u^-1 v being its braid.
     """
     if x.context is not y.context and x.context != y.context:
         raise ContextError("elements live over different contexts")
     script_x, script_y = join(x.t1, y.t1)
     t_x = tr.attach_script(x.t2, script_x) if script_x else x.t2
     t_y = tr.attach_script(y.t2, script_y) if script_y else y.t2
-    if t_x is not t_y and t_x != t_y:
-        return fn_sign(t_x, t_y)
-    if any(x.labels) or any(y.labels):
-        labels_x, labels_y = x.labels, y.labels
-        if script_x or script_y:
-            labels_x, labels_y = list(labels_x), list(labels_y)
-            for script, labels in ((script_x, labels_x), (script_y, labels_y)):
-                for t in script:  # an expansion copies the label n times
-                    labels[t - 1 : t] = (labels[t - 1],) * x.arity
-        for a, b in zip(labels_x, labels_y):
-            if a != b and not _labels_oracle_equal(x, a, b):
-                return _label_sign(x.context, x.context._products[x.context._inverses[a], b])
-    return braids(t_x.leaf_count, _expanded(x, script_x)[0], _expanded(y, script_y)[0])
+    labels_x, labels_y = x.labels, y.labels
+    if (script_x or script_y) and (any(labels_x) or any(labels_y)):
+        labels_x, labels_y = list(labels_x), list(labels_y)
+        for script, labels in ((script_x, labels_x), (script_y, labels_y)):
+            for t in script:  # an expansion copies the label n times
+                labels[t - 1 : t] = (labels[t - 1],) * x.arity
+    sign = _layers(x.context, t_x, t_y, labels_x, labels_y)
+    if sign is None:
+        return braids(t_x.leaf_count, _expanded(x, script_x)[0], _expanded(y, script_y)[0])
+    return sign
 
 
 def equal(x: BFElement, y: BFElement) -> bool:

@@ -105,22 +105,16 @@ def magnus_truncated(word: FreeWord, degree: int) -> dict[Monomial, int]:
 def magnus_sign(word: FreeWord) -> int:
     """
     Sign of the coefficient of the minimal nonconstant monomial of the
-    word's image, zero exactly for the trivial word.  The degree-1
-    coefficients are the exponent sums, read in one pass over the letters.
-    When they all vanish, the truncation degree is deepened 2, 3, ... until
-    a nonconstant term appears; residual nilpotence guarantees one below
-    twice the word length, and the cap turns any violation into a loud error.
-    Truncating at degree d gives every coefficient of degree at most d
-    exactly, so the first degree with a nonconstant term decides.
+    word's image, zero exactly for the trivial word.  The truncation degree
+    is deepened 2, 3, ... until a nonconstant term appears; residual
+    nilpotence guarantees one below twice the word length, and the cap turns
+    any violation into a loud error.  Truncating at degree d gives every
+    coefficient of degree at most d exactly, degree 1 included, and the
+    least monomial is read degree first, so the first degree with a
+    nonconstant term decides.
     """
     if word.is_trivial():
         return ZERO
-    sums = [0] * (word.rank + 1)
-    for letter in word.letters:
-        sums[abs(letter)] += 1 if letter > 0 else -1
-    for total in sums:
-        if total:
-            return POSITIVE if total > 0 else NEGATIVE
     cap = 2 * len(word)
     for degree in range(2, cap + 1):
         coeffs = magnus_truncated(word, degree)

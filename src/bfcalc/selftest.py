@@ -267,7 +267,7 @@ def _random_aword(rng: random.Random, strands: int, max_letters: int) -> br.AWor
 
 
 def generating_suite(arity: int, set_name: str, samples: int, seed: int) -> SuiteResult:
-    """Decomposition round trips over one family, on the elements verify_generating draws."""
+    """Decomposition round trips over one family, on seeded random_element draws."""
     genset, rng = gen.generator_set(set_name, bf.pn_context(arity)), random.Random(seed)
     params, lengths = {"arity": arity, "set": set_name, "samples": samples, "seed": seed}, []
 

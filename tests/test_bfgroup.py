@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bfcalc import bfgroup as bf
+from bfcalc import braid as br
 from bfcalc.bfgroup import (
     BFElement,
     ContextError,
@@ -168,7 +169,7 @@ def test_label_table_matches_substitution_sign_and_braid_equality(arity):
         for u, v in ((a, b), (a, equal_in_h(a, rng)), (b, equal_in_h(a, rng))):
             same = braids_equal(label_braid_oracle(u, ctx), label_braid_oracle(v, ctx))
             assert (bf._label_key(ctx, u) == bf._label_key(ctx, v)) is same
-            assert bf._labels_oracle_equal(identity_element(ctx), u, v) is same
+            assert bf._labels_oracle_equal(ctx, u, v) is same
             outcomes.add(same)
     assert outcomes == {True, False}
     if arity == 3:  # the full twist: its cyclic rotations are one element, no word reduces
@@ -761,7 +762,7 @@ def reduction_at(x, i):
     n = x.arity
     t1, t2 = remove_caret(x.t1, i), remove_caret(x.t2, i)
     window = x.labels[i - 1 : i - 1 + n]
-    if t1 is None or t2 is None or any(not bf._labels_oracle_equal(x, window[0], l)
+    if t1 is None or t2 is None or any(not bf._labels_oracle_equal(x.context, window[0], l)
                                        for l in window[1:]):
         return None
     inner = label_to_braid(window[0], x.context)
@@ -1059,12 +1060,51 @@ def test_equal_and_compare_cable_only_when_trees_and_labels_tie(ctx, monkeypatch
     assert layers.count("trees") >= 10 and layers.count("labels") >= (24 if ctx.generators else 0)
     assert sum(x.leaf_count > MEMO_LEAVES for x, _ in pairs) >= 4
     expected = [(equal_by_product(x, y), compare_oracle(x, y)) for x, y in pairs]
+    # x^-1 y is decided by the layer that decides the pair: the single reads stop there too.
+    singles = [multiply(inverse(x), y) for x, y in pairs]
+    signs = [fn_sign(p.t1, p.t2) if p.t1 != p.t2 else pvb_sign_oracle(p) for p in singles]
+    single_expected = [(sign, sign if p.t1 == p.t2 else None, False)
+                       for p, sign in zip(singles, signs)]
+
+    def single_reads(p):
+        return bf_sign(p), pvb_sign(p) if p.t1 == p.t2 else None, is_identity(p)
+
+    # The first reads fill the labels' signs, kept in the context's label table.
+    assert [single_reads(p) for p in singles] == single_expected
 
     def refuse(*args):
         raise AssertionError("cabled although the trees or labels decide")
 
     monkeypatch.setattr(bf, "_expanded", refuse)
     assert [(equal(x, y), compare(x, y)) for x, y in pairs] == expected
+    monkeypatch.setattr(br, "kr_sign", refuse)
+    monkeypatch.setattr(bf, "is_trivial", refuse)
+    assert [single_reads(p) for p in singles] == single_expected
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=ORACLE_IDS[:4])
+def test_single_and_pair_reads_agree(ctx):
+    rng = random.Random(110 + ctx.arity + len(ctx.generators))
+    xs = []
+    for k in range(16):
+        if k % 4 == 0:  # past MEMO_LEAVES every fourth draw
+            x, h = draw_past_bound(ctx, rng), draw_past_bound(ctx, rng, equal_trees=True)
+        else:
+            x = draw(ctx, rng, leaves=3 * ctx.arity, braid=6)
+            h = random_pvb_element(ctx, rng, max_leaves=3 * ctx.arity, max_braid_letters=6,
+                                   max_label_letters=2)
+        bare = BFElement(ctx, h.t1, h.braid, ((),) * h.leaf_count, h.t1)
+        # x decides by its trees, h by a label or its braid, bare by its braid, x x^-1 by
+        # nothing, and a commutator with trivial labels by its combed braid.
+        xs += [x, h, bare, multiply(x, inverse(x)), commutator_element(ctx, rng, x.t1)]
+    assert sum(x.leaf_count > MEMO_LEAVES for x in xs) >= 4
+    layers = collections.Counter(deciding_layer(identity_element(ctx, x.t1), x) for x in xs)
+    want = ("trees", "linking", "combed", "equal") + (("labels",) if ctx.generators else ())
+    assert all(layers[layer] >= 3 for layer in want), layers
+    for x in xs:
+        one = identity_element(ctx, x.t1)
+        assert compare(one, x) == -bf_sign(x)
+        assert equal(one, x) is is_identity(x)
 
 
 # --- random elements
@@ -1181,6 +1221,17 @@ def test_fuzz_from_json_returns_an_element_or_element_error(text):
     except ElementError:
         return
     assert isinstance(x, BFElement)
+
+
+@pytest.mark.parametrize("args", [(None,), ("x",), (pn_context(2), "tree")],
+                         ids=["no context", "str context", "str tree"])
+def test_identity_element_refuses_what_from_tree_pair_refuses(args):
+    with pytest.raises(ElementError) as caught:
+        identity_element(*args)
+    assert type(caught.value) is ElementError
+    context, tree = (args + (None,))[:2]
+    with pytest.raises(ElementError):
+        from_tree_pair(context, tree, tree)
 
 
 def test_from_tree_pair():

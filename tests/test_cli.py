@@ -316,7 +316,7 @@ def test_parse_tree_at_the_depth_ceiling():
     (TruncationError("no nonconstant term up to degree 8"), 3),
     (SchemaError("conjugation rule failed validation"), 2),
     (gen.GeneratorSetError("no member named 'z'"), 2),
-    (gen.VerificationError("decomposition failed to re-multiply"), 2),
+    (bf.VerificationError("decomposition failed to re-multiply"), 2),
     (MemoryError("out of memory"), 3),
     (MemoryError(), 3),
     (RecursionError("maximum recursion depth exceeded"), 3),
@@ -329,7 +329,7 @@ def test_envelope_and_rule_errors_exit_codes(monkeypatch, capsys, error, code):
     assert run_cli("sign", "{ * ; ; [1] ; * }", "-n", "2") == code
     err = capsys.readouterr().err
     prefix = {gen.GeneratorSetError: "error",
-              gen.VerificationError: "verification failure"}.get(type(error), type(error).__name__)
+              bf.VerificationError: "verification failure"}.get(type(error), type(error).__name__)
     assert err.strip().splitlines()[-1] == f"{prefix}: {str(error) or 'out of memory'}"
     assert "Traceback" not in err
 
@@ -352,7 +352,6 @@ def test_failed_elementary_pair_check_exits_2(monkeypatch, capsys):
 
 def test_error_classes_live_in_bfgroup():
     assert gen.GeneratorSetError is bf.GeneratorSetError
-    assert gen.VerificationError is bf.VerificationError
 
 
 def test_fresh_cli_import_leaves_generators_and_selftest_unloaded():
@@ -475,8 +474,7 @@ def test_module_entry_point_prints_and_exits():
 
 
 GENERATOR_NAMES = ("GeneratorSet", "PureGeneratorSpec", "decompose", "enumerate_irreducible",
-                   "evaluate_word", "gen1_set", "gen2_set", "gen3_set", "is_n_irreducible",
-                   "verify_generating")
+                   "evaluate_word", "gen1_set", "gen2_set", "gen3_set", "is_n_irreducible")
 
 
 @pytest.mark.parametrize("name", GENERATOR_NAMES)

@@ -302,11 +302,14 @@ def test_magnus_sign_without_a_nonconstant_term_raises_truncation_error(monkeypa
     assert str(caught.value) == "no nonconstant term up to degree 8 for a nontrivial word"
 
 
-def test_magnus_sign_reads_nonzero_exponent_sums_without_a_table(monkeypatch):
+def test_magnus_sign_reads_nonzero_exponent_sums_at_the_first_degree(monkeypatch):
+    # Truncating at degree 2 is exact at degree 1, so nonzero exponent sums decide there.
+    degrees, truncated = [], combing.magnus_truncated
     monkeypatch.setattr(combing, "magnus_truncated",
-                        lambda word, degree: pytest.fail("built a coefficient table"))
+                        lambda word, degree: degrees.append(degree) or truncated(word, degree))
     assert magnus_sign(reduce_word(3, (1, 2, -1, 3, 3, -2, -2))) == -1  # sums 0, -1, 2
     assert magnus_sign(reduce_word(3, (3, 1, -3))) == 1
+    assert degrees == [2, 2]
 
 
 @pytest.mark.parametrize("coeffs, sign", [

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import threading
 import traceback
 from collections import Counter
 
@@ -26,7 +27,6 @@ from bfcalc.generators import (
     gen3_set,
     is_n_irreducible,
     random_element,
-    verify_generating,
 )
 from bfcalc.trees import Tree, right_comb
 
@@ -62,6 +62,26 @@ def test_enumerate_counts_and_profiles():
         assert profile[n] == n * (n - 1) // 2
         assert profile[2 * n - 1] == (n + 1) * (n + 2) // 2 - 3
         assert profile[3 * n - 2] == 3
+
+
+@pytest.mark.parametrize("arity", [1, 0, -3, "a", 2.5])
+def test_enumerate_irreducible_refuses_what_contexts_refuse(arity):
+    # In a daemon thread, so a call that never returns fails the test instead of the run.
+    outcome = []
+
+    def call():
+        try:
+            outcome.append(enumerate_irreducible(arity))
+        except Exception as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(1.0)
+    assert not worker.is_alive(), f"enumerate_irreducible({arity!r}) ran past a second"
+    with pytest.raises(bf.ContextError) as refused:
+        gen1_set(1)
+    assert [(type(e), str(e)) for e in outcome] == [(bf.ContextError, str(refused.value))]
 
 
 # --- the three families
@@ -331,11 +351,11 @@ def test_one_engine_per_set(monkeypatch):
 
     monkeypatch.setattr(_Decomposer, "__init__", counted)
     genset = gen2_set(2, bf.pn_context(2))
-    rng = random.Random(12)
-    for _ in range(3):
-        x = random_element(genset.context, rng, max_leaves=7)
-        assert bf.equal(evaluate_word(decompose(x, genset), genset), x)
-    verify_generating(genset, 3, seed=12)
+    for leaves in (7, 9):
+        rng = random.Random(12)
+        for _ in range(3):
+            x = random_element(genset.context, rng, max_leaves=leaves)
+            assert bf.equal(evaluate_word(decompose(x, genset), genset), x)
     assert len(built) == 1
     # the engine lives outside the fields: equality and hash are unchanged
     assert genset == gen2_set(2, bf.pn_context(2))
@@ -538,25 +558,6 @@ def test_expansion_relations_match_hand_written(n):
                 for t0 in (atom[1:] if atom[0] == "L" else atom[1:2]):
                     x = bf.expand(_atom_element(genset.context, comb, atom), t0)
                     assert _atom_factors(x) == _hand_written_relation(engine, atom, t0)
-
-
-# --- verification
-
-def test_verify_generating_report():
-    genset = gen1_set(2)
-    rng = random.Random(3)
-    samples = [random_element(genset.context, rng) for _ in range(5)]
-    assert verify_generating(genset, 5, seed=3) == tuple(
-        len(decompose(x, genset)) for x in samples)
-    assert verify_generating(genset, 0, seed=3) == ()
-
-
-def test_verify_generating_failure_names_the_element(monkeypatch):
-    genset = gen1_set(2)
-    monkeypatch.setattr("bfcalc.generators.evaluate_word",
-                        lambda word, genset: bf.identity_element(genset.context))
-    with pytest.raises(bf.VerificationError, match="failed for element {"):
-        verify_generating(genset, 5, seed=3)
 
 
 def test_generator_set_lookup():
