@@ -153,7 +153,7 @@ def _label_key(context: HContext, label: Label) -> tuple[int, ...]:
     """The Dynnikov coordinates of the label's braid, kept in its facts."""
     facts = context._labels[label]
     if facts[2] is None:
-        facts[2] = br._dynnikov(context.arity, br.a_to_sigma(facts[0]).letters)
+        facts[2] = br._coordinates(facts[0])
     return facts[2]
 
 
@@ -428,23 +428,26 @@ def _layers(context: HContext, t_x: Tree, t_y: Tree, labels_x, labels_y) -> int 
 
 def _reading(x: BFElement, y: BFElement, braids) -> int:
     """
-    The sign of x^-1 y, read at join(x.t1, y.t1) without building it: _layers
-    on x.t2 and y.t2 along the join and the labels of x and y copied along it
-    (an expansion copies a label: no cabling); on a tie, braids(m, u, v) on
-    the cabled letters u of x and v of y, u^-1 v being its braid.
+    The sign of x^-1 y, read at join(x.t1, y.t1) without building it: the
+    slope sign of x.t2 and y.t2 along the join if they differ; else _layers
+    on the labels of x and y copied along it (an expansion copies a label:
+    no cabling); on a tie, braids(m, u, v) on the cabled letters u of x and
+    v of y, u^-1 v being its braid.
     """
     if x.context is not y.context and x.context != y.context:
         raise ContextError("elements live over different contexts")
     script_x, script_y = join(x.t1, y.t1)
     t_x = tr.attach_script(x.t2, script_x) if script_x else x.t2
     t_y = tr.attach_script(y.t2, script_y) if script_y else y.t2
+    if t_x is not t_y and t_x != t_y:  # the trees decide before any label is copied
+        return fn_sign(t_x, t_y)
     labels_x, labels_y = x.labels, y.labels
     if (script_x or script_y) and (any(labels_x) or any(labels_y)):
         labels_x, labels_y = list(labels_x), list(labels_y)
         for script, labels in ((script_x, labels_x), (script_y, labels_y)):
             for t in script:  # an expansion copies the label n times
                 labels[t - 1 : t] = (labels[t - 1],) * x.arity
-    sign = _layers(x.context, t_x, t_y, labels_x, labels_y)
+    sign = _layers(x.context, t_x, t_x, labels_x, labels_y)  # one tree twice: they tie
     if sign is None:
         return braids(t_x.leaf_count, _expanded(x, script_x)[0], _expanded(y, script_y)[0])
     return sign

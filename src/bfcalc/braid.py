@@ -12,13 +12,16 @@ for the braid
 
 in which strands i and j link once and every other strand is left alone.
 AWords are pure by construction and are the only alphabet the group layer
-above ever stores; sigma words are what equality is decided on, and oracle
-material.
+above ever stores; sigma words are oracle material (a_to_sigma, split_sigma).
 
 Equality of braids is decided by comparing Dynnikov coordinates, the images
 of one vector of Z^2m under a faithful action of the braid group, after
-cheap checks on pure words (cancelled letters, linking numbers); the Artin
-action, the independent oracle, lives in the combing module.  Cabling
+cheap checks on pure words (cancelled letters, linking numbers).  One
+routine applies the action to runs of consecutive crossings: a pure word
+feeds it runs spelled straight from its letters (_pure_runs), with the
+crossings that neighbouring letters share cancelled before they are
+applied, and a sigma word feeds it one-crossing runs.  The Artin action,
+the independent oracle, lives in the combing module.  Cabling
 (cable_letters) reads a memo per split strand t and width n, keyed by the
 pair and sized by t + n - 1 (not read past its bound), of letter images,
 keyed by the letter and sized by the strands j + n - 1 of its image: a
@@ -150,8 +153,12 @@ def is_pure(word: SigmaWord) -> bool:
 
 def linking_numbers(word: AWord) -> dict[tuple[int, int], int]:
     """Exponent sums per strand pair; a complete abelian invariant."""
+    return _linking(word.letters)
+
+
+def _linking(letters: Iterable[ALetter]) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
-    for i, j, sign in word.letters:
+    for i, j, sign in letters:
         key = (i, j)
         total = out.get(key, 0) + sign
         if total:
@@ -164,48 +171,124 @@ def linking_numbers(word: AWord) -> dict[tuple[int, int], int]:
 def _cancelled(letters: Iterable[ALetter]) -> list[ALetter]:
     """Drop syntactically adjacent inverse pairs of letters (free reduction), in one pass."""
     out: list[ALetter] = []
-    for i, j, s in letters:
+    for letter in letters:
+        i, j, s = letter
         if out and out[-1] == (i, j, -s):
             out.pop()
         else:
-            out.append((i, j, s))
+            out.append(letter)
     return out
 
 
-def _dynnikov(strands: int, letters: Iterable[int]) -> tuple[int, ...]:
+def _dynnikov_runs(strands: int, runs: Iterable[tuple[int, int, int]]) -> tuple[int, ...]:
     """
     Image of the start vector (a_k, b_k) = (0, 1), k = 1..m, under the
-    Dynnikov action of the word on Z^2m.  The action is faithful, so two
-    words are the same braid exactly when their images agree.  The crossing
-    q changes only pairs q and q+1; with x+ = max(x, 0), x- = min(x, 0),
-    (a, b) = pair q and (c, d) = pair q+1, the letter s_q sends them to
+    Dynnikov action on Z^2m of a word given as runs (q, stop, e): the
+    crossings s_q s_{q-1} ... s_{stop+1} for e = 1, s_q^-1 s_{q+1}^-1 ...
+    s_{stop-1}^-1 for e = -1, none for q == stop.  The action is faithful,
+    so two words are the same braid exactly when their images agree.  The
+    crossing q changes only pairs q and q+1; with x+ = max(x, 0), x- =
+    min(x, 0), (a, b) = pair q and (c, d) = pair q+1, s_q sends them to
 
         a + b+ + (d+ - t)+,  d - t+,  c + d- + (b- + t)-,  b + t+,
         where t = a - b- - c + d+,
 
-    and s_q^-1 acts as s_q conjugated by negating a and c.  Each letter
-    costs O(1) integer operations, and the bit length of the coordinates
-    grows at most linearly with the word length (Dynnikov, On a Yang-Baxter
-    map and the Dehornoy ordering, Russian Math. Surveys 57, 2002; Dehornoy,
-    Efficient solutions to the braid isotopy problem, Discrete Appl. Math.
-    156, 2008).
+    and s_q^-1 acts as s_q conjugated by negating a and c.  Along a run
+    the pair a crossing writes last is the one the next crossing reads
+    first, so it stays in locals: a crossing reads one pair and writes one.
+    Each crossing costs O(1) integer operations, and the bit length of the
+    coordinates grows at most linearly with the word length (Dynnikov, On a
+    Yang-Baxter map and the Dehornoy ordering, Russian Math. Surveys 57,
+    2002; Dehornoy, Efficient solutions to the braid isotopy problem,
+    Discrete Appl. Math. 156, 2008).
     """
     a = [0] * strands
     b = [1] * strands
-    for x in letters:
-        e = 1 if x > 0 else -1
-        q = x * e  # pairs q-1 and q, counted from 0
-        p = q - 1
-        a0, b0, a1, b1 = a[p] * e, b[p], a[q] * e, b[q]
-        b0p, b0m = (b0, 0) if b0 > 0 else (0, b0)
-        b1p, b1m = (b1, 0) if b1 > 0 else (0, b1)
-        t = a0 - b0m - a1 + b1p
-        tp = t if t > 0 else 0
-        u, w = b1p - t, b0m + t
-        a[p] = (a0 + b0p + (u if u > 0 else 0)) * e
-        a[q] = (a1 + b1m + (w if w < 0 else 0)) * e
-        b[p], b[q] = b1 - tp, b0 + tp
+    for q, stop, e in runs:  # pairs q-1 and q, counted from 0, meet at crossing q
+        if e > 0:  # descending: the new left pair is the next crossing's right pair (a1, b1)
+            a1, b1 = a[q], b[q]
+            for p in range(q - 1, stop - 1, -1):
+                a0, b0 = a[p], b[p]
+                if b0 > 0:
+                    b0p, b0m = b0, 0
+                else:
+                    b0p, b0m = 0, b0
+                if b1 > 0:
+                    b1p, b1m = b1, 0
+                else:
+                    b1p, b1m = 0, b1
+                t = a0 - b0m - a1 + b1p
+                tp = t if t > 0 else 0
+                u, w = b1p - t, b0m + t
+                a[p + 1], b[p + 1] = a1 + b1m + (w if w < 0 else 0), b0 + tp
+                a1, b1 = a0 + b0p + (u if u > 0 else 0), b1 - tp
+            a[stop], b[stop] = a1, b1
+        else:  # ascending, a negated: the new right pair is the next crossing's left pair (a0, b0)
+            a0, b0 = -a[q - 1], b[q - 1]
+            for p in range(q, stop):
+                a1, b1 = -a[p], b[p]
+                if b0 > 0:
+                    b0p, b0m = b0, 0
+                else:
+                    b0p, b0m = 0, b0
+                if b1 > 0:
+                    b1p, b1m = b1, 0
+                else:
+                    b1p, b1m = 0, b1
+                t = a0 - b0m - a1 + b1p
+                tp = t if t > 0 else 0
+                u, w = b1p - t, b0m + t
+                a[p - 1], b[p - 1] = -(a0 + b0p + (u if u > 0 else 0)), b1 - tp
+                a0, b0 = a1 + b1m + (w if w < 0 else 0), b0 + tp
+            a[stop - 1], b[stop - 1] = -a0, b0
     return tuple(a + b)
+
+
+def _dynnikov(strands: int, letters: Iterable[int]) -> tuple[int, ...]:
+    """Dynnikov coordinates of a crossing word, each letter a one-crossing run."""
+    return _dynnikov_runs(strands, [(x, x - 1, 1) if x > 0 else (-x, 1 - x, -1) for x in letters])
+
+
+def _pure_runs(letters: Sequence[ALetter]) -> Iterable[tuple[int, int, int]]:
+    """
+    Crossing runs of a pure word for _dynnikov_runs, with no crossing word
+    built.  A[i,j]^s is a head run, two middle crossings s_q^-2s and the
+    head's inverse as its tail run, spelled left (q = j-1: head s_i^-1 ...
+    s_{j-2}^-1) or, when a neighbour shares j but not i, right (q = i: head
+    s_{j-1} ... s_{i+1}); each middle crossing joins the run of its sign.
+    A positive run descends and a negative one ascends, so a tail ends on
+    the inverse of the next head's start exactly when the two letters share
+    i (left) or j (right): the tail is held back and cancelled against the
+    next head, and a cable product costs its middles plus short transitions.
+    """
+    p0 = p1 = pe = bi = bj = 0  # the held-back tail (p0, p1, pe); the letter before
+    for (i, j, s), (ai, aj, _) in zip(letters, [*letters[1:], (0, 0, 0)]):
+        if (bj == j and bi != i) or (aj == j and ai != i):
+            q, hs = i, 1
+            h0, h1 = j - 1, i
+            t0, t1 = i + 1, j
+        else:
+            q, hs = j - 1, -1
+            h0, h1 = i, q
+            t0, t1 = j - 2, i - 1
+        e = -s
+        if e == hs:  # the first middle crossing ends the head, else the second starts the tail
+            h1 -= e
+        else:
+            t0 += e
+        if pe != hs and p1 + pe == h0:  # cancel the held tail's end against the head's start
+            c = min((p0 - p1) * pe, (h0 - h1) * hs) * hs
+            p1 -= c
+            h0 -= c
+        if p0 != p1:
+            yield p0, p1, pe
+        if h0 != h1:
+            yield h0, h1, hs
+        yield q, q - e, e
+        p0, p1, pe = t0, t1, -hs
+        bi, bj = i, j
+    if p0 != p1:
+        yield p0, p1, pe
 
 
 def braids_equal(u: SigmaWord | AWord, v: SigmaWord | AWord) -> bool:
@@ -213,8 +296,7 @@ def braids_equal(u: SigmaWord | AWord, v: SigmaWord | AWord) -> bool:
     Decide u == v in the braid group.  Pure words are first compared after
     cancelling adjacent inverse letters, letter for letter, then, with their
     common prefix and suffix dropped, by linking numbers; otherwise the
-    braids are equal exactly when their crossing words have the same
-    Dynnikov coordinates.
+    braids are equal exactly when their Dynnikov coordinates agree.
     """
     if u.strands != v.strands:
         raise BraidError("strand count mismatch")
@@ -228,17 +310,32 @@ def braids_equal(u: SigmaWord | AWord, v: SigmaWord | AWord) -> bool:
             p += 1
         while s < shorter - p and x[-1 - s] == y[-1 - s]:
             s += 1
-        u, v = (AWord._new(u.strands, tuple(x[p:len(x) - s])),
-                AWord._new(v.strands, tuple(y[p:len(y) - s])))
-        if linking_numbers(u) != linking_numbers(v):
+        x, y = x[p:len(x) - s], y[p:len(y) - s]
+        if _linking(x) != _linking(y):
             return False
-    su = a_to_sigma(u) if isinstance(u, AWord) else u
-    sv = a_to_sigma(v) if isinstance(v, AWord) else v
-    return _dynnikov(u.strands, su.letters) == _dynnikov(v.strands, sv.letters)
+        return _dynnikov_runs(u.strands, _pure_runs(x)) == _dynnikov_runs(u.strands, _pure_runs(y))
+    return _coordinates(u) == _coordinates(v)
+
+
+def _coordinates(word: SigmaWord | AWord) -> tuple[int, ...]:
+    """Dynnikov coordinates of a word: a pure word by its runs, a crossing word letter by letter."""
+    if isinstance(word, AWord):
+        return _dynnikov_runs(word.strands, _pure_runs(word.letters))
+    return _dynnikov(word.strands, word.letters)
 
 
 def is_trivial(word: SigmaWord | AWord) -> bool:
-    return not word.letters or braids_equal(word, AWord._new(word.strands, ()))
+    """
+    Whether the word is the trivial braid: a pure word is when its letters
+    cancel and is not when a linking number is nonzero; otherwise a word is
+    when its Dynnikov coordinates are the start vector.
+    """
+    start = (0,) * word.strands + (1,) * word.strands
+    if not isinstance(word, AWord):
+        return _dynnikov(word.strands, word.letters) == start
+    if not (letters := _cancelled(word.letters)):
+        return True
+    return not _linking(letters) and _dynnikov_runs(word.strands, _pure_runs(letters)) == start
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +419,7 @@ def _cable_product(i: int, j: int, t: int, n: int) -> list[ALetter]:
 
 def _check_cable_width(n: int) -> tuple[int, int]:
     """Check both cable cases of A[1,2] at width n, on n + 1 strands, against diagram cabling."""
-    single = a_to_sigma(AWord(2, ((1, 2, 1),)))
+    single = SigmaWord(2, (-1, -1))  # A[1,2]
     for t in (1, 2):
         if not braids_equal(AWord(n + 1, tuple(_cable_product(1, 2, t, n))),
                             split_sigma(single, t, n)):

@@ -1082,6 +1082,74 @@ def test_equal_and_compare_cable_only_when_trees_and_labels_tie(ctx, monkeypatch
     assert [single_reads(p) for p in singles] == single_expected
 
 
+class UnreadLabels(tuple):
+    """Labels that raise when read: a reader that iterates, indexes or copies them fails."""
+
+    def __iter__(self):
+        raise AssertionError("labels read although the trees decide")
+
+    __getitem__ = __len__ = __iter__
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS[1::2], ids=ORACLE_IDS[1:4:2])
+def test_tree_decided_compare_and_equal_copy_no_labels(ctx):
+    rng = random.Random(130 + ctx.arity)
+    pairs = []
+    while len(pairs) < 20:
+        x, y = draw(ctx, rng, leaves=4 * ctx.arity), draw(ctx, rng, leaves=4 * ctx.arity)
+        if any(x.labels + y.labels) and any(join(x.t1, y.t1)) and deciding_layer(x, y) == "trees":
+            pairs.append((x, y))
+    expected = [(equal_by_product(x, y), compare_oracle(x, y)) for x, y in pairs]
+
+    def unread(x):
+        return BFElement._new(x.context, x.t1, x.braid, UnreadLabels(x.labels), x.t2)
+
+    assert [(equal(unread(x), unread(y)), compare(unread(x), unread(y)))
+            for x, y in pairs] == expected
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=ORACLE_IDS[:4])
+def test_equal_on_two_grown_spellings_is_decided_by_the_braid(ctx, monkeypatch):
+    # Two spellings of x, one with the trivial word [A[1,2], A[2,3] A[1,3]]
+    # appended to its braid, grown by independent expansions to 40-60 leaves:
+    # they tie on trees, labels and linking numbers along their join, and
+    # their words differ by more than free cancellation, so only the Dynnikov
+    # pass decides.  A commutator on strands 1-3 changes neither trees,
+    # labels nor linking numbers, but the braid.
+    rng = random.Random(140 + ctx.arity + len(ctx.generators))
+    x = draw(ctx, rng, leaves=5, braid=8)
+    while x.leaf_count < 3 or len(x.braid) < 4:
+        x = draw(ctx, rng, leaves=5, braid=8)
+    relator = AWord(x.leaf_count,
+                    ((1, 2, 1), (2, 3, 1), (1, 3, 1), (1, 2, -1), (1, 3, -1), (2, 3, -1)))
+    assert is_trivial(relator)
+    y, z = (BFElement(ctx, x.t1, w, x.labels, x.t2) for w in (x.braid, x.braid * relator))
+    for target in (rng.randint(40, 60), rng.randint(40, 60)):
+        while y.leaf_count + ctx.arity - 1 <= target:
+            y = expand(y, rng.randint(1, y.leaf_count))
+        y, z = z, y
+    assert 40 <= min(y.leaf_count, z.leaf_count) and y.t1 != z.t1
+    m = z.leaf_count
+    c = AWord(m, ((1, 2, 1), (2, 3, 1), (1, 2, -1), (2, 3, -1)))
+    zc = multiply(z, BFElement(ctx, z.t2, c, ((),) * m, z.t2))
+    assert linking_numbers(zc.braid) == linking_numbers(z.braid)
+    kernel, passes = br._dynnikov_runs, []
+
+    def counted(*args):
+        passes.append(1)
+        return kernel(*args)
+
+    def refuse(*args):
+        raise AssertionError("a pure word was spelled as crossings")
+
+    monkeypatch.setattr(br, "_dynnikov_runs", counted)
+    monkeypatch.setattr(br, "a_to_sigma", refuse)
+    for u, v, same in ((y, z, True), (z, y, True), (y, zc, False), (zc, y, False)):
+        del passes[:]
+        assert equal(u, v) is same
+        assert len(passes) == 2
+
+
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=ORACLE_IDS[:4])
 def test_single_and_pair_reads_agree(ctx):
     rng = random.Random(110 + ctx.arity + len(ctx.generators))

@@ -262,6 +262,45 @@ def _dynnikov_equal(u, v):
             == br._dynnikov(v.strands, a_to_sigma(v).letters))
 
 
+def shared_runs(rng, m, count):
+    """Letters in stretches sharing i or sharing j (or neither), each letter of either sign."""
+    letters = []
+    while len(letters) < count:
+        i = rng.randint(1, m - 1)
+        j = rng.randint(i + 1, m)
+        kind = rng.randrange(3)
+        for _ in range(rng.randint(1, 6)):
+            if kind == 0:
+                j = rng.randint(i + 1, m)
+            elif kind == 1:
+                i = rng.randint(1, j - 1)
+            letters.append((i, j, rng.choice((1, -1))))
+    return tuple(letters)
+
+
+def test_pure_runs_give_the_crossing_words_coordinates():
+    # The runs kernel, held-back tails and their cancellation included, against
+    # the crossing word letter by letter: on stretches sharing i or j, on
+    # cablings made by expansion, and past 32 strands.
+    from bfcalc import bfgroup as bf
+    from bfcalc.generators import random_element
+    rng = random.Random(46)
+    words = []
+    for k in range(400):
+        m = rng.randint(2, 9) if k % 4 else rng.randint(33, 45)
+        words.append(AWord(m, shared_runs(rng, m, rng.randint(1, 24))))
+    for ctx in (bf.pn_context(2), bf.pn_context(3), bf.trivial_context(3)):
+        for k in range(12):
+            x = random_element(ctx, rng, max_leaves=5, max_braid_letters=6)
+            target = 40 if k % 3 == 0 else 12
+            script = tuple(rng.randint(1, m) for m in range(x.leaf_count, target, ctx.arity - 1))
+            letters, labels = bf._expanded(x, script)
+            words.append(AWord(len(labels), letters))
+    assert sum(w.strands > 32 for w in words) >= 100
+    for w in words:
+        assert br._coordinates(w) == br._dynnikov(w.strands, a_to_sigma(w).letters)
+
+
 def test_braids_equal_strips_common_ends():
     # p a s against p b s with equal linking numbers, so only Dynnikov on the
     # stripped middles decides; b is a reordering of a, or a with a trivial
