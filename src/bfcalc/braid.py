@@ -32,10 +32,10 @@ width is checked once per process.  The two strand bounds cap the tables at
 528 and the images of a table at 992, and so cap their memory (50.7 MiB
 when full).  Every memo follows the one rule in freegroup.
 
-The sign of a pure braid is read level by level from its linking numbers,
-the degree-1 Magnus coefficients of the combing coordinates; only a level
-whose linking numbers all vanish and whose letters do not cancel loads the
-combing module and is combed.
+The sign of a pure braid is decided by its deepest level that is not the
+trivial braid, read from its linking numbers, the degree-1 Magnus
+coefficients of the combing coordinates; only when they all vanish does
+that one level load the combing module and get combed.
 The benchmark's per-layer tracer reads comb and artin_image here (__getattr__).
 """
 
@@ -48,7 +48,6 @@ from .freegroup import (MEMO_LEAVES, NEGATIVE, POSITIVE, ZERO, Memo, SchemaError
                         _lazy_getattr, _value_class, invert_letters)
 
 ALetter = tuple[int, int, int]
-combing = None  # the combing module, bound when kr_sign first combs a level
 
 
 class BraidError(ValueError):
@@ -325,17 +324,7 @@ def _coordinates(word: SigmaWord | AWord) -> tuple[int, ...]:
 
 
 def is_trivial(word: SigmaWord | AWord) -> bool:
-    """
-    Whether the word is the trivial braid: a pure word is when its letters
-    cancel and is not when a linking number is nonzero; otherwise a word is
-    when its Dynnikov coordinates are the start vector.
-    """
-    start = (0,) * word.strands + (1,) * word.strands
-    if not isinstance(word, AWord):
-        return _dynnikov(word.strands, word.letters) == start
-    if not (letters := _cancelled(word.letters)):
-        return True
-    return not _linking(letters) and _dynnikov_runs(word.strands, _pure_runs(letters)) == start
+    return not word.letters or braids_equal(word, type(word)._new(word.strands, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +471,15 @@ def kr_sign(word: AWord) -> int:
     strands i+d, because the conjugation rules of combing act trivially on
     the abelianization.  Those sums are the coordinate's degree-1 Magnus
     coefficients, so one pass over the letters decides every level with
-    nonzero linking; only a level with zero linking whose letters do not
-    cancel is combed.
+    nonzero linking.  Deleting a strand is a homomorphism, so a trivial
+    level has trivial levels below it, and reading from the deepest, every
+    level below the one read is trivial.  A level word is its coordinate
+    times the level below, so its coordinate is trivial exactly when the
+    level word is: the first level with zero linking that is not the
+    trivial braid (is_trivial) decides, and it alone is combed.
     """
-    global combing
+    if not isinstance(word, AWord):
+        raise BraidError(f"kr_sign reads a pure word (AWord), not {type(word).__name__}")
     m = word.strands
     linking: dict[int, dict[int, int]] = {}  # strand i -> strand j -> linking number
     for i, j, sign in word.letters:
@@ -497,12 +491,9 @@ def kr_sign(word: AWord) -> int:
         for j in sorted(row):
             if total := row[j]:
                 return POSITIVE if total > 0 else NEGATIVE
-        if i < m - 1 and (level := _level_word(word, i)).letters:  # else rank 1 or cancelled
-            if combing is None:
-                from . import combing
-            coord = combing._peel_front(level)
-            if not coord.is_trivial():
-                return combing.magnus_sign(coord)
+        if i < m - 1 and not is_trivial(level := _level_word(word, i)):  # rank 1: linking decides
+            from . import combing
+            return combing.magnus_sign(combing._peel_front(level))
     return ZERO
 
 

@@ -10,8 +10,9 @@ coordinates, through a table of conjugation rules whose instances are each
 checked by braid equality before their first use and kept in a memo (the
 rule is in freegroup), keyed by the instance and sized by the letters of its
 conjugator, at most 4, so each is checked once per process.
-braid.kr_sign loads this module only to comb a level whose linking numbers
-all vanish and whose letters do not cancel.
+braid.kr_sign loads this module only to comb the level that decides a
+sign, the deepest that is not the trivial braid, when its linking numbers
+all vanish.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from bfcalc.braid import (AWord, BraidError, SigmaWord, a_to_sigma, braids_equal
                           delete_strand, is_trivial, kr_sign, linking_numbers, shift_embed,
                           split_a)
 from bfcalc.combing import FreeWord, comb
-from bfcalc.freegroup import MEMO_LEAVES, FrozenInstanceError, WordError, reduce_onto
+from bfcalc.freegroup import MEMO_LEAVES, ZERO, FrozenInstanceError, WordError, reduce_onto
 from bfcalc.generators import (GeneratorSet, GeneratorSetError, PureGeneratorSpec, gen1_set,
                                gen3_set, random_element, random_pvb_element, random_tree)
 from bfcalc import treepairs as tp
@@ -1108,15 +1108,14 @@ def test_tree_decided_compare_and_equal_copy_no_labels(ctx):
             for x, y in pairs] == expected
 
 
-@pytest.mark.parametrize("ctx", CONTEXTS, ids=ORACLE_IDS[:4])
-def test_equal_on_two_grown_spellings_is_decided_by_the_braid(ctx, monkeypatch):
-    # Two spellings of x, one with the trivial word [A[1,2], A[2,3] A[1,3]]
-    # appended to its braid, grown by independent expansions to 40-60 leaves:
-    # they tie on trees, labels and linking numbers along their join, and
-    # their words differ by more than free cancellation, so only the Dynnikov
-    # pass decides.  A commutator on strands 1-3 changes neither trees,
-    # labels nor linking numbers, but the braid.
-    rng = random.Random(140 + ctx.arity + len(ctx.generators))
+def grown_spellings(ctx, rng, low, high):
+    """
+    An element x and two spellings y, z of it, one with the trivial word
+    [A[1,2], A[2,3] A[1,3]] appended to its braid, grown by independent
+    expansions to low-high leaves: they tie on trees, labels and linking
+    numbers along their join, and their words differ by more than free
+    cancellation, so only the braid decides between them.
+    """
     x = draw(ctx, rng, leaves=5, braid=8)
     while x.leaf_count < 3 or len(x.braid) < 4:
         x = draw(ctx, rng, leaves=5, braid=8)
@@ -1124,11 +1123,20 @@ def test_equal_on_two_grown_spellings_is_decided_by_the_braid(ctx, monkeypatch):
                     ((1, 2, 1), (2, 3, 1), (1, 3, 1), (1, 2, -1), (1, 3, -1), (2, 3, -1)))
     assert is_trivial(relator)
     y, z = (BFElement(ctx, x.t1, w, x.labels, x.t2) for w in (x.braid, x.braid * relator))
-    for target in (rng.randint(40, 60), rng.randint(40, 60)):
+    for target in (rng.randint(low, high), rng.randint(low, high)):
         while y.leaf_count + ctx.arity - 1 <= target:
             y = expand(y, rng.randint(1, y.leaf_count))
         y, z = z, y
-    assert 40 <= min(y.leaf_count, z.leaf_count) and y.t1 != z.t1
+    assert low <= min(y.leaf_count, z.leaf_count) and y.t1 != z.t1
+    return x, y, z
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=ORACLE_IDS[:4])
+def test_equal_on_two_grown_spellings_is_decided_by_the_braid(ctx, monkeypatch):
+    # Two spellings of x grown to 40-60 leaves, which only the Dynnikov pass
+    # tells apart.  A commutator on strands 1-3 changes neither trees,
+    # labels nor linking numbers, but the braid.
+    x, y, z = grown_spellings(ctx, random.Random(140 + ctx.arity + len(ctx.generators)), 40, 60)
     m = z.leaf_count
     c = AWord(m, ((1, 2, 1), (2, 3, 1), (1, 2, -1), (2, 3, -1)))
     zc = multiply(z, BFElement(ctx, z.t2, c, ((),) * m, z.t2))
@@ -1148,6 +1156,23 @@ def test_equal_on_two_grown_spellings_is_decided_by_the_braid(ctx, monkeypatch):
         del passes[:]
         assert equal(u, v) is same
         assert len(passes) == 2
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=ORACLE_IDS[:4])
+def test_every_decider_agrees_on_two_grown_spellings(ctx):
+    # y^-1 z and y z^-1 have trivial braids whose letters do not cancel, so
+    # compare and bf_sign read them through kr_sign, which combs no level.
+    x, y, z = grown_spellings(ctx, random.Random(150 + ctx.arity + len(ctx.generators)), 16, 32)
+    assert compare(y, z) == compare(z, y) == bf.EQUAL
+    assert compare(x, y) == compare(z, x) == bf.EQUAL
+    one = multiply(y, inverse(z))
+    assert bf_sign(one) == ZERO and is_identity(one)
+    assert bf_sign(y) == bf_sign(z) == bf_sign(x)
+    small = reduce(x)
+    for spelling in (y, z):
+        reduced = reduce(spelling)
+        assert (reduced.t1, reduced.t2) == (small.t1, small.t2)
+        assert equal(reduced, small)
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=ORACLE_IDS[:4])

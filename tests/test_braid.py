@@ -254,6 +254,7 @@ def test_braids_equal_matches_artin_exhaustive_small():
                 trivial = artin_image(word) == artin_image(identity)
                 assert trivial == (not _handle_reduce(letters))
                 assert braids_equal(word, identity) == trivial
+                assert is_trivial(word) == trivial
 
 
 def _dynnikov_equal(u, v):
@@ -411,12 +412,18 @@ TRIVIAL_9_STRAND_WORDS = (
 )
 
 
-def test_trivial_nine_strand_words():
+def test_trivial_nine_strand_words(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("combed a level of a trivial braid")
+
+    monkeypatch.setattr(cb, "_peel_front", refuse)
     for letters in TRIVIAL_9_STRAND_WORDS:
         word = AWord(9, letters)
         assert not linking_numbers(word)
         assert _handle_reduce(a_to_sigma(word).letters) == []
         assert is_trivial(word)
+        # every level is trivial, so no level is combed
+        assert kr_sign(word) == 0
         assert not is_trivial(word * AWord(9, ((1, 3, 1), (2, 4, 1), (1, 3, -1), (2, 4, -1))))
     assert [len(letters) for letters in TRIVIAL_9_STRAND_WORDS] == [82, 108]
 
@@ -860,6 +867,12 @@ def test_kr_sign_examples():
     assert kr_sign(AWord(2, ((1, 2, -1),))) == -1
 
 
+@pytest.mark.parametrize("word", [SigmaWord(3, (1, 1)), SigmaWord(3, ()), ((1, 2, 1),)])
+def test_kr_sign_refuses_all_but_pure_words(word):
+    with pytest.raises(BraidError, match="kr_sign reads a pure word"):
+        kr_sign(word)
+
+
 def test_kr_sign_antisymmetric():
     rng = random.Random(13)
     for _ in range(500):
@@ -944,8 +957,21 @@ def _commutator(u, v):
     return u * v * u.inverse() * v.inverse()
 
 
-def test_kr_sign_matches_all_levels_oracle():
-    rng = random.Random(20)
+def _pure_relator(m, k):
+    """The trivial word [A[k,k+1], A[k+1,k+2] A[k,k+2]] on m strands, no letter cancelling."""
+    return AWord(m, ((k, k + 1, 1), (k + 1, k + 2, 1), (k, k + 2, 1),
+                     (k, k + 1, -1), (k, k + 2, -1), (k + 1, k + 2, -1)))
+
+
+def test_kr_sign_matches_all_levels_oracle(monkeypatch):
+    peel, peeled = cb._peel_front, []
+
+    def counted(word):
+        peeled.append(word)
+        return peel(word)
+
+    monkeypatch.setattr(cb, "_peel_front", counted)  # the oracle calls its own _peel_front
+    rng, relators = random.Random(20), random.Random(22)
     combed_nonzero = 0
     for _ in range(300):
         m = rng.randint(2, 7)
@@ -953,8 +979,15 @@ def test_kr_sign_matches_all_levels_oracle():
         g = random_aword(rng, m, 6)
         nested = _commutator(_commutator(random_aword(rng, m, 3), random_aword(rng, m, 3)),
                              random_aword(rng, m, 3))
-        for word in (w, g * w * g.inverse(), nested):
+        words = [w, g * w * g.inverse(), nested]
+        if m > 2:  # trivial words that do not cancel freely, and their products with v
+            r = _pure_relator(m, relators.randint(1, m - 2))
+            v = random_aword(relators, m, 6)
+            words += [g * r * g.inverse(), w * r * w.inverse() * v]
+        for word in words:
+            del peeled[:]
             assert kr_sign(word) == _kr_sign_all_levels(word)
+            assert len(peeled) <= 1, "combed more than the deciding level"
         # commutators have zero linking everywhere, so their sign is combed
         assert not linking_numbers(nested)
         combed_nonzero += kr_sign(nested) != 0

@@ -376,6 +376,9 @@ COMMUTATOR = "{ ((*,*),*) ; A[1,2] A[1,3] A[1,2]^-1 A[1,3]^-1 ; [1,1,1] ; ((*,*)
     (["parse", "{ (*,*) ; A[1,2] ; [1,1] ; (*,*) }", "-n", "2"],
      "{ (*,*) ; A[1,2] ; [ 1, 1 ] ; (*,*) }", []),
     (["count", "--gen1", "-n", "2"], "10", ["bfcalc.treepairs"]),
+    # a trivial braid whose letters do not cancel: no level decides, none is combed
+    (["sign", "{ ((*,*),*) ; A[1,2] A[2,3] A[1,3] A[1,2]^-1 A[1,3]^-1 A[2,3]^-1 ; [1,1,1] ; "
+      "((*,*),*) }", "-n", "2"], "zero", []),
 ])
 def test_a_fresh_command_loads_only_the_layers_it_runs(argv, answer, loaded):
     code = (f"import sys, bfcalc.cli; bfcalc.cli.main({argv!r}); "
